@@ -71,9 +71,6 @@ class KCore(GasAlgorithm):
     def gather(self, accum, dst_local, values, state=None):
         np.add.at(accum, dst_local, values)
 
-    def merge(self, accum, other):
-        accum += other
-
     def apply(self, values, accum, iteration):
         values["degree"] -= accum
         died = values["alive"] & (values["degree"] < self.k)

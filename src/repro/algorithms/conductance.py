@@ -65,9 +65,6 @@ class Conductance(GasAlgorithm):
         crossing = values != state["side"][dst_local]
         np.add.at(accum, dst_local[crossing], 1)
 
-    def merge(self, accum: np.ndarray, other: np.ndarray) -> None:
-        accum += other
-
     def apply(self, values: State, accum: np.ndarray, iteration: int) -> int:
         values["crossing"][:] = accum
         return int(np.count_nonzero(accum))

@@ -105,17 +105,6 @@ class _MinEdgePick(GasAlgorithm):
         )
         accum[unique_dst[better]] = best[better]
 
-    def merge(self, accum: np.ndarray, other: np.ndarray) -> None:
-        better = self._better(
-            other["weight"],
-            other["k1"],
-            other["k2"],
-            accum["weight"],
-            accum["k1"],
-            accum["k2"],
-        )
-        accum[better] = other[better]
-
     def apply(self, values: State, accum: np.ndarray, iteration: int) -> int:
         picked = np.isfinite(accum["weight"])
         values["chosen"][picked] = accum["src"][picked]
@@ -168,10 +157,6 @@ class _HookPropagate(GasAlgorithm):
         from_parent = state["chosen"][dst_local] == values["src"]
         index = dst_local[from_parent]
         accum[index] = values[from_parent]
-
-    def merge(self, accum: np.ndarray, other: np.ndarray) -> None:
-        fresh = other["src"] != -1
-        accum[fresh] = other[fresh]
 
     def apply(self, values: State, accum: np.ndarray, iteration: int) -> int:
         has_parent = accum["src"] != -1

@@ -77,9 +77,6 @@ class MIS(GasAlgorithm):
     def gather(self, accum, dst_local, values, state=None) -> None:
         np.minimum.at(accum, dst_local, values)
 
-    def merge(self, accum: np.ndarray, other: np.ndarray) -> None:
-        np.minimum(accum, other, out=accum)
-
     def apply(self, values: State, accum: np.ndarray, iteration: int) -> int:
         status = values["status"]
         undecided = status == UNDECIDED

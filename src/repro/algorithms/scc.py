@@ -68,9 +68,6 @@ class _ForwardColor(GasAlgorithm):
     def gather(self, accum, dst_local, values, state=None) -> None:
         np.maximum.at(accum, dst_local, values)
 
-    def merge(self, accum: np.ndarray, other: np.ndarray) -> None:
-        np.maximum(accum, other, out=accum)
-
     def apply(self, values: State, accum: np.ndarray, iteration: int) -> int:
         improved = ~values["assigned"] & (accum > values["color"])
         values["color"][improved] = accum[improved]
@@ -120,9 +117,6 @@ class _BackwardConfirm(GasAlgorithm):
             & ~state["confirmed"][dst_local]
         )
         np.maximum.at(accum, dst_local[acceptable], values[acceptable])
-
-    def merge(self, accum: np.ndarray, other: np.ndarray) -> None:
-        np.maximum(accum, other, out=accum)
 
     def apply(self, values: State, accum: np.ndarray, iteration: int) -> int:
         newly = ~values["confirmed"] & ~values["assigned"] & (

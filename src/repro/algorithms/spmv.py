@@ -52,9 +52,6 @@ class SpMV(GasAlgorithm):
     def gather(self, accum, dst_local, values, state=None) -> None:
         np.add.at(accum, dst_local, values)
 
-    def merge(self, accum: np.ndarray, other: np.ndarray) -> None:
-        accum += other
-
     def combine_updates(self, dst, values):
         from repro.algorithms.combiners import combine_by_sum
 

@@ -74,9 +74,6 @@ class BFS(GasAlgorithm):
     def gather(self, accum, dst_local, values, state=None) -> None:
         np.minimum.at(accum, dst_local, values)
 
-    def merge(self, accum: np.ndarray, other: np.ndarray) -> None:
-        np.minimum(accum, other, out=accum)
-
     def combine_updates(self, dst, values):
         from repro.algorithms.combiners import combine_by_min
 
@@ -127,9 +124,6 @@ class WCC(GasAlgorithm):
 
     def gather(self, accum, dst_local, values, state=None) -> None:
         np.minimum.at(accum, dst_local, values)
-
-    def merge(self, accum: np.ndarray, other: np.ndarray) -> None:
-        np.minimum(accum, other, out=accum)
 
     def combine_updates(self, dst, values):
         from repro.algorithms.combiners import combine_by_min
@@ -192,9 +186,6 @@ class SSSP(GasAlgorithm):
 
     def gather(self, accum, dst_local, values, state=None) -> None:
         np.minimum.at(accum, dst_local, values)
-
-    def merge(self, accum: np.ndarray, other: np.ndarray) -> None:
-        np.minimum(accum, other, out=accum)
 
     def combine_updates(self, dst, values):
         from repro.algorithms.combiners import combine_by_min

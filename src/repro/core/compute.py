@@ -863,15 +863,16 @@ class ComputationEngine:
         partition: int,
         checkpoint: bool = False,
         base: Optional[int] = None,
-        first_chunk_payload=None,
+        snapshot=None,
+        tag=(),
     ) -> Event:
         """Write all vertex chunks back; event fires when all are acked.
 
         Checkpoint writes land at a distinct index ``base`` (the slot
-        rotation of the two-phase protocol); ``first_chunk_payload``
-        rides on the chunk at ``base + 0`` of every replica — the fault
-        runtime stores the partition's state snapshot there so recovery
-        can read real bytes back through the storage model.
+        rotation of the two-phase protocol); ``snapshot`` (the
+        partition's state arrays, as columns) and ``tag`` ride on the
+        chunk at ``base + 0`` of every replica, so recovery can read
+        real bytes back through the storage model.
         """
         sizes = self._vertex_chunk_sizes(partition)
         done = Event(self.sim, name=f"vstore.p{partition}")
@@ -894,18 +895,16 @@ class ComputationEngine:
                 partition, index, replicas
             )
             for target in targets:
+                carries = snapshot is not None and index == 0
                 chunk = Chunk(
                     partition=partition,
                     kind=ChunkKind.VERTICES,
                     size=size,
-                    payload=(
-                        first_chunk_payload
-                        if (checkpoint and index == 0)
-                        else None
-                    ),
+                    payload=snapshot if carries else None,
                     index=base + index,
+                    tag=tag if carries else (),
                 )
-                if chunk.payload is not None:
+                if carries:
                     seal_chunk(chunk)
                 self._send_write(chunk, target, on_ack)
         return done
@@ -1208,20 +1207,16 @@ class ComputationEngine:
             slot = registry.round_slot(key, resume)
             base = registry.base_for_slot(slot)
             for partition in self.my_partitions:
-                payload = {
-                    "snapshot": self.workload.snapshot_partition(partition),
-                    "resume_iteration": resume,
-                    # Freshness metadata: restore verifies the chunk it
-                    # read belongs to the generation it asked for (a
-                    # stale-read fault serves an older, validly-sealed
-                    # version — checksums alone cannot catch that).
-                    "key": key,
-                }
                 event = self._store_vertex_set(
                     partition,
                     checkpoint=True,
                     base=base,
-                    first_chunk_payload=payload,
+                    snapshot=self.workload.snapshot_partition(partition),
+                    # Freshness metadata: restore verifies the chunk it
+                    # read belongs to the generation it asked for (a
+                    # stale-read fault serves an older, validly-sealed
+                    # version — checksums alone cannot catch that).
+                    tag=(resume, *key),
                 )
                 event.subscribe(
                     lambda _e, p=partition: registry.note_durable(

@@ -126,16 +126,6 @@ class GasAlgorithm(abc.ABC):
         current value.
         """
 
-    @abc.abstractmethod
-    def merge(self, accum: np.ndarray, other: np.ndarray) -> None:
-        """Merge a stealer's partial accumulator into the master's.
-
-        Position-wise combination with the same semantics as gather
-        (e.g. ``+=`` for sums, ``minimum`` for min-gathers); it must be
-        commutative/associative so the master can fold stealer
-        accumulators in any order (Figure 3).
-        """
-
     def combine_updates(
         self, dst: np.ndarray, values: np.ndarray
     ) -> Optional[Tuple[np.ndarray, np.ndarray]]:

@@ -607,7 +607,7 @@ class _RestoreClient:
                         f"checkpoint for partition {partition} carries no "
                         f"snapshot payload"
                     )
-                sup.workload.restore_partition(partition, snapshot["snapshot"])
+                sup.workload.restore_partition(partition, snapshot)
         # Purge stale update chunk sets: each machine clears its own
         # store for every partition (local requests, zero network cost),
         # which between the workers covers the whole cluster.
@@ -754,9 +754,8 @@ class _RestoreClient:
             if (
                 integrity
                 and generation is not None
-                and isinstance(chunk.payload, dict)
-                and "key" in chunk.payload
-                and tuple(chunk.payload["key"]) != tuple(generation.key)
+                and chunk.tag
+                and chunk.tag[1:] != tuple(generation.key)
             ):
                 # Validly-sealed but *old* data (the stale-read fault):
                 # the checksum passes, the freshness key does not.

@@ -7,15 +7,19 @@ units of distribution ...  Chunks are also the unit of stealing."*
 (Section 6.2).  The paper uses 4 MB chunks (Section 7).
 
 A chunk couples a *modelled* wire/storage size (what the hardware model
-charges for) with an optional *payload* (real numpy data in functional
-runs, ``None`` for phantom chunks in model-mode capacity runs).
+charges for) with an optional *payload* (named numpy columns in
+functional runs, ``None`` for phantom chunks in model-mode capacity
+runs).  ``store.codec`` defines the one layout memory, files, the CRC
+seal and the fault injector share.
 """
 
 from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import Any
+from typing import Dict, Optional, Tuple
+
+import numpy as np
 
 #: The paper's chunk size: a 4 MB block in the per-partition file.
 DEFAULT_CHUNK_BYTES = 4 * 1024 * 1024
@@ -36,16 +40,20 @@ class Chunk:
     partition: int
     kind: ChunkKind
     size: int
-    payload: Any = None
+    #: Named columns, one fixed dtype each (structured dtypes allowed).
+    payload: Optional[Dict[str, np.ndarray]] = None
     #: For vertex chunks only: position within the partition's vertex
     #: set, used by the hashed placement (Section 6.4).
     index: int = 0
     #: Number of records (edges / updates / vertices) the chunk holds.
     #: Drives the modelled CPU cost of processing it.
     records: int = 0
-    #: CRC32 seal over identity + payload (``store.integrity``); ``None``
-    #: for unsealed chunks (phantom / model-mode), which verify trivially.
-    crc: Any = None
+    #: CRC32 seal over header + columns (``store.codec``); ``None`` for
+    #: unsealed chunks (phantom / model-mode), which verify trivially.
+    crc: Optional[int] = None
+    #: Small header ints covered by the seal.  Checkpoint chunks carry
+    #: ``(resume_iteration, *freshness key)`` here; empty otherwise.
+    tag: Tuple[int, ...] = ()
 
     def __post_init__(self):
         if self.size < 0:

@@ -191,11 +191,8 @@ class StorageEngine:
         quarantined) by the restore client's verify-on-read.  Returns
         how many chunks were actually damaged.
         """
-        keys = getattr(self.backend, "vertex_chunk_keys", None)
-        if keys is None:
-            return 0
         damaged = 0
-        for partition, index in keys():
+        for partition, index in self.backend.vertex_chunk_keys():
             if damaged >= count or index < base_floor:
                 continue
             chunk = self.backend.get_vertex_chunk(partition, index)
@@ -302,7 +299,7 @@ class StorageEngine:
         )
 
     def _handle_read(self, message) -> None:
-        request_id, requester, reply_service, partition, kind = message.payload
+        request_id, _requester, _reply_service, partition, kind = message.payload
         if self._san is not None:
             # Advancing the read-once cursor mutates shared store state;
             # it is safe only because this engine serializes all access.
@@ -316,10 +313,37 @@ class StorageEngine:
             chunk = self.backend.fetch_any(partition, kind)
         if chunk is None:
             self.exhausted_replies += 1
+        else:
+            self._retransmit[request_id] = chunk
+        label = f"read:{kind.value}:p{partition}" if self._trace_on else None
+        self._serve_read(message, "read_reply", chunk, kind, label)
+
+    def _handle_vread(self, message) -> None:
+        _request_id, _requester, _reply_service, partition, index = message.payload
+        with self._host.measure(self.machine, "deserialize"):
+            chunk = self.backend.get_vertex_chunk(partition, index)
+        if chunk is not None and self.faults.stale_reads > 0:
+            stale = self.backend.get_previous_vertex_chunk(partition, index)
+            if stale is not None:
+                # Lost in-place update: the read returns the version the
+                # last write overwrote.  Its CRC is valid — staleness is
+                # caught by freshness metadata (the checkpoint generation
+                # key), not by checksums.
+                self.faults.stale_reads -= 1
+                self.stale_reads_served += 1
+                chunk = stale
+        label = f"vread:p{partition}" if self._trace_on else None
+        self._serve_read(message, "vread_reply", chunk, ChunkKind.VERTICES, label)
+
+    def _serve_read(self, message, reply_kind: str, chunk, kind, label) -> None:
+        """Reply to a read: an exhausted marker, or the chunk once the
+        device has served it (after the read-path fault/verify step)."""
+        request_id, requester, reply_service = message.payload[:3]
+        if chunk is None:
             self._reply(
                 requester,
                 reply_service,
-                "read_reply",
+                reply_kind,
                 EXHAUSTED_BYTES,
                 (request_id, None),
                 epoch=message.epoch,
@@ -328,18 +352,16 @@ class StorageEngine:
             return
         self.reads_served += 1
         self.reads_by_kind[kind] += 1
-        label = f"read:{kind.value}:p{partition}" if self._trace_on else None
         served = self._read_path(chunk, label)
-        self._retransmit[request_id] = chunk
         done = self.device.service(served.size, label=label)
         done.subscribe(
-            lambda _e, epoch=message.epoch: self._reply(
+            lambda _e: self._reply(
                 requester,
                 reply_service,
-                "read_reply",
+                reply_kind,
                 served.size,
                 (request_id, served),
-                epoch=epoch,
+                epoch=message.epoch,
                 parent=message.ctx,
             )
         )
@@ -468,7 +490,7 @@ class StorageEngine:
     def _handle_write(self, message) -> None:
         if self._reject_write(message):
             return
-        request_id, requester, reply_service, chunk = message.payload
+        chunk = message.payload[3]
         if self._san is not None:
             self._san.access(
                 ("chunks", self.machine, chunk.partition, chunk.kind),
@@ -476,12 +498,25 @@ class StorageEngine:
                 write=True,
                 label="store.append",
             )
-        self.writes_served += 1
         label = (
             f"write:{chunk.kind.value}:p{chunk.partition}"
             if self._trace_on
             else None
         )
+        self._serve_write(message, self.backend.append_chunk, label)
+
+    def _handle_vwrite(self, message) -> None:
+        if self._reject_write(message):
+            return
+        chunk = message.payload[3]
+        label = f"vwrite:p{chunk.partition}" if self._trace_on else None
+        self._serve_write(message, self.backend.put_vertex_chunk, label)
+
+    def _serve_write(self, message, store, label) -> None:
+        """Charge the device, then ``store`` the (possibly torn, possibly
+        repaired) chunk and ack — unless a rollback fenced it meanwhile."""
+        request_id, requester, reply_service, chunk = message.payload
+        self.writes_served += 1
         done = self.device.service(chunk.size, label=label)
         epoch = message.epoch
 
@@ -495,84 +530,7 @@ class StorageEngine:
             with self._host.measure(
                 self.machine, "serialize", records=chunk.records
             ):
-                self.backend.append_chunk(stored)
-            self._reply(
-                requester,
-                reply_service,
-                "write_ack",
-                CONTROL_BYTES,
-                (request_id, None),
-                epoch=epoch,
-                parent=message.ctx,
-            )
-
-        done.subscribe(complete)
-
-    def _handle_vread(self, message) -> None:
-        request_id, requester, reply_service, partition, index = message.payload
-        with self._host.measure(self.machine, "deserialize"):
-            chunk = self.backend.get_vertex_chunk(partition, index)
-        if chunk is not None and self.faults.stale_reads > 0:
-            stale_getter = getattr(
-                self.backend, "get_previous_vertex_chunk", None
-            )
-            stale = (
-                stale_getter(partition, index)
-                if stale_getter is not None
-                else None
-            )
-            if stale is not None:
-                # Lost in-place update: the read returns the version the
-                # last write overwrote.  Its CRC is valid — staleness is
-                # caught by freshness metadata (the checkpoint generation
-                # key), not by checksums.
-                self.faults.stale_reads -= 1
-                self.stale_reads_served += 1
-                chunk = stale
-        if chunk is None:
-            self._reply(
-                requester,
-                reply_service,
-                "vread_reply",
-                EXHAUSTED_BYTES,
-                (request_id, None),
-                epoch=message.epoch,
-                parent=message.ctx,
-            )
-            return
-        self.reads_served += 1
-        self.reads_by_kind[ChunkKind.VERTICES] += 1
-        label = f"vread:p{partition}" if self._trace_on else None
-        served = self._read_path(chunk, label)
-        done = self.device.service(served.size, label=label)
-        done.subscribe(
-            lambda _e, epoch=message.epoch: self._reply(
-                requester,
-                reply_service,
-                "vread_reply",
-                served.size,
-                (request_id, served),
-                epoch=epoch,
-                parent=message.ctx,
-            )
-        )
-
-    def _handle_vwrite(self, message) -> None:
-        if self._reject_write(message):
-            return
-        request_id, requester, reply_service, chunk = message.payload
-        self.writes_served += 1
-        label = f"vwrite:p{chunk.partition}" if self._trace_on else None
-        done = self.device.service(chunk.size, label=label)
-        epoch = message.epoch
-
-        def complete(_event: Event) -> None:
-            if epoch < self.data_epoch:
-                self.stale_dropped += 1
-                return
-            stored = self._written_copy(chunk, label)
-            with self._host.measure(self.machine, "serialize"):
-                self.backend.put_vertex_chunk(stored)
+                store(stored)
             self._reply(
                 requester,
                 reply_service,

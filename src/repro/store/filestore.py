@@ -1,211 +1,93 @@
-"""File-backed chunk store: real secondary-storage I/O.
+"""File-backed chunk provider: real secondary-storage I/O.
 
 The production system keeps, per machine and streaming partition, one
 ext4 file each for the vertex, edge and update set, accessed through the
-page cache in 4 MB blocks (Section 7).  This backend reproduces the data
-plane with real files: every chunk payload is written to disk when
+page cache in 4 MB blocks (Section 7).  This provider reproduces the
+data plane with real files: every chunk payload is written to disk when
 stored and read back from disk when fetched, so functional runs really
 do stream the graph through secondary storage.
 
-Payloads are dicts of numpy arrays; each array is appended verbatim to
-the (machine-local) file for its (partition, kind) stream, and the
-in-memory chunk records only offsets and dtypes.  The store therefore
-holds O(#chunks) metadata, not the data itself.
+Each stored chunk is one *extent* of its (partition, kind) stream file:
+its columns back to back in the order ``store.codec`` fixes (sorted by
+name).  What stays in memory is the index entry — the chunk header with
+its seal and ``tag``, plus the extent's offset and column layout — so
+the store holds O(#chunks) metadata, not the data itself, and a chunk
+read back verifies against the seal it was stored with.
 """
 
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass
-from typing import Dict, Optional, Tuple
+from dataclasses import dataclass, replace
+from typing import Optional
 
-import numpy as np
-
+from repro.store import codec
 from repro.store.chunk import Chunk, ChunkKind
-from repro.store.memstore import ChunkSet
+from repro.store.memstore import ChunkStore
 
 
 @dataclass
-class _ArrayRef:
-    """Location of one serialized array inside a backing file."""
+class _Extent:
+    """Index entry of a chunk whose columns live in the stream file."""
 
+    #: The chunk minus its payload: identity, seal and ``tag``.
+    header: Chunk
     offset: int
-    dtype: np.dtype
-    shape: Tuple[int, ...]
+    nbytes: int
+    layout: codec.Layout
 
     @property
-    def nbytes(self) -> int:
-        return int(np.prod(self.shape, dtype=np.int64)) * self.dtype.itemsize
+    def size(self) -> int:
+        return self.header.size
 
 
-class FileChunkStore:
-    """Chunk store whose payloads live in real files under ``root``.
-
-    Implements the same interface as
-    :class:`repro.store.memstore.MemoryChunkStore` so the storage engine
-    can use either interchangeably.
-    """
+class FileChunkStore(ChunkStore):
+    """Provider whose payloads live in real files under ``root``."""
 
     def __init__(self, root: str):
+        super().__init__()
         self.root = root
         os.makedirs(root, exist_ok=True)
-        self._sets: Dict[Tuple[int, ChunkKind], ChunkSet] = {}
-        self._vertex_chunks: Dict[Tuple[int, int], Chunk] = {}
-        self._refs: Dict[int, Dict[str, _ArrayRef]] = {}
-        self._next_ref = 0
-        self._append_offsets: Dict[str, int] = {}
-        self.bytes_written = 0
-        self.bytes_read = 0
-
-    # -- file plumbing ---------------------------------------------------
 
     def _path(self, partition: int, kind: ChunkKind) -> str:
         return os.path.join(self.root, f"p{partition}.{kind.value}")
 
-    def _write_payload(
-        self, partition: int, kind: ChunkKind, payload: Dict[str, np.ndarray]
-    ) -> int:
-        """Append payload arrays to the stream file; return a ref handle."""
-        path = self._path(partition, kind)
-        refs: Dict[str, _ArrayRef] = {}
-        offset = self._append_offsets.get(path, 0)
-        with open(path, "ab") as stream:
-            for name in sorted(payload):
-                array = np.ascontiguousarray(payload[name])
-                refs[name] = _ArrayRef(
-                    offset=offset, dtype=array.dtype, shape=array.shape
-                )
-                stream.write(array.tobytes())
-                offset += array.nbytes
-        self._append_offsets[path] = offset
-        handle = self._next_ref
-        self._next_ref += 1
-        self._refs[handle] = refs
-        return handle
-
-    def _read_payload(
-        self, partition: int, kind: ChunkKind, handle: int
-    ) -> Dict[str, np.ndarray]:
-        path = self._path(partition, kind)
-        refs = self._refs[handle]
-        payload: Dict[str, np.ndarray] = {}
-        with open(path, "rb") as stream:
-            for name, ref in refs.items():
-                stream.seek(ref.offset)
-                raw = stream.read(ref.nbytes)
-                payload[name] = np.frombuffer(raw, dtype=ref.dtype).reshape(
-                    ref.shape
-                ).copy()
-        return payload
-
-    def _spill(self, chunk: Chunk) -> Chunk:
-        """Replace a chunk's in-memory payload with a file reference."""
+    def _stow(self, chunk: Chunk):
+        """Append the chunk's columns as one extent; hold the index entry."""
         if chunk.payload is None:
             return chunk
-        if not isinstance(chunk.payload, dict):
-            raise TypeError(
-                "FileChunkStore payloads must be dicts of numpy arrays"
-            )
-        handle = self._write_payload(chunk.partition, chunk.kind, chunk.payload)
-        spilled = Chunk(
-            partition=chunk.partition,
-            kind=chunk.kind,
-            size=chunk.size,
-            payload=None,
-            index=chunk.index,
-            records=chunk.records,
+        cols = codec.columns(chunk)
+        with open(self._path(chunk.partition, chunk.kind), "ab") as stream:
+            offset = stream.tell()
+            stream.writelines(array for _name, array in cols)
+            nbytes = stream.tell() - offset
+        return _Extent(
+            replace(chunk, payload=None), offset, nbytes, codec.layout_of(cols)
         )
-        spilled._file_handle = handle  # type: ignore[attr-defined]
-        return spilled
 
-    def _materialize(self, chunk: Optional[Chunk]) -> Optional[Chunk]:
-        if chunk is None:
-            return None
-        handle = getattr(chunk, "_file_handle", None)
-        if handle is None:
-            return chunk
-        payload = self._read_payload(chunk.partition, chunk.kind, handle)
-        loaded = Chunk(
-            partition=chunk.partition,
-            kind=chunk.kind,
-            size=chunk.size,
-            payload=payload,
-            index=chunk.index,
-            records=chunk.records,
-        )
-        return loaded
-
-    # -- MemoryChunkStore-compatible interface ----------------------------
-
-    def _chunk_set(self, partition: int, kind: ChunkKind) -> ChunkSet:
-        key = (partition, kind)
-        if key not in self._sets:
-            self._sets[key] = ChunkSet()
-        return self._sets[key]
+    def _load(self, held) -> Optional[Chunk]:
+        if not isinstance(held, _Extent):
+            return held
+        header = held.header
+        with open(self._path(header.partition, header.kind), "rb") as stream:
+            stream.seek(held.offset)
+            extent = stream.read(held.nbytes)
+        return replace(header, payload=codec.decode(held.layout, extent))
 
     def append_chunk(self, chunk: Chunk) -> None:
-        if chunk.kind is ChunkKind.VERTICES:
-            raise ValueError("vertex chunks use put_vertex_chunk")
-        self._chunk_set(chunk.partition, chunk.kind).add(self._spill(chunk))
-        self.bytes_written += chunk.size
+        self._append(chunk)
 
     def fetch_any(self, partition: int, kind: ChunkKind) -> Optional[Chunk]:
-        chunk = self._chunk_set(partition, kind).next_unprocessed()
-        if chunk is not None:
-            self.bytes_read += chunk.size
-        return self._materialize(chunk)
+        return self._fetch(partition, kind)
 
-    def remaining_bytes(self, partition: int, kind: ChunkKind) -> int:
-        key = (partition, kind)
-        if key not in self._sets:
-            return 0
-        return self._sets[key].remaining_bytes()
+    def put_vertex_chunk(self, chunk: Chunk) -> None:
+        self._put_vertex(chunk)
 
-    def stored_bytes(self, partition: int, kind: ChunkKind) -> int:
-        key = (partition, kind)
-        if key not in self._sets:
-            return 0
-        return self._sets[key].total_bytes()
-
-    def reset_cursors(self, kind: ChunkKind) -> None:
-        for (_partition, k), chunk_set in self._sets.items():
-            if k is kind:
-                chunk_set.reset_cursor()
+    def get_vertex_chunk(self, partition: int, index: int) -> Optional[Chunk]:
+        return self._get_vertex(partition, index)
 
     def delete(self, partition: int, kind: ChunkKind) -> None:
-        key = (partition, kind)
-        if key in self._sets:
-            for chunk in self._sets[key].chunks:
-                handle = getattr(chunk, "_file_handle", None)
-                if handle is not None:
-                    self._refs.pop(handle, None)
-            self._sets[key].clear()
+        super().delete(partition, kind)
         path = self._path(partition, kind)
         if os.path.exists(path):
             os.remove(path)
-            self._append_offsets.pop(path, None)
-
-    def put_vertex_chunk(self, chunk: Chunk) -> None:
-        if chunk.kind is not ChunkKind.VERTICES:
-            raise ValueError("put_vertex_chunk requires a vertex chunk")
-        old = self._vertex_chunks.get((chunk.partition, chunk.index))
-        if old is not None:
-            handle = getattr(old, "_file_handle", None)
-            if handle is not None:
-                self._refs.pop(handle, None)
-        self._vertex_chunks[(chunk.partition, chunk.index)] = self._spill(chunk)
-        self.bytes_written += chunk.size
-
-    def get_vertex_chunk(self, partition: int, index: int) -> Optional[Chunk]:
-        chunk = self._vertex_chunks.get((partition, index))
-        if chunk is not None:
-            self.bytes_read += chunk.size
-        return self._materialize(chunk)
-
-    def vertex_chunk_count(self, partition: int) -> int:
-        return sum(1 for (p, _i) in self._vertex_chunks if p == partition)
-
-    def total_stored_bytes(self) -> int:
-        data = sum(s.total_bytes() for s in self._sets.values())
-        vertices = sum(c.size for c in self._vertex_chunks.values())
-        return data + vertices

@@ -3,10 +3,11 @@
 Chaos' recovery story (Section 6.6) assumes fail-stop machines; on the
 commodity clusters the paper targets, silent data corruption (disk
 bit-rot, torn writes, NIC bit-flips) is a real additional failure mode.
-This module gives every chunk a CRC32 seal computed over its identity
-(partition / kind / index / size / records) and the bytes of its real
-payload, so that any layer — storage engine, compute engine, restore
-client — can verify a chunk cheaply on receipt.
+Every chunk carries a CRC32 seal over the one layout ``store.codec``
+defines — header (partition / kind / index / size / records / tag plus
+the column descriptors) and then every column's bytes — so that any
+layer (storage engine, compute engine, restore client) can verify a
+chunk cheaply on receipt, whichever provider it was stored by.
 
 ``corrupt_chunk`` is the adversary: it produces a deep copy of a chunk
 whose payload has been genuinely perturbed (a numeric cell changed)
@@ -19,64 +20,19 @@ run.
 
 from __future__ import annotations
 
-import copy
-import zlib
-from typing import Any, List, Optional
+from typing import Optional
 
 import numpy as np
 
+from repro.store import codec
 from repro.store.chunk import Chunk
 
-__all__ = [
-    "chunk_checksum",
-    "seal_chunk",
-    "verify_chunk",
-    "corrupt_chunk",
-]
-
-
-def _crc_bytes(crc: int, data: bytes) -> int:
-    return zlib.crc32(data, crc)
-
-
-def _crc_value(crc: int, value: Any) -> int:
-    """Fold one payload node into the running CRC, deterministically."""
-    if value is None:
-        return _crc_bytes(crc, b"\x00none")
-    if isinstance(value, np.ndarray):
-        crc = _crc_bytes(crc, str(value.dtype).encode())
-        crc = _crc_bytes(crc, repr(value.shape).encode())
-        return _crc_bytes(crc, np.ascontiguousarray(value).tobytes())
-    if isinstance(value, dict):
-        crc = _crc_bytes(crc, b"\x00dict")
-        for key in sorted(value, key=repr):
-            crc = _crc_bytes(crc, repr(key).encode())
-            crc = _crc_value(crc, value[key])
-        return crc
-    if isinstance(value, (list, tuple)):
-        crc = _crc_bytes(crc, b"\x00seq")
-        for item in value:
-            crc = _crc_value(crc, item)
-        return crc
-    # Scalars (int / float / str / bool / enum) — repr is stable for the
-    # types checkpoint payloads actually carry.
-    return _crc_bytes(crc, repr(value).encode())
-
-
-def chunk_checksum(chunk: Chunk) -> int:
-    """CRC32 over a chunk's identity and payload bytes."""
-    crc = 0
-    header = (
-        f"{chunk.partition}|{chunk.kind.value}|{chunk.index}"
-        f"|{chunk.size}|{chunk.records}"
-    )
-    crc = _crc_bytes(crc, header.encode())
-    return _crc_value(crc, chunk.payload)
+__all__ = ["seal_chunk", "verify_chunk", "corrupt_chunk"]
 
 
 def seal_chunk(chunk: Chunk) -> Chunk:
     """Stamp ``chunk.crc`` with the current checksum; returns the chunk."""
-    chunk.crc = chunk_checksum(chunk)
+    chunk.crc = codec.checksum(chunk)
     return chunk
 
 
@@ -90,47 +46,29 @@ def verify_chunk(chunk: Optional[Chunk]) -> bool:
     """
     if chunk is None or chunk.crc is None:
         return True
-    return chunk_checksum(chunk) == chunk.crc
-
-
-def _numeric_leaves(value: Any, out: List[np.ndarray]) -> None:
-    if isinstance(value, np.ndarray) and value.size > 0:
-        if np.issubdtype(value.dtype, np.number):
-            out.append(value)
-    elif isinstance(value, dict):
-        for key in sorted(value, key=repr):
-            _numeric_leaves(value[key], out)
-    elif isinstance(value, (list, tuple)):
-        for item in value:
-            _numeric_leaves(item, out)
+    return codec.checksum(chunk) == chunk.crc
 
 
 def corrupt_chunk(chunk: Chunk) -> Chunk:
     """Deep copy of ``chunk`` with one payload cell perturbed, seal stale.
 
-    Prefers a float array (perturbing a value keeps index arrays valid,
+    Prefers a float column (perturbing a value keeps index arrays valid,
     so an unhardened run completes with *wrong* answers rather than
-    crashing); falls back to zeroing the first cell of an integer array.
-    A chunk with no numeric payload is returned as an unmodified copy —
-    there is nothing to corrupt, and its seal still matches.
+    crashing); falls back to zeroing the first cell of an integer column.
+    A chunk with no non-empty numeric column is returned as an unmodified
+    copy — there is nothing to corrupt, and its seal still matches.
     """
-    clone = Chunk(
-        partition=chunk.partition,
-        kind=chunk.kind,
-        size=chunk.size,
-        payload=copy.deepcopy(chunk.payload),
-        index=chunk.index,
-        records=chunk.records,
-    )
-    clone.crc = chunk.crc
-    leaves: List[np.ndarray] = []
-    _numeric_leaves(clone.payload, leaves)
-    if not leaves:
+    clone = codec.clone(chunk)
+    numeric = [
+        array
+        for _name, array in codec.columns(clone)
+        if array.size > 0 and np.issubdtype(array.dtype, np.number)
+    ]
+    if not numeric:
         return clone
-    floats = [a for a in leaves if np.issubdtype(a.dtype, np.floating)]
-    target = floats[0] if floats else leaves[0]
-    if np.issubdtype(target.dtype, np.floating):
-        target.flat[0] = target.flat[0] * 2.0 + 1.0
+    floats = [a for a in numeric if np.issubdtype(a.dtype, np.floating)]
+    if floats:
+        floats[0].flat[0] = floats[0].flat[0] * 2.0 + 1.0
     else:
-        target.flat[0] = 0 if target.flat[0] != 0 else 1
+        numeric[0].flat[0] = 0 if numeric[0].flat[0] != 0 else 1
     return clone

@@ -1,4 +1,4 @@
-"""In-memory chunk store: bookkeeping shared by all storage backends.
+"""Chunk-store bookkeeping, and the in-memory provider over it.
 
 A storage engine keeps, per (partition, kind), an ordered set of chunks
 plus a consumption cursor.  The cursor is the whole of the paper's
@@ -62,11 +62,15 @@ class ChunkSet:
         return len(self.chunks)
 
 
-class MemoryChunkStore:
-    """Default backend: chunks (and their payloads) live in memory.
+class ChunkStore:
+    """Read-once cursors and vertex-chunk versions, shared by providers.
 
-    The simulated device model provides the timing; this class provides
-    the data plane and the read-once bookkeeping.
+    A provider decides only how a chunk is *held* while stored —
+    :meth:`_stow` on the way in, :meth:`_load` on the way out — and
+    defines the four data-plane entry points (``append_chunk``,
+    ``fetch_any``, ``put_vertex_chunk``, ``get_vertex_chunk``) in its
+    own class body, so that per-provider instrumentation patched onto
+    one provider's entry points never sees the other's calls.
     """
 
     def __init__(self):
@@ -79,6 +83,17 @@ class MemoryChunkStore:
         self.bytes_written = 0
         self.bytes_read = 0
 
+    # -- provider hooks --------------------------------------------------
+
+    def _stow(self, chunk: Chunk):
+        """The form in which ``chunk`` is held while stored (anything
+        with a ``size``)."""
+        return chunk
+
+    def _load(self, held) -> Optional[Chunk]:
+        """The chunk a reader gets back for a held one."""
+        return held
+
     # -- edge / update chunks -----------------------------------------
 
     def _chunk_set(self, partition: int, kind: ChunkKind) -> ChunkSet:
@@ -87,17 +102,17 @@ class MemoryChunkStore:
             self._sets[key] = ChunkSet()
         return self._sets[key]
 
-    def append_chunk(self, chunk: Chunk) -> None:
+    def _append(self, chunk: Chunk) -> None:
         if chunk.kind is ChunkKind.VERTICES:
             raise ValueError("vertex chunks use put_vertex_chunk")
-        self._chunk_set(chunk.partition, chunk.kind).add(chunk)
+        self._chunk_set(chunk.partition, chunk.kind).add(self._stow(chunk))
         self.bytes_written += chunk.size
 
-    def fetch_any(self, partition: int, kind: ChunkKind) -> Optional[Chunk]:
-        chunk = self._chunk_set(partition, kind).next_unprocessed()
-        if chunk is not None:
-            self.bytes_read += chunk.size
-        return chunk
+    def _fetch(self, partition: int, kind: ChunkKind) -> Optional[Chunk]:
+        held = self._chunk_set(partition, kind).next_unprocessed()
+        if held is not None:
+            self.bytes_read += held.size
+        return self._load(held)
 
     def remaining_bytes(self, partition: int, kind: ChunkKind) -> int:
         key = (partition, kind)
@@ -123,27 +138,27 @@ class MemoryChunkStore:
 
     # -- vertex chunks --------------------------------------------------
 
-    def put_vertex_chunk(self, chunk: Chunk) -> None:
+    def _put_vertex(self, chunk: Chunk) -> None:
         if chunk.kind is not ChunkKind.VERTICES:
             raise ValueError("put_vertex_chunk requires a vertex chunk")
         key = (chunk.partition, chunk.index)
         previous = self._vertex_chunks.get(key)
         if previous is not None:
             self._prev_vertex_chunks[key] = previous
-        self._vertex_chunks[key] = chunk
+        self._vertex_chunks[key] = self._stow(chunk)
         self.bytes_written += chunk.size
 
-    def get_vertex_chunk(self, partition: int, index: int) -> Optional[Chunk]:
-        chunk = self._vertex_chunks.get((partition, index))
-        if chunk is not None:
-            self.bytes_read += chunk.size
-        return chunk
+    def _get_vertex(self, partition: int, index: int) -> Optional[Chunk]:
+        held = self._vertex_chunks.get((partition, index))
+        if held is not None:
+            self.bytes_read += held.size
+        return self._load(held)
 
     def get_previous_vertex_chunk(
         self, partition: int, index: int
     ) -> Optional[Chunk]:
         """The version a put overwrote, if any (stale-read fault plane)."""
-        return self._prev_vertex_chunks.get((partition, index))
+        return self._load(self._prev_vertex_chunks.get((partition, index)))
 
     def replace_vertex_chunk(self, chunk: Chunk) -> None:
         """Overwrite a stored vertex chunk *without* version tracking or
@@ -151,7 +166,7 @@ class MemoryChunkStore:
         (simulated device time is charged by the storage engine)."""
         if chunk.kind is not ChunkKind.VERTICES:
             raise ValueError("replace_vertex_chunk requires a vertex chunk")
-        self._vertex_chunks[(chunk.partition, chunk.index)] = chunk
+        self._vertex_chunks[(chunk.partition, chunk.index)] = self._stow(chunk)
 
     def vertex_chunk_keys(self) -> List[Tuple[int, int]]:
         """All stored (partition, index) vertex-chunk keys, sorted."""
@@ -166,3 +181,23 @@ class MemoryChunkStore:
         data = sum(s.total_bytes() for s in self._sets.values())
         vertices = sum(c.size for c in self._vertex_chunks.values())
         return data + vertices
+
+
+class MemoryChunkStore(ChunkStore):
+    """Default provider: chunks (and their payloads) are held as they are.
+
+    The simulated device model provides the timing; this class provides
+    the data plane over the shared read-once bookkeeping.
+    """
+
+    def append_chunk(self, chunk: Chunk) -> None:
+        self._append(chunk)
+
+    def fetch_any(self, partition: int, kind: ChunkKind) -> Optional[Chunk]:
+        return self._fetch(partition, kind)
+
+    def put_vertex_chunk(self, chunk: Chunk) -> None:
+        self._put_vertex(chunk)
+
+    def get_vertex_chunk(self, partition: int, index: int) -> Optional[Chunk]:
+        return self._get_vertex(partition, index)

@@ -19,7 +19,18 @@ hypothesis_settings.register_profile("repro", deadline=None)
 hypothesis_settings.load_profile("repro")
 from repro.graph import rmat_graph, to_undirected
 from repro.net.topology import GIGE_40_SCALED
+from repro.store import FileChunkStore, MemoryChunkStore
 from repro.store.device import SSD_SCALED
+
+#: The chunk-store providers every store / fault test is crossed with.
+PROVIDERS = ("memory", "file")
+
+
+def make_store(provider: str, root):
+    """One chunk store of the named provider (files under ``root``)."""
+    if provider == "memory":
+        return MemoryChunkStore()
+    return FileChunkStore(str(root))
 
 
 @pytest.fixture(scope="session")
@@ -55,6 +66,12 @@ def fast_config(machines: int = 4, **overrides) -> ClusterConfig:
     )
     defaults.update(overrides)
     return ClusterConfig(**defaults)
+
+
+@pytest.fixture(params=PROVIDERS)
+def backend(request, tmp_path):
+    """A ``ChaosCluster(backend_factory=...)``, once per provider."""
+    return lambda machine: make_store(request.param, tmp_path / f"m{machine}")
 
 
 @pytest.fixture

@@ -37,8 +37,8 @@ def _fault_config(**overrides):
     return fast_config(4, **defaults)
 
 
-def _run(small_graph, specs=None, iterations=3, **overrides):
-    cluster = ChaosCluster(_fault_config(**overrides))
+def _run(small_graph, specs=None, iterations=3, backend=None, **overrides):
+    cluster = ChaosCluster(_fault_config(**overrides), backend_factory=backend)
     plan = (
         FaultPlan([parse_fault_spec(s) for s in specs]) if specs else None
     )
@@ -150,6 +150,20 @@ class TestByzantineSpecs:
 
 
 class TestHardenedByteIdentity:
+    """Crossed with the chunk-store provider: hardening covers both."""
+
+    @pytest.fixture(scope="class")
+    def memory_counters(self, small_graph):
+        """``JobResult.integrity`` of the memory-provider run, per spec."""
+        cache = {}
+
+        def counters(spec):
+            if spec not in cache:
+                cache[spec] = _run(small_graph, [spec])[0].integrity
+            return cache[spec]
+
+        return counters
+
     @pytest.mark.parametrize(
         "spec",
         [
@@ -162,25 +176,36 @@ class TestHardenedByteIdentity:
             "ckpt-corrupt:1@iter=1,count=4",
         ],
     )
-    def test_each_kind_is_byte_identical(self, small_graph, pr_baseline, spec):
-        result, _ = _run(small_graph, [spec])
+    def test_each_kind_is_byte_identical(
+        self, small_graph, pr_baseline, spec, backend, memory_counters
+    ):
+        result, _ = _run(small_graph, [spec], backend=backend)
         _assert_byte_identical(result, pr_baseline)
+        assert result.integrity == memory_counters(spec)
 
-    def test_byzantine_mixed_with_crash(self, small_graph, pr_baseline):
+    def test_byzantine_mixed_with_crash(self, small_graph, pr_baseline, backend):
         result, cluster = _run(
             small_graph,
             ["torn-write:1@iter=0,count=2", "crash:0@iter=2"],
+            backend=backend,
         )
         _assert_byte_identical(result, pr_baseline)
         assert cluster.last_fault_timeline.rounds
 
-    def test_corruption_counters_move(self, small_graph, pr_baseline):
-        result, cluster = _run(small_graph, ["msg-corrupt:1@iter=1,count=2"])
+    def test_corruption_counters_move(self, small_graph, pr_baseline, backend):
+        result, cluster = _run(
+            small_graph, ["msg-corrupt:1@iter=1,count=2"], backend=backend
+        )
         _assert_byte_identical(result, pr_baseline)
         assert cluster.last_network.messages_corrupted > 0
+        assert result.integrity["retransmits"] > 0
 
-    def test_torn_write_repaired_at_the_store(self, small_graph, pr_baseline):
-        result, cluster = _run(small_graph, ["torn-write:1@iter=1,count=2"])
+    def test_torn_write_repaired_at_the_store(
+        self, small_graph, pr_baseline, backend
+    ):
+        result, cluster = _run(
+            small_graph, ["torn-write:1@iter=1,count=2"], backend=backend
+        )
         _assert_byte_identical(result, pr_baseline)
         assert sum(s.torn_writes_repaired for s in cluster.last_stores) > 0
 

@@ -191,9 +191,9 @@ class TestByteIdentity:
         }
 
     @pytest.mark.parametrize("fault", FAULTS)
-    def test_pagerank(self, fault, small_graph, baselines):
+    def test_pagerank(self, fault, small_graph, baselines, backend):
         config = _fault_config()
-        result = ChaosCluster(config).run(
+        result = ChaosCluster(config, backend_factory=backend).run(
             PageRank(iterations=5), small_graph,
             fault_plan=FaultPlan.parse([fault]),
         )

@@ -100,46 +100,3 @@ class TestConstructorValidation:
         ctx = GraphContext(num_vertices=5, num_edges=0, weighted=False)
         with pytest.raises(ValueError, match="length"):
             algorithm.init_values(ctx)
-
-
-class TestGatherMergeConsistency:
-    """merge(a, b) must equal gathering b's constituents into a —
-    the algebraic requirement behind stealer-accumulator merging."""
-
-    @pytest.mark.parametrize(
-        "algorithm",
-        [BFS(), WCC(), PageRank(), SpMV(), BeliefPropagation()],
-        ids=lambda a: a.name,
-    )
-    def test_merge_equals_combined_gather(self, algorithm):
-        ctx = GraphContext(
-            num_vertices=8,
-            num_edges=0,
-            weighted=False,
-            out_degrees=np.ones(8, dtype=np.int64),
-        )
-        algorithm.init_values(ctx)
-        rng = np.random.default_rng(0)
-        dst_a = rng.integers(0, 8, size=20)
-        dst_b = rng.integers(0, 8, size=20)
-        if algorithm.name in ("BFS", "WCC"):
-            values_a = rng.integers(0, 100, size=20)
-            values_b = rng.integers(0, 100, size=20)
-        else:
-            values_a = rng.random(20)
-            values_b = rng.random(20)
-
-        combined = algorithm.make_accumulator(8)
-        algorithm.gather(combined, dst_a, values_a)
-        algorithm.gather(combined, dst_b, values_b)
-
-        partial_a = algorithm.make_accumulator(8)
-        algorithm.gather(partial_a, dst_a, values_a)
-        partial_b = algorithm.make_accumulator(8)
-        algorithm.gather(partial_b, dst_b, values_b)
-        algorithm.merge(partial_a, partial_b)
-
-        assert np.allclose(
-            np.asarray(partial_a, dtype=np.float64),
-            np.asarray(combined, dtype=np.float64),
-        )

@@ -19,6 +19,8 @@ from repro.store import (
 from repro.store.chunk import split_into_chunks
 from repro.store.device import HDD_RAID0, DeviceSpec
 
+from tests.conftest import PROVIDERS, make_store
+
 
 class TestChunk:
     def test_phantom_detection(self):
@@ -62,158 +64,116 @@ def _edge_chunk(partition=0, size=100, seq=0):
     return Chunk(partition=partition, kind=ChunkKind.EDGES, size=size, records=seq)
 
 
-class TestMemoryChunkStore:
-    def test_read_once_semantics(self):
-        store = MemoryChunkStore()
-        store.append_chunk(_edge_chunk(seq=1))
-        store.append_chunk(_edge_chunk(seq=2))
+def _data_chunk(kind=ChunkKind.EDGES, partition=0, size=100, seq=0, index=0):
+    """A chunk with real columns, so the file provider really spills it."""
+    column = np.arange(3, dtype=np.int64) + seq
+    return Chunk(
+        partition=partition,
+        kind=kind,
+        size=size,
+        payload={"dst": column, "src": column * 2},
+        index=index,
+        records=seq,
+    )
+
+
+@pytest.fixture(params=PROVIDERS)
+def store(request, tmp_path):
+    return make_store(request.param, tmp_path)
+
+
+class TestChunkStoreProviders:
+    """The read-once / vertex-version bookkeeping, on either provider."""
+
+    def test_read_once_semantics(self, store):
+        store.append_chunk(_data_chunk(seq=1))
+        store.append_chunk(_data_chunk(seq=2))
         assert store.fetch_any(0, ChunkKind.EDGES).records == 1
-        assert store.fetch_any(0, ChunkKind.EDGES).records == 2
+        second = store.fetch_any(0, ChunkKind.EDGES)
+        assert second.records == 2
+        assert np.array_equal(second.payload["src"], [4, 6, 8])
         assert store.fetch_any(0, ChunkKind.EDGES) is None
 
-    def test_reset_cursors_makes_rereadable(self):
-        store = MemoryChunkStore()
-        store.append_chunk(_edge_chunk())
+    def test_reset_cursors_makes_rereadable(self, store):
+        store.append_chunk(_data_chunk())
         store.fetch_any(0, ChunkKind.EDGES)
-        assert store.fetch_any(0, ChunkKind.EDGES) is None
-        store.reset_cursors(ChunkKind.EDGES)
-        assert store.fetch_any(0, ChunkKind.EDGES) is not None
-
-    def test_remaining_bytes(self):
-        store = MemoryChunkStore()
-        store.append_chunk(_edge_chunk(size=100))
-        store.append_chunk(_edge_chunk(size=50))
-        assert store.remaining_bytes(0, ChunkKind.EDGES) == 150
-        store.fetch_any(0, ChunkKind.EDGES)
-        assert store.remaining_bytes(0, ChunkKind.EDGES) == 50
-
-    def test_partitions_are_independent(self):
-        store = MemoryChunkStore()
-        store.append_chunk(_edge_chunk(partition=0))
-        store.append_chunk(_edge_chunk(partition=1))
-        assert store.fetch_any(0, ChunkKind.EDGES) is not None
-        assert store.fetch_any(0, ChunkKind.EDGES) is None
-        assert store.fetch_any(1, ChunkKind.EDGES) is not None
-
-    def test_delete_clears_set(self):
-        store = MemoryChunkStore()
-        chunk = Chunk(partition=0, kind=ChunkKind.UPDATES, size=10)
-        store.append_chunk(chunk)
-        store.delete(0, ChunkKind.UPDATES)
-        assert store.fetch_any(0, ChunkKind.UPDATES) is None
-        assert store.remaining_bytes(0, ChunkKind.UPDATES) == 0
-
-    def test_vertex_chunks_keyed_by_index(self):
-        store = MemoryChunkStore()
-        for index in range(3):
-            store.put_vertex_chunk(
-                Chunk(
-                    partition=0,
-                    kind=ChunkKind.VERTICES,
-                    size=10,
-                    index=index,
-                    records=index,
-                )
-            )
-        assert store.get_vertex_chunk(0, 1).records == 1
-        assert store.get_vertex_chunk(0, 5) is None
-        assert store.vertex_chunk_count(0) == 3
-
-    def test_vertex_chunk_overwrite(self):
-        store = MemoryChunkStore()
-        for records in (1, 2):
-            store.put_vertex_chunk(
-                Chunk(
-                    partition=0,
-                    kind=ChunkKind.VERTICES,
-                    size=10,
-                    index=0,
-                    records=records,
-                )
-            )
-        assert store.get_vertex_chunk(0, 0).records == 2
-        assert store.vertex_chunk_count(0) == 1
-
-    def test_vertex_chunk_wrong_method_rejected(self):
-        store = MemoryChunkStore()
-        with pytest.raises(ValueError):
-            store.append_chunk(
-                Chunk(partition=0, kind=ChunkKind.VERTICES, size=1)
-            )
-        with pytest.raises(ValueError):
-            store.put_vertex_chunk(_edge_chunk())
-
-
-class TestFileChunkStore:
-    def _payload_chunk(self, partition=0, values=(1, 2, 3)):
-        array = np.array(values, dtype=np.int64)
-        return Chunk(
-            partition=partition,
-            kind=ChunkKind.EDGES,
-            size=array.nbytes,
-            payload={"dst": array, "src": array * 2},
-            records=len(values),
-        )
-
-    def test_payload_roundtrip_through_disk(self, tmp_path):
-        store = FileChunkStore(str(tmp_path))
-        chunk = self._payload_chunk()
-        store.append_chunk(chunk)
-        loaded = store.fetch_any(0, ChunkKind.EDGES)
-        assert np.array_equal(loaded.payload["dst"], chunk.payload["dst"])
-        assert np.array_equal(loaded.payload["src"], chunk.payload["src"])
-
-    def test_files_created_on_disk(self, tmp_path):
-        store = FileChunkStore(str(tmp_path))
-        store.append_chunk(self._payload_chunk(partition=3))
-        assert (tmp_path / "p3.edges").exists()
-
-    def test_read_once_and_reset(self, tmp_path):
-        store = FileChunkStore(str(tmp_path))
-        store.append_chunk(self._payload_chunk())
-        assert store.fetch_any(0, ChunkKind.EDGES) is not None
         assert store.fetch_any(0, ChunkKind.EDGES) is None
         store.reset_cursors(ChunkKind.EDGES)
         loaded = store.fetch_any(0, ChunkKind.EDGES)
         assert loaded is not None and loaded.payload is not None
 
+    def test_remaining_and_stored_bytes(self, store):
+        store.append_chunk(_data_chunk(size=100))
+        store.append_chunk(_data_chunk(size=50))
+        assert store.remaining_bytes(0, ChunkKind.EDGES) == 150
+        store.fetch_any(0, ChunkKind.EDGES)
+        assert store.remaining_bytes(0, ChunkKind.EDGES) == 50
+        assert store.stored_bytes(0, ChunkKind.EDGES) == 150
+        assert store.total_stored_bytes() == 150
+        assert (store.bytes_written, store.bytes_read) == (150, 100)
+
+    def test_partitions_are_independent(self, store):
+        store.append_chunk(_data_chunk(partition=0))
+        store.append_chunk(_data_chunk(partition=1))
+        assert store.fetch_any(0, ChunkKind.EDGES) is not None
+        assert store.fetch_any(0, ChunkKind.EDGES) is None
+        assert store.fetch_any(1, ChunkKind.EDGES) is not None
+
+    def test_delete_clears_set(self, store):
+        store.append_chunk(_data_chunk(ChunkKind.UPDATES, size=10))
+        store.delete(0, ChunkKind.UPDATES)
+        assert store.fetch_any(0, ChunkKind.UPDATES) is None
+        assert store.remaining_bytes(0, ChunkKind.UPDATES) == 0
+        # The stream starts over: a chunk appended after the delete is
+        # the one read back.
+        store.append_chunk(_data_chunk(ChunkKind.UPDATES, seq=5))
+        assert store.fetch_any(0, ChunkKind.UPDATES).payload["dst"][0] == 5
+
+    def test_phantom_chunks_pass_through(self, store):
+        store.append_chunk(_edge_chunk(seq=1))
+        assert store.fetch_any(0, ChunkKind.EDGES).is_phantom
+
+    def test_vertex_chunks_keyed_by_index(self, store):
+        for index in range(3):
+            store.put_vertex_chunk(
+                _data_chunk(ChunkKind.VERTICES, size=10, index=index, seq=index)
+            )
+        assert store.get_vertex_chunk(0, 1).records == 1
+        assert store.get_vertex_chunk(0, 5) is None
+        assert store.vertex_chunk_count(0) == 3
+
+    def test_vertex_chunk_overwrite(self, store):
+        for records in (1, 2):
+            store.put_vertex_chunk(
+                _data_chunk(ChunkKind.VERTICES, size=10, seq=records)
+            )
+        assert store.get_vertex_chunk(0, 0).records == 2
+        assert store.get_previous_vertex_chunk(0, 0).records == 1
+        assert store.vertex_chunk_count(0) == 1
+
+    def test_vertex_chunk_wrong_method_rejected(self, store):
+        with pytest.raises(ValueError):
+            store.append_chunk(_data_chunk(ChunkKind.VERTICES, size=1))
+        with pytest.raises(ValueError):
+            store.put_vertex_chunk(_data_chunk())
+        with pytest.raises(ValueError):
+            store.replace_vertex_chunk(_data_chunk())
+
+
+class TestFileChunkStore:
+    def test_files_created_on_disk(self, tmp_path):
+        store = FileChunkStore(str(tmp_path))
+        store.append_chunk(_data_chunk(partition=3))
+        assert (tmp_path / "p3.edges").exists()
+        # One extent: the two int64 columns back to back, nothing else.
+        assert (tmp_path / "p3.edges").stat().st_size == 2 * 3 * 8
+
     def test_delete_removes_file(self, tmp_path):
         store = FileChunkStore(str(tmp_path))
-        store.append_chunk(self._payload_chunk(partition=1))
+        store.append_chunk(_data_chunk(partition=1))
         store.delete(1, ChunkKind.EDGES)
         assert not (tmp_path / "p1.edges").exists()
         assert store.fetch_any(1, ChunkKind.EDGES) is None
-
-    def test_structured_dtype_payload(self, tmp_path):
-        store = FileChunkStore(str(tmp_path))
-        dtype = np.dtype([("weight", np.float64), ("src", np.int64)])
-        payload = np.zeros(4, dtype=dtype)
-        payload["weight"] = [1.0, 2.0, 3.0, 4.0]
-        chunk = Chunk(
-            partition=0,
-            kind=ChunkKind.UPDATES,
-            size=payload.nbytes,
-            payload={"value": payload, "dst": np.arange(4)},
-            records=4,
-        )
-        store.append_chunk(chunk)
-        loaded = store.fetch_any(0, ChunkKind.UPDATES)
-        assert np.array_equal(loaded.payload["value"]["weight"], payload["weight"])
-
-    def test_vertex_chunk_roundtrip(self, tmp_path):
-        store = FileChunkStore(str(tmp_path))
-        array = np.arange(5, dtype=np.float64)
-        store.put_vertex_chunk(
-            Chunk(
-                partition=0,
-                kind=ChunkKind.VERTICES,
-                size=array.nbytes,
-                payload={"rank": array},
-                index=0,
-            )
-        )
-        loaded = store.get_vertex_chunk(0, 0)
-        assert np.array_equal(loaded.payload["rank"], array)
 
 
 class TestRandomPlacement:

@@ -16,7 +16,6 @@ from repro.core.batching import (
 from repro.core.config import ClusterConfig
 from repro.core.gas import GasAlgorithm, GraphContext
 from repro.core.metrics import Breakdown, IterationStats, JobResult
-from repro.core.recovery import RecoveryReport, run_with_failure
 from repro.core.runtime import ChaosCluster, run_algorithm
 from repro.core.stealing import StealDecision, should_accept_steal
 
@@ -28,8 +27,6 @@ __all__ = [
     "GraphContext",
     "IterationStats",
     "JobResult",
-    "RecoveryReport",
-    "run_with_failure",
     "StealDecision",
     "amplification_factor",
     "request_window",

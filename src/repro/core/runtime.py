@@ -14,6 +14,7 @@ paper's measurement convention (Section 8).
 
 from __future__ import annotations
 
+import functools
 import math
 import random
 import warnings
@@ -377,13 +378,15 @@ class ChaosCluster:
                 stores[placement.machine_for(p, index)].preload_chunk(chunk)
 
     def _make_sampler(
-        self, sim, tracer, stores, network: Network, engines
+        self, sim, tracer, stores, network: Network, epoch_engines
     ) -> ResourceSampler:
         """Periodic per-device / per-NIC / per-core-bank telemetry probes.
 
         The sampled series reproduce Figure 5-style utilization
         timelines from a live run: device busy fraction and queue depth,
-        NIC busy fraction, cumulative bytes, and busy cores.
+        NIC busy fraction, cumulative bytes, and busy cores.  Stores and
+        NICs outlive a rollback; the core probes read the last entry of
+        ``epoch_engines``, the epoch live when the sample is taken.
         """
         sampler = ResourceSampler(sim, tracer, tracer.sample_interval)
         for m, store in enumerate(stores):
@@ -421,9 +424,12 @@ class ChaosCluster:
             sampler.add_probe(
                 f"m{m}.nic.rx.bytes", m, nic.bytes_received, mode="value"
             )
-        for m, engine in enumerate(engines):
+        for m in range(len(stores)):
             sampler.add_probe(
-                f"m{m}.cores.busy", m, engine.cores.busy_cores, mode="value"
+                f"m{m}.cores.busy",
+                m,
+                lambda m=m: epoch_engines[-1][m].cores.busy_cores(),
+                mode="value",
             )
         return sampler
 
@@ -451,22 +457,49 @@ class ChaosCluster:
         fault_plan=None,
         deadline_seconds: Optional[float] = None,
     ) -> JobResult:
-        if fault_plan is not None and fault_plan:
-            return self._execute_with_faults(
-                workload,
-                layout,
-                input_bytes,
-                edge_chunk_loader,
-                start_iteration,
-                fault_plan,
-                deadline_seconds,
-            )
+        """Wire the cluster once and run the job over its recovery epochs.
+
+        An epoch is one job coordinator, barrier and set of computation
+        engines, made by ``build_epoch``.  A fault-free run is epoch 0
+        alone, run directly.  With a ``fault_plan`` the same builder
+        goes to the :class:`~repro.faults.supervisor.ClusterSupervisor`,
+        which owns the loop (run → detect → fence → re-admit → restore →
+        resume) and brings the fault-only parts: a monitor network
+        endpoint for the failure detector, heartbeats and the checkpoint
+        registry.
+        """
+        config = self.config
+        sanitizer = self.sanitizer
+        faulted = bool(fault_plan)
         self.last_fault_timeline = None
         self.last_registry = None
-        config = self.config
+        if faulted:
+            # Imported lazily: repro.faults depends on repro.core.
+            from repro.faults.detector import FailureDetector
+            from repro.faults.injector import FaultInjector
+            from repro.faults.registry import CheckpointRegistry
+            from repro.faults.supervisor import ClusterSupervisor
+
+            if config.placement == "centralized":
+                raise ValueError(
+                    "fault injection does not support the centralized placement "
+                    "baseline (directory replies carry no recovery epoch)"
+                )
+            if sanitizer is not None:
+                raise ValueError(
+                    "fault injection and the happens-before sanitizer are "
+                    "mutually exclusive (vector clocks do not model epochs)"
+                )
+            if not hasattr(workload, "snapshot_partition"):
+                raise ValueError(
+                    "fault injection requires a data-mode workload (model-mode "
+                    "phantom runs have no vertex state to checkpoint)"
+                )
+            fault_plan.validate(config)
+
         sim = Simulator()
         tracer = self.tracer
-        job_track = None
+        job_track = NULL_TRACK
         if tracer.enabled:
             tracer.bind_run(lambda: sim.now)
             for m in range(config.machines):
@@ -491,7 +524,6 @@ class ChaosCluster:
                     "algorithm": workload.algorithm.name,
                 },
             )
-        sanitizer = self.sanitizer
         if sanitizer is not None:
             sanitizer.bind_run(
                 config.machines, now=lambda: sim.now, track=job_track
@@ -499,6 +531,8 @@ class ChaosCluster:
         network = Network(
             sim, config.machines, config.network, tracer=tracer,
             sanitizer=sanitizer, host=self.host,
+            # The failure-detector monitor is one more endpoint.
+            extra_endpoints=1 if faulted else 0,
             integrity=config.integrity_checks,
         )
         stores = [
@@ -512,7 +546,7 @@ class ChaosCluster:
                 sanitizer=sanitizer,
                 host=self.host,
                 integrity=config.integrity_checks,
-                job_track=job_track if job_track is not None else NULL_TRACK,
+                job_track=job_track,
             )
             for m in range(config.machines)
         ]
@@ -531,187 +565,41 @@ class ChaosCluster:
                 lookups_per_second=config.directory_lookups_per_second,
                 seed=config.seed,
             )
-
-        job = JobCoordinator(workload, stores, start_iteration=start_iteration)
-        barrier = Barrier(
-            sim, parties=config.machines, name="phase-barrier",
-            sanitizer=sanitizer,
-        )
-        per_machine_input = -(-input_bytes // config.machines)
-        engines = [
-            ComputationEngine(
+        registry = None
+        detector = None
+        if faulted:
+            registry = CheckpointRegistry(
+                layout.num_partitions, causal=tracer.causal
+            )
+            # Bound immediately (not just on success) so a diagnosed run's
+            # quarantine counters stay inspectable after the exception.
+            self.last_registry = registry
+            detector = FailureDetector(
                 sim,
                 network,
-                m,
-                config,
-                workload,
-                job,
-                local_store=stores[m],
-                barrier=barrier,
-                directory=directory,
-                input_bytes_share=per_machine_input,
-                tracer=tracer,
-                sanitizer=sanitizer,
-                host=self.host,
+                config.machines,
+                monitor=config.machines,
+                lease=config.effective_lease_timeout(),
             )
-            for m in range(config.machines)
-        ]
+        per_machine_input = -(-input_bytes // config.machines)
+        # Every epoch started, in order; the last entry is the live one.
+        # Length 1 unless a fault forced a rollback.
+        epoch_jobs: List[JobCoordinator] = []
+        epoch_engines: List[List[ComputationEngine]] = []
         sampler = None
         if tracer.enabled and tracer.sample_interval is not None:
-            sampler = self._make_sampler(sim, tracer, stores, network, engines)
-            sampler.start()
-        processes = [
-            sim.process(engine.main(), name=f"engine{m}")
-            for m, engine in enumerate(engines)
-        ]
-        sim.run_until(sim.all_of([p.finished for p in processes]))
-        if sampler is not None:
-            sampler.sample()  # close the timelines at the finish line
-        integrity = _integrity_counters(network, stores)
-        if job_track is not None:
-            job_track.instant("job.integrity", args=dict(integrity))
-            job_track.instant(
-                "job.done", args={"algorithm": workload.algorithm.name}
+            sampler = self._make_sampler(
+                sim, tracer, stores, network, epoch_engines
             )
-        _check_open_spans(tracer)
-        self.last_stores = stores
-        self.last_network = network
-
-        storage_bytes = sum(s.bytes_served() for s in stores)
-        return JobResult(
-            algorithm=workload.algorithm.name,
-            machines=config.machines,
-            runtime=sim.now,
-            preprocessing_seconds=job.preprocessing_end,
-            iterations=job.completed_iterations(),
-            iteration_stats=job.iteration_stats,
-            breakdowns=[engine.metrics for engine in engines],
-            storage_bytes=storage_bytes,
-            network_bytes=network.total_bytes(),
-            steals_accepted=job.steals_accepted,
-            steals_rejected=job.steals_rejected,
-            values=workload.final_values(),
-            checkpoints=sum(e.checkpoints_written for e in engines),
-            updates_written_records=sum(
-                e.updates_written_records for e in engines
-            ),
-            updates_written_bytes=sum(e.updates_written_bytes for e in engines),
-            integrity=integrity,
-        )
-
-    def _execute_with_faults(
-        self,
-        workload: Workload,
-        layout: PartitionLayout,
-        input_bytes: int,
-        edge_chunk_loader,
-        start_iteration: int,
-        fault_plan,
-        deadline_seconds: Optional[float] = None,
-    ) -> JobResult:
-        """Fault-injected execution: epochs, detection, live recovery.
-
-        The supervisor owns the epoch loop (run → detect → fence →
-        re-admit → restore → resume); this method wires the cluster the
-        same way as :meth:`_execute`, plus a monitor network endpoint
-        for the failure detector, a checkpoint registry, and a
-        per-epoch engine factory.
-        """
-        # Imported lazily: repro.faults depends on repro.core.
-        from repro.faults.detector import FailureDetector
-        from repro.faults.injector import FaultInjector
-        from repro.faults.registry import CheckpointRegistry
-        from repro.faults.supervisor import ClusterSupervisor
-
-        config = self.config
-        if config.placement == "centralized":
-            raise ValueError(
-                "fault injection does not support the centralized placement "
-                "baseline (directory replies carry no recovery epoch)"
-            )
-        if self.sanitizer is not None:
-            raise ValueError(
-                "fault injection and the happens-before sanitizer are "
-                "mutually exclusive (vector clocks do not model epochs)"
-            )
-        if not hasattr(workload, "snapshot_partition"):
-            raise ValueError(
-                "fault injection requires a data-mode workload (model-mode "
-                "phantom runs have no vertex state to checkpoint)"
-            )
-        fault_plan.validate(config)
-
-        sim = Simulator()
-        tracer = self.tracer
-        job_track = None
-        if tracer.enabled:
-            tracer.bind_run(lambda: sim.now)
-            for m in range(config.machines):
-                tracer.set_process(m, f"machine{m}")
-            tracer.set_process(config.machines, "cluster")
-            job_track = tracer.thread(config.machines, TID_JOB, "job")
-            sim.process_hook = lambda process, phase: job_track.instant(
-                f"process.{phase}", args={"name": process.name}
-            )
-            # Self-describing trace: the attribution analyzer
-            # (repro.obs.critpath) reads the cluster shape from this
-            # marker so saved traces can be analyzed without the config.
-            job_track.instant(
-                "job.config",
-                args={
-                    "machines": config.machines,
-                    "cores": config.cores,
-                    "chunk_bytes": config.chunk_bytes,
-                    "batch_factor": config.batch_factor,
-                    "steal_alpha": config.steal_alpha,
-                    "request_window": config.effective_request_window(),
-                    "algorithm": workload.algorithm.name,
-                },
-            )
-        # One extra endpoint: the failure-detector monitor.
-        network = Network(
-            sim, config.machines, config.network, tracer=tracer,
-            host=self.host, extra_endpoints=1,
-            integrity=config.integrity_checks,
-        )
-        stores = [
-            StorageEngine(
-                sim, network, m, config.device, self.backend_factory(m),
-                tracer=tracer, host=self.host,
-                integrity=config.integrity_checks,
-                job_track=job_track if job_track is not None else NULL_TRACK,
-            )
-            for m in range(config.machines)
-        ]
-        self._arm_deadline(sim, deadline_seconds)
-        placement_rng = random.Random(config.seed * 1_000_003 + 99991)
-        edge_chunk_loader(placement_rng, stores)
-        self._place_vertex_chunks(workload, layout, stores)
-
-        registry = CheckpointRegistry(
-            layout.num_partitions, causal=tracer.causal
-        )
-        # Bound immediately (not just on success) so a diagnosed run's
-        # quarantine counters stay inspectable after the exception.
-        self.last_registry = registry
-        detector = FailureDetector(
-            sim,
-            network,
-            config.machines,
-            monitor=config.machines,
-            lease=config.effective_lease_timeout(),
-        )
-        per_machine_input = -(-input_bytes // config.machines)
-        # The current epoch's engines, for telemetry probes that must
-        # survive epoch turnover (the list object is reused in place).
-        live_engines: List[ComputationEngine] = []
 
         def build_epoch(epoch, resume_iteration, preprocess):
+            suffix = f".e{epoch}" if epoch else ""
             job = JobCoordinator(
                 workload, stores, start_iteration=resume_iteration
             )
             barrier = Barrier(
-                sim, parties=config.machines, name=f"phase-barrier.e{epoch}"
+                sim, parties=config.machines, name=f"phase-barrier{suffix}",
+                sanitizer=sanitizer,
             )
             engines = [
                 ComputationEngine(
@@ -723,8 +611,10 @@ class ChaosCluster:
                     job,
                     local_store=stores[m],
                     barrier=barrier,
+                    directory=directory,
                     input_bytes_share=per_machine_input,
                     tracer=tracer,
+                    sanitizer=sanitizer,
                     host=self.host,
                     epoch=epoch,
                     preprocess=preprocess,
@@ -733,104 +623,83 @@ class ChaosCluster:
                 )
                 for m in range(config.machines)
             ]
-            live_engines[:] = engines
+            epoch_jobs.append(job)
+            epoch_engines.append(engines)
+            if sampler is not None and epoch == 0:
+                sampler.start()  # its core probes need an epoch to read
             processes = [
-                sim.process(engine.main(), name=f"engine{m}.e{epoch}")
+                sim.process(engine.main(), name=f"engine{m}{suffix}")
                 for m, engine in enumerate(engines)
             ]
             return job, barrier, engines, processes
 
-        supervisor = ClusterSupervisor(
-            sim,
-            config,
-            network,
-            stores,
-            workload,
-            registry,
-            detector,
-            build_epoch,
-            job_track=job_track if job_track is not None else NULL_TRACK,
-        )
-        injector = FaultInjector(sim, supervisor, fault_plan, config)
-        injector.start()
-
-        sampler = None
-        if tracer.enabled and tracer.sample_interval is not None:
-            sampler = self._make_sampler(sim, tracer, stores, network, [])
-            for m in range(config.machines):
-                sampler.add_probe(
-                    f"m{m}.cores.busy",
-                    m,
-                    lambda m=m: (
-                        live_engines[m].cores.busy_cores()
-                        if m < len(live_engines)
-                        else 0
-                    ),
-                    mode="value",
-                )
-            sampler.start()
-
-        supervisor.execute(start_iteration)
-        if sampler is not None:
-            sampler.sample()
-        integrity = _integrity_counters(network, stores)
-        if job_track is not None:
-            job_track.instant("job.integrity", args=dict(integrity))
-            job_track.instant(
-                "job.done", args={"algorithm": workload.algorithm.name}
+        timeline = None
+        if faulted:
+            supervisor = ClusterSupervisor(
+                sim,
+                config,
+                network,
+                stores,
+                workload,
+                registry,
+                detector,
+                build_epoch,
+                job_track=job_track,
             )
-        if not supervisor.timeline.faults:
+            FaultInjector(sim, supervisor, fault_plan, config).start()
+            supervisor.execute(start_iteration)
+            timeline = self.last_fault_timeline = supervisor.timeline
+        else:
+            _, _, _, processes = build_epoch(0, start_iteration, True)
+            sim.run_until(sim.all_of([p.finished for p in processes]))
+        if sampler is not None:
+            sampler.sample()  # close the timelines at the finish line
+        integrity = _integrity_counters(network, stores)
+        job_track.instant("job.integrity", args=integrity)
+        job_track.instant(
+            "job.done", args={"algorithm": workload.algorithm.name}
+        )
+        if timeline is None or not timeline.faults:
             # Kills legitimately strand the victims' open spans; only a
-            # fault-free timeline is held to the no-leak invariant.
+            # run in which no fault fired is held to the no-leak invariant.
             _check_open_spans(tracer)
         self.last_stores = stores
         self.last_network = network
-        self.last_fault_timeline = supervisor.timeline
-        self.last_registry = registry
 
-        # Assemble the result across epochs: wall-time categories and
-        # I/O counters sum over every epoch's engines (re-executed work
-        # really happened); the logical iteration trajectory comes from
-        # the final epoch.
-        jobs = supervisor.epoch_jobs
-        final_job = jobs[-1]
-        breakdowns = []
-        for m in range(config.machines):
-            merged = Breakdown()
-            for engines in supervisor.epoch_engines:
-                merged = merged.merged_with(engines[m].metrics)
-            breakdowns.append(merged)
-        all_stats = [
-            stats for job in jobs for stats in job.iteration_stats
-        ]
-        storage_bytes = sum(s.bytes_served() for s in stores)
+        # One result over every epoch.  Wall-time categories and I/O
+        # counters sum over each epoch's engines (re-executed work really
+        # happened).  ``iteration_stats`` keeps every epoch's rows, a
+        # killed epoch's partial ones included, so a re-executed
+        # iteration appears once per attempt; ``iterations`` is how far
+        # this run advanced the job from ``start_iteration``.
+        all_engines = [e for engines in epoch_engines for e in engines]
         return JobResult(
             algorithm=workload.algorithm.name,
             machines=config.machines,
             runtime=sim.now,
-            preprocessing_seconds=jobs[0].preprocessing_end,
-            iterations=final_job.iteration_stats[-1].iteration + 1,
-            iteration_stats=all_stats,
-            breakdowns=breakdowns,
-            storage_bytes=storage_bytes,
+            preprocessing_seconds=epoch_jobs[0].preprocessing_end,
+            iterations=epoch_jobs[-1].iteration + 1 - start_iteration,
+            iteration_stats=[
+                stats for job in epoch_jobs for stats in job.iteration_stats
+            ],
+            breakdowns=[
+                functools.reduce(
+                    Breakdown.merged_with,
+                    (engines[m].metrics for engines in epoch_engines),
+                )
+                for m in range(config.machines)
+            ],
+            storage_bytes=sum(s.bytes_served() for s in stores),
             network_bytes=network.total_bytes(),
-            steals_accepted=sum(j.steals_accepted for j in jobs),
-            steals_rejected=sum(j.steals_rejected for j in jobs),
+            steals_accepted=sum(j.steals_accepted for j in epoch_jobs),
+            steals_rejected=sum(j.steals_rejected for j in epoch_jobs),
             values=workload.final_values(),
-            checkpoints=sum(
-                e.checkpoints_written
-                for engines in supervisor.epoch_engines
-                for e in engines
-            ),
+            checkpoints=sum(e.checkpoints_written for e in all_engines),
             updates_written_records=sum(
-                e.updates_written_records
-                for engines in supervisor.epoch_engines
-                for e in engines
+                e.updates_written_records for e in all_engines
             ),
             updates_written_bytes=sum(
-                e.updates_written_bytes
-                for engines in supervisor.epoch_engines
-                for e in engines
+                e.updates_written_bytes for e in all_engines
             ),
             integrity=integrity,
         )

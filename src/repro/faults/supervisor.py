@@ -160,6 +160,9 @@ class ClusterSupervisor:
         self.workload = workload
         self.registry = registry
         self.detector = detector
+        #: ``ChaosCluster._execute``'s epoch builder, the one a fault-free
+        #: run calls exactly once: ``(epoch, resume_iteration, preprocess)
+        #: -> (job, barrier, engines, processes)``.
         self.build_epoch = build_epoch
         self.job_track = job_track
         detector.on_suspect = self._on_suspect
@@ -173,9 +176,6 @@ class ClusterSupervisor:
 
         self.epoch = 0
         self.timeline = FaultTimeline()
-        #: Per-epoch JobCoordinator / engine lists (result assembly).
-        self.epoch_jobs: List = []
-        self.epoch_engines: List = []
         self.job = None
         self.engines: List = []
         self.processes: List = []
@@ -211,8 +211,6 @@ class ClusterSupervisor:
             epoch, resume_iteration, preprocess
         )
         self.job, self.engines, self.processes = job, engines, processes
-        self.epoch_jobs.append(job)
-        self.epoch_engines.append(engines)
         job.on_iteration = self._note_iteration
         barrier.set_stall_watch(
             2.0 * self.config.effective_lease_timeout(), self._on_barrier_stall

@@ -19,11 +19,10 @@ Design constraints, in order:
 2. **Determinism.**  All timestamps come from the simulated clock; the
    recording order is the (deterministic) simulation callback order, so
    two runs with the same seed produce byte-identical exports.
-3. **Multi-run composition.**  Drivers (MCST, SCC) and the recovery
-   harness execute several simulations back to back, each with a fresh
-   clock starting at zero; :meth:`Tracer.bind_run` re-bases subsequent
-   events after everything already recorded so the runs appear
-   sequentially on one timeline.
+3. **Multi-run composition.**  Drivers (MCST, SCC) execute several
+   simulations back to back, each with a fresh clock starting at zero;
+   :meth:`Tracer.bind_run` re-bases subsequent events after everything
+   already recorded so the runs appear sequentially on one timeline.
 
 Timestamps are stored in simulated **seconds**; the Chrome exporter
 (:mod:`repro.obs.export`) converts to the microseconds the
@@ -104,10 +103,9 @@ class Track:
         name: str,
         cat: Optional[str] = None,
         args: Optional[dict] = None,
-        ts: Optional[float] = None,
     ) -> None:
         """Record a zero-duration marker."""
-        self.tracer.instant(self.pid, self.tid, name, cat=cat, args=args, ts=ts)
+        self.tracer.instant(self.pid, self.tid, name, cat=cat, args=args)
 
 
 class _NullTrack:
@@ -126,7 +124,7 @@ class _NullTrack:
     def complete(self, name, start, duration, cat=None, args=None):
         pass
 
-    def instant(self, name, cat=None, args=None, ts=None):
+    def instant(self, name, cat=None, args=None):
         pass
 
 
@@ -149,7 +147,7 @@ class NullTracer:
     def bind_run(self, clock):
         pass
 
-    def instant(self, pid, tid, name, cat=None, args=None, ts=None):
+    def instant(self, pid, tid, name, cat=None, args=None):
         pass
 
     def counter(self, pid, name, value, ts=None):
@@ -192,8 +190,8 @@ class Tracer:
 
         The run's clock is expected to start at zero; its events are
         offset past everything already recorded, so back-to-back runs
-        (multi-phase drivers, recovery re-execution) lay out
-        sequentially on the shared timeline.
+        (multi-phase drivers) lay out sequentially on the shared
+        timeline.
         """
         self._offset = self._end
         self._clock = clock
@@ -210,7 +208,7 @@ class Tracer:
         """Largest timestamp recorded so far."""
         return self._end
 
-    def _stamp(self, ts: Optional[float]) -> float:
+    def _stamp(self, ts: Optional[float] = None) -> float:
         t = self.now() if ts is None else self._offset + ts
         if t > self._end:
             self._end = t
@@ -271,18 +269,15 @@ class Tracer:
         name: str,
         cat: Optional[str] = None,
         args: Optional[dict] = None,
-        ts: Optional[float] = None,
     ) -> None:
-        t = self._stamp(ts)
         self._open.setdefault((pid, tid), []).append((name, cat))
-        self._record("B", pid, tid, name, t, cat=cat, args=args)
+        self._record("B", pid, tid, name, self._stamp(), cat=cat, args=args)
 
     def end(
         self,
         pid: int,
         tid: int,
         args: Optional[dict] = None,
-        ts: Optional[float] = None,
     ) -> None:
         stack = self._open.get((pid, tid))
         if not stack:
@@ -290,8 +285,7 @@ class Tracer:
                 f"end without begin on track (pid={pid}, tid={tid})"
             )
         name, cat = stack.pop()
-        t = self._stamp(ts)
-        self._record("E", pid, tid, name, t, cat=cat, args=args)
+        self._record("E", pid, tid, name, self._stamp(), cat=cat, args=args)
 
     def complete(
         self,
@@ -317,9 +311,8 @@ class Tracer:
         name: str,
         cat: Optional[str] = None,
         args: Optional[dict] = None,
-        ts: Optional[float] = None,
     ) -> None:
-        self._record("i", pid, tid, name, self._stamp(ts), cat=cat, args=args)
+        self._record("i", pid, tid, name, self._stamp(), cat=cat, args=args)
 
     def counter(
         self,

@@ -13,7 +13,15 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.algorithms import SSSP, WCC, PageRank
+from repro.algorithms import (
+    BFS,
+    MIS,
+    SSSP,
+    WCC,
+    BeliefPropagation,
+    KCore,
+    PageRank,
+)
 from repro.core.runtime import ChaosCluster
 from repro.faults import (
     CheckpointRegistry,
@@ -175,12 +183,27 @@ FAULTS = [
     "partition:2@iter=2,for=0.05",
 ]
 
+#: Algorithms whose vertex state carries the iteration number: only a
+#: rollback that resumes at the checkpoint's iteration (not at 0)
+#: reproduces them byte for byte.
+STAMPED = {
+    "BFS": lambda: BFS(root=0),
+    "KCore": lambda: KCore(2),
+    "BP": lambda: BeliefPropagation(iterations=4),
+    "MIS": MIS,
+}
+STAMPED_FAULTS = [
+    "crash:1@iter=1",
+    "crash:1@iter=2",
+    "crash-restart:2@iter=1,down=0.001",
+]
+
 
 class TestByteIdentity:
     @pytest.fixture(scope="class")
     def baselines(self, small_graph, small_undirected_graph):
         config = _fault_config()
-        return {
+        runs = {
             "PR": ChaosCluster(config).run(
                 PageRank(iterations=5), small_graph
             ),
@@ -189,6 +212,15 @@ class TestByteIdentity:
                 SSSP(root=0), small_undirected_graph
             ),
         }
+        for name, make in STAMPED.items():
+            algorithm = make()
+            graph = (
+                small_undirected_graph
+                if algorithm.needs_undirected
+                else small_graph
+            )
+            runs[name] = (ChaosCluster(config).run(algorithm, graph), graph)
+        return runs
 
     @pytest.mark.parametrize("fault", FAULTS)
     def test_pagerank(self, fault, small_graph, baselines, backend):
@@ -216,6 +248,33 @@ class TestByteIdentity:
             fault_plan=FaultPlan.parse([fault]),
         )
         _assert_byte_identical(result, baselines["SSSP"])
+
+    @pytest.mark.parametrize("fault", STAMPED_FAULTS)
+    @pytest.mark.parametrize("algorithm", sorted(STAMPED))
+    def test_iteration_stamped(self, algorithm, fault, baselines):
+        baseline, graph = baselines[algorithm]
+        result = ChaosCluster(_fault_config()).run(
+            STAMPED[algorithm](), graph, fault_plan=FaultPlan.parse([fault])
+        )
+        _assert_byte_identical(result, baseline)
+        assert result.iterations == baseline.iterations
+
+    def test_resumed_then_crashed_counts_this_runs_iterations(
+        self, small_graph
+    ):
+        """``JobResult.iterations`` is how far *this run* advanced the
+        job, with or without a rollback on the way."""
+        config = _fault_config()
+        plain = ChaosCluster(config).run(
+            PageRank(iterations=5), small_graph, start_iteration=3
+        )
+        faulted = ChaosCluster(config).run(
+            PageRank(iterations=5), small_graph, start_iteration=3,
+            fault_plan=FaultPlan.parse(["crash:1@iter=4"]),
+        )
+        _assert_byte_identical(faulted, plain)
+        assert [s.iteration for s in faulted.iteration_stats] == [3, 4, 4]
+        assert faulted.iterations == plain.iterations == 2
 
     def test_crash_without_checkpointing_restarts_from_initial(
         self, small_graph, baselines
@@ -304,6 +363,16 @@ class TestTimeline:
             + timeline.lost_seconds
             + timeline.restore_seconds
         ) == pytest.approx(timeline.total_runtime)
+
+    def test_iteration_rows_keep_the_killed_epochs(self, traced_run):
+        """``iteration_stats`` concatenates every epoch's rows, the
+        killed epoch's partial iteration 2 included (host edges/sec
+        sums ``edges_streamed`` over them: re-streamed edges count);
+        ``iterations`` is the logical count."""
+        _, result, _ = traced_run
+        rows = [stats.iteration for stats in result.iteration_stats]
+        assert rows == [0, 1, 2, 2, 3, 4]
+        assert result.iterations == 5
 
     def test_round_fields(self, traced_run):
         timeline, _, _ = traced_run

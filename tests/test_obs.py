@@ -10,10 +10,9 @@ import json
 
 import pytest
 
-from repro import ClusterConfig, PageRank, rmat_graph, run_algorithm
-from repro.algorithms import BFS, run_mcst
+from repro import PageRank, rmat_graph, run_algorithm
+from repro.algorithms import run_mcst
 from repro.core.metrics import BREAKDOWN_CATEGORIES
-from repro.core.recovery import run_with_failure
 from repro.graph.convert import to_undirected
 from repro.obs import (
     CounterRegistry,
@@ -293,24 +292,6 @@ class TestDriversAndRecovery:
         # Runs are laid out sequentially: job.done markers strictly increase.
         stamps = [e["ts"] for e in done]
         assert stamps == sorted(stamps) and len(set(stamps)) == len(stamps)
-
-    def test_recovery_trace_has_failure_markers(self):
-        graph = to_undirected(rmat_graph(7, seed=1))
-        config = ClusterConfig(machines=2, chunk_bytes=4096,
-                               checkpointing=True)
-        tracer = Tracer(sample_interval=None)
-        report = run_with_failure(
-            lambda: BFS(root=0), graph, config,
-            fail_after_iterations=1, tracer=tracer,
-        )
-        assert report.result.iterations >= 1
-        assert tracer.open_span_count() == 0
-        summary = summarize_trace(chrome_trace_dict(tracer))
-        assert summary.instants.get("failure") == 1
-        restore = summary.spans.get("restore")
-        assert restore is not None and restore.count == 1
-        assert restore.total == pytest.approx(report.restore_seconds,
-                                              rel=1e-6)
 
 
 class TestResultSurface:

@@ -4,12 +4,8 @@ import numpy as np
 import pytest
 
 from repro.algorithms import BFS, BeliefPropagation, KCore, PageRank, WCC
-from repro.core.recovery import (
-    RecoveryReport,
-    _BoundedIterations,
-    run_with_failure,
-)
 from repro.core.runtime import ChaosCluster, run_algorithm
+from repro.faults import FaultPlan
 from repro.graph import rmat_graph, to_undirected
 
 from tests.conftest import fast_config
@@ -59,10 +55,12 @@ class TestResumeFromValues:
 
 
 class TestStartIterationResume:
-    """Checkpoint-resume with ``start_iteration`` on iteration-stamped
-    algorithms: the resumed run must continue the iteration numbering,
+    """Checkpoint-resume with ``start_iteration`` on an iteration-stamped
+    algorithm: the resumed run must continue the iteration numbering,
     so its values equal the undisturbed run's — not just for
-    PageRank-style algorithms whose update ignores the iteration."""
+    PageRank-style algorithms whose update ignores the iteration.
+    (BFS, KCore and MIS go through the real rollback instead:
+    ``tests/test_faults.py::TestByteIdentity::test_iteration_stamped``.)"""
 
     def test_bp_split_equals_straight_run(self, small_graph):
         config = fast_config(2)
@@ -81,173 +79,73 @@ class TestStartIterationResume:
         for name in straight.values:
             assert np.array_equal(resumed.values[name], straight.values[name])
 
-    def test_kcore_split_equals_straight_run(self, small_undirected_graph):
-        config = fast_config(2)
-        straight = ChaosCluster(config).run(KCore(2), small_undirected_graph)
-        bounded = _BoundedIterations(KCore(2), 2)
-        first = ChaosCluster(config).run(bounded, small_undirected_graph)
-        resumed = ChaosCluster(config).run(
-            KCore(2),
-            small_undirected_graph,
-            initial_values={k: np.copy(v) for k, v in first.values.items()},
-            start_iteration=2,
-        )
-        for name in straight.values:
-            assert np.array_equal(resumed.values[name], straight.values[name])
 
-    def test_bfs_resume_preserves_distance_stamps(self):
-        """BFS stamps distances with the iteration number, so a resume
-        that restarted the numbering would corrupt every distance
-        discovered after the checkpoint."""
-        graph = to_undirected(rmat_graph(8, seed=3, weighted=True))
-        config = fast_config(2)
-        straight = ChaosCluster(config).run(BFS(root=0), graph)
-        bounded = _BoundedIterations(BFS(root=0), 2)
-        first = ChaosCluster(config).run(bounded, graph)
-        resumed = ChaosCluster(config).run(
-            BFS(root=0),
-            graph,
-            initial_values={k: np.copy(v) for k, v in first.values.items()},
-            start_iteration=2,
-        )
-        assert np.array_equal(
-            resumed.values["distance"], straight.values["distance"]
-        )
-
-
-class TestBoundedIterationsForwarding:
-    def test_forwards_unknown_hooks_to_inner(self):
-        inner = PageRank(iterations=5)
-        bounded = _BoundedIterations(inner, 2)
-        # Delegation is generic: any hook the engine probes for reaches
-        # the wrapped algorithm without a hand-written stub.
-        assert bounded.scatter == inner.scatter
-        assert bounded.combine_updates == inner.combine_updates
-        assert bounded.max_iterations == 2
-        assert bounded.name == inner.name
-        with pytest.raises(AttributeError):
-            bounded.not_a_hook
-
-    def test_finished_stops_at_bound(self, small_graph):
-        config = fast_config(2)
-        result = ChaosCluster(config).run(
-            _BoundedIterations(PageRank(iterations=5), 2), small_graph
-        )
-        assert result.iterations == 2
+def _crash(config, algorithm, graph, spec):
+    """Run ``algorithm`` with one injected fault; (result, timeline)."""
+    cluster = ChaosCluster(config)
+    result = cluster.run(algorithm, graph, fault_plan=FaultPlan.parse([spec]))
+    return result, cluster.last_fault_timeline
 
 
 class TestRunWithFailure:
+    """The Section 6.6 stop-and-rerun experiment: lose a machine
+    mid-iteration, roll back to the last durable checkpoint, re-execute,
+    and compare against an undisturbed twin."""
+
     def test_recovered_result_matches_baseline(self, small_graph):
         config = fast_config(2, checkpointing=True)
-        report = run_with_failure(
-            lambda: PageRank(iterations=4),
-            small_graph,
-            config,
-            fail_after_iterations=2,
+        result, timeline = _crash(
+            config, PageRank(iterations=4), small_graph, "crash:1@iter=2"
         )
+        assert len(timeline.rounds) == 1
         expected = reference_pagerank(small_graph, iterations=4)
-        assert np.allclose(report.result.values["rank"], expected)
+        assert np.allclose(result.values["rank"], expected)
 
     def test_recovery_for_quiescent_algorithm(self):
         graph = to_undirected(rmat_graph(8, seed=6, weighted=True))
         config = fast_config(2, checkpointing=True)
-        report = run_with_failure(
-            lambda: BFS(root=0), graph, config, fail_after_iterations=1
-        )
+        result, timeline = _crash(config, BFS(root=0), graph, "crash:1@iter=1")
+        assert len(timeline.rounds) == 1
         baseline = run_algorithm(BFS(root=0), graph, config)
         assert np.array_equal(
-            report.result.values["distance"], baseline.values["distance"]
+            result.values["distance"], baseline.values["distance"]
         )
 
     def test_timeline_decomposition(self, small_graph):
         config = fast_config(2, checkpointing=True)
-        report = run_with_failure(
-            lambda: PageRank(iterations=4),
-            small_graph,
-            config,
-            fail_after_iterations=2,
+        result, timeline = _crash(
+            config, PageRank(iterations=4), small_graph, "crash:1@iter=2"
         )
-        assert report.failed_iteration == 2
-        assert report.time_before_failure > 0
-        assert report.restore_seconds > 0
-        assert report.time_after_restore > 0
-        assert report.total_runtime == pytest.approx(
-            report.time_before_failure
-            + report.restore_seconds
-            + report.time_after_restore
+        twin = run_algorithm(PageRank(iterations=4), small_graph, config)
+        round_ = timeline.rounds[0]
+        assert round_.from_checkpoint and round_.resume_iteration == 2
+        assert timeline.useful_seconds > 0
+        assert timeline.lost_seconds > 0
+        assert timeline.restore_seconds > 0
+        assert result.runtime == pytest.approx(
+            timeline.useful_seconds
+            + timeline.lost_seconds
+            + timeline.restore_seconds
         )
-        # Recovering costs extra time, but not a full re-run.
-        assert report.total_runtime > report.baseline_runtime
-        assert report.total_runtime < 2.5 * report.baseline_runtime
-        assert "failed at iteration 2" in report.summary()
+        # Recovering costs detection, reboot and restore on top of the
+        # twin, but the work itself is not redone from scratch: what
+        # remains after lost + restore is the twin plus at most the
+        # partial iteration the checkpoint had not yet captured.
+        assert result.runtime > twin.runtime
+        assert timeline.useful_seconds < 1.5 * twin.runtime
+        assert "fault crash:1@iter=2 fired" in timeline.summary()
 
-    def test_restore_cost_includes_network(self, small_graph):
-        """Restore reads remote checkpoint replicas, so its cost must
-        include the network stage, not just raw device bandwidth: on a
-        slow network the transfer is ingress-bound."""
-        fast_net = fast_config(4, checkpointing=True)
-        slow_net = fast_net.with_(
-            network=fast_net.network.__class__(
-                bandwidth=fast_net.network.bandwidth / 1000,
-                latency=fast_net.network.latency,
-                name="slow",
-            )
+    def test_failure_past_convergence_fires_nothing(
+        self, small_undirected_graph
+    ):
+        """``iter=2`` never starts on a job that converges in two
+        iterations: no fault, no recovery, the plain result."""
+        config = fast_config(4, checkpointing=True, seed=7)
+        result, timeline = _crash(
+            config, KCore(2), small_undirected_graph, "crash:1@iter=2"
         )
-        factory = lambda: PageRank(iterations=4)
-        fast_report = run_with_failure(
-            factory, small_graph, fast_net, fail_after_iterations=2
-        )
-        slow_report = run_with_failure(
-            factory, small_graph, slow_net, fail_after_iterations=2
-        )
-        # Latency floor: at least one request round trip.
-        assert fast_report.restore_seconds >= fast_net.network.round_trip()
-        # A 1000x slower network must slow the restore.
-        assert slow_report.restore_seconds > 2 * fast_report.restore_seconds
-
-    def test_report_extended_fields(self, small_graph):
-        config = fast_config(2, checkpointing=True)
-        report = run_with_failure(
-            lambda: PageRank(iterations=4),
-            small_graph,
-            config,
-            fail_after_iterations=2,
-        )
-        assert report.values_match_baseline is True
-        assert report.useful_seconds > 0
-        assert report.lost_seconds > 0
-        # The analytic path injects no live faults.
-        assert report.faults == ()
-        assert report.timeline is None
-
-    def test_requires_checkpointing(self, small_graph):
-        with pytest.raises(ValueError, match="checkpointing"):
-            run_with_failure(
-                lambda: PageRank(iterations=2),
-                small_graph,
-                fast_config(2),
-                fail_after_iterations=1,
-            )
-
-    def test_invalid_failure_point(self, small_graph):
-        with pytest.raises(ValueError, match="fail_after_iterations"):
-            run_with_failure(
-                lambda: PageRank(iterations=2),
-                small_graph,
-                fast_config(2, checkpointing=True),
-                fail_after_iterations=0,
-            )
-
-    def test_failure_past_convergence_clamped(self):
-        """Failing 'after iteration 50' of a 3-iteration job clamps to
-        the job's actual length."""
-        graph = to_undirected(rmat_graph(7, seed=2, weighted=True))
-        config = fast_config(2, checkpointing=True)
-        report = run_with_failure(
-            lambda: WCC(), graph, config, fail_after_iterations=50
-        )
-        baseline = run_algorithm(WCC(), graph, config)
-        assert report.failed_iteration <= baseline.iterations
-        assert np.array_equal(
-            report.result.values["label"], baseline.values["label"]
-        )
+        assert timeline.faults == [] and timeline.rounds == []
+        baseline = run_algorithm(KCore(2), small_undirected_graph, config)
+        assert result.iterations == baseline.iterations == 2
+        for name in baseline.values:
+            assert np.array_equal(result.values[name], baseline.values[name])

@@ -34,6 +34,10 @@ class KCore(GasAlgorithm):
     name = "kcore"
     needs_undirected = True
     needs_out_degrees = True
+    # The fold below is exact in any order — an integer sum, like a min
+    # or max over any dtype, never rounds — so the runtime need not sort
+    # the updates first.  A float sum must keep the default (True).
+    order_sensitive = False
     update_bytes = 8
     vertex_bytes = 8
     accum_bytes = 4

@@ -24,6 +24,7 @@ class Conductance(GasAlgorithm):
     """One-pass conductance of the id-space bisection (directed input)."""
 
     name = "Cond"
+    order_sensitive = False  # integer sum: exact in any order
     needs_out_degrees = True
     update_bytes = 8
     vertex_bytes = 8

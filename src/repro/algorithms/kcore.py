@@ -33,6 +33,7 @@ class KCore(GasAlgorithm):
 
     name = "KCore"
     needs_undirected = True
+    order_sensitive = False  # integer sum: exact in any order
     needs_out_degrees = True
     update_bytes = 8
     vertex_bytes = 8

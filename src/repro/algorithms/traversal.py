@@ -26,6 +26,7 @@ class BFS(GasAlgorithm):
 
     name = "BFS"
     needs_undirected = True
+    order_sensitive = False  # min fold: exact in any order
     update_bytes = 8  # destination id + proposed parent id (compact)
     vertex_bytes = 8
     accum_bytes = 4
@@ -99,6 +100,7 @@ class WCC(GasAlgorithm):
 
     name = "WCC"
     needs_undirected = True
+    order_sensitive = False  # min fold: exact in any order
     update_bytes = 8
     vertex_bytes = 8
     accum_bytes = 4
@@ -149,6 +151,10 @@ class SSSP(GasAlgorithm):
     name = "SSSP"
     needs_undirected = True
     needs_weights = True
+    # A float min is exact in any order: it returns an operand, it does
+    # not round.  (Distances start at +0.0 and only grow by addition,
+    # so the one order-dependent tie, -0.0 against 0.0, cannot occur.)
+    order_sensitive = False
     update_bytes = 8  # destination id + float distance (compact)
     vertex_bytes = 8
     accum_bytes = 4

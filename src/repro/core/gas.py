@@ -15,6 +15,24 @@ All three functions must be order-independent (commutative/associative
 in their accumulation effects), which the runtime exploits for parallel
 execution and stealer-accumulator merging — exactly the requirement the
 paper states at the end of Section 2.
+
+**The ``order_sensitive`` contract.**  "Commutative and associative" in
+the paper is a statement about real numbers; the runtime's invariant is
+about *bits* (a fault-injected or work-stolen run must equal an
+undisturbed one byte for byte).  A fold is *exact in any order* when
+every permutation of one update multiset leaves a bit-identical
+accumulator.  ``min``/``max`` — over floats too — qualify: they return
+one of their operands unrounded, so the result is the extreme element
+whichever way the comparisons nest (two operands that compare equal
+but differ in bits, ``-0.0``/``0.0`` or NaNs with different payloads,
+are the one exception; an algorithm whose scatter can emit those keeps
+the default).  Integer sums qualify: wrap-around addition is
+associative.  Float sums do not: every ``+`` rounds, so ``(a + b) + c``
+and ``a + (b + c)`` can differ in the last bit.  An algorithm that
+declares ``order_sensitive = False`` gets its updates folded as they
+arrived; everything else (the default) gets them replayed in the
+canonical order of :func:`repro.core.workload.canonical_update_order`,
+which costs a sort per partition per iteration.
 """
 
 from __future__ import annotations
@@ -69,6 +87,13 @@ class GasAlgorithm(abc.ABC):
     needs_weights: bool = False
     #: Requires the runtime to pre-compute out-degrees.
     needs_out_degrees: bool = False
+    #: Whether ``gather``'s result depends, in its bits, on the order of
+    #: the updates it is handed.  ``True`` (the safe default) makes the
+    #: runtime sort every partition's updates into a canonical order
+    #: before folding; set ``False`` only when the fold is exact in any
+    #: order — ``np.minimum.at`` / ``np.maximum.at``, integer sums — and
+    #: never for a float sum (see the module docstring).
+    order_sensitive: bool = True
     #: Fixed iteration count, or None to run until no updates are produced.
     max_iterations: Optional[int] = None
     #: Modelled bytes of one update on the wire/storage (dst id + value).
@@ -118,7 +143,9 @@ class GasAlgorithm(abc.ABC):
     ) -> None:
         """Fold a chunk of update values into the accumulator, in place.
 
-        Must be commutative and associative over updates (Section 2).
+        Must be commutative and associative over updates (Section 2);
+        if it is also exact in any order, say so with
+        ``order_sensitive = False`` and the runtime skips the sort.
         ``state`` is the partition's vertex state — read-only during
         gather, available because the vertex set is loaded into memory
         before streaming updates (Section 5.2); some algorithms (MCST,

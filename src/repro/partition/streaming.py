@@ -15,7 +15,7 @@ This module implements Section 3 of the paper verbatim:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional
+from typing import List, Optional, Tuple
 
 import numpy as np
 
@@ -65,6 +65,38 @@ class PartitionLayout:
         return (
             np.searchsorted(self.boundaries, vertex_ids, side="right") - 1
         ).astype(np.int64)
+
+    def route(self, vertex_ids: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+        """Group ``vertex_ids`` by owning partition: ``(order, cut_points)``.
+
+        ``order[cut_points[p]:cut_points[p + 1]]`` indexes the ids owned
+        by partition ``p``, in input order (the grouping is stable).
+        This is the one router behind both the scatter-side update
+        binning and the pre-processing edge split.  The partition id is
+        narrowed to the smallest unsigned type that holds it so the
+        stable argsort is a radix sort (numpy uses one for 8- and 16-bit
+        keys), and the cuts come from a histogram, not a search.
+
+        An id outside ``[0, num_vertices)`` belongs to no partition and
+        raises ``ValueError`` instead of being dropped (the histogram's
+        two end slots catch it, so the check costs no extra pass).
+        """
+        # Slot 0 counts the ids below every boundary, slots 1..P the ids
+        # of each partition, slot P + 1 the ids at or past the last one.
+        slot = np.searchsorted(self.boundaries, vertex_ids, side="right")
+        counts = np.bincount(slot, minlength=self.num_partitions + 2)
+        if counts[0] or counts[-1]:
+            ids = np.asarray(vertex_ids)
+            offending = ids.min() if counts[0] else ids.max()
+            raise ValueError(
+                f"vertex id {offending} is outside [0, {self.num_vertices})"
+            )
+        order = np.argsort(
+            slot.astype(np.min_scalar_type(self.num_partitions)),
+            kind="stable",
+        )
+        cut_points = np.cumsum(counts[:-1])
+        return order, cut_points
 
     def vertex_range(self, partition: int) -> range:
         return range(
@@ -117,17 +149,11 @@ def partition_edges(
     Returns one edge list per partition; the union equals the input.
     This is the whole of Chaos' pre-processing.
     """
-    partition_of = layout.partition_of(edges.src)
-    order = np.argsort(partition_of, kind="stable")
-    sorted_partitions = partition_of[order]
-    cut_points = np.searchsorted(
-        sorted_partitions, np.arange(layout.num_partitions + 1)
-    )
-    result = []
-    for p in range(layout.num_partitions):
-        index = order[cut_points[p] : cut_points[p + 1]]
-        result.append(edges.subset(index))
-    return result
+    order, cut_points = layout.route(edges.src)
+    return [
+        edges.subset(order[cut_points[p] : cut_points[p + 1]])
+        for p in range(layout.num_partitions)
+    ]
 
 
 def preprocess(

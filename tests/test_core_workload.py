@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.algorithms import PageRank
+from repro.algorithms import WCC, PageRank
 from repro.core.gas import GraphContext, state_slice
 from repro.core.workload import (
     DataWorkload,
@@ -62,6 +62,34 @@ class TestDataWorkload:
             targets = layout.partition_of(batch.payload["dst"])
             assert (targets == batch.partition).all()
         assert sum(b.count for b in batches) == chunk.records
+
+    def test_out_of_range_destinations_are_an_error(self):
+        """A scatter that emits ``dst == num_vertices`` or a negative id
+        used to lose those updates silently (4 produced, 2 routed)."""
+
+        class Stray(WCC):
+            def scatter(self, values, src_local, dst, weight, iteration):
+                return self.emit, np.zeros(len(self.emit), dtype=np.int64)
+
+        layout = PartitionLayout.even(8, 2)
+        ctx = GraphContext(num_vertices=8, num_edges=2, weighted=False)
+        algorithm = Stray()
+        workload = DataWorkload(algorithm, layout, ctx)
+        chunk = Chunk(
+            partition=0,
+            kind=ChunkKind.EDGES,
+            size=16,
+            payload={"src": np.array([0, 1]), "dst": np.array([2, 3])},
+            records=2,
+        )
+        algorithm.emit = np.array([2, 7, 0, 5])
+        assert sum(b.count for b in workload.scatter_chunk(0, chunk, 0)) == 4
+        for stray in (8, -1):
+            algorithm.emit = np.array([2, stray, 0, 5])
+            with pytest.raises(
+                ValueError, match=rf"vertex id {stray} is outside \[0, 8\)"
+            ):
+                workload.scatter_chunk(0, chunk, 0)
 
     def test_batch_bytes_use_algorithm_update_size(self):
         graph, layout, workload = _workload()
@@ -133,20 +161,13 @@ class TestDataWorkload:
         for batch in mine[half:]:
             workload.gather_chunk(target, stealer, as_chunk(batch))
         workload.merge_accumulators(target, master, stealer)
-        whole_merged = whole.merged()
-        split_merged = master.merged()
-        whole_order = canonical_update_order(
-            whole_merged["dst"], whole_merged["value"]
-        )
-        split_order = canonical_update_order(
-            split_merged["dst"], split_merged["value"]
-        )
+        whole_dst, whole_values = whole.drain()
+        split_dst, split_values = master.drain()
+        whole_order = canonical_update_order(whole_dst, whole_values)
+        split_order = canonical_update_order(split_dst, split_values)
+        assert np.array_equal(whole_dst[whole_order], split_dst[split_order])
         assert np.array_equal(
-            whole_merged["dst"][whole_order], split_merged["dst"][split_order]
-        )
-        assert np.array_equal(
-            whole_merged["value"][whole_order],
-            split_merged["value"][split_order],
+            whole_values[whole_order], split_values[split_order]
         )
 
     def test_vertex_and_accum_bytes(self):

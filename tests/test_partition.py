@@ -45,6 +45,39 @@ class TestPartitionLayout:
         assert sum(counts) == 2
 
 
+    @pytest.mark.parametrize(
+        "num_vertices, partitions", [(10, 1), (10, 3), (2, 4), (5000, 300)]
+    )
+    def test_route_is_the_stable_grouping_by_partition(
+        self, num_vertices, partitions
+    ):
+        """``route`` == stable argsort of ``partition_of`` + a search
+        for the cuts (what scatter and pre-processing each used to
+        spell out), for one radix width on each side of 256 partitions
+        and for layouts with empty partitions."""
+        layout = PartitionLayout.even(num_vertices, partitions)
+        ids = np.random.default_rng(3).integers(0, num_vertices, size=4000)
+        order, cut_points = layout.route(ids)
+        target = layout.partition_of(ids)
+        expected = np.argsort(target, kind="stable")
+        assert np.array_equal(order, expected)
+        assert np.array_equal(
+            cut_points,
+            np.searchsorted(target[expected], np.arange(partitions + 1)),
+        )
+
+    def test_route_of_nothing(self):
+        order, cut_points = PartitionLayout.even(10, 3).route(np.arange(0))
+        assert len(order) == 0
+        assert list(cut_points) == [0, 0, 0, 0]
+
+    @pytest.mark.parametrize("bad", [-1, 10, 1 << 40])
+    def test_route_rejects_ids_outside_the_graph(self, bad):
+        layout = PartitionLayout.even(10, 2)
+        with pytest.raises(ValueError, match=rf"{bad} is outside \[0, 10\)"):
+            layout.route(np.array([3, bad, 7]))
+
+
 class TestChoosePartitionCount:
     def test_one_partition_when_memory_ample(self):
         assert choose_partition_count(1000, 1, 16, 10**9) == 1
@@ -98,6 +131,14 @@ class TestPartitionEdges:
         parts = partition_edges(edges, layout)
         assert parts[0].num_edges == 2
         assert all(p.num_edges == 0 for p in parts[1:])
+
+
+    def test_layout_smaller_than_graph_rejected(self):
+        """An edge whose source no partition owns used to vanish from
+        the split; now it is an error."""
+        edges = EdgeList(num_vertices=8, src=[0, 7], dst=[2, 3])
+        with pytest.raises(ValueError, match=r"7 is outside \[0, 4\)"):
+            partition_edges(edges, PartitionLayout.even(4, 2))
 
 
 class TestPreprocess:

@@ -634,17 +634,16 @@ class ComputationEngine:
             state.chunks_received += 1
             state.records += chunk.records
             state.processing.add(1)
-            cpu = self.cores.execute(
-                self._record_cpu_seconds(state.kind, chunk.records)
-            )
-            cpu.subscribe(
-                lambda _e: self._process_chunk(state, chunk, iteration)
+            self.cores.execute(
+                self._record_cpu_seconds(state.kind, chunk.records),
+                then=self._process_chunk,
+                args=(state, chunk, iteration),
             )
         self._pump(state, iteration)
 
     def _process_chunk(self, state: _StreamState, chunk: Chunk, iteration: int) -> None:
         if self.fenced:
-            # Zombie callback: the CPU completion was subscribed before
+            # Zombie callback: the CPU completion was scheduled before
             # this engine was killed by the fault supervisor.
             return
         if state.kind is ChunkKind.EDGES:

@@ -34,7 +34,7 @@ PROTOCOL_TRANSITIONS = {
 }
 
 
-@dataclass
+@dataclass(slots=True)
 class Message:
     """A message in flight.
 
@@ -89,6 +89,9 @@ class _DedupWindow:
 
     def accept(self, seq: int) -> bool:
         """True iff ``seq`` is new; records it as delivered."""
+        if seq == self.floor + 1 and not self.seen:
+            self.floor = seq  # in order, no gap open: the common case
+            return True
         if seq <= self.floor or seq in self.seen:
             return False
         self.seen.add(seq)
@@ -323,7 +326,10 @@ class Network:
         either endpoint is unreachable the message is dropped and the
         returned event never fires — callers needing progress guarantees
         must pair the event with a timeout (the fault-tolerant RPC
-        pattern the computation engine uses).
+        pattern the computation engine uses).  ``src`` and ``dst`` must
+        name endpoints.  On the wire a message is three scheduled calls
+        (egress done -> ``_after_tx``, switch hop -> ``_receive``,
+        ingress done -> ``_deliver``), not three events.
 
         ``parent`` (a causal context or span id) and ``attempt`` (>0 for
         retries/resends) annotate the causal trace only; when causal
@@ -331,38 +337,29 @@ class Network:
         """
         if not 0 <= dst < len(self.nics):
             raise SimulationError(f"invalid destination machine {dst}")
+        if not 0 <= src < len(self.nics):
+            raise SimulationError(f"invalid source machine {src}")
+        sim = self.sim
         with self._host.measure(src, "msg_copy"):
             message = Message(
-                src=src,
-                dst=dst,
-                service=service,
-                kind=kind,
-                size=size,
-                payload=payload,
-                send_time=self.sim.now,
-                clock=(
-                    self._san.on_send(src, kind)
-                    if self._san is not None
-                    else None
-                ),
-                epoch=epoch,
+                src, dst, service, kind, size, payload, sim.now,
+                self._san.on_send(src, kind) if self._san is not None else None,
+                epoch,
             )
         if self.causal.enabled:
             message.ctx = self.causal.on_send(
                 kind, src, dst, size, parent=parent, attempt=attempt
             )
         mailbox = self.mailbox(dst, service)
-        delivered = Event(self.sim, name=f"deliver.{kind}")
-
-        if src != dst:
-            stream = (src, dst, service)
-            self._seq[stream] = message.seq = self._seq.get(stream, 0) + 1
+        delivered = Event(sim, f"deliver.{kind}")
 
         if src == dst:
             # Local delivery: intra-process handoff, no network cost.
-            self.sim.schedule(0.0, self._deliver, mailbox, message, delivered)
+            sim.schedule(0.0, self._deliver, mailbox, message, delivered)
             return delivered
 
+        stream = (src, dst, service)
+        self._seq[stream] = message.seq = self._seq.get(stream, 0) + 1
         if not (self._reachable[src] and self._reachable[dst]):
             # Fail-stop link: a dead sender emits nothing; a message for
             # a dead receiver is dropped without charging the fabric.
@@ -370,21 +367,23 @@ class Network:
             return delivered
 
         wire_size = size + self.MESSAGE_OVERHEAD
-        label = f"tx:{kind}" if self._trace_on else None
-        tx_done = self.nics[src].egress.service(wire_size, label=label)
-
-        def after_tx(_event: Event) -> None:
-            if not (self._reachable[src] and self._reachable[dst]):
-                # Link state changed while the message sat in the egress
-                # queue or crossed the switch: drop in flight.
-                self._drop(message)
-                return
-            hop_latency = self.switch.forward(wire_size)
-            self.sim.schedule(hop_latency, self._receive, dst, wire_size,
-                              mailbox, message, delivered)
-
-        tx_done.subscribe(after_tx)
+        self.nics[src].egress.service(
+            wire_size, label=f"tx:{kind}" if self._trace_on else None,
+            then=self._after_tx, args=(wire_size, mailbox, message, delivered),
+        )
         return delivered
+
+    def _after_tx(self, wire_size: int, mailbox, message, delivered) -> None:
+        dst = message.dst
+        if not (self._reachable[message.src] and self._reachable[dst]):
+            # Link state changed while the message sat in the egress
+            # queue: drop in flight.
+            self._drop(message)
+            return
+        self.sim.schedule(
+            self.switch.forward(wire_size), self._receive,
+            dst, wire_size, mailbox, message, delivered,
+        )
 
     def _receive(
         self,
@@ -399,7 +398,7 @@ class Network:
             # The receiver died while the message crossed the switch.
             self._drop(message)
             return
-        if pristine:
+        if pristine and self._pending_faults:
             fault = self._take_fault(dst, message)
             if fault is not None:
                 if fault.kind == "corrupt":
@@ -423,9 +422,10 @@ class Network:
                         0.0, self._receive, dst, wire_size,
                         mailbox, message, delivered, False,
                     )
-        label = f"rx:{message.kind}" if self._trace_on else None
-        rx_done = self.nics[dst].ingress.service(wire_size, label=label)
-        rx_done.subscribe(lambda _e: self._deliver(mailbox, message, delivered))
+        self.nics[dst].ingress.service(
+            wire_size, label=f"rx:{message.kind}" if self._trace_on else None,
+            then=self._deliver, args=(mailbox, message, delivered),
+        )
 
     def _deliver(
         self, mailbox: Mailbox, message: Message, delivered: Event

@@ -234,10 +234,10 @@ class Process:
         if self._waiting_on is not event:
             return  # stale wakeup (e.g. after an interrupt retargeted us)
         self._waiting_on = None
-        if event.failed:
-            self._step(throw=event.value)
+        if event._failed:
+            self._step(throw=event._value)
         else:
-            self._step(value=event.value)
+            self._step(event._value)
 
     def _step(self, value: Any = None, throw: Optional[BaseException] = None) -> None:
         try:
@@ -280,8 +280,9 @@ class Simulator:
     # -- scheduling ---------------------------------------------------
 
     def schedule(self, delay: float, fn: Callable, *args: Any) -> None:
-        """Run ``fn(*args)`` after ``delay`` simulated seconds."""
-        if delay < 0:
+        """Run ``fn(*args)`` after ``delay`` simulated seconds (the only
+        heap push: one source for the tie-breaking sequence numbers)."""
+        if not delay >= 0:  # also rejects NaN, which would poison ``now``
             raise SimulationError(f"cannot schedule in the past (delay={delay})")
         self._seq += 1
         heapq.heappush(self._heap, (self.now + delay, self._seq, fn, args))
@@ -297,7 +298,7 @@ class Simulator:
 
     def timeout(self, delay: float, value: Any = None) -> Event:
         """An event that fires ``delay`` seconds from now."""
-        event = Event(self, name=f"timeout({delay:g})")
+        event = Event(self, "timeout")
         self.schedule(delay, event.trigger, value)
         return event
 
@@ -324,14 +325,13 @@ class Simulator:
             raise SimulationError("simulator is not reentrant")
         self._running = True
         count = 0
+        heap, heappop = self._heap, heapq.heappop
         try:
-            while self._heap:
-                when, _seq, fn, args = self._heap[0]
-                if until is not None and when > until:
+            while heap:
+                if until is not None and heap[0][0] > until:
                     self.now = until
                     break
-                heapq.heappop(self._heap)
-                self.now = when
+                self.now, _seq, fn, args = heappop(heap)
                 fn(*args)
                 count += 1
                 if max_events is not None and count >= max_events:
@@ -348,15 +348,15 @@ class Simulator:
             raise SimulationError("simulator is not reentrant")
         self._running = True
         count = 0
+        heap, heappop = self._heap, heapq.heappop
         try:
-            while not event.triggered:
-                if not self._heap:
+            while not event._triggered:
+                if not heap:
                     raise SimulationError(
                         f"deadlock: event {event.name!r} can never fire "
                         f"(event heap empty at t={self.now:g})"
                     )
-                when, _seq, fn, args = heapq.heappop(self._heap)
-                self.now = when
+                self.now, _seq, fn, args = heappop(heap)
                 fn(*args)
                 count += 1
                 if max_events is not None and count >= max_events:

@@ -24,7 +24,7 @@ Both meters accumulate busy time so experiments can report utilization
 from __future__ import annotations
 
 import heapq
-from typing import Any, Deque, List, Optional, Tuple
+from typing import Any, Callable, Deque, List, Optional, Tuple
 from collections import deque
 
 from repro.sim.engine import Event, SimulationError, Simulator
@@ -76,6 +76,7 @@ class FifoServer:
         "_trace_track",
         "_trace_label",
         "_nominal_bandwidth",
+        "_event_name",
     )
 
     def __init__(
@@ -98,6 +99,7 @@ class FifoServer:
         self.meter = UtilizationMeter()
         self._trace_track = None
         self._trace_label = name or "service"
+        self._event_name = f"{name}.service"
 
     def degrade(self, factor: float) -> None:
         """Slow the server to ``nominal_bandwidth / factor``.
@@ -127,23 +129,26 @@ class FifoServer:
         if label:
             self._trace_label = label
 
-    def service_time(self, size: float) -> float:
-        return self.latency + size / self.bandwidth
-
     def service(
-        self, size: float, value: Any = None, label: Optional[str] = None
-    ) -> Event:
-        """Enqueue a request of ``size`` bytes; event fires at completion.
+        self, size: float, value: Any = None, label: Optional[str] = None,
+        then: Optional[Callable] = None, args: tuple = (),
+    ) -> Optional[Event]:
+        """Enqueue a request of ``size`` bytes.
+
+        Callbacks pass ``then``: ``then(*args)`` is scheduled at the
+        finish time and nothing is returned.  Processes omit it and
+        ``yield`` the returned event, which fires with ``value`` at the
+        same instant — the same call with ``then=event.trigger``.
 
         ``label`` overrides the span name when tracing is enabled (the
         storage/network layers pass the operation kind).
         """
         if size < 0:
             raise ValueError(f"size must be non-negative, got {size}")
-        start = max(self.sim.now, self._busy_until)
-        duration = self.service_time(size)
-        finish = start + duration
-        self._busy_until = finish
+        sim = self.sim
+        start = max(sim.now, self._busy_until)
+        duration = self.latency + size / self.bandwidth
+        self._busy_until = finish = start + duration
         self.meter.record(duration, size)
         track = self._trace_track
         if track is not None:
@@ -153,8 +158,12 @@ class FifoServer:
                 duration,
                 args={"bytes": int(size)},
             )
-        event = Event(self.sim, name=f"{self.name}.service")
-        self.sim.schedule_at(finish, event.trigger, value)
+        event = None
+        if then is None:
+            event = Event(sim, self._event_name)
+            then, args = event.trigger, (value,)
+        # ``now + (finish - now)``, not ``finish``: they differ by an ulp.
+        sim.schedule(finish - sim.now, then, *args)
         return event
 
     @property
@@ -173,7 +182,7 @@ class CoreBank:
     """
 
     __slots__ = ("sim", "name", "cores", "_free_at", "meter",
-                 "_trace_track", "_trace_label")
+                 "_trace_track", "_trace_label", "_event_name")
 
     def __init__(self, sim: Simulator, cores: int, name: str = ""):
         if cores < 1:
@@ -186,6 +195,7 @@ class CoreBank:
         self.meter = UtilizationMeter()
         self._trace_track = None
         self._trace_label = name or "exec"
+        self._event_name = f"{name}.execute"
 
     def enable_trace(self, track, label: str = "") -> None:
         """Record every job's core occupancy as a span on ``track``.
@@ -199,20 +209,29 @@ class CoreBank:
         if label:
             self._trace_label = label
 
-    def execute(self, duration: float, value: Any = None) -> Event:
-        """Run a job of ``duration`` CPU-seconds on the earliest-free core."""
-        if duration < 0:
+    def execute(
+        self, duration: float, value: Any = None,
+        then: Optional[Callable] = None, args: tuple = (),
+    ) -> Optional[Event]:
+        """Run a job of ``duration`` CPU-seconds on the earliest-free core;
+        ``then``/``args`` or the returned event as in
+        :meth:`FifoServer.service`."""
+        if not duration >= 0:  # also rejects NaN
             raise ValueError(f"duration must be non-negative, got {duration}")
-        free = heapq.heappop(self._free_at)
-        start = max(self.sim.now, free)
+        sim = self.sim
+        start = max(sim.now, self._free_at[0])
         finish = start + duration
-        heapq.heappush(self._free_at, finish)
+        heapq.heapreplace(self._free_at, finish)
         self.meter.record(duration, 0)
         track = self._trace_track
         if track is not None and duration > 0:
             track.complete(self._trace_label, start, duration)
-        event = Event(self.sim, name=f"{self.name}.execute")
-        self.sim.schedule_at(finish, event.trigger, value)
+        event = None
+        if then is None:
+            event = Event(sim, self._event_name)
+            then, args = event.trigger, (value,)
+        # ``now + (finish - now)``, not ``finish``: they differ by an ulp.
+        sim.schedule(finish - sim.now, then, *args)
         return event
 
     def earliest_free(self) -> float:
@@ -269,13 +288,14 @@ class Mailbox:
     item is available (immediately if the mailbox is non-empty).
     """
 
-    __slots__ = ("sim", "name", "_items", "_getters")
+    __slots__ = ("sim", "name", "_items", "_getters", "_event_name")
 
     def __init__(self, sim: Simulator, name: str = ""):
         self.sim = sim
         self.name = name
         self._items: Deque[Any] = deque()
         self._getters: Deque[Event] = deque()
+        self._event_name = f"{name}.get"
 
     def __len__(self) -> int:
         return len(self._items)
@@ -288,7 +308,7 @@ class Mailbox:
             self._items.append(item)
 
     def get(self) -> Event:
-        event = Event(self.sim, name=f"{self.name}.get")
+        event = Event(self.sim, self._event_name)
         if self._items:
             event.trigger(self._items.popleft())
         else:

@@ -353,17 +353,12 @@ class StorageEngine:
         self.reads_served += 1
         self.reads_by_kind[kind] += 1
         served = self._read_path(chunk, label)
-        done = self.device.service(served.size, label=label)
-        done.subscribe(
-            lambda _e: self._reply(
-                requester,
-                reply_service,
-                reply_kind,
-                served.size,
-                (request_id, served),
-                epoch=message.epoch,
-                parent=message.ctx,
-            )
+        self.device.service(
+            served.size,
+            label=label,
+            then=self._reply,
+            args=(requester, reply_service, reply_kind, served.size,
+                  (request_id, served), message.epoch, message.ctx),
         )
 
     def _read_path(self, chunk: Chunk, label) -> Chunk:
@@ -382,19 +377,26 @@ class StorageEngine:
             # Verify-on-read caught the media damage: charge the wasted
             # read, then serve the intact copy.
             self.integrity_rereads += 1
-            start = self.sim.now
-            wasted = self.device.service(chunk.size, label=label)
-            wasted.subscribe(
-                lambda _e: self._job_track.complete(
-                    "integrity.reread",
-                    start,
-                    self.sim.now - start,
-                    cat="integrity",
-                    args={"machine": self.machine},
-                )
-            )
+            self._charge_repair(chunk, label, "integrity.reread")
             served = chunk
         return served
+
+    def _charge_repair(self, chunk: Chunk, label, span: str) -> None:
+        """Charge the device for a wasted read / repeated write of
+        ``chunk`` and record it as an integrity span on the job track."""
+        self.device.service(
+            chunk.size, label=label,
+            then=self._repair_done, args=(span, self.sim.now),
+        )
+
+    def _repair_done(self, span: str, start: float) -> None:
+        self._job_track.complete(
+            span,
+            start,
+            self.sim.now - start,
+            cat="integrity",
+            args={"machine": self.machine},
+        )
 
     def _handle_read_retry(self, message) -> None:
         """Re-serve a previously served chunk (integrity re-request).
@@ -419,18 +421,12 @@ class StorageEngine:
             )
             return
         self.retransmits += 1
-        label = f"reread:p{chunk.partition}" if self._trace_on else None
-        done = self.device.service(chunk.size, label=label)
-        done.subscribe(
-            lambda _e, epoch=message.epoch: self._reply(
-                requester,
-                reply_service,
-                "read_reply",
-                chunk.size,
-                (request_id, chunk),
-                epoch=epoch,
-                parent=message.ctx,
-            )
+        self.device.service(
+            chunk.size,
+            label=f"reread:p{chunk.partition}" if self._trace_on else None,
+            then=self._reply,
+            args=(requester, reply_service, "read_reply", chunk.size,
+                  (request_id, chunk), message.epoch, message.ctx),
         )
 
     def _reject_write(self, message) -> bool:
@@ -473,17 +469,7 @@ class StorageEngine:
             stored = corrupt_chunk(chunk)
         if stored is not chunk and self._integrity and not verify_chunk(stored):
             self.torn_writes_repaired += 1
-            start = self.sim.now
-            rewrite = self.device.service(chunk.size, label=label)
-            rewrite.subscribe(
-                lambda _e: self._job_track.complete(
-                    "integrity.rewrite",
-                    start,
-                    self.sim.now - start,
-                    cat="integrity",
-                    args={"machine": self.machine},
-                )
-            )
+            self._charge_repair(chunk, label, "integrity.rewrite")
             stored = chunk
         return stored
 
@@ -515,33 +501,34 @@ class StorageEngine:
     def _serve_write(self, message, store, label) -> None:
         """Charge the device, then ``store`` the (possibly torn, possibly
         repaired) chunk and ack — unless a rollback fenced it meanwhile."""
-        request_id, requester, reply_service, chunk = message.payload
+        chunk = message.payload[3]
         self.writes_served += 1
-        done = self.device.service(chunk.size, label=label)
-        epoch = message.epoch
+        self.device.service(
+            chunk.size, label=label,
+            then=self._complete_write, args=(message, store, label),
+        )
 
-        def complete(_event: Event) -> None:
-            if epoch < self.data_epoch:
-                # The cluster rolled back while this write sat in the
-                # device queue: discard instead of resurrecting it.
-                self.stale_dropped += 1
-                return
-            stored = self._written_copy(chunk, label)
-            with self._host.measure(
-                self.machine, "serialize", records=chunk.records
-            ):
-                store(stored)
-            self._reply(
-                requester,
-                reply_service,
-                "write_ack",
-                CONTROL_BYTES,
-                (request_id, None),
-                epoch=epoch,
-                parent=message.ctx,
-            )
-
-        done.subscribe(complete)
+    def _complete_write(self, message, store, label) -> None:
+        request_id, requester, reply_service, chunk = message.payload
+        if message.epoch < self.data_epoch:
+            # The cluster rolled back while this write sat in the
+            # device queue: discard instead of resurrecting it.
+            self.stale_dropped += 1
+            return
+        stored = self._written_copy(chunk, label)
+        with self._host.measure(
+            self.machine, "serialize", records=chunk.records
+        ):
+            store(stored)
+        self._reply(
+            requester,
+            reply_service,
+            "write_ack",
+            CONTROL_BYTES,
+            (request_id, None),
+            epoch=message.epoch,
+            parent=message.ctx,
+        )
 
     def _handle_pwrite(self, message) -> None:
         """Pre-processing write: charge device time without storing.
@@ -552,18 +539,12 @@ class StorageEngine:
         """
         request_id, requester, reply_service, size = message.payload
         self.writes_served += 1
-        label = "pwrite" if self._trace_on else None
-        done = self.device.service(size, label=label)
-        done.subscribe(
-            lambda _e, epoch=message.epoch: self._reply(
-                requester,
-                reply_service,
-                "write_ack",
-                CONTROL_BYTES,
-                (request_id, None),
-                epoch=epoch,
-                parent=message.ctx,
-            )
+        self.device.service(
+            size,
+            label="pwrite" if self._trace_on else None,
+            then=self._reply,
+            args=(requester, reply_service, "write_ack", CONTROL_BYTES,
+                  (request_id, None), message.epoch, message.ctx),
         )
 
     def _handle_delete(self, message) -> None:

@@ -124,10 +124,9 @@ class CentralizedDirectory:
             message = yield self._mailbox.get()
             request_id, reply_machine, reply_service = message.payload
             self.lookups += 1
-            done = self._server.service(1.0)
-            done.subscribe(
-                lambda _e, rid=request_id, rm=reply_machine, rs=reply_service:
-                self._reply(rid, rm, rs)
+            self._server.service(
+                1.0, then=self._reply,
+                args=(request_id, reply_machine, reply_service),
             )
 
     def _reply(self, request_id: int, reply_machine: int, reply_service: str):

@@ -111,3 +111,143 @@ class TestTransport:
         wire = 500 + Network.MESSAGE_OVERHEAD
         assert network.nics[0].bytes_sent() == wire
         assert network.nics[1].bytes_received() == wire
+
+    def test_invalid_source_raises(self):
+        # A negative source used to wrap around and charge the *last*
+        # endpoint's egress NIC; one past the end died with a bare
+        # IndexError inside the reachability check.
+        sim, network = self._network(machines=3)
+        network.register(1, "svc")
+        for src in (-1, 3, 5):
+            with pytest.raises(SimulationError, match="invalid source machine"):
+                network.send(src, 1, "svc", "x", 10)
+        sim.run()
+        assert len(network.mailbox(1, "svc")) == 0
+        assert all(nic.bytes_sent() == 0 for nic in network.nics)
+
+    def test_message_has_no_instance_dict(self):
+        sim, network = self._network()
+        network.register(1, "svc")
+        message = sim.run_until(network.send(0, 1, "svc", "data", 8, payload="p"))
+        assert not hasattr(message, "__dict__")
+        assert (message.src, message.dst, message.service, message.kind,
+                message.size, message.payload, message.seq) == (
+            0, 1, "svc", "data", 8, "p", 1)
+        with pytest.raises(AttributeError):
+            message.extra = 1
+
+
+class _ReferenceWindow:
+    """What ``_DedupWindow`` means, with no floor and no fast path:
+    remember everything ever delivered, and refuse whatever has fallen
+    ``WINDOW`` behind the newest number accepted so far."""
+
+    def __init__(self, window):
+        self.window, self.delivered, self.horizon = window, set(), 0
+
+    def accept(self, seq):
+        if seq <= self.horizon or seq in self.delivered:
+            return False
+        self.delivered.add(seq)
+        self.horizon = max(self.horizon, seq - self.window)
+        return True
+
+
+class TestDedupWindow:
+    @pytest.mark.parametrize("seed", range(6))
+    def test_matches_set_based_reference(self, seed):
+        import random
+
+        from repro.net.transport import _DedupWindow
+
+        rng = random.Random(seed)
+        stream, next_seq = [], 1
+        while next_seq < 4 * _DedupWindow.WINDOW:
+            # Nothing is lost at first, so reordering gaps close again and
+            # the in-order branch keeps re-engaging; then drops begin.
+            roll = rng.random() * (0.88 if next_seq < 2000 else 1.0)
+            if roll < 0.80:  # in order: the fast path
+                burst = list(range(next_seq, next_seq + rng.randint(1, 40)))
+            elif roll < 0.88:  # a burst arriving shuffled
+                burst = list(range(next_seq, next_seq + rng.randint(2, 12)))
+                rng.shuffle(burst)
+            elif roll < 0.94:  # a dropped run: a gap that never fills
+                next_seq += rng.randint(1, 5)
+                continue
+            else:  # one long drop: the next arrival slides the window
+                next_seq += _DedupWindow.WINDOW + rng.randint(1, 50)
+                continue
+            next_seq = max(burst) + 1
+            stream += burst
+            # Duplicates: of this burst, of old traffic, of the future gap.
+            stream += rng.choices(burst, k=rng.randint(0, 2))
+            if rng.random() < 0.3:
+                stream.append(rng.randint(1, next_seq))
+        window, reference = _DedupWindow(), _ReferenceWindow(_DedupWindow.WINDOW)
+        verdicts = [window.accept(seq) for seq in stream]
+        assert verdicts == [reference.accept(seq) for seq in stream]
+        assert 0.5 < sum(verdicts) / len(verdicts) < 1.0
+        assert len(window.seen) <= _DedupWindow.WINDOW
+
+    def test_in_order_stream_never_touches_the_set(self):
+        from repro.net.transport import _DedupWindow
+
+        window = _DedupWindow()
+        assert all(window.accept(seq) for seq in range(1, 1000))
+        assert window.floor == 999 and not window.seen
+        assert not window.accept(999) and not window.accept(1)
+        assert window.accept(1001) and window.seen == {1001}
+        assert window.accept(1000) and window.floor == 1001 and not window.seen
+
+
+class TestArmedFaults:
+    def _pair(self):
+        sim = Simulator()
+        network = Network(sim, 3, GIGE_40)
+        network.register(1, "svc")
+        return sim, network
+
+    def test_first_frame_after_inject_consumes_the_fault(self):
+        # Traffic before the fault is armed takes the unarmed fast path;
+        # arming must take effect on the very next frame received.
+        sim, network = self._pair()
+        for _ in range(3):
+            network.send(0, 1, "svc", "data", 100)
+        sim.run()
+        assert network.messages_duplicated == 0
+        network.inject_fault(1, "dup")
+        network.send(0, 1, "svc", "data", 100)
+        network.send(2, 1, "svc", "data", 100)
+        sim.run()
+        assert network.messages_duplicated == 1
+        assert network.duplicates_suppressed == 1
+        assert len(network.mailbox(1, "svc")) == 5
+        assert not network._pending_faults
+
+    def test_fault_armed_while_frame_is_in_flight_still_applies(self):
+        sim, network = self._pair()
+        network.send(0, 1, "svc", "data", 1_000_000)  # ~200 us on the wire
+        sim.run(until=50e-6)
+        network.inject_fault(1, "reorder", delay=1e-3)
+        sim.run()
+        assert network.messages_reordered == 1
+        assert sim.now > 1e-3
+
+    def test_corrupt_stays_armed_past_chunkless_frames(self):
+        sim, network = self._pair()
+        network.inject_fault(1, "corrupt")
+        network.send(0, 1, "svc", "ping", 8, payload=(1, None))
+        sim.run()
+        assert network.messages_corrupted == 0
+        assert list(network._pending_faults) == [1]
+
+    def test_fault_on_another_endpoint_is_left_alone(self):
+        sim, network = self._pair()
+        network.register(2, "svc")
+        network.inject_fault(2, "dup")
+        network.send(0, 1, "svc", "data", 100)
+        sim.run()
+        assert network.messages_duplicated == 0
+        network.send(0, 2, "svc", "data", 100)
+        sim.run()
+        assert network.messages_duplicated == 1

@@ -39,6 +39,17 @@ class TestScheduling:
         with pytest.raises(SimulationError):
             sim.schedule(-0.1, lambda: None)
 
+    def test_nan_delay_rejected(self):
+        # ``nan < 0`` is false: an unguarded NaN would become ``sim.now``
+        # when it fires and poison every later ``max(now, busy_until)``.
+        sim = Simulator()
+        with pytest.raises(SimulationError, match="delay=nan"):
+            sim.schedule(float("nan"), lambda: None)
+        with pytest.raises(SimulationError):
+            sim.timeout(float("nan"))
+        sim.schedule(1.0, lambda: None)
+        assert sim.run() == 1.0
+
     def test_run_until_time_bound(self):
         sim = Simulator()
         seen = []

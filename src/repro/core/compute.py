@@ -655,9 +655,14 @@ class ComputationEngine:
                     write=False,
                     label="scatter.read",
                 )
-            with self._host.measure(
-                self.machine, "scatter", iteration, records=chunk.records
-            ):
+            if self._host.enabled:
+                with self._host.measure(
+                    self.machine, "scatter", iteration, records=chunk.records
+                ):
+                    batches = self.workload.scatter_chunk(
+                        state.partition, chunk, iteration
+                    )
+            else:
                 batches = self.workload.scatter_chunk(
                     state.partition, chunk, iteration
                 )
@@ -684,9 +689,14 @@ class ComputationEngine:
                         write=True,
                         label="gather.accum",
                     )
-            with self._host.measure(
-                self.machine, "gather", iteration, records=chunk.records
-            ):
+            if self._host.enabled:
+                with self._host.measure(
+                    self.machine, "gather", iteration, records=chunk.records
+                ):
+                    self.workload.gather_chunk(
+                        state.partition, state.accum, chunk
+                    )
+            else:
                 self.workload.gather_chunk(state.partition, state.accum, chunk)
         if self._trace_on:
             self.track.instant(
@@ -727,46 +737,48 @@ class ComputationEngine:
         if not batches:
             return
         count = sum(b.count for b in batches)
-        with self._host.measure(self.machine, "serialize", records=count):
-            if batches[0].payload is not None:
-                payload = {
-                    "dst": np.concatenate(
-                        [b.payload["dst"] for b in batches]
-                    ),
-                    "value": np.concatenate(
-                        [b.payload["value"] for b in batches]
-                    ),
-                }
-            else:
-                payload = None
-            if self.config.aggregate_updates and payload is not None:
-                combined = self.workload.algorithm.combine_updates(
-                    payload["dst"], payload["value"]
-                )
-                if combined is not None:
-                    # Combining costs CPU proportional to the records
-                    # merged (the trade-off the paper measured,
-                    # Section 11.1).
-                    self.cores.execute(
-                        count * self.config.cpu_seconds_per_update
-                    )
-                    dst, values = combined
-                    payload = {"dst": dst, "value": values}
-                    count = len(dst)
-                    nbytes = count * self.workload.algorithm.update_bytes
-            self.updates_written_records += count
-            self.updates_written_bytes += nbytes
-            chunk = Chunk(
-                partition=partition,
-                kind=ChunkKind.UPDATES,
-                size=nbytes,
-                payload=payload,
-                records=count,
-            )
-            if payload is not None:
-                seal_chunk(chunk)
+        if self._host.enabled:
+            with self._host.measure(self.machine, "serialize", records=count):
+                chunk = self._update_chunk(partition, batches, nbytes, count)
+        else:
+            chunk = self._update_chunk(partition, batches, nbytes, count)
         target = self._resolve_write_target()
         self._write_chunk(chunk, target)
+
+    def _update_chunk(self, partition: int, batches, nbytes: int, count: int) -> Chunk:
+        """One sealed update chunk out of a partition's buffered batches."""
+        if batches[0].payload is not None:
+            payload = {
+                "dst": np.concatenate([b.payload["dst"] for b in batches]),
+                "value": np.concatenate([b.payload["value"] for b in batches]),
+            }
+        else:
+            payload = None
+        if self.config.aggregate_updates and payload is not None:
+            combined = self.workload.algorithm.combine_updates(
+                payload["dst"], payload["value"]
+            )
+            if combined is not None:
+                # Combining costs CPU proportional to the records
+                # merged (the trade-off the paper measured,
+                # Section 11.1).
+                self.cores.execute(count * self.config.cpu_seconds_per_update)
+                dst, values = combined
+                payload = {"dst": dst, "value": values}
+                count = len(dst)
+                nbytes = count * self.workload.algorithm.update_bytes
+        self.updates_written_records += count
+        self.updates_written_bytes += nbytes
+        chunk = Chunk(
+            partition=partition,
+            kind=ChunkKind.UPDATES,
+            size=nbytes,
+            payload=payload,
+            records=count,
+        )
+        if payload is not None:
+            seal_chunk(chunk)
+        return chunk
 
     def _resolve_write_target(self) -> int:
         # With the centralized directory the *location decision* is the

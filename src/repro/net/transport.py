@@ -340,11 +340,15 @@ class Network:
         if not 0 <= src < len(self.nics):
             raise SimulationError(f"invalid source machine {src}")
         sim = self.sim
-        with self._host.measure(src, "msg_copy"):
+        clock = self._san.on_send(src, kind) if self._san is not None else None
+        if self._host.enabled:
+            with self._host.measure(src, "msg_copy"):
+                message = Message(
+                    src, dst, service, kind, size, payload, sim.now, clock, epoch
+                )
+        else:
             message = Message(
-                src, dst, service, kind, size, payload, sim.now,
-                self._san.on_send(src, kind) if self._san is not None else None,
-                epoch,
+                src, dst, service, kind, size, payload, sim.now, clock, epoch
             )
         if self.causal.enabled:
             message.ctx = self.causal.on_send(

@@ -16,7 +16,7 @@ seal and the fault injector share.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Dict, Optional, Tuple
 
 import numpy as np
@@ -33,7 +33,7 @@ class ChunkKind(enum.Enum):
     VERTICES = "vertices"
 
 
-@dataclass
+@dataclass(slots=True)
 class Chunk:
     """One chunk of one partition's edge, update or vertex set."""
 
@@ -54,12 +54,25 @@ class Chunk:
     #: Small header ints covered by the seal.  Checkpoint chunks carry
     #: ``(resume_iteration, *freshness key)`` here; empty otherwise.
     tag: Tuple[int, ...] = ()
+    #: This object's bytes are known to match ``crc`` and its columns are
+    #: read-only.  Set only by ``store.integrity``; not an ``__init__``
+    #: argument, so no way of building a chunk from another carries it.
+    verified: bool = field(default=False, init=False, compare=False, repr=False)
 
     def __post_init__(self):
         if self.size < 0:
             raise ValueError(f"chunk size must be non-negative, got {self.size}")
         if self.records < 0:
             raise ValueError(f"records must be non-negative, got {self.records}")
+
+    def __reduce__(self):
+        # copy, deepcopy and pickle rebuild through ``__init__``, like
+        # ``dataclasses.replace``: every copy starts unverified.
+        return (
+            Chunk,
+            (self.partition, self.kind, self.size, self.payload,
+             self.index, self.records, self.crc, self.tag),
+        )
 
     @property
     def is_phantom(self) -> bool:

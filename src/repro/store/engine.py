@@ -258,6 +258,10 @@ class StorageEngine:
     # -- message dispatch --------------------------------------------------
 
     def _dispatch(self):
+        # The handler table, resolved once per dispatcher (re)start
+        # instead of once per message.
+        kinds = [n[len("_handle_"):] for n in dir(self) if n.startswith("_handle_")]
+        handlers = {kind: getattr(self, f"_handle_{kind}") for kind in kinds}
         while True:
             message = yield self._mailbox.get()
             if message.epoch < self.data_epoch:
@@ -266,7 +270,7 @@ class StorageEngine:
                 # executing it would corrupt the restored state.
                 self.stale_dropped += 1
                 continue
-            handler = getattr(self, f"_handle_{message.kind}", None)
+            handler = handlers.get(message.kind)
             if handler is None:
                 raise RuntimeError(
                     f"storage engine {self.machine}: unknown message "
@@ -309,7 +313,10 @@ class StorageEngine:
                 write=True,
                 label="store.fetch",
             )
-        with self._host.measure(self.machine, "deserialize"):
+        if self._host.enabled:
+            with self._host.measure(self.machine, "deserialize"):
+                chunk = self.backend.fetch_any(partition, kind)
+        else:
             chunk = self.backend.fetch_any(partition, kind)
         if chunk is None:
             self.exhausted_replies += 1
@@ -320,7 +327,10 @@ class StorageEngine:
 
     def _handle_vread(self, message) -> None:
         _request_id, _requester, _reply_service, partition, index = message.payload
-        with self._host.measure(self.machine, "deserialize"):
+        if self._host.enabled:
+            with self._host.measure(self.machine, "deserialize"):
+                chunk = self.backend.get_vertex_chunk(partition, index)
+        else:
             chunk = self.backend.get_vertex_chunk(partition, index)
         if chunk is not None and self.faults.stale_reads > 0:
             stale = self.backend.get_previous_vertex_chunk(partition, index)
@@ -516,9 +526,12 @@ class StorageEngine:
             self.stale_dropped += 1
             return
         stored = self._written_copy(chunk, label)
-        with self._host.measure(
-            self.machine, "serialize", records=chunk.records
-        ):
+        if self._host.enabled:
+            with self._host.measure(
+                self.machine, "serialize", records=chunk.records
+            ):
+                store(stored)
+        else:
             store(stored)
         self._reply(
             requester,

@@ -75,6 +75,23 @@ def backend(request, tmp_path):
 
 
 @pytest.fixture
+def integrity_retries(monkeypatch):
+    """Corrupt replies re-requested by the compute engines of every job
+    run in this test (the one detection counter ``JobResult.integrity``
+    does not carry)."""
+    from repro.core.compute import ComputationEngine
+
+    engines, init = [], ComputationEngine.__init__
+
+    def recording_init(engine, *args, **kwargs):
+        engines.append(engine)
+        init(engine, *args, **kwargs)
+
+    monkeypatch.setattr(ComputationEngine, "__init__", recording_init)
+    return lambda: sum(engine.integrity_retries for engine in engines)
+
+
+@pytest.fixture
 def config4():
     return fast_config(4)
 

@@ -145,8 +145,32 @@ class TestByzantineSpecs:
 
 
 # ---------------------------------------------------------------------------
-# Keystone invariant under every byzantine kind (hardened stack)
+# Keystone invariant under every fault kind (hardened stack)
 # ---------------------------------------------------------------------------
+
+#: Store-side detection counters of ``JobResult.integrity``; the compute
+#: engines' ``integrity_retries`` makes the fifth column below.
+DETECTIONS = (
+    "integrity_rereads", "write_rejects", "torn_writes_repaired", "retransmits"
+)
+#: One plan per fault kind (and one more msg-corrupt that lands on
+#: writes) -> what the stack detected on the commit *before* CRC verdicts
+#: were remembered per chunk object (PR 21).  Skipping a walk must never
+#: skip a detection: a count that moves means a copy inherited a verdict.
+PARENT_DETECTIONS = {
+    "crash:0@iter=2": (0, 0, 0, 0, 0),
+    "crash-restart:1@iter=1,down=0.01": (0, 0, 0, 0, 0),
+    "partition:1@iter=1,for=0.01": (0, 0, 0, 0, 0),
+    "slow-device:1@iter=1,factor=4,for=0.01": (0, 0, 0, 0, 0),
+    "msg-corrupt:1@iter=1,count=2": (0, 0, 0, 2, 2),
+    "msg-corrupt:2@iter=0,count=6": (0, 3, 0, 3, 3),
+    "msg-dup:1@iter=1,count=2": (0, 0, 0, 0, 0),
+    "msg-reorder:1@iter=1,count=2,delay=0.002": (0, 0, 0, 0, 0),
+    "chunk-bitflip:1@iter=1,count=2": (2, 0, 0, 0, 0),
+    "torn-write:1@iter=1,count=2": (0, 0, 2, 0, 0),
+    "stale-read:1@iter=1,count=2": (0, 0, 0, 0, 0),
+    "ckpt-corrupt:1@iter=1,count=4": (0, 0, 0, 0, 0),
+}
 
 
 class TestHardenedByteIdentity:
@@ -164,22 +188,14 @@ class TestHardenedByteIdentity:
 
         return counters
 
-    @pytest.mark.parametrize(
-        "spec",
-        [
-            "msg-corrupt:1@iter=1,count=2",
-            "msg-dup:1@iter=1,count=2",
-            "msg-reorder:1@iter=1,count=2,delay=0.002",
-            "chunk-bitflip:1@iter=1,count=2",
-            "torn-write:1@iter=1,count=2",
-            "stale-read:1@iter=1,count=2",
-            "ckpt-corrupt:1@iter=1,count=4",
-        ],
-    )
+    @pytest.mark.parametrize("spec", list(PARENT_DETECTIONS))
     def test_each_kind_is_byte_identical(
-        self, small_graph, pr_baseline, spec, backend, memory_counters
+        self, small_graph, pr_baseline, spec, backend, memory_counters,
+        integrity_retries,
     ):
         result, _ = _run(small_graph, [spec], backend=backend)
+        detections = tuple(result.integrity[name] for name in DETECTIONS)
+        assert detections + (integrity_retries(),) == PARENT_DETECTIONS[spec]
         _assert_byte_identical(result, pr_baseline)
         assert result.integrity == memory_counters(spec)
 

@@ -8,7 +8,9 @@ the seal.
 
 from __future__ import annotations
 
+import copy
 import dataclasses
+import pickle
 
 import numpy as np
 import pytest
@@ -96,7 +98,9 @@ class TestRoundTrip:
 @pytest.mark.parametrize("dtype", DTYPES, ids=lambda d: np.dtype(d).name)
 class TestSeal:
     def test_any_one_cell_breaks_the_seal(self, dtype):
-        chunk = _chunk(dtype, 4096)
+        # On a clone, the path every injector takes: the sealed chunk's
+        # own columns are read-only.
+        chunk = codec.clone(_chunk(dtype, 4096))
         for name in chunk.payload:
             cells = chunk.payload[name].view(np.uint8)
             for position in (0, len(cells) // 2, len(cells) - 1):
@@ -128,6 +132,117 @@ class TestSeal:
         assert not verify_chunk(dataclasses.replace(chunk, payload=renamed))
         recast = dict(chunk.payload, dst=chunk.payload["dst"].view(np.uint64))
         assert not verify_chunk(dataclasses.replace(chunk, payload=recast))
+
+
+class TestVerifiedMemo:
+    """``Chunk.verified`` stays with the object that earned it: sealed
+    columns are read-only and every copy starts unverified."""
+
+    @pytest.fixture
+    def walks(self, monkeypatch):
+        """``id`` of every chunk ``codec.checksum`` walked, in order."""
+        walked, checksum = [], codec.checksum
+
+        def counted(chunk):
+            walked.append(id(chunk))
+            return checksum(chunk)
+
+        monkeypatch.setattr(codec, "checksum", counted)
+        return walked
+
+    def test_sealed_and_verified_columns_are_read_only(self):
+        sealed = _chunk(np.float64, 4096)
+        verified = codec.clone(sealed)
+        assert verify_chunk(verified)
+        for chunk in (sealed, verified):
+            assert chunk.verified
+            for column in chunk.payload.values():
+                with pytest.raises(ValueError, match="read-only"):
+                    column[0] = 0
+                with pytest.raises(ValueError, match="read-only"):
+                    column.view(np.uint8)[0] ^= 1
+
+    @pytest.mark.parametrize(
+        "change",
+        [
+            {},
+            {"partition": 1},
+            {"kind": ChunkKind.UPDATES},
+            {"size": 4096},
+            {"payload": None},
+            {"index": 0},
+            {"records": 512},
+            {"crc": 0},
+            {"tag": TAG},
+        ],
+        ids=lambda c: "-".join(c) or "nothing",
+    )
+    def test_replace_never_carries_the_verdict(self, change):
+        chunk = _chunk(np.float64, 4096)
+        assert chunk.verified
+        assert not dataclasses.replace(chunk, **change).verified
+
+    def test_verified_is_not_an_init_argument(self):
+        with pytest.raises(ValueError):
+            dataclasses.replace(_chunk(np.float64, None), verified=True)
+        with pytest.raises(TypeError):
+            Chunk(partition=0, kind=ChunkKind.EDGES, size=0, verified=True)
+
+    @pytest.mark.parametrize(
+        "duplicate",
+        [
+            codec.clone,
+            copy.copy,
+            copy.deepcopy,
+            lambda chunk: pickle.loads(pickle.dumps(chunk)),
+        ],
+        ids=["clone", "copy", "deepcopy", "pickle"],
+    )
+    def test_every_copy_starts_unverified_and_is_walked(self, duplicate, walks):
+        chunk = _chunk(np.float64, 4096)
+        twin = duplicate(chunk)
+        assert twin is not chunk and not twin.verified
+        _assert_same_chunk(twin, chunk)
+        assert verify_chunk(twin) and twin.verified
+        # The seal, then the copy's one walk.
+        assert walks == [id(chunk), id(twin)]
+
+    @pytest.mark.parametrize("provider", PROVIDERS)
+    def test_store_round_trip(self, provider, tmp_path, walks):
+        store = make_store(provider, tmp_path)
+        chunk = _chunk(np.float64, 4096)
+        store.append_chunk(chunk)
+        loaded = store.fetch_any(1, ChunkKind.UPDATES)
+        # Memory hands back the sealed object; a file decode is new bytes.
+        assert (loaded is chunk) == (provider == "memory")
+        assert loaded.verified == (provider == "memory")
+        assert verify_chunk(loaded) and verify_chunk(loaded)
+        assert len(walks) == (1 if provider == "memory" else 2)
+
+    def test_an_intact_clone_is_walked_exactly_once(self, walks):
+        clone = codec.clone(_chunk(np.float64, 4096))
+        del walks[:]
+        assert verify_chunk(clone) and verify_chunk(clone)
+        assert walks == [id(clone)]
+
+    def test_a_failed_verify_leaves_no_trace(self, walks):
+        damaged = corrupt_chunk(_chunk(np.float64, 4096))
+        frozen = np.arange(4)
+        frozen.flags.writeable = False
+        damaged.payload["extra"] = frozen
+        del walks[:]
+        assert not verify_chunk(damaged) and not verify_chunk(damaged)
+        assert walks == [id(damaged)] * 2  # no verdict to remember
+        assert not damaged.verified
+        writable = {n: c.flags.writeable for n, c in damaged.payload.items()}
+        assert writable == {"dst": True, "value": True, "extra": False}
+
+    def test_unsealed_chunks_are_neither_walked_nor_frozen(self, walks):
+        column = np.arange(4)
+        chunk = Chunk(partition=0, kind=ChunkKind.UPDATES, size=32,
+                      payload={"value": column})
+        assert verify_chunk(chunk) and not chunk.verified and not walks
+        column[0] = 9
 
 
 class TestCodec:
@@ -176,6 +291,25 @@ class TestCorruptChunk:
         # The original is untouched: the store's copy stays intact.
         assert verify_chunk(chunk)
         assert np.array_equal(chunk.payload["value"], before["value"])
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize(
+        "first", [np.inf, -np.inf, np.nan, -1.0, 0.0, 1.0], ids=str
+    )
+    def test_never_a_no_op_on_a_float_fixed_point(self, first, dtype):
+        # x * 2 + 1 == x for inf, -inf, nan and -1.0: SSSP / BFS
+        # distances start at inf, so the fault used to fire unseen.
+        values = np.array([first, 2.0, 3.0], dtype=dtype)
+        sealed = seal_chunk(
+            Chunk(partition=0, kind=ChunkKind.UPDATES, size=3 * values.itemsize,
+                  payload={"value": values, "dst": np.arange(3)}, records=3)
+        )
+        damaged = corrupt_chunk(sealed)
+        assert not verify_chunk(damaged)
+        assert damaged.payload["value"].tobytes() != values.tobytes()
+        assert damaged.payload["value"][1:].tobytes() == values[1:].tobytes()
+        if first in (0.0, 1.0):  # the pinned perturbation, where it bites
+            assert damaged.payload["value"][0] == first * 2.0 + 1.0
 
     def test_falls_back_to_an_integer_column(self):
         chunk = _chunk(np.int32, 4096)

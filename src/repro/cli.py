@@ -594,7 +594,7 @@ def _command_run(args) -> int:
         if args.trace:
             size = write_chrome_trace(tracer, args.trace, host_metrics=host_doc)
             if not args.json:
-                print(f"trace: {len(tracer.events)} events -> "
+                print(f"trace: {len(tracer.log.columns().trace)} events -> "
                       f"{args.trace} ({size / 1e3:.1f} kB)")
         if args.trace_csv:
             write_counters_csv(tracer, args.trace_csv)

@@ -52,7 +52,6 @@ from repro.core.stealing import estimate_cluster_remaining, should_accept_steal
 from repro.core.workload import UpdateBatch, Workload
 from repro.net.retry import RetryPolicy, jittered_delay, retry_rng_seed
 from repro.net.transport import Network
-from repro.obs.host import resolve_host_profiler
 from repro.obs.tracer import NULL_TRACK, TID_CPU, TID_ENGINE
 from repro.sim.engine import Event, Simulator
 from repro.sim.resources import CoreBank
@@ -167,8 +166,8 @@ class ComputationEngine:
         # the synchronous GAS kernels.  Measured sections never span a
         # yield — the simulator interleaves all machines on one thread,
         # so timing across a yield would charge other machines' host
-        # time to this engine's phase.
-        self._host = resolve_host_profiler(host)
+        # time to this engine's phase.  None when off.
+        self._host = host if host is not None and host.enabled else None
         # Observability: every span this engine opens carries the
         # Breakdown category it is accounted under, so a trace's
         # category totals reconcile with Figure 17 to float precision.
@@ -646,6 +645,7 @@ class ComputationEngine:
             # Zombie callback: the CPU completion was scheduled before
             # this engine was killed by the fault supervisor.
             return
+        host = self._host
         if state.kind is ChunkKind.EDGES:
             if self._san is not None:
                 # Scatter reads the partition's vertex values.
@@ -655,16 +655,14 @@ class ComputationEngine:
                     write=False,
                     label="scatter.read",
                 )
-            if self._host.enabled:
-                with self._host.measure(
-                    self.machine, "scatter", iteration, records=chunk.records
-                ):
-                    batches = self.workload.scatter_chunk(
-                        state.partition, chunk, iteration
-                    )
-            else:
-                batches = self.workload.scatter_chunk(
-                    state.partition, chunk, iteration
+            if host is not None:
+                token = host.start()
+            batches = self.workload.scatter_chunk(
+                state.partition, chunk, iteration
+            )
+            if host is not None:
+                host.stop(
+                    token, self.machine, "scatter", iteration, chunk.records
                 )
             for batch in batches:
                 self._buffer_updates(batch)
@@ -689,21 +687,22 @@ class ComputationEngine:
                         write=True,
                         label="gather.accum",
                     )
-            if self._host.enabled:
-                with self._host.measure(
-                    self.machine, "gather", iteration, records=chunk.records
-                ):
-                    self.workload.gather_chunk(
-                        state.partition, state.accum, chunk
-                    )
-            else:
-                self.workload.gather_chunk(state.partition, state.accum, chunk)
+            if host is not None:
+                token = host.start()
+            self.workload.gather_chunk(state.partition, state.accum, chunk)
+            if host is not None:
+                host.stop(
+                    token, self.machine, "gather", iteration, chunk.records
+                )
         if self._trace_on:
-            self.track.instant(
-                "chunk.scatter"
-                if state.kind is ChunkKind.EDGES
-                else "chunk.gather",
-                args={"partition": state.partition, "records": chunk.records},
+            # One event-log row (layout: repro.obs.log), built here.
+            track = self.track
+            track.append(
+                ("i", track.pid, track.tid,
+                 "chunk.scatter" if state.kind is ChunkKind.EDGES
+                 else "chunk.gather",
+                 track.offset + self.sim.now, 0.0, None, None,
+                 {"partition": state.partition, "records": chunk.records})
             )
         state.processing.done_one()
         self._maybe_finish_stream(state)
@@ -737,11 +736,12 @@ class ComputationEngine:
         if not batches:
             return
         count = sum(b.count for b in batches)
-        if self._host.enabled:
-            with self._host.measure(self.machine, "serialize", records=count):
-                chunk = self._update_chunk(partition, batches, nbytes, count)
-        else:
-            chunk = self._update_chunk(partition, batches, nbytes, count)
+        host = self._host
+        if host is not None:
+            token = host.start()
+        chunk = self._update_chunk(partition, batches, nbytes, count)
+        if host is not None:
+            host.stop(token, self.machine, "serialize", records=count)
         target = self._resolve_write_target()
         self._write_chunk(chunk, target)
 
@@ -938,10 +938,12 @@ class ComputationEngine:
             )
         # 1. Load the vertex set (the steal cost V of Eq. 1).
         t0 = self.sim.now
-        track.begin("vertex_load", cat="copy")
+        if self._trace_on:
+            track.begin("vertex_load", cat="copy")
         yield self._load_vertex_set(partition)
         self.metrics.add("copy", self.sim.now - t0)
-        track.end()
+        if self._trace_on:
+            track.end()
 
         if master:
             state = self._master_state[partition]
@@ -961,15 +963,15 @@ class ComputationEngine:
         # 2. Stream edge/update chunks through the request window.
         t1 = self.sim.now
         category = "gp_master" if master else "gp_stolen"
-        track.begin("stream", cat=category)
+        if self._trace_on:
+            track.begin("stream", cat=category)
         stream = self._start_streaming(partition, kind, accum, iteration)
         yield stream.done
         self.metrics.add(category, self.sim.now - t1)
-        track.end(
-            args={"chunks": stream.chunks_received, "records": stream.records}
-            if self._trace_on
-            else None
-        )
+        if self._trace_on:
+            track.end(
+                args={"chunks": stream.chunks_received, "records": stream.records}
+            )
 
         # 3. Phase-specific completion.
         if kind is ChunkKind.UPDATES:
@@ -989,56 +991,64 @@ class ComputationEngine:
         track = self.track
         # Wait for every accepted stealer's accumulator (Figure 4 line 42).
         t0 = self.sim.now
-        track.begin("merge_wait", cat="merge_wait")
+        if self._trace_on:
+            track.begin("merge_wait", cat="merge_wait")
         yield state.accum_group.wait()
         self.metrics.add("merge_wait", self.sim.now - t0)
         self.job.note_steal_wait(self.job.current_stats, self.sim.now - t0)
-        track.end()
+        if self._trace_on:
+            track.end()
 
         vertices = self.layout.vertex_count(partition)
         # Merge stealer accumulators, then Apply (folded into gather).
         t1 = self.sim.now
-        track.begin("merge_apply", cat="merge")
+        if self._trace_on:
+            track.begin("merge_apply", cat="merge")
         merge_cpu = (
             len(state.accums) * vertices * self.config.cpu_seconds_per_vertex
         )
         apply_cpu = vertices * self.config.cpu_seconds_per_vertex
         if merge_cpu + apply_cpu > 0:
             yield self.cores.execute(merge_cpu + apply_cpu)
-        with self._host.measure(self.machine, "apply", iteration):
-            for owner, other in state.accums:
-                if self._san is not None and other is not None:
-                    # Reading a stealer's accumulator: ordered by the
-                    # accum message handoff (or it is a race).  The key
-                    # names the stealer that owns the accumulator,
-                    # matching its accum.init/gather.accum writes.
-                    self._san.access(
-                        ("accum", partition, owner),
-                        self.machine,
-                        write=False,
-                        label="merge.read",
-                    )
-                self.workload.merge_accumulators(partition, accum, other)
-            if self._san is not None:
+        host = self._host
+        if host is not None:
+            token = host.start()
+        for owner, other in state.accums:
+            if self._san is not None and other is not None:
+                # Reading a stealer's accumulator: ordered by the
+                # accum message handoff (or it is a race).  The key
+                # names the stealer that owns the accumulator,
+                # matching its accum.init/gather.accum writes.
                 self._san.access(
-                    ("vertex", partition),
+                    ("accum", partition, owner),
                     self.machine,
-                    write=True,
-                    label="apply.write",
+                    write=False,
+                    label="merge.read",
                 )
-            changed = self.workload.apply_partition(
-                partition, accum, iteration
+            self.workload.merge_accumulators(partition, accum, other)
+        if self._san is not None:
+            self._san.access(
+                ("vertex", partition),
+                self.machine,
+                write=True,
+                label="apply.write",
             )
+        changed = self.workload.apply_partition(partition, accum, iteration)
+        if host is not None:
+            host.stop(token, self.machine, "apply", iteration)
         self.job.note_apply(changed)
         self.metrics.add("merge", self.sim.now - t1)
-        track.end()
+        if self._trace_on:
+            track.end()
 
         # Write the vertex set back (only the master writes: Section 6.1).
         t2 = self.sim.now
-        track.begin("vertex_store", cat="copy")
+        if self._trace_on:
+            track.begin("vertex_store", cat="copy")
         yield self._store_vertex_set(partition)
         self.metrics.add("copy", self.sim.now - t2)
-        track.end()
+        if self._trace_on:
+            track.end()
 
         # Delete the partition's update set everywhere (Figure 4 line 45).
         for target in range(self.config.machines):
@@ -1057,7 +1067,8 @@ class ComputationEngine:
         master = partition % self.config.machines
         size = self.workload.accum_bytes(partition)
         t0 = self.sim.now
-        self.track.begin("ship_accum", cat="copy")
+        if self._trace_on:
+            self.track.begin("ship_accum", cat="copy")
         delivered = self.network.send(
             src=self.machine,
             dst=master,
@@ -1069,7 +1080,8 @@ class ComputationEngine:
         )
         yield delivered
         self.metrics.add("copy", self.sim.now - t0)
-        self.track.end()
+        if self._trace_on:
+            self.track.end()
 
     # ------------------------------------------------------------------
     # Steal pass (one pass per phase; see module docstring)
@@ -1168,17 +1180,21 @@ class ComputationEngine:
             # The wrapper span lets the attribution analyzer charge
             # proposal round-trip waits to steal overhead; work on an
             # accepted partition opens its own (inner) spans.
-            self.track.begin("steal_pass")
+            if self._trace_on:
+                self.track.begin("steal_pass")
             yield from self._steal_pass(kind)
-            self.track.end()
+            if self._trace_on:
+                self.track.end()
         if kind is ChunkKind.EDGES:
             self._flush_all_buffers()
         # All in-flight chunk writes must land before the barrier.
         t0 = self.sim.now
-        self.track.begin("flush_wait", cat="gp_master")
+        if self._trace_on:
+            self.track.begin("flush_wait", cat="gp_master")
         yield self._write_group.wait()
         self.metrics.add("gp_master", self.sim.now - t0)
-        self.track.end()
+        if self._trace_on:
+            self.track.end()
         if self.config.checkpointing:
             yield from self._checkpoint(kind)
 
@@ -1199,7 +1215,8 @@ class ComputationEngine:
         replica writes are acked.
         """
         t0 = self.sim.now
-        self.track.begin("checkpoint", cat="copy")
+        if self._trace_on:
+            self.track.begin("checkpoint", cat="copy")
         registry = self._registry
         events = []
         if registry is None:
@@ -1233,7 +1250,8 @@ class ComputationEngine:
                     lambda _e, p=partition: registry.note_durable(
                         key, p, self.sim.now,
                         machine=self.machine,
-                        parent=self._causal.head(self.machine),
+                        parent=self._causal.head(self.machine)
+                        if self._trace_on else None,
                     )
                 )
                 events.append(event)
@@ -1241,11 +1259,13 @@ class ComputationEngine:
             yield event
         self.checkpoints_written += len(events)
         self.metrics.add("copy", self.sim.now - t0)
-        self.track.end()
+        if self._trace_on:
+            self.track.end()
 
     def _enter_barrier(self, stats=None, label=None, phase=None):
         t0 = self.sim.now
-        self.track.begin("barrier", cat="barrier")
+        if self._trace_on:
+            self.track.begin("barrier", cat="barrier")
         causal = label is not None and self._causal.enabled
         if causal:
             self._causal.barrier_arrive(
@@ -1261,7 +1281,8 @@ class ComputationEngine:
         self.metrics.add("barrier", self.sim.now - t0)
         if stats is not None:
             self.job.note_barrier_wait(stats, self.sim.now - t0)
-        self.track.end()
+        if self._trace_on:
+            self.track.end()
 
     def _preprocess(self):
         """Simulate this machine's share of the one-pass pre-processing.
@@ -1303,10 +1324,13 @@ class ComputationEngine:
         # preprocess is epoch-uniform: build_epoch sets it identically on
         # every engine, so all machines take the same branch together.
         if self.preprocess:  # chaos: ignore[CHX010,CHX022]
-            track.begin("preprocess")
+            if self._trace_on:
+                track.begin("preprocess")
             yield from self._preprocess()
-            track.end()
-            track.begin("preprocess.barrier")
+            if self._trace_on:
+                track.end()
+            if self._trace_on:
+                track.begin("preprocess.barrier")
             if self._causal.enabled:
                 self._causal.barrier_arrive(
                     self.machine, self.epoch, "preprocess", "preprocess"
@@ -1316,7 +1340,8 @@ class ComputationEngine:
                 self._causal.barrier_release(
                     self.machine, self.epoch, "preprocess", "preprocess"
                 )
-            track.end()
+            if self._trace_on:
+                track.end()
             self.job.note_preprocessing_done(self.sim.now)
 
         while True:
@@ -1329,7 +1354,8 @@ class ComputationEngine:
             # Publish the iteration for measurement sites that have no
             # iteration argument (store/net handlers): all engines are
             # barrier-aligned on the same iteration.
-            self._host.set_iteration(self.job.iteration)
+            if self._host is not None:
+                self._host.iteration = self.job.iteration
             if self._trace_on:
                 track.begin("scatter", args={"iteration": self.job.iteration})
             self.job.begin_scatter()

@@ -501,7 +501,9 @@ class ChaosCluster:
         tracer = self.tracer
         job_track = NULL_TRACK
         if tracer.enabled:
-            tracer.bind_run(lambda: sim.now)
+            # A C-level reader of ``sim.now``: every begin/end/instant
+            # and every causal edge asks the clock.
+            tracer.bind_run(functools.partial(getattr, sim, "now"))
             for m in range(config.machines):
                 tracer.set_process(m, f"machine{m}")
             tracer.set_process(config.machines, "cluster")
@@ -655,10 +657,11 @@ class ChaosCluster:
         if sampler is not None:
             sampler.sample()  # close the timelines at the finish line
         integrity = _integrity_counters(network, stores)
-        job_track.instant("job.integrity", args=integrity)
-        job_track.instant(
-            "job.done", args={"algorithm": workload.algorithm.name}
-        )
+        if tracer.enabled:
+            job_track.instant("job.integrity", args=integrity)
+            job_track.instant(
+                "job.done", args={"algorithm": workload.algorithm.name}
+            )
         if timeline is None or not timeline.faults:
             # Kills legitimately strand the victims' open spans; only a
             # run in which no fault fired is held to the no-leak invariant.

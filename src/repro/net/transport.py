@@ -18,7 +18,6 @@ from typing import Any, Dict, Tuple
 
 from repro.net.topology import NetworkConfig, Nic, Switch
 from repro.obs.causal import NULL_CAUSAL
-from repro.obs.host import resolve_host_profiler
 from repro.sim.engine import Event, SimulationError, Simulator
 from repro.sim.resources import Mailbox
 
@@ -209,8 +208,9 @@ class Network:
             sanitizer if sanitizer is not None and sanitizer.enabled else None
         )
         # Host profiler: real cost of building each in-flight message
-        # (the host-side analogue of the modelled copy cost).
-        self._host = resolve_host_profiler(host)
+        # (the host-side analogue of the modelled copy cost); None
+        # when off.
+        self._host = host if host is not None and host.enabled else None
         self._trace_on = tracer is not None and tracer.enabled
         #: Causal DAG recorder (message sends/deliveries become edges);
         #: the null recorder when tracing is off.
@@ -341,15 +341,14 @@ class Network:
             raise SimulationError(f"invalid source machine {src}")
         sim = self.sim
         clock = self._san.on_send(src, kind) if self._san is not None else None
-        if self._host.enabled:
-            with self._host.measure(src, "msg_copy"):
-                message = Message(
-                    src, dst, service, kind, size, payload, sim.now, clock, epoch
-                )
-        else:
-            message = Message(
-                src, dst, service, kind, size, payload, sim.now, clock, epoch
-            )
+        host = self._host
+        if host is not None:
+            token = host.start()
+        message = Message(
+            src, dst, service, kind, size, payload, sim.now, clock, epoch
+        )
+        if host is not None:
+            host.stop(token, src, "msg_copy")
         if self.causal.enabled:
             message.ctx = self.causal.on_send(
                 kind, src, dst, size, parent=parent, attempt=attempt

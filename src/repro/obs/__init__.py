@@ -19,6 +19,9 @@ host profiling, causal chains:
 
 Supporting modules:
 
+* :mod:`repro.obs.log` — the one append-only :class:`EventLog` of flat
+  tuples every recorder writes to, its column view, and the loader that
+  rebuilds it from a saved trace;
 * :mod:`repro.obs.counters` — :class:`CounterRegistry` time series plus
   the :class:`ResourceSampler` process that snapshots device and NIC
   meters periodically (Fig. 5-style utilization timelines from a live
@@ -91,6 +94,7 @@ from repro.obs.host import (
     to_prometheus,
     validate_prometheus,
 )
+from repro.obs.log import EventLog
 from repro.obs.report import (
     RECOVERY_CATEGORIES,
     RECOVERY_WALL_CATEGORIES,
@@ -126,6 +130,7 @@ __all__ = [
     "CausalRecorder",
     "CounterRegistry",
     "ENGINE_PHASES",
+    "EventLog",
     "HOST_SCHEMA_VERSION",
     "HostMetricsRegistry",
     "HostProfiler",

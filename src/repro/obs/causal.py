@@ -35,8 +35,11 @@ Perfetto's arrow rendering — see :mod:`repro.obs.export`).
 from __future__ import annotations
 
 import json
+from collections import Counter
 from dataclasses import dataclass
 from typing import Any, Callable, Dict, Iterable, List, Optional, Tuple
+
+from repro.obs.log import NULL, EventLog, NullObserver, rows_from_causal
 
 __all__ = [
     "CausalError",
@@ -78,41 +81,38 @@ class CausalRecorder:
     Span ids are a deterministic integer counter; timestamps come from
     the owning tracer's offset-adjusted clock, so multi-run drivers
     (recovery re-execution, MCST) compose on one timeline exactly like
-    the span events do.
+    the span events do.  Events are rows of the tracer's
+    :class:`~repro.obs.log.EventLog` — a send is one ``m`` row, its
+    delivery one ``d`` row; :attr:`events` is the dict view.
 
     The recorder keeps, per machine, a *chain head*: the id of the last
     causal event known to have affected that machine (the last message
     its engine dispatched, or the last barrier release it resumed
     from).  Sends without an explicit parent inherit the sender's chain
     head — the standard single-parent approximation of causal tracing.
+    Heads and barrier rounds belong to one run: :meth:`on_bind` drops
+    them.
     """
-
-    __slots__ = (
-        "_tracer",
-        "events",
-        "_index",
-        "_head",
-        "_barriers",
-        "_arrivals",
-        "_next_id",
-        "trace_id",
-    )
 
     enabled = True
 
-    def __init__(self, tracer):
-        self._tracer = tracer
-        #: Events in id order; plain dicts, JSON-serializable.
-        self.events: List[Dict[str, Any]] = []
-        self._index: Dict[int, Dict[str, Any]] = {}
+    def __init__(self, tracer, log: Optional[EventLog] = None):
+        self._now = tracer.now
+        self._log = log if log is not None else EventLog()
+        self._append = self._log.rows.append
         self._head: Dict[int, int] = {}
         #: (epoch, label, phase) -> release event, once released.
         self._barriers: Dict[Tuple[int, str, str], Dict[str, Any]] = {}
-        #: (epoch, label, phase) -> arrival event ids, in arrival order.
-        self._arrivals: Dict[Tuple[int, str, str], List[int]] = {}
+        #: (epoch, label, phase) -> ``(t0, machine, id)`` per arrival.
+        self._arrivals: Dict[Tuple[int, str, str], List[tuple]] = {}
         self._next_id = 0
         #: Run index within this tracer's timeline (bumped by bind_run).
         self.trace_id = 0
+
+    @property
+    def events(self) -> List[Dict[str, Any]]:
+        """Read-only view: events in id order, as JSON-safe dicts."""
+        return self._log.columns().causal_events
 
     # -- plumbing ----------------------------------------------------------
 
@@ -120,62 +120,42 @@ class CausalRecorder:
         """A new simulation run was bound to the owning tracer."""
         self.trace_id += 1
         self._head.clear()
+        self._barriers.clear()
+        self._arrivals.clear()
 
-    def _new(self, kind: str, cat: str, t0: float) -> Dict[str, Any]:
-        event: Dict[str, Any] = {
-            "id": self._next_id,
-            "trace": self.trace_id,
-            "kind": kind,
-            "cat": cat,
-            "t0": t0,
+    def _new(self, kind: str, cat: str, **fields) -> Dict[str, Any]:
+        """Record a non-message event, instantaneous at the current time."""
+        now = self._now()
+        event = {
+            "id": self._next_id, "trace": self.trace_id, "kind": kind,
+            "cat": cat, "t0": now, "t1": now, **fields,
         }
         self._next_id += 1
-        self.events.append(event)
-        self._index[event["id"]] = event
+        self._append(("e", event["id"], event))
         return event
 
     def head(self, machine: int) -> Optional[int]:
         """Chain head of ``machine`` (last causal event id), or None."""
         return self._head.get(machine)
 
-    def set_head(self, machine: int, span_id: Optional[int]) -> None:
-        if span_id is not None:
-            self._head[machine] = span_id
-
-    @staticmethod
-    def _parent_id(parent) -> Optional[int]:
-        """Normalize a parent given as a span id or a message context."""
-        if parent is None:
-            return None
-        if isinstance(parent, tuple):
-            return parent[1]
-        return parent
-
     # -- message edges -----------------------------------------------------
 
     def on_send(
-        self,
-        kind: str,
-        src: int,
-        dst: int,
-        size: int,
-        parent=None,
-        attempt: int = 0,
+        self, kind: str, src: int, dst: int, size: int, parent=None, attempt: int = 0
     ) -> Tuple[int, int, Optional[int]]:
         """Record a message send; returns its ``(trace, span, parent)``
         context for stamping onto the in-flight message."""
-        parent_id = self._parent_id(parent)
-        if parent_id is None:
-            parent_id = self._head.get(src)
-        event = self._new("msg", kind, self._tracer.now())
-        event["src"] = src
-        event["dst"] = dst
-        event["size"] = size
-        event["t1"] = None
-        event["parent"] = parent_id
-        if attempt:
-            event["attempt"] = attempt
-        return (self.trace_id, event["id"], parent_id)
+        if isinstance(parent, tuple):
+            parent = parent[1]
+        if parent is None:
+            parent = self._head.get(src)
+        span = self._next_id
+        self._next_id = span + 1
+        self._append(
+            ("m", span, self.trace_id, kind, self._now(), src, dst, size,
+             parent, attempt)
+        )
+        return (self.trace_id, span, parent)
 
     def on_deliver(self, ctx) -> None:
         """Stamp the delivery time onto a message's causal event.
@@ -183,36 +163,38 @@ class CausalRecorder:
         Duplicate deliveries (byzantine ``dup`` faults) keep the first
         arrival time — the one that actually advanced the receiver.
         """
-        event = self._index.get(self._parent_id(ctx))
-        if event is not None and event.get("t1") is None:
-            event["t1"] = self._tracer.now()
+        self._append(
+            ("d", ctx[1] if isinstance(ctx, tuple) else ctx, self._now())
+        )
 
     def on_dispatch(self, machine: int, ctx) -> None:
         """A handler on ``machine`` started processing a message: its
         span becomes the machine's chain head."""
-        self.set_head(machine, self._parent_id(ctx))
+        span = ctx[1] if isinstance(ctx, tuple) else ctx
+        if span is not None:
+            self._head[machine] = span
 
     # -- barrier events ----------------------------------------------------
 
-    @staticmethod
-    def barrier_key(epoch: int, label: str, phase: str) -> str:
-        return f"e{epoch}/{label}/{phase}"
+    def barrier_key(self, epoch: int, label: str, phase: str) -> str:
+        """The round's name in the trace.  Multi-run drivers reuse
+        ``(epoch, label, phase)`` in every run, so runs after the first
+        carry their run index (the first run's keys — every single-run
+        trace — stay as they always were)."""
+        key = f"e{epoch}/{label}/{phase}"
+        return key if self.trace_id < 2 else f"r{self.trace_id}:{key}"
 
     def barrier_arrive(
         self, machine: int, epoch: int, label: str, phase: str
     ) -> Dict[str, Any]:
         """``machine`` reached the barrier (before blocking on it)."""
-        now = self._tracer.now()
-        event = self._new("arrive", "barrier", now)
-        event["t1"] = now
-        event["machine"] = machine
-        event["epoch"] = epoch
-        event["label"] = label
-        event["phase"] = phase
-        event["barrier"] = self.barrier_key(epoch, label, phase)
-        event["parent"] = self._head.get(machine)
+        event = self._new(
+            "arrive", "barrier", machine=machine, epoch=epoch, label=label,
+            phase=phase, barrier=self.barrier_key(epoch, label, phase),
+            parent=self._head.get(machine),
+        )
         self._arrivals.setdefault((epoch, label, phase), []).append(
-            event["id"]
+            (event["t0"], machine, event["id"])
         )
         return event
 
@@ -230,97 +212,46 @@ class CausalRecorder:
         key = (epoch, label, phase)
         release = self._barriers.get(key)
         if release is None:
-            now = self._tracer.now()
-            arrival_ids = self._arrivals.get(key, [])
-            arrivals = [self._index[i] for i in arrival_ids]
-            release = self._new("release", "barrier", now)
-            release["t1"] = now
-            release["epoch"] = epoch
-            release["label"] = label
-            release["phase"] = phase
-            release["barrier"] = self.barrier_key(epoch, label, phase)
-            release["parents"] = list(arrival_ids)
-            straggler = None
+            # The next round of this barrier (labels repeat only across
+            # epochs, which the key carries) starts a fresh arrival list.
+            arrivals = self._arrivals.pop(key, [])
             if arrivals:
-                straggler = max(
-                    arrivals, key=lambda a: (a["t0"], a["machine"])
-                )
-            release["machine"] = (
-                straggler["machine"] if straggler is not None else machine
+                machine_of_release = max(arrivals, key=lambda a: a[:2])[1]
+            else:
+                machine_of_release = machine
+            release = self._barriers[key] = self._new(
+                "release", "barrier", epoch=epoch, label=label, phase=phase,
+                barrier=self.barrier_key(epoch, label, phase),
+                parents=[arrival[2] for arrival in arrivals],
+                machine=machine_of_release,
             )
-            self._barriers[key] = release
-            # The next round of this barrier (cyclic reuse across
-            # iterations shares labels only when label repeats, which
-            # epochs/labels prevent) starts a fresh arrival list.
-            self._arrivals.pop(key, None)
-        self.set_head(machine, release["id"])
+        self._head[machine] = release["id"]
         return release
 
     # -- generic marks (checkpoint durability, recovery milestones) --------
 
     def mark(
-        self,
-        cat: str,
-        machine: Optional[int] = None,
-        parent=None,
-        parents: Optional[List[int]] = None,
-        args: Optional[Dict[str, Any]] = None,
+        self, cat: str, machine: Optional[int] = None, parent=None,
+        parents: Optional[List[int]] = None, args: Optional[Dict[str, Any]] = None,
     ) -> Dict[str, Any]:
         """Record a protocol milestone in the DAG (no chain-head move)."""
-        now = self._tracer.now()
-        event = self._new("mark", cat, now)
-        event["t1"] = now
+        fields: Dict[str, Any] = {}
         if machine is not None:
-            event["machine"] = machine
-        parent_id = self._parent_id(parent)
+            fields["machine"] = machine
+        parent_id = parent[1] if isinstance(parent, tuple) else parent
         if parent_id is None and machine is not None:
             parent_id = self._head.get(machine)
-        event["parent"] = parent_id
+        fields["parent"] = parent_id
         if parents is not None:
-            event["parents"] = list(parents)
+            fields["parents"] = list(parents)
         if args:
-            event.update(args)
-        return event
+            fields.update(args)
+        return self._new("mark", cat, **fields)
 
 
-class NullCausalRecorder:
-    """Disabled recorder: records nothing, hands out no contexts."""
-
-    __slots__ = ()
-
-    enabled = False
-    events: List[Dict[str, Any]] = []
-    trace_id = 0
-
-    def on_bind(self):
-        pass
-
-    def head(self, machine):
-        return None
-
-    def set_head(self, machine, span_id):
-        pass
-
-    def on_send(self, kind, src, dst, size, parent=None, attempt=0):
-        return None
-
-    def on_deliver(self, ctx):
-        pass
-
-    def on_dispatch(self, machine, ctx):
-        pass
-
-    def barrier_arrive(self, machine, epoch, label, phase):
-        return None
-
-    def barrier_release(self, machine, epoch, label, phase):
-        return None
-
-    def mark(self, cat, machine=None, parent=None, parents=None, args=None):
-        return None
-
-
-NULL_CAUSAL = NullCausalRecorder()
+#: Causal tracing off (one shared :class:`~repro.obs.log.NullObserver`).
+NullCausalRecorder = NullObserver
+NULL_CAUSAL = NULL
 
 
 # ---------------------------------------------------------------------------
@@ -340,16 +271,15 @@ def causal_events_from_trace(trace: dict) -> List[Dict[str, Any]]:
             "trace has no 'causalEvents' — record it with --trace on a "
             "causal-tracing build"
         )
-    return events
+    # Through the log, like a live recording: one path to the analyzers.
+    return EventLog(rows_from_causal(events)).columns().causal_events
 
 
 def message_kind_counts(events: Iterable[Dict[str, Any]]) -> Dict[str, int]:
     """Observed message kinds -> send count (``cat`` of ``msg`` events)."""
-    counts: Dict[str, int] = {}
-    for event in events:
-        if event.get("kind") == "msg":
-            counts[event["cat"]] = counts.get(event["cat"], 0) + 1
-    return counts
+    return dict(
+        Counter(e["cat"] for e in events if e.get("kind") == "msg")
+    )
 
 
 def undelivered_messages(
@@ -361,15 +291,12 @@ def undelivered_messages(
     fallout (a send to a crashed machine); in a deadlock capture it is
     the transition the cluster hung on.
     """
-    counts: Dict[Tuple[str, int, int], int] = {}
-    for event in events:
-        if event.get("kind") == "msg" and event.get("t1") is None:
-            key = (event["cat"], event.get("src", -1), event.get("dst", -1))
-            counts[key] = counts.get(key, 0) + 1
-    return [
-        (kind, src, dst, count)
-        for (kind, src, dst), count in sorted(counts.items())
-    ]
+    counts = Counter(
+        (e["cat"], e.get("src", -1), e.get("dst", -1))
+        for e in events
+        if e.get("kind") == "msg" and e.get("t1") is None
+    )
+    return [key + (count,) for key, count in sorted(counts.items())]
 
 
 def unreleased_barriers(
@@ -488,30 +415,14 @@ class BarrierChain:
     #: Root-first: ... message ... -> straggler arrival -> release.
     links: List[Dict[str, Any]]
 
-    @property
-    def barrier(self) -> str:
-        return self.release["barrier"]
-
-    @property
-    def epoch(self) -> int:
-        return self.release["epoch"]
-
-    @property
-    def label(self) -> str:
-        return self.release["label"]
-
-    @property
-    def phase(self) -> str:
-        return self.release["phase"]
-
-    @property
-    def machine(self) -> int:
-        """The straggler machine the chain terminates at."""
-        return self.release["machine"]
-
-    @property
-    def release_t(self) -> float:
-        return self.release["t0"]
+    #: The release's own fields; ``machine`` is the straggler the chain
+    #: terminates at.
+    barrier = property(lambda self: self.release["barrier"])
+    epoch = property(lambda self: self.release["epoch"])
+    label = property(lambda self: self.release["label"])
+    phase = property(lambda self: self.release["phase"])
+    machine = property(lambda self: self.release["machine"])
+    release_t = property(lambda self: self.release["t0"])
 
     @property
     def start_t(self) -> float:
@@ -708,27 +619,18 @@ _TIME_FIELDS = frozenset({"dur", "t", "t0", "t1"})
 
 _UNIT_SCALE = {"s": 1.0, "ms": 1e-3, "us": 1e-6, "ns": 1e-9}
 
-#: Query-field aliases -> event accessor.
+#: Query-field aliases -> event accessor.  "machine" means "the machine
+#: the event happened on": the receiver for message edges, the
+#: arriving/straggler machine for the rest.
 _FIELD_GETTERS: Dict[str, Callable[[Dict[str, Any]], Any]] = {
-    "id": lambda e: e.get("id"),
-    "parent": lambda e: e.get("parent"),
-    "kind": lambda e: e.get("kind"),
-    "cat": lambda e: e.get("cat"),
-    "src": lambda e: e.get("src"),
-    "dst": lambda e: e.get("dst"),
-    # "machine" means "the machine the event happened on": the receiver
-    # for message edges, the arriving/straggler machine for the rest.
+    **{
+        name: (lambda e, name=name: e.get(name))
+        for name in ("id", "parent", "kind", "cat", "src", "dst", "size",
+                     "epoch", "label", "phase", "barrier", "trace", "t0", "t1")
+    },
     "machine": lambda e: e.get("machine", e.get("dst")),
-    "size": lambda e: e.get("size"),
-    "epoch": lambda e: e.get("epoch"),
-    "label": lambda e: e.get("label"),
-    "phase": lambda e: e.get("phase"),
-    "barrier": lambda e: e.get("barrier"),
     "attempt": lambda e: e.get("attempt", 0),
-    "trace": lambda e: e.get("trace"),
     "t": lambda e: e.get("t0"),
-    "t0": lambda e: e.get("t0"),
-    "t1": lambda e: e.get("t1"),
     "dur": event_duration,
 }
 
@@ -881,12 +783,12 @@ def format_chain(chain: BarrierChain) -> str:
 def format_chain_table(chains: List[BarrierChain]) -> str:
     """The compact per-barrier chain table (``trace-report`` section)."""
     lines = [
-        f"{'barrier':<18s} {'machine':>7s} {'links':>5s} "
+        f"{'barrier':<26s} {'machine':>7s} {'links':>5s} "
         f"{'span':>12s} {'released at':>12s}"
     ]
     for chain in chains:
         lines.append(
-            f"{chain.barrier:<18s} {chain.machine:>7d} "
+            f"{chain.barrier:<26s} {chain.machine:>7d} "
             f"{len(chain.links):>5d} {chain.duration * 1e3:>10.3f}ms "
             f"{chain.release_t:>11.6f}s"
         )

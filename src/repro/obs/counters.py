@@ -30,27 +30,24 @@ Probe modes
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Dict, Iterator, List, Optional, Tuple
+
+from repro.obs.log import EventLog
 
 PROBE_MODES = ("value", "busy_fraction", "rate")
 
 
-@dataclass
+@dataclass(frozen=True)
 class TimeSeries:
-    """One named series of ``(timestamp, value)`` samples."""
+    """One named series of ``(timestamp, value)`` samples, read back
+    from the event log's ``C`` rows."""
 
     name: str
-    samples: List[Tuple[float, float]] = field(default_factory=list)
-
-    def add(self, ts: float, value: float) -> None:
-        self.samples.append((ts, value))
+    samples: List[Tuple[float, float]]
 
     def __len__(self) -> int:
         return len(self.samples)
-
-    def values(self) -> List[float]:
-        return [value for _ts, value in self.samples]
 
     def integral(self, start_ts: float = 0.0) -> float:
         """Integrate a per-interval rate series over time.
@@ -80,41 +77,29 @@ class TimeSeries:
 
 
 class CounterRegistry:
-    """Holds every time series of a traced run, keyed by name."""
+    """Every time series of a traced run, keyed by name: a view of the
+    counter rows of an :class:`~repro.obs.log.EventLog` (the tracer's,
+    or its own when built standalone)."""
 
-    def __init__(self):
-        self._series: Dict[str, TimeSeries] = {}
-
-    def series(self, name: str) -> TimeSeries:
-        if name not in self._series:
-            self._series[name] = TimeSeries(name)
-        return self._series[name]
+    def __init__(self, log: Optional[EventLog] = None):
+        self._log = log if log is not None else EventLog()
 
     def add(self, name: str, ts: float, value: float) -> None:
-        self.series(name).add(ts, value)
+        self._log.rows.append(("C", 0, 0, name, ts, 0.0, None, value, None))
 
     def names(self) -> List[str]:
-        return sorted(self._series)
+        return sorted(self._log.columns().series)
 
     def get(self, name: str) -> Optional[TimeSeries]:
-        return self._series.get(name)
-
-    def __len__(self) -> int:
-        return len(self._series)
+        samples = self._log.columns().series.get(name)
+        return None if samples is None else TimeSeries(name, samples)
 
     def rows(self) -> Iterator[Tuple[str, float, float]]:
         """All samples as flat ``(series, ts, value)`` rows, series-sorted."""
-        for name in self.names():
-            for ts, value in self._series[name].samples:
+        series = self._log.columns().series
+        for name in sorted(series):
+            for ts, value in series[name]:
                 yield name, ts, value
-
-
-@dataclass
-class _Probe:
-    name: str
-    pid: int
-    fn: Callable[[], float]
-    mode: str
 
 
 class ResourceSampler:
@@ -131,7 +116,8 @@ class ResourceSampler:
         self.sim = sim
         self.tracer = tracer
         self.interval = float(interval)
-        self._probes: List[_Probe] = []
+        #: ``(name, pid, fn, mode)`` per probe.
+        self._probes: List[Tuple[str, int, Callable[[], float], str]] = []
         self._last_raw: Dict[str, float] = {}
         self._last_ts: Optional[float] = None
         self.samples_taken = 0
@@ -141,7 +127,7 @@ class ResourceSampler:
     ) -> None:
         if mode not in PROBE_MODES:
             raise ValueError(f"unknown probe mode {mode!r}")
-        self._probes.append(_Probe(name, pid, fn, mode))
+        self._probes.append((name, pid, fn, mode))
 
     def start(self) -> None:
         """Register the sampling loop as a simulation process.
@@ -168,14 +154,13 @@ class ResourceSampler:
         if now <= previous_ts:
             return  # no time has passed; avoid duplicate/zero-dt samples
         elapsed = now - previous_ts
-        for probe in self._probes:
-            raw = probe.fn()
-            if probe.mode == "value":
+        for name, pid, fn, mode in self._probes:
+            raw = fn()
+            if mode == "value":
                 value = raw
             else:
-                previous = self._last_raw.get(probe.name, 0.0)
-                value = (raw - previous) / elapsed
-                self._last_raw[probe.name] = raw
-            self.tracer.counter(probe.pid, probe.name, value, ts=now)
+                value = (raw - self._last_raw.get(name, 0.0)) / elapsed
+                self._last_raw[name] = raw
+            self.tracer.counter(pid, name, value, ts=now)
         self._last_ts = now
         self.samples_taken += 1

@@ -39,9 +39,17 @@ max(chunk service)``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Dict, List, Optional, Tuple
 
+import numpy as np
+
+from repro.obs.log import (
+    EventLog,
+    TraceColumns,
+    log_from_document,
+    rows_from_events,
+)
 from repro.obs.tracer import (
     TID_CPU,
     TID_DEVICE,
@@ -88,116 +96,84 @@ class AttributionError(ValueError):
 
 
 # ---------------------------------------------------------------------------
-# Interval helpers
+# Interval helpers: sorted disjoint interval sets as (starts, ends) arrays
 # ---------------------------------------------------------------------------
 
+Intervals = Tuple[np.ndarray, np.ndarray]
 
-def _merge(intervals: List[Tuple[float, float]]) -> List[Tuple[float, float]]:
-    """Union of possibly-overlapping intervals, as sorted disjoint ones."""
-    merged: List[Tuple[float, float]] = []
-    for start, end in sorted(intervals):
-        if end <= start:
-            continue
-        if merged and start <= merged[-1][1]:
-            if end > merged[-1][1]:
-                merged[-1] = (merged[-1][0], end)
-        else:
-            merged.append((start, end))
-    return merged
+_NONE = np.empty(0, dtype=np.float64)
 
 
-def _intersect(
-    a: List[Tuple[float, float]], b: List[Tuple[float, float]]
-) -> List[Tuple[float, float]]:
-    """Intersection of two sorted disjoint interval lists."""
-    out: List[Tuple[float, float]] = []
-    i = j = 0
-    while i < len(a) and j < len(b):
-        start = max(a[i][0], b[j][0])
-        end = min(a[i][1], b[j][1])
-        if end > start:
-            out.append((start, end))
-        if a[i][1] < b[j][1]:
-            i += 1
-        else:
-            j += 1
-    return out
+def _union(start: np.ndarray, end: np.ndarray) -> Intervals:
+    """Union of possibly-overlapping intervals, as sorted disjoint ones
+    (touching intervals fuse; empty ones drop out)."""
+    keep = end > start
+    start, end = start[keep], end[keep]
+    if not len(start):
+        return _NONE, _NONE
+    order = np.argsort(start, kind="stable")
+    start, end = start[order], end[order]
+    reach = np.maximum.accumulate(end)
+    first = np.flatnonzero(np.append(True, start[1:] > reach[:-1]))
+    return start[first], reach[np.append(first[1:] - 1, len(start) - 1)]
 
 
-def _measure(intervals: List[Tuple[float, float]]) -> float:
-    return sum(end - start for start, end in intervals)
+def _covering(intervals: Intervals, a: np.ndarray, b: np.ndarray):
+    """For each elementary interval ``[a, b)``: is it inside one of the
+    sorted disjoint ``intervals``, and which.  Elementary intervals are
+    cut at every interval boundary, so each lies entirely inside or
+    entirely outside every interval."""
+    start, end = intervals
+    if not len(start):
+        return np.zeros(len(a), dtype=bool), np.zeros(len(a), dtype=np.intp)
+    index = np.minimum(np.searchsorted(end, a, side="right"), len(end) - 1)
+    return (start[index] <= a) & (b <= end[index]) & (end[index] > a), index
 
 
-class _Cursor:
-    """Monotone membership test over a sorted disjoint interval list.
-
-    The sweep only asks about elementary intervals whose endpoints are
-    drawn from the union of all interval boundaries, so each query
-    interval is entirely inside or entirely outside every interval.
-    """
-
-    __slots__ = ("intervals", "index")
-
-    def __init__(self, intervals: List[Tuple[float, float]]):
-        self.intervals = intervals
-        self.index = 0
-
-    def covers(self, start: float, end: float) -> bool:
-        intervals = self.intervals
-        while self.index < len(intervals) and intervals[self.index][1] <= start:
-            self.index += 1
-        if self.index >= len(intervals):
-            return False
-        s, e = intervals[self.index]
-        return s <= start and end <= e
+def _runs(inside: np.ndarray, a: np.ndarray, b: np.ndarray) -> Intervals:
+    """Maximal runs of consecutive selected elementary intervals."""
+    edge = np.diff(np.concatenate(([False], inside, [False])).astype(np.int8))
+    return a[np.flatnonzero(edge == 1)], b[np.flatnonzero(edge == -1) - 1]
 
 
-class _SpanCursor:
-    """Like :class:`_Cursor` but returns the covering span's payload."""
+def _intersect(x: Intervals, y: Intervals) -> Intervals:
+    """Intersection of two sorted disjoint interval sets."""
+    cuts = np.unique(np.concatenate(x + y))
+    a, b = cuts[:-1], cuts[1:]
+    return _runs(_covering(x, a, b)[0] & _covering(y, a, b)[0], a, b)
 
-    __slots__ = ("spans", "index")
 
-    def __init__(self, spans: List[Tuple[float, float, bool]]):
-        self.spans = spans
-        self.index = 0
-
-    def lookup(self, start: float, end: float) -> Optional[bool]:
-        spans = self.spans
-        while self.index < len(spans) and spans[self.index][1] <= start:
-            self.index += 1
-        if self.index >= len(spans):
-            return None
-        s, e, queued = spans[self.index]
-        if s <= start and end <= e:
-            return queued
-        return None
+def _measure(intervals: Intervals) -> float:
+    """Total length, summed left to right (``cumsum`` adds in order;
+    ``sum`` would pair terms up and round differently)."""
+    start, end = intervals
+    return float(np.cumsum(end - start)[-1]) if len(start) else 0
 
 
 # ---------------------------------------------------------------------------
 # Engine timeline replay
 # ---------------------------------------------------------------------------
 
+#: Engine states, in the order the sweep tests them.
+_BARRIER, _STEAL, _CPU, _DEMAND = range(4)
 
-@dataclass
-class _Segment:
-    start: float
-    end: float
-    state: str  # "barrier" | "steal" | "cpu" | "demand"
-    label: str  # "preprocess" or the iteration number as a string
-    phase: str  # "preprocess" | "scatter" | "gather"
-    #: Engine innermost span is a ``stream`` (windowed chunk streaming,
-    #: the regime Eq. 4 models).
-    streaming: bool = False
+#: ``(start, end, state, label, phase, streaming)``: ``label`` is
+#: "preprocess" or the iteration number as a string, ``phase`` one of
+#: preprocess / scatter / gather, ``streaming`` whether the innermost
+#: span is a ``stream`` (windowed chunk streaming, the regime Eq. 4
+#: models).
+_Segment = Tuple[float, float, int, str, str, bool]
 
 
 def _replay_engine(
-    events: List[dict],
+    events: List[Tuple[str, float, str, Optional[dict]]],
     duration: float,
-    recovery: List[Tuple[float, float]] = (),
+    recovery: Intervals,
 ) -> Tuple[List[_Segment], Dict[Tuple[str, str], float]]:
-    """Replay one engine track's B/E events into state segments.
+    """Replay one engine track's ``(ph, ts, name, args)`` B/E events
+    into state segments.
 
-    ``recovery`` is the sorted list of rollback windows: every engine of
+    ``recovery`` is the sorted set of rollback windows: every engine of
     the pre-fault epoch is killed during a window, so spans still open
     when a window closes will never see their E event.
 
@@ -213,56 +189,54 @@ def _replay_engine(
     # unmatched E.
     match_stack: List[int] = []
     for index, event in enumerate(events):
-        if event["ph"] == "B":
+        if event[0] == "B":
             match_stack.append(index)
-        elif event["ph"] == "E" and match_stack:
+        elif match_stack:
             match_stack.pop()
     unclosed = frozenset(match_stack)
-    # Stack entries: (name, cat, args, push_ts, event_index).  The
-    # restarted epoch's spans stack above the dead epoch's unclosed
-    # entries, so pops (LIFO) still match the live pushes; the stale
-    # entries themselves are truncated when their rollback window
-    # closes (below) so they can never leak into post-restart state
+    # Stack entries: (name, args, push_ts, event_index).  The restarted
+    # epoch's spans stack above the dead epoch's unclosed entries, so
+    # pops (LIFO) still match the live pushes; the stale entries
+    # themselves are truncated when their rollback window closes
+    # (below) so they can never leak into post-restart state
     # classification.
-    stack: List[Tuple[str, Optional[str], dict, float, int]] = []
+    stack: List[Tuple[str, dict, float, int]] = []
+    window_ends = recovery[1].tolist()
     rec_index = 0
     prev = 0.0
     last_label = "preprocess"
     last_phase = "preprocess"
 
-    def current_state() -> Tuple[str, str, str, bool]:
+    def current_state() -> Tuple[int, str, str, bool]:
         label = None
         phase = None
-        for name, _cat, args, _ts, _idx in reversed(stack):
+        for name, args, _ts, _idx in reversed(stack):
             if name in ("scatter", "gather"):
                 label = str(args.get("iteration", "?"))
                 phase = name
                 break
-        state = "demand"
+        state = _DEMAND
         streaming = bool(stack) and stack[-1][0] == "stream"
         if stack:
-            name, _cat, args, _ts, _idx = stack[-1]
+            name = stack[-1][0]
             if name in _BARRIER_SPANS:
-                state = "barrier"
+                state = _BARRIER
             elif name in _STEAL_SPANS:
-                state = "steal"
+                state = _STEAL
             elif name in _CPU_SPANS:
-                state = "cpu"
+                state = _CPU
             elif name == "vertex_load":
-                for pname, _pc, pargs, _pt, _pi in reversed(stack[:-1]):
+                for pname, pargs, _pt, _pi in reversed(stack[:-1]):
                     if pname.startswith("partition"):
                         if pargs.get("role") == "stealer":
-                            state = "steal"
+                            state = _STEAL
                         break
         return state, label or last_label, phase or last_phase, streaming
 
     def emit(until: float) -> None:
         nonlocal prev
         if until > prev:
-            state, label, phase, streaming = current_state()
-            segments.append(
-                _Segment(prev, until, state, label, phase, streaming)
-            )
+            segments.append((prev, until) + current_state())
             prev = until
 
     def close_windows(until: float) -> None:
@@ -273,38 +247,31 @@ def _replay_engine(
         # innermost span.  (Spans that do close later — an engine that
         # survived the window — are kept.)
         nonlocal rec_index
-        while rec_index < len(recovery) and recovery[rec_index][1] <= until:
-            window_end = recovery[rec_index][1]
+        while rec_index < len(window_ends) and window_ends[rec_index] <= until:
+            window_end = window_ends[rec_index]
             emit(window_end)
             stack[:] = [
                 entry
                 for entry in stack
-                if entry[4] not in unclosed or entry[3] >= window_end
+                if entry[3] not in unclosed or entry[2] >= window_end
             ]
             rec_index += 1
 
-    for index, event in enumerate(events):
-        ph = event["ph"]
-        if ph not in ("B", "E"):
-            continue
-        ts = event["ts"]
-        close_windows(ts)
+    for index, (ph, ts, name, args) in enumerate(events):
+        if rec_index < len(window_ends):
+            close_windows(ts)
         emit(ts)
         if ph == "B":
-            stack.append(
-                (
-                    event["name"],
-                    event.get("cat"),
-                    event.get("args") or {},
-                    ts,
-                    index,
-                )
-            )
-            if event["name"] in ("scatter", "gather"):
-                last_label = str(event.get("args", {}).get("iteration", "?"))
-                last_phase = event["name"]
+            stack.append((name, args or {}, ts, index))
+            if name in ("scatter", "gather"):
+                last_label = str((args or {}).get("iteration", "?"))
+                last_phase = name
+            elif name == "preprocess":
+                # A later run of a multi-run driver starts over: its
+                # pre-processing is not the previous run's last phase.
+                last_label = last_phase = "preprocess"
         elif stack:
-            name, _cat, _args, t0, _idx = stack.pop()
+            name, _args, t0, _idx = stack.pop()
             if name == "vertex_load":
                 _state, label, phase, _streaming = current_state()
                 key = (label, phase)
@@ -431,43 +398,13 @@ class AttributionReport:
             "measured_rho": self.measured_rho,
             "analytic_rho": self.analytic_rho,
             "closure_error": self.closure_error(),
-            "per_machine": [
-                {"machine": m.machine, "seconds": dict(m.seconds)}
-                for m in self.per_machine
-            ],
-            "per_iteration": [
-                {"label": it.label, "seconds": dict(it.seconds)}
-                for it in self.per_iteration
-            ],
-            "utilization": [
-                {
-                    "resource": u.resource,
-                    "machine": u.machine,
-                    "busy_seconds": u.busy_seconds,
-                    "utilization": u.utilization,
-                }
-                for u in self.utilization
-            ],
-            "stragglers": [
-                {
-                    "machine": s.machine,
-                    "iteration": s.iteration,
-                    "phase": s.phase,
-                    "wait": s.wait,
-                    "bound": s.bound,
-                }
-                for s in self.stragglers
-            ],
+            "per_machine": [asdict(m) for m in self.per_machine],
+            "per_iteration": [asdict(it) for it in self.per_iteration],
+            "utilization": [asdict(u) for u in self.utilization],
+            "stragglers": [asdict(s) for s in self.stragglers],
             "barrier_waits": [
-                {
-                    "machine": machine,
-                    "label": label,
-                    "phase": phase,
-                    "wait": wait,
-                }
-                for (machine, label, phase), wait in sorted(
-                    self.barrier_waits.items()
-                )
+                {"machine": machine, "label": label, "phase": phase, "wait": wait}
+                for (machine, label, phase), wait in sorted(self.barrier_waits.items())
             ],
         }
 
@@ -485,211 +422,220 @@ def _iteration_sort_key(label: str) -> Tuple[int, int, str]:
     return (2, 0, label)
 
 
-def _device_spans(events: List[dict]) -> List[Tuple[float, float, bool]]:
-    """Device busy spans with a queued flag (back-to-back service)."""
-    raw = sorted(
-        (e["ts"], e["ts"] + e.get("dur", 0.0)) for e in events if e["ph"] == "X"
+def _device_spans(start: np.ndarray, end: np.ndarray):
+    """Device busy spans ``(start, end), queued``: sorted, with a flag
+    per span for back-to-back service (the request had queued)."""
+    keep = end > start
+    start, end = start[keep], end[keep]
+    order = np.lexsort((end, start))
+    start, end = start[order], end[order]
+    queued = np.zeros(len(start), dtype=bool)
+    queued[1:] = np.abs(start[1:] - end[:-1]) <= _QUEUE_EPS * np.maximum(
+        1.0, end[:-1]
     )
-    spans: List[Tuple[float, float, bool]] = []
-    prev_end = None
-    for start, end in raw:
-        if end <= start:
-            continue
-        queued = (
-            prev_end is not None
-            and abs(start - prev_end) <= _QUEUE_EPS * max(1.0, prev_end)
-        )
-        spans.append((start, end, queued))
-        prev_end = end
-    return spans
+    return (start, end), queued
 
 
-def _x_intervals(events: List[dict]) -> List[Tuple[float, float]]:
-    return _merge(
-        [(e["ts"], e["ts"] + e.get("dur", 0.0)) for e in events if e["ph"] == "X"]
-    )
-
-
-def analyze_events(
-    events: List[dict],
+def _attribute(
+    trace: TraceColumns,
     duration: Optional[float] = None,
     config: Optional[Dict[str, object]] = None,
 ) -> AttributionReport:
-    """Attribute a normalized event list (timestamps in seconds).
-
-    ``config`` overrides/augments the ``job.config`` marker the runtime
-    embeds in traces; ``duration`` defaults to the largest event end.
-    """
-    by_track: Dict[Tuple[int, int], List[dict]] = {}
+    """The attribution of a log's tracer columns (times in seconds)."""
+    ph, pid, tid, ts = trace.ph, trace.pid, trace.tid, trace.ts
+    spans = ph != "C"
+    finish = ts + trace.dur
     trace_config: Dict[str, object] = {}
-    max_ts = 0.0
-    for event in events:
-        ph = event.get("ph")
-        if ph not in ("B", "E", "X", "i"):
-            continue
-        end = event["ts"] + event.get("dur", 0.0)
-        if end > max_ts:
-            max_ts = end
-        if ph == "i" and event["name"] == "job.config" and not trace_config:
-            trace_config = dict(event.get("args") or {})
-        by_track.setdefault((event["pid"], event["tid"]), []).append(event)
-
+    for index in np.flatnonzero(ph == "i").tolist():
+        if trace.name[index] == "job.config":
+            trace_config = dict(trace.args[index] or {})
+            break
     if config:
         trace_config.update(config)
     machines = int(trace_config.get("machines", 0))
     if not machines:
-        machines = len(
-            [key for key in by_track if key[1] == TID_ENGINE]
-        )
+        machines = len(np.unique(pid[spans & (tid == TID_ENGINE)]))
     if not machines:
         raise AttributionError(
             "trace has no engine spans; record it with tracing enabled"
         )
     if duration is None:
-        duration = max_ts
+        duration = float(finish[spans].max()) if spans.any() else 0.0
     if duration <= 0:
         raise AttributionError("trace duration is zero")
 
+    is_span = ph == "X"
+
+    def busy(machine: int, *tids: int) -> np.ndarray:
+        """Rows of the complete spans on ``machine``'s given tracks."""
+        return np.flatnonzero(is_span & (pid == machine) & np.isin(tid, tids))
+
     # Rollback windows (cluster-wide: every machine stalls or loses
     # work during a recovery).
-    recovery = _merge(
-        [
-            (e["ts"], e["ts"] + e.get("dur", 0.0))
-            for e in by_track.get((machines, TID_JOB), [])
-            if e["ph"] == "X" and e.get("cat") in _RECOVERY_CATS
-        ]
-    )
+    windows = [
+        row for row in busy(machines, TID_JOB).tolist()
+        if trace.cat[row] in _RECOVERY_CATS
+    ]
+    recovery = _union(ts[windows], finish[windows])
 
     report = AttributionReport(
         duration=duration, machines=machines, config=trace_config
     )
-    iteration_seconds: Dict[str, Dict[str, float]] = {}
+    labels: Dict[str, int] = {}  # iteration label -> code, cluster-wide
+    sweeps: List[Tuple[np.ndarray, ...]] = []  # (label codes, categories, widths)
     barrier_waits: Dict[Tuple[int, str, str], float] = {}
     vertex_load_max: Dict[Tuple[str, str], float] = {}
-    demand_by_machine: List[List[Tuple[float, float]]] = []
-    device_busy_by_machine: List[List[Tuple[float, float]]] = []
+    demand_by_machine: List[Intervals] = []
+    device_busy_by_machine: List[Intervals] = []
     max_device_span = 0.0
+    category = {name: code for code, name in enumerate(ATTRIBUTION_CATEGORIES)}
 
     for machine in range(machines):
-        engine_events = by_track.get((machine, TID_ENGINE), [])
-        segments, vl_max = _replay_engine(engine_events, duration, recovery)
+        rows = np.flatnonzero(
+            (pid == machine) & (tid == TID_ENGINE) & ((ph == "B") | (ph == "E"))
+        ).tolist()
+        segments, vl_max = _replay_engine(
+            list(zip(ph[rows].tolist(), ts[rows].tolist(),
+                     [trace.name[r] for r in rows],
+                     [trace.args[r] for r in rows])),
+            duration,
+            recovery,
+        )
         for key, value in vl_max.items():
             if value > vertex_load_max.get(key, 0.0):
                 vertex_load_max[key] = value
 
-        dev_spans = _device_spans(by_track.get((machine, TID_DEVICE), []))
-        for start, end, _q in dev_spans:
-            if end - start > max_device_span:
-                max_device_span = end - start
-        device_busy = _merge([(s, e) for s, e, _q in dev_spans])
-        device_busy_by_machine.append(device_busy)
-        nic_busy = _merge(
-            _x_intervals(by_track.get((machine, TID_NIC_TX), []))
-            + _x_intervals(by_track.get((machine, TID_NIC_RX), []))
-        )
-        cpu_busy = _x_intervals(by_track.get((machine, TID_CPU), []))
-
-        bounds = {0.0, duration}
-        for seg in segments:
-            bounds.add(seg.start)
-            bounds.add(seg.end)
-        for start, end, _q in dev_spans:
-            bounds.add(start)
-            bounds.add(end)
-        for start, end in nic_busy + cpu_busy + recovery:
-            bounds.add(start)
-            bounds.add(end)
-        edges = sorted(t for t in bounds if 0.0 <= t <= duration)
-
-        seconds = {c: 0.0 for c in ATTRIBUTION_CATEGORIES}
-        demand: List[Tuple[float, float]] = []
-        dev_cursor = _SpanCursor(dev_spans)
-        nic_cursor = _Cursor(nic_busy)
-        cpu_cursor = _Cursor(cpu_busy)
-        rec_cursor = _Cursor(recovery)
-        seg_index = 0
-
-        for a, b in zip(edges, edges[1:]):
-            width = b - a
-            # Advance to the engine segment containing [a, b).
-            while seg_index < len(segments) and segments[seg_index].end <= a:
-                seg_index += 1
-            seg = segments[seg_index] if seg_index < len(segments) else None
-            label = seg.label if seg is not None else "preprocess"
-            state = seg.state if seg is not None else "demand"
-            phase = seg.phase if seg is not None else "preprocess"
-
-            if rec_cursor.covers(a, b):
-                category = "recovery"
-            elif state == "barrier":
-                category = "barrier"
-            elif state == "steal":
-                category = "steal"
-            elif state == "cpu":
-                category = "cpu"
-            else:
-                queued = dev_cursor.lookup(a, b)
-                if queued is not None:
-                    category = "storage_queue" if queued else "storage_busy"
-                elif nic_cursor.covers(a, b):
-                    category = "nic_busy"
-                elif cpu_cursor.covers(a, b):
-                    category = "cpu"
-                else:
-                    category = "net_wait"
-                # Steady-state sample for the Eq. 4 check: the engine
-                # is inside windowed chunk streaming of a numbered
-                # iteration (the regime the batching model describes).
-                if label.isdigit() and seg is not None and seg.streaming:
-                    demand.append((a, b))
-
-            seconds[category] += width
-            bucket = iteration_seconds.setdefault(
-                label, {c: 0.0 for c in ATTRIBUTION_CATEGORIES}
+        rows = busy(machine, TID_DEVICE)
+        device, queued = _device_spans(ts[rows], finish[rows])
+        if len(queued):
+            max_device_span = max(
+                max_device_span, float((device[1] - device[0]).max())
             )
-            bucket[category] += width
-            if category == "barrier" and phase in ("scatter", "gather"):
-                key = (machine, label, phase)
-                barrier_waits[key] = barrier_waits.get(key, 0.0) + width
+        device_busy = _union(*device)
+        device_busy_by_machine.append(device_busy)
+        rows = busy(machine, TID_NIC_TX, TID_NIC_RX)
+        nic_busy = _union(ts[rows], finish[rows])
+        rows = busy(machine, TID_CPU)
+        cpu_busy = _union(ts[rows], finish[rows])
 
+        # Every boundary cuts the timeline; each elementary interval
+        # [a, b) then has one engine state and one answer per resource.
+        seg_start, seg_end, state, seg_label, phase, streaming = zip(*segments)
+        cuts = np.unique(np.concatenate(
+            (np.array([0.0, duration]), seg_start, seg_end) + device
+            + nic_busy + cpu_busy + recovery
+        ))
+        cuts = cuts[(cuts >= 0.0) & (cuts <= duration)]
+        a, b = cuts[:-1], cuts[1:]
+        # The engine segment containing [a, b) (they tile [0, duration]).
+        seg = np.minimum(
+            np.searchsorted(np.array(seg_end), a, side="right"),
+            len(segments) - 1,
+        )
+        state = np.array(state)[seg]
+        on_device, span = _covering(device, a, b)
+        backlogged = on_device & queued[span] if len(queued) else on_device
+        in_recovery = _covering(recovery, a, b)[0]
+        categories = np.select(
+            [
+                in_recovery,
+                state == _BARRIER,
+                state == _STEAL,
+                state == _CPU,
+                backlogged,
+                on_device,
+                _covering(nic_busy, a, b)[0],
+                _covering(cpu_busy, a, b)[0],
+            ],
+            [category[name] for name in (
+                "recovery", "barrier", "steal", "cpu", "storage_queue",
+                "storage_busy", "nic_busy", "cpu",
+            )],
+            default=category["net_wait"],
+        )
+        width = b - a
+        # bincount adds the widths of a category in timeline order, one
+        # at a time — the order a loop over the intervals would.
+        totals = np.bincount(
+            categories, weights=width, minlength=len(ATTRIBUTION_CATEGORIES)
+        )
         report.per_machine.append(
-            MachineAttribution(machine=machine, seconds=seconds)
+            MachineAttribution(
+                machine=machine,
+                seconds=dict(zip(ATTRIBUTION_CATEGORIES, totals.tolist())),
+            )
         )
-        demand_by_machine.append(_merge(demand))
+        label_codes = np.array(
+            [labels.setdefault(label, len(labels)) for label in seg_label]
+        )[seg]
+        sweeps.append((label_codes, categories, width))
 
-        dev_busy_s = _measure(device_busy)
-        nic_busy_s = _measure(nic_busy)
-        cpu_busy_s = _measure(cpu_busy)
-        report.utilization.append(
-            ResourceUtilization("storage", machine, dev_busy_s, dev_busy_s / duration)
+        # Barrier idle time per (iteration, phase): what the causal
+        # chain analyzer reconciles against.
+        phases = {"scatter": 0, "gather": 1}
+        phase_code = np.array([phases.get(name, -1) for name in phase])[seg]
+        waiting = (categories == category["barrier"]) & (phase_code >= 0)
+        keys = label_codes[waiting] * 2 + phase_code[waiting]
+        waited = np.bincount(keys, weights=width[waiting])
+        names = list(labels)
+        for key in np.unique(keys).tolist():
+            barrier_waits[
+                (machine, names[key // 2], "gather" if key % 2 else "scatter")
+            ] = float(waited[key])
+
+        # Steady-state sample for the Eq. 4 check: the engine is inside
+        # windowed chunk streaming of a numbered iteration (the regime
+        # the batching model describes) and in a demand state.
+        numbered = np.array([label.isdigit() for label in seg_label])[seg]
+        steady = (
+            (state == _DEMAND) & ~in_recovery & numbered
+            & np.array(streaming)[seg]
         )
-        report.utilization.append(
-            ResourceUtilization("nic", machine, nic_busy_s, nic_busy_s / duration)
-        )
-        report.utilization.append(
-            ResourceUtilization("cpu", machine, cpu_busy_s, cpu_busy_s / duration)
-        )
+        demand_by_machine.append(_runs(steady, a, b))
+
+        for resource, intervals in (
+            ("storage", device_busy), ("nic", nic_busy), ("cpu", cpu_busy)
+        ):
+            seconds = _measure(intervals)
+            report.utilization.append(
+                ResourceUtilization(resource, machine, seconds, seconds / duration)
+            )
 
     # Cluster aggregates -----------------------------------------------------
-    for category in ATTRIBUTION_CATEGORIES:
-        report.cluster_seconds[category] = sum(
-            m.seconds.get(category, 0.0) for m in report.per_machine
+    for name in ATTRIBUTION_CATEGORIES:
+        report.cluster_seconds[name] = sum(
+            m.seconds.get(name, 0.0) for m in report.per_machine
         )
     for resource in ("storage", "nic", "cpu"):
-        busy = sum(
+        seconds = sum(
             u.busy_seconds
             for u in report.utilization
             if u.resource == resource and u.machine is not None
         )
         report.utilization.append(
             ResourceUtilization(
-                resource, None, busy, busy / (machines * duration)
+                resource, None, seconds, seconds / (machines * duration)
             )
         )
 
+    # Per iteration: one running sum per (label, category) over every
+    # machine's intervals, machine after machine.
+    label_codes, categories, widths = map(np.concatenate, zip(*sweeps))
+    width = len(ATTRIBUTION_CATEGORIES)
+    per_label = np.bincount(
+        label_codes * width + categories, weights=widths,
+        minlength=len(labels) * width,
+    ).reshape(len(labels), width)
+    seen = set(np.unique(label_codes).tolist())
     report.per_iteration = [
-        IterationAttribution(label=label, seconds=iteration_seconds[label])
-        for label in sorted(iteration_seconds, key=_iteration_sort_key)
+        IterationAttribution(
+            label=label,
+            seconds=dict(zip(ATTRIBUTION_CATEGORIES, per_label[code].tolist())),
+        )
+        for label, code in sorted(
+            labels.items(), key=lambda item: _iteration_sort_key(item[0])
+        )
+        if code in seen
     ]
 
     cs = report.cluster_seconds
@@ -706,7 +652,7 @@ def analyze_events(
     )
 
     # Steady-state utilization vs Eq. 4 --------------------------------------
-    window = demand_by_machine[0] if demand_by_machine else []
+    window = demand_by_machine[0]
     for intervals in demand_by_machine[1:]:
         window = _intersect(window, intervals)
     window_len = _measure(window)
@@ -728,13 +674,13 @@ def analyze_events(
     # vertex-set copy (V, inflated by the Eq. 2 acceptance factor
     # alpha) plus the drain of the request window already in flight.
     alpha = float(trace_config.get("steal_alpha") or 0.0) or 1.0
-    window = int(trace_config.get("request_window") or 10)
+    request_window = int(trace_config.get("request_window") or 10)
     for (machine, label, phase), wait in sorted(barrier_waits.items()):
         if not label.isdigit():
             continue
         bound = (1.0 + alpha) * vertex_load_max.get(
             (label, phase), 0.0
-        ) + window * max_device_span
+        ) + request_window * max_device_span
         if wait > bound:
             report.stragglers.append(
                 StragglerFlag(machine, label, phase, wait, bound)
@@ -744,31 +690,35 @@ def analyze_events(
     return report
 
 
+def analyze_events(
+    events: List[dict],
+    duration: Optional[float] = None,
+    config: Optional[Dict[str, object]] = None,
+) -> AttributionReport:
+    """Attribute an event-dict list (timestamps in seconds).
+
+    ``config`` overrides/augments the ``job.config`` marker the runtime
+    embeds in traces; ``duration`` defaults to the largest event end.
+    """
+    trace = EventLog(rows_from_events(events)).columns().trace
+    return _attribute(trace, duration=duration, config=config)
+
+
 def analyze_tracer(
     tracer: Tracer, config: Optional[Dict[str, object]] = None
 ) -> AttributionReport:
     """Attribute a live (in-process) trace recording."""
     if not tracer.enabled:
         raise AttributionError("tracer is disabled; nothing to attribute")
-    return analyze_events(
-        tracer.events, duration=tracer.end_time, config=config
-    )
+    trace = tracer.log.columns().trace
+    return _attribute(trace, duration=trace.end, config=config)
 
 
 def analyze_chrome_trace(
     trace: dict, config: Optional[Dict[str, object]] = None
 ) -> AttributionReport:
     """Attribute a loaded Chrome-trace document (timestamps in us)."""
-    events = []
-    for raw in trace.get("traceEvents", []):
-        if raw.get("ph") == "M":
-            continue
-        event = dict(raw)
-        event["ts"] = raw["ts"] * _SECONDS
-        if "dur" in event:
-            event["dur"] = raw["dur"] * _SECONDS
-        events.append(event)
-    return analyze_events(events, config=config)
+    return _attribute(log_from_document(trace).columns().trace, config=config)
 
 
 # ---------------------------------------------------------------------------

@@ -31,9 +31,11 @@ region total by construction.
 from __future__ import annotations
 
 import re
+from contextlib import contextmanager
 from typing import Dict, List, Optional, Tuple
 
 from repro.obs import hostclock
+from repro.obs.log import NULL, EventLog, NullObserver
 
 #: Version of the host metrics JSON document.
 HOST_SCHEMA_VERSION = 1
@@ -55,23 +57,12 @@ SIM_SPAN_FOR_PHASE = {
 }
 
 
-class _PhaseEntry:
-    """Accumulated host cost of one (machine, phase, iteration) cell."""
-
-    __slots__ = ("wall_ns", "cpu_ns", "calls", "records", "alloc_bytes")
-
-    def __init__(self) -> None:
-        self.wall_ns = 0
-        self.cpu_ns = 0
-        self.calls = 0
-        self.records = 0
-        self.alloc_bytes = 0
-
-
 class HostMetricsRegistry:
-    """Structured host metrics keyed by (machine, phase, iteration)."""
+    """Structured host metrics keyed by (machine, phase, iteration): a
+    reader of the ``h`` rows of an event log (the profiler's, or its
+    own when fed through :meth:`record`)."""
 
-    def __init__(self, trace_allocations: bool = False):
+    def __init__(self, trace_allocations: bool = False, rows: list = None):
         self.trace_allocations = trace_allocations
         #: Stable join keys identifying the run that produced these
         #: metrics (``{"algorithm": …, "machines": …, "seed": …}``).
@@ -80,84 +71,71 @@ class HostMetricsRegistry:
         #: the per-row ``phase`` names, so downstream tools never have
         #: to guess which run a metrics file belongs to.
         self.job: Optional[dict] = None
-        self._entries: Dict[Tuple[int, str, int], _PhaseEntry] = {}
-        #: Wall/CPU nanoseconds of the profiled region: the sum of all
-        #: *top-level* measured intervals.  Because measured sections
-        #: are leaves, per-phase wall times sum to this by construction.
-        self.region_wall_ns = 0
-        self.region_cpu_ns = 0
-        self.region_intervals = 0
+        #: ``("h", machine, phase, iteration, records, wall_ns, cpu_ns,
+        #: alloc_bytes, top_level)`` per measured interval.
+        self.rows: List[tuple] = [] if rows is None else rows
         #: Wall nanoseconds of the whole profiler session (run setup,
         #: sim bookkeeping, and the measured region together).
         self.session_wall_ns = 0
 
     def record(
-        self,
-        machine: int,
-        phase: str,
-        iteration: int,
-        wall_ns: int,
-        cpu_ns: int,
-        records: int = 0,
-        alloc_bytes: int = 0,
-        top_level: bool = True,
+        self, machine: int, phase: str, iteration: int, wall_ns: int, cpu_ns: int,
+        records: int = 0, alloc_bytes: int = 0, top_level: bool = True,
     ) -> None:
-        key = (machine, phase, iteration)
-        entry = self._entries.get(key)
-        if entry is None:
-            entry = self._entries[key] = _PhaseEntry()
-        entry.wall_ns += wall_ns
-        entry.cpu_ns += cpu_ns
-        entry.calls += 1
-        entry.records += records
-        entry.alloc_bytes += alloc_bytes
-        if top_level:
-            self.region_wall_ns += wall_ns
-            self.region_cpu_ns += cpu_ns
-            self.region_intervals += 1
-
-    def __len__(self) -> int:
-        return len(self._entries)
-
-    def keys(self) -> List[Tuple[int, str, int]]:
-        return sorted(self._entries)
+        self.rows.append(
+            ("h", machine, phase, iteration, records, wall_ns, cpu_ns,
+             alloc_bytes, top_level)
+        )
 
     def to_dict(self) -> dict:
         """The canonical JSON document (exporters all read this form)."""
+        # Cells: [wall_ns, cpu_ns, calls, records, alloc_bytes] per key.
+        # The region is the sum of all *top-level* intervals; because
+        # measured sections are leaves, per-phase wall times sum to it
+        # by construction.
+        cells: Dict[Tuple[int, str, int], List[int]] = {}
+        region_wall = region_cpu = intervals = 0
+        for _h, machine, phase, iteration, records, wall, cpu, alloc, top in self.rows:
+            cell = cells.setdefault((machine, phase, iteration), [0] * 5)
+            cell[0] += wall
+            cell[1] += cpu
+            cell[2] += 1
+            cell[3] += records
+            cell[4] += alloc
+            if top:
+                region_wall += wall
+                region_cpu += cpu
+                intervals += 1
+
         phases = []
-        for key in sorted(self._entries):
-            machine, phase, iteration = key
-            entry = self._entries[key]
+        by_phase: Dict[str, Dict[str, float]] = {}
+        iteration_cells: Dict[int, Dict[str, float]] = {}
+        for (machine, phase, iteration), cell in sorted(cells.items()):
+            wall_ns, cpu_ns, calls, records, alloc_bytes = cell
             row = {
                 "machine": machine,
                 "phase": phase,
                 "iteration": iteration,
-                "wall_seconds": entry.wall_ns / 1e9,
-                "cpu_seconds": entry.cpu_ns / 1e9,
-                "calls": entry.calls,
-                "records": entry.records,
+                "wall_seconds": wall_ns / 1e9,
+                "cpu_seconds": cpu_ns / 1e9,
+                "calls": calls,
+                "records": records,
             }
             if self.trace_allocations:
-                row["alloc_bytes"] = entry.alloc_bytes
+                row["alloc_bytes"] = alloc_bytes
             phases.append(row)
-
-        by_phase: Dict[str, Dict[str, float]] = {}
-        iteration_cells: Dict[int, Dict[str, float]] = {}
-        for (machine, phase, iteration), entry in sorted(
-            self._entries.items()
-        ):
             agg = by_phase.setdefault(
                 phase, {"wall_seconds": 0.0, "cpu_seconds": 0.0, "calls": 0}
             )
-            agg["wall_seconds"] += entry.wall_ns / 1e9
-            agg["cpu_seconds"] += entry.cpu_ns / 1e9
-            agg["calls"] += entry.calls
+            agg["wall_seconds"] += wall_ns / 1e9
+            agg["cpu_seconds"] += cpu_ns / 1e9
+            agg["calls"] += calls
             if phase == "scatter":
                 cell = iteration_cells.setdefault(
                     iteration, {"edges": 0, "wall_seconds": 0.0}
                 )
-                cell["edges"] += entry.records
-                cell["wall_seconds"] += entry.wall_ns / 1e9
+                cell["edges"] += records
+                cell["wall_seconds"] += wall_ns / 1e9
 
         iterations = []
         total_edges = 0
@@ -176,15 +154,15 @@ class HostMetricsRegistry:
             )
 
         scatter_wall = by_phase.get("scatter", {}).get("wall_seconds", 0.0)
-        region_wall = self.region_wall_ns / 1e9
+        region_wall = region_wall / 1e9
         session_wall = self.session_wall_ns / 1e9
         doc = {
             "host_schema_version": HOST_SCHEMA_VERSION,
             "tracemalloc": self.trace_allocations,
             "region": {
                 "wall_seconds": region_wall,
-                "cpu_seconds": self.region_cpu_ns / 1e9,
-                "intervals": self.region_intervals,
+                "cpu_seconds": region_cpu / 1e9,
+                "intervals": intervals,
             },
             "session_wall_seconds": session_wall,
             "coverage": region_wall / session_wall if session_wall > 0 else 0.0,
@@ -205,92 +183,26 @@ class HostMetricsRegistry:
         return doc
 
 
-class _Measurement:
-    """Context manager timing one synchronous leaf section."""
-
-    __slots__ = (
-        "_profiler",
-        "_machine",
-        "_phase",
-        "_iteration",
-        "_records",
-        "_top",
-        "_wall0",
-        "_cpu0",
-        "_alloc0",
-    )
-
-    def __init__(self, profiler, machine, phase, iteration, records):
-        self._profiler = profiler
-        self._machine = machine
-        self._phase = phase
-        self._iteration = iteration
-        self._records = records
-
-    def __enter__(self):
-        profiler = self._profiler
-        profiler._depth += 1
-        self._top = profiler._depth == 1
-        if profiler.trace_allocations:
-            self._alloc0 = hostclock.allocated_bytes()
-        else:
-            self._alloc0 = 0
-        self._cpu0 = hostclock.cpu_ns()
-        self._wall0 = hostclock.wall_ns()
-        return self
-
-    def __exit__(self, exc_type, exc, tb):
-        wall = hostclock.wall_ns() - self._wall0
-        cpu = hostclock.cpu_ns() - self._cpu0
-        profiler = self._profiler
-        if profiler.trace_allocations:
-            alloc = hostclock.allocated_bytes() - self._alloc0
-        else:
-            alloc = 0
-        profiler._depth -= 1
-        profiler.registry.record(
-            self._machine,
-            self._phase,
-            self._iteration,
-            wall_ns=wall,
-            cpu_ns=cpu,
-            records=self._records,
-            alloc_bytes=alloc,
-            top_level=self._top,
-        )
-        return False
-
-
-class _NullMeasurement:
-    __slots__ = ()
-
-    def __enter__(self):
-        return self
-
-    def __exit__(self, exc_type, exc, tb):
-        return False
-
-
-_NULL_MEASUREMENT = _NullMeasurement()
-
-
 class HostProfiler:
     """Measures real wall/CPU time of engine phases during a run.
 
     One profiler serves the whole cluster (the simulator runs every
     machine on one thread); engines attribute measurements to their own
     machine id.  Store/net handlers carry no iteration, so the compute
-    engines publish the current one via :meth:`set_iteration` — safe
-    because execution is single-threaded and barrier-aligned.
+    engines publish the current one in :attr:`iteration` — safe because
+    execution is single-threaded and barrier-aligned.
+
+    A measurement is ``token = start()`` ... ``stop(token, machine,
+    phase)`` around a synchronous leaf section; ``stop`` appends one
+    ``h`` row to :attr:`log`, which the registry reads for its document.
     """
 
     enabled = True
 
     def __init__(self, trace_allocations: bool = False):
         self.trace_allocations = trace_allocations
-        self.registry = HostMetricsRegistry(
-            trace_allocations=trace_allocations
-        )
+        self.log = EventLog()
+        self.registry = HostMetricsRegistry(trace_allocations, self.log.rows)
         self.iteration = 0
         self._depth = 0
         if trace_allocations:
@@ -300,16 +212,41 @@ class HostProfiler:
     def set_iteration(self, iteration: int) -> None:
         self.iteration = iteration
 
+    def start(self) -> tuple:
+        """Open a measurement: ``(top_level, alloc0, cpu0, wall0)``."""
+        self._depth += 1
+        alloc = hostclock.allocated_bytes() if self.trace_allocations else 0
+        return (self._depth == 1, alloc, hostclock.cpu_ns(), hostclock.wall_ns())
+
+    def stop(
+        self, token: tuple, machine: int, phase: str,
+        iteration: Optional[int] = None, records: int = 0,
+    ) -> None:
+        """Close the measurement ``token`` opened and log it."""
+        wall = hostclock.wall_ns() - token[3]
+        cpu = hostclock.cpu_ns() - token[2]
+        alloc = 0
+        if self.trace_allocations:
+            alloc = hostclock.allocated_bytes() - token[1]
+        self._depth -= 1
+        self.log.rows.append(
+            ("h", machine, phase,
+             self.iteration if iteration is None else iteration,
+             records, wall, cpu, alloc, token[0])
+        )
+
+    @contextmanager
     def measure(
-        self,
-        machine: int,
-        phase: str,
-        iteration: Optional[int] = None,
-        records: int = 0,
-    ) -> _Measurement:
+        self, machine: int, phase: str, iteration: Optional[int] = None, records: int = 0
+    ):
+        """``with`` form of :meth:`start` / :meth:`stop`."""
         if iteration is None:
             iteration = self.iteration
-        return _Measurement(self, machine, phase, iteration, records)
+        token = self.start()
+        try:
+            yield
+        finally:
+            self.stop(token, machine, phase, iteration, records)
 
     def finalize(self) -> HostMetricsRegistry:
         """Close the session window; returns the registry."""
@@ -321,33 +258,13 @@ class HostProfiler:
         return self.registry
 
 
-class NullHostProfiler:
-    """Zero-cost stand-in when host profiling is off."""
-
-    enabled = False
-    iteration = 0
-
-    def set_iteration(self, iteration: int) -> None:
-        return None
-
-    def measure(
-        self,
-        machine: int,
-        phase: str,
-        iteration: Optional[int] = None,
-        records: int = 0,
-    ) -> _NullMeasurement:
-        return _NULL_MEASUREMENT
-
-    def finalize(self) -> None:
-        return None
-
-
-NULL_HOST_PROFILER = NullHostProfiler()
+#: Host profiling off (one shared :class:`~repro.obs.log.NullObserver`).
+NullHostProfiler = NullObserver
+NULL_HOST_PROFILER = NULL
 
 
 def resolve_host_profiler(host) -> "HostProfiler | NullHostProfiler":
-    """The constructor-side guard every engine applies to ``host=``."""
+    """``host`` if it is an enabled profiler, else the null one."""
     if host is not None and host.enabled:
         return host
     return NULL_HOST_PROFILER
@@ -406,75 +323,38 @@ def to_prometheus(doc: dict, integrity: Optional[Dict[str, int]] = None) -> str:
         lines.append(f"# HELP {name} {help_text}")
         lines.append(f"# TYPE {name} {kind}")
 
-    def labels(row: dict) -> str:
-        return (
-            f'{{machine="{row["machine"]}",phase="{row["phase"]}",'
-            f'iteration="{row["iteration"]}"}}'
-        )
-
-    family(
-        "chaos_host_phase_wall_seconds",
-        "counter",
-        "Host wall-clock seconds spent in an engine phase.",
-    )
-    for row in doc["phases"]:
-        lines.append(
-            f"chaos_host_phase_wall_seconds{labels(row)} "
-            f"{row['wall_seconds']:.9f}"
-        )
-    family(
-        "chaos_host_phase_cpu_seconds",
-        "counter",
-        "Host process CPU seconds spent in an engine phase.",
-    )
-    for row in doc["phases"]:
-        lines.append(
-            f"chaos_host_phase_cpu_seconds{labels(row)} "
-            f"{row['cpu_seconds']:.9f}"
-        )
-    family(
-        "chaos_host_phase_calls",
-        "counter",
-        "Measured intervals per engine phase.",
-    )
-    for row in doc["phases"]:
-        lines.append(f"chaos_host_phase_calls{labels(row)} {row['calls']}")
+    per_phase = [
+        ("wall_seconds", "counter", ".9f",
+         "Host wall-clock seconds spent in an engine phase."),
+        ("cpu_seconds", "counter", ".9f",
+         "Host process CPU seconds spent in an engine phase."),
+        ("calls", "counter", "", "Measured intervals per engine phase."),
+    ]
     if doc.get("tracemalloc"):
-        family(
-            "chaos_host_phase_alloc_bytes",
-            "gauge",
-            "Net tracemalloc allocation delta per engine phase.",
+        per_phase.append(
+            ("alloc_bytes", "gauge", "",
+             "Net tracemalloc allocation delta per engine phase.")
         )
+    for key, kind, spec, help_text in per_phase:
+        family(f"chaos_host_phase_{key}", kind, help_text)
         for row in doc["phases"]:
             lines.append(
-                f"chaos_host_phase_alloc_bytes{labels(row)} "
-                f"{row['alloc_bytes']}"
+                f'chaos_host_phase_{key}{{machine="{row["machine"]}",'
+                f'phase="{row["phase"]}",iteration="{row["iteration"]}"}} '
+                f"{row[key]:{spec}}"
             )
-    family(
-        "chaos_host_region_wall_seconds",
-        "counter",
-        "Host wall seconds of the whole profiled region.",
-    )
-    lines.append(
-        f"chaos_host_region_wall_seconds "
-        f"{doc['region']['wall_seconds']:.9f}"
-    )
-    family(
-        "chaos_host_region_cpu_seconds",
-        "counter",
-        "Host CPU seconds of the whole profiled region.",
-    )
-    lines.append(
-        f"chaos_host_region_cpu_seconds {doc['region']['cpu_seconds']:.9f}"
-    )
-    family(
-        "chaos_host_edges_per_sec",
-        "gauge",
-        "Host scatter throughput over the whole run.",
-    )
-    lines.append(
-        f"chaos_host_edges_per_sec {doc['totals']['edges_per_sec']:.3f}"
-    )
+    for name, kind, value, help_text in (
+        ("region_wall_seconds", "counter",
+         f"{doc['region']['wall_seconds']:.9f}",
+         "Host wall seconds of the whole profiled region."),
+        ("region_cpu_seconds", "counter",
+         f"{doc['region']['cpu_seconds']:.9f}",
+         "Host CPU seconds of the whole profiled region."),
+        ("edges_per_sec", "gauge", f"{doc['totals']['edges_per_sec']:.3f}",
+         "Host scatter throughput over the whole run."),
+    ):
+        family(f"chaos_host_{name}", kind, help_text)
+        lines.append(f"chaos_host_{name} {value}")
     if integrity:
         family(
             "chaos_integrity_events_total",
@@ -589,6 +469,30 @@ def check_host_schema(doc: dict) -> List[str]:
 # -- terminal report -----------------------------------------------------
 
 
+def host_skew(doc: dict, sim_spans: Dict[str, float]) -> List[dict]:
+    """Per host phase (name order): its share of host wall time next to
+    its sim span's share of the mapped simulated seconds.  Positive
+    ``skew`` = host share exceeds sim share: a vectorization target."""
+    by_phase = doc["totals"]["by_phase"]
+    host_total = sum(agg["wall_seconds"] for agg in by_phase.values())
+    sim_total = sum(sim_spans.get(s, 0.0) for s in SIM_SPAN_FOR_PHASE.values())
+    rows = []
+    for phase in sorted(by_phase):
+        span = SIM_SPAN_FOR_PHASE.get(phase)
+        host_share = by_phase[phase]["wall_seconds"] / host_total if host_total else 0.0
+        sim_share = None
+        if span is not None and sim_total > 0:
+            sim_share = sim_spans.get(span, 0.0) / sim_total
+        rows.append({
+            "phase": phase,
+            "sim_span": span,
+            "host_share": host_share,
+            "sim_share": sim_share,
+            "skew": None if sim_share is None else host_share - sim_share,
+        })
+    return rows
+
+
 def format_host_report(
     doc: dict,
     sim_spans: Optional[Dict[str, float]] = None,
@@ -617,11 +521,7 @@ def format_host_report(
     ranked = sorted(
         by_phase.items(), key=lambda kv: (-kv[1]["cpu_seconds"], kv[0])
     )[:top]
-    host_wall_total = sum(agg["wall_seconds"] for agg in by_phase.values())
-    sim_spans = sim_spans or {}
-    mapped_sim_total = sum(
-        sim_spans.get(span, 0.0) for span in SIM_SPAN_FOR_PHASE.values()
-    )
+    skews = {row["phase"]: row for row in host_skew(doc, sim_spans or {})}
 
     lines.append("")
     lines.append(f"hottest host phases by CPU time (top {len(ranked)}):")
@@ -632,22 +532,20 @@ def format_host_report(
     )
     lines.append(header)
     for phase, agg in ranked:
-        host_share = (
-            agg["wall_seconds"] / host_wall_total if host_wall_total else 0.0
-        )
-        span = SIM_SPAN_FOR_PHASE.get(phase)
-        if span is not None and mapped_sim_total > 0:
-            sim_share = sim_spans.get(span, 0.0) / mapped_sim_total
-            skew = host_share - sim_share
-            sim_cols = f"{span:<12s} {sim_share:7.1%} {skew:+7.1%}"
+        row = skews[phase]
+        if row["skew"] is not None:
+            sim_cols = (
+                f"{row['sim_span']:<12s} {row['sim_share']:7.1%} "
+                f"{row['skew']:+7.1%}"
+            )
         else:
             sim_cols = f"{'-':<12s} {'-':>7s} {'-':>7s}"
         lines.append(
             f"  {phase:<12s} {agg['cpu_seconds']:9.4f}s "
             f"{agg['wall_seconds']:9.4f}s {agg['calls']:8d} "
-            f"{host_share:7.1%}  {sim_cols}"
+            f"{row['host_share']:7.1%}  {sim_cols}"
         )
-    if mapped_sim_total > 0:
+    if any(row["sim_share"] is not None for row in skews.values()):
         lines.append(
             "  (positive skew = host share exceeds sim share: "
             "vectorization target)"

@@ -200,31 +200,19 @@ def format_trace_report(summary: TraceSummary, top: int = 12) -> str:
         f"{len(summary.processes)} processes"
     )
 
-    device_tracks = summary.tracks_matching("device")
-    if device_tracks:
-        lines.append("")
-        lines.append("per-device utilization:")
-        for pid, tid in device_tracks:
+    for title, prefix in (("device", "device"), ("NIC", "nic.")):
+        tracks = summary.tracks_matching(prefix)
+        if tracks:
+            lines.append("")
+            lines.append(f"per-{title} utilization:")
+        for pid, tid in tracks:
             process = summary.processes.get(pid, f"pid{pid}")
-            busy = summary.track_busy.get((pid, tid), 0.0)
-            moved = summary.track_bytes.get((pid, tid), 0)
+            moved = f"{summary.track_bytes.get((pid, tid), 0) / 1e6:.1f} MB"
+            if prefix == "device":
+                moved = f"{summary.track_busy.get((pid, tid), 0.0):.6f}s, {moved}"
             lines.append(
                 f"  {process:<10s} {summary.thread_name(pid, tid):<16s} "
-                f"busy {summary.utilization(pid, tid):6.1%}  "
-                f"({busy:.6f}s, {moved / 1e6:.1f} MB)"
-            )
-
-    nic_tracks = summary.tracks_matching("nic.")
-    if nic_tracks:
-        lines.append("")
-        lines.append("per-NIC utilization:")
-        for pid, tid in nic_tracks:
-            process = summary.processes.get(pid, f"pid{pid}")
-            moved = summary.track_bytes.get((pid, tid), 0)
-            lines.append(
-                f"  {process:<10s} {summary.thread_name(pid, tid):<16s} "
-                f"busy {summary.utilization(pid, tid):6.1%}  "
-                f"({moved / 1e6:.1f} MB)"
+                f"busy {summary.utilization(pid, tid):6.1%}  ({moved})"
             )
 
     if summary.category_seconds:
@@ -385,7 +373,7 @@ def trace_report_json(trace: dict, top: int = 12) -> dict:
     """
     from repro.obs import causal as causal_mod
     from repro.obs.critpath import AttributionError, analyze_chrome_trace
-    from repro.obs.host import SIM_SPAN_FOR_PHASE
+    from repro.obs.host import host_skew
 
     summary = summarize_trace(trace)
     document: dict = {"summary": summary_to_dict(summary, top=top)}
@@ -418,41 +406,8 @@ def trace_report_json(trace: dict, top: int = 12) -> dict:
     document["host"] = host_doc
     skew = None
     if host_doc is not None:
-        sim_spans = {
-            name: stats.total for name, stats in summary.spans.items()
-        }
-        by_phase = host_doc["totals"]["by_phase"]
-        host_wall_total = sum(
-            agg["wall_seconds"] for agg in by_phase.values()
+        skew = host_skew(
+            host_doc, {name: stats.total for name, stats in summary.spans.items()}
         )
-        mapped_sim_total = sum(
-            sim_spans.get(span, 0.0) for span in SIM_SPAN_FOR_PHASE.values()
-        )
-        skew = []
-        for phase in sorted(by_phase):
-            span = SIM_SPAN_FOR_PHASE.get(phase)
-            host_share = (
-                by_phase[phase]["wall_seconds"] / host_wall_total
-                if host_wall_total
-                else 0.0
-            )
-            sim_share = (
-                sim_spans.get(span, 0.0) / mapped_sim_total
-                if span is not None and mapped_sim_total > 0
-                else None
-            )
-            skew.append(
-                {
-                    "phase": phase,
-                    "sim_span": span,
-                    "host_share": host_share,
-                    "sim_share": sim_share,
-                    "skew": (
-                        host_share - sim_share
-                        if sim_share is not None
-                        else None
-                    ),
-                }
-            )
     document["host_skew"] = skew
     return document

@@ -10,12 +10,17 @@ job-level markers) and ``tid`` selects the component within the
 machine (:data:`TID_ENGINE`, :data:`TID_DEVICE`, :data:`TID_NIC_TX`,
 :data:`TID_NIC_RX`).
 
+Every event is one tuple appended to the tracer's
+:class:`~repro.obs.log.EventLog` (row layouts there).  A :class:`Track`
+carries what a call site needs to build that tuple itself (``pid``,
+``tid``, the run's ``offset``, the log's bound ``append``): per-message
+sites do exactly that, the methods here are the same append behind a call.
+
 Design constraints, in order:
 
-1. **Zero cost when disabled.**  Components hold a :class:`Track` (or
-   :data:`NULL_TRACK`); every method of the null objects is a no-op and
-   hot paths additionally guard on ``track.enabled`` before formatting
-   labels.
+1. **Zero cost when disabled.**  Engines guard every recording site on
+   their own ``_trace_on`` flag: a job without a tracer makes no call
+   into this package.
 2. **Determinism.**  All timestamps come from the simulated clock; the
    recording order is the (deterministic) simulation callback order, so
    two runs with the same seed produce byte-identical exports.
@@ -33,8 +38,9 @@ from __future__ import annotations
 
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
-from repro.obs.causal import NULL_CAUSAL, CausalRecorder
+from repro.obs.causal import CausalRecorder
 from repro.obs.counters import CounterRegistry
+from repro.obs.log import NULL, Columns, EventLog, NullObserver
 
 #: Thread ids within a machine process (Chrome ``tid``).
 TID_JOB = 0
@@ -44,15 +50,8 @@ TID_NIC_TX = 3
 TID_NIC_RX = 4
 TID_CPU = 5
 
-#: Human names for the fixed per-machine threads.
-THREAD_NAMES = {
-    TID_JOB: "job",
-    TID_ENGINE: "engine",
-    TID_DEVICE: "device",
-    TID_NIC_TX: "nic.tx",
-    TID_NIC_RX: "nic.rx",
-    TID_CPU: "cpu",
-}
+#: Human names for the fixed per-machine threads, indexed by tid.
+THREAD_NAMES = ("job", "engine", "device", "nic.tx", "nic.rx", "cpu")
 
 
 class TraceError(RuntimeError):
@@ -60,9 +59,13 @@ class TraceError(RuntimeError):
 
 
 class Track:
-    """A (pid, tid) lane of the trace; the handle components record on."""
+    """A (pid, tid) lane of the trace; the handle components record on.
 
-    __slots__ = ("tracer", "pid", "tid")
+    One object per lane for the tracer's lifetime: ``offset`` follows
+    :meth:`Tracer.bind_run` and the open-span stack survives re-wiring.
+    """
+
+    __slots__ = ("tracer", "pid", "tid", "append", "offset", "_open")
 
     enabled = True
 
@@ -70,91 +73,48 @@ class Track:
         self.tracer = tracer
         self.pid = pid
         self.tid = tid
+        #: ``EventLog.rows.append`` — hot sites call it with a whole row.
+        self.append = tracer.log.rows.append
+        #: Added to run-local times (``start`` of a complete span).
+        self.offset = tracer.offset
+        self._open: List[Tuple[str, Optional[str]]] = []
 
-    def begin(
-        self,
-        name: str,
-        cat: Optional[str] = None,
-        args: Optional[dict] = None,
-    ) -> None:
+    def _record(self, ph, name, ts, dur=0.0, cat=None, args=None) -> None:
+        self.append(
+            (ph, self.pid, self.tid, name, ts, dur, cat, None,
+             dict(args) if args else None)
+        )
+
+    def begin(self, name: str, cat: Optional[str] = None, args: Optional[dict] = None):
         """Open a nested span at the current simulated time."""
-        self.tracer.begin(self.pid, self.tid, name, cat=cat, args=args)
+        self._open.append((name, cat))
+        self._record("B", name, self.tracer.now(), cat=cat, args=args)
 
     def end(self, args: Optional[dict] = None) -> None:
         """Close the innermost open span on this track."""
-        self.tracer.end(self.pid, self.tid, args=args)
+        if not self._open:
+            raise TraceError(
+                f"end without begin on track (pid={self.pid}, tid={self.tid})"
+            )
+        name, cat = self._open.pop()
+        self._record("E", name, self.tracer.now(), cat=cat, args=args)
 
-    def complete(
-        self,
-        name: str,
-        start: float,
-        duration: float,
-        cat: Optional[str] = None,
-        args: Optional[dict] = None,
-    ) -> None:
+    def complete(self, name: str, start: float, duration: float,
+                 cat: Optional[str] = None, args: Optional[dict] = None) -> None:
         """Record a span whose extent is already known (FIFO servers
         compute completion times analytically at request time)."""
-        self.tracer.complete(
-            self.pid, self.tid, name, start, duration, cat=cat, args=args
-        )
+        if duration < 0:
+            raise TraceError(f"negative span duration {duration}")
+        self._record("X", name, self.offset + start, duration, cat, args)
 
-    def instant(
-        self,
-        name: str,
-        cat: Optional[str] = None,
-        args: Optional[dict] = None,
-    ) -> None:
+    def instant(self, name: str, cat: Optional[str] = None, args: Optional[dict] = None):
         """Record a zero-duration marker."""
-        self.tracer.instant(self.pid, self.tid, name, cat=cat, args=args)
+        self._record("i", name, self.tracer.now(), cat=cat, args=args)
 
 
-class _NullTrack:
-    """No-op track: every recording method does nothing."""
-
-    __slots__ = ()
-
-    enabled = False
-
-    def begin(self, name, cat=None, args=None):  # noqa: D102 - no-op
-        pass
-
-    def end(self, args=None):
-        pass
-
-    def complete(self, name, start, duration, cat=None, args=None):
-        pass
-
-    def instant(self, name, cat=None, args=None):
-        pass
-
-
-NULL_TRACK = _NullTrack()
-
-
-class NullTracer:
-    """Disabled tracer: hands out null tracks, records nothing."""
-
-    enabled = False
-    sample_interval: Optional[float] = None
-    causal = NULL_CAUSAL
-
-    def thread(self, pid, tid, name=None) -> _NullTrack:
-        return NULL_TRACK
-
-    def set_process(self, pid, name):
-        pass
-
-    def bind_run(self, clock):
-        pass
-
-    def instant(self, pid, tid, name, cat=None, args=None):
-        pass
-
-    def counter(self, pid, name, value, ts=None):
-        pass
-
-
-NULL_TRACER = NullTracer()
+#: Tracing off (one shared :class:`~repro.obs.log.NullObserver`).
+NullTracer = NullObserver
+NULL_TRACK = NULL_TRACER = NULL
 
 
 class Tracer:
@@ -171,17 +131,27 @@ class Tracer:
         if sample_interval is not None and sample_interval <= 0:
             raise ValueError("sample_interval must be positive (or None)")
         self.sample_interval = sample_interval
-        #: Raw events, in recording order, timestamps in simulated seconds.
-        self.events: List[Dict[str, Any]] = []
-        self.registry = CounterRegistry()
+        #: Every event of this tracer, its causal recorder and its
+        #: counter registry, in recording order.
+        self.log = EventLog()
+        self.registry = CounterRegistry(self.log)
         #: Message-level causal DAG recorder (same clock, same offsets).
-        self.causal = CausalRecorder(self)
-        self._clock: Optional[Callable[[], float]] = None
-        self._offset = 0.0
-        self._end = 0.0
-        self._open: Dict[Tuple[int, int], List[Tuple[str, Optional[str]]]] = {}
-        self._processes: Dict[int, str] = {}
-        self._threads: Dict[Tuple[int, int], str] = {}
+        self.causal = CausalRecorder(self, self.log)
+        #: Start of the bound run on the shared timeline.
+        self.offset = 0.0
+        self._end, self._end_rows = 0.0, 0
+        # ``float()`` is 0.0: before any run is bound, time stands still.
+        self._clock: Callable[[], float] = float
+        self._tracks: Dict[Tuple[int, int], Track] = {}
+        #: Names for the viewer: pid -> process, (pid, tid) -> thread.
+        self.processes: Dict[int, str] = {}
+        self.threads: Dict[Tuple[int, int], str] = {}
+
+    @property
+    def events(self) -> List[Dict[str, Any]]:
+        """Read-only view: the tracer events as dicts, in recording
+        order, timestamps in simulated seconds."""
+        return self.log.columns().trace_events
 
     # -- clock binding -----------------------------------------------------
 
@@ -193,141 +163,64 @@ class Tracer:
         (multi-phase drivers) lay out sequentially on the shared
         timeline.
         """
-        self._offset = self._end
+        self.offset = self.end_time
         self._clock = clock
+        for track in self._tracks.values():
+            track.offset = self.offset
         self.causal.on_bind()
 
     def now(self) -> float:
         """Current trace time (offset-adjusted simulated seconds)."""
-        if self._clock is None:
-            return self._offset
-        return self._offset + self._clock()
+        return self.offset + self._clock()
 
     @property
     def end_time(self) -> float:
-        """Largest timestamp recorded so far."""
+        """Largest timestamp so far (folds in the rows added since last asked)."""
+        rows = self.log.rows
+        if self._end_rows < len(rows):
+            self._end = max(self._end, Columns(rows[self._end_rows:]).trace.end)
+            self._end_rows = len(rows)
         return self._end
-
-    def _stamp(self, ts: Optional[float] = None) -> float:
-        t = self.now() if ts is None else self._offset + ts
-        if t > self._end:
-            self._end = t
-        return t
 
     # -- track registry ----------------------------------------------------
 
     def set_process(self, pid: int, name: str) -> None:
-        self._processes[pid] = name
+        self.processes[pid] = name
+
+    def _track(self, pid: int, tid: int) -> Track:
+        track = self._tracks.get((pid, tid))
+        if track is None:
+            track = self._tracks[(pid, tid)] = Track(self, pid, tid)
+        return track
 
     def thread(self, pid: int, tid: int, name: Optional[str] = None) -> Track:
         """Get the track for ``(pid, tid)``, optionally naming it."""
         if name is None:
-            name = THREAD_NAMES.get(tid, f"track{tid}")
-        self._threads[(pid, tid)] = name
-        return Track(self, pid, tid)
-
-    @property
-    def processes(self) -> Dict[int, str]:
-        return dict(self._processes)
-
-    @property
-    def threads(self) -> Dict[Tuple[int, int], str]:
-        return dict(self._threads)
-
-    # -- recording ---------------------------------------------------------
-
-    def _record(
-        self,
-        ph: str,
-        pid: int,
-        tid: int,
-        name: str,
-        ts: float,
-        cat: Optional[str] = None,
-        dur: Optional[float] = None,
-        args: Optional[dict] = None,
-    ) -> None:
-        event: Dict[str, Any] = {
-            "ph": ph,
-            "pid": pid,
-            "tid": tid,
-            "name": name,
-            "ts": ts,
-        }
-        if cat is not None:
-            event["cat"] = cat
-        if dur is not None:
-            event["dur"] = dur
-        if args:
-            event["args"] = dict(args)
-        self.events.append(event)
-
-    def begin(
-        self,
-        pid: int,
-        tid: int,
-        name: str,
-        cat: Optional[str] = None,
-        args: Optional[dict] = None,
-    ) -> None:
-        self._open.setdefault((pid, tid), []).append((name, cat))
-        self._record("B", pid, tid, name, self._stamp(), cat=cat, args=args)
-
-    def end(
-        self,
-        pid: int,
-        tid: int,
-        args: Optional[dict] = None,
-    ) -> None:
-        stack = self._open.get((pid, tid))
-        if not stack:
-            raise TraceError(
-                f"end without begin on track (pid={pid}, tid={tid})"
+            name = (
+                THREAD_NAMES[tid] if 0 <= tid < len(THREAD_NAMES)
+                else f"track{tid}"
             )
-        name, cat = stack.pop()
-        self._record("E", pid, tid, name, self._stamp(), cat=cat, args=args)
+        self.threads[(pid, tid)] = name
+        return self._track(pid, tid)
 
-    def complete(
-        self,
-        pid: int,
-        tid: int,
-        name: str,
-        start: float,
-        duration: float,
-        cat: Optional[str] = None,
-        args: Optional[dict] = None,
-    ) -> None:
-        if duration < 0:
-            raise TraceError(f"negative span duration {duration}")
-        t = self._offset + start
-        if t + duration > self._end:
-            self._end = t + duration
-        self._record("X", pid, tid, name, t, cat=cat, dur=duration, args=args)
+    # -- recording by (pid, tid) -------------------------------------------
 
-    def instant(
-        self,
-        pid: int,
-        tid: int,
-        name: str,
-        cat: Optional[str] = None,
-        args: Optional[dict] = None,
-    ) -> None:
-        self._record("i", pid, tid, name, self._stamp(), cat=cat, args=args)
+    def end(self, pid, tid, args=None) -> None:
+        self._track(pid, tid).end(args=args)
 
-    def counter(
-        self,
-        pid: int,
-        name: str,
-        value: float,
-        ts: Optional[float] = None,
-    ) -> None:
+    def complete(self, pid, tid, name, start, duration, cat=None, args=None):
+        self._track(pid, tid).complete(name, start, duration, cat, args)
+
+    def instant(self, pid, tid, name, cat=None, args=None) -> None:
+        self._track(pid, tid).instant(name, cat=cat, args=args)
+
+    def counter(self, pid: int, name: str, value: float, ts: Optional[float] = None):
         """Record one sample of a per-process counter time series."""
-        t = self._stamp(ts)
-        self.registry.add(name, t, value)
-        self._record("C", pid, TID_JOB, name, t, args={"value": value})
+        t = self.now() if ts is None else self.offset + ts
+        self.log.rows.append(("C", pid, TID_JOB, name, t, 0.0, None, value, None))
 
     # -- integrity ---------------------------------------------------------
 
     def open_span_count(self) -> int:
         """Spans begun but not yet ended (should be 0 after a run)."""
-        return sum(len(stack) for stack in self._open.values())
+        return sum(len(track._open) for track in self._tracks.values())

@@ -152,11 +152,10 @@ class FifoServer:
         self.meter.record(duration, size)
         track = self._trace_track
         if track is not None:
-            track.complete(
-                label or self._trace_label,
-                start,
-                duration,
-                args={"bytes": int(size)},
+            # One event-log row (layout: repro.obs.log), built here.
+            track.append(
+                ("X", track.pid, track.tid, label or self._trace_label,
+                 track.offset + start, duration, None, int(size), None)
             )
         event = None
         if then is None:
@@ -225,7 +224,10 @@ class CoreBank:
         self.meter.record(duration, 0)
         track = self._trace_track
         if track is not None and duration > 0:
-            track.complete(self._trace_label, start, duration)
+            track.append(
+                ("X", track.pid, track.tid, self._trace_label,
+                 track.offset + start, duration, None, None, None)
+            )
         event = None
         if then is None:
             event = Event(sim, self._event_name)

@@ -39,7 +39,6 @@ from __future__ import annotations
 from typing import Dict
 
 from repro.net.transport import Network
-from repro.obs.host import resolve_host_profiler
 from repro.obs.tracer import NULL_TRACK
 from repro.sim.engine import Event, Simulator
 from repro.sim.resources import FifoServer
@@ -86,8 +85,8 @@ class StorageEngine:
             sanitizer if sanitizer is not None and sanitizer.enabled else None
         )
         # Host profiler: real wall/CPU cost of chunk (de)serialization
-        # against the backend (``run --host-profile``).
-        self._host = resolve_host_profiler(host)
+        # against the backend (``run --host-profile``); None when off.
+        self._host = host if host is not None and host.enabled else None
         self._trace_on = tracer is not None and tracer.enabled
         if self._trace_on:
             from repro.obs.tracer import TID_DEVICE
@@ -313,11 +312,12 @@ class StorageEngine:
                 write=True,
                 label="store.fetch",
             )
-        if self._host.enabled:
-            with self._host.measure(self.machine, "deserialize"):
-                chunk = self.backend.fetch_any(partition, kind)
-        else:
-            chunk = self.backend.fetch_any(partition, kind)
+        host = self._host
+        if host is not None:
+            token = host.start()
+        chunk = self.backend.fetch_any(partition, kind)
+        if host is not None:
+            host.stop(token, self.machine, "deserialize")
         if chunk is None:
             self.exhausted_replies += 1
         else:
@@ -327,11 +327,12 @@ class StorageEngine:
 
     def _handle_vread(self, message) -> None:
         _request_id, _requester, _reply_service, partition, index = message.payload
-        if self._host.enabled:
-            with self._host.measure(self.machine, "deserialize"):
-                chunk = self.backend.get_vertex_chunk(partition, index)
-        else:
-            chunk = self.backend.get_vertex_chunk(partition, index)
+        host = self._host
+        if host is not None:
+            token = host.start()
+        chunk = self.backend.get_vertex_chunk(partition, index)
+        if host is not None:
+            host.stop(token, self.machine, "deserialize")
         if chunk is not None and self.faults.stale_reads > 0:
             stale = self.backend.get_previous_vertex_chunk(partition, index)
             if stale is not None:
@@ -400,13 +401,14 @@ class StorageEngine:
         )
 
     def _repair_done(self, span: str, start: float) -> None:
-        self._job_track.complete(
-            span,
-            start,
-            self.sim.now - start,
-            cat="integrity",
-            args={"machine": self.machine},
-        )
+        if self._trace_on:
+            self._job_track.complete(
+                span,
+                start,
+                self.sim.now - start,
+                cat="integrity",
+                args={"machine": self.machine},
+            )
 
     def _handle_read_retry(self, message) -> None:
         """Re-serve a previously served chunk (integrity re-request).
@@ -450,11 +452,12 @@ class StorageEngine:
         if not self._integrity or verify_chunk(chunk):
             return False
         self.write_rejects += 1
-        self._job_track.instant(
-            "integrity.write_reject",
-            cat="integrity",
-            args={"machine": self.machine, "partition": chunk.partition},
-        )
+        if self._trace_on:
+            self._job_track.instant(
+                "integrity.write_reject",
+                cat="integrity",
+                args={"machine": self.machine, "partition": chunk.partition},
+            )
         self._reply(
             requester,
             reply_service,
@@ -526,13 +529,12 @@ class StorageEngine:
             self.stale_dropped += 1
             return
         stored = self._written_copy(chunk, label)
-        if self._host.enabled:
-            with self._host.measure(
-                self.machine, "serialize", records=chunk.records
-            ):
-                store(stored)
-        else:
-            store(stored)
+        host = self._host
+        if host is not None:
+            token = host.start()
+        store(stored)
+        if host is not None:
+            host.stop(token, self.machine, "serialize", records=chunk.records)
         self._reply(
             requester,
             reply_service,

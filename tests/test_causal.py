@@ -398,6 +398,87 @@ class TestCrossCheck:
 
 
 # ---------------------------------------------------------------------------
+# Multi-run drivers: every run records its own barrier rounds
+# ---------------------------------------------------------------------------
+
+
+class TestMultiRunDrivers:
+    """MCST and SCC run several simulations on one tracer; each reuses
+    the ``(epoch, label, phase)`` keys of the one before.  Until PR 22
+    run 1's release answered for every later run."""
+
+    @pytest.fixture(scope="class", params=["MCST", "SCC"])
+    def driver_tracer(self, request):
+        from repro.algorithms.mcst import run_mcst
+        from repro.algorithms.scc import run_scc
+        from repro.graph import to_undirected
+
+        tracer = Tracer(sample_interval=None)
+        if request.param == "MCST":
+            graph = to_undirected(rmat_graph(7, seed=3, weighted=True))
+            result = run_mcst(graph, machines=2, chunk_bytes=4096, tracer=tracer)
+        else:
+            result = run_scc(
+                rmat_graph(7, seed=3), machines=2, chunk_bytes=4096,
+                tracer=tracer,
+            )
+        assert len(result.jobs) > 1
+        return tracer
+
+    def test_every_round_of_every_run_has_its_own_release(self, driver_tracer):
+        events = driver_tracer.causal.events
+        arrivals, releases = {}, {}
+        for event in events:
+            key = (event["trace"], event.get("barrier"))
+            if event["kind"] == "arrive":
+                arrivals.setdefault(key, []).append(event["id"])
+            elif event["kind"] == "release":
+                releases.setdefault(key, []).append(event)
+        assert len({trace for trace, _ in arrivals}) > 1
+        assert set(arrivals) == set(releases)
+        for key, ids in arrivals.items():
+            (release,) = releases[key]
+            assert release["parents"] == ids
+        assert causal_mod.unreleased_barriers(events) == []
+        # Keys are unique on the whole timeline; run 1 keeps the plain form.
+        barriers = [r["barrier"] for rs in releases.values() for r in rs]
+        assert len(set(barriers)) == len(barriers)
+        assert all(
+            r["barrier"].startswith("e") == (r["trace"] == 1)
+            for rs in releases.values() for r in rs
+        )
+
+    def test_no_cause_follows_its_effect(self, driver_tracer):
+        events = driver_tracer.causal.events
+        by_id = {event["id"]: event for event in events}
+        checked = 0
+        for event in events:
+            parents = list(event.get("parents") or [])
+            if event.get("parent") is not None:
+                parents.append(event["parent"])
+            for parent in map(by_id.__getitem__, parents):
+                assert parent["trace"] == event["trace"]
+                # A handler may send while the message that woke it is
+                # still stamped undelivered only in fault runs; here
+                # every parent has landed before its child starts.
+                assert parent["t1"] is not None
+                assert parent["t1"] <= event["t0"]
+                checked += 1
+        assert checked > len(events) // 2
+
+    def test_cross_check_reconciles_every_barrier(self, driver_tracer):
+        report = analyze_tracer(driver_tracer)
+        records = cross_check(driver_tracer.causal.events, report)
+        assert records and all(record["ok"] for record in records), [
+            record for record in records if not record["ok"]
+        ]
+        assert any(record["instances"] > 1 for record in records)
+        assert "e0/preprocess/preprocess " in format_chain_table(
+            barrier_chains(driver_tracer.causal.events)
+        )
+
+
+# ---------------------------------------------------------------------------
 # Leaked-span detection (satellite: open_span_count at clean-run end)
 # ---------------------------------------------------------------------------
 

@@ -81,6 +81,35 @@ class TestTracerPrimitives:
         assert tracer.events[1]["ts"] == pytest.approx(3.0)
         assert tracer.end_time == pytest.approx(3.0)
 
+    def test_recording_after_a_read_lands_in_the_next_read(self):
+        # Reading materialises columns; the log stays open for appends
+        # and every defined error stays defined afterwards.
+        tracer = Tracer()
+        track = tracer.thread(0, TID_ENGINE)
+        track.instant("a")
+        first = tracer.events
+        assert [e["name"] for e in first] == ["a"]
+        assert tracer.events is first  # cached until a row is added
+        assert tracer.end_time == 0.0
+        tracer.bind_run(lambda: 4.0)
+        track.begin("b", args={"k": 1})
+        tracer.complete(0, TID_DEVICE, "io", start=1.0, duration=2.0)
+        assert [e["name"] for e in tracer.events] == ["a", "b", "io"]
+        assert [e["name"] for e in first] == ["a"]  # a snapshot
+        assert tracer.end_time == 4.0
+        assert '"name":"b"' in dumps_chrome_trace(tracer)
+        with pytest.raises(TraceError):
+            tracer.end(0, TID_DEVICE)
+        with pytest.raises(TraceError):
+            track.complete("io", 0.0, -1e-9)
+        assert len(tracer.events) == 3  # the failed calls recorded nothing
+        track.end()
+        assert tracer.open_span_count() == 0
+        assert tracer.events[-1]["ph"] == "E"
+        tracer.counter(0, "c", 1.5, ts=0.5)
+        assert tracer.registry.get("c").samples == [(0.5, 1.5)]
+        assert tracer.registry.get("missing") is None
+
     def test_null_objects_are_inert(self):
         assert not NULL_TRACER.enabled
         track = NULL_TRACER.thread(0, TID_ENGINE)

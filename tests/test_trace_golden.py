@@ -1,0 +1,82 @@
+"""The trace file is pinned, byte for byte.
+
+``dumps_chrome_trace`` of four small fixed-seed jobs is hashed; the
+constants were computed with this very file on the commit *before* the
+per-event dict stores of ``repro.obs`` were replaced by the columnar
+event log (PR 22), and the file passes unchanged on both sides.  A
+digest that moves means the serializer, an event's fields or the
+recording order moved: fix the code, do not re-pin.
+
+The four jobs between them cover the sampler's counter rows, the
+recovery path's job-track spans and checkpoint marks, a run without
+counters, and a run with the host profiler on (whose wall-clock
+``hostMetrics`` are cut out of the text before hashing: everything
+around them must equal the unprofiled trace).
+"""
+
+from __future__ import annotations
+
+import hashlib
+
+import pytest
+
+from repro.algorithms import WCC, PageRank
+from repro.core.config import ClusterConfig
+from repro.core.runtime import ChaosCluster
+from repro.faults import FaultPlan
+from repro.graph import rmat_graph, to_undirected
+from repro.obs import HostProfiler, Tracer, dumps_chrome_trace
+
+#: job -> (characters, SHA-256 of the UTF-8 text).
+PINNED = {
+    "pr": (
+        744638, "1f43833e353358d000324d355e120e47ceeb9585c2906d126cb6d9d0d9dd8365"),
+    "pr_crash": (
+        590523, "421ea77a3d5d484f9171c6ee9be10667a2549b3921532fd5c34914dd381b1079"),
+    "wcc_no_counters": (
+        807086, "f870677e705aa10c678e7874203e11486bd8d70403faa49c0600724b13c4841d"),
+    "pr_host_stripped": (
+        744638, "1f43833e353358d000324d355e120e47ceeb9585c2906d126cb6d9d0d9dd8365"),
+}
+
+
+def _trace_text(job: str) -> str:
+    graph = rmat_graph(8, seed=5)
+    config = dict(machines=4, chunk_bytes=4 * 1024, seed=5)
+    algorithm, plan, host = PageRank(iterations=3), None, None
+    tracer = Tracer()
+    if job == "pr_crash":
+        config.update(machines=3, checkpointing=True)
+        plan = FaultPlan.parse(["crash:1@iter=2"])
+    elif job == "wcc_no_counters":
+        graph, algorithm = to_undirected(graph), WCC()
+        tracer = Tracer(sample_interval=None)
+    elif job == "pr_host_stripped":
+        host = HostProfiler()
+    ChaosCluster(ClusterConfig(**config), tracer=tracer, host=host).run(
+        algorithm, graph, fault_plan=plan
+    )
+    if host is None:
+        return dumps_chrome_trace(tracer)
+    text = dumps_chrome_trace(
+        tracer, host_metrics=host.finalize().to_dict()
+    )
+    start = text.index(',"hostMetrics":')
+    return text[:start] + text[text.index(',"traceEvents":[', start):]
+
+
+@pytest.mark.parametrize("job", list(PINNED))
+def test_trace_text_is_pinned(job):
+    text = _trace_text(job)
+    digest = hashlib.sha256(text.encode()).hexdigest()
+    assert (len(text), digest) == PINNED[job]
+
+
+def test_host_profiler_leaves_the_trace_untouched():
+    assert PINNED["pr_host_stripped"] == PINNED["pr"]
+
+
+if __name__ == "__main__":  # the numbers behind the pins
+    for name in PINNED:
+        body = _trace_text(name)
+        print(name, len(body), hashlib.sha256(body.encode()).hexdigest())

@@ -1,9 +1,9 @@
 """Finding baselines: the grandfathering ratchet for ``check``.
 
-New rules land against a codebase with *known* findings — the
-sequential kernels CHX013 flags today are exactly the worklist the
-vectorization arc burns down, not regressions.  The ratchet lets a
-rule ship strict from day one:
+New rules land against a codebase with *known* findings — the two
+untimed remote waits CHX021 flags in ``core/compute.py`` are work
+ROADMAP item 4 names, not regressions.  The ratchet lets a rule ship
+strict from day one:
 
 1. ``check --deep --baseline FILE --write-baseline`` records every
    current finding as a ``(file, rule, fingerprint)`` entry;

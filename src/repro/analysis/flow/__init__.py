@@ -8,11 +8,7 @@ Structure:
   explicit resolution kinds and reachability queries.
 * :mod:`cfg` — per-function statement CFGs and path-shape helpers.
 * :mod:`dataflow` — forward taint with interprocedural summaries.
-* :mod:`loops` — loop-carried dependence + vectorizability classes.
-* :mod:`escape` — per-machine capture/aliasing for the process backend.
-* :mod:`kernels` — the static×profile kernel worklist
-  (``check --kernel-report``).
-* :mod:`rules` — CHX008–CHX017.
+* :mod:`rules` — CHX008–012, CHX016 and CHX018–023.
 * :mod:`engine` — the cached ``check --deep`` driver.
 """
 
@@ -24,23 +20,6 @@ from repro.analysis.flow.engine import (
     DeepResult,
     collect_focus_kinds,
     source_tree_hash,
-)
-from repro.analysis.flow.escape import (
-    aliased_constructions,
-    per_machine_classes,
-    shared_mutable_globals,
-    unpicklable_captures,
-)
-from repro.analysis.flow.kernels import (
-    build_kernel_report,
-    check_kernel_report_schema,
-    format_kernel_report,
-)
-from repro.analysis.flow.loops import (
-    LoopInfo,
-    classify_function,
-    hot_functions,
-    loop_infos_in,
 )
 from repro.analysis.flow.project import (
     ClassInfo,
@@ -72,28 +51,17 @@ __all__ = [
     "DeepRule",
     "FunctionInfo",
     "FunctionSummary",
-    "LoopInfo",
     "ModuleInfo",
     "ProjectIndex",
     "RaceCandidate",
     "SinkReport",
     "TaintAnalysis",
-    "aliased_constructions",
     "build_call_graph",
-    "build_kernel_report",
-    "check_kernel_report_schema",
-    "classify_function",
     "collect_focus_kinds",
     "collect_race_candidates",
     "default_deep_rules",
     "definitely_terminates",
-    "format_kernel_report",
-    "hot_functions",
-    "loop_infos_in",
     "module_name_for",
-    "per_machine_classes",
-    "shared_mutable_globals",
     "source_tree_hash",
-    "unpicklable_captures",
     "yield_lines",
 ]

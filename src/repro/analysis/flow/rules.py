@@ -7,11 +7,9 @@ plain :class:`~repro.analysis.findings.Finding` objects; the deep
 engine applies inline suppressions afterwards, exactly like the local
 engine does.
 
-CHX008–012 guard the determinism invariant of the *current* runtime;
-CHX013–017 guard the two refactors on the ROADMAP — columnar numpy
-kernels (loop-carried dependences, per-edge allocation) and the
-real-process backend (unpicklable/aliased per-machine state, shared
-module globals, order-sensitive reductions).  CHX018 guards the chaos
+CHX008–012 guard the determinism invariant of the runtime; CHX016
+guards the one order-sensitive step left in it (float folds must go
+through ``canonical_update_order``).  CHX018 guards the chaos
 fuzzer's replay contract: every RNG in the fault-injection and fuzzing
 packages must be seeded, or shrunk reproducer plans stop reproducing.
 CHX019–023 stand on the extracted protocol model
@@ -30,17 +28,6 @@ from repro.analysis.findings import Finding
 from repro.analysis.flow.callgraph import CallGraph, CallSite
 from repro.analysis.flow.cfg import definitely_terminates
 from repro.analysis.flow.dataflow import TaintAnalysis
-from repro.analysis.flow.escape import (
-    aliased_constructions,
-    shared_mutable_globals,
-    unpicklable_captures,
-)
-from repro.analysis.flow.loops import (
-    HOT_PACKAGES,
-    SEQUENTIAL,
-    hot_functions,
-    loop_infos_in,
-)
 from repro.analysis.flow.project import (
     FunctionInfo,
     ModuleInfo,
@@ -55,6 +42,10 @@ from repro.analysis.lint import SIM_PACKAGES
 #: state is simulated-run state).
 DEEP_SIM_PACKAGES: FrozenSet[str] = SIM_PACKAGES | frozenset({"analysis"})
 
+#: Packages whose gather kernels CHX016 inspects (the simulated engine
+#: packages plus the user algorithms they drive).
+HOT_PACKAGES: FrozenSet[str] = SIM_PACKAGES | frozenset({"algorithms"})
+
 #: Version of the deep analyzer's *rule logic*.  Mixed into the
 #: ``check --deep`` pickled-index cache key alongside the index-layout
 #: version, so a rule change invalidates cached results even when the
@@ -62,12 +53,13 @@ DEEP_SIM_PACKAGES: FrozenSet[str] = SIM_PACKAGES | frozenset({"analysis"})
 #: the deep rules or the analyses they stand on.
 #:
 #: 1 — CHX008–012 (PR 5).
-#: 2 — CHX013–017: loop dependence + escape analysis.
+#: 2 — CHX013–017 (of which CHX016 survives revision 5).
 #: 3 — CHX018: unseeded RNG in fault-injection/fuzzing code.
 #: 4 — CHX019–023: protocol model extraction (unhandled sends,
 #:     unfenced receives, untimed waits, lopsided barrier arrives,
-#:     ghost message kinds) — this revision.
-ANALYZER_VERSION = 4
+#:     ghost message kinds).
+#: 5 — CHX013/014/015/017 and the loop/escape analyses removed.
+ANALYZER_VERSION = 5
 
 
 class DeepContext:
@@ -824,149 +816,6 @@ class StaticRaceCandidateRule(DeepRule):
 
 
 # ---------------------------------------------------------------------------
-# CHX013: loop-carried dependence in an edge loop
-# ---------------------------------------------------------------------------
-
-
-class LoopCarriedDependenceRule(DeepRule):
-    """A sequential loop-carried dependence in an edge kernel blocks
-    vectorization: the loop cannot become a whole-chunk numpy operation
-    until the dependence is restructured (prefix-scan, segmentation, or
-    hoisting the stateful part out of the per-edge path).
-
-    Only genuinely *sequential* dependences flag; reduction-style
-    carries (``acc += e``, ``out.append(e)``) classify the loop as a
-    segmented reduction, which the columnar rewrite handles with
-    ``np.ufunc.at`` / sort-and-segment machinery.
-    """
-
-    rule_id = "CHX013"
-    severity = "error"
-    title = "loop-carried dependence in an edge loop blocks vectorization"
-
-    def run(self, ctx: DeepContext) -> Iterator[Finding]:
-        for func in hot_functions(ctx.index):
-            for info in loop_infos_in(func):
-                if info.classification != SEQUENTIAL:
-                    continue
-                deps = [d for d in info.carried if d.kind == "sequential"]
-                names = ", ".join(sorted({d.name for d in deps}))
-                detail = deps[0].detail if deps else ""
-                yield self._finding(
-                    info.file,
-                    info.line,
-                    f"edge loop in {func.name} carries a sequential "
-                    f"dependence through {names}: {detail}; this blocks "
-                    f"vectorization — restructure as a reduction or hoist "
-                    f"the carried state out of the per-edge path",
-                )
-
-
-# ---------------------------------------------------------------------------
-# CHX014: per-edge allocation / repeated attribute lookup in a hot loop
-# ---------------------------------------------------------------------------
-
-
-class HotLoopAllocationRule(DeepRule):
-    """Per-iteration Python object allocation (dicts, lists, project
-    objects) and repeated loop-invariant attribute lookups dominate
-    interpreter cost in the edge hot path.  Both are hoistable today
-    and disappear entirely under a columnar rewrite; the finding names
-    the hoistable expression.
-    """
-
-    rule_id = "CHX014"
-    severity = "warning"
-    title = "per-edge allocation or repeated attribute lookup in a hot loop"
-
-    def run(self, ctx: DeepContext) -> Iterator[Finding]:
-        for func in hot_functions(ctx.index):
-            module = ctx.index.modules.get(func.module)
-            resolver = self._class_resolver(ctx, module) if module else None
-            for info in loop_infos_in(func, class_resolver=resolver):
-                if info.allocations:
-                    alloc = info.allocations[0]
-                    escape_note = (
-                        " and escapes the loop (the rewrite must "
-                        "materialize it as a column)"
-                        if alloc.escapes
-                        else ""
-                    )
-                    yield self._finding(
-                        info.file,
-                        info.line,
-                        f"hot loop in {func.name} allocates "
-                        f"'{alloc.expr}' every iteration{escape_note}; "
-                        f"hoist the allocation or batch it per chunk",
-                    )
-                elif info.hoistable:
-                    attr = info.hoistable[0]
-                    yield self._finding(
-                        info.file,
-                        info.line,
-                        f"hot loop in {func.name} re-reads the "
-                        f"loop-invariant attribute chain '{attr.chain}' "
-                        f"{attr.reads} times; bind it to a local before "
-                        f"the loop",
-                    )
-
-    @staticmethod
-    def _class_resolver(ctx: DeepContext, module):
-        def resolver(call: ast.Call) -> bool:
-            chain = attr_chain(call.func)
-            if chain is None:
-                return False
-            from repro.analysis.flow.project import ClassInfo
-
-            resolved = ctx.index.resolve_chain_in(module, chain)
-            return isinstance(resolved, ClassInfo)
-
-        return resolver
-
-
-# ---------------------------------------------------------------------------
-# CHX015: state captured by a would-be process boundary
-# ---------------------------------------------------------------------------
-
-
-class ProcessBoundaryCaptureRule(DeepRule):
-    """Per-machine classes (``__init__`` takes a ``machine`` identity)
-    become one-per-worker-process under the real-process backend.  Two
-    capture patterns break that move: attributes bound to values
-    ``pickle`` rejects (lambdas, generators, open files), and
-    construction loops handing every machine the *same* object — state
-    that aliases another machine's mutable state today and silently
-    stops being shared under fork/spawn.
-    """
-
-    rule_id = "CHX015"
-    severity = "warning"
-    title = "per-machine state unpicklable or aliased across machines"
-
-    def run(self, ctx: DeepContext) -> Iterator[Finding]:
-        for capture in unpicklable_captures(ctx.index):
-            yield self._finding(
-                capture.file,
-                capture.line,
-                f"per-machine class {capture.cls.rsplit('.', 1)[-1]} "
-                f"captures self.{capture.attr} as {capture.reason}; it "
-                f"cannot cross a process boundary — pass a picklable "
-                f"factory or rebuild it worker-side",
-            )
-        for site in aliased_constructions(ctx.index, ctx.graph):
-            shared = ", ".join(site.shared)
-            yield self._finding(
-                site.file,
-                site.line,
-                f"per-machine class {site.cls.rsplit('.', 1)[-1]} is "
-                f"constructed in a loop with shared argument(s) "
-                f"[{shared}] (in {site.caller.rsplit('.', 1)[-1]}); every "
-                f"machine aliases the same object — the process backend "
-                f"must replace these with per-worker channels or copies",
-            )
-
-
-# ---------------------------------------------------------------------------
 # CHX016: order-sensitive float accumulation outside the protocol
 # ---------------------------------------------------------------------------
 
@@ -1053,35 +902,6 @@ class UnorderedReductionRule(DeepRule):
                         f"associative — sort with canonical_update_order "
                         f"first",
                     )
-
-
-# ---------------------------------------------------------------------------
-# CHX017: module-level mutable state shared across emulated machines
-# ---------------------------------------------------------------------------
-
-
-class SharedModuleStateRule(DeepRule):
-    """A module-level mutable container read by code reachable from a
-    per-machine class is shared by *every* emulated machine — invisible
-    coupling in the single-process emulation, and a silent divergence
-    (each worker gets its own copy) under the real-process backend.
-    """
-
-    rule_id = "CHX017"
-    severity = "warning"
-    title = "module-level mutable state reachable from per-machine code"
-
-    def run(self, ctx: DeepContext) -> Iterator[Finding]:
-        for shared in shared_mutable_globals(ctx.index, ctx.graph):
-            yield self._finding(
-                shared.file,
-                shared.line,
-                f"module-level mutable '{shared.name}' in {shared.module} "
-                f"is read on a per-machine call path (via "
-                f"{shared.via.rsplit('.', 1)[-1]}); machines share one "
-                f"instance today and would silently diverge under real "
-                f"processes — pass it through the constructor or freeze it",
-            )
 
 
 # ---------------------------------------------------------------------------
@@ -1381,11 +1201,7 @@ def default_deep_rules() -> List[DeepRule]:
         BarrierPairingRule(),
         CrossModuleProcessRule(),
         StaticRaceCandidateRule(),
-        LoopCarriedDependenceRule(),
-        HotLoopAllocationRule(),
-        ProcessBoundaryCaptureRule(),
         UnorderedReductionRule(),
-        SharedModuleStateRule(),
         UnseededRandomRule(),
         UnhandledSendRule(),
         UnfencedReceiveRule(),
@@ -1411,13 +1227,9 @@ __all__ = [
     "DeepRule",
     "GhostKindRule",
     "GrantPairingRule",
-    "HotLoopAllocationRule",
     "InterproceduralTaintRule",
-    "LoopCarriedDependenceRule",
     "LopsidedArriveRule",
-    "ProcessBoundaryCaptureRule",
     "RaceCandidate",
-    "SharedModuleStateRule",
     "StaticRaceCandidateRule",
     "UnfencedReceiveRule",
     "UnhandledSendRule",

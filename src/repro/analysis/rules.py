@@ -591,7 +591,7 @@ RULE_TABLE: Dict[str, str] = {
 
 
 def full_rule_table() -> Dict[str, str]:
-    """Every rule id -> title, local (CHX001–007) and deep (CHX008–017).
+    """Every rule id -> title, local (CHX001–007) and deep (CHX008–023).
 
     Imports the deep registry lazily so the local lint path keeps its
     zero-cost import footprint.

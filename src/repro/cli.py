@@ -300,15 +300,6 @@ def _build_parser() -> argparse.ArgumentParser:
     bench.add_argument("--tolerance", action="append", metavar="METRIC=REL",
                        help="override a metric's relative tolerance for "
                             "--compare, e.g. runtime=0.10 (repeatable)")
-    bench.add_argument("--host", action="store_true",
-                       help="also record host metrics per scenario "
-                            "(host_wall_seconds, host_cpu_seconds, "
-                            "edges_per_sec); compared warn-only unless "
-                            "the baseline carries host_tolerances")
-    bench.add_argument("--repeats", type=int, default=None, metavar="N",
-                       help="run each scenario N times and record the "
-                            "median host metric (default: 3 with --host, "
-                            "1 otherwise)")
 
     check = commands.add_parser(
         "check", help="determinism lint (CHX rules) over source trees"
@@ -322,9 +313,9 @@ def _build_parser() -> argparse.ArgumentParser:
                        help="comma-separated rule ids to run "
                             "(default: all CHX rules)")
     check.add_argument("--deep", action="store_true",
-                       help="also run the whole-program rules CHX008-017 "
-                            "(call graph, interprocedural dataflow, loop "
-                            "dependence + parallel-safety)")
+                       help="also run the whole-program rules CHX008-023 "
+                            "(call graph, interprocedural dataflow, "
+                            "protocol model)")
     check.add_argument("--stats", action="store_true",
                        help="print per-rule finding/suppression counts "
                             "(text format only; json always includes them)")
@@ -339,15 +330,6 @@ def _build_parser() -> argparse.ArgumentParser:
                        help="with --baseline: (re)write FILE from the "
                             "current findings instead of checking "
                             "against it")
-    check.add_argument("--kernel-report", action="store_true",
-                       help="print the kernel worklist instead of lint "
-                            "findings: per-(algorithm, phase) static "
-                            "vectorizability, joined with --host-json "
-                            "CPU shares and ranked by share x "
-                            "vectorizable")
-    check.add_argument("--host-json", metavar="FILE", default=None,
-                       help="with --kernel-report: a host metrics JSON "
-                            "written by run --host-profile --host-json")
     check.add_argument("--protocol", action="store_true",
                        help="extract the protocol state machines and "
                             "model-check small clusters instead of "
@@ -549,8 +531,7 @@ def _command_run(args) -> int:
         from repro.core.runtime import ChaosCluster
 
         if host is not None:
-            # Stable join keys: check --kernel-report joins its static
-            # kernel table on job.algorithm + phase names.
+            # Which job the host metrics document describes.
             host.registry.job = {
                 "algorithm": algorithm.name,
                 "cli_name": args.algorithm,
@@ -929,35 +910,35 @@ def _command_trace_query(args) -> int:
 
 
 def _parse_tolerances(specs):
+    """``METRIC=REL`` specs -> ``{metric: rel}``; ValueError on a bad one."""
+    import math
+
     from repro.obs.bench import METRIC_POLICIES
 
     tolerances = {}
     for spec in specs or ():
         metric, _, value = spec.partition("=")
         if metric not in METRIC_POLICIES:
-            raise SystemExit(
+            raise ValueError(
                 f"unknown metric {metric!r} in --tolerance (known: "
                 f"{', '.join(sorted(METRIC_POLICIES))})"
             )
         try:
-            tolerances[metric] = float(value)
+            tolerance = float(value)
         except ValueError:
-            raise SystemExit(f"bad --tolerance value {spec!r}")
+            tolerance = math.nan
+        # NaN would disable the gate silently: `delta > nan` is never true.
+        if not (math.isfinite(tolerance) and tolerance >= 0):
+            raise ValueError(
+                f"bad --tolerance value {spec!r} (need a finite "
+                f"number >= 0)"
+            )
+        tolerances[metric] = tolerance
     return tolerances
 
 
 def _command_bench(args) -> int:
     from repro.obs import bench
-
-    if args.repeats is not None and (args.list or args.compare):
-        print(
-            "bench: --repeats only applies when running scenarios",
-            file=sys.stderr,
-        )
-        return 2
-    if args.repeats is not None and args.repeats < 1:
-        print("bench: --repeats must be >= 1", file=sys.stderr)
-        return 2
 
     if args.list:
         for scenario in bench.DEFAULT_SCENARIOS:
@@ -971,16 +952,21 @@ def _command_bench(args) -> int:
                 ("--scenario", bool(args.scenario)),
                 ("--label", args.label != "local"),
                 ("--out", bool(args.out)),
-                ("--host", args.host),
             )
             if given
         ]
         if run_only:
-            raise SystemExit(
+            print(
                 f"bench: {', '.join(run_only)} only applies when running "
-                "scenarios and would be ignored with --compare"
+                "scenarios and would be ignored with --compare",
+                file=sys.stderr,
             )
-        tolerances = _parse_tolerances(args.tolerance)
+            return 2
+        try:
+            tolerances = _parse_tolerances(args.tolerance)
+        except ValueError as error:
+            print(f"bench: {error}", file=sys.stderr)
+            return 2
         try:
             base = bench.load_snapshot(args.compare[0])
             new = bench.load_snapshot(args.compare[1])
@@ -998,22 +984,16 @@ def _command_bench(args) -> int:
         return 0 if comparison.ok else 1
 
     if args.tolerance:
-        raise SystemExit(
-            "bench: --tolerance only applies with --compare"
-        )
-    repeats = args.repeats if args.repeats is not None else (
-        3 if args.host else 1
-    )
+        print("bench: --tolerance only applies with --compare",
+              file=sys.stderr)
+        return 2
     try:
         snapshot = bench.run_scenarios(
-            args.scenario,
-            label=args.label,
-            progress=print,
-            host=args.host,
-            repeats=repeats,
+            args.scenario, label=args.label, progress=print
         )
-    except ValueError as error:
-        raise SystemExit(str(error))
+    except ValueError as error:  # unknown --scenario name
+        print(f"bench: {error}", file=sys.stderr)
+        return 2
     out = args.out or bench.snapshot_path(args.label)
     size = bench.write_snapshot(snapshot, out)
     print(
@@ -1033,47 +1013,6 @@ def _rule_stats(result) -> dict:
         entry = stats.setdefault(finding.rule_id, {"findings": 0, "suppressed": 0})
         entry["suppressed"] += 1
     return dict(sorted(stats.items()))
-
-
-def _command_check_kernel_report(args) -> int:
-    import json as json_module
-
-    from repro.analysis.flow.kernels import (
-        build_kernel_report,
-        check_kernel_report_schema,
-        format_kernel_report,
-        load_host_doc,
-    )
-
-    host_doc = None
-    if args.host_json:
-        from repro.obs.host import check_host_schema
-
-        try:
-            host_doc = load_host_doc(args.host_json)
-        except (OSError, ValueError) as error:
-            print(f"--host-json {args.host_json}: {error}", file=sys.stderr)
-            return 2
-        errors = check_host_schema(host_doc)
-        if errors:
-            for error in errors:
-                print(f"--host-json {args.host_json}: {error}",
-                      file=sys.stderr)
-            return 2
-
-    doc = build_kernel_report(
-        args.paths, host_doc=host_doc, host_source=args.host_json
-    )
-    errors = check_kernel_report_schema(doc)
-    if errors:  # internal invariant: the builder emits its own schema
-        for error in errors:
-            print(f"kernel report schema: {error}", file=sys.stderr)
-        return 2
-    if args.fmt == "json":
-        print(json_module.dumps(doc, indent=2))
-    else:
-        print(format_kernel_report(doc))
-    return 0
 
 
 def _command_check_protocol(args) -> int:
@@ -1129,6 +1068,7 @@ def _command_check_protocol(args) -> int:
 
 def _command_check(args) -> int:
     import json as json_module
+    import os
     import time
 
     from repro.analysis import (
@@ -1140,13 +1080,13 @@ def _command_check(args) -> int:
     )
     from repro.analysis.flow import DeepEngine, default_deep_rules
 
+    for path in args.paths:
+        if not os.path.exists(path):
+            print(f"check: no such file or directory: {path}",
+                  file=sys.stderr)
+            return 2
     if args.protocol:
         return _command_check_protocol(args)
-    if args.kernel_report:
-        return _command_check_kernel_report(args)
-    if args.host_json:
-        print("--host-json requires --kernel-report", file=sys.stderr)
-        return 2
     if args.write_baseline and not args.baseline:
         print("--write-baseline requires --baseline FILE", file=sys.stderr)
         return 2

@@ -23,7 +23,6 @@ from __future__ import annotations
 
 import json
 import os
-import statistics
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Tuple
 
@@ -32,27 +31,20 @@ from repro.faults import FaultPlan
 from repro.graph import rmat_graph, to_undirected
 from repro.net.topology import GIGE_1_BENCH, GIGE_40_BENCH
 from repro.obs.critpath import analyze_tracer
-from repro.obs.host import HostProfiler
 from repro.obs.tracer import Tracer
 from repro.store.device import SSD_BENCH
 
-#: v2 adds the opt-in host metrics (``--host``): ``host_wall_seconds``,
-#: ``host_cpu_seconds`` and ``edges_per_sec`` per scenario, median over
-#: ``--repeats`` runs.  v1 snapshots stay comparable against v2 (see
-#: :data:`COMPATIBLE_SCHEMA_PAIRS`) — the host keys are simply absent.
+#: A snapshot holds simulated metrics only.  Older v2 snapshots may
+#: also carry host readings (``host_wall_seconds``,
+#: ``host_cpu_seconds``, ``edges_per_sec``); they load, and
+#: :func:`compare_snapshots` ignores those keys.  Host cost is measured
+#: by ``benchmarks/perf`` and ``tests/test_host_budget.py``.
 BENCH_SCHEMA_VERSION = 2
 
 #: (base, new) schema-version pairs :func:`compare_snapshots` accepts
-#: besides exact equality.  Host metrics are deterministic in neither
-#: direction, so a v1-vs-v2 diff just skips them.
+#: besides exact equality: the tracked simulated metrics are the same
+#: in v1 and v2.
 COMPATIBLE_SCHEMA_PAIRS = {(1, 2)}
-
-#: The host-side (real wall-clock) metrics a scenario record carries
-#: when collected with ``--host``.  Unlike every other tracked metric
-#: these are *noisy* — they measure the machine running the benchmark —
-#: so the gate treats them warn-only unless the baseline opts in via a
-#: ``host_tolerances`` mapping (or a ``--tolerance`` override).
-HOST_METRICS = ("host_wall_seconds", "host_cpu_seconds", "edges_per_sec")
 
 
 @dataclass(frozen=True)
@@ -175,9 +167,7 @@ def _checkpoint_seconds(tracer: Tracer) -> float:
     return total
 
 
-def _run_scenario_once(
-    scenario: BenchScenario, host: bool = False
-) -> Dict[str, object]:
+def run_scenario(scenario: BenchScenario) -> Dict[str, object]:
     """Run one scenario and distill its tracked metrics."""
     algorithm, graph = scenario.workload()
     tracer = Tracer(sample_interval=None)
@@ -186,12 +176,10 @@ def _run_scenario_once(
         if scenario.fault_specs
         else None
     )
-    profiler = HostProfiler() if host else None
     result = run_algorithm(
         algorithm,
         graph,
         tracer=tracer,
-        host=profiler,
         fault_plan=fault_plan,
         machines=scenario.machines,
         chunk_bytes=scenario.chunk_bytes,
@@ -207,7 +195,7 @@ def _run_scenario_once(
         for u in report.utilization
         if u.machine is None
     }
-    record: Dict[str, object] = {
+    return {
         "description": scenario.description,
         "machines": scenario.machines,
         "runtime": result.runtime,
@@ -231,46 +219,12 @@ def _run_scenario_once(
         "closure_error": report.closure_error(),
         "stragglers": len(report.stragglers),
     }
-    if profiler is not None:
-        doc = profiler.finalize().to_dict()
-        record["host_wall_seconds"] = doc["region"]["wall_seconds"]
-        record["host_cpu_seconds"] = doc["region"]["cpu_seconds"]
-        record["edges_per_sec"] = doc["totals"]["edges_per_sec"]
-    return record
-
-
-def run_scenario(
-    scenario: BenchScenario, host: bool = False, repeats: int = 1
-) -> Dict[str, object]:
-    """Run one scenario ``repeats`` times; median host metrics.
-
-    The simulated metrics are deterministic, so they come from the first
-    run; the host metrics are real wall-clock readings, so each repeat
-    re-measures them and the record carries the per-metric median (the
-    standard noise-robust aggregate for timing benchmarks).
-    """
-    if repeats < 1:
-        raise ValueError(f"repeats must be >= 1, got {repeats}")
-    record = _run_scenario_once(scenario, host=host)
-    if not host or repeats == 1:
-        return record
-    samples = {metric: [record[metric]] for metric in HOST_METRICS}
-    for _ in range(repeats - 1):
-        extra = _run_scenario_once(scenario, host=True)
-        for metric in HOST_METRICS:
-            samples[metric].append(extra[metric])
-    for metric in HOST_METRICS:
-        record[metric] = statistics.median(samples[metric])
-    record["host_repeats"] = repeats
-    return record
 
 
 def run_scenarios(
     names: Optional[List[str]] = None,
     label: str = "local",
     progress: Optional[Callable[[str], None]] = None,
-    host: bool = False,
-    repeats: int = 1,
 ) -> Dict[str, object]:
     """Run the selected scenarios into a snapshot document."""
     if names:
@@ -287,9 +241,7 @@ def run_scenarios(
     for scenario in selected:
         if progress is not None:
             progress(f"running {scenario.name}: {scenario.description}")
-        scenarios[scenario.name] = run_scenario(
-            scenario, host=host, repeats=repeats
-        )
+        scenarios[scenario.name] = run_scenario(scenario)
     return {
         "schema_version": BENCH_SCHEMA_VERSION,
         "label": label,
@@ -332,13 +284,6 @@ METRIC_POLICIES: Dict[str, Tuple[str, float]] = {
     "bytes_moved": ("higher_is_worse", 0.05),
     "checkpoint_seconds": ("higher_is_worse", 0.10),
     "aggregate_bandwidth": ("lower_is_worse", 0.05),
-    # Host metrics are real wall-clock readings — noisy across machines
-    # and CI runners — so their tolerances are loose, and they gate only
-    # when the baseline opts in (see ``host_tolerances`` in
-    # :func:`compare_snapshots`); otherwise drift is reported warn-only.
-    "host_wall_seconds": ("higher_is_worse", 0.50),
-    "host_cpu_seconds": ("higher_is_worse", 0.50),
-    "edges_per_sec": ("lower_is_worse", 0.50),
 }
 
 #: Absolute ceiling for the attribution-closure invariant.
@@ -379,14 +324,8 @@ def compare_snapshots(
 
     ``tolerances`` overrides the default relative tolerance per metric
     name.  A scenario present in ``base`` but missing from ``new`` is a
-    regression (lost coverage); new scenarios are noted.
-
-    Host metrics (:data:`HOST_METRICS`) are warn-only by default: drift
-    beyond tolerance lands in ``notes``, never ``regressions``, because
-    real wall-clock readings vary with the machine running the bench.  A
-    baseline opts in to gating by carrying a top-level
-    ``host_tolerances`` mapping (metric -> relative tolerance); a
-    ``tolerances`` override for a host metric also gates it.
+    regression (lost coverage); new scenarios are noted.  Keys outside
+    :data:`METRIC_POLICIES` are not compared.
     """
     comparison = Comparison()
     base_version = base.get("schema_version")
@@ -403,9 +342,6 @@ def compare_snapshots(
                 f"new v{new_version}"
             )
     overrides = tolerances or {}
-    host_tolerances = base.get("host_tolerances")
-    if not isinstance(host_tolerances, dict):
-        host_tolerances = {}
     base_scenarios = base.get("scenarios", {})
     new_scenarios = new.get("scenarios", {})
     for name in sorted(base_scenarios):
@@ -418,16 +354,7 @@ def compare_snapshots(
         cur = new_scenarios[name]
         for metric in sorted(METRIC_POLICIES):
             direction, tolerance = METRIC_POLICIES[metric]
-            gating = True
-            if metric in HOST_METRICS:
-                if metric in overrides:
-                    tolerance = overrides[metric]
-                elif metric in host_tolerances:
-                    tolerance = float(host_tolerances[metric])
-                else:
-                    gating = False  # warn-only: no opt-in from baseline
-            else:
-                tolerance = overrides.get(metric, tolerance)
+            tolerance = overrides.get(metric, tolerance)
             if metric not in old or metric not in cur:
                 continue
             base_value = float(old[metric])
@@ -449,12 +376,7 @@ def compare_snapshots(
                 worse = delta < -tolerance
                 better = delta > tolerance
             if worse:
-                if gating:
-                    comparison.regressions.append(text)
-                else:
-                    comparison.notes.append(
-                        f"{text} [host metric, warn-only]"
-                    )
+                comparison.regressions.append(text)
             elif better:
                 comparison.improvements.append(text)
         closure = float(cur.get("closure_error", 0.0))

@@ -64,12 +64,10 @@ class HostMetricsRegistry:
 
     def __init__(self, trace_allocations: bool = False, rows: list = None):
         self.trace_allocations = trace_allocations
-        #: Stable join keys identifying the run that produced these
-        #: metrics (``{"algorithm": …, "machines": …, "seed": …}``).
-        #: ``check --kernel-report --host-json`` joins its static
-        #: kernel table against the document on ``job.algorithm`` plus
-        #: the per-row ``phase`` names, so downstream tools never have
-        #: to guess which run a metrics file belongs to.
+        #: The run that produced these metrics (``{"algorithm": …,
+        #: "cli_name": …, "machines": …, "seed": …}``), written into the
+        #: document so a reader never has to guess which run a metrics
+        #: file belongs to.
         self.job: Optional[dict] = None
         #: ``("h", machine, phase, iteration, records, wall_ns, cpu_ns,
         #: alloc_bytes, top_level)`` per measured interval.

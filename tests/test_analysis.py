@@ -2,11 +2,14 @@
 
 Each rule gets positive fixtures (violating code that must be flagged)
 and negative fixtures (idiomatic code that must pass), plus suppression
-handling, output formats, the CLI entry point and the self-host check:
-the repository's own source tree must be clean.
+handling, output formats, the CLI entry point, the finding-baseline
+ratchet and the self-host check: the repository's own source tree must
+be clean.
 """
 
 import json
+import re
+import textwrap
 from pathlib import Path
 
 import pytest
@@ -15,10 +18,16 @@ import repro
 from repro.analysis import (
     Finding,
     LintEngine,
+    baseline_stats,
     default_rules,
+    fingerprint,
     format_github,
     format_json,
     format_text,
+    full_rule_table,
+    load_baseline,
+    split_new,
+    write_baseline,
 )
 from repro.analysis.rules import RULE_TABLE
 from repro.cli import main
@@ -600,6 +609,29 @@ class TestCheckCommand:
         assert "unknown rule ids: CHX999" in err
         assert "CHX012" in err  # deep rule ids are known too
 
+    @pytest.mark.parametrize(
+        "rule_id", ["CHX013", "CHX014", "CHX015", "CHX017"]
+    )
+    def test_removed_rule_ids_are_unknown_again(
+        self, tmp_path, capsys, rule_id
+    ):
+        assert main(
+            ["check", str(tmp_path), "--deep", "--rules", rule_id]
+        ) == 2
+        assert f"unknown rule ids: {rule_id}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("extra", [[], ["--deep"]], ids=["local", "deep"])
+    def test_missing_path_exits_2_without_traceback(
+        self, tmp_path, capsys, extra
+    ):
+        missing = str(tmp_path / "nonexistent")
+        assert main(["check", missing, *extra]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == (
+            f"check: no such file or directory: {missing}\n"
+        )
+        assert captured.out == ""
+
     def test_stats_prints_per_rule_counts(self, tmp_path, capsys):
         sim = tmp_path / "sim"
         sim.mkdir()
@@ -623,6 +655,104 @@ class TestCheckCommand:
         (tmp_path / "ok.py").write_text("x = 1\n")
         assert main(["check", str(tmp_path), "--rules", "CHX008"]) == 0
         assert "pass --deep" in capsys.readouterr().err
+
+
+# ---------------------------------------------------------------------------
+# Baseline ratchet
+
+
+def _finding(file="core/reduce.py", rule="CHX016", line=4, message=None):
+    return Finding(
+        file=file,
+        line=line,
+        rule_id=rule,
+        severity="error",
+        message=message or "additive fold at line %d has no fixed order" % line,
+    )
+
+
+def _write_kernel(path, name):
+    """A gather-family kernel with an unordered float fold (one CHX016)."""
+    path.parent.mkdir(parents=True, exist_ok=True)
+    path.write_text(
+        textwrap.dedent(
+            f"""
+            def {name}(accum, other):
+                accum += other
+                return accum
+            """
+        )
+    )
+
+
+class TestBaselineRatchet:
+    def test_fingerprint_is_line_stable(self):
+        a = _finding(line=4, message="additive fold at line 4 unordered")
+        b = _finding(line=90, message="additive fold at line 90 unordered")
+        assert fingerprint(a) == fingerprint(b)
+        c = _finding(message="a different defect entirely")
+        assert fingerprint(a) != fingerprint(c)
+
+    def test_round_trip_and_split(self, tmp_path):
+        path = str(tmp_path / "baseline.json")
+        old = _finding(message="known defect")
+        count = write_baseline([old, old], path)
+        assert count == 1
+        baseline = load_baseline(path)
+        fresh = _finding(message="brand new defect")
+        new, grandfathered = split_new([old, fresh], baseline)
+        assert new == [fresh]
+        assert grandfathered == [old]
+        stats = baseline_stats([old, fresh], baseline)
+        assert stats == {"entries": 1, "matched": 1, "new": 1, "stale": 0}
+
+    def test_version_mismatch_rejected(self, tmp_path):
+        path = tmp_path / "baseline.json"
+        path.write_text(json.dumps({"baseline_version": 999, "entries": []}))
+        with pytest.raises(ValueError):
+            load_baseline(str(path))
+
+    def test_cli_ratchet_suppresses_old_fails_new(self, tmp_path, capsys):
+        pkg = tmp_path / "pkg"
+        _write_kernel(pkg / "core" / "reduce.py", "merge")
+        (pkg / "core" / "__init__.py").write_text("")
+        baseline = str(tmp_path / "baseline.json")
+
+        code = main(
+            ["check", str(pkg), "--deep", "--baseline", baseline,
+             "--write-baseline"]
+        )
+        assert code == 0
+        assert "baseline:" in capsys.readouterr().err
+
+        code = main(["check", str(pkg), "--deep", "--baseline", baseline])
+        captured = capsys.readouterr()
+        assert code == 0
+        assert "grandfathered" in captured.err
+
+        # A brand-new finding in another file must fail the ratchet.
+        _write_kernel(pkg / "core" / "fresh.py", "gather")
+        code = main(["check", str(pkg), "--deep", "--baseline", baseline])
+        out = capsys.readouterr().out
+        assert code == 1
+        assert "fresh.py" in out
+        assert "reduce.py" not in out
+
+    def test_cli_write_baseline_requires_baseline(self, tmp_path, capsys):
+        assert main(["check", str(tmp_path), "--write-baseline"]) == 2
+        capsys.readouterr()
+
+
+# ---------------------------------------------------------------------------
+# Docs: README's rule table lists exactly the rules that exist
+
+
+def test_readme_rule_table_matches_the_engine():
+    readme = Path(__file__).resolve().parent.parent / "README.md"
+    documented = set(
+        re.findall(r"^\| (CHX\d{3}) \|", readme.read_text(), re.MULTILINE)
+    )
+    assert documented == set(full_rule_table())
 
 
 # ---------------------------------------------------------------------------

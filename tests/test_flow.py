@@ -1,24 +1,29 @@
 """Tests for the interprocedural flow layer (``check --deep``).
 
 Covers the project index / call graph builders, the CFG helpers, the
-taint framework, and rules CHX008-CHX012 — each against a small fixture
-package with *planted* violations, asserting that exactly the planted
-sites are reported and that inline suppressions are honored.  Also
-self-hosts the deep check on ``src/`` (must be clean) and verifies the
-call-graph resolution floor.
+taint framework, and rules CHX008-CHX012, CHX016 and CHX018 — each
+against a small fixture package with *planted* violations, asserting
+that exactly the planted sites are reported and that inline suppressions
+are honored.  Also self-hosts the deep check on ``src/`` (must be clean)
+and verifies the call-graph resolution floor, the analyzer-version cache
+key and the Workload-dispatch call-graph contract.
 """
 
 import ast
 import json
 import textwrap
 
+import pytest
+
 from repro.analysis.flow import (
     CFG,
     CallGraph,
     DeepEngine,
     ProjectIndex,
+    build_call_graph,
     collect_focus_kinds,
     collect_race_candidates,
+    default_deep_rules,
     definitely_terminates,
     yield_lines,
 )
@@ -491,6 +496,54 @@ class TestCHX010:
         assert [f.line for f in result.result.suppressed] == [5]
 
 
+class TestCompoundHeaderSuppression:
+    """A ``chaos: ignore`` comment reaches a finding anchored at a
+    compound statement's first line from any *header* line — never from
+    the body.  CHX010 reports on the ``if`` line."""
+
+    def _check(self, tmp_path, lopsided):
+        files = dict(CHX010_FIXTURE)
+        files["proj/sim/eng.py"] = files["proj/sim/eng.py"].replace(
+            "        if flag:\n            self.barrier.wait()\n",
+            lopsided,
+            1,
+        )
+        assert files != CHX010_FIXTURE
+        build_pkg(tmp_path, files)
+        return deep_check(tmp_path, rules={"CHX010"})
+
+    def test_trailing_comment_on_condition_suppresses_header_finding(
+        self, tmp_path
+    ):
+        result = self._check(
+            tmp_path,
+            "        if (\n"
+            "            flag  # chaos: ignore[CHX010] lopsided on purpose\n"
+            "        ):\n"
+            "            self.barrier.wait()\n",
+        )
+        assert findings_of(result, "CHX010") == []
+        assert [f.rule_id for f in result.result.suppressed] == ["CHX010"]
+
+    def test_one_liner_body_on_header_closing_line_suppresses(self, tmp_path):
+        result = self._check(
+            tmp_path,
+            "        if (\n"
+            "            flag\n"
+            "        ): self.barrier.wait()  # chaos: ignore[CHX010]\n",
+        )
+        assert findings_of(result, "CHX010") == []
+        assert [f.rule_id for f in result.result.suppressed] == ["CHX010"]
+
+    def test_comment_inside_body_does_not_silence_header(self, tmp_path):
+        result = self._check(
+            tmp_path,
+            "        if flag:\n"
+            "            self.barrier.wait()  # chaos: ignore[CHX010]\n",
+        )
+        assert [f.line for f in findings_of(result, "CHX010")] == [5]
+
+
 # ---------------------------------------------------------------------------
 # CHX011: cross-module generator hygiene
 # ---------------------------------------------------------------------------
@@ -618,6 +671,59 @@ class TestCHX012:
         kinds = collect_focus_kinds(["src"])
         assert "vertex" in kinds
         assert "accum" in kinds
+
+
+# ---------------------------------------------------------------------------
+# CHX016: order-sensitive float accumulation (backs ``order_sensitive``)
+# ---------------------------------------------------------------------------
+
+
+CHX016_FIXTURE = {
+    "core/__init__.py": "",
+    "core/reduce.py": """
+        def merge(accum, other):
+            accum += other
+            return accum
+    """,
+}
+
+
+class TestPlantedFixtures:
+    @pytest.mark.parametrize(
+        "rule_id, fixture, fragment",
+        [
+            ("CHX016", CHX016_FIXTURE, "additive fold"),
+        ],
+    )
+    def test_rule_fires_exactly_once(self, tmp_path, rule_id, fixture, fragment):
+        build_pkg(tmp_path, fixture)
+        result = deep_check(tmp_path)
+        found = findings_of(result, rule_id)
+        assert len(found) == 1, [str(f) for f in found]
+        assert fragment in found[0].message
+
+    def test_chx016_exempt_when_caller_fixes_order(self, tmp_path):
+        build_pkg(
+            tmp_path,
+            {
+                "core/__init__.py": "",
+                "core/reduce.py": """
+                    def canonical_update_order(updates):
+                        return sorted(updates)
+
+                    def merge(accum, other):
+                        accum += other
+                        return accum
+
+                    def fold_all(accum, updates):
+                        for u in canonical_update_order(updates):
+                            accum = merge(accum, u)
+                        return accum
+                """,
+            },
+        )
+        result = deep_check(tmp_path)
+        assert findings_of(result, "CHX016") == []
 
 
 # ---------------------------------------------------------------------------
@@ -789,34 +895,68 @@ class TestDeepEngine:
         assert sorted(f.line for f in result.result.findings) == [4, 6]
 
     def test_deep_rule_table_matches_engine(self):
-        assert sorted(DEEP_RULE_TABLE) == [
-            "CHX008",
-            "CHX009",
-            "CHX010",
-            "CHX011",
-            "CHX012",
-            "CHX013",
-            "CHX014",
-            "CHX015",
-            "CHX016",
-            "CHX017",
-            "CHX018",
-            "CHX019",
-            "CHX020",
-            "CHX021",
-            "CHX022",
-            "CHX023",
-        ]
-        assert DeepEngine().rule_ids() == sorted(DEEP_RULE_TABLE)
+        # CHX013/014/015/017 were removed in PR 23; ids are never reused.
+        kept = [f"CHX{n:03d}" for n in (8, 9, 10, 11, 12, 16, *range(18, 24))]
+        assert [rule.rule_id for rule in default_deep_rules()] == kept
+        assert sorted(DEEP_RULE_TABLE) == kept
+        assert DeepEngine().rule_ids() == kept
+
+
+class TestAnalyzerVersionCacheKey:
+    def test_version_bump_invalidates_cache(self, tmp_path, monkeypatch):
+        pkg = build_pkg(tmp_path / "pkg", CHX016_FIXTURE)
+        cache = tmp_path / "cache"
+        engine = DeepEngine()
+        first = engine.check_paths([str(pkg)], cache_dir=str(cache))
+        assert first.cache_hit is False
+        second = engine.check_paths([str(pkg)], cache_dir=str(cache))
+        assert second.cache_hit is True
+
+        monkeypatch.setattr(
+            "repro.analysis.flow.engine.ANALYZER_VERSION", 99
+        )
+        third = engine.check_paths([str(pkg)], cache_dir=str(cache))
+        assert third.cache_hit is False
+        assert [f.rule_id for f in third.result.findings] == ["CHX016"]
+
+
+class TestWorkloadDispatch:
+    def test_engine_resolves_workload_kernels_through_base(self):
+        index = ProjectIndex.build(["src"])
+        graph = build_call_graph(index)
+
+        def targets_of(caller, callee):
+            return {
+                target
+                for site in graph.call_sites_in(caller)
+                if site.name == callee
+                for target in site.targets
+            }
+
+        process_chunk = "repro.core.compute.ComputationEngine._process_chunk"
+        scatter = targets_of(process_chunk, "scatter_chunk")
+        assert "repro.core.workload.Workload.scatter_chunk" in scatter
+        assert "repro.core.workload.DataWorkload.scatter_chunk" in scatter
+        assert "repro.core.workload.ModelWorkload.scatter_chunk" in scatter
+        gather = targets_of(process_chunk, "gather_chunk")
+        assert "repro.core.workload.DataWorkload.gather_chunk" in gather
+        apply_ = targets_of(
+            "repro.core.compute.ComputationEngine._finish_gather_master",
+            "apply_partition",
+        )
+        assert "repro.core.workload.DataWorkload.apply_partition" in apply_
+
+        stats = graph.resolution_stats()
+        assert stats["project_resolution_fraction"] >= 0.95
 
 
 class TestDeepSelfHost:
     def test_src_is_clean_under_deep_check(self):
         """The repo self-hosts its own interprocedural rules.
 
-        CHX013–017 grandfather their day-one findings through the
-        committed baseline (that worklist is what the vectorization
-        arc burns down); anything *new* fails here.
+        The two CHX021 untimed waits in ``core/compute.py`` are
+        grandfathered through the committed baseline (ROADMAP item 4
+        fixes them); anything *new* fails here.
         """
         result = DeepEngine().check_paths(["src"])
         baseline = load_baseline(".chaos-baseline.json")

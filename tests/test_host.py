@@ -333,3 +333,37 @@ class TestHostclockContract:
         finally:
             hostclock.stop_allocation_tracing()
         assert not hostclock.allocation_tracing_active()
+
+
+# ---------------------------------------------------------------------------
+# The ``job`` keys that say which run a metrics document describes
+
+
+class TestHostJobKeys:
+    @staticmethod
+    def _doc(machines=2):
+        profiler = HostProfiler()
+        run_algorithm(
+            PageRank(iterations=4), rmat_graph(7, seed=7), machines=machines,
+            host=profiler,
+        )
+        registry = profiler.finalize()
+        registry.job = {
+            "algorithm": "PR",
+            "cli_name": "PR",
+            "machines": machines,
+            "seed": 0,
+        }
+        return registry.to_dict()
+
+    def test_job_keys_survive_to_dict_and_schema(self):
+        doc = self._doc(machines=2)
+        assert doc["job"] == {
+            "algorithm": "PR", "cli_name": "PR", "machines": 2, "seed": 0,
+        }
+        assert check_host_schema(doc) == []
+
+    def test_schema_rejects_malformed_job(self):
+        doc = self._doc()
+        doc["job"] = {"algorithm": 7}
+        assert check_host_schema(doc)

@@ -34,10 +34,6 @@ class KCore(GasAlgorithm):
     name = "kcore"
     needs_undirected = True
     needs_out_degrees = True
-    # The fold below is exact in any order — an integer sum, like a min
-    # or max over any dtype, never rounds — so the runtime need not sort
-    # the updates first.  A float sum must keep the default (True).
-    order_sensitive = False
     update_bytes = 8
     vertex_bytes = 8
     accum_bytes = 4
@@ -73,6 +69,9 @@ class KCore(GasAlgorithm):
         return np.zeros(n, dtype=np.int64)
 
     def gather(self, accum, dst_local, values, state=None):
+        # Updates arrive in a schedule-dependent order, so the fold must
+        # be exact in any order.  An integer sum is, like a min or a max;
+        # a float sum would go through repro.core.gas.exact_add_at.
         np.add.at(accum, dst_local, values)
 
     def apply(self, values, accum, iteration):

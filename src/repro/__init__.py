@@ -44,6 +44,7 @@ from repro.core import (
     GasAlgorithm,
     GraphContext,
     JobResult,
+    exact_add_at,
     run_algorithm,
 )
 from repro.core.runtime import GraphSpec
@@ -94,6 +95,7 @@ __all__ = [
     "WCC",
     "bfs_profile",
     "data_commons_like",
+    "exact_add_at",
     "extract_profile",
     "fixed_profile",
     "project_capacity",

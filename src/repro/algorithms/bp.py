@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.core.gas import GasAlgorithm, GraphContext, State
+from repro.core.gas import GasAlgorithm, GraphContext, State, exact_add_at
 
 
 class BeliefPropagation(GasAlgorithm):
@@ -67,7 +67,7 @@ class BeliefPropagation(GasAlgorithm):
         return np.zeros(n, dtype=np.float64)
 
     def gather(self, accum, dst_local, values, state=None) -> None:
-        np.add.at(accum, dst_local, values)
+        exact_add_at(accum, dst_local, values)
 
     def combine_updates(self, dst, values):
         from repro.algorithms.combiners import combine_by_sum

@@ -16,7 +16,14 @@ import numpy as np
 def combine_by_sum(
     dst: np.ndarray, values: np.ndarray
 ) -> Tuple[np.ndarray, np.ndarray]:
-    """One summed update per distinct destination."""
+    """One summed update per distinct destination.
+
+    Over floats the partial sum rounds, and what it sums is whatever one
+    worker's buffer held — a function of the schedule — so a combined
+    float-sum job is not byte-identical across machine counts, stealing
+    or recovery (an exact fold at the master cannot undo a rounding
+    made before it).
+    """
     unique_dst, inverse = np.unique(dst, return_inverse=True)
     combined = np.zeros(len(unique_dst), dtype=values.dtype)
     np.add.at(combined, inverse, values)
@@ -28,16 +35,6 @@ def combine_by_min(
 ) -> Tuple[np.ndarray, np.ndarray]:
     """One minimum update per distinct destination."""
     order = np.lexsort((values, dst))
-    sorted_dst = dst[order]
-    unique_dst, first = np.unique(sorted_dst, return_index=True)
-    return unique_dst, values[order[first]]
-
-
-def combine_by_max(
-    dst: np.ndarray, values: np.ndarray
-) -> Tuple[np.ndarray, np.ndarray]:
-    """One maximum update per distinct destination."""
-    order = np.lexsort((-values, dst))
     sorted_dst = dst[order]
     unique_dst, first = np.unique(sorted_dst, return_index=True)
     return unique_dst, values[order[first]]

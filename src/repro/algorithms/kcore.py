@@ -33,7 +33,6 @@ class KCore(GasAlgorithm):
 
     name = "KCore"
     needs_undirected = True
-    order_sensitive = False  # integer sum: exact in any order
     needs_out_degrees = True
     update_bytes = 8
     vertex_bytes = 8
@@ -75,7 +74,7 @@ class KCore(GasAlgorithm):
         return np.zeros(n, dtype=np.int64)
 
     def gather(self, accum, dst_local, values, state=None) -> None:
-        np.add.at(accum, dst_local, values)
+        np.add.at(accum, dst_local, values)  # chaos: ignore[CHX016] integer sum: exact in any order
 
     def combine_updates(self, dst, values):
         from repro.algorithms.combiners import combine_by_sum

@@ -88,9 +88,10 @@ class _MinEdgePick(GasAlgorithm):
 
     def gather(self, accum, dst_local, values, state=None) -> None:
         # Reduce the chunk to one candidate per destination first
-        # (sorted by dst, then edge key), then compare against accum.
+        # (sorted by dst, then edge key, then sender, so a tie is broken
+        # by value and not by arrival), then compare against accum.
         order = np.lexsort(
-            (values["k2"], values["k1"], values["weight"], dst_local)
+            (values["src"], values["k2"], values["k1"], values["weight"], dst_local)
         )
         sorted_dst = dst_local[order]
         unique_dst, first = np.unique(sorted_dst, return_index=True)

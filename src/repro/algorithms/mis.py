@@ -35,7 +35,6 @@ class MIS(GasAlgorithm):
 
     name = "MIS"
     needs_undirected = True
-    order_sensitive = False  # min fold: exact in any order
     needs_out_degrees = True
     update_bytes = 8
     vertex_bytes = 8

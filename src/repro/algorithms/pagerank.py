@@ -16,7 +16,7 @@ from typing import Optional, Tuple
 
 import numpy as np
 
-from repro.core.gas import GasAlgorithm, GraphContext, State
+from repro.core.gas import GasAlgorithm, GraphContext, State, exact_add_at
 
 
 class PageRank(GasAlgorithm):
@@ -68,7 +68,7 @@ class PageRank(GasAlgorithm):
         values: np.ndarray,
         state=None,
     ) -> None:
-        np.add.at(accum, dst_local, values)
+        exact_add_at(accum, dst_local, values)
 
     def combine_updates(self, dst, values):
         from repro.algorithms.combiners import combine_by_sum

@@ -40,7 +40,6 @@ class _ForwardColor(GasAlgorithm):
     """Max-label propagation over out-edges, restricted to unassigned."""
 
     name = "SCC/forward"
-    order_sensitive = False  # max fold: exact in any order
     update_bytes = 8
     vertex_bytes = 16
     accum_bytes = 8
@@ -80,7 +79,6 @@ class _BackwardConfirm(GasAlgorithm):
     """Confirmation wave along transposed edges within one color class."""
 
     name = "SCC/backward"
-    order_sensitive = False  # max fold: exact in any order
     update_bytes = 8
     vertex_bytes = 16
     accum_bytes = 8

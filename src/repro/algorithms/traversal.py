@@ -26,7 +26,6 @@ class BFS(GasAlgorithm):
 
     name = "BFS"
     needs_undirected = True
-    order_sensitive = False  # min fold: exact in any order
     update_bytes = 8  # destination id + proposed parent id (compact)
     vertex_bytes = 8
     accum_bytes = 4
@@ -100,7 +99,6 @@ class WCC(GasAlgorithm):
 
     name = "WCC"
     needs_undirected = True
-    order_sensitive = False  # min fold: exact in any order
     update_bytes = 8
     vertex_bytes = 8
     accum_bytes = 4
@@ -151,10 +149,6 @@ class SSSP(GasAlgorithm):
     name = "SSSP"
     needs_undirected = True
     needs_weights = True
-    # A float min is exact in any order: it returns an operand, it does
-    # not round.  (Distances start at +0.0 and only grow by addition,
-    # so the one order-dependent tie, -0.0 against 0.0, cannot occur.)
-    order_sensitive = False
     update_bytes = 8  # destination id + float distance (compact)
     vertex_bytes = 8
     accum_bytes = 4
@@ -191,6 +185,9 @@ class SSSP(GasAlgorithm):
         return np.full(n, np.inf, dtype=np.float64)
 
     def gather(self, accum, dst_local, values, state=None) -> None:
+        # A float min returns an operand unrounded.  Distances start at
+        # +0.0 and only grow by addition, so the one order-dependent tie,
+        # -0.0 against 0.0, cannot occur.
         np.minimum.at(accum, dst_local, values)
 
     def combine_updates(self, dst, values):

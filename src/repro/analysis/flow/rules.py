@@ -8,8 +8,8 @@ engine applies inline suppressions afterwards, exactly like the local
 engine does.
 
 CHX008–012 guard the determinism invariant of the runtime; CHX016
-guards the one order-sensitive step left in it (float folds must go
-through ``canonical_update_order``).  CHX018 guards the chaos
+guards the one order-sensitive step left in it (float sums must fold
+through ``exact_add_at``).  CHX018 guards the chaos
 fuzzer's replay contract: every RNG in the fault-injection and fuzzing
 packages must be seeded, or shrunk reproducer plans stop reproducing.
 CHX019–023 stand on the extracted protocol model
@@ -59,7 +59,9 @@ HOT_PACKAGES: FrozenSet[str] = SIM_PACKAGES | frozenset({"algorithms"})
 #:     unfenced receives, untimed waits, lopsided barrier arrives,
 #:     ghost message kinds).
 #: 5 — CHX013/014/015/017 and the loop/escape analyses removed.
-ANALYZER_VERSION = 5
+#: 6 — CHX016 exempts a fold that calls ``exact_add_at`` (it used to
+#:     exempt a kernel whose caller sorted with ``canonical_update_order``).
+ANALYZER_VERSION = 6
 
 
 class DeepContext:
@@ -816,31 +818,31 @@ class StaticRaceCandidateRule(DeepRule):
 
 
 # ---------------------------------------------------------------------------
-# CHX016: order-sensitive float accumulation outside the protocol
+# CHX016: float accumulation that does not go through the exact fold
 # ---------------------------------------------------------------------------
 
-#: The gather-side kernels whose accumulation order the protocol must
-#: pin (scatter produces, these fold).
+#: The gather-side kernels that fold updates (scatter produces, these
+#: fold), in whatever order the schedule delivered them.
 _GATHER_FAMILY = frozenset(
     {"gather", "gather_chunk", "merge", "merge_accumulators"}
 )
 
-_CANONICAL_ORDER_CALL = "canonical_update_order"
+_EXACT_FOLD_CALL = "exact_add_at"
 
 
 class UnorderedReductionRule(DeepRule):
-    """Float ``+=`` accumulation is order-sensitive (float addition is
-    not associative).  Today the runtime replays updates in the
-    canonical order of ``canonical_update_order`` before folding, so
-    results are byte-identical; once reductions go parallel, any
-    accumulation *not* routed through that ordering step becomes
-    schedule-dependent.  Flags additive folds in gather-family kernels
-    whose reduction order no caller fixes.
+    """Float ``+=`` accumulation is order-sensitive (every ``+``
+    rounds), and the runtime folds updates in arrival order, which
+    stealing and recovery change.  A float sum must go through
+    ``exact_add_at``, whose result is the same in any order.  Flags
+    additive folds in gather-family kernels that do not call it; an
+    integer sum is exact in any order and says so with an inline
+    suppression.
     """
 
     rule_id = "CHX016"
     severity = "warning"
-    title = "order-sensitive float accumulation not fixed by the protocol"
+    title = "order-sensitive float accumulation not routed through exact_add_at"
 
     def run(self, ctx: DeepContext) -> Iterator[Finding]:
         for func in ctx.index.iter_functions():
@@ -850,25 +852,16 @@ class UnorderedReductionRule(DeepRule):
                 part in HOT_PACKAGES for part in func.module.split(".")
             ):
                 continue
-            if self._order_is_fixed(ctx, func):
+            if self._folds_exactly(ctx, func):
                 continue
             yield from self._additive_folds(func)
 
-    def _order_is_fixed(self, ctx: DeepContext, func: FunctionInfo) -> bool:
-        """The function itself, or a direct caller, sorts updates into
-        canonical order before (or around) the fold."""
-        if self._calls_canonical(ctx, func.qualname):
-            return True
-        for caller in ctx.graph.callers_of(func.qualname):
-            if self._calls_canonical(ctx, caller):
-                return True
-        return False
-
     @staticmethod
-    def _calls_canonical(ctx: DeepContext, qualname: str) -> bool:
+    def _folds_exactly(ctx: DeepContext, func: FunctionInfo) -> bool:
+        """The function's fold goes through ``exact_add_at``."""
         return any(
-            site.name == _CANONICAL_ORDER_CALL
-            for site in ctx.graph.call_sites_in(qualname)
+            site.name == _EXACT_FOLD_CALL
+            for site in ctx.graph.call_sites_in(func.qualname)
         )
 
     def _additive_folds(self, func: FunctionInfo) -> Iterator[Finding]:
@@ -882,11 +875,10 @@ class UnorderedReductionRule(DeepRule):
                 yield self._finding(
                     func.file,
                     node.lineno,
-                    f"additive fold '{target} += …' in {func.name} has no "
-                    f"protocol-fixed reduction order; float addition is "
-                    f"not associative — route updates through "
-                    f"canonical_update_order before folding, or switch "
-                    f"to an order-insensitive combine",
+                    f"additive fold '{target} += …' in {func.name} depends "
+                    f"on the order updates arrive in; float addition is "
+                    f"not associative — fold float sums with exact_add_at, "
+                    f"or switch to an order-insensitive combine",
                 )
             elif isinstance(node, ast.Call):
                 chain = attr_chain(node.func)
@@ -897,10 +889,9 @@ class UnorderedReductionRule(DeepRule):
                         func.file,
                         node.lineno,
                         f"'{'.'.join(chain)}(…)' in {func.name} folds "
-                        f"updates in buffer order with no protocol-fixed "
-                        f"reduction order; float addition is not "
-                        f"associative — sort with canonical_update_order "
-                        f"first",
+                        f"updates in arrival order; float addition is not "
+                        f"associative — use exact_add_at, which gives the "
+                        f"same bits in any order",
                     )
 
 

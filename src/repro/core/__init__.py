@@ -14,7 +14,7 @@ from repro.core.batching import (
     utilization_limit,
 )
 from repro.core.config import ClusterConfig
-from repro.core.gas import GasAlgorithm, GraphContext
+from repro.core.gas import GasAlgorithm, GraphContext, exact_add_at
 from repro.core.metrics import Breakdown, IterationStats, JobResult
 from repro.core.runtime import ChaosCluster, run_algorithm
 from repro.core.stealing import StealDecision, should_accept_steal
@@ -29,6 +29,7 @@ __all__ = [
     "JobResult",
     "StealDecision",
     "amplification_factor",
+    "exact_add_at",
     "request_window",
     "run_algorithm",
     "should_accept_steal",

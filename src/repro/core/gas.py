@@ -16,23 +16,21 @@ in their accumulation effects), which the runtime exploits for parallel
 execution and stealer-accumulator merging — exactly the requirement the
 paper states at the end of Section 2.
 
-**The ``order_sensitive`` contract.**  "Commutative and associative" in
-the paper is a statement about real numbers; the runtime's invariant is
-about *bits* (a fault-injected or work-stolen run must equal an
-undisturbed one byte for byte).  A fold is *exact in any order* when
-every permutation of one update multiset leaves a bit-identical
-accumulator.  ``min``/``max`` — over floats too — qualify: they return
-one of their operands unrounded, so the result is the extreme element
-whichever way the comparisons nest (two operands that compare equal
-but differ in bits, ``-0.0``/``0.0`` or NaNs with different payloads,
-are the one exception; an algorithm whose scatter can emit those keeps
-the default).  Integer sums qualify: wrap-around addition is
-associative.  Float sums do not: every ``+`` rounds, so ``(a + b) + c``
-and ``a + (b + c)`` can differ in the last bit.  An algorithm that
-declares ``order_sensitive = False`` gets its updates folded as they
-arrived; everything else (the default) gets them replayed in the
-canonical order of :func:`repro.core.workload.canonical_update_order`,
-which costs a sort per partition per iteration.
+**The contract: gather must be exact in any order.**  "Commutative and
+associative" in the paper is a statement about real numbers; the
+runtime's invariant is about *bits* (a fault-injected or work-stolen run
+must equal an undisturbed one byte for byte), and the runtime folds
+updates in whatever order they arrived.  A fold is *exact in any order*
+when every permutation of one update multiset leaves a bit-identical
+accumulator.  ``min``/``max`` — over floats too — are: they return one
+of their operands unrounded, so the result is the extreme element
+whichever way the comparisons nest (two operands that compare equal but
+differ in bits, ``-0.0``/``0.0`` or NaNs with different payloads, are
+the one exception, so a scatter must not emit both).  Integer sums are:
+wrap-around addition is associative.  Float sums are not — every ``+``
+rounds, so ``(a + b) + c`` and ``a + (b + c)`` can differ in the last
+bit — so float sums go through :func:`exact_add_at`, whose per-vertex
+result is a function of that vertex's update multiset alone.
 """
 
 from __future__ import annotations
@@ -87,13 +85,6 @@ class GasAlgorithm(abc.ABC):
     needs_weights: bool = False
     #: Requires the runtime to pre-compute out-degrees.
     needs_out_degrees: bool = False
-    #: Whether ``gather``'s result depends, in its bits, on the order of
-    #: the updates it is handed.  ``True`` (the safe default) makes the
-    #: runtime sort every partition's updates into a canonical order
-    #: before folding; set ``False`` only when the fold is exact in any
-    #: order — ``np.minimum.at`` / ``np.maximum.at``, integer sums — and
-    #: never for a float sum (see the module docstring).
-    order_sensitive: bool = True
     #: Fixed iteration count, or None to run until no updates are produced.
     max_iterations: Optional[int] = None
     #: Modelled bytes of one update on the wire/storage (dst id + value).
@@ -143,14 +134,12 @@ class GasAlgorithm(abc.ABC):
     ) -> None:
         """Fold a chunk of update values into the accumulator, in place.
 
-        Must be commutative and associative over updates (Section 2);
-        if it is also exact in any order, say so with
-        ``order_sensitive = False`` and the runtime skips the sort.
-        ``state`` is the partition's vertex state — read-only during
-        gather, available because the vertex set is loaded into memory
-        before streaming updates (Section 5.2); some algorithms (MCST,
-        SCC, Conductance) filter updates against the destination's
-        current value.
+        Must be exact in any order (see the module docstring): the
+        updates come in arrival order.  ``state`` is the partition's
+        vertex state — read-only during gather, available because the
+        vertex set is loaded into memory before streaming updates
+        (Section 5.2); some algorithms (MCST, SCC, Conductance) filter
+        updates against the destination's current value.
         """
 
     def combine_updates(
@@ -215,3 +204,83 @@ def state_slice(values: State, start: int, stop: int) -> State:
     master writing the vertex set back to storage.
     """
     return {name: array[start:stop] for name, array in values.items()}
+
+
+#: Largest ``e`` for which ``1.5 * 2**e`` is a finite float64.
+_TOP_EXPONENT = 1023
+
+
+def exact_add_at(accum: np.ndarray, index: np.ndarray, values: np.ndarray) -> None:
+    """``np.add.at(accum, index, values)`` for a float64 ``accum``, with
+    every vertex's result independent of the order of the updates.
+
+    Reproducible summation (Demmel & Nguyen, ARITH 2013) with one
+    exponent per destination *v*, in two levels:
+
+    * ``e_v`` is the ``frexp`` exponent of the largest ``|x|`` among
+      *v*'s updates (``|x| < 2**e_v``) and ``b_v`` the bit length of
+      their count.  Level 1 works at ``e1 = e_v + b_v + 1``.
+    * ``(x + 1.5 * 2**e1) - 1.5 * 2**e1`` rounds ``x`` to a multiple of
+      ``2**(e1 - 52)``: the sum stays in the constant's binade, so only
+      the addition rounds.  Every partial sum of *v*'s ``q1`` is such a
+      multiple below ``2**(e1 - 1)``, hence a float64, so
+      ``np.bincount`` adds them exactly, in any order.
+    * The remainder ``x - q1`` is exact and is rounded and summed the
+      same way at ``e2 = e1 - 52 + b_v + 1``.
+    * ``accum += s1 + s2`` rounds once.
+
+    Only what lies below ``2**(e2 - 53)`` in each update is dropped —
+    about a hundred bits under *v*'s largest update — so the result is
+    the correctly rounded sum (``math.fsum``) unless updates that far
+    apart cancel.  Either way it is a function of *v*'s update multiset
+    alone: no order, partition boundary or other vertex moves its bits.
+
+    Updates that are not finite take no part in the exponents or sums;
+    they are added afterwards with ``np.add.at``, so such a vertex ends
+    ±inf or NaN whatever the order.  A vertex whose updates come within
+    ``2**(b_v + 2)`` of the overflow threshold is folded at a power-of-two
+    scale and scaled back.  ``values`` is not modified; two 8-byte-per-
+    update temporaries are alive at once (three when scaling).
+    """
+    if accum.dtype != np.float64:
+        raise TypeError(f"exact_add_at folds into float64, not {accum.dtype}")
+    if len(values) == 0:
+        return
+    size = len(accum)
+    spare = np.abs(values, dtype=np.float64)
+    top = np.zeros(size)
+    np.maximum.at(top, index, spare)
+    skip = None
+    if not np.isfinite(top).all():  # an update is ±inf or NaN
+        skip = np.flatnonzero(~np.isfinite(spare))
+        spare[skip] = 0.0
+        top[:] = 0.0
+        np.maximum.at(top, index, spare)
+    grow = np.frexp(np.bincount(index, minlength=size))[1] + 1  # b_v + 1
+    level = np.frexp(top)[1] + grow  # e1
+    shift = np.maximum(level - _TOP_EXPONENT, 0)
+    scaled = values
+    if shift.any():
+        level -= shift
+        scaled = values * np.take(np.ldexp(1.0, -shift), index)
+    # np.maximum.at has bounds-checked every index: "clip" skips a second check.
+    high = np.take(np.ldexp(1.5, level), index, mode="clip")
+    np.add(scaled, high, out=spare)
+    spare -= high  # q1
+    if skip is not None:
+        spare[skip] = 0.0
+    total = np.bincount(index, spare, size)
+    np.subtract(scaled, spare, out=spare)  # x - q1, exact
+    level += grow - 52  # e2
+    np.take(np.ldexp(1.5, level), index, out=high, mode="clip")
+    spare += high
+    spare -= high  # q2
+    if skip is not None:
+        spare[skip] = 0.0
+    total += np.bincount(index, spare, size)
+    if shift.any():
+        with np.errstate(over="ignore"):  # the sum itself overflows
+            total = np.ldexp(total, shift)
+    accum += total
+    if skip is not None:
+        np.add.at(accum, np.take(index, skip), np.take(values, skip))

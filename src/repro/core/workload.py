@@ -43,20 +43,18 @@ class GatherBuffer:
 
     The simulated schedule delivers update chunks in an order that
     depends on device queues, stealing and (under fault injection) on
-    recovery timing.  Floating-point reduction is not associative, so
-    applying updates in arrival order would make the *bits* of the final
-    vertex values schedule-dependent — fatal for the recovery invariant
+    recovery timing, and a gather stealer holds a schedule-dependent
+    subset of them.  Workers therefore buffer the raw
+    ``(dst_local, value)`` pairs while streaming and the master folds
+    the union once, at apply time (a per-worker partial float sum would
+    round over a schedule-dependent subset), in arrival order: every
+    gather is exact in any order (min, max, integer sums, and float sums
+    through :func:`repro.core.gas.exact_add_at`), so each vertex's value
+    is a function of its own update multiset — the recovery invariant
     that a fault-injected run equals an undisturbed run byte for byte.
-
-    Workers therefore buffer the raw ``(dst_local, value)`` pairs while
-    streaming and the master folds the union once, at apply time: in
-    the canonical order of :func:`canonical_update_order` when the
-    algorithm's fold depends on order (``GasAlgorithm.order_sensitive``,
-    e.g. a float sum), and as it arrived when it does not (min, max,
-    integer sums — any order gives the same bits, so none is paid for).
-    The replay is a pure host-side reordering: the simulated timing
-    (per-chunk CPU charges, accumulator ship sizes, merge costs) is
-    untouched.
+    Folding at the master is a pure host-side choice: the simulated
+    timing (per-chunk CPU charges, accumulator ship sizes, merge costs)
+    is untouched.
     """
 
     __slots__ = ("_dst", "_values")
@@ -354,11 +352,10 @@ class DataWorkload(Workload):
     # The accumulator handle workers pass around is a GatherBuffer of
     # raw updates, not the algorithm's numeric accumulator: the numeric
     # reduction happens exactly once per partition per iteration, at
-    # apply time, in canonical update order where the algorithm's fold
-    # is order-sensitive (see GatherBuffer).  The
-    # simulated costs are unchanged — chunk CPU is charged on receipt,
-    # the shipped "accumulator" keeps its accum_bytes wire size, and
-    # merge/apply CPU is charged by the master as before.
+    # apply time, with a fold that is exact in any order (see
+    # GatherBuffer).  The simulated costs are unchanged — chunk CPU is
+    # charged on receipt, the shipped "accumulator" keeps its accum_bytes
+    # wire size, and merge/apply CPU is charged by the master as before.
 
     def begin_gather(self, partition: int):
         return GatherBuffer()
@@ -380,15 +377,7 @@ class DataWorkload(Workload):
         )
         updates = accum.drain() if accum is not None else None
         if updates is not None:
-            dst_local, values = updates
-            del updates  # so the rebinding below frees the originals
-            if self.algorithm.order_sensitive:
-                order = canonical_update_order(dst_local, values)
-                # Each arrival-order array is dropped as soon as its
-                # ordered copy exists.
-                dst_local = dst_local[order]
-                values = values[order]
-            self.algorithm.gather(numeric, dst_local, values, state)
+            self.algorithm.gather(numeric, *updates, state)
         return int(self.algorithm.apply(state, numeric, iteration))
 
     def finished(self, iteration: int, stats) -> bool:

@@ -7,8 +7,8 @@ network and storage devices — rather than being analytically costed.
 
 The keystone invariant: for a fixed ``(config, seed)``, a fault-injected
 run's final vertex values are byte-identical to the undisturbed run's
-(requires ``aggregate_updates=False``, the default — the canonical
-gather ordering makes the numeric reduction schedule-independent).
+(requires ``aggregate_updates=False``, the default — every gather is
+exact in any order, so the numeric reduction is schedule-independent).
 
 Entry points:
 

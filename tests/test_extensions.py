@@ -5,8 +5,9 @@ import numpy as np
 import pytest
 
 from repro.algorithms import BFS, PageRank, WCC
-from repro.algorithms.combiners import combine_by_max, combine_by_min, combine_by_sum
+from repro.algorithms.combiners import combine_by_min, combine_by_sum
 from repro.core.runtime import run_algorithm
+from repro.faults import FaultPlan
 from repro.graph import rmat_graph, to_undirected
 
 from tests.conftest import fast_config
@@ -27,13 +28,6 @@ class TestCombiners:
         out_dst, out_values = combine_by_min(dst, values)
         assert list(out_dst) == [1, 3]
         assert list(out_values) == [2.0, 3.0]
-
-    def test_combine_by_max(self):
-        dst = np.array([0, 0, 1])
-        values = np.array([1.0, 9.0, 5.0])
-        out_dst, out_values = combine_by_max(dst, values)
-        assert list(out_dst) == [0, 1]
-        assert list(out_values) == [9.0, 5.0]
 
     def test_combine_preserves_singletons(self):
         dst = np.array([5])
@@ -77,6 +71,31 @@ class TestUpdateAggregation:
         assert np.array_equal(
             plain.values["distance"], aggregated.values["distance"]
         )
+
+    @pytest.mark.xfail(
+        strict=True,
+        reason="combine_by_sum rounds partial float sums over buffers whose "
+        "contents depend on the schedule; no fold at the master undoes that",
+    )
+    def test_float_sum_aggregation_is_byte_identical_across_configurations(
+        self, small_graph
+    ):
+        def final_bytes(machines, fault=None):
+            config = fast_config(
+                machines,
+                chunk_bytes=4096,
+                aggregate_updates=True,
+                checkpointing=fault is not None,
+            )
+            plan = FaultPlan.parse([fault]) if fault else None
+            result = run_algorithm(
+                PageRank(iterations=3), small_graph, config, fault_plan=plan
+            )
+            return result.values["rank"].tobytes()
+
+        reference = final_bytes(1)
+        assert final_bytes(3) == reference
+        assert final_bytes(3, "crash:1@iter=1") == reference
 
     def test_written_counts_match_produced_without_aggregation(
         self, small_graph

@@ -674,7 +674,7 @@ class TestCHX012:
 
 
 # ---------------------------------------------------------------------------
-# CHX016: order-sensitive float accumulation (backs ``order_sensitive``)
+# CHX016: float accumulation that does not go through ``exact_add_at``
 # ---------------------------------------------------------------------------
 
 
@@ -687,12 +687,23 @@ CHX016_FIXTURE = {
     """,
 }
 
+CHX016_ADD_AT_FIXTURE = {
+    "algorithms/__init__.py": "",
+    "algorithms/rank.py": """
+        import numpy as np
+
+        def gather(accum, dst_local, values):
+            np.add.at(accum, dst_local, values)
+    """,
+}
+
 
 class TestPlantedFixtures:
     @pytest.mark.parametrize(
         "rule_id, fixture, fragment",
         [
             ("CHX016", CHX016_FIXTURE, "additive fold"),
+            ("CHX016", CHX016_ADD_AT_FIXTURE, "use exact_add_at"),
         ],
     )
     def test_rule_fires_exactly_once(self, tmp_path, rule_id, fixture, fragment):
@@ -702,7 +713,27 @@ class TestPlantedFixtures:
         assert len(found) == 1, [str(f) for f in found]
         assert fragment in found[0].message
 
-    def test_chx016_exempt_when_caller_fixes_order(self, tmp_path):
+    def test_chx016_exempt_when_fold_goes_through_exact_add_at(self, tmp_path):
+        build_pkg(
+            tmp_path,
+            {
+                "algorithms/__init__.py": "",
+                "algorithms/rank.py": """
+                    from core.gas import exact_add_at
+
+                    class Rank:
+                        def gather(self, accum, dst_local, values):
+                            exact_add_at(accum, dst_local, values)
+                            self.folded += len(values)
+                """,
+            },
+        )
+        result = deep_check(tmp_path)
+        assert findings_of(result, "CHX016") == []
+
+    def test_chx016_a_sorting_caller_no_longer_exempts(self, tmp_path):
+        """Sorting before the fold was the old exemption; the runtime
+        no longer sorts, so a caller that does proves nothing."""
         build_pkg(
             tmp_path,
             {
@@ -723,7 +754,24 @@ class TestPlantedFixtures:
             },
         )
         result = deep_check(tmp_path)
+        assert len(findings_of(result, "CHX016")) == 1
+
+    def test_chx016_integer_sum_is_suppressed_inline(self, tmp_path):
+        build_pkg(
+            tmp_path,
+            {
+                "algorithms/__init__.py": "",
+                "algorithms/count.py": """
+                    import numpy as np
+
+                    def gather(accum, dst_local, values):
+                        np.add.at(accum, dst_local, values)  # chaos: ignore[CHX016] integer sum
+                """,
+            },
+        )
+        result = deep_check(tmp_path)
         assert findings_of(result, "CHX016") == []
+        assert [f.rule_id for f in result.result.suppressed] == ["CHX016"]
 
 
 # ---------------------------------------------------------------------------
@@ -964,8 +1012,11 @@ class TestDeepSelfHost:
         assert new == []
         assert grandfathered, "baseline should grandfather known findings"
         # Known, justified suppressions only (each carries an inline
-        # ``chaos: ignore`` with a reason next to it in the source).
-        assert len(result.result.suppressed) <= 2
+        # ``chaos: ignore`` with a reason next to it in the source): the
+        # CHX010/022 barrier branch and the two integer-sum CHX016 folds.
+        assert sorted(f.rule_id for f in result.result.suppressed) == [
+            "CHX010", "CHX016", "CHX016", "CHX022"
+        ]
         assert result.resolution["project_resolution_fraction"] >= 0.95
         assert result.candidates, "src/ should contain sanitizer call sites"
 

@@ -869,7 +869,7 @@ class TestRuleRegistration:
 
 class TestAnalyzerVersionCache:
     def test_analyzer_version_bumped_for_protocol_rules(self):
-        assert ANALYZER_VERSION >= 4  # 5 since CHX013/014/015/017 went
+        assert ANALYZER_VERSION >= 4  # 6 since CHX016 looks for exact_add_at
 
     def test_version_bump_invalidates_pickled_deep_index(
         self, tmp_path, monkeypatch

@@ -5,11 +5,12 @@ deterministic function of ``(config, seed)``:
 
 :mod:`repro.analysis.lint`
     An AST-based lint engine with codebase-specific rules (CHX001 …
-    CHX005) that catch determinism hazards at rest: wall-clock calls in
-    simulated-clock packages, unseeded global randomness, compute code
-    reaching past the :class:`~repro.store.engine.StorageEngine`
-    mediation layer, simulator-process hygiene and nondeterministic
-    iteration.  Exposed as ``chaos-repro check``.
+    CHX007) that catch determinism hazards at rest: wall-clock calls in
+    simulated-clock packages, compute code reaching past the
+    :class:`~repro.store.engine.StorageEngine` mediation layer,
+    nondeterministic iteration, broad excepts and ad-hoc telemetry.
+    Exposed as ``chaos-repro check``; ``check --deep`` adds the
+    whole-program rules of :mod:`repro.analysis.flow`.
 
 :mod:`repro.analysis.sanitizer`
     A TSan-style happens-before race detector for the emulated cluster:
@@ -19,14 +20,6 @@ deterministic function of ``(config, seed)``:
     ``chaos-repro run --sanitize``.
 """
 
-from repro.analysis.baseline import (
-    BASELINE_VERSION,
-    baseline_stats,
-    fingerprint,
-    load_baseline,
-    split_new,
-    write_baseline,
-)
 from repro.analysis.findings import (
     Finding,
     format_github,
@@ -38,15 +31,9 @@ from repro.analysis.rules import DEFAULT_RULES, default_rules, full_rule_table
 from repro.analysis.sanitizer import Race, RaceAccess, Sanitizer
 
 __all__ = [
-    "BASELINE_VERSION",
     "DEFAULT_RULES",
-    "baseline_stats",
     "default_rules",
-    "fingerprint",
     "full_rule_table",
-    "load_baseline",
-    "split_new",
-    "write_baseline",
     "FileContext",
     "Finding",
     "format_github",

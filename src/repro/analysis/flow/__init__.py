@@ -6,14 +6,12 @@ Structure:
   imports, ``__init__`` re-exports.
 * :mod:`callgraph` — call sites resolved to project targets, with
   explicit resolution kinds and reachability queries.
-* :mod:`cfg` — per-function statement CFGs and path-shape helpers.
 * :mod:`dataflow` — forward taint with interprocedural summaries.
-* :mod:`rules` — CHX008–012, CHX016 and CHX018–023.
+* :mod:`rules` — CHX008, CHX010–012, CHX016, CHX018–021 and CHX023.
 * :mod:`engine` — the cached ``check --deep`` driver.
 """
 
 from repro.analysis.flow.callgraph import CallGraph, CallSite, build_call_graph
-from repro.analysis.flow.cfg import CFG, definitely_terminates, yield_lines
 from repro.analysis.flow.dataflow import FunctionSummary, SinkReport, TaintAnalysis
 from repro.analysis.flow.engine import (
     DeepEngine,
@@ -36,11 +34,11 @@ from repro.analysis.flow.rules import (
     RaceCandidate,
     collect_race_candidates,
     default_deep_rules,
+    definitely_terminates,
 )
 
 __all__ = [
     "ANALYZER_VERSION",
-    "CFG",
     "CallGraph",
     "CallSite",
     "ClassInfo",
@@ -63,5 +61,4 @@ __all__ = [
     "definitely_terminates",
     "module_name_for",
     "source_tree_hash",
-    "yield_lines",
 ]

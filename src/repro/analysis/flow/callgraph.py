@@ -191,9 +191,6 @@ class CallGraph:
     def call_sites_in(self, qualname: str) -> List[CallSite]:
         return self.sites.get(qualname, [])
 
-    def callees(self, qualname: str) -> Set[str]:
-        return self.edges.get(qualname, set())
-
     def reachable(self, start: str) -> Set[str]:
         """Every function transitively callable from ``start`` (inclusive)."""
         seen: Set[str] = set()
@@ -205,24 +202,6 @@ class CallGraph:
             seen.add(current)
             stack.extend(self.edges.get(current, ()))
         return seen
-
-    def can_reach(self, start: str, targets: Set[str]) -> bool:
-        seen: Set[str] = set()
-        stack = [start]
-        while stack:
-            current = stack.pop()
-            if current in targets:
-                return True
-            if current in seen:
-                continue
-            seen.add(current)
-            stack.extend(self.edges.get(current, ()))
-        return False
-
-    def callers_of(self, qualname: str) -> Set[str]:
-        return {
-            caller for caller, callees in self.edges.items() if qualname in callees
-        }
 
     # -- statistics -----------------------------------------------------
 

@@ -2,7 +2,7 @@
 
 The framework answers one question interprocedurally: *can a
 host-nondeterministic value (wall clock, host RNG, host object
-identity) reach simulated state?*  Locally, CHX001/CHX002 catch the
+identity) reach simulated state?*  Locally, CHX001 catches the
 source expression — but only when source and sink share a line of the
 same sim-package file.  A value laundered through a helper in
 ``graph/`` or ``perf/`` and then passed into a sim-package call was

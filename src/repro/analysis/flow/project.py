@@ -384,17 +384,6 @@ class ProjectIndex:
     def iter_functions(self) -> Iterable[FunctionInfo]:
         return self.functions.values()
 
-    def source_of(self, file: str) -> Optional[str]:
-        for module in self.modules.values():
-            if module.file == file:
-                return module.source
-        return None
-
-    def generator_functions(self) -> Dict[str, FunctionInfo]:
-        return {
-            qual: fn for qual, fn in self.functions.items() if fn.is_generator
-        }
-
 
 def enclosing_class_of(
     module: ModuleInfo, func: FunctionInfo

@@ -7,26 +7,24 @@ plain :class:`~repro.analysis.findings.Finding` objects; the deep
 engine applies inline suppressions afterwards, exactly like the local
 engine does.
 
-CHX008–012 guard the determinism invariant of the runtime; CHX016
-guards the one order-sensitive step left in it (float sums must fold
-through ``exact_add_at``).  CHX018 guards the chaos
-fuzzer's replay contract: every RNG in the fault-injection and fuzzing
-packages must be seeded, or shrunk reproducer plans stop reproducing.
-CHX019–023 stand on the extracted protocol model
-(:mod:`repro.analysis.protocol`): unhandled sends, unfenced receive
-loops, untimed remote waits, lopsided barrier arrivals and message
-kinds outside the modeled vocabulary.
+CHX008 and CHX010–012 guard the determinism invariant of the runtime;
+CHX016 guards the one order-sensitive step left in it (float sums must
+fold through ``exact_add_at``).  CHX018 guards replay: every RNG draw in
+the project must come from a seeded generator, or reruns and shrunk
+reproducer plans stop reproducing.  CHX019–021 and CHX023 stand on the
+extracted protocol model (:mod:`repro.analysis.protocol`): unhandled
+sends, unfenced receive loops, untimed remote waits and message kinds
+outside the modeled vocabulary.
 """
 
 from __future__ import annotations
 
 import ast
-from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, Iterator, List, Optional, Sequence, Set, Tuple
+from dataclasses import dataclass
+from typing import Dict, FrozenSet, Iterator, List, Optional, Sequence, Tuple
 
 from repro.analysis.findings import Finding
 from repro.analysis.flow.callgraph import CallGraph, CallSite
-from repro.analysis.flow.cfg import definitely_terminates
 from repro.analysis.flow.dataflow import TaintAnalysis
 from repro.analysis.flow.project import (
     FunctionInfo,
@@ -61,7 +59,10 @@ HOT_PACKAGES: FrozenSet[str] = SIM_PACKAGES | frozenset({"algorithms"})
 #: 5 — CHX013/014/015/017 and the loop/escape analyses removed.
 #: 6 — CHX016 exempts a fold that calls ``exact_add_at`` (it used to
 #:     exempt a kernel whose caller sorted with ``canonical_update_order``).
-ANALYZER_VERSION = 6
+#: 7 — CHX009 and CHX022 removed; CHX011 also flags same-module discards
+#:     and bare ``.wait()`` calls; CHX018 covers every module; CHX021
+#:     judges each wait by its own yield, not by its function.
+ANALYZER_VERSION = 7
 
 
 class DeepContext:
@@ -78,7 +79,7 @@ class DeepContext:
 
     def protocol(self):
         """The extracted protocol model, built lazily and shared by the
-        CHX019–023 rules (and ``check --protocol``)."""
+        protocol rules (and ``check --protocol``)."""
         if self._protocol is None:
             from repro.analysis.protocol.extract import extract_model
 
@@ -115,8 +116,8 @@ class InterproceduralTaintRule(DeepRule):
     """Wall-clock / host-RNG / host-id values flowing, through any call
     chain, into a sim-package call or sim-class attribute.
 
-    Closes the CHX001/CHX002 laundering hole: those rules see only the
-    source *expression* inside a sim package; a helper in ``graph/`` or
+    Closes the CHX001 laundering hole: that rule sees only the source
+    *expression* inside a sim package; a helper in ``graph/`` or
     ``perf/`` that returns ``time.time()`` and hands it to
     ``Simulator``-side code slipped through.
     """
@@ -131,307 +132,29 @@ class InterproceduralTaintRule(DeepRule):
 
 
 # ---------------------------------------------------------------------------
-# CHX009: acquire/release pairing across yields
-# ---------------------------------------------------------------------------
-
-
-@dataclass
-class _GrantSummary:
-    """Net grant effect of one function (over all paths, may-analysis)."""
-
-    acquired: Set[str] = field(default_factory=set)  # held at some exit
-    released: Set[str] = field(default_factory=set)
-
-
-class GrantPairingRule(DeepRule):
-    """Simulated resource grants (``X.acquire()``) must be released on
-    every path, and a grant held across a ``yield`` must be protected by
-    a ``try/finally`` that releases it — an :class:`Interrupt` thrown at
-    the yield otherwise leaks the grant forever (the simulated semaphore
-    has no timeout).
-
-    Interprocedural: a helper that acquires without releasing
-    contributes its net grants to the caller; a helper that releases
-    clears them (the split-pair pattern ``_get_slot``/``_put_slot``).
-    """
-
-    rule_id = "CHX009"
-    severity = "error"
-    title = "resource grant not released on every path"
-
-    def run(self, ctx: DeepContext) -> Iterator[Finding]:
-        summaries = self._summarize(ctx)
-        for func in ctx.index.iter_functions():
-            if not func.is_generator:
-                continue
-            yield from self._check_function(ctx, func, summaries)
-
-    # -- summaries ------------------------------------------------------
-
-    def _summarize(self, ctx: DeepContext) -> Dict[str, _GrantSummary]:
-        summaries: Dict[str, _GrantSummary] = {}
-        for _ in range(3):  # transitive helpers; project chains are shallow
-            changed = False
-            for func in ctx.index.iter_functions():
-                walker = _GrantWalker(ctx, func, summaries, report=False)
-                walker.walk()
-                new = _GrantSummary(
-                    acquired=set(walker.held), released=set(walker.released)
-                )
-                old = summaries.get(func.qualname)
-                if old is None or old.acquired != new.acquired or (
-                    old.released != new.released
-                ):
-                    summaries[func.qualname] = new
-                    changed = True
-            if not changed:
-                break
-        return summaries
-
-    def _check_function(
-        self,
-        ctx: DeepContext,
-        func: FunctionInfo,
-        summaries: Dict[str, _GrantSummary],
-    ) -> Iterator[Finding]:
-        walker = _GrantWalker(ctx, func, summaries, report=True)
-        walker.walk()
-        for key, line in sorted(walker.held.items()):
-            yield self._finding(
-                func.file,
-                line,
-                f"grant '{key}.acquire()' (in {func.name}) may not be "
-                f"released on every path to function exit",
-            )
-        for key, acquire_line, yield_line in sorted(walker.unprotected_yields):
-            yield self._finding(
-                func.file,
-                yield_line,
-                f"grant '{key}' (acquired at line {acquire_line}) is held "
-                f"across this yield without a finally release; an Interrupt "
-                f"here leaks the grant",
-            )
-
-
-class _GrantWalker:
-    """Tracks may-held grants through one function body.
-
-    Grant lifecycle in the simulated runtime: ``X.acquire()`` returns an
-    *event*; the grant is held only once that event is yielded (the
-    scheduler resumes the process when the semaphore admits it).  So
-
-    * ``yield X.acquire()`` — held *after* this statement,
-    * ``evt = X.acquire()`` — *pending* until ``yield evt``,
-    * ``X.release()`` — drops the grant,
-    * ``return evt`` of a pending event — ownership transfers to the
-      caller (tracked through the caller's view of this function's
-      summary instead).
-    """
-
-    def __init__(
-        self,
-        ctx: DeepContext,
-        func: FunctionInfo,
-        summaries: Dict[str, _GrantSummary],
-        report: bool,
-    ):
-        self.ctx = ctx
-        self.func = func
-        self.summaries = summaries
-        self.report = report
-        self.held: Dict[str, int] = {}  # grant key -> acquire line
-        self.pending: Dict[str, Tuple[str, int]] = {}  # var -> (key, line)
-        self.released: Set[str] = set()
-        #: (key, acquire_line, yield_line) triples to report.
-        self.unprotected_yields: Set[Tuple[str, int, int]] = set()
-        self._site_of = {
-            id(site.node): site
-            for site in ctx.graph.call_sites_in(func.qualname)
-        }
-
-    def walk(self) -> None:
-        self._walk_stmts(self.func.node.body, protected=frozenset())
-        # Pending events never yielded nor released still reserved a
-        # queue slot; count them as leaked too.
-        for key, line in self.pending.values():
-            self.held.setdefault(key, line)
-
-    # -- statement walk -------------------------------------------------
-
-    def _walk_stmts(self, stmts: Sequence[ast.stmt], protected: FrozenSet[str]) -> None:
-        for stmt in stmts:
-            self._walk_stmt(stmt, protected)
-
-    def _walk_stmt(self, stmt: ast.stmt, protected: FrozenSet[str]) -> None:
-        if isinstance(stmt, ast.If):
-            before_held = dict(self.held)
-            before_pending = dict(self.pending)
-            self._walk_stmts(stmt.body, protected)
-            then_held, then_pending = self.held, self.pending
-            self.held, self.pending = dict(before_held), dict(before_pending)
-            self._walk_stmts(stmt.orelse, protected)
-            # May-held union; a branch that terminates doesn't leak into
-            # the join (its paths never reach function end from here).
-            then_out = {} if definitely_terminates(stmt.body) else then_held
-            else_out = (
-                {} if stmt.orelse and definitely_terminates(stmt.orelse) else self.held
-            )
-            merged = dict(else_out)
-            for key, line in then_out.items():
-                merged.setdefault(key, line)
-            self.held = merged
-            merged_pending = dict(self.pending)
-            for var, value in then_pending.items():
-                merged_pending.setdefault(var, value)
-            self.pending = merged_pending
-        elif isinstance(stmt, (ast.For, ast.While, ast.AsyncFor)):
-            self._scan_effects(stmt, protected, header_only=True)
-            before = dict(self.held)
-            self._walk_stmts(stmt.body, protected)
-            self._walk_stmts(stmt.orelse, protected)
-            for key, line in before.items():
-                self.held.setdefault(key, line)
-        elif isinstance(stmt, ast.Try):
-            released_in_finally = self._releases_in(stmt.finalbody)
-            self._walk_stmts(stmt.body, protected | released_in_finally)
-            for handler in stmt.handlers:
-                self._walk_stmts(handler.body, protected | released_in_finally)
-            self._walk_stmts(stmt.orelse, protected | released_in_finally)
-            self._walk_stmts(stmt.finalbody, protected)
-        elif isinstance(stmt, (ast.With, ast.AsyncWith)):
-            self._scan_effects(stmt, protected, header_only=True)
-            self._walk_stmts(stmt.body, protected)
-        elif isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
-            pass  # separate scope
-        elif isinstance(stmt, ast.Return):
-            if isinstance(stmt.value, ast.Name):
-                # Returning a pending acquire event transfers ownership.
-                self.pending.pop(stmt.value.id, None)
-            self._scan_effects(stmt, protected)
-        else:
-            self._scan_effects(stmt, protected)
-
-    def _scan_effects(
-        self,
-        stmt: ast.stmt,
-        protected: FrozenSet[str],
-        header_only: bool = False,
-    ) -> None:
-        """Acquire/release/yield effects of one simple statement (or of
-        a compound statement's header expressions only)."""
-        nodes: List[ast.AST] = []
-        if header_only:
-            for child in ast.iter_child_nodes(stmt):
-                if isinstance(child, ast.expr):
-                    nodes.append(child)
-        else:
-            nodes.append(stmt)
-        calls: List[ast.Call] = []
-        yields: List[ast.AST] = []
-        for root in nodes:
-            stack = [root]
-            while stack:
-                node = stack.pop()
-                if isinstance(
-                    node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)
-                ):
-                    continue
-                if isinstance(node, ast.Call):
-                    calls.append(node)
-                if isinstance(node, (ast.Yield, ast.YieldFrom)):
-                    yields.append(node)
-                stack.extend(ast.iter_child_nodes(node))
-
-        #: grants that become held only after this statement completes.
-        deferred: Dict[str, int] = {}
-        for call in sorted(calls, key=lambda c: (c.lineno, c.col_offset)):
-            self._apply_call(call, stmt, deferred)
-        # Yielding a pending acquire event converts it to held — after
-        # this statement, so the acquiring yield itself never flags.
-        for node in yields:
-            value = getattr(node, "value", None)
-            if isinstance(value, ast.Name) and value.id in self.pending:
-                key, line = self.pending.pop(value.id)
-                deferred.setdefault(key, line)
-        for node in yields:
-            for key, acquire_line in list(self.held.items()):
-                if key not in protected:
-                    self.unprotected_yields.add((key, acquire_line, node.lineno))
-        for key, line in deferred.items():
-            self.held.setdefault(key, line)
-
-    def _apply_call(
-        self, call: ast.Call, stmt: ast.stmt, deferred: Dict[str, int]
-    ) -> None:
-        chain = attr_chain(call.func)
-        if chain is not None and len(chain) >= 2:
-            receiver = ".".join(chain[:-1])
-            if chain[-1] == "acquire":
-                bound = self._binding_of(call, stmt)
-                if bound is not None:
-                    self.pending[bound] = (receiver, call.lineno)
-                else:
-                    deferred.setdefault(receiver, call.lineno)
-                return
-            if chain[-1] == "release":
-                self.held.pop(receiver, None)
-                for var, (key, _line) in list(self.pending.items()):
-                    if key == receiver:
-                        del self.pending[var]
-                self.released.add(receiver)
-                return
-        site = self._site_of.get(id(call))
-        if site is not None and site.kind in ("direct", "self-method"):
-            for target in site.targets:
-                summary = self.summaries.get(target)
-                if summary is None:
-                    continue
-                for key in summary.released:
-                    self.held.pop(key, None)
-                    self.released.add(key)
-                for key in summary.acquired:
-                    deferred.setdefault(key, call.lineno)
-
-    @staticmethod
-    def _binding_of(call: ast.Call, stmt: ast.stmt) -> Optional[str]:
-        """The local name an acquire event is stored under, if the
-        statement is a plain ``name = X.acquire()`` binding."""
-        if isinstance(stmt, ast.Assign) and stmt.value is call:
-            if len(stmt.targets) == 1 and isinstance(stmt.targets[0], ast.Name):
-                return stmt.targets[0].id
-        if isinstance(stmt, ast.AnnAssign) and stmt.value is call:
-            if isinstance(stmt.target, ast.Name):
-                return stmt.target.id
-        return None
-
-    def _releases_in(self, stmts: Sequence[ast.stmt]) -> FrozenSet[str]:
-        released: Set[str] = set()
-        for stmt in stmts:
-            stack: List[ast.AST] = [stmt]
-            while stack:
-                node = stack.pop()
-                if isinstance(
-                    node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)
-                ):
-                    continue
-                if isinstance(node, ast.Call):
-                    chain = attr_chain(node.func)
-                    if chain is not None and len(chain) >= 2:
-                        if chain[-1] == "release":
-                            released.add(".".join(chain[:-1]))
-                    site = self._site_of.get(id(node))
-                    if site is not None and site.kind in ("direct", "self-method"):
-                        for target in site.targets:
-                            summary = self.summaries.get(target)
-                            if summary is not None:
-                                released.update(summary.released)
-                stack.extend(ast.iter_child_nodes(node))
-        return frozenset(released)
-
-
-# ---------------------------------------------------------------------------
 # CHX010: barrier pairing across branches
 # ---------------------------------------------------------------------------
+
+
+def definitely_terminates(statements: Sequence[ast.stmt]) -> bool:
+    """True when every path through ``statements`` leaves the enclosing
+    function or loop (return/raise/break/continue), so code after the
+    list is unreachable on this branch."""
+    for stmt in statements:
+        if isinstance(stmt, (ast.Return, ast.Raise, ast.Break, ast.Continue)):
+            return True
+        if isinstance(stmt, ast.If) and stmt.orelse:
+            if definitely_terminates(stmt.body) and definitely_terminates(
+                stmt.orelse
+            ):
+                return True
+        if isinstance(stmt, ast.Try):
+            tails = [stmt.body + stmt.orelse] + [h.body for h in stmt.handlers]
+            if stmt.finalbody and definitely_terminates(stmt.finalbody):
+                return True
+            if all(definitely_terminates(t) for t in tails):
+                return True
+    return False
 
 
 class BarrierPairingRule(DeepRule):
@@ -555,14 +278,17 @@ class BarrierPairingRule(DeepRule):
                 then_sig = self._sig_of_stmts(stmt.body, site_of, frozenset())
                 else_sig = self._sig_of_stmts(stmt.orelse, site_of, frozenset())
                 if (
-                    self._diverges(then_sig, else_sig)
+                    then_sig != else_sig
                     and not definitely_terminates(stmt.body)
                     and not (stmt.orelse and definitely_terminates(stmt.orelse))
                 ):
                     yield self._finding(
                         func.file,
                         stmt.lineno,
-                        self._describe(func, then_sig, else_sig),
+                        f"branches of this if reach different barrier "
+                        f"sequences in {func.name}: "
+                        f"{_render_sig(then_sig)} vs {_render_sig(else_sig)}; "
+                        f"a machine taking the short path deadlocks the others",
                     )
                 yield from self._check_stmts(func, stmt.body, site_of)
                 yield from self._check_stmts(func, stmt.orelse, site_of)
@@ -577,21 +303,6 @@ class BarrierPairingRule(DeepRule):
                     yield from self._check_stmts(func, handler.body, site_of)
             elif isinstance(stmt, (ast.With, ast.AsyncWith)):
                 yield from self._check_stmts(func, stmt.body, site_of)
-
-    # -- divergence policy (overridden by CHX022) -----------------------
-
-    def _diverges(self, then_sig: Tuple, else_sig: Tuple) -> bool:
-        return then_sig != else_sig and bool(then_sig or else_sig)
-
-    def _describe(
-        self, func: FunctionInfo, then_sig: Tuple, else_sig: Tuple
-    ) -> str:
-        return (
-            f"branches of this if reach different barrier "
-            f"sequences in {func.name}: "
-            f"{_render_sig(then_sig)} vs {_render_sig(else_sig)}; "
-            f"a machine taking the short path deadlocks the others"
-        )
 
 
 def _is_barrier_wait(call: ast.Call) -> bool:
@@ -614,23 +325,35 @@ def _render_sig(sig: Tuple) -> str:
 # ---------------------------------------------------------------------------
 
 
-class CrossModuleProcessRule(DeepRule):
-    """A generator function defined in *another module* called as a bare
-    expression statement creates a process body and silently discards it
-    — nothing ever runs.  CHX004 catches this within one file; this rule
-    resolves the callee through imports, re-exports and ``self`` to
-    cover the whole project.
+class DiscardedProcessRule(DeepRule):
+    """A call used as a bare expression statement that drops a simulator
+    process or event on the floor:
+
+    * a generator function (resolved through imports, re-exports and
+      ``self``, in any module) only *creates* its process body — without
+      ``sim.process(...)`` or ``yield from`` nothing ever runs;
+    * ``<x>.wait()`` returns the release event — a process that does not
+      yield it never observes the release.
     """
 
     rule_id = "CHX011"
     severity = "error"
-    title = "cross-module generator process created but never scheduled"
+    title = "generator process or wait event discarded by a bare call"
 
     def run(self, ctx: DeepContext) -> Iterator[Finding]:
         for func in ctx.index.iter_functions():
             bare_calls = _bare_expression_calls(func.node)
             if not bare_calls:
                 continue
+            for call in bare_calls.values():
+                if isinstance(call.func, ast.Attribute) and call.func.attr == "wait":
+                    yield self._finding(
+                        func.file,
+                        call.lineno,
+                        f"event returned by {dump_expr(call.func)}() is "
+                        f"discarded; a process must yield it (or subscribe "
+                        f"to it) or the release is silently lost",
+                    )
             for site in ctx.graph.call_sites_in(func.qualname):
                 if id(site.node) not in bare_calls:
                     continue
@@ -640,8 +363,6 @@ class CrossModuleProcessRule(DeepRule):
                     callee = ctx.index.functions.get(target)
                     if callee is None or not callee.is_generator:
                         continue
-                    if callee.module == func.module:
-                        continue  # same file: CHX004's jurisdiction
                     yield self._finding(
                         func.file,
                         site.line,
@@ -651,16 +372,16 @@ class CrossModuleProcessRule(DeepRule):
                     )
 
 
-def _bare_expression_calls(func_node: ast.AST) -> Set[int]:
-    """ids of Call nodes that are a whole expression statement."""
-    out: Set[int] = set()
+def _bare_expression_calls(func_node: ast.AST) -> Dict[int, ast.Call]:
+    """Call nodes that are a whole expression statement, by id."""
+    out: Dict[int, ast.Call] = {}
     stack = list(getattr(func_node, "body", []))
     while stack:
         node = stack.pop()
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
             continue
         if isinstance(node, ast.Expr) and isinstance(node.value, ast.Call):
-            out.add(id(node.value))
+            out[id(node.value)] = node.value
         stack.extend(ast.iter_child_nodes(node))
     return out
 
@@ -896,7 +617,7 @@ class UnorderedReductionRule(DeepRule):
 
 
 # ---------------------------------------------------------------------------
-# CHX018: unseeded randomness in fault-injection / fuzzing code
+# CHX018: unseeded or global-state randomness
 # ---------------------------------------------------------------------------
 
 #: Zero-argument constructions of these canonical targets seed from the
@@ -909,35 +630,34 @@ _RNG_CONSTRUCTORS = frozenset(
 #: convenience functions (calling these is not a global-state draw).
 _RANDOM_TYPES = frozenset({"Random", "SystemRandom"})
 
+#: ``numpy.random`` attributes that build owned generator state rather
+#: than draw from the legacy global RNG.
+_NUMPY_RANDOM_TYPES = frozenset(
+    {"Generator", "SeedSequence", "default_rng", "BitGenerator", "PCG64",
+     "Philox", "RandomState"}
+)
+
 
 class UnseededRandomRule(DeepRule):
-    """The chaos fuzzer's contract is that a ``(seed, episode)`` pair —
-    or a shrunk reproducer plan — replays the exact same schedule.  One
-    unseeded RNG anywhere in the fault-injection path silently breaks
-    that: campaigns stop being reproducible and minimized fault plans
-    stop reproducing their violation.
+    """A run is a function of ``(config, seed)``, and the chaos fuzzer's
+    contract is that a ``(seed, episode)`` pair — or a shrunk reproducer
+    plan — replays the exact same schedule.  One draw from an unseeded
+    or interpreter-global RNG anywhere silently breaks both.
 
-    Flags, in any module of the ``faults`` package or any ``fuzz*``
-    module: zero-argument RNG construction (``random.Random()``,
-    ``np.random.default_rng()``) and draws on the interpreter-global RNG
-    (``random.random()``…), resolved through import aliases — which is
-    what the per-file CHX002 cannot see (``import random as rnd``).
+    Flags, in every module: zero-argument RNG construction
+    (``random.Random()``, ``np.random.default_rng()``) and draws on the
+    interpreter-global RNGs (``random.shuffle(...)``,
+    ``np.random.permutation(...)``…), resolved through import aliases
+    (``import random as rnd``, ``from random import shuffle``).
     """
 
     rule_id = "CHX018"
     severity = "error"
-    title = "unseeded RNG in fault-injection/fuzzing code breaks replay"
+    title = "unseeded or global-state RNG breaks replay"
 
     def run(self, ctx: DeepContext) -> Iterator[Finding]:
         for module in sorted(ctx.index.modules.values(), key=lambda m: m.file):
-            if not self._in_scope(module.name):
-                continue
             yield from self._scan_module(module)
-
-    @staticmethod
-    def _in_scope(module_name: str) -> bool:
-        parts = module_name.split(".")
-        return "faults" in parts or any(p.startswith("fuzz") for p in parts)
 
     def _scan_module(self, module: ModuleInfo) -> Iterator[Finding]:
         for node in ast.walk(module.tree):
@@ -952,9 +672,9 @@ class UnseededRandomRule(DeepRule):
                         module.file,
                         node.lineno,
                         f"{dotted.rsplit('.', 1)[-1]}() constructed without "
-                        f"a seed in {module.name}; fault schedules must "
-                        f"replay byte-for-byte — derive the seed from the "
-                        f"campaign/config seed",
+                        f"a seed in {module.name}; runs and fault schedules "
+                        f"must replay byte-for-byte — derive the seed from "
+                        f"the config/campaign seed",
                     )
                 continue
             head, _, leaf = dotted.rpartition(".")
@@ -963,18 +683,17 @@ class UnseededRandomRule(DeepRule):
                     module.file,
                     node.lineno,
                     f"random.{leaf}() draws from the interpreter-global "
-                    f"RNG in {module.name}; fault schedules must replay — "
-                    f"thread a seeded random.Random through instead",
+                    f"RNG in {module.name}; runs and fault schedules must "
+                    f"replay — thread a seeded random.Random through instead",
                 )
-            elif head == "numpy.random" and leaf not in (
-                "default_rng", "RandomState"
-            ):
+            elif head == "numpy.random" and leaf not in _NUMPY_RANDOM_TYPES:
                 yield self._finding(
                     module.file,
                     node.lineno,
                     f"np.random.{leaf}() uses the legacy global NumPy RNG "
-                    f"in {module.name}; fault schedules must replay — pass "
-                    f"a seeded np.random.default_rng(seed) through instead",
+                    f"in {module.name}; runs and fault schedules must "
+                    f"replay — pass a seeded np.random.default_rng(seed) "
+                    f"through instead",
                 )
 
     @staticmethod
@@ -988,7 +707,7 @@ class UnseededRandomRule(DeepRule):
 
 
 # ---------------------------------------------------------------------------
-# CHX019–023: protocol-model rules (extracted state machines)
+# CHX019–021, CHX023: protocol-model rules (extracted state machines)
 # ---------------------------------------------------------------------------
 
 
@@ -1064,10 +783,12 @@ class UnfencedReceiveRule(DeepRule):
 
 class UntimedWaitRule(DeepRule):
     """A process blocks on a remote delivery (or a reply event armed by
-    a remote request) with no timeout or liveness escape anywhere in the
-    function: if the peer fail-stops, the message is lost and the
-    process hangs forever — under the real-process backend that is a
-    cluster deadlock, not a simulation artifact.
+    a remote request) with a bare ``yield``: if the peer fail-stops, the
+    message is lost and the process hangs forever — under the
+    real-process backend that is a cluster deadlock, not a simulation
+    artifact.  Each wait is judged by its own yield: racing the event
+    against a timer (``any_of`` + ``timeout``) is the escape, and a
+    timeout or backoff elsewhere in the function does not bound it.
     """
 
     rule_id = "CHX021"
@@ -1081,47 +802,9 @@ class UntimedWaitRule(DeepRule):
                     wait.file,
                     wait.line,
                     f"{wait.qualname} yields on {wait.target!r} (a remote "
-                    f"delivery) with no any_of+timeout or backoff escape "
-                    f"in the function; a fail-stopped peer hangs this "
-                    f"process forever",
+                    f"delivery) with no any_of+timeout race of its own; a "
+                    f"fail-stopped peer hangs this process forever",
                 )
-
-
-class LopsidedArriveRule(BarrierPairingRule):
-    """One branch of an if reaches a barrier wait and its sibling does
-    not (transitively over the call graph).  This is the coarse, always-
-    fatal subset of CHX010: the machines taking the short path never
-    arrive, so the barrier waits forever for them.  CHX010 flags any
-    sequence mismatch; this rule fires only on presence-vs-absence, the
-    shape the protocol model checker proves deadlocking.
-    """
-
-    rule_id = "CHX022"
-    severity = "error"
-    title = "barrier arrive reachable on one branch but not its sibling"
-
-    @staticmethod
-    def _has_wait(sig: Tuple) -> bool:
-        for part in sig:
-            if part == "wait":
-                return True
-            if isinstance(part, tuple) and LopsidedArriveRule._has_wait(part):
-                return True
-        return False
-
-    def _diverges(self, then_sig: Tuple, else_sig: Tuple) -> bool:
-        return self._has_wait(then_sig) != self._has_wait(else_sig)
-
-    def _describe(
-        self, func: FunctionInfo, then_sig: Tuple, else_sig: Tuple
-    ) -> str:
-        arriving = "first" if self._has_wait(then_sig) else "second"
-        return (
-            f"only the {arriving} branch of this if arrives at a barrier "
-            f"in {func.name} ({_render_sig(then_sig)} vs "
-            f"{_render_sig(else_sig)}); machines taking the other path "
-            f"never arrive and the barrier blocks the cluster"
-        )
 
 
 class GhostKindRule(DeepRule):
@@ -1188,16 +871,14 @@ class GhostKindRule(DeepRule):
 def default_deep_rules() -> List[DeepRule]:
     return [
         InterproceduralTaintRule(),
-        GrantPairingRule(),
         BarrierPairingRule(),
-        CrossModuleProcessRule(),
+        DiscardedProcessRule(),
         StaticRaceCandidateRule(),
         UnorderedReductionRule(),
         UnseededRandomRule(),
         UnhandledSendRule(),
         UnfencedReceiveRule(),
         UntimedWaitRule(),
-        LopsidedArriveRule(),
         GhostKindRule(),
     ]
 
@@ -1213,13 +894,11 @@ __all__ = [
     "DEEP_RULE_TABLE",
     "DEEP_SIM_PACKAGES",
     "BarrierPairingRule",
-    "CrossModuleProcessRule",
     "DeepContext",
     "DeepRule",
+    "DiscardedProcessRule",
     "GhostKindRule",
-    "GrantPairingRule",
     "InterproceduralTaintRule",
-    "LopsidedArriveRule",
     "RaceCandidate",
     "StaticRaceCandidateRule",
     "UnfencedReceiveRule",
@@ -1229,4 +908,5 @@ __all__ = [
     "UntimedWaitRule",
     "collect_race_candidates",
     "default_deep_rules",
+    "definitely_terminates",
 ]

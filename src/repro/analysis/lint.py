@@ -11,7 +11,7 @@ Suppression is inline and must name the rule::
 
     t0 = time.time()  # chaos: ignore[CHX001] host-side profiling only
 
-Multiple ids separate with commas: ``# chaos: ignore[CHX001,CHX002]``.
+Multiple ids separate with commas: ``# chaos: ignore[CHX001,CHX007]``.
 Suppressed findings are counted (and reported in the summary) but do
 not fail the check.
 """
@@ -127,9 +127,7 @@ class Rule:
 
     Subclasses set ``rule_id``, ``severity``, ``title`` and
     ``node_types``, then implement :meth:`check` to yield
-    ``(line, message)`` pairs for each offending node.  Per-file state
-    (e.g. a table of known generator functions) is built in
-    :meth:`begin_file`.
+    ``(line, message)`` pairs for each offending node.
     """
 
     rule_id: str = "CHX000"
@@ -141,9 +139,6 @@ class Rule:
     def applies(self, ctx: FileContext) -> bool:
         """Whether the rule runs on this file at all (package scoping)."""
         return True
-
-    def begin_file(self, ctx: FileContext, tree: ast.Module) -> None:
-        """Hook to build per-file state before the walk."""
 
     def check(self, node: ast.AST, ctx: FileContext) -> Iterator[Tuple[int, str]]:
         """Yield ``(line, message)`` for each violation at ``node``."""
@@ -204,8 +199,6 @@ class LintEngine:
         active = [rule for rule in self.rules if rule.applies(ctx)]
         if not active:
             return result
-        for rule in active:
-            rule.begin_file(ctx, tree)
 
         dispatch: Dict[Type[ast.AST], List[Rule]] = {}
         for rule in active:

@@ -16,14 +16,18 @@ and recognizes the repo's protocol idioms:
   literal arguments at the call sites of the enclosing helper;
 * ``barrier_arrive`` / ``barrier.wait`` / ``barrier_release`` calls are
   synchronization transitions;
-* ``yield delivered`` on a send result or a registered reply
-  :class:`Event` is a blocking wait, with liveness judged from
-  ``any_of``+``timeout`` escapes or declared timeout helpers.
+* a bare ``yield delivered`` on a send result or a registered reply
+  :class:`Event` is a blocking wait.  It has no timeout of its own: a
+  wait that races the event against a timer (``any_of`` + ``timeout``)
+  is not a blocking wait, and a timer elsewhere in the function does not
+  bound this one.
 
 Modules may also publish a ``PROTOCOL_TRANSITIONS`` dict (name ->
 transition label); entries whose label starts with ``timeout`` mark
-functions that count as liveness escapes for waits (e.g.
-``jittered_delay`` in :mod:`repro.net.retry`).
+functions (e.g. ``jittered_delay`` in :mod:`repro.net.retry`) whose use
+gives a function's send sites a liveness escape — the request is
+retried or abandoned, which is what the model checker's steal-timeout
+transition stands for.
 """
 
 from __future__ import annotations
@@ -299,8 +303,8 @@ class _Extractor:
         #: (class qualname, attribute) -> service name for mailboxes
         #: bound via ``network.register``.
         self.mailboxes: Dict[Tuple[str, str], str] = {}
-        #: functions that count as a timeout/liveness escape, from
-        #: PROTOCOL_TRANSITIONS entries labeled ``timeout...``.
+        #: functions that give a function's send sites a liveness
+        #: escape, from PROTOCOL_TRANSITIONS entries labeled ``timeout...``.
         self.timeout_functions: Set[str] = {"timeout"}
 
     # -- passes ----------------------------------------------------------
@@ -433,10 +437,7 @@ class _Extractor:
                                                       "wait"))
 
         self._scan_receive_loops(func, module, class_ctx, role)
-        self._scan_waits(
-            func, role, send_results, event_names, any_remote_send,
-            has_liveness,
-        )
+        self._scan_waits(func, role, send_results, event_names, any_remote_send)
 
     def _looks_like_transport_send(self, call: ast.Call) -> bool:
         kwarg_names = {kw.arg for kw in call.keywords}
@@ -654,7 +655,6 @@ class _Extractor:
         send_results: Dict[str, ast.Call],
         event_names: Set[str],
         any_remote_send: bool,
-        has_liveness: bool,
     ) -> None:
         for node in ast.walk(func.node):
             expr = _yielded_expr(node) if isinstance(node, ast.stmt) else None
@@ -680,7 +680,8 @@ class _Extractor:
                     line=node.lineno,
                     target=name,
                     remote=remote,
-                    has_timeout=has_liveness,
+                    # A bare yield races no timer (see the module doc).
+                    has_timeout=False,
                 )
             )
 

@@ -53,7 +53,8 @@ class SendOp:
     remote: bool
     #: The enclosing function has a timeout/liveness escape (an
     #: ``any_of``+``timeout`` wait loop or a declared timeout helper),
-    #: so waiting on this send's delivery cannot hang forever.
+    #: so the request is retried or abandoned rather than awaited
+    #: forever.  Waits are judged one by one (:attr:`WaitOp.has_timeout`).
     liveness: bool
 
     def to_dict(self) -> Dict[str, object]:
@@ -131,7 +132,7 @@ class BarrierOp:
 
 @dataclass(frozen=True)
 class WaitOp:
-    """A blocking ``yield`` on a transport delivery event."""
+    """A bare blocking ``yield`` on a transport delivery or reply event."""
 
     role: str
     qualname: str
@@ -141,7 +142,10 @@ class WaitOp:
     target: str
     #: The awaited send could go to a remote machine.
     remote: bool
-    #: The enclosing function has a timeout/liveness path.
+    #: The wait's own yield races a timer.  False for a bare ``yield``,
+    #: which is all the extractor records (a yield racing the event
+    #: against a timer is not a blocking wait); kept so the model JSON
+    #: states the verdict per wait.
     has_timeout: bool
 
     def to_dict(self) -> Dict[str, object]:

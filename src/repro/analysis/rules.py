@@ -1,16 +1,12 @@
-"""Codebase-specific determinism rules (CHX001 … CHX007).
+"""Codebase-specific determinism rules (CHX001, CHX003, CHX005–007).
 
 Each rule targets one way a change can silently break the invariant
 that a run is a deterministic function of ``(config, seed)``:
 
 =======  ==========================================================
 CHX001   wall-clock calls inside simulated-clock packages
-CHX002   unseeded global-state randomness (``random.*``,
-         ``np.random.<fn>``) instead of a passed-in generator
 CHX003   compute/algorithm code reaching past the StorageEngine into
          ``Device``/backend chunk internals
-CHX004   simulator-process hygiene: unscheduled generator processes,
-         discarded ``wait()`` events
 CHX005   iteration over sets feeding the simulated schedule; mutable
          default arguments in engine code
 CHX006   broad exception handlers (bare ``except:`` /
@@ -19,6 +15,10 @@ CHX006   broad exception handlers (bare ``except:`` /
 CHX007   ad-hoc ``print``/``logging`` telemetry in engine packages
          instead of Tracer spans / CounterRegistry series
 =======  ==========================================================
+
+Global-state randomness and discarded processes or wait events are
+whole-program rules (CHX018, CHX011): resolving import aliases and
+callees needs the project index.
 """
 
 from __future__ import annotations
@@ -133,75 +133,6 @@ class WallClockRule(Rule):
             )
 
 
-class GlobalRandomRule(Rule):
-    """CHX002: global-state randomness instead of a passed-in generator."""
-
-    rule_id = "CHX002"
-    severity = "error"
-    title = "unseeded global-state randomness"
-    node_types = (ast.Call, ast.ImportFrom)
-
-    #: Constructors / types that create *owned* seeded state are fine.
-    _STDLIB_OK = frozenset({"Random", "SystemRandom"})
-    _NUMPY_OK = frozenset({"Generator", "SeedSequence", "default_rng",
-                           "BitGenerator", "PCG64", "Philox"})
-
-    def check(self, node: ast.AST, ctx: FileContext) -> Iterator[Tuple[int, str]]:
-        if isinstance(node, ast.ImportFrom):
-            if node.module == "random":
-                bad = sorted(
-                    alias.name for alias in node.names
-                    if alias.name not in self._STDLIB_OK
-                )
-                if bad:
-                    yield (
-                        node.lineno,
-                        f"importing global-state function(s) "
-                        f"{', '.join(bad)} from 'random'; construct a "
-                        f"seeded random.Random(seed) instead",
-                    )
-            elif node.module == "numpy.random":
-                bad = sorted(
-                    alias.name for alias in node.names
-                    if alias.name not in self._NUMPY_OK
-                )
-                if bad:
-                    yield (
-                        node.lineno,
-                        f"importing global-state function(s) "
-                        f"{', '.join(bad)} from 'numpy.random'; use "
-                        f"np.random.default_rng(seed)",
-                    )
-            return
-
-        func = node.func
-        if not isinstance(func, ast.Attribute):
-            return
-        base = func.value
-        # random.<fn>(...) on the stdlib module object.
-        if isinstance(base, ast.Name) and base.id == "random":
-            if func.attr not in self._STDLIB_OK:
-                yield (
-                    node.lineno,
-                    f"random.{func.attr}() mutates interpreter-global RNG "
-                    f"state; thread a seeded random.Random through instead",
-                )
-        # np.random.<fn>(...) / numpy.random.<fn>(...) legacy global API.
-        elif (
-            isinstance(base, ast.Attribute)
-            and base.attr == "random"
-            and isinstance(base.value, ast.Name)
-            and base.value.id in ("np", "numpy")
-        ):
-            if func.attr not in self._NUMPY_OK:
-                yield (
-                    node.lineno,
-                    f"np.random.{func.attr}() uses the legacy global "
-                    f"NumPy RNG; pass an np.random.Generator "
-                    f"(default_rng(seed)) through instead",
-                )
-
-
 class StorageMediationRule(Rule):
     """CHX003: compute code must reach storage via StorageEngine only."""
 
@@ -262,77 +193,6 @@ class StorageMediationRule(Rule):
                     f"aliasing a live .{value.attr} handle in compute code; "
                     f"go through StorageEngine accessors instead",
                 )
-
-
-class ProcessHygieneRule(Rule):
-    """CHX004: simulator processes and wait events must not be dropped."""
-
-    rule_id = "CHX004"
-    severity = "error"
-    title = "simulator-process hygiene"
-    node_types = (ast.Expr,)
-
-    _WAIT_METHODS = frozenset({"wait"})
-
-    def __init__(self):
-        self._generators: Set[str] = set()
-
-    def begin_file(self, ctx: FileContext, tree: ast.Module) -> None:
-        """Collect names of generator functions defined in this file."""
-        self._generators = set()
-        for node in ast.walk(tree):
-            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                if self._is_generator(node):
-                    self._generators.add(node.name)
-
-    @staticmethod
-    def _is_generator(func: ast.AST) -> bool:
-        """Yield/YieldFrom in the function's own body (not nested defs)."""
-        body = list(getattr(func, "body", []))
-        stack = body[:]
-        while stack:
-            node = stack.pop()
-            if isinstance(node, (ast.Yield, ast.YieldFrom)):
-                return True
-            if isinstance(
-                node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)
-            ):
-                continue  # separate scope
-            stack.extend(ast.iter_child_nodes(node))
-        return False
-
-    def check(self, node: ast.AST, ctx: FileContext) -> Iterator[Tuple[int, str]]:
-        value = node.value  # type: ignore[attr-defined]
-        if not isinstance(value, ast.Call):
-            return
-        func = value.func
-        # (a) A discarded wait(): the caller never observes the release.
-        if (
-            isinstance(func, ast.Attribute)
-            and func.attr in self._WAIT_METHODS
-        ):
-            yield (
-                value.lineno,
-                f"event returned by {func.attr}() is discarded; a process "
-                f"must yield it (or subscribe to it) or the release is "
-                f"silently lost",
-            )
-            return
-        # (b) A generator process called but never scheduled: calling a
-        # generator function only *creates* the generator — without
-        # sim.process(...) or ``yield from`` it never runs.
-        name = None
-        if isinstance(func, ast.Name):
-            name = func.id
-        elif isinstance(func, ast.Attribute):
-            name = func.attr
-        if name in self._generators:
-            yield (
-                value.lineno,
-                f"generator process {name}() is called but its result is "
-                f"discarded; wrap it in sim.process(...) or drive it with "
-                f"'yield from'",
-            )
 
 
 class NondetOrderRule(Rule):
@@ -561,12 +421,10 @@ class AdHocTelemetryRule(Rule):
 
 
 def default_rules() -> List[Rule]:
-    """Fresh instances of every CHX rule (rules hold per-file state)."""
+    """Fresh instances of every local CHX rule."""
     return [
         WallClockRule(),
-        GlobalRandomRule(),
         StorageMediationRule(),
-        ProcessHygieneRule(),
         NondetOrderRule(),
         BroadExceptRule(),
         AdHocTelemetryRule(),
@@ -576,9 +434,7 @@ def default_rules() -> List[Rule]:
 #: Rule classes, for introspection / docs.
 DEFAULT_RULES = (
     WallClockRule,
-    GlobalRandomRule,
     StorageMediationRule,
-    ProcessHygieneRule,
     NondetOrderRule,
     BroadExceptRule,
     AdHocTelemetryRule,

@@ -322,14 +322,6 @@ def _build_parser() -> argparse.ArgumentParser:
     check.add_argument("--cache-dir", metavar="DIR", default=None,
                        help="cache the parsed project index for --deep, "
                             "keyed on a source-tree hash (e.g. .chaos-cache)")
-    check.add_argument("--baseline", metavar="FILE", default=None,
-                       help="finding ratchet: suppress the (file, rule, "
-                            "fingerprint) entries recorded in FILE and "
-                            "exit non-zero only on NEW findings")
-    check.add_argument("--write-baseline", action="store_true",
-                       help="with --baseline: (re)write FILE from the "
-                            "current findings instead of checking "
-                            "against it")
     check.add_argument("--protocol", action="store_true",
                        help="extract the protocol state machines and "
                             "model-check small clusters instead of "
@@ -1073,6 +1065,7 @@ def _command_check(args) -> int:
 
     from repro.analysis import (
         LintEngine,
+        LintResult,
         default_rules,
         format_github,
         format_json,
@@ -1087,18 +1080,17 @@ def _command_check(args) -> int:
             return 2
     if args.protocol:
         return _command_check_protocol(args)
-    if args.write_baseline and not args.baseline:
-        print("--write-baseline requires --baseline FILE", file=sys.stderr)
-        return 2
 
     wall_start = time.perf_counter()
     local_rules = default_rules()
-    deep_rules = default_deep_rules() if args.deep else []
+    deep_rules = default_deep_rules()
     if args.rules:
+        # The ids pick the engines: a deep id runs the deep engine with
+        # or without --deep.
         wanted = {rule_id.strip() for rule_id in args.rules.split(",")
                   if rule_id.strip()}
         known = {rule.rule_id for rule in local_rules} | {
-            rule.rule_id for rule in default_deep_rules()
+            rule.rule_id for rule in deep_rules
         }
         unknown = wanted - known
         if unknown:
@@ -1110,66 +1102,22 @@ def _command_check(args) -> int:
             return 2
         local_rules = [r for r in local_rules if r.rule_id in wanted]
         deep_rules = [r for r in deep_rules if r.rule_id in wanted]
-        deep_only = {r.rule_id for r in default_deep_rules()}
-        if not args.deep and wanted & deep_only:
-            print(
-                f"note: {', '.join(sorted(wanted & deep_only))} are deep "
-                f"rules; pass --deep to run them",
-                file=sys.stderr,
-            )
+    elif not args.deep:
+        deep_rules = []
 
-    engine = LintEngine(rules=local_rules)
-    result = engine.check_paths(args.paths) if local_rules else None
-
+    combined = LintResult()
+    if local_rules:
+        combined = LintEngine(rules=local_rules).check_paths(args.paths)
     deep_result = None
-    if args.deep and (deep_rules or not args.rules):
-        deep_engine = DeepEngine(rules=deep_rules)
-        deep_result = deep_engine.check_paths(
+    if deep_rules:
+        deep_result = DeepEngine(rules=deep_rules).check_paths(
             args.paths, cache_dir=args.cache_dir
         )
-        if result is None:
-            combined = deep_result.result
-        else:
-            combined = result
-            combined.findings.extend(deep_result.result.findings)
-            combined.suppressed.extend(deep_result.result.suppressed)
-            combined.findings.sort()
-            combined.suppressed.sort()
-    else:
-        combined = result
-    if combined is None:  # --rules selected only deep ids without --deep
-        from repro.analysis import LintResult
-
-        combined = LintResult()
-
-    baseline_info = None
-    if args.baseline and args.write_baseline:
-        from repro.analysis.baseline import write_baseline
-
-        count = write_baseline(combined.findings, args.baseline)
-        print(
-            f"baseline: {count} entr{'y' if count == 1 else 'ies'} "
-            f"({len(combined.findings)} finding(s)) -> {args.baseline}",
-            file=sys.stderr,
-        )
-        return 0
-    if args.baseline:
-        from repro.analysis.baseline import (
-            baseline_stats,
-            load_baseline,
-            split_new,
-        )
-
-        try:
-            entries = load_baseline(args.baseline)
-        except (OSError, ValueError, KeyError) as error:
-            print(f"--baseline {args.baseline}: {error}", file=sys.stderr)
-            return 2
-        baseline_info = baseline_stats(combined.findings, entries)
-        new, grandfathered = split_new(combined.findings, entries)
-        combined.findings = new
-        combined.suppressed.extend(grandfathered)
-        combined.suppressed.sort()
+        deep = deep_result.result
+        combined.findings = sorted(combined.findings + deep.findings)
+        combined.suppressed = sorted(combined.suppressed + deep.suppressed)
+        # The deep index holds every parsable file the local walk saw.
+        combined.files_checked = max(combined.files_checked, deep.files_checked)
 
     wall_seconds = time.perf_counter() - wall_start
 
@@ -1179,8 +1127,6 @@ def _command_check(args) -> int:
         )
         document["rule_stats"] = _rule_stats(combined)
         document["analysis_wall_seconds"] = round(wall_seconds, 4)
-        if baseline_info is not None:
-            document["baseline"] = dict(baseline_info, file=args.baseline)
         if deep_result is not None:
             document["deep"] = {
                 "race_candidates": [
@@ -1198,16 +1144,10 @@ def _command_check(args) -> int:
         output = format_text(combined.findings)
         if output:
             print(output)
-        tail = (
-            f", {baseline_info['matched']} grandfathered "
-            f"(baseline: {args.baseline})"
-            if baseline_info is not None
-            else ""
-        )
         print(
             f"{len(combined.findings)} finding(s), "
             f"{len(combined.suppressed)} suppressed, "
-            f"{combined.files_checked} file(s) checked{tail}",
+            f"{combined.files_checked} file(s) checked",
             file=sys.stderr,
         )
         if args.stats:

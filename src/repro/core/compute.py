@@ -1078,7 +1078,7 @@ class ComputationEngine:
             payload=(partition, accum),
             epoch=self.epoch,
         )
-        yield delivered
+        yield delivered  # chaos: ignore[CHX021] main process: the rollback fence kills it
         self.metrics.add("copy", self.sim.now - t0)
         if self._trace_on:
             self.track.end()
@@ -1114,7 +1114,7 @@ class ComputationEngine:
                 epoch=self.epoch,
             )
             if self._liveness is None:
-                message = yield reply
+                message = yield reply  # chaos: ignore[CHX021] fault-free run: no failure to wait out
             else:
                 # Fault-tolerant steal RPC: re-arm a timeout until the
                 # reply lands or the proposed master is fenced; a dead
@@ -1316,14 +1316,14 @@ class ComputationEngine:
                 payload=(request_id, self.machine, COMPUTE_SERVICE, size),
                 epoch=self.epoch,
             )
-            yield ack
+            yield ack  # chaos: ignore[CHX021] main process: the rollback fence kills it
 
     def main(self):
         """The engine's top-level process (Figure 4 main loop)."""
         track = self.track
         # preprocess is epoch-uniform: build_epoch sets it identically on
         # every engine, so all machines take the same branch together.
-        if self.preprocess:  # chaos: ignore[CHX010,CHX022]
+        if self.preprocess:  # chaos: ignore[CHX010]
             if self._trace_on:
                 track.begin("preprocess")
             yield from self._preprocess()

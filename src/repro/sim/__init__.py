@@ -27,7 +27,6 @@ from repro.sim.resources import (
     CoreBank,
     FifoServer,
     Mailbox,
-    Semaphore,
     UtilizationMeter,
 )
 from repro.sim.sync import Barrier, Latch, WaitGroup
@@ -44,7 +43,6 @@ __all__ = [
     "Interrupt",
     "Mailbox",
     "Process",
-    "Semaphore",
     "SimulationError",
     "Simulator",
     "UtilizationMeter",

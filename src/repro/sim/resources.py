@@ -27,7 +27,7 @@ import heapq
 from typing import Any, Callable, Deque, List, Optional, Tuple
 from collections import deque
 
-from repro.sim.engine import Event, SimulationError, Simulator
+from repro.sim.engine import Event, Simulator
 
 
 class UtilizationMeter:
@@ -244,43 +244,6 @@ class CoreBank:
         if now is None:
             now = self.sim.now
         return sum(1 for free_at in self._free_at if free_at > now)
-
-
-class Semaphore:
-    """Counting semaphore for processes (used for bounded request windows)."""
-
-    __slots__ = ("sim", "capacity", "_available", "_waiters", "name")
-
-    def __init__(self, sim: Simulator, capacity: int, name: str = ""):
-        if capacity < 1:
-            raise ValueError(f"capacity must be >= 1, got {capacity}")
-        self.sim = sim
-        self.name = name
-        self.capacity = capacity
-        self._available = capacity
-        self._waiters: Deque[Event] = deque()
-
-    @property
-    def available(self) -> int:
-        return self._available
-
-    def acquire(self) -> Event:
-        event = Event(self.sim, name=f"{self.name}.acquire")
-        if self._available > 0:
-            self._available -= 1
-            event.trigger()
-        else:
-            self._waiters.append(event)
-        return event
-
-    def release(self) -> None:
-        if self._waiters:
-            waiter = self._waiters.popleft()
-            waiter.trigger()
-        else:
-            self._available += 1
-            if self._available > self.capacity:
-                raise SimulationError(f"semaphore {self.name} over-released")
 
 
 class Mailbox:

@@ -2,14 +2,14 @@
 
 Each rule gets positive fixtures (violating code that must be flagged)
 and negative fixtures (idiomatic code that must pass), plus suppression
-handling, output formats, the CLI entry point, the finding-baseline
-ratchet and the self-host check: the repository's own source tree must
-be clean.
+handling, output formats, the CLI entry point and the self-host check:
+the repository's own source tree must be clean.  Global-state
+randomness and discarded processes are whole-program rules (CHX018,
+CHX011); their fixtures here run through the deep engine.
 """
 
 import json
 import re
-import textwrap
 from pathlib import Path
 
 import pytest
@@ -18,17 +18,13 @@ import repro
 from repro.analysis import (
     Finding,
     LintEngine,
-    baseline_stats,
     default_rules,
-    fingerprint,
     format_github,
     format_json,
     format_text,
     full_rule_table,
-    load_baseline,
-    split_new,
-    write_baseline,
 )
+from repro.analysis.flow import DeepEngine, default_deep_rules
 from repro.analysis.rules import RULE_TABLE
 from repro.cli import main
 
@@ -43,6 +39,15 @@ def lint(source, path=SIM_PATH):
 
 def rule_ids(result):
     return [f.rule_id for f in result.findings]
+
+
+def deep_lint(tmp_path, source, rule_id, path="sim/fixture.py"):
+    """Run one deep rule over ``source`` written to ``tmp_path/path``."""
+    target = tmp_path / path
+    target.parent.mkdir(parents=True, exist_ok=True)
+    target.write_text(source)
+    rules = [r for r in default_deep_rules() if r.rule_id == rule_id]
+    return DeepEngine(rules=rules).check_paths([str(tmp_path)]).result
 
 
 # ---------------------------------------------------------------------------
@@ -102,35 +107,51 @@ class TestWallClock:
 
 
 # ---------------------------------------------------------------------------
-# CHX002: global-state randomness
+# Global-state randomness (CHX018, which absorbed the local CHX002)
 
 
 class TestGlobalRandom:
-    def test_flags_random_module_call(self):
-        result = lint("import random\nx = random.randint(0, 9)\n")
-        assert rule_ids(result) == ["CHX002"]
+    def test_flags_random_module_call(self, tmp_path):
+        result = deep_lint(
+            tmp_path, "import random\nx = random.randint(0, 9)\n", "CHX018"
+        )
+        assert rule_ids(result) == ["CHX018"]
 
-    def test_flags_np_random_legacy_call(self):
-        result = lint("import numpy as np\nx = np.random.rand(4)\n")
-        assert rule_ids(result) == ["CHX002"]
+    def test_flags_np_random_legacy_call(self, tmp_path):
+        result = deep_lint(
+            tmp_path, "import numpy as np\nx = np.random.rand(4)\n", "CHX018"
+        )
+        assert rule_ids(result) == ["CHX018"]
 
-    def test_flags_from_random_import(self):
-        result = lint("from random import shuffle\n")
-        assert rule_ids(result) == ["CHX002"]
+    def test_flags_from_random_import(self, tmp_path):
+        result = deep_lint(
+            tmp_path,
+            "from random import shuffle\n\ndef f(xs):\n    shuffle(xs)\n",
+            "CHX018",
+        )
+        assert rule_ids(result) == ["CHX018"]
+        assert result.findings[0].line == 4
 
-    def test_applies_everywhere_not_just_sim_packages(self):
-        result = lint("import random\nrandom.random()\n", path=OUTSIDE_PATH)
-        assert rule_ids(result) == ["CHX002"]
+    def test_applies_everywhere_not_just_sim_packages(self, tmp_path):
+        result = deep_lint(
+            tmp_path, "import random\nrandom.random()\n", "CHX018",
+            path="graph/fixture.py",
+        )
+        assert rule_ids(result) == ["CHX018"]
 
-    def test_allows_seeded_constructors(self):
-        result = lint(
+    def test_allows_seeded_constructors(self, tmp_path):
+        result = deep_lint(
+            tmp_path,
             "import random\nimport numpy as np\n"
-            "rng = random.Random(7)\ngen = np.random.default_rng(7)\n"
+            "rng = random.Random(7)\ngen = np.random.default_rng(7)\n",
+            "CHX018",
         )
         assert result.clean
 
-    def test_allows_generator_methods(self):
-        result = lint("def f(rng):\n    return rng.integers(0, 9)\n")
+    def test_allows_generator_methods(self, tmp_path):
+        result = deep_lint(
+            tmp_path, "def f(rng):\n    return rng.integers(0, 9)\n", "CHX018"
+        )
         assert result.clean
 
 
@@ -183,15 +204,17 @@ class TestStorageMediation:
 
 
 # ---------------------------------------------------------------------------
-# CHX004: simulator-process hygiene
+# Simulator-process hygiene (CHX011, which absorbed the local CHX004)
 
 
 class TestProcessHygiene:
-    def test_flags_discarded_wait(self):
-        result = lint("def f(barrier):\n    barrier.wait()\n")
-        assert rule_ids(result) == ["CHX004"]
+    def test_flags_discarded_wait(self, tmp_path):
+        result = deep_lint(
+            tmp_path, "def f(barrier):\n    barrier.wait()\n", "CHX011"
+        )
+        assert rule_ids(result) == ["CHX011"]
 
-    def test_flags_unscheduled_generator_call(self):
+    def test_flags_unscheduled_generator_call(self, tmp_path):
         source = (
             "def worker(sim):\n"
             "    yield sim.timeout(1)\n"
@@ -199,15 +222,17 @@ class TestProcessHygiene:
             "def start(sim):\n"
             "    worker(sim)\n"
         )
-        result = lint(source)
-        assert rule_ids(result) == ["CHX004"]
+        result = deep_lint(tmp_path, source, "CHX011")
+        assert rule_ids(result) == ["CHX011"]
         assert result.findings[0].line == 5
 
-    def test_allows_yielded_wait(self):
-        result = lint("def f(barrier):\n    yield barrier.wait()\n")
+    def test_allows_yielded_wait(self, tmp_path):
+        result = deep_lint(
+            tmp_path, "def f(barrier):\n    yield barrier.wait()\n", "CHX011"
+        )
         assert result.clean
 
-    def test_allows_scheduled_generator(self):
+    def test_allows_scheduled_generator(self, tmp_path):
         source = (
             "def worker(sim):\n"
             "    yield sim.timeout(1)\n"
@@ -215,10 +240,10 @@ class TestProcessHygiene:
             "def start(sim):\n"
             "    sim.process(worker(sim))\n"
         )
-        result = lint(source)
+        result = deep_lint(tmp_path, source, "CHX011")
         assert result.clean
 
-    def test_plain_function_call_statement_is_fine(self):
+    def test_plain_function_call_statement_is_fine(self, tmp_path):
         source = (
             "def note(x):\n"
             "    return x\n"
@@ -226,7 +251,7 @@ class TestProcessHygiene:
             "def start():\n"
             "    note(1)\n"
         )
-        result = lint(source)
+        result = deep_lint(tmp_path, source, "CHX011")
         assert result.clean
 
 
@@ -440,15 +465,15 @@ class TestSuppression:
 
     def test_wrong_id_does_not_suppress(self):
         result = lint(
-            "t0 = time.time()  # chaos: ignore[CHX002]\n"
+            "t0 = time.time()  # chaos: ignore[CHX007]\n"
         )
         assert rule_ids(result) == ["CHX001"]
         assert not result.suppressed
 
     def test_multiple_ids(self):
         result = lint(
-            "x = random.random() + time.time()"
-            "  # chaos: ignore[CHX001, CHX002]\n"
+            "print(time.time())"
+            "  # chaos: ignore[CHX001, CHX007]\n"
         )
         assert result.clean
         assert len(result.suppressed) == 2
@@ -504,14 +529,14 @@ class TestEngine:
         assert rule_ids(result) == ["CHX000"]
 
     def test_rule_filtering(self):
-        rules = [r for r in default_rules() if r.rule_id == "CHX002"]
+        rules = [r for r in default_rules() if r.rule_id == "CHX007"]
         engine = LintEngine(rules=rules)
         result = engine.check_source(
-            "import time\nimport random\n"
-            "time.time()\nrandom.random()\n",
+            "import time\n"
+            "time.time()\nprint('x')\n",
             path=SIM_PATH,
         )
-        assert rule_ids(result) == ["CHX002"]
+        assert rule_ids(result) == ["CHX007"]
 
     def test_check_paths_walks_directories(self, tmp_path):
         package = tmp_path / "sim"
@@ -524,8 +549,7 @@ class TestEngine:
 
     def test_rule_table_covers_all_rules(self):
         assert sorted(RULE_TABLE) == [
-            "CHX001", "CHX002", "CHX003", "CHX004", "CHX005", "CHX006",
-            "CHX007",
+            "CHX001", "CHX003", "CHX005", "CHX006", "CHX007",
         ]
 
 
@@ -601,7 +625,7 @@ class TestCheckCommand:
         sim = tmp_path / "sim"
         sim.mkdir()
         (sim / "bad.py").write_text("import time\ntime.time()\n")
-        assert main(["check", str(tmp_path), "--rules", "CHX002"]) == 0
+        assert main(["check", str(tmp_path), "--rules", "CHX003"]) == 0
 
     def test_unknown_rule_id_exits_2(self, tmp_path, capsys):
         assert main(["check", str(tmp_path), "--rules", "CHX999"]) == 2
@@ -610,7 +634,9 @@ class TestCheckCommand:
         assert "CHX012" in err  # deep rule ids are known too
 
     @pytest.mark.parametrize(
-        "rule_id", ["CHX013", "CHX014", "CHX015", "CHX017"]
+        "rule_id",
+        ["CHX002", "CHX004", "CHX009", "CHX013", "CHX014", "CHX015",
+         "CHX017", "CHX022"],
     )
     def test_removed_rule_ids_are_unknown_again(
         self, tmp_path, capsys, rule_id
@@ -651,96 +677,31 @@ class TestCheckCommand:
         document = json.loads(capsys.readouterr().out)
         assert document["rule_stats"]["CHX001"]["findings"] == 1
 
-    def test_deep_rule_filter_without_deep_flag_hints(self, tmp_path, capsys):
-        (tmp_path / "ok.py").write_text("x = 1\n")
-        assert main(["check", str(tmp_path), "--rules", "CHX008"]) == 0
-        assert "pass --deep" in capsys.readouterr().err
-
-
-# ---------------------------------------------------------------------------
-# Baseline ratchet
-
-
-def _finding(file="core/reduce.py", rule="CHX016", line=4, message=None):
-    return Finding(
-        file=file,
-        line=line,
-        rule_id=rule,
-        severity="error",
-        message=message or "additive fold at line %d has no fixed order" % line,
-    )
-
-
-def _write_kernel(path, name):
-    """A gather-family kernel with an unordered float fold (one CHX016)."""
-    path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(
-        textwrap.dedent(
-            f"""
-            def {name}(accum, other):
-                accum += other
-                return accum
-            """
+    def test_deep_rule_id_without_deep_flag_runs_the_deep_engine(
+        self, tmp_path, capsys
+    ):
+        # The ids pick the engine: a deep id never silently checks
+        # nothing, with or without --deep.
+        node = tmp_path / "sim" / "node.py"
+        node.parent.mkdir()
+        node.write_text(
+            "def fetch(network):\n"
+            "    delivered = network.send(\n"
+            "        src=0, dst=1, service='w', kind='read', size=8,\n"
+            "    )\n"
+            "    yield delivered\n"
         )
-    )
-
-
-class TestBaselineRatchet:
-    def test_fingerprint_is_line_stable(self):
-        a = _finding(line=4, message="additive fold at line 4 unordered")
-        b = _finding(line=90, message="additive fold at line 90 unordered")
-        assert fingerprint(a) == fingerprint(b)
-        c = _finding(message="a different defect entirely")
-        assert fingerprint(a) != fingerprint(c)
-
-    def test_round_trip_and_split(self, tmp_path):
-        path = str(tmp_path / "baseline.json")
-        old = _finding(message="known defect")
-        count = write_baseline([old, old], path)
-        assert count == 1
-        baseline = load_baseline(path)
-        fresh = _finding(message="brand new defect")
-        new, grandfathered = split_new([old, fresh], baseline)
-        assert new == [fresh]
-        assert grandfathered == [old]
-        stats = baseline_stats([old, fresh], baseline)
-        assert stats == {"entries": 1, "matched": 1, "new": 1, "stale": 0}
-
-    def test_version_mismatch_rejected(self, tmp_path):
-        path = tmp_path / "baseline.json"
-        path.write_text(json.dumps({"baseline_version": 999, "entries": []}))
-        with pytest.raises(ValueError):
-            load_baseline(str(path))
-
-    def test_cli_ratchet_suppresses_old_fails_new(self, tmp_path, capsys):
-        pkg = tmp_path / "pkg"
-        _write_kernel(pkg / "core" / "reduce.py", "merge")
-        (pkg / "core" / "__init__.py").write_text("")
-        baseline = str(tmp_path / "baseline.json")
-
-        code = main(
-            ["check", str(pkg), "--deep", "--baseline", baseline,
-             "--write-baseline"]
-        )
-        assert code == 0
-        assert "baseline:" in capsys.readouterr().err
-
-        code = main(["check", str(pkg), "--deep", "--baseline", baseline])
-        captured = capsys.readouterr()
-        assert code == 0
-        assert "grandfathered" in captured.err
-
-        # A brand-new finding in another file must fail the ratchet.
-        _write_kernel(pkg / "core" / "fresh.py", "gather")
-        code = main(["check", str(pkg), "--deep", "--baseline", baseline])
-        out = capsys.readouterr().out
-        assert code == 1
-        assert "fresh.py" in out
-        assert "reduce.py" not in out
-
-    def test_cli_write_baseline_requires_baseline(self, tmp_path, capsys):
-        assert main(["check", str(tmp_path), "--write-baseline"]) == 2
-        capsys.readouterr()
+        runs = []
+        for extra in ([], ["--deep"]):
+            code = main(
+                ["check", str(tmp_path), *extra, "--rules", "CHX021",
+                 "--format", "json"]
+            )
+            runs.append((code, json.loads(capsys.readouterr().out)))
+        (code, document), (deep_code, deep_document) = runs
+        assert code == deep_code == 1
+        assert document["findings"] == deep_document["findings"]
+        assert [f["rule_id"] for f in document["findings"]] == ["CHX021"]
 
 
 # ---------------------------------------------------------------------------

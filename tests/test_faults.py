@@ -30,6 +30,7 @@ from repro.faults import (
     parse_fault_spec,
 )
 from repro.faults.registry import SLOT_BASES
+from repro.faults.supervisor import ClusterSupervisor
 
 from tests.conftest import fast_config
 
@@ -330,6 +331,43 @@ class TestByteIdentity:
         assert len(timeline.faults) == 1
         assert timeline.rounds == []
         assert timeline.lost_seconds == 0.0
+
+
+class TestRollbackFence:
+    """Recovery is cluster-wide (Section 6.6): the rollback fence kills
+    every engine main and dispatch process of the failed epoch, crashed
+    or not.  The CHX021 suppressions on the main process's bare waits
+    (``core/compute.py``) rely on it — a wait no process is parked on
+    cannot hang."""
+
+    @pytest.mark.parametrize(
+        "fault", ["crash:1@iter=1", "partition:2@iter=1,for=0.05"]
+    )
+    def test_rollback_finishes_every_process_of_the_failed_epoch(
+        self, fault, small_graph, monkeypatch
+    ):
+        fenced, alive = [], []
+        recover = ClusterSupervisor._recover
+
+        def recover_and_inspect(supervisor):
+            processes = list(supervisor.processes) + [
+                engine.dispatch_process for engine in supervisor.engines
+            ]
+            resume = recover(supervisor)
+            fenced.extend(processes)
+            alive.extend(p.name for p in processes if p.alive)
+            return resume
+
+        monkeypatch.setattr(ClusterSupervisor, "_recover", recover_and_inspect)
+        config = _fault_config()
+        cluster = ChaosCluster(config)
+        cluster.run(
+            PageRank(iterations=3), small_graph,
+            fault_plan=FaultPlan.parse([fault]),
+        )
+        assert len(cluster.last_fault_timeline.rounds) == 1
+        assert len(fenced) == 2 * config.machines
+        assert alive == []
 
 
 # ---------------------------------------------------------------------------

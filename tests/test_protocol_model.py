@@ -12,9 +12,9 @@ surface:
   epoch guard);
 * the conformance checker replays causal DAGs — real traced runs and
   synthetic event lists — against the model;
-* rules CHX019-CHX023 fire exactly on planted fixture sites, honor
-  suppressions, and the ``check --protocol`` / ``trace conform`` CLI
-  verbs exit and export correctly.
+* rules CHX019-CHX021 and CHX023 fire exactly on planted fixture sites,
+  honor suppressions, and the ``check --protocol`` / ``trace conform``
+  CLI verbs exit and export correctly.
 """
 
 from __future__ import annotations
@@ -194,9 +194,10 @@ class TestExtraction:
                  for w in model.all_waits()}
         assert set(waits) == {"ping", "patient_ping", "local_ping"}
         assert waits["ping"].remote and not waits["ping"].has_timeout
-        # Declared timeout helper (PROTOCOL_TRANSITIONS label) counts
-        # as a liveness escape.
-        assert waits["patient_ping"].has_timeout
+        # A declared timeout helper (PROTOCOL_TRANSITIONS label) called
+        # before a bare yield does not time that yield.
+        assert waits["patient_ping"].remote
+        assert not waits["patient_ping"].has_timeout
         assert not waits["local_ping"].remote
 
     def test_barrier_ops_extracted(self, tmp_path):
@@ -687,7 +688,6 @@ CHX021_FIXTURE = {
                 yield self.env.any_of(
                     delivered, self.env.timeout(1.0)
                 )
-                yield delivered
 
             def fetch_local(self, src):
                 delivered = self.network.send(
@@ -707,14 +707,18 @@ class TestCHX021:
         assert "'delivered'" in found.message
         assert found.severity == "warning"
 
-    def test_declared_timeout_helper_exempts_the_wait(self, tmp_path):
-        # patient_ping in the extraction fixture waits behind a helper
-        # declared ``timeout.backoff`` in PROTOCOL_TRANSITIONS; only the
-        # bare ping wait fires.
+    def test_backoff_before_the_wait_does_not_exempt_it(self, tmp_path):
+        # patient_ping in the extraction fixture calls a helper declared
+        # ``timeout.backoff`` in PROTOCOL_TRANSITIONS, then waits with a
+        # bare yield: the helper bounds nothing, so both remote waits
+        # fire (each wait is judged by its own yield).
         build_pkg(tmp_path, PROTOCOL_FIXTURE)
         result = deep_check(tmp_path, rules={"CHX021"})
-        (found,) = findings_of(result, "CHX021")
-        assert "Client.ping" in found.message
+        found = findings_of(result, "CHX021")
+        assert sorted(f.message.split(" ")[0] for f in found) == [
+            "proj.sim.node.Client.patient_ping",
+            "proj.sim.node.Client.ping",
+        ]
 
     def test_suppression_honored(self, tmp_path):
         files = dict(CHX021_FIXTURE)
@@ -730,7 +734,7 @@ class TestCHX021:
         assert findings_of(result, "CHX021") == []
 
 
-CHX022_FIXTURE = {
+LOPSIDED_FIXTURE = {
     "proj/__init__.py": "",
     "proj/sim/__init__.py": "",
     "proj/sim/eng.py": """\
@@ -755,35 +759,32 @@ CHX022_FIXTURE = {
 
 
 class TestCHX022:
-    def test_fires_only_on_presence_vs_absence(self, tmp_path):
-        build_pkg(tmp_path, CHX022_FIXTURE)
-        result = deep_check(tmp_path, rules={"CHX022"})
-        (found,) = findings_of(result, "CHX022")
-        assert found.line == 6  # lopsided's if; uneven_counts exempt
-        assert "never arrive" in found.message
-        assert found.severity == "error"
+    """CHX022 (removed) flagged the presence-vs-absence subset of
+    CHX010's divergences; CHX010 reports every such ``if`` at the same
+    line, so the lopsided shape stays covered by CHX010 alone."""
 
     def test_chx010_still_sees_the_sequence_mismatch(self, tmp_path):
-        # The count divergence CHX022 ignores stays a CHX010 finding:
-        # the rules partition by shape, not by site.
-        build_pkg(tmp_path, CHX022_FIXTURE)
+        # Both the lopsided arrive (line 6) and the count divergence
+        # (line 11) are CHX010 findings.
+        build_pkg(tmp_path, LOPSIDED_FIXTURE)
         result = deep_check(tmp_path, rules={"CHX010"})
         assert [f.line for f in findings_of(result, "CHX010")] == [6, 11]
 
     def test_suppression_honored(self, tmp_path):
-        files = dict(CHX022_FIXTURE)
+        files = dict(LOPSIDED_FIXTURE)
         files["proj/sim/eng.py"] = files["proj/sim/eng.py"].replace(
             "                if flag:\n"
             "                    self.barrier.wait()\n"
             "                return 1",
-            "                if flag:  # chaos: ignore[CHX022] fixture\n"
+            "                if flag:  # chaos: ignore[CHX010] fixture\n"
             "                    self.barrier.wait()\n"
             "                return 1",
             1,
         )
         build_pkg(tmp_path, files)
-        result = deep_check(tmp_path, rules={"CHX022"})
-        assert findings_of(result, "CHX022") == []
+        result = deep_check(tmp_path, rules={"CHX010"})
+        assert [f.line for f in findings_of(result, "CHX010")] == [11]
+        assert [f.line for f in result.result.suppressed] == [6]
 
 
 CHX023_FIXTURE = {
@@ -859,9 +860,6 @@ class TestRuleRegistration:
         assert DEEP_RULE_TABLE["CHX021"] == (
             "blocking wait with no timeout/liveness path"
         )
-        assert DEEP_RULE_TABLE["CHX022"] == (
-            "barrier arrive reachable on one branch but not its sibling"
-        )
         assert DEEP_RULE_TABLE["CHX023"] == (
             "message kind constructed but absent from the extracted model"
         )
@@ -869,14 +867,14 @@ class TestRuleRegistration:
 
 class TestAnalyzerVersionCache:
     def test_analyzer_version_bumped_for_protocol_rules(self):
-        assert ANALYZER_VERSION >= 4  # 6 since CHX016 looks for exact_add_at
+        assert ANALYZER_VERSION >= 4  # 7 since CHX021 judges each wait
 
     def test_version_bump_invalidates_pickled_deep_index(
         self, tmp_path, monkeypatch
     ):
         """A cache written by the previous analyzer revision must not
         be served once ANALYZER_VERSION moves (the protocol model rides
-        in DeepContext, so stale caches would hide CHX019-023)."""
+        in DeepContext, so stale caches would hide the protocol rules)."""
         pkg = tmp_path / "pkg"
         build_pkg(pkg, CHX020_FIXTURE)
         cache = tmp_path / "cache"

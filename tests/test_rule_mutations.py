@@ -1,0 +1,273 @@
+"""Every lint rule earns its place by a planted defect.
+
+Each row plants one realistic defect in a temporary copy of the real
+source files it needs, runs the rules that could catch it (the local
+engine for local ids, the deep engine for whole-program ids) and asserts
+exactly which of them fire.  Each unmutated copy is clean under the
+same rules, so every catch is the planted defect's.  DESIGN.md section 6
+records the verdicts: rows M1-M10, plus one row for each rule no M-row
+exercises (CHX003, 005, 006, 007, 012, 016); M11 is a known gap, pinned
+as a strict xfail.
+"""
+
+from __future__ import annotations
+
+import re
+from dataclasses import dataclass
+from pathlib import Path
+from typing import FrozenSet, Set, Tuple, Union
+
+import pytest
+
+import repro
+from repro.analysis import LintEngine, default_rules
+from repro.analysis.flow import DeepEngine, ProjectIndex, default_deep_rules
+from repro.analysis.protocol import check_protocol, extract_model
+
+SRC = Path(repro.__file__).parent
+
+Edit = Tuple[Union[str, "re.Pattern[str]"], str]
+
+
+@dataclass(frozen=True)
+class Mutation:
+    """One planted defect: edits to one file of the ``repro`` package."""
+
+    file: str  # relative to the repro package
+    edits: Tuple[Edit, ...]  # (literal or regex, replacement), each matching once
+    rules: Tuple[str, ...]  # the rules that could plausibly catch it
+    caught_by: FrozenSet[str]
+    context: Tuple[str, ...] = ()  # further modules the rules resolve through
+
+    def apply(self, source: str) -> str:
+        for old, new in self.edits:
+            if isinstance(old, str):
+                assert source.count(old) == 1, old
+                source = source.replace(old, new)
+            else:
+                source, count = old.subn(lambda _m: new, source)
+                assert count == 1, old.pattern
+        return source
+
+
+COMPUTE = "core/compute.py"
+SUPERVISOR = "faults/supervisor.py"
+SHUFFLE = "self._rng.shuffle(foreign)"
+
+#: M10: the steal RPC's fault-tolerant branch deleted, so the proposer
+#: always waits on the reply with a bare yield.
+STEAL_WITHOUT_LIVENESS = Mutation(
+    COMPUTE,
+    ((re.compile(
+        r"            if self\._liveness is None:\n"
+        r"                message = yield reply.*?\n"
+        r"                if message is None:\n"
+        r"                    continue\n",
+        re.DOTALL,
+    ), "            message = yield reply\n"),),
+    ("CHX021",), frozenset({"CHX021"}),
+)
+
+MUTATIONS = [
+    pytest.param(Mutation(
+        COMPUTE,
+        (("import random\n", "import random\nimport time\n"),
+         ("        t0 = self.sim.now\n        if self._trace_on:\n"
+          "            track.begin(\"vertex_load\"",
+          "        t0 = time.time()\n        if self._trace_on:\n"
+          "            track.begin(\"vertex_load\"")),
+        ("CHX001", "CHX008"), frozenset({"CHX001"}),
+        context=("core/metrics.py",),
+    ), id="M1-wall-clock-into-breakdown"),
+    pytest.param(Mutation(
+        COMPUTE, ((SHUFFLE, "random.shuffle(foreign)"),),
+        ("CHX008", "CHX018"), frozenset({"CHX018"}),
+    ), id="M2-global-shuffle"),
+    pytest.param(Mutation(
+        COMPUTE,
+        (("import random\n", "import random\nfrom random import shuffle\n"),
+         (SHUFFLE, "shuffle(foreign)")),
+        ("CHX008", "CHX018"), frozenset({"CHX018"}),
+    ), id="M2b-imported-shuffle"),
+    pytest.param(Mutation(
+        COMPUTE,
+        ((SHUFFLE, "foreign = list(np.random.permutation(foreign))"),),
+        # The permuted list feeds the steal loop's sim calls: a host-RNG
+        # value flowing into simulated state, which CHX008 also sees.
+        ("CHX008", "CHX018"), frozenset({"CHX008", "CHX018"}),
+    ), id="M2c-numpy-permutation"),
+    pytest.param(Mutation(
+        COMPUTE,
+        (("yield from self._preprocess()", "self._preprocess()"),),
+        ("CHX011",), frozenset({"CHX011"}),
+    ), id="M3-discarded-generator"),
+    pytest.param(Mutation(
+        COMPUTE,
+        (("yield self._write_group.wait()", "self._write_group.wait()"),),
+        ("CHX011",), frozenset({"CHX011"}),
+    ), id="M4-discarded-wait"),
+    pytest.param(Mutation(
+        COMPUTE, (('kind="steal_reply",', 'kind="steal_ack",'),),
+        ("CHX019", "CHX023"), frozenset({"CHX019"}),
+    ), id="M5-mistyped-reply-kind"),
+    pytest.param(Mutation(
+        SUPERVISOR,
+        (("            if message.epoch != self.epoch:\n"
+          "                continue\n"
+          "            callback = self._pending.pop(",
+          "            callback = self._pending.pop("),),
+        ("CHX020",), frozenset({"CHX020"}),
+    ), id="M6-unfenced-restore-dispatch"),
+    pytest.param(Mutation(
+        SUPERVISOR,
+        (("            winner, value = yield self.sim.any_of(\n"
+          "                [reply, self.sim.timeout(period)]\n"
+          "            )\n"
+          "            if winner is not reply:\n"
+          "                self._pending.pop(request_id, None)\n"
+          "                continue\n",
+          "            value = yield reply\n"),),
+        ("CHX021",), frozenset({"CHX021"}),
+    ), id="M7-untimed-restore-read"),
+    pytest.param(Mutation(
+        COMPUTE,
+        ((re.compile(r"if self\.preprocess:  # chaos: ignore\[[A-Z0-9,]+\]"),
+          "if self.preprocess:"),),
+        ("CHX010",), frozenset({"CHX010"}),
+    ), id="M8-unsuppressed-lopsided-barrier"),
+    pytest.param(Mutation(
+        "net/transport.py",
+        (("src, dst, service, kind, size, payload,",
+          'src, dst, service, "bogus", size, payload,'),),
+        ("CHX019", "CHX023"), frozenset({"CHX023"}),
+    ), id="M9-ghost-message-kind"),
+    pytest.param(STEAL_WITHOUT_LIVENESS, id="M10-steal-without-liveness"),
+    pytest.param(Mutation(
+        COMPUTE,
+        (("yield self.local_store.local_input_read(size)",
+          "yield self.local_store.device.service(size)"),),
+        ("CHX003",), frozenset({"CHX003"}),
+    ), id="CHX003-device-reach-through"),
+    pytest.param(Mutation(
+        COMPUTE,
+        (("            for target in targets:\n",
+          "            for target in {t for t in targets}:\n"),),
+        ("CHX005",), frozenset({"CHX005"}),
+    ), id="CHX005-set-comprehension-loop"),
+    pytest.param(Mutation(
+        SUPERVISOR,
+        (("            if callback is not None:\n"
+          "                callback(message)\n",
+          "            if callback is not None:\n"
+          "                try:\n"
+          "                    callback(message)\n"
+          "                except Exception:\n"
+          "                    pass\n"),),
+        ("CHX006",), frozenset({"CHX006"}),
+    ), id="CHX006-swallowed-interrupt"),
+    pytest.param(Mutation(
+        "store/engine.py",
+        (("            handler(message)\n",
+          '            print(f"storage {self.machine}: {message.kind}")\n'
+          "            handler(message)\n"),),
+        ("CHX007",), frozenset({"CHX007"}),
+    ), id="CHX007-print-in-store"),
+    pytest.param(Mutation(
+        COMPUTE,
+        (("                self.machine,\n"
+          "                write=True,\n"
+          '                label="steal.decide",',
+          "                0,\n"
+          "                write=True,\n"
+          '                label="steal.decide",'),),
+        ("CHX012",), frozenset({"CHX012"}),
+    ), id="CHX012-literal-machine-write"),
+    pytest.param(Mutation(
+        "algorithms/pagerank.py",
+        (("        exact_add_at(accum, dst_local, values)",
+          "        np.add.at(accum, dst_local, values)"),),
+        ("CHX016",), frozenset({"CHX016"}),
+    ), id="CHX016-float-sum-in-arrival-order"),
+    pytest.param(Mutation(
+        "store/engine.py",
+        (('            "write_ack",\n            CONTROL_BYTES,\n'
+          '            (request_id, None),',
+          '            "write_akc",\n            CONTROL_BYTES,\n'
+          '            (request_id, None),'),),
+        ("CHX019", "CHX023"), frozenset({"CHX019"}),
+        context=(COMPUTE,),
+    ), id="M11-mistyped-store-reply", marks=pytest.mark.xfail(
+        strict=True,
+        reason="a store reply's service rides in the request payload, "
+               "so CHX019 cannot resolve where it goes",
+    )),
+]
+
+
+def _copy(root: Path, files, mutation=None) -> Path:
+    """Write ``files`` under ``root/repro`` behind empty package inits."""
+    for rel in files:
+        target = root / "repro" / rel
+        target.parent.mkdir(parents=True, exist_ok=True)
+        for package in (root / "repro", target.parent):
+            (package / "__init__.py").touch()
+        source = (SRC / rel).read_text(encoding="utf-8")
+        if mutation is not None and rel == mutation.file:
+            source = mutation.apply(source)
+        target.write_text(source, encoding="utf-8")
+    return root
+
+
+def _catchers(root: Path, rule_ids) -> Set[str]:
+    """Ids of the given rules with an unsuppressed finding under ``root``."""
+    local = [r for r in default_rules() if r.rule_id in rule_ids]
+    deep = [r for r in default_deep_rules() if r.rule_id in rule_ids]
+    findings = []
+    if local:
+        findings += LintEngine(rules=local).check_paths([str(root)]).findings
+    if deep:
+        findings += DeepEngine(rules=deep).check_paths([str(root)]).result.findings
+    return {finding.rule_id for finding in findings}
+
+
+def _files(mutation: Mutation) -> Tuple[str, ...]:
+    return (mutation.file, *mutation.context)
+
+
+def _rules_by_files():
+    """Each copied file set with every rule some row runs on it."""
+    table = {}
+    for param in MUTATIONS:
+        mutation = param.values[0]
+        table.setdefault(_files(mutation), set()).update(mutation.rules)
+    return [
+        pytest.param(files, rules, id="+".join(files))
+        for files, rules in sorted(table.items())
+    ]
+
+
+@pytest.mark.parametrize("files, rules", _rules_by_files())
+def test_unmutated_copy_is_clean(tmp_path, files, rules):
+    assert _catchers(_copy(tmp_path, files), rules) == set()
+
+
+@pytest.mark.parametrize("mutation", MUTATIONS)
+def test_planted_defect_is_caught_by_its_rule(tmp_path, mutation):
+    mutant = _copy(tmp_path, _files(mutation), mutation)
+    assert _catchers(mutant, mutation.rules) == mutation.caught_by
+
+
+def test_steal_without_liveness_also_fails_the_model_checker(tmp_path):
+    """M10's second catcher: without the steal RPC's timeout loop the
+    m=2 model loses wakeups and deadlocks."""
+    for name, mutation in (
+        ("pristine", None), ("mutant", STEAL_WITHOUT_LIVENESS)
+    ):
+        root = _copy(tmp_path / name, (COMPUTE,), mutation)
+        model = extract_model(ProjectIndex.build([str(root)]))
+        result = check_protocol(model, machines=2)
+        failed = {p.name for p in result.properties if not p.ok}
+        if mutation is None:
+            assert failed == set()
+        else:
+            assert {"deadlock_freedom", "no_lost_wakeup"} <= failed

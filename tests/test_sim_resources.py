@@ -2,8 +2,7 @@
 
 import pytest
 
-from repro.sim import CoreBank, FifoServer, Mailbox, Semaphore, Simulator
-from repro.sim.engine import SimulationError
+from repro.sim import CoreBank, FifoServer, Mailbox, Simulator
 
 
 class TestFifoServer:
@@ -189,30 +188,6 @@ class TestCoreBank:
     def test_invalid_cores_rejected(self):
         with pytest.raises(ValueError):
             CoreBank(Simulator(), cores=0)
-
-
-class TestSemaphore:
-    def test_acquire_within_capacity_is_immediate(self):
-        sim = Simulator()
-        semaphore = Semaphore(sim, capacity=2)
-        assert semaphore.acquire().triggered
-        assert semaphore.acquire().triggered
-        assert not semaphore.acquire().triggered
-
-    def test_release_wakes_waiter(self):
-        sim = Simulator()
-        semaphore = Semaphore(sim, capacity=1)
-        semaphore.acquire()
-        waiter = semaphore.acquire()
-        assert not waiter.triggered
-        semaphore.release()
-        assert waiter.triggered
-
-    def test_over_release_detected(self):
-        sim = Simulator()
-        semaphore = Semaphore(sim, capacity=1)
-        with pytest.raises(SimulationError):
-            semaphore.release()
 
 
 class TestMailbox:

@@ -20,10 +20,10 @@ class TestBarrier:
         sim = Simulator()
         barrier = Barrier(sim, parties=2)
         a = barrier.wait()
-        barrier.wait()  # chaos: ignore[CHX004] release asserted via `a`
+        barrier.wait()  # chaos: ignore[CHX011] release asserted via `a`
         assert a.value == 1
         b = barrier.wait()
-        barrier.wait()  # chaos: ignore[CHX004] release asserted via `b`
+        barrier.wait()  # chaos: ignore[CHX011] release asserted via `b`
         assert b.value == 2
         assert barrier.generation == 2
 

@@ -18,11 +18,10 @@ def combine_by_sum(
 ) -> Tuple[np.ndarray, np.ndarray]:
     """One summed update per distinct destination.
 
-    Over floats the partial sum rounds, and what it sums is whatever one
-    worker's buffer held — a function of the schedule — so a combined
-    float-sum job is not byte-identical across machine counts, stealing
-    or recovery (an exact fold at the master cannot undo a rounding
-    made before it).
+    The engine uses the result to size a combined update chunk only and
+    ships the raw updates: over floats this partial sum rounds, and what
+    it sums is whatever one worker's buffer held — a function of the
+    schedule — which no exact fold at the master could undo.
     """
     unique_dst, inverse = np.unique(dst, return_inverse=True)
     combined = np.zeros(len(unique_dst), dtype=values.dtype)

@@ -50,12 +50,12 @@ from repro.core.config import ClusterConfig
 from repro.core.metrics import Breakdown
 from repro.core.stealing import estimate_cluster_remaining, should_accept_steal
 from repro.core.workload import UpdateBatch, Workload
-from repro.net.retry import RetryPolicy, jittered_delay, retry_rng_seed
+from repro.net.retry import backoff_delays, jittered_delay
 from repro.net.transport import Network
 from repro.obs.tracer import NULL_TRACK, TID_CPU, TID_ENGINE
 from repro.sim.engine import Event, Simulator
 from repro.sim.resources import CoreBank
-from repro.sim.sync import Barrier, WaitGroup
+from repro.sim.sync import Barrier, Latch, WaitGroup
 from repro.store import engine as store_engine
 from repro.store.chunk import Chunk, ChunkKind
 from repro.store.integrity import seal_chunk, verify_chunk
@@ -69,6 +69,10 @@ COMPUTE_SERVICE = "compute"
 
 #: Wire size of a steal proposal / response (control messages).
 STEAL_MESSAGE_BYTES = 48
+
+#: Sends of one request whose frames all arrive corrupt before the
+#: engine gives up (persistent corruption fails loudly, not by livelock).
+INTEGRITY_ATTEMPTS = 8
 
 
 @dataclass
@@ -205,7 +209,9 @@ class ComputationEngine:
         ]
 
         self._mailbox = network.register(machine, COMPUTE_SERVICE)
-        self._pending: Dict[int, Callable] = {}
+        #: The reply table: request id -> ``(then, args)``; the reply
+        #: runs ``then(reply, *args)`` (see :meth:`_expect`).
+        self._pending: Dict[int, Tuple[Callable, tuple]] = {}
         # Distinct id streams per machine AND per epoch: a reply from a
         # rolled-back epoch can never collide with a live request.
         self._next_request = machine + epoch * config.machines * (1 << 40)
@@ -216,9 +222,6 @@ class ComputationEngine:
         #: callback-driven work (CPU completions already subscribed
         #: before the kill still fire and must become no-ops).
         self.fenced = False
-        self.stale_messages = 0
-        self.steal_timeouts = 0
-        self.reads_abandoned = 0
         # Causal DAG recorder shared with the transport (null when
         # tracing is off): dispatching a message moves this machine's
         # chain head so replies/sends inherit the right parent.
@@ -226,23 +229,10 @@ class ComputationEngine:
         # Integrity hardening: verify every chunk-carrying reply; on a
         # corrupt frame, re-request with deterministic seeded backoff.
         self._integrity = config.integrity_checks
+        #: Corrupt read / vread replies re-requested.
         self.integrity_retries = 0
-        self.write_retries = 0
-        self.retry_wait_seconds = 0.0
-        lease = config.effective_lease_timeout()
-        # Watchdog / steal re-check cadence: starts at the configured
-        # timeout and backs off geometrically (capped) so a long outage
-        # does not busy-poll the detector.
-        self._watch_policy = RetryPolicy(
-            base=config.effective_read_timeout(), factor=1.5, cap=4.0 * lease
-        )
-        # Integrity re-request cadence: a corrupt frame is a transient,
-        # so start well under the lease and back off toward it.
-        self._integrity_policy = RetryPolicy(
-            base=config.heartbeat_interval / 4.0, factor=2.0, cap=lease
-        )
-        #: Integrity re-request attempts per outstanding request id.
-        self._read_attempts: Dict[int, int] = {}
+        self._integrity_policy = config.integrity_policy()
+        self._liveness_policy = config.liveness_policy()
         self._master_state: Dict[int, PartitionPhaseState] = {}
         self._write_group = WaitGroup(sim, name=f"m{machine}.writes")
         # Scatter output buffers, keyed by destination partition.
@@ -272,8 +262,10 @@ class ComputationEngine:
         """
         self.fenced = True
 
-    def _new_request_id(self) -> int:
+    def _expect(self, then: Callable, *args) -> int:
+        """A fresh request id whose reply will run ``then(reply, *args)``."""
         self._next_request += self.config.machines
+        self._pending[self._next_request] = (then, args)
         return self._next_request
 
     def _dispatch(self):
@@ -282,31 +274,30 @@ class ComputationEngine:
             if message.epoch != self.epoch:
                 # Traffic from another recovery epoch (a straggling
                 # reply, or a steal request from a zombie peer).
-                self.stale_messages += 1
                 continue
             if message.ctx is not None:
                 self._causal.on_dispatch(self.machine, message.ctx)
             kind = message.kind
-            if kind in ("read_reply", "vread_reply", "write_ack", "directory_reply"):
+            if kind in (
+                "read_reply", "vread_reply", "write_ack", "directory_reply",
+                "steal_reply",
+            ):
                 request_id = message.payload[0]
-                callback = self._pending.pop(request_id, None)
-                if callback is None:
-                    if request_id in self._abandoned:
-                        self._abandoned.discard(request_id)
-                        self.stale_messages += 1
-                        continue
+                entry = self._pending.pop(request_id, None)
+                if entry is not None:
+                    then, args = entry
+                    then(message, *args)
+                elif request_id in self._abandoned or kind == "steal_reply":
+                    # The straggling reply of an abandoned read or of a
+                    # steal proposal given up on.
+                    self._abandoned.discard(request_id)
+                else:
                     raise RuntimeError(
                         f"engine {self.machine}: unexpected reply "
                         f"{kind} id={request_id}"
                     )
-                callback(message)
             elif kind == "steal_request":
                 self._handle_steal_request(message)
-            elif kind == "steal_reply":
-                request_id = message.payload[0]
-                callback = self._pending.pop(request_id, None)
-                if callback is not None:
-                    callback(message)
             elif kind == "accum":
                 self._handle_accum(message)
             else:
@@ -314,108 +305,77 @@ class ComputationEngine:
                     f"engine {self.machine}: unknown message kind {kind!r}"
                 )
 
-    def _with_location(self, callback: Callable[[int], None]) -> None:
-        """Resolve a storage location, via the directory if centralized."""
-        if self.directory is None:
-            callback(-1)  # caller picks its own location
-            return
-        request_id = self._new_request_id()
-
-        def on_reply(message):
-            _rid, location = message.payload
-            callback(location)
-
-        self._pending[request_id] = on_reply
-        self.directory.lookup_from(self.machine, COMPUTE_SERVICE, request_id)
-
-    def _send_read(
-        self, partition: int, kind: ChunkKind, target: int, callback
-    ) -> int:
-        request_id = self._new_request_id()
-        self._pending[request_id] = callback
-        self.network.send(
-            src=self.machine,
-            dst=target,
-            service=store_engine.SERVICE,
-            kind="read",
-            size=store_engine.CONTROL_BYTES,
-            payload=(request_id, self.machine, COMPUTE_SERVICE, partition, kind),
-            epoch=self.epoch,
+    def _backoff(
+        self, attempt: int, request_id: int, label: str, then: Callable, *args
+    ) -> None:
+        """Re-send a request whose ``attempt``-th send came back corrupt
+        (a write nack, a read or a vertex read): ``then(*args)`` after
+        the seeded integrity backoff, or a loud failure once
+        :data:`INTEGRITY_ATTEMPTS` sends were all corrupt."""
+        if attempt + 1 >= INTEGRITY_ATTEMPTS:
+            raise RuntimeError(
+                f"engine {self.machine}: {label} {request_id} corrupt on "
+                f"all {INTEGRITY_ATTEMPTS} sends (persistent corruption)"
+            )
+        delay = jittered_delay(
+            self._integrity_policy, attempt,
+            self.config.seed, self.machine, request_id,
         )
-        return request_id
+        self.sim.schedule(
+            delay, self._resend, self.sim.now, request_id, label, then, args
+        )
+
+    def _resend(self, start, request_id, label, then, args) -> None:
+        # Nothing to do if the engine was fenced, or the read abandoned,
+        # during the backoff.
+        if self.fenced or request_id in self._abandoned:
+            return
+        self._retry_wait(start, label)
+        then(*args)
 
     def _retry_wait(self, start: float, label: str) -> None:
-        """Account one completed backoff wait (trace + counter)."""
+        """Trace one completed backoff wait as ``<label>.retry_wait``."""
         elapsed = self.sim.now - start
-        self.retry_wait_seconds += elapsed
         if self._trace_on and elapsed > 0:
             self.track.complete(
-                label, start, elapsed, cat="retry_wait",
+                f"{label}.retry_wait", start, elapsed, cat="retry_wait",
                 args={"machine": self.machine},
             )
 
     def _send_write(
-        self,
-        chunk: Chunk,
-        target: int,
-        on_success: Callable,
-        attempt: int = 0,
+        self, chunk: Chunk, target: int, on_success: Callable, attempt: int = 0
     ) -> None:
-        """One write RPC with integrity-nack handling.
-
-        A storage engine that received the chunk damaged in flight nacks
-        it (``write_ack`` with a ``"corrupt"`` marker); the sender still
-        holds the chunk and resends after seeded backoff — bounded, so a
-        persistently-poisoned link fails loudly instead of livelocking.
-        """
-        request_id = self._new_request_id()
-        message_kind = (
-            "vwrite" if chunk.kind is ChunkKind.VERTICES else "write"
+        """One write RPC; ``on_success()`` runs once it is acked.  A
+        storage engine that received the chunk damaged in flight nacks it
+        (``write_ack`` marked ``"corrupt"``), and the sender, which still
+        holds the chunk, resends it through :meth:`_backoff`."""
+        request_id = self._expect(
+            self._on_write_ack, chunk, target, on_success, attempt
         )
-
-        def on_ack(message):
-            if message.payload[1] == "corrupt":
-                if self.fenced:
-                    return
-                if attempt >= 7:
-                    raise RuntimeError(
-                        f"engine {self.machine}: write of chunk "
-                        f"p{chunk.partition} to {target} rejected "
-                        f"{attempt + 1} times (persistent corruption)"
-                    )
-                self.write_retries += 1
-                delay = jittered_delay(
-                    self._integrity_policy, attempt,
-                    self.config.seed, self.machine, request_id,
-                )
-                start = self.sim.now
-
-                def resend() -> None:
-                    if self.fenced:
-                        return
-                    self._retry_wait(start, "write.retry_wait")
-                    self._send_write(chunk, target, on_success, attempt + 1)
-
-                self.sim.schedule(delay, resend)
-                return
-            on_success(message)
-
-        self._pending[request_id] = on_ack
         self.network.send(
             src=self.machine,
             dst=target,
             service=store_engine.SERVICE,
-            kind=message_kind,
+            kind="vwrite" if chunk.kind is ChunkKind.VERTICES else "write",
             size=chunk.size,
             payload=(request_id, self.machine, COMPUTE_SERVICE, chunk),
             epoch=self.epoch,
             attempt=attempt,
         )
 
+    def _on_write_ack(self, message, chunk, target, on_success, attempt):
+        if message.payload[1] != "corrupt":
+            on_success()
+        elif not self.fenced:
+            self._backoff(
+                attempt, message.payload[0], "write",
+                self._send_write, chunk, target, on_success, attempt + 1,
+            )
+
     def _write_chunk(self, chunk: Chunk, target: int) -> None:
         """Asynchronously write a chunk; tracked by the phase write group."""
         self._write_group.add(1)
-        self._send_write(chunk, target, lambda _m: self._write_group.done_one())
+        self._send_write(chunk, target, self._write_group.done_one)
 
     # ------------------------------------------------------------------
     # Work stealing: master side
@@ -510,108 +470,88 @@ class ComputationEngine:
             if target is None:
                 break
             state.in_flight += 1
-            self._issue_read(state, target, iteration)
+            if self.directory is None:
+                self._send_read(None, state, target, iteration)
+            else:
+                # The directory round trip is the cost; the engine still
+                # keeps its own exhaustion bookkeeping for correctness.
+                self.directory.lookup_from(
+                    self.machine, COMPUTE_SERVICE,
+                    self._expect(self._send_read, state, target, iteration),
+                )
         self._maybe_finish_stream(state)
 
-    def _issue_read(self, state: _StreamState, target: int, iteration: int) -> None:
-        def on_located(_location: int) -> None:
-            # The directory round trip (if any) is the cost; the engine
-            # still respects its exhaustion bookkeeping for correctness.
-            request_id = self._send_read(
-                state.partition,
-                state.kind,
-                target,
-                lambda message: self._on_chunk_reply(state, message, iteration),
-            )
-            if self._liveness is not None:
-                self._watch_read(request_id, state, target, iteration)
-
-        self._with_location(on_located)
+    def _send_read(
+        self, _directory_reply, state: _StreamState, target: int, iteration: int
+    ) -> None:
+        request_id = self._expect(self._on_chunk_reply, state, iteration, 0)
+        self.network.send(
+            src=self.machine,
+            dst=target,
+            service=store_engine.SERVICE,
+            kind="read",
+            size=store_engine.CONTROL_BYTES,
+            payload=(
+                request_id, self.machine, COMPUTE_SERVICE,
+                state.partition, state.kind,
+            ),
+            epoch=self.epoch,
+        )
+        if self._liveness is not None:
+            self._watch_read(request_id, state, target, iteration)
 
     def _watch_read(
-        self, request_id: int, state: _StreamState, target: int, iteration: int
+        self, request_id: int, state: _StreamState, target: int,
+        iteration: int, delays=None,
     ) -> None:
-        """Fault-tolerant read RPC: re-arm a timeout until the reply
-        lands or the failure detector fences the target.
+        """Fault-tolerant read RPC: re-check on the liveness schedule
+        until the reply lands or the failure detector fences the target.
 
         A read to a live-but-slow machine is *never* abandoned (the
         storage engine consumed the chunk cursor, so abandoning it would
         silently lose the chunk); a read to a fenced machine is
         abandoned and the target marked exhausted — the cluster-wide
-        rollback that follows re-streams everything anyway.  Re-check
-        periods follow the seeded backoff policy: the first check at the
-        configured read timeout, later ones geometrically longer
-        (capped) so a long outage is not busy-polled.
+        rollback that follows re-streams everything anyway.
         """
-        rng = random.Random(
-            retry_rng_seed(self.config.seed, self.machine, request_id)
+        if delays is None:  # arming, not a re-check
+            delays = backoff_delays(
+                self._liveness_policy, self.config.seed, self.machine,
+                request_id,
+            )
+        elif self.fenced or request_id not in self._pending:
+            return
+        elif (
+            self._liveness.is_suspected(target)
+            or not self.network.is_reachable(target)
+        ):
+            del self._pending[request_id]
+            self._abandoned.add(request_id)
+            state.in_flight -= 1
+            state.exhausted.add(target)
+            self._pump(state, iteration)
+            return
+        self.sim.schedule(
+            next(delays), self._watch_read,
+            request_id, state, target, iteration, delays,
         )
-        attempt = {"n": 0}
 
-        def check() -> None:
-            if self.fenced or request_id not in self._pending:
-                return
-            if (
-                self._liveness.is_suspected(target)
-                or not self.network.is_reachable(target)
-            ):
-                del self._pending[request_id]
-                self._abandoned.add(request_id)
-                self.reads_abandoned += 1
-                state.in_flight -= 1
-                state.exhausted.add(target)
-                self._pump(state, iteration)
-            else:
-                attempt["n"] += 1
-                self.sim.schedule(
-                    self._watch_policy.delay(attempt["n"], rng), check
-                )
+    def _send_read_retry(self, request_id: int, target: int, attempt: int) -> None:
+        # ``fetch_any`` is read-once at the storage engine, so the retry
+        # goes by the original id against the engine's retransmit buffer.
+        self.network.send(
+            src=self.machine,
+            dst=target,
+            service=store_engine.SERVICE,
+            kind="read_retry",
+            size=store_engine.CONTROL_BYTES,
+            payload=(request_id, self.machine, COMPUTE_SERVICE),
+            epoch=self.epoch,
+            attempt=attempt,
+        )
 
-        self.sim.schedule(self._watch_policy.delay(0, rng), check)
-
-    def _retry_read(
-        self, request_id: int, target: int, callback: Callable
+    def _on_chunk_reply(
+        self, message, state: _StreamState, iteration: int, attempt: int
     ) -> None:
-        """Re-request a chunk whose reply arrived corrupted.
-
-        ``fetch_any`` is read-once at the storage engine, so the retry
-        goes by the original ``request_id`` against the engine's
-        retransmit buffer.  Bounded: persistent corruption on one
-        request fails loudly rather than retrying forever.
-        """
-        attempt = self._read_attempts.get(request_id, 0)
-        if attempt >= 8:
-            raise RuntimeError(
-                f"engine {self.machine}: read {request_id} from {target} "
-                f"corrupt after {attempt} retries (persistent corruption)"
-            )
-        self._read_attempts[request_id] = attempt + 1
-        self.integrity_retries += 1
-        self._pending[request_id] = callback
-        delay = jittered_delay(
-            self._integrity_policy, attempt,
-            self.config.seed, self.machine, request_id,
-        )
-        start = self.sim.now
-
-        def resend() -> None:
-            if self.fenced or request_id not in self._pending:
-                return
-            self._retry_wait(start, "read.retry_wait")
-            self.network.send(
-                src=self.machine,
-                dst=target,
-                service=store_engine.SERVICE,
-                kind="read_retry",
-                size=store_engine.CONTROL_BYTES,
-                payload=(request_id, self.machine, COMPUTE_SERVICE),
-                epoch=self.epoch,
-                attempt=attempt + 1,
-            )
-
-        self.sim.schedule(delay, resend)
-
-    def _on_chunk_reply(self, state: _StreamState, message, iteration: int) -> None:
         request_id, chunk = message.payload
         if (
             chunk is not None
@@ -619,13 +559,17 @@ class ComputationEngine:
             and not verify_chunk(chunk)
         ):
             # Damaged in flight: leave in_flight as is and re-request.
-            self._retry_read(
-                request_id,
-                message.src,
-                lambda m: self._on_chunk_reply(state, m, iteration),
+            # The id stays pending through the backoff, so the watchdog
+            # keeps watching it.
+            self.integrity_retries += 1
+            self._pending[request_id] = (
+                self._on_chunk_reply, (state, iteration, attempt + 1)
+            )
+            self._backoff(
+                attempt, request_id, "read",
+                self._send_read_retry, request_id, message.src, attempt + 1,
             )
             return
-        self._read_attempts.pop(request_id, None)
         state.in_flight -= 1
         if chunk is None:
             state.exhausted.add(message.src)
@@ -761,11 +705,11 @@ class ComputationEngine:
             if combined is not None:
                 # Combining costs CPU proportional to the records
                 # merged (the trade-off the paper measured,
-                # Section 11.1).
+                # Section 11.1) and decides the chunk's size.  The raw
+                # updates still ship: a combined float sum would round
+                # over a buffer whose contents depend on the schedule.
                 self.cores.execute(count * self.config.cpu_seconds_per_update)
-                dst, values = combined
-                payload = {"dst": dst, "value": values}
-                count = len(dst)
+                count = len(combined[0])
                 nbytes = count * self.workload.algorithm.update_bytes
         self.updates_written_records += count
         self.updates_written_bytes += nbytes
@@ -809,65 +753,45 @@ class ComputationEngine:
 
     def _load_vertex_set(self, partition: int) -> Event:
         """Read all vertex chunks of a partition; event fires when done."""
-        sizes = self._vertex_chunk_sizes(partition)
-        done = Event(self.sim, name=f"vload.p{partition}")
-        if not sizes:
-            done.trigger()
-            return done
-        outstanding = {"count": len(sizes)}
-
-        def on_reply(message, index: int, target: int, attempt: int):
-            _rid, chunk = message.payload
-            if (
-                chunk is not None
-                and self._integrity
-                and not verify_chunk(chunk)
-            ):
-                # Corrupt in flight; vreads are idempotent (keyed), so
-                # simply re-issue after seeded backoff.  Bounded.
-                if attempt >= 8:
-                    raise RuntimeError(
-                        f"engine {self.machine}: vread p{partition}[{index}] "
-                        f"corrupt after {attempt} retries"
-                    )
-                self.integrity_retries += 1
-                delay = jittered_delay(
-                    self._integrity_policy, attempt,
-                    self.config.seed, self.machine, _rid,
-                )
-                start = self.sim.now
-
-                def reissue() -> None:
-                    if self.fenced:
-                        return
-                    self._retry_wait(start, "vread.retry_wait")
-                    issue(index, target, attempt + 1)
-
-                self.sim.schedule(delay, reissue)
-                return
-            outstanding["count"] -= 1
-            if outstanding["count"] == 0:
-                done.trigger()
-
-        def issue(index: int, target: int, attempt: int) -> None:
-            request_id = self._new_request_id()
-            self._pending[request_id] = (
-                lambda m: on_reply(m, index, target, attempt)
+        count = len(self._vertex_chunk_sizes(partition))
+        loaded = Latch(self.sim, count, name=f"vload.p{partition}")
+        for index in range(count):
+            self._send_vread(
+                loaded, partition, index,
+                self.vertex_placement.machine_for(partition, index),
             )
-            self.network.send(
-                src=self.machine,
-                dst=target,
-                service=store_engine.SERVICE,
-                kind="vread",
-                size=store_engine.CONTROL_BYTES,
-                payload=(request_id, self.machine, COMPUTE_SERVICE, partition, index),
-                epoch=self.epoch,
-                attempt=attempt,
-            )
+        return loaded.done
 
-        for index in range(len(sizes)):
-            issue(index, self.vertex_placement.machine_for(partition, index), 0)
-        return done
+    def _send_vread(
+        self, loaded: Latch, partition: int, index: int, target: int,
+        attempt: int = 0,
+    ) -> None:
+        request_id = self._expect(
+            self._on_vread_reply, loaded, partition, index, target, attempt
+        )
+        self.network.send(
+            src=self.machine,
+            dst=target,
+            service=store_engine.SERVICE,
+            kind="vread",
+            size=store_engine.CONTROL_BYTES,
+            payload=(request_id, self.machine, COMPUTE_SERVICE, partition, index),
+            epoch=self.epoch,
+            attempt=attempt,
+        )
+
+    def _on_vread_reply(self, message, loaded, partition, index, target, attempt):
+        request_id, chunk = message.payload
+        if chunk is not None and self._integrity and not verify_chunk(chunk):
+            # Corrupt in flight; vreads are idempotent (keyed), so
+            # simply re-issue.
+            self.integrity_retries += 1
+            self._backoff(
+                attempt, request_id, "vread",
+                self._send_vread, loaded, partition, index, target, attempt + 1,
+            )
+            return
+        loaded.count_down()
 
     def _store_vertex_set(
         self,
@@ -886,21 +810,12 @@ class ComputationEngine:
         real bytes back through the storage model.
         """
         sizes = self._vertex_chunk_sizes(partition)
-        done = Event(self.sim, name=f"vstore.p{partition}")
-        if not sizes:
-            done.trigger()
-            return done
-        outstanding = {"count": len(sizes)}
-
-        def on_ack(_message):
-            outstanding["count"] -= 1
-            if outstanding["count"] == 0:
-                done.trigger()
-
+        replicas = self.config.vertex_replicas
+        stored = Latch(
+            self.sim, len(sizes) * replicas, name=f"vstore.p{partition}"
+        )
         if base is None:
             base = 1_000_000 if checkpoint else 0
-        replicas = self.config.vertex_replicas
-        outstanding["count"] *= replicas
         for index, size in enumerate(sizes):
             targets = self.vertex_placement.machines_for(
                 partition, index, replicas
@@ -917,8 +832,8 @@ class ComputationEngine:
                 )
                 if carries:
                     seal_chunk(chunk)
-                self._send_write(chunk, target, on_ack)
-        return done
+                self._send_write(chunk, target, stored.count_down)
+        return stored.done
 
     # ------------------------------------------------------------------
     # Partition work (scatter or gather, master or stealer)
@@ -1096,9 +1011,8 @@ class ComputationEngine:
         self._rng.shuffle(foreign)
         for partition in foreign:
             master = partition % self.config.machines
-            request_id = self._new_request_id()
             reply = Event(self.sim, name=f"steal.p{partition}")
-            self._pending[request_id] = reply.trigger
+            request_id = self._expect(reply.trigger)
             if self._trace_on:
                 self.track.instant(
                     "steal.propose",
@@ -1116,41 +1030,32 @@ class ComputationEngine:
             if self._liveness is None:
                 message = yield reply  # chaos: ignore[CHX021] fault-free run: no failure to wait out
             else:
-                # Fault-tolerant steal RPC: re-arm a timeout until the
-                # reply lands or the proposed master is fenced; a dead
-                # master counts as a rejection (the rollback will give
-                # its partitions a fresh master anyway).  Waits follow
-                # the seeded backoff policy, starting at the steal
-                # timeout; waits past the first are accounted as retry
-                # time in the trace.
+                # Fault-tolerant steal RPC: race the reply against each
+                # period of the liveness schedule until it lands or the
+                # proposed master is fenced; a dead master counts as a
+                # rejection (the rollback will give its partitions a
+                # fresh master anyway).  Waits past the first are
+                # accounted as retry time in the trace.
                 message = None
-                steal_rng = random.Random(
-                    retry_rng_seed(self.config.seed, self.machine, request_id)
+                delays = backoff_delays(
+                    self._liveness_policy, self.config.seed, self.machine,
+                    request_id,
                 )
-                steal_policy = RetryPolicy(
-                    base=self.config.effective_steal_timeout(),
-                    factor=1.5,
-                    cap=4.0 * self.config.effective_lease_timeout(),
-                )
-                steal_attempt = 0
-                while message is None:
+                for attempt, period in enumerate(delays):
                     wait_start = self.sim.now
-                    period = steal_policy.delay(steal_attempt, steal_rng)
                     winner, value = yield self.sim.any_of(
                         [reply, self.sim.timeout(period)]
                     )
                     if winner is reply:
                         message = value
-                        continue
-                    if steal_attempt > 0:
-                        self._retry_wait(wait_start, "steal.retry_wait")
-                    steal_attempt += 1
+                        break
+                    if attempt > 0:
+                        self._retry_wait(wait_start, "steal")
                     if (
                         self._liveness.is_suspected(master)
                         or not self.network.is_reachable(master)
                     ):
                         self._pending.pop(request_id, None)
-                        self.steal_timeouts += 1
                         break
                 if message is None:
                     continue
@@ -1304,9 +1209,8 @@ class ComputationEngine:
             # chunks to a random storage engine (charged, not stored:
             # the data plane was pre-placed with the same RNG stream).
             target = self.placement.choose_write()
-            request_id = self._new_request_id()
             ack = Event(self.sim, name="pwrite.ack")
-            self._pending[request_id] = ack.trigger
+            request_id = self._expect(ack.trigger)
             self.network.send(
                 src=self.machine,
                 dst=target,

@@ -8,10 +8,10 @@ of the evaluation is a sweep over config fields.
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import Optional
 
+from repro.net.retry import RetryPolicy
 from repro.net.topology import GIGE_40, NetworkConfig
 from repro.store.chunk import DEFAULT_CHUNK_BYTES
 from repro.store.device import SSD_480GB, DeviceSpec
@@ -60,18 +60,9 @@ class ClusterConfig:
     #: tolerating storage failures "could easily be added by replicating
     #: the vertex sets" (Section 6.6); this implements it.
     vertex_replicas: int = 1
-    #: Heartbeat period of the per-machine failure-detector sender.
+    #: Heartbeat period of the per-machine failure-detector sender; the
+    #: lease and both retry policies derive from it.
     heartbeat_interval: float = 1e-3
-    #: Lease duration: a machine whose heartbeat is this stale is
-    #: suspected dead and fenced.  ``None`` derives 5 heartbeats.
-    lease_timeout: Optional[float] = None
-    #: Steal-proposal RPC timeout under fault injection (``None``
-    #: derives from the lease; unused in fault-free runs).
-    steal_timeout: Optional[float] = None
-    #: Chunk-read RPC re-check period under fault injection: how often
-    #: a blocked reader consults the failure detector about its target
-    #: (``None`` derives from the lease; unused in fault-free runs).
-    read_timeout: Optional[float] = None
     #: Reboot delay applied to crash faults with no explicit restart
     #: time (crash faults are transient machine failures, Section 6.6 —
     #: secondary storage survives the reboot).
@@ -87,9 +78,10 @@ class ClusterConfig:
 
     # -- optional Pregel-style combining (Section 11.1) -----------------------
     #: Pre-aggregate buffered updates sharing a destination before
-    #: writing them.  The paper evaluated and rejected this ("the cost
-    #: of merging ... outweighs the benefits"); kept as a measurable
-    #: ablation.
+    #: writing them: charges the merge CPU and writes combined-size
+    #: chunks (the raw updates ship, so values stay exact).  The paper
+    #: evaluated and rejected this ("the cost of merging ... outweighs
+    #: the benefits"); kept as a measurable ablation.
     aggregate_updates: bool = False
 
     # -- CPU cost model --------------------------------------------------
@@ -128,12 +120,6 @@ class ClusterConfig:
             raise ValueError("cannot replicate beyond the machine count")
         if self.heartbeat_interval <= 0:
             raise ValueError("heartbeat_interval must be positive")
-        if self.lease_timeout is not None and self.lease_timeout <= 0:
-            raise ValueError("lease_timeout must be positive")
-        if self.steal_timeout is not None and self.steal_timeout <= 0:
-            raise ValueError("steal_timeout must be positive")
-        if self.read_timeout is not None and self.read_timeout <= 0:
-            raise ValueError("read_timeout must be positive")
         if self.restart_seconds <= 0:
             raise ValueError("restart_seconds must be positive")
 
@@ -156,32 +142,32 @@ class ClusterConfig:
         )
 
     def effective_lease_timeout(self) -> float:
-        """Failure-detector lease: explicit, or 5 heartbeat periods.
+        """Failure-detector lease: 5 heartbeat periods.
 
         Five missed heartbeats comfortably absorb queueing jitter at
         the monitor's NIC while still bounding detection latency.
         """
-        if self.lease_timeout is not None:
-            return self.lease_timeout
         return 5.0 * self.heartbeat_interval
 
-    def effective_steal_timeout(self) -> float:
-        """Steal-RPC re-check period: explicit, or one lease."""
-        if self.steal_timeout is not None:
-            return self.steal_timeout
-        return self.effective_lease_timeout()
+    def liveness_policy(self) -> RetryPolicy:
+        """Re-check schedule of a blocked RPC under fault injection
+        (chunk reads, steal proposals): first at one lease, backing off
+        to four so a long outage is not busy-polled.  A request is only
+        abandoned once the failure detector has fenced its target, so
+        the schedule trades wake-ups against abandonment latency and can
+        never cause a false data loss."""
+        lease = self.effective_lease_timeout()
+        return RetryPolicy(base=lease, factor=1.5, cap=4.0 * lease)
 
-    def effective_read_timeout(self) -> float:
-        """Chunk-read re-check period: explicit, or one lease.
-
-        A blocked read is only ever *abandoned* once the failure
-        detector has fenced its target, so this period trades wake-up
-        overhead against abandonment latency — it can never cause a
-        false data loss.
-        """
-        if self.read_timeout is not None:
-            return self.read_timeout
-        return self.effective_lease_timeout()
+    def integrity_policy(self) -> RetryPolicy:
+        """Backoff before re-sending a request whose frame arrived
+        corrupt: a transient, so start well under the lease and back off
+        toward it."""
+        return RetryPolicy(
+            base=self.heartbeat_interval / 4.0,
+            factor=2.0,
+            cap=self.effective_lease_timeout(),
+        )
 
     def with_(self, **changes) -> "ClusterConfig":
         """A modified copy (dataclasses.replace convenience)."""

@@ -44,7 +44,7 @@ from repro.faults.detector import HeartbeatSender
 from repro.faults.diagnosis import JobDiagnosis, UnrecoverableJobError
 from repro.faults.plan import FaultSpec
 from repro.faults.registry import SLOT_BASES
-from repro.net.retry import RetryPolicy, jittered_delay
+from repro.net.retry import jittered_delay
 from repro.obs.tracer import NULL_TRACK
 from repro.sim.engine import Event, SimulationError, Simulator
 from repro.store import engine as store_engine
@@ -567,10 +567,6 @@ class _RestoreClient:
     def close(self) -> None:
         self._dispatcher.kill("restore-done")
 
-    def _new_id(self) -> int:
-        self._next_id += self.sup.config.machines
-        return self._next_id
-
     def _dispatch(self):
         while True:
             message = yield self._mailbox.get()
@@ -579,6 +575,53 @@ class _RestoreClient:
             callback = self._pending.pop(message.payload[0], None)
             if callback is not None:
                 callback(message)
+
+    def _timed_call(self, target, kind, size, body, partition, attempt=0):
+        """One storage RPC raced against a one-lease timeout: the reply,
+        or None if the timeout won (its pending entry is dropped).
+
+        Attempt ``n > 0`` first backs off on the integrity policy, seeded
+        by its own request id, so a flapping replica is polled, not
+        hammered.
+        """
+        sup = self.sup
+        config = sup.config
+        self._next_id += config.machines
+        request_id = self._next_id
+        if attempt > 0:
+            wait_start = self.sim.now
+            yield self.sim.timeout(
+                jittered_delay(
+                    config.integrity_policy(), attempt - 1,
+                    config.seed, self.machine, request_id,
+                )
+            )
+            sup.job_track.complete(
+                "restore.retry_wait",
+                wait_start,
+                self.sim.now - wait_start,
+                cat="retry_wait",
+                args={"machine": self.machine, "partition": partition},
+            )
+        reply = Event(self.sim, name=f"restore.{kind}.p{partition}")
+        self._pending[request_id] = reply.trigger
+        sup.network.send(
+            src=self.machine,
+            dst=target,
+            service=store_engine.SERVICE,
+            kind=kind,
+            size=size,
+            payload=(request_id, self.machine, RESTORE_SERVICE, *body),
+            epoch=self.epoch,
+            attempt=attempt,
+        )
+        winner, value = yield self.sim.any_of(
+            [reply, self.sim.timeout(config.effective_lease_timeout())]
+        )
+        if winner is not reply:
+            self._pending.pop(request_id, None)
+            return None
+        return value
 
     def run(self, generation):
         sup = self.sup
@@ -647,12 +690,6 @@ class _RestoreClient:
         targets = sup.vertex_placement.machines_for(
             partition, raw_index, config.vertex_replicas
         )
-        period = config.effective_read_timeout()
-        policy = RetryPolicy(
-            base=config.heartbeat_interval / 4.0,
-            factor=2.0,
-            cap=config.effective_lease_timeout(),
-        )
         missing = 0
         attempt = 0
         while True:
@@ -678,53 +715,14 @@ class _RestoreClient:
                     )
                 )
             target = healthy[attempt % len(healthy)]
-            request_id = self._new_id()
-            if attempt > 0:
-                # Bounded deterministic backoff between attempts, so a
-                # flapping replica is polled, not hammered.
-                wait_start = self.sim.now
-                yield self.sim.timeout(
-                    jittered_delay(
-                        policy,
-                        attempt - 1,
-                        config.seed,
-                        self.machine,
-                        request_id,
-                    )
-                )
-                sup.job_track.complete(
-                    "restore.retry_wait",
-                    wait_start,
-                    self.sim.now - wait_start,
-                    cat="retry_wait",
-                    args={"machine": self.machine, "partition": partition},
-                )
+            reply = yield from self._timed_call(
+                target, "vread", store_engine.CONTROL_BYTES,
+                (partition, store_index), partition, attempt,
+            )
             attempt += 1
-            reply = Event(self.sim, name=f"restore.read.p{partition}")
-            self._pending[request_id] = reply.trigger
-            sup.network.send(
-                src=self.machine,
-                dst=target,
-                service=store_engine.SERVICE,
-                kind="vread",
-                size=store_engine.CONTROL_BYTES,
-                payload=(
-                    request_id,
-                    self.machine,
-                    RESTORE_SERVICE,
-                    partition,
-                    store_index,
-                ),
-                epoch=self.epoch,
-                attempt=attempt - 1,
-            )
-            winner, value = yield self.sim.any_of(
-                [reply, self.sim.timeout(period)]
-            )
-            if winner is not reply:
-                self._pending.pop(request_id, None)
+            if reply is None:
                 continue
-            _rid, chunk = value.payload
+            _rid, chunk = reply.payload
             if chunk is None:
                 missing += 1
                 if missing >= len(targets):
@@ -782,23 +780,10 @@ class _RestoreClient:
             if not registry.is_quarantined(target, partition, store_index):
                 continue
             start = self.sim.now
-            ack = Event(self.sim, name=f"restore.rereplicate.p{partition}")
-            request_id = self._new_id()
-            self._pending[request_id] = ack.trigger
-            sup.network.send(
-                src=self.machine,
-                dst=target,
-                service=store_engine.SERVICE,
-                kind="vwrite",
-                size=chunk.size,
-                payload=(request_id, self.machine, RESTORE_SERVICE, chunk),
-                epoch=self.epoch,
+            ack = yield from self._timed_call(
+                target, "vwrite", chunk.size, (chunk,), partition
             )
-            winner, value = yield self.sim.any_of(
-                [ack, self.sim.timeout(sup.config.effective_read_timeout())]
-            )
-            if winner is not ack or value.payload[1] is not None:
-                self._pending.pop(request_id, None)
+            if ack is None or ack.payload[1] is not None:
                 continue
             registry.clear_quarantine(target, partition, store_index)
             sup.job_track.complete(

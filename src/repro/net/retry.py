@@ -1,8 +1,11 @@
 """Deterministic bounded retry with seeded exponential backoff + jitter.
 
-Every retried RPC in the engine (chunk reads, steal proposals, restore
-reads, integrity re-requests) draws its wait schedule from here.  Two
-properties matter:
+Every retried RPC in the engine draws its wait schedule from here, on
+one of the two policies :class:`~repro.core.config.ClusterConfig`
+derives from its heartbeat: ``liveness_policy()`` paces
+:func:`backoff_delays` re-checks of a blocked read or steal proposal,
+``integrity_policy()`` the :func:`jittered_delay` before a re-send of a
+corrupt frame or a restore read past the first.  Two properties matter:
 
 * **Determinism** — the jitter RNG is seeded from ``(config.seed,
   machine, request_id)``, so a retried schedule is a pure function of
@@ -15,6 +18,7 @@ properties matter:
 
 from __future__ import annotations
 
+import itertools
 import random
 from dataclasses import dataclass
 from typing import Iterator
@@ -29,14 +33,13 @@ __all__ = [
 #: Protocol transition annotations consumed by the state-machine
 #: extractor (:mod:`repro.analysis.protocol.extract`).  Labels starting
 #: with ``timeout`` mark these as liveness escapes for the send sites of
-#: a function that draws its schedule from one of them: the request is
-#: retried or abandoned (the model checker's steal timeout).  They do
-#: not time a wait — rule CHX021 judges each ``yield`` on its own, and
-#: only racing the event against a timer (``any_of``) bounds it.
+#: a function that calls one of them: the request is retried or
+#: abandoned (the model checker's steal timeout).  They do not time a
+#: wait — rule CHX021 judges each ``yield`` on its own, and only racing
+#: the event against a timer (``any_of``) bounds it.
 PROTOCOL_TRANSITIONS = {
     "jittered_delay": "timeout.backoff",
     "backoff_delays": "timeout.backoff",
-    "delay": "timeout.backoff",
 }
 
 
@@ -85,13 +88,10 @@ def jittered_delay(
 ) -> float:
     """One seeded jittered delay for the ``attempt``-th retry of an RPC.
 
-    This is the single call every retry site in the engine and the
-    recovery supervisor uses (chunk re-reads, corrupt-write resends,
-    steal liveness probes, restore replica cycling), so the causal trace
-    of a retry chain always reflects the exact same schedule the
-    protocol executed.  The jitter RNG is freshly seeded per call from
-    ``(config_seed, machine, request_id)`` — a pure function of the
-    run's identity, independent of call order.
+    The engine's integrity backoff and the restore client's replica
+    cycling each call it once per retry.  The jitter RNG is freshly
+    seeded per call from ``(config_seed, machine, request_id)`` — a pure
+    function of the run's identity, independent of call order.
     """
     rng = random.Random(retry_rng_seed(config_seed, machine, request_id))
     return policy.delay(attempt, rng)
@@ -100,9 +100,10 @@ def jittered_delay(
 def backoff_delays(
     policy: RetryPolicy, config_seed: int, machine: int, request_id: int
 ) -> Iterator[float]:
-    """Endless deterministic delay sequence for one logical RPC."""
+    """Endless deterministic delay sequence for one logical RPC: the
+    liveness re-check periods of a blocked read or steal proposal.
+
+    A ``map`` rather than a generator: a schedule still held when its
+    job ends is freed without re-entering Python code."""
     rng = random.Random(retry_rng_seed(config_seed, machine, request_id))
-    attempt = 0
-    while True:
-        yield policy.delay(attempt, rng)
-        attempt += 1
+    return map(policy.delay, itertools.count(), itertools.repeat(rng))

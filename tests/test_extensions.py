@@ -4,7 +4,7 @@ and vertex-set replication (Section 6.6)."""
 import numpy as np
 import pytest
 
-from repro.algorithms import BFS, PageRank, WCC
+from repro.algorithms import BFS, WCC, BeliefPropagation, PageRank, SpMV
 from repro.algorithms.combiners import combine_by_min, combine_by_sum
 from repro.core.runtime import run_algorithm
 from repro.faults import FaultPlan
@@ -72,15 +72,13 @@ class TestUpdateAggregation:
             plain.values["distance"], aggregated.values["distance"]
         )
 
-    @pytest.mark.xfail(
-        strict=True,
-        reason="combine_by_sum rounds partial float sums over buffers whose "
-        "contents depend on the schedule; no fold at the master undoes that",
-    )
     def test_float_sum_aggregation_is_byte_identical_across_configurations(
         self, small_graph
     ):
-        def final_bytes(machines, fault=None):
+        """Combining sizes the update chunks but ships the raw updates,
+        so every float sum folds exactly, whatever the schedule."""
+
+        def final_bytes(algorithm, machines, fault=None):
             config = fast_config(
                 machines,
                 chunk_bytes=4096,
@@ -89,13 +87,18 @@ class TestUpdateAggregation:
             )
             plan = FaultPlan.parse([fault]) if fault else None
             result = run_algorithm(
-                PageRank(iterations=3), small_graph, config, fault_plan=plan
+                algorithm(), small_graph, config, fault_plan=plan
             )
-            return result.values["rank"].tobytes()
+            return {name: a.tobytes() for name, a in result.values.items()}
 
-        reference = final_bytes(1)
-        assert final_bytes(3) == reference
-        assert final_bytes(3, "crash:1@iter=1") == reference
+        for algorithm in (
+            lambda: PageRank(iterations=3),
+            lambda: BeliefPropagation(iterations=3),
+            SpMV,
+        ):
+            reference = final_bytes(algorithm, 1)
+            assert final_bytes(algorithm, 3) == reference
+            assert final_bytes(algorithm, 3, "crash:1@iter=1") == reference
 
     def test_written_counts_match_produced_without_aggregation(
         self, small_graph

@@ -91,20 +91,21 @@ TWINS = {
         fault="crash:1@iter=2"),
 }
 
-#: twin -> calls per (sim event, message, edge streamed): what PR 22 left
-#: (Python 3.11) plus 0.5 %, because CI's 3.10 and 3.12 could not be run
-#: where these were pinned.  One more call per delivered message is
-#: +2.1 % (``pr_traced``) to +2.7 % (``pr_overhead``): red on every twin.
+#: twin -> calls per (sim event, message, edge streamed): the last
+#: measurement (Python 3.11) plus 0.5 %, because CI's 3.10 and 3.12
+#: could not be run where these were pinned.  One more call per
+#: delivered message is +2.2 % (``pr_traced``) to +2.8 % (``pr_overhead``):
+#: red on every twin.
 #: ``pr_traced`` counts the whole job — run, attribution, trace export —
 #: since PR 22; on that twin the parent (PR 21) made 99,954 calls, 81.66
 #: per message (run alone: 87,106 / 71.17).
 BUDGET = {
-    "pr_kernel": (12.95, 36.263, 0.909),  # 44,453 calls
-    "pr_overhead": (12.276, 37.117, 3.583),  # 175,207 calls
-    "wcc_minfold": (12.875, 35.993, 0.604),  # 63,104 calls
-    "sssp_file_ckpt": (13.311, 35.905, 1.458),  # 165,410 calls
-    "pr_traced": (17.152, 47.995, 2.391),  # 58,453 calls
-    "pr_crash_recover": (12.725, 40.678, 1.074),  # 88,197 calls
+    "pr_kernel": (12.441, 34.837, 0.874),  # 42,705 calls
+    "pr_overhead": (11.815, 35.721, 3.448),  # 168,617 calls
+    "wcc_minfold": (12.356, 34.541, 0.58),  # 60,558 calls
+    "sssp_file_ckpt": (12.812, 34.559, 1.403),  # 159,209 calls
+    "pr_traced": (16.645, 46.575, 2.32),  # 56,724 calls
+    "pr_crash_recover": (12.369, 39.542, 1.044),  # 85,732 calls
 }
 
 

@@ -240,20 +240,22 @@ def test_skipping_the_order_changes_no_byte(
 
 
 #: The configuration grid of one provider (the ``backend`` fixture
-#: crosses it with both): steal_alpha x {no fault, crash} x machine
-#: count, machine count varying fastest.  One machine has no machine 1
-#: to crash.
-GRID = [
-    (machines, alpha, fault if machines > 1 else None)
+#: crosses it with both): update aggregation x steal_alpha x {no fault,
+#: crash} x machine count, machine count varying fastest.  One machine
+#: has no machine 1 to crash, so its two fault cells are one.
+GRID = list(dict.fromkeys(
+    (machines, alpha, fault if machines > 1 else None, aggregate)
+    for aggregate in (False, True)
     for alpha in (0.0, 1.0)
     for fault in (None, "crash:1@iter=1")
     for machines in (1, 2, 3, 4, 8)
-]
+))
 
 
 def _sampled_cells(cls):
-    """Three consecutive cells — three machine counts — per class, so
-    that the 13 classes between them visit every cell of the grid."""
+    """Three consecutive cells — mostly three machine counts — per
+    class, so that the 13 classes between them visit every cell of the
+    grid."""
     start = 3 * list(SHIPPED).index(cls)
     return [GRID[(start + step) % len(GRID)] for step in range(3)]
 
@@ -282,15 +284,16 @@ def reference_bytes(directed, undirected):
 def test_values_are_identical_across_configurations(
     cls, backend, directed, undirected, reference_bytes
 ):
-    for machines, alpha, fault in _sampled_cells(cls):
+    for machines, alpha, fault, aggregate in _sampled_cells(cls):
         config = fast_config(
             machines,
             chunk_bytes=4096,
             steal_alpha=alpha,
             checkpointing=fault is not None,
+            aggregate_updates=aggregate,
         )
         got = _final_bytes(cls, directed, undirected, config, fault, backend)
-        assert got == reference_bytes(cls), (machines, alpha, fault)
+        assert got == reference_bytes(cls), (machines, alpha, fault, aggregate)
 
 
 # ---------------------------------------------------------------------------

@@ -12,12 +12,21 @@ import random
 
 import pytest
 
+from repro.algorithms import PageRank
+from repro.core import compute
+from repro.core.compute import INTEGRITY_ATTEMPTS
+from repro.core.config import ClusterConfig
+from repro.core.runtime import ChaosCluster
+from repro.graph import rmat_graph
 from repro.net.retry import (
     RetryPolicy,
     backoff_delays,
     jittered_delay,
     retry_rng_seed,
 )
+from repro.net.transport import Network
+from repro.store import engine as store_engine
+from repro.store.chunk import ChunkKind
 
 
 POLICY = RetryPolicy(base=0.01, factor=2.0, cap=0.5, attempts=5,
@@ -102,3 +111,34 @@ class TestDeterminism:
         second = [next(b) for _ in range(20)]
         assert first == second
         assert all(0.0 < d <= POLICY.cap for d in first)
+
+
+class TestIntegrityGiveUp:
+    """A link that damages every frame of one kind fails the job loudly
+    after exactly ``INTEGRITY_ATTEMPTS`` sends of one request, on each of
+    the three resend paths, instead of retrying forever."""
+
+    @pytest.mark.parametrize("path, module, damaged, kinds", [
+        ("write", store_engine, ChunkKind.UPDATES, ("write",)),
+        ("read", compute, ChunkKind.EDGES, ("read", "read_retry")),
+        ("vread", compute, ChunkKind.VERTICES, ("vread",)),
+    ], ids=["write", "read", "vread"])
+    def test_persistent_corruption_fails_after_the_bound(
+        self, monkeypatch, path, module, damaged, kinds
+    ):
+        monkeypatch.setattr(
+            module, "verify_chunk", lambda chunk: chunk.kind is not damaged
+        )
+        attempts = []
+        send = Network.send
+
+        def recording_send(network, *args, **kwargs):
+            if kwargs["kind"] in kinds:
+                attempts.append(kwargs.get("attempt", 0))
+            return send(network, *args, **kwargs)
+
+        monkeypatch.setattr(Network, "send", recording_send)
+        cluster = ChaosCluster(ClusterConfig(machines=2, chunk_bytes=4096))
+        with pytest.raises(RuntimeError, match=rf"{path} \d+ corrupt on all"):
+            cluster.run(PageRank(iterations=1), rmat_graph(8, seed=1))
+        assert max(attempts) == INTEGRITY_ATTEMPTS - 1

@@ -120,13 +120,13 @@ MUTATIONS = [
     ), id="M6-unfenced-restore-dispatch"),
     pytest.param(Mutation(
         SUPERVISOR,
-        (("            winner, value = yield self.sim.any_of(\n"
-          "                [reply, self.sim.timeout(period)]\n"
-          "            )\n"
-          "            if winner is not reply:\n"
-          "                self._pending.pop(request_id, None)\n"
-          "                continue\n",
-          "            value = yield reply\n"),),
+        (("        winner, value = yield self.sim.any_of(\n"
+          "            [reply, self.sim.timeout(config.effective_lease_timeout())]\n"
+          "        )\n"
+          "        if winner is not reply:\n"
+          "            self._pending.pop(request_id, None)\n"
+          "            return None\n",
+          "        value = yield reply\n"),),
         ("CHX021",), frozenset({"CHX021"}),
     ), id="M7-untimed-restore-read"),
     pytest.param(Mutation(

@@ -327,21 +327,26 @@ class DataWorkload(Workload):
         if len(out_dst) == 0:
             return []
         order, cut_points = self.layout.route(out_dst)
+        # One permutation of the whole output, then one contiguous slice
+        # per partition.  Each batch copies its slice, so it owns its
+        # columns and does not keep the chunk's permuted output alive.
+        out_dst = out_dst.take(order)
+        out_values = out_values.take(order, axis=0)
+        cuts = cut_points.tolist()
         batches: List[UpdateBatch] = []
         for p in range(self.layout.num_partitions):
-            lo, hi = cut_points[p], cut_points[p + 1]
+            lo, hi = cuts[p], cuts[p + 1]
             if lo == hi:
                 continue
-            index = order[lo:hi]
-            count = int(hi - lo)
+            count = hi - lo
             batches.append(
                 UpdateBatch(
                     partition=p,
                     count=count,
                     nbytes=count * self.algorithm.update_bytes,
                     payload={
-                        "dst": out_dst[index],
-                        "value": out_values[index],
+                        "dst": out_dst[lo:hi].copy(),
+                        "value": out_values[lo:hi].copy(),
                     },
                 )
             )

@@ -1,8 +1,8 @@
 """Structural statistics of edge lists.
 
-Used by tests (validating generator skew), by the streaming-partition
-pre-processor (per-partition edge counts drive the load-imbalance
-experiments) and by some algorithms (PageRank needs out-degrees).
+Used by tests (validating generator skew) and by some algorithms
+(PageRank needs out-degrees).  Per-partition ownership lives in
+:class:`repro.partition.streaming.PartitionLayout`.
 """
 
 from __future__ import annotations
@@ -45,13 +45,3 @@ def gini_coefficient(degrees: np.ndarray) -> float:
     n = sorted_degrees.size
     ranks = np.arange(1, n + 1, dtype=np.float64)
     return float((2.0 * (ranks * sorted_degrees).sum()) / (n * total) - (n + 1) / n)
-
-
-def partition_edge_counts(edges: EdgeList, boundaries: np.ndarray) -> np.ndarray:
-    """Edges per vertex-range partition (partition of the *source* vertex).
-
-    ``boundaries`` is the array of partition start ids with a final
-    sentinel equal to |V| (see :mod:`repro.partition.streaming`).
-    """
-    partition_of = np.searchsorted(boundaries, edges.src, side="right") - 1
-    return np.bincount(partition_of, minlength=len(boundaries) - 1).astype(np.int64)

@@ -10,11 +10,16 @@ This module implements Section 3 of the paper verbatim:
 * the split is a single pass over the edge list with O(1) work per edge
   and parallelizes trivially (each machine splits an even share of the
   input — we expose that as :func:`preprocess`'s ``input_shards``).
+
+:meth:`PartitionLayout.route` groups ids by owner for that split and for
+every scatter chunk's updates: a lookup per id in a lazily built owner
+table, then one stable radix pass over those 8- or 16-bit keys.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import List, Optional, Tuple
 
 import numpy as np
@@ -60,11 +65,31 @@ class PartitionLayout:
         boundaries = np.concatenate([[0], np.cumsum(sizes)])
         return cls(num_vertices, num_partitions, boundaries)
 
+    @cached_property
+    def _owner(self) -> np.ndarray:
+        """Owning partition of every vertex id, in the narrowest unsigned
+        type that holds ``num_partitions - 1``.  Built on first use: a
+        capacity-mode layout of 2**36 vertices never routes."""
+        partitions = np.arange(
+            self.num_partitions, dtype=np.min_scalar_type(self.num_partitions - 1)
+        )
+        return np.repeat(partitions, np.diff(self.boundaries))
+
     def partition_of(self, vertex_ids: np.ndarray) -> np.ndarray:
-        """Partition index for each vertex id (vectorized)."""
-        return (
-            np.searchsorted(self.boundaries, vertex_ids, side="right") - 1
-        ).astype(np.int64)
+        """Owning partition of each vertex id, in the owner table's type.
+
+        An id outside ``[0, num_vertices)`` raises ``ValueError``.  The
+        check is one reduction: read as unsigned, a negative id is past
+        every vertex.
+        """
+        ids = np.asarray(vertex_ids)
+        unsigned = ids.view(f"u{ids.itemsize}") if ids.dtype.kind == "i" else ids
+        if ids.size and unsigned.max() >= self.num_vertices:
+            offending = ids.min() if ids.min() < 0 else ids.max()
+            raise ValueError(
+                f"vertex id {offending} is outside [0, {self.num_vertices})"
+            )
+        return self._owner.take(ids)
 
     def route(self, vertex_ids: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
         """Group ``vertex_ids`` by owning partition: ``(order, cut_points)``.
@@ -72,30 +97,23 @@ class PartitionLayout:
         ``order[cut_points[p]:cut_points[p + 1]]`` indexes the ids owned
         by partition ``p``, in input order (the grouping is stable).
         This is the one router behind both the scatter-side update
-        binning and the pre-processing edge split.  The partition id is
-        narrowed to the smallest unsigned type that holds it so the
-        stable argsort is a radix sort (numpy uses one for 8- and 16-bit
-        keys), and the cuts come from a histogram, not a search.
+        binning and the pre-processing edge split.
 
-        An id outside ``[0, num_vertices)`` belongs to no partition and
-        raises ``ValueError`` instead of being dropped (the histogram's
-        two end slots catch it, so the check costs no extra pass).
+        :meth:`partition_of` checks the bounds (an id outside
+        ``[0, num_vertices)`` raises ``ValueError`` instead of being
+        dropped), then looks each id up in the owner table: one entry
+        per vertex, built on the first call and never for a layout that
+        does not route.  The table holds the narrowest unsigned type for
+        a partition index, so the keys are 8 or 16 bits wide and the
+        stable argsort is one radix pass (numpy's sort for such keys).
+        The ``P + 1`` cut points are a search of the sorted keys.
         """
-        # Slot 0 counts the ids below every boundary, slots 1..P the ids
-        # of each partition, slot P + 1 the ids at or past the last one.
-        slot = np.searchsorted(self.boundaries, vertex_ids, side="right")
-        counts = np.bincount(slot, minlength=self.num_partitions + 2)
-        if counts[0] or counts[-1]:
-            ids = np.asarray(vertex_ids)
-            offending = ids.min() if counts[0] else ids.max()
-            raise ValueError(
-                f"vertex id {offending} is outside [0, {self.num_vertices})"
-            )
-        order = np.argsort(
-            slot.astype(np.min_scalar_type(self.num_partitions)),
-            kind="stable",
+        keys = self.partition_of(vertex_ids)
+        order = keys.argsort(kind="stable")
+        partitions = self.num_partitions
+        cut_points = keys.take(order).searchsorted(
+            np.arange(partitions + 1, dtype=np.min_scalar_type(partitions))
         )
-        cut_points = np.cumsum(counts[:-1])
         return order, cut_points
 
     def vertex_range(self, partition: int) -> range:

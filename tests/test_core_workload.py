@@ -4,13 +4,16 @@ import numpy as np
 import pytest
 
 from repro.algorithms import WCC, PageRank
+from repro.core.compute import ComputationEngine
 from repro.core.gas import GraphContext, state_slice
+from repro.core.runtime import ChaosCluster
 from repro.core.workload import DataWorkload, ModelWorkload
 from repro.graph import rmat_graph
 from repro.graph.stats import out_degrees
 from repro.partition.streaming import PartitionLayout
 from repro.perf.profiles import fixed_profile
 from repro.store.chunk import Chunk, ChunkKind
+from tests.conftest import fast_config
 
 
 def _workload(scale=6, partitions=4, iterations=2):
@@ -195,6 +198,62 @@ class TestDataWorkload:
         phantom = Chunk(partition=0, kind=ChunkKind.EDGES, size=10, records=1)
         with pytest.raises(ValueError, match="payload"):
             workload.scatter_chunk(0, phantom, 0)
+
+
+def _columns(batches):
+    return [column for batch in batches for column in batch.payload.values()]
+
+
+def _buffer(column):
+    """The array that owns ``column``'s memory (itself unless a view):
+    two disjoint slices of one array do not share memory, but they
+    share this buffer and keep all of it alive."""
+    while isinstance(column.base, np.ndarray):
+        column = column.base
+    return column
+
+
+def _shares_buffer(a, b):
+    return np.shares_memory(_buffer(a), _buffer(b))
+
+
+class TestBatchOwnership:
+    """``store/integrity.py``: a producer must not keep a writable base
+    of a sealed column alive.  Scatter permutes its output once and
+    slices it per partition, so every slice must be a copy."""
+
+    def test_scatter_batches_share_no_memory(self):
+        graph, layout, workload = _workload()
+        for p in range(layout.num_partitions):
+            chunk = _edge_chunk(graph, layout, p)
+            columns = _columns(workload.scatter_chunk(p, chunk, 0))
+            assert len(columns) > 2  # more than one batch
+            for i, column in enumerate(columns):
+                for other in columns[i + 1 :] + list(chunk.payload.values()):
+                    assert not _shares_buffer(column, other)
+
+    def test_sealed_update_chunks_share_no_memory_with_batches(
+        self, monkeypatch
+    ):
+        sealed = []
+        update_chunk = ComputationEngine._update_chunk
+
+        def recording(engine, partition, batches, nbytes, count):
+            chunk = update_chunk(engine, partition, batches, nbytes, count)
+            sealed.append((batches, chunk))
+            return chunk
+
+        monkeypatch.setattr(ComputationEngine, "_update_chunk", recording)
+        # One partition: every flush seals a single batch.
+        for config in (fast_config(2), fast_config(1, partitions_per_machine=1)):
+            ChaosCluster(config).run(PageRank(iterations=2), rmat_graph(8, seed=1))
+        assert any(len(batches) == 1 for batches, _ in sealed)
+        assert any(len(batches) > 1 for batches, _ in sealed)
+        for batches, chunk in sealed:
+            for column in chunk.payload.values():
+                assert not column.flags.writeable
+                for other in _columns(batches):
+                    assert not _shares_buffer(column, other)
 
 
 class TestModelWorkload:

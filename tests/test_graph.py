@@ -19,7 +19,7 @@ from repro.graph import (
     write_edges,
 )
 from repro.graph.rmat import RmatParameters
-from repro.graph.stats import gini_coefficient, partition_edge_counts
+from repro.graph.stats import gini_coefficient
 
 
 class TestEdgeList:
@@ -234,8 +234,3 @@ class TestStats:
         degrees = np.zeros(1000)
         degrees[0] = 10_000
         assert gini_coefficient(degrees) > 0.99
-
-    def test_partition_edge_counts(self):
-        edges = EdgeList(num_vertices=8, src=[0, 1, 4, 7], dst=[1, 2, 5, 6])
-        boundaries = np.array([0, 4, 8])
-        assert list(partition_edge_counts(edges, boundaries)) == [2, 2]

@@ -24,6 +24,25 @@ class TestPartitionLayout:
         result = layout.partition_of(np.array([0, 4, 5, 9]))
         assert list(result) == [0, 0, 1, 1]
 
+    @pytest.mark.parametrize("bad", [-1, 10])
+    def test_partition_of_rejects_ids_outside_the_graph(self, bad):
+        """It used to answer -1 for a negative id and 2 for id 10."""
+        with pytest.raises(ValueError, match=rf"{bad} is outside \[0, 10\)"):
+            PartitionLayout.even(10, 2).partition_of(np.array([bad]))
+
+    def test_owner_table_is_built_on_first_use(self):
+        """A capacity-mode layout answers sizes and offsets without a
+        table of 2**36 entries; a routing layout builds the narrowest."""
+        layout = PartitionLayout.even(1 << 36, 64)
+        assert layout.vertex_count(63) == 1 << 30
+        assert layout.start(1) == 1 << 30
+        assert list(layout.to_local(1, np.array([1 << 30]))) == [0]
+        assert "_owner" not in vars(layout)
+        for partitions, dtype in [(1, np.uint8), (256, np.uint8), (257, np.uint16)]:
+            layout = PartitionLayout.even(1000, partitions)
+            layout.route(np.arange(1000))
+            assert vars(layout)["_owner"].dtype == dtype
+
     def test_vertex_range(self):
         layout = PartitionLayout.even(10, 2)
         assert list(layout.vertex_range(1)) == [5, 6, 7, 8, 9]
@@ -51,14 +70,14 @@ class TestPartitionLayout:
     def test_route_is_the_stable_grouping_by_partition(
         self, num_vertices, partitions
     ):
-        """``route`` == stable argsort of ``partition_of`` + a search
-        for the cuts (what scatter and pre-processing each used to
-        spell out), for one radix width on each side of 256 partitions
-        and for layouts with empty partitions."""
+        """``route`` == stable argsort of a search of the boundaries +
+        a search for the cuts (independent of the owner table), for one
+        radix width on each side of 256 partitions and for layouts with
+        empty partitions."""
         layout = PartitionLayout.even(num_vertices, partitions)
         ids = np.random.default_rng(3).integers(0, num_vertices, size=4000)
         order, cut_points = layout.route(ids)
-        target = layout.partition_of(ids)
+        target = np.searchsorted(layout.boundaries, ids, side="right") - 1
         expected = np.argsort(target, kind="stable")
         assert np.array_equal(order, expected)
         assert np.array_equal(
@@ -76,6 +95,26 @@ class TestPartitionLayout:
         layout = PartitionLayout.even(10, 2)
         with pytest.raises(ValueError, match=rf"{bad} is outside \[0, 10\)"):
             layout.route(np.array([3, bad, 7]))
+
+    @pytest.mark.parametrize(
+        "dtype, bad",
+        [
+            (np.int32, -1),
+            (np.int64, -(1 << 40)),
+            (np.int32, 10),
+            (np.int64, 10),
+            (np.uint32, 10),
+            (np.uint64, 10),
+            (np.uint64, 1 << 63),
+            (np.uint64, (1 << 64) - 1),
+        ],
+    )
+    def test_route_rejects_ids_outside_the_graph_in_every_dtype(self, dtype, bad):
+        """Negative signed ids, |V| itself, and uint64 ids that a cast
+        to a signed index would turn negative."""
+        layout = PartitionLayout.even(10, 2)
+        with pytest.raises(ValueError, match=rf"{bad} is outside \[0, 10\)"):
+            layout.route(np.array([3, bad, 7], dtype=dtype))
 
 
 class TestChoosePartitionCount:

@@ -155,6 +155,35 @@ class TestPartitionProperties:
         p = int(layout.partition_of(np.array([vertex]))[0])
         assert vertex in layout.vertex_range(p)
 
+    @given(
+        num_vertices=st.integers(1, 3000),
+        partitions=st.sampled_from([1, 255, 256, 257]),
+        dtype=st.sampled_from([np.int32, np.int64, np.uint32, np.uint64]),
+        count=st.integers(0, 600),
+        seed=st.integers(0, 2**16),
+    )
+    @settings(max_examples=60, suppress_health_check=SUPPRESS)
+    def test_route_is_the_stable_grouping_by_boundary_search(
+        self, num_vertices, partitions, dtype, count, seed
+    ):
+        """``route`` over random, uneven layouts (empty partitions
+        included) and every id width equals a stable argsort of a search
+        of the boundaries, across the 8-bit -> 16-bit key width."""
+        rng = np.random.default_rng(seed)
+        cuts = np.sort(rng.integers(0, num_vertices + 1, size=partitions - 1))
+        layout = PartitionLayout(
+            num_vertices, partitions, np.concatenate([[0], cuts, [num_vertices]])
+        )
+        ids = rng.integers(0, num_vertices, size=count).astype(dtype)
+        order, cut_points = layout.route(ids)
+        target = np.searchsorted(layout.boundaries, ids, side="right") - 1
+        expected = np.argsort(target, kind="stable")
+        assert np.array_equal(order, expected)
+        assert np.array_equal(
+            cut_points, np.searchsorted(target[expected], np.arange(partitions + 1))
+        )
+        assert np.array_equal(layout.partition_of(ids), target)
+
 
 class TestChunkProperties:
     @given(total=st.integers(0, 10**5), chunk=st.integers(1, 10**4))

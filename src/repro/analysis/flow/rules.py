@@ -79,11 +79,11 @@ class DeepContext:
 
     def protocol(self):
         """The extracted protocol model, built lazily and shared by the
-        protocol rules (and ``check --protocol``)."""
+        protocol rules CHX019-021/023."""
         if self._protocol is None:
             from repro.analysis.protocol.extract import extract_model
 
-            self._protocol = extract_model(self.index, self.graph)
+            self._protocol = extract_model(self.index)
         return self._protocol
 
 
@@ -797,7 +797,7 @@ class UntimedWaitRule(DeepRule):
 
     def run(self, ctx: DeepContext) -> Iterator[Finding]:
         for wait in ctx.protocol().all_waits():
-            if wait.remote and not wait.has_timeout:
+            if wait.remote:
                 yield self._finding(
                     wait.file,
                     wait.line,
@@ -812,7 +812,7 @@ class GhostKindRule(DeepRule):
     extracted protocol model has never heard of: no send site emits it
     and no receive loop dispatches it, so it is either dead vocabulary
     or a hand-rolled message that bypasses the modeled protocol (and
-    every invariant the model checker proves about it).
+    every protocol rule that judges it).
     """
 
     rule_id = "CHX023"

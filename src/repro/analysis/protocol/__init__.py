@@ -1,42 +1,26 @@
-"""Protocol state-machine extraction, model checking and conformance.
+"""Protocol model extraction and trace conformance.
 
-Three layers over the deep-analysis project index:
+One extractor feeds two checks over the deep-analysis project index:
 
-* :mod:`.extract` lifts per-role communicating state machines (sends,
-  receive loops, barrier ops, blocking waits, epoch guards) out of the
-  code;
-* :mod:`.mc` explores message interleavings of small clusters (m=2-3)
-  and checks deadlock-freedom, barrier consensus, steal termination,
-  lost wakeups and epoch fencing;
+* :mod:`.extract` lifts per-role send sites, receive loops (with their
+  handled kinds and epoch guards) and blocking waits out of the code;
+  the protocol rules CHX019-021/023 judge that model statically;
 * :mod:`.conform` replays recorded causal-trace DAGs against the
   extracted model, flagging unmodeled transitions and naming stuck
-  transitions in deadlocked traces.
+  transitions in deadlocked traces (``trace conform``).
 """
 
-from .conform import ConformanceReport, conform, conform_trace
+from .conform import ConformanceReport, conform
 from .extract import extract_model
-from .mc import CheckResult, PropertyResult, check_protocol
-from .model import (
-    BarrierOp,
-    ProtocolModel,
-    ReceiveLoop,
-    RoleModel,
-    SendOp,
-    WaitOp,
-)
+from .model import ProtocolModel, ReceiveLoop, RoleModel, SendOp, WaitOp
 
 __all__ = [
-    "BarrierOp",
-    "CheckResult",
     "ConformanceReport",
-    "PropertyResult",
     "ProtocolModel",
     "ReceiveLoop",
     "RoleModel",
     "SendOp",
     "WaitOp",
-    "check_protocol",
     "conform",
-    "conform_trace",
     "extract_model",
 ]

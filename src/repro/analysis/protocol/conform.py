@@ -20,7 +20,7 @@ transition the cluster hung on.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Sequence
+from typing import Any, Dict, List, Sequence
 
 from repro.obs.causal import (
     message_kind_counts,
@@ -30,7 +30,7 @@ from repro.obs.causal import (
 
 from .model import ProtocolModel
 
-__all__ = ["ConformanceReport", "conform", "conform_trace"]
+__all__ = ["ConformanceReport", "conform"]
 
 
 @dataclass
@@ -164,19 +164,3 @@ def conform(
         waiters = ", ".join(f"m{m}" for m in machines)
         report.stuck_barriers.append(f"{key} waited on by {waiters}")
     return report
-
-
-def conform_trace(
-    trace: Dict[str, Any], model: ProtocolModel
-) -> Optional[ConformanceReport]:
-    """Conform a loaded Chrome-trace dict; None when it carries no
-    causal events (traces recorded before causal capture existed)."""
-    from repro.obs.causal import CausalError, causal_events_from_trace
-
-    try:
-        events = causal_events_from_trace(trace)
-    except CausalError:
-        return None
-    if not events:
-        return None
-    return conform(events, model)

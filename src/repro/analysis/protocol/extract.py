@@ -14,20 +14,13 @@ and recognizes the repo's protocol idioms:
   transition — kind/service expressions resolve through local literals,
   conditional expressions, module/class constants and (one level deep)
   literal arguments at the call sites of the enclosing helper;
-* ``barrier_arrive`` / ``barrier.wait`` / ``barrier_release`` calls are
-  synchronization transitions;
 * a bare ``yield delivered`` on a send result or a registered reply
   :class:`Event` is a blocking wait.  It has no timeout of its own: a
   wait that races the event against a timer (``any_of`` + ``timeout``)
   is not a blocking wait, and a timer elsewhere in the function does not
   bound this one.
 
-Modules may also publish a ``PROTOCOL_TRANSITIONS`` dict (name ->
-transition label); entries whose label starts with ``timeout`` mark
-functions (e.g. ``jittered_delay`` in :mod:`repro.net.retry`) whose use
-gives a function's send sites a liveness escape — the request is
-retried or abandoned, which is what the model checker's steal-timeout
-transition stands for.
+The protocol rules CHX019-021/023 and ``trace conform`` read the result.
 """
 
 from __future__ import annotations
@@ -45,19 +38,9 @@ from repro.analysis.flow.project import (
     enclosing_class_of,
 )
 
-from .model import (
-    BarrierOp,
-    ProtocolModel,
-    ReceiveLoop,
-    RoleModel,
-    SendOp,
-    WaitOp,
-)
+from .model import ProtocolModel, ReceiveLoop, RoleModel, SendOp, WaitOp
 
 __all__ = ["extract_model"]
-
-#: Name of the per-module transition annotation table.
-ANNOTATION_NAME = "PROTOCOL_TRANSITIONS"
 
 
 def _str_constants_of(body: List[ast.stmt]) -> Dict[str, str]:
@@ -73,30 +56,6 @@ def _str_constants_of(body: List[ast.stmt]) -> Dict[str, str]:
         ):
             table[stmt.targets[0].id] = stmt.value.value
     return table
-
-
-def _annotation_table(module: ModuleInfo) -> Optional[Dict[str, str]]:
-    """The module's ``PROTOCOL_TRANSITIONS`` dict, if it declares one."""
-    for stmt in module.tree.body:
-        if not (
-            isinstance(stmt, ast.Assign)
-            and len(stmt.targets) == 1
-            and isinstance(stmt.targets[0], ast.Name)
-            and stmt.targets[0].id == ANNOTATION_NAME
-            and isinstance(stmt.value, ast.Dict)
-        ):
-            continue
-        table: Dict[str, str] = {}
-        for key, value in zip(stmt.value.keys, stmt.value.values):
-            if (
-                isinstance(key, ast.Constant)
-                and isinstance(key.value, str)
-                and isinstance(value, ast.Constant)
-                and isinstance(value.value, str)
-            ):
-                table[key.value] = value.value
-        return table
-    return None
 
 
 class _Resolver:
@@ -284,17 +243,6 @@ def _yielded_expr(stmt: ast.stmt) -> Optional[ast.AST]:
     return None
 
 
-def _is_any_of_with_timeout(call: ast.Call) -> bool:
-    chain = attr_chain(call.func)
-    if chain is None or chain[-1] != "any_of":
-        return False
-    for arg in ast.walk(call):
-        sub = _call_chain(arg)
-        if sub is not None and sub[-1] == "timeout":
-            return True
-    return False
-
-
 class _Extractor:
     def __init__(self, index: ProjectIndex):
         self.index = index
@@ -303,14 +251,10 @@ class _Extractor:
         #: (class qualname, attribute) -> service name for mailboxes
         #: bound via ``network.register``.
         self.mailboxes: Dict[Tuple[str, str], str] = {}
-        #: functions that give a function's send sites a liveness
-        #: escape, from PROTOCOL_TRANSITIONS entries labeled ``timeout...``.
-        self.timeout_functions: Set[str] = {"timeout"}
 
     # -- passes ----------------------------------------------------------
 
     def run(self) -> ProtocolModel:
-        self._collect_annotations()
         self._collect_mailboxes()
         for func in self.index.iter_functions():
             module = self.index.modules.get(func.module)
@@ -324,20 +268,9 @@ class _Extractor:
         self.model.roles = {
             name: role
             for name, role in self.model.roles.items()
-            if role.sends or role.receives or role.barriers
-            or role.waits or role.services
+            if role.sends or role.receives or role.waits or role.services
         }
         return self.model
-
-    def _collect_annotations(self) -> None:
-        for module in self.index.modules.values():
-            table = _annotation_table(module)
-            if table is None:
-                continue
-            self.model.declared[module.name] = table
-            for name, label in table.items():
-                if label.startswith("timeout"):
-                    self.timeout_functions.add(name.split(".")[-1])
 
     def _collect_mailboxes(self) -> None:
         for module in self.index.modules.values():
@@ -398,7 +331,6 @@ class _Extractor:
         class_ctx: Optional[ClassInfo],
     ) -> None:
         role = self.model.role(self._role_name(func, class_ctx))
-        has_liveness = self._function_has_liveness(func)
         send_results: Dict[str, ast.Call] = {}
         event_names: Set[str] = set()
         any_remote_send = False
@@ -415,26 +347,15 @@ class _Extractor:
             if not isinstance(node, ast.Call):
                 continue
             chain = attr_chain(node.func)
-            if chain is None:
-                continue
-            tail = chain[-1]
-            if tail == "send" and self._looks_like_transport_send(node):
-                op = self._send_op(node, func, module, class_ctx, role,
-                                   has_liveness)
+            if (
+                chain is not None
+                and chain[-1] == "send"
+                and self._looks_like_transport_send(node)
+            ):
+                op = self._send_op(node, func, module, class_ctx, role)
                 role.sends.append(op)
                 if op.remote:
                     any_remote_send = True
-            elif tail == "barrier_arrive":
-                role.barriers.append(self._barrier_op(node, func, role,
-                                                      "arrive"))
-            elif tail == "barrier_release":
-                role.barriers.append(self._barrier_op(node, func, role,
-                                                      "release"))
-            elif tail == "wait" and any(
-                "barrier" in part for part in chain[:-1]
-            ):
-                role.barriers.append(self._barrier_op(node, func, role,
-                                                      "wait"))
 
         self._scan_receive_loops(func, module, class_ctx, role)
         self._scan_waits(func, role, send_results, event_names, any_remote_send)
@@ -458,7 +379,6 @@ class _Extractor:
         module: ModuleInfo,
         class_ctx: Optional[ClassInfo],
         role: RoleModel,
-        has_liveness: bool,
     ) -> SendOp:
         service_expr = self._kwarg(call, "service")
         kind_expr = self._kwarg(call, "kind")
@@ -496,20 +416,7 @@ class _Extractor:
             service=service,
             kinds=tuple(sorted(kinds)),
             kinds_complete=kinds_complete,
-            has_epoch=self._kwarg(call, "epoch") is not None,
             remote=remote,
-            liveness=has_liveness,
-        )
-
-    def _barrier_op(
-        self, call: ast.Call, func: FunctionInfo, role: RoleModel, op: str
-    ) -> BarrierOp:
-        return BarrierOp(
-            role=role.name,
-            qualname=func.qualname,
-            file=func.file,
-            line=call.lineno,
-            op=op,
         )
 
     # -- receive loops ----------------------------------------------------
@@ -637,17 +544,6 @@ class _Extractor:
 
     # -- waits ------------------------------------------------------------
 
-    def _function_has_liveness(self, func: FunctionInfo) -> bool:
-        for node in ast.walk(func.node):
-            if not isinstance(node, ast.Call):
-                continue
-            if _is_any_of_with_timeout(node):
-                return True
-            chain = attr_chain(node.func)
-            if chain is not None and chain[-1] in self.timeout_functions:
-                return True
-        return False
-
     def _scan_waits(
         self,
         func: FunctionInfo,
@@ -680,16 +576,10 @@ class _Extractor:
                     line=node.lineno,
                     target=name,
                     remote=remote,
-                    # A bare yield races no timer (see the module doc).
-                    has_timeout=False,
                 )
             )
 
 
-def extract_model(index: ProjectIndex, graph=None) -> ProtocolModel:
-    """Extract the protocol model from an indexed project.
-
-    ``graph`` (a CallGraph) is accepted for future refinement but the
-    extraction itself is index-driven.
-    """
+def extract_model(index: ProjectIndex) -> ProtocolModel:
+    """Extract the protocol model from an indexed project."""
     return _Extractor(index).run()

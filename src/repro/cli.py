@@ -95,6 +95,11 @@ DEVICES = {"ssd": SSD_480GB, "hdd": HDD_RAID0}
 NETWORKS = {"40g": GIGE_40, "1g": GIGE_1}
 
 
+class UsageError(Exception):
+    """A bad command line or unreadable input.  :func:`main` prints it to
+    stderr and exits 2, a code no command uses for a verdict."""
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro",
@@ -322,22 +327,6 @@ def _build_parser() -> argparse.ArgumentParser:
     check.add_argument("--cache-dir", metavar="DIR", default=None,
                        help="cache the parsed project index for --deep, "
                             "keyed on a source-tree hash (e.g. .chaos-cache)")
-    check.add_argument("--protocol", action="store_true",
-                       help="extract the protocol state machines and "
-                            "model-check small clusters instead of "
-                            "linting (deadlock freedom, barrier "
-                            "consensus, steal termination, lost "
-                            "wakeups, epoch fencing)")
-    check.add_argument("--machines", type=int, default=2,
-                       help="with --protocol: cluster size to model-"
-                            "check (default 2; 3 is exhaustive but "
-                            "slower)")
-    check.add_argument("--model-dot", metavar="FILE", default=None,
-                       help="with --protocol: write the extracted "
-                            "role/message graph as Graphviz DOT")
-    check.add_argument("--model-json", metavar="FILE", default=None,
-                       help="with --protocol: write the extracted "
-                            "model as JSON")
 
     fuzz = commands.add_parser(
         "fuzz", help="chaos-schedule fuzzer: random fault plans vs the "
@@ -389,11 +378,64 @@ def _make_algorithm(name: str, args, graph):
     raise ValueError(name)
 
 
+def _check_run_flags(args) -> None:
+    """Reject every bad flag combination of ``run`` before any work."""
+    if args.input and args.vertices is None:
+        raise UsageError("--input requires --vertices")
+    for flag, given in (("--host-profile", args.host_profile),
+                        ("--inject-fault", args.inject_fault)):
+        if given and args.algorithm in ("MCST", "SCC"):
+            raise UsageError(
+                f"{flag} does not support {args.algorithm}: it is "
+                f"a multi-run driver, not a single GAS job"
+            )
+    if not args.host_profile and (
+        args.host_json or args.host_flamegraph or args.host_prometheus
+    ):
+        raise UsageError(
+            "--host-json/--host-flamegraph/--host-prometheus require "
+            "--host-profile"
+        )
+    if args.focus_from_check and not args.sanitize:
+        raise UsageError("--focus-from-check requires --sanitize")
+    if args.inject_fault and args.sanitize:
+        raise UsageError(
+            "--inject-fault and --sanitize are mutually exclusive"
+        )
+    if args.verify_recovery and not args.inject_fault:
+        raise UsageError("--verify-recovery requires --inject-fault")
+
+
+def _load_fault_plan(args, config):
+    """The ``--inject-fault`` specs and plan files as one checked plan."""
+    import os
+
+    from repro.faults import FaultPlan, parse_fault_spec
+
+    try:
+        specs = []
+        for item in args.inject_fault:
+            if os.path.isfile(item):
+                # A fault-plan file (e.g. a fuzz reproducer): one
+                # spec per line, '#' starts a comment.
+                specs.extend(FaultPlan.load(item).specs)
+            else:
+                specs.append(parse_fault_spec(item))
+        fault_plan = FaultPlan(specs=tuple(specs))
+        fault_plan.validate(config)
+    except (OSError, ValueError) as error:
+        raise UsageError(f"bad --inject-fault: {error}")
+    return fault_plan
+
+
 def _load_graph(args):
     if args.input:
-        if args.vertices is None:
-            raise SystemExit("--input requires --vertices")
-        graph = read_edges(args.input, args.vertices, weighted=args.weighted)
+        try:
+            graph = read_edges(
+                args.input, args.vertices, weighted=args.weighted
+            )
+        except (OSError, ValueError) as error:
+            raise UsageError(f"cannot read --input {args.input!r}: {error}")
     else:
         weighted = args.weighted or args.algorithm in WEIGHTED
         graph = rmat_graph(args.scale, seed=args.seed, weighted=weighted)
@@ -413,20 +455,27 @@ def _command_generate(args) -> int:
 
 
 def _command_run(args) -> int:
+    # Every usage error (flags, config, fault plan, input file) is raised
+    # before the first line of output and the first simulated event.
+    _check_run_flags(args)
+    try:
+        config = ClusterConfig(
+            machines=args.machines,
+            cores=args.cores,
+            device=DEVICES[args.device],
+            network=NETWORKS[args.network],
+            chunk_bytes=args.chunk_kb * 1024,
+            steal_alpha=args.alpha,
+            checkpointing=args.checkpoint,
+            aggregate_updates=args.aggregate_updates,
+            partitions_per_machine=args.partitions_per_machine,
+            seed=args.seed,
+            integrity_checks=not args.no_integrity,
+        )
+    except ValueError as error:
+        raise UsageError(f"run: {error}")
+    fault_plan = _load_fault_plan(args, config) if args.inject_fault else None
     graph = _load_graph(args)
-    config = ClusterConfig(
-        machines=args.machines,
-        cores=args.cores,
-        device=DEVICES[args.device],
-        network=NETWORKS[args.network],
-        chunk_bytes=args.chunk_kb * 1024,
-        steal_alpha=args.alpha,
-        checkpointing=args.checkpoint,
-        aggregate_updates=args.aggregate_updates,
-        partitions_per_machine=args.partitions_per_machine,
-        seed=args.seed,
-        integrity_checks=not args.no_integrity,
-    )
 
     tracer = None
     if args.trace or args.trace_csv:
@@ -442,20 +491,10 @@ def _command_run(args) -> int:
 
     host = None
     if args.host_profile:
-        if args.algorithm in ("MCST", "SCC"):
-            raise SystemExit(
-                f"--host-profile does not support {args.algorithm}: it is "
-                f"a multi-run driver, not a single GAS job"
-            )
         from repro.obs import HostProfiler
 
         host = HostProfiler(
             trace_allocations=args.host_profile == "tracemalloc"
-        )
-    elif args.host_json or args.host_flamegraph or args.host_prometheus:
-        raise SystemExit(
-            "--host-json/--host-flamegraph/--host-prometheus require "
-            "--host-profile"
         )
 
     sanitizer = None
@@ -473,8 +512,6 @@ def _command_run(args) -> int:
                     f"sanitizer focus (from CHX012 candidates): "
                     f"{', '.join(kinds) if kinds else '(none)'}"
                 )
-    elif args.focus_from_check:
-        raise SystemExit("--focus-from-check requires --sanitize")
 
     if not args.json:
         print(f"graph: {graph}")
@@ -483,35 +520,6 @@ def _command_run(args) -> int:
             f"{config.network.name}, "
             f"window {config.effective_request_window()}"
         )
-
-    fault_plan = None
-    if args.inject_fault:
-        if args.algorithm in ("MCST", "SCC"):
-            raise SystemExit(
-                f"--inject-fault does not support {args.algorithm}: it is "
-                f"a multi-run driver, not a single GAS job"
-            )
-        if args.sanitize:
-            raise SystemExit(
-                "--inject-fault and --sanitize are mutually exclusive"
-            )
-        import os
-
-        from repro.faults import FaultPlan, parse_fault_spec
-
-        try:
-            specs = []
-            for item in args.inject_fault:
-                if os.path.isfile(item):
-                    # A fault-plan file (e.g. a fuzz reproducer): one
-                    # spec per line, '#' starts a comment.
-                    specs.extend(FaultPlan.load(item).specs)
-                else:
-                    specs.append(parse_fault_spec(item))
-            fault_plan = FaultPlan(specs=tuple(specs))
-            fault_plan.validate(config)
-        except (OSError, ValueError) as error:
-            raise SystemExit(f"bad --inject-fault: {error}")
 
     timeline = None
     if args.algorithm == "MCST":
@@ -551,8 +559,6 @@ def _command_run(args) -> int:
 
     recovery_mismatch = False
     if args.verify_recovery:
-        if fault_plan is None:
-            raise SystemExit("--verify-recovery requires --inject-fault")
         twin = run_algorithm(
             _make_algorithm(args.algorithm, args, graph), graph, config
         )
@@ -727,7 +733,7 @@ def _command_trace_report(args) -> int:
     try:
         trace = load_trace(args.path)
     except (OSError, ValueError) as error:
-        raise SystemExit(f"cannot read trace {args.path!r}: {error}")
+        raise UsageError(f"cannot read trace {args.path!r}: {error}")
     if args.fmt == "json":
         print(
             json_module.dumps(
@@ -805,10 +811,8 @@ def _command_trace_conform(args) -> int:
     try:
         trace = load_trace(args.path)
         events = causal_mod.causal_events_from_trace(trace)
-    except (OSError, ValueError) as error:
-        raise SystemExit(f"cannot read trace {args.path!r}: {error}")
-    except causal_mod.CausalError as error:
-        raise SystemExit(f"trace conform: {error}")
+    except (OSError, ValueError) as error:  # CausalError included
+        raise UsageError(f"cannot read trace {args.path!r}: {error}")
 
     sources = args.src if args.src else ["src"]
     # Shares the deep lint's pickled project index (.chaos-cache).
@@ -840,22 +844,21 @@ def _command_trace_query(args) -> int:
     from repro.obs import causal as causal_mod
     from repro.obs.report import load_trace
 
-    try:
-        trace = load_trace(args.path)
-        events = causal_mod.causal_events_from_trace(trace)
-    except (OSError, ValueError) as error:
-        raise SystemExit(f"cannot read trace {args.path!r}: {error}")
-
     wants = [
         bool(args.where),
         args.chain_of is not None,
         args.slowest_chains is not None,
     ]
     if sum(wants) != 1:
-        raise SystemExit(
+        raise UsageError(
             "trace query: pass exactly one of --where, --chain-of, "
             "--slowest-chains"
         )
+    try:
+        trace = load_trace(args.path)
+        events = causal_mod.causal_events_from_trace(trace)
+    except (OSError, ValueError) as error:
+        raise UsageError(f"cannot read trace {args.path!r}: {error}")
 
     try:
         if args.where:
@@ -898,7 +901,7 @@ def _command_trace_query(args) -> int:
                 print(causal_mod.format_chain(chain))
         return 0
     except causal_mod.CausalError as error:
-        raise SystemExit(f"trace query: {error}")
+        raise UsageError(f"trace query: {error}")
 
 
 def _parse_tolerances(specs):
@@ -948,24 +951,20 @@ def _command_bench(args) -> int:
             if given
         ]
         if run_only:
-            print(
+            raise UsageError(
                 f"bench: {', '.join(run_only)} only applies when running "
-                "scenarios and would be ignored with --compare",
-                file=sys.stderr,
+                "scenarios and would be ignored with --compare"
             )
-            return 2
         try:
             tolerances = _parse_tolerances(args.tolerance)
         except ValueError as error:
-            print(f"bench: {error}", file=sys.stderr)
-            return 2
+            raise UsageError(f"bench: {error}")
         try:
             base = bench.load_snapshot(args.compare[0])
             new = bench.load_snapshot(args.compare[1])
             comparison = bench.compare_snapshots(base, new, tolerances)
         except (OSError, ValueError) as error:
-            print(f"bench compare error: {error}", file=sys.stderr)
-            return 2
+            raise UsageError(f"bench compare error: {error}")
         for line in comparison.lines():
             print(line)
         verdict = "PASS" if comparison.ok else "FAIL"
@@ -976,16 +975,13 @@ def _command_bench(args) -> int:
         return 0 if comparison.ok else 1
 
     if args.tolerance:
-        print("bench: --tolerance only applies with --compare",
-              file=sys.stderr)
-        return 2
+        raise UsageError("bench: --tolerance only applies with --compare")
     try:
         snapshot = bench.run_scenarios(
             args.scenario, label=args.label, progress=print
         )
     except ValueError as error:  # unknown --scenario name
-        print(f"bench: {error}", file=sys.stderr)
-        return 2
+        raise UsageError(f"bench: {error}")
     out = args.out or bench.snapshot_path(args.label)
     size = bench.write_snapshot(snapshot, out)
     print(
@@ -1007,57 +1003,6 @@ def _rule_stats(result) -> dict:
     return dict(sorted(stats.items()))
 
 
-def _command_check_protocol(args) -> int:
-    import json as json_module
-
-    from repro.analysis.flow import DeepEngine
-    from repro.analysis.protocol import check_protocol, extract_model
-
-    if not 1 <= args.machines <= 4:
-        print("--machines must be in [1, 4] (the state space is "
-              "exponential)", file=sys.stderr)
-        return 2
-    # Shares the deep lint's pickled project index (.chaos-cache).
-    index, _ = DeepEngine().build_index(
-        args.paths, cache_dir=args.cache_dir
-    )
-    model = extract_model(index)
-    result = check_protocol(model, machines=args.machines)
-
-    if args.model_dot:
-        with open(args.model_dot, "w", encoding="utf-8") as handle:
-            handle.write(model.to_dot())
-    if args.model_json:
-        with open(args.model_json, "w", encoding="utf-8") as handle:
-            json_module.dump(model.to_dict(), handle, indent=2,
-                             sort_keys=True)
-    if args.fmt == "json":
-        print(json_module.dumps(
-            {"model": model.to_dict(), "check": result.to_dict()},
-            indent=2, sort_keys=True,
-        ))
-        return 0 if result.ok else 1
-    stats = model.stats()
-    print(
-        f"protocol model: {stats['roles']} role(s), {stats['sends']} "
-        f"send site(s), {stats['receives']} receive loop(s), "
-        f"{stats['barriers']} barrier op(s), {stats['kinds']} message "
-        f"kind(s)"
-    )
-    for name in sorted(model.roles):
-        role = model.roles[name]
-        if not (role.sends or role.receives or role.barriers):
-            continue
-        services = ",".join(role.services) or "-"
-        print(
-            f"  role {name} [{services}]: {len(role.sends)} send(s), "
-            f"{len(role.receives)} receive loop(s), "
-            f"{len(role.barriers)} barrier op(s)"
-        )
-    print(result.format_text())
-    return 0 if result.ok else 1
-
-
 def _command_check(args) -> int:
     import json as json_module
     import os
@@ -1075,11 +1020,7 @@ def _command_check(args) -> int:
 
     for path in args.paths:
         if not os.path.exists(path):
-            print(f"check: no such file or directory: {path}",
-                  file=sys.stderr)
-            return 2
-    if args.protocol:
-        return _command_check_protocol(args)
+            raise UsageError(f"check: no such file or directory: {path}")
 
     wall_start = time.perf_counter()
     local_rules = default_rules()
@@ -1094,12 +1035,10 @@ def _command_check(args) -> int:
         }
         unknown = wanted - known
         if unknown:
-            print(
+            raise UsageError(
                 f"unknown rule ids: {', '.join(sorted(unknown))} "
-                f"(known: {', '.join(sorted(known))})",
-                file=sys.stderr,
+                f"(known: {', '.join(sorted(known))})"
             )
-            return 2
         local_rules = [r for r in local_rules if r.rule_id in wanted]
         deep_rules = [r for r in deep_rules if r.rule_id in wanted]
     elif not args.deep:
@@ -1280,6 +1219,9 @@ def main(argv: Optional[list] = None) -> int:
     }
     try:
         return handlers[args.command](args)
+    except UsageError as error:
+        print(error, file=sys.stderr)
+        return 2
     except BrokenPipeError:
         # Downstream pager/head closed the pipe; exit quietly like a
         # well-behaved Unix filter.

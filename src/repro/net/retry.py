@@ -30,18 +30,6 @@ __all__ = [
     "retry_rng_seed",
 ]
 
-#: Protocol transition annotations consumed by the state-machine
-#: extractor (:mod:`repro.analysis.protocol.extract`).  Labels starting
-#: with ``timeout`` mark these as liveness escapes for the send sites of
-#: a function that calls one of them: the request is retried or
-#: abandoned (the model checker's steal timeout).  They do not time a
-#: wait — rule CHX021 judges each ``yield`` on its own, and only racing
-#: the event against a timer (``any_of``) bounds it.
-PROTOCOL_TRANSITIONS = {
-    "jittered_delay": "timeout.backoff",
-    "backoff_delays": "timeout.backoff",
-}
-
 
 @dataclass(frozen=True)
 class RetryPolicy:

@@ -21,17 +21,6 @@ from repro.obs.causal import NULL_CAUSAL
 from repro.sim.engine import Event, SimulationError, Simulator
 from repro.sim.resources import Mailbox
 
-#: Protocol transition annotations consumed by the state-machine
-#: extractor (:mod:`repro.analysis.protocol.extract`): operation name ->
-#: transition label.  ``msg.*`` ops are labeled send/receive
-#: transitions; ``mailbox.bind`` associates a service with a role.
-PROTOCOL_TRANSITIONS = {
-    "send": "msg.send",
-    "register": "mailbox.bind",
-    "mailbox": "mailbox.lookup",
-    "is_reachable": "membership.query",
-}
-
 
 @dataclass(slots=True)
 class Message:

@@ -68,6 +68,18 @@ def fast_config(machines: int = 4, **overrides) -> ClusterConfig:
     return ClusterConfig(**defaults)
 
 
+def assert_usage_error(capsys, argv, message):
+    """``repro argv`` exits 2 with ``message`` on stderr and nothing on
+    stdout (for ``run``: no ``graph:``/``cluster:`` line, so no work)."""
+    from repro.cli import main
+
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert message in captured.err
+    assert "Traceback" not in captured.err
+
+
 @pytest.fixture(params=PROVIDERS)
 def backend(request, tmp_path):
     """A ``ChaosCluster(backend_factory=...)``, once per provider."""

@@ -58,7 +58,7 @@ from repro.obs.export import chrome_trace_dict
 from repro.obs.report import summarize_trace
 from repro.store.device import SSD_BENCH
 
-from tests.conftest import fast_config
+from tests.conftest import assert_usage_error, fast_config
 
 
 class _StubTracer:
@@ -716,17 +716,27 @@ class TestTraceQueryCli:
         out = capsys.readouterr().out.strip().splitlines()
         assert out[-1].split()[1] == "release"
 
-    def test_bad_where_exits_nonzero(self, trace_path):
-        from repro.cli import main
+    def test_bad_where_exits_nonzero(self, trace_path, capsys):
+        capsys.readouterr()
+        assert_usage_error(
+            capsys, ["trace", "query", trace_path, "--where", "bogus=1"],
+            "trace query: ",
+        )
 
-        with pytest.raises(SystemExit):
-            main(["trace", "query", trace_path, "--where", "bogus=1"])
+    def test_requires_exactly_one_mode(self, trace_path, capsys):
+        capsys.readouterr()
+        assert_usage_error(
+            capsys, ["trace", "query", trace_path],
+            "pass exactly one of --where, --chain-of, --slowest-chains",
+        )
 
-    def test_requires_exactly_one_mode(self, trace_path):
-        from repro.cli import main
-
-        with pytest.raises(SystemExit):
-            main(["trace", "query", trace_path])
+    def test_unreadable_trace_exits_2(self, tmp_path, capsys):
+        assert_usage_error(
+            capsys,
+            ["trace", "query", str(tmp_path / "nope.json"),
+             "--slowest-chains"],
+            "cannot read trace",
+        )
 
     def test_trace_report_json_format(self, trace_path, capsys):
         from repro.cli import main

@@ -2,11 +2,10 @@
 
 import json
 
-import numpy as np
-import pytest
-
 from repro.cli import main
 from repro.graph import read_edges
+
+from tests.conftest import assert_usage_error
 
 
 class TestGenerate:
@@ -100,9 +99,34 @@ class TestRun:
         assert code == 0
         assert "WCC" in capsys.readouterr().out
 
-    def test_input_requires_vertices(self):
-        with pytest.raises(SystemExit):
-            main(["run", "--algorithm", "PR", "--input", "x.bin"])
+    def test_input_requires_vertices(self, capsys):
+        assert_usage_error(
+            capsys, ["run", "--algorithm", "PR", "--input", "x.bin"],
+            "--input requires --vertices",
+        )
+
+    def test_missing_input_is_a_usage_error(self, tmp_path, capsys):
+        missing = str(tmp_path / "missing.bin")
+        assert_usage_error(
+            capsys,
+            ["run", "--algorithm", "PR", "--input", missing,
+             "--vertices", "10"],
+            f"cannot read --input {missing!r}",
+        )
+
+    def test_bad_config_is_a_usage_error(self, capsys):
+        assert_usage_error(
+            capsys, ["run", "--algorithm", "PR", "--machines", "0"],
+            "run: machines must be >= 1",
+        )
+
+    def test_focus_from_check_requires_sanitize(self, capsys):
+        assert_usage_error(
+            capsys,
+            ["run", "--algorithm", "PR", "--scale", "8",
+             "--focus-from-check"],
+            "--focus-from-check requires --sanitize",
+        )
 
     def test_json_output(self, capsys):
         out = self._run(capsys, "--algorithm", "PR", "--iterations", "2",
@@ -150,25 +174,37 @@ class TestInjectFault:
         assert code == 0
         assert "faults injected: 2" in out
 
-    def test_bad_spec_rejected(self):
-        with pytest.raises(SystemExit, match="bad --inject-fault"):
-            main(["run", "--algorithm", "PR", "--scale", "8",
-                  "--inject-fault", "nope:1@iter=2"])
+    def test_bad_spec_rejected(self, capsys):
+        assert_usage_error(
+            capsys,
+            ["run", "--algorithm", "PR", "--scale", "8",
+             "--inject-fault", "nope:1@iter=2"],
+            "bad --inject-fault",
+        )
 
-    def test_driver_algorithms_rejected(self):
-        with pytest.raises(SystemExit, match="MCST"):
-            main(["run", "--algorithm", "MCST", "--scale", "8",
-                  "--inject-fault", "crash:1@iter=2"])
+    def test_driver_algorithms_rejected(self, capsys):
+        assert_usage_error(
+            capsys,
+            ["run", "--algorithm", "MCST", "--scale", "8",
+             "--inject-fault", "crash:1@iter=2"],
+            "--inject-fault does not support MCST",
+        )
 
-    def test_sanitize_mutually_exclusive(self):
-        with pytest.raises(SystemExit, match="mutually exclusive"):
-            main(["run", "--algorithm", "PR", "--scale", "8", "--sanitize",
-                  "--inject-fault", "crash:1@iter=2"])
+    def test_sanitize_mutually_exclusive(self, capsys):
+        assert_usage_error(
+            capsys,
+            ["run", "--algorithm", "PR", "--scale", "8", "--sanitize",
+             "--inject-fault", "crash:1@iter=2"],
+            "mutually exclusive",
+        )
 
-    def test_verify_requires_inject(self):
-        with pytest.raises(SystemExit, match="requires --inject-fault"):
-            main(["run", "--algorithm", "PR", "--scale", "8",
-                  "--verify-recovery"])
+    def test_verify_requires_inject(self, capsys):
+        assert_usage_error(
+            capsys,
+            ["run", "--algorithm", "PR", "--scale", "8",
+             "--verify-recovery"],
+            "--verify-recovery requires --inject-fault",
+        )
 
 
 class TestTrace:
@@ -226,9 +262,11 @@ class TestTrace:
         assert lines[0] == "series,ts,value"
         assert len(lines) > 1
 
-    def test_trace_report_rejects_missing_file(self, tmp_path):
-        with pytest.raises(SystemExit):
-            main(["trace-report", str(tmp_path / "nope.json")])
+    def test_trace_report_rejects_missing_file(self, tmp_path, capsys):
+        assert_usage_error(
+            capsys, ["trace-report", str(tmp_path / "nope.json")],
+            "cannot read trace",
+        )
 
 
 class TestHostProfile:
@@ -331,19 +369,21 @@ class TestHostProfile:
         assert payload["host"]["tracemalloc"] is True
         assert all("alloc_bytes" in p for p in payload["host"]["phases"])
 
-    def test_export_flags_require_host_profile(self, tmp_path):
-        with pytest.raises(SystemExit, match="require"):
-            main(
-                ["run", "--algorithm", "PR", "--scale", "8", "--machines",
-                 "2", "--host-json", str(tmp_path / "h.json")]
-            )
+    def test_export_flags_require_host_profile(self, tmp_path, capsys):
+        assert_usage_error(
+            capsys,
+            ["run", "--algorithm", "PR", "--scale", "8", "--machines",
+             "2", "--host-json", str(tmp_path / "h.json")],
+            "require --host-profile",
+        )
 
-    def test_driver_algorithms_rejected(self):
-        with pytest.raises(SystemExit, match="multi-run driver"):
-            main(
-                ["run", "--algorithm", "MCST", "--scale", "8",
-                 "--machines", "2", "--host-profile"]
-            )
+    def test_driver_algorithms_rejected(self, capsys):
+        assert_usage_error(
+            capsys,
+            ["run", "--algorithm", "MCST", "--scale", "8",
+             "--machines", "2", "--host-profile"],
+            "multi-run driver",
+        )
 
 
 class TestCapacity:

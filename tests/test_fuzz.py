@@ -11,8 +11,6 @@ from __future__ import annotations
 
 import json
 
-import pytest
-
 from repro.algorithms import PageRank
 from repro.cli import main
 from repro.core.runtime import ChaosCluster
@@ -26,7 +24,7 @@ from repro.faults.fuzz import (
     write_reproducer,
 )
 
-from tests.conftest import fast_config
+from tests.conftest import assert_usage_error, fast_config
 
 
 def _fuzz_config(**overrides):
@@ -240,17 +238,18 @@ class TestFuzzCLI:
         assert code == 0
         assert "final values identical to undisturbed run" in out
 
-    def test_run_rejects_unreadable_plan_file(self):
-        with pytest.raises(SystemExit, match="bad --inject-fault"):
-            main(
-                [
-                    "run",
-                    "--algorithm", "PR",
-                    "--scale", "8",
-                    "--checkpoint",
-                    "--inject-fault", "not-a-file-and-not-a-spec",
-                ]
-            )
+    def test_run_rejects_unreadable_plan_file(self, capsys):
+        assert_usage_error(
+            capsys,
+            [
+                "run",
+                "--algorithm", "PR",
+                "--scale", "8",
+                "--checkpoint",
+                "--inject-fault", "not-a-file-and-not-a-spec",
+            ],
+            "bad --inject-fault",
+        )
 
     def test_run_reports_unrecoverable_job_as_exit_3(self, tmp_path, capsys):
         plan_path = tmp_path / "rot.faults"

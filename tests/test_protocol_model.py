@@ -1,20 +1,16 @@
-"""Protocol state-machine extraction, model checking, conformance.
+"""Protocol model extraction, trace conformance and the protocol rules.
 
-Four layers of :mod:`repro.analysis.protocol` plus its rule/CLI
+Three layers of :mod:`repro.analysis.protocol` plus its rule/CLI
 surface:
 
-* the extractor lifts per-role machines from fixture packages (mailbox
-  bindings, dispatch loops, epoch fences, sends, barriers, waits, and
-  ``PROTOCOL_TRANSITIONS`` annotations) and from ``src/`` itself;
-* the bounded model checker proves the self-hosted model deadlock-free
-  at m=2 and reports counterexamples when override knobs plant
-  violations (lost wakeup, skipped arrive, premature release, dropped
-  epoch guard);
+* the extractor lifts per-role send sites, receive loops (mailbox
+  bindings, dispatched kinds, epoch fences) and blocking waits from
+  fixture packages and from ``src/`` itself;
 * the conformance checker replays causal DAGs — real traced runs and
   synthetic event lists — against the model;
 * rules CHX019-CHX021 and CHX023 fire exactly on planted fixture sites,
-  honor suppressions, and the ``check --protocol`` / ``trace conform``
-  CLI verbs exit and export correctly.
+  honor suppressions, and the ``trace conform`` CLI verb exits and
+  exports correctly.
 """
 
 from __future__ import annotations
@@ -27,13 +23,10 @@ from repro.algorithms import PageRank
 from repro.analysis.flow import DeepEngine, ProjectIndex
 from repro.analysis.flow.rules import ANALYZER_VERSION, DEEP_RULE_TABLE
 from repro.analysis.protocol import (
-    BarrierOp,
     ProtocolModel,
     ReceiveLoop,
     SendOp,
-    check_protocol,
     conform,
-    conform_trace,
     extract_model,
 )
 from repro.cli import main
@@ -43,7 +36,7 @@ from repro.obs import Tracer, write_chrome_trace
 from repro.obs.causal import causal_events_from_trace
 from repro.obs.export import chrome_trace_dict
 
-from tests.conftest import fast_config
+from tests.conftest import assert_usage_error, fast_config
 from tests.test_flow import build_pkg, deep_check, findings_of
 
 
@@ -69,10 +62,9 @@ PROTOCOL_FIXTURE = {
         SERVICE_ALPHA = "alpha"
         KIND_PING = "ping"
 
-        PROTOCOL_TRANSITIONS = {
-            "send": "msg.send",
-            "patient_sleep": "timeout.backoff",
-        }
+
+        def patient_sleep(seconds):
+            return seconds
 
 
         class Message:
@@ -103,9 +95,8 @@ PROTOCOL_FIXTURE = {
 
 
         class Client:
-            def __init__(self, network, host):
+            def __init__(self, network):
                 self.network = network
-                self.host = host
 
             def ping(self, src, dst, epoch):
                 delivered = self.network.send(
@@ -135,10 +126,6 @@ PROTOCOL_FIXTURE = {
                 )
                 yield delivered
 
-            def loop(self):
-                self.host.barrier_arrive("step")
-                self.host.barrier.wait()
-
 
         class Bystander:
             def quiet(self):
@@ -160,7 +147,7 @@ class TestExtraction:
     def test_mailbox_binding_names_the_service(self, tmp_path):
         model = _fixture_model(tmp_path)
         assert model.roles["Server"].services == ("alpha",)
-        assert model.service_owner("alpha") == "Server"
+        assert model.roles["Client"].services == ()
 
     def test_receive_loop_kinds_and_epoch_guard(self, tmp_path):
         model = _fixture_model(tmp_path)
@@ -176,10 +163,9 @@ class TestExtraction:
         model = _fixture_model(tmp_path)
         sends = {op.qualname.rsplit(".", 1)[-1]: op
                  for op in model.roles["Client"].sends}
-        # Imported-constant kind + epoch stamp.
+        # Imported-constant kind.
         assert sends["ping"].kinds == ("ping",)
         assert sends["ping"].kinds_complete
-        assert sends["ping"].has_epoch
         assert sends["ping"].remote
         assert sends["ping"].service == "alpha"
         # Conditional-expression kind resolves both arms.
@@ -188,64 +174,38 @@ class TestExtraction:
         # Same src and dst expression: not remote.
         assert not sends["local_ping"].remote
 
-    def test_waits_remote_and_timeout_flags(self, tmp_path):
+    def test_waits_and_their_remote_flags(self, tmp_path):
         model = _fixture_model(tmp_path)
         waits = {w.qualname.rsplit(".", 1)[-1]: w
                  for w in model.all_waits()}
+        # A backoff helper called before a bare yield leaves it a wait.
         assert set(waits) == {"ping", "patient_ping", "local_ping"}
-        assert waits["ping"].remote and not waits["ping"].has_timeout
-        # A declared timeout helper (PROTOCOL_TRANSITIONS label) called
-        # before a bare yield does not time that yield.
+        assert waits["ping"].remote
         assert waits["patient_ping"].remote
-        assert not waits["patient_ping"].has_timeout
         assert not waits["local_ping"].remote
-
-    def test_barrier_ops_extracted(self, tmp_path):
-        model = _fixture_model(tmp_path)
-        ops = sorted(op.op for op in model.all_barriers())
-        assert ops == ["arrive", "wait"]
-
-    def test_declared_annotations_collected(self, tmp_path):
-        model = _fixture_model(tmp_path)
-        assert model.declared["proj.sim.wire"] == {
-            "send": "msg.send",
-            "patient_sleep": "timeout.backoff",
-        }
 
     def test_alphabet_and_stats(self, tmp_path):
         model = _fixture_model(tmp_path)
         assert model.alphabet() == {"ping", "share", "accept"}
-        stats = model.stats()
-        assert stats["roles"] == 2
-        assert stats["sends"] == 4
-        assert stats["receives"] == 1
-        assert stats["barriers"] == 2
-        assert stats["waits"] == 3
-        assert stats["kinds"] == 3
+        assert len(model.roles) == 2
+        assert len(model.all_sends()) == 4
+        assert len(model.all_receives()) == 1
+        assert len(model.all_waits()) == 3
 
     def test_to_dict_is_json_serializable(self, tmp_path):
         model = _fixture_model(tmp_path)
         blob = json.loads(json.dumps(model.to_dict(), sort_keys=True))
-        assert blob["model_version"] == 1
+        assert set(blob) == {"model_version", "roles", "alphabet"}
+        assert blob["model_version"] == 2
         assert blob["alphabet"] == ["accept", "ping", "share"]
         assert set(blob["roles"]) == {"Server", "Client"}
-
-    def test_to_dot_draws_the_message_graph(self, tmp_path):
-        dot = _fixture_model(tmp_path).to_dot()
-        assert dot.startswith("digraph protocol {")
-        assert dot.rstrip().endswith("}")
-        # Epoch-stamped ping edge from sender to service owner.
-        assert '"Client" -> "Server" [label="ping [e]"]' in dot
-        assert '"Client" -> "barrier"' in dot
-        assert '"barrier" [shape=doublecircle' in dot
 
 
 class TestSelfHostExtraction:
     def test_every_surviving_role_has_protocol_ops(self, src_model):
         for role in src_model.roles.values():
             assert (
-                role.sends or role.receives or role.barriers
-                or role.waits or role.services
+                role.sends or role.receives or role.waits or role.services
             ), f"empty role {role.name} survived pruning"
 
     def test_core_protocol_vocabulary_extracted(self, src_model):
@@ -255,18 +215,11 @@ class TestSelfHostExtraction:
         } <= src_model.alphabet()
 
     def test_engine_services_bound_to_owners(self, src_model):
-        assert src_model.service_owner("directory") is not None
+        assert any(
+            "directory" in role.services
+            for role in src_model.roles.values()
+        )
         assert src_model.handlers_for("directory")
-
-    def test_transport_and_retry_annotations_declared(self, src_model):
-        assert (
-            src_model.declared["repro.net.transport"]["send"]
-            == "msg.send"
-        )
-        assert (
-            src_model.declared["repro.net.retry"]["jittered_delay"]
-            == "timeout.backoff"
-        )
 
     def test_epoch_fences_extracted_from_dispatch_loops(self, src_model):
         guarded = [
@@ -275,140 +228,30 @@ class TestSelfHostExtraction:
         ]
         assert guarded, "no epoch-guarded receive loop extracted"
 
-    def test_steal_sends_carry_liveness_escape(self, src_model):
-        steal_sends = [
-            op for op in src_model.all_sends()
-            if "steal_request" in op.kinds
-        ]
-        assert steal_sends
-        assert all(op.liveness for op in steal_sends)
-
-
-# ---------------------------------------------------------------------------
-# Bounded model checker
-# ---------------------------------------------------------------------------
-
-
-def _mc_model(liveness=True, guard=True, steal=True, barrier=True):
-    """A hand-built minimal model with the Chaos protocol features."""
-    model = ProtocolModel()
-    role = model.role("Compute")
-    role.services = ("compute",)
-    kinds = ("steal_request", "steal_reply") if steal else ()
-    for kind in kinds:
-        role.sends.append(SendOp(
-            role="Compute", qualname=f"Compute.send_{kind}", file="x.py",
-            line=1, service="compute", kinds=(kind,), kinds_complete=True,
-            has_epoch=True, remote=True, liveness=liveness,
-        ))
-    role.receives.append(ReceiveLoop(
-        role="Compute", qualname="Compute._serve", file="x.py", line=2,
-        service="compute", kinds=kinds, wildcard=not kinds,
-        epoch_guard=guard, epoch_aware=True,
-    ))
-    if barrier:
-        role.barriers.append(BarrierOp(
-            role="Compute", qualname="Compute.loop", file="x.py",
-            line=3, op="arrive",
-        ))
-    return model
-
-
-def _prop(result, name):
-    (prop,) = [p for p in result.properties if p.name == name]
-    return prop
-
-
-class TestModelChecker:
-    def test_minimal_model_passes_all_properties(self):
-        result = check_protocol(_mc_model(), machines=2)
-        assert result.ok
-        assert result.states > 10
-        assert result.transitions > result.states
-        assert [p.ok for p in result.properties] == [True] * 5
-        assert result.features == {
-            "steal_stage": True,
-            "steal_timeout": True,
-            "barrier": True,
-            "stale_injection": True,
-        }
-
-    def test_barrier_only_model_passes(self):
-        result = check_protocol(_mc_model(steal=False), machines=2)
-        assert result.ok
-        assert not result.features["steal_stage"]
-        assert not result.features["stale_injection"]
-
-    def test_missing_timeout_loses_wakeups_and_deadlocks(self):
-        result = check_protocol(
-            _mc_model(), machines=2, override={"steal_timeout": False}
-        )
-        assert not result.ok
-        wakeup = _prop(result, "no_lost_wakeup")
-        assert not wakeup.ok
-        assert wakeup.counterexample  # a concrete interleaving
-        assert any("lose" in step for step in wakeup.counterexample)
-        assert not _prop(result, "deadlock_freedom").ok
-
-    def test_skipped_arrive_deadlocks_the_barrier(self):
-        result = check_protocol(
-            _mc_model(), machines=2, override={"skip_arrive": True}
-        )
-        deadlock = _prop(result, "deadlock_freedom")
-        assert not deadlock.ok
-        assert any(
-            "WITHOUT arrive" in step for step in deadlock.counterexample
-        )
-
-    def test_premature_release_breaks_consensus(self):
-        result = check_protocol(
-            _mc_model(), machines=2, override={"premature_release": True}
-        )
-        assert not _prop(result, "barrier_consensus").ok
-
-    def test_dropped_epoch_guard_admits_stale_traffic(self):
-        result = check_protocol(
-            _mc_model(), machines=2, override={"drop_epoch_guard": True}
-        )
-        fencing = _prop(result, "epoch_fencing")
-        assert not fencing.ok
-        assert any("ACCEPTED" in step for step in fencing.counterexample)
-
-    def test_unguarded_model_fails_fencing_without_override(self):
-        result = check_protocol(_mc_model(guard=False), machines=2)
-        assert not _prop(result, "epoch_fencing").ok
-
-    def test_state_budget_enforced(self):
-        with pytest.raises(RuntimeError, match="state space exceeded"):
-            check_protocol(_mc_model(), machines=3, max_states=20)
-
-    def test_format_text_and_to_dict(self):
-        result = check_protocol(_mc_model(), machines=2)
-        text = result.format_text()
-        assert "model check: m=2" in text
-        assert "verdict: PASS" in text
-        blob = json.loads(json.dumps(result.to_dict()))
-        assert blob["ok"] is True
-        assert len(blob["properties"]) == 5
-
-        bad = check_protocol(
-            _mc_model(), machines=2, override={"premature_release": True}
-        )
-        assert "verdict: FAIL" in bad.format_text()
-        assert "[FAIL]" in bad.format_text()
-
-    def test_self_hosted_model_is_deadlock_free_at_m2(self, src_model):
-        result = check_protocol(src_model, machines=2)
-        assert result.ok, result.format_text()
-        assert result.states > 100
-        assert result.features["steal_stage"]
-        assert result.features["steal_timeout"]
-        assert result.features["barrier"]
-
 
 # ---------------------------------------------------------------------------
 # Conformance
 # ---------------------------------------------------------------------------
+
+
+def _steal_model():
+    """A hand-built model whose alphabet is the steal handshake."""
+    model = ProtocolModel()
+    role = model.role("Compute")
+    role.services = ("compute",)
+    kinds = ("steal_request", "steal_reply")
+    for kind in kinds:
+        role.sends.append(SendOp(
+            role="Compute", qualname=f"Compute.send_{kind}", file="x.py",
+            line=1, service="compute", kinds=(kind,), kinds_complete=True,
+            remote=True,
+        ))
+    role.receives.append(ReceiveLoop(
+        role="Compute", qualname="Compute._serve", file="x.py", line=2,
+        service="compute", kinds=kinds, wildcard=False,
+        epoch_guard=True, epoch_aware=True,
+    ))
+    return model
 
 
 def _msg(cat, src=0, dst=1, t1=1.0, ident=0):
@@ -436,7 +279,7 @@ class TestConformance:
     def test_modeled_traffic_conforms(self):
         report = conform(
             [_msg("steal_request"), _msg("steal_reply", src=1, dst=0)],
-            _mc_model(),
+            _steal_model(),
         )
         assert report.ok
         assert not report.stuck
@@ -445,20 +288,20 @@ class TestConformance:
         assert report.unobserved == []
 
     def test_unmodeled_kind_fails(self):
-        report = conform([_msg("mystery")], _mc_model())
+        report = conform([_msg("mystery")], _steal_model())
         assert not report.ok
         assert report.unmodeled == ["mystery"]
         assert "UNMODELED" in report.format_text()
 
     def test_unobserved_kinds_are_coverage_not_failure(self):
-        report = conform([_msg("steal_request")], _mc_model())
+        report = conform([_msg("steal_request")], _steal_model())
         assert report.ok
         assert report.unobserved == ["steal_reply"]
         assert "never observed" in report.format_text()
 
     def test_release_missing_arrival_parent_is_violation(self):
         events = [_arrive(0, 1), _arrive(1, 2), _release([1])]
-        report = conform(events, _mc_model())
+        report = conform(events, _steal_model())
         assert not report.ok
         (violation,) = report.barrier_violations
         assert "machine 1" in violation
@@ -470,31 +313,28 @@ class TestConformance:
             _arrive(1, 2, t0=2.0),  # arrives after the release stamp
             _release([1, 2], t0=1.0),
         ]
-        report = conform(events, _mc_model())
+        report = conform(events, _steal_model())
         assert not report.ok
         (violation,) = report.barrier_violations
         assert "after release" in violation
 
     def test_consistent_barrier_round_passes(self):
         events = [_arrive(0, 1), _arrive(1, 2), _release([1, 2])]
-        report = conform(events, _mc_model())
+        report = conform(events, _steal_model())
         assert report.ok and not report.barrier_violations
 
     def test_stuck_message_named_for_deadlock_capture(self):
-        report = conform([_msg("steal_request", t1=None)], _mc_model())
+        report = conform([_msg("steal_request", t1=None)], _steal_model())
         assert report.ok  # incomplete, not nonconforming
         assert report.stuck
         assert report.stuck_messages == ["steal_request m0->m1"]
         assert "never delivered" in report.format_text()
 
     def test_stuck_barrier_names_the_waiters(self):
-        report = conform([_arrive(0, 1), _arrive(1, 2)], _mc_model())
+        report = conform([_arrive(0, 1), _arrive(1, 2)], _steal_model())
         assert report.stuck
         (stuck,) = report.stuck_barriers
         assert stuck == "e0/loop/0 waited on by m0, m1"
-
-    def test_conform_trace_skips_causal_less_traces(self):
-        assert conform_trace({"traceEvents": []}, _mc_model()) is None
 
     def test_real_traced_run_conforms_to_self_host_model(
         self, small_graph, src_model
@@ -504,8 +344,8 @@ class TestConformance:
         run_algorithm(
             PageRank(iterations=2), small_graph, config, tracer=tracer
         )
-        report = conform_trace(chrome_trace_dict(tracer), src_model)
-        assert report is not None
+        events = causal_events_from_trace(chrome_trace_dict(tracer))
+        report = conform(events, src_model)
         assert report.ok, report.format_text()
         assert report.unmodeled == []
         assert not report.barrier_violations
@@ -708,10 +548,9 @@ class TestCHX021:
         assert found.severity == "warning"
 
     def test_backoff_before_the_wait_does_not_exempt_it(self, tmp_path):
-        # patient_ping in the extraction fixture calls a helper declared
-        # ``timeout.backoff`` in PROTOCOL_TRANSITIONS, then waits with a
-        # bare yield: the helper bounds nothing, so both remote waits
-        # fire (each wait is judged by its own yield).
+        # patient_ping in the extraction fixture calls a backoff helper,
+        # then waits with a bare yield: the helper bounds nothing, so
+        # both remote waits fire (each wait is judged by its own yield).
         build_pkg(tmp_path, PROTOCOL_FIXTURE)
         result = deep_check(tmp_path, rules={"CHX021"})
         found = findings_of(result, "CHX021")
@@ -905,59 +744,28 @@ class TestAnalyzerVersionCache:
 
 
 class TestProtocolCLI:
-    def test_check_protocol_exits_zero_and_exports(
+    def test_trace_conform_shares_deep_index_cache(
         self, tmp_path, capsys
     ):
         build_pkg(tmp_path / "pkg", PROTOCOL_FIXTURE)
-        dot = tmp_path / "model.dot"
+        trace_path = tmp_path / "empty.trace.json"
+        trace_path.write_text(
+            json.dumps({"traceEvents": [], "causalEvents": []})
+        )
         blob = tmp_path / "model.json"
-        code = main([
-            "check", str(tmp_path / "pkg"), "--protocol",
-            "--machines", "2",
-            "--model-dot", str(dot), "--model-json", str(blob),
-        ])
-        out = capsys.readouterr().out
-        assert code == 0
-        assert "protocol model:" in out
-        assert "model check: m=2" in out
-        assert "states=" in out
-        assert "verdict: PASS" in out
-        assert dot.read_text().startswith("digraph protocol {")
-        exported = json.loads(blob.read_text())
-        assert exported["alphabet"] == ["accept", "ping", "share"]
-
-    def test_check_protocol_json_format(self, tmp_path, capsys):
-        build_pkg(tmp_path / "pkg", PROTOCOL_FIXTURE)
-        code = main([
-            "check", str(tmp_path / "pkg"), "--protocol",
-            "--format", "json",
-        ])
-        assert code == 0
-        blob = json.loads(capsys.readouterr().out)
-        assert blob["check"]["ok"] is True
-        assert blob["check"]["machines"] == 2
-        assert blob["model"]["model_version"] == 1
-
-    def test_check_protocol_shares_deep_index_cache(
-        self, tmp_path, capsys
-    ):
-        build_pkg(tmp_path / "pkg", PROTOCOL_FIXTURE)
         cache = tmp_path / "cache"
-        argv = ["check", str(tmp_path / "pkg"), "--protocol",
-                "--cache-dir", str(cache)]
+        argv = ["trace", "conform", str(trace_path),
+                "--src", str(tmp_path / "pkg"), "--cache-dir", str(cache),
+                "--model-json", str(blob)]
         assert main(argv) == 0
         (pickled,) = cache.glob("deepindex-*.pkl")
         stamp = pickled.stat().st_mtime_ns
         assert main(argv) == 0  # served from the pickled index
         assert pickled.stat().st_mtime_ns == stamp
+        exported = json.loads(blob.read_text())
+        assert exported["model_version"] == 2
+        assert exported["alphabet"] == ["accept", "ping", "share"]
         capsys.readouterr()
-
-    def test_check_protocol_rejects_silly_machine_counts(self, capsys):
-        assert main(["check", "src", "--protocol",
-                     "--machines", "5"]) == 2
-        assert main(["check", "src", "--protocol",
-                     "--machines", "0"]) == 2
-        assert "--machines" in capsys.readouterr().err
 
     def test_trace_conform_cli_passes_on_real_trace(
         self, tmp_path, small_graph, capsys
@@ -1008,11 +816,22 @@ class TestProtocolCLI:
         assert code == 1
         assert "off_the_books" in out
 
-    def test_trace_conform_rejects_causal_less_trace(self, tmp_path):
+    def test_trace_conform_rejects_causal_less_trace(self, tmp_path, capsys):
         stub = tmp_path / "plain.trace.json"
         stub.write_text(json.dumps({"traceEvents": []}))
-        with pytest.raises(SystemExit, match="causalEvents"):
-            main(["trace", "conform", str(stub), "--src", "src"])
+        assert_usage_error(
+            capsys, ["trace", "conform", str(stub), "--src", "src"],
+            "causalEvents",
+        )
+
+    def test_trace_conform_rejects_unreadable_trace(self, tmp_path, capsys):
+        garbage = tmp_path / "garbage.trace.json"
+        garbage.write_text("{not json")
+        for path in (garbage, tmp_path / "missing.trace.json"):
+            assert_usage_error(
+                capsys, ["trace", "conform", str(path), "--src", "src"],
+                f"cannot read trace {str(path)!r}",
+            )
 
 
 # ---------------------------------------------------------------------------
@@ -1035,8 +854,7 @@ class TestFuzzTraceCapture:
         assert outcome == "ok"
         trace = json.loads(path.read_text())
         assert trace["causalEvents"]
-        report = conform_trace(trace, src_model)
-        assert report is not None and report.ok
+        assert conform(causal_events_from_trace(trace), src_model).ok
 
     def test_fuzz_cli_writes_trace_next_to_deadlock_reproducer(
         self, tmp_path, monkeypatch, capsys

@@ -5,9 +5,9 @@ source files it needs, runs the rules that could catch it (the local
 engine for local ids, the deep engine for whole-program ids) and asserts
 exactly which of them fire.  Each unmutated copy is clean under the
 same rules, so every catch is the planted defect's.  DESIGN.md section 6
-records the verdicts: rows M1-M10, plus one row for each rule no M-row
-exercises (CHX003, 005, 006, 007, 012, 016); M11 is a known gap, pinned
-as a strict xfail.
+records the verdicts: rows M1-M10 and M12, plus one row for each rule no
+M-row exercises (CHX003, 005, 006, 007, 012, 016); M11 is a known gap,
+pinned as a strict xfail.
 """
 
 from __future__ import annotations
@@ -21,8 +21,7 @@ import pytest
 
 import repro
 from repro.analysis import LintEngine, default_rules
-from repro.analysis.flow import DeepEngine, ProjectIndex, default_deep_rules
-from repro.analysis.protocol import check_protocol, extract_model
+from repro.analysis.flow import DeepEngine, default_deep_rules
 
 SRC = Path(repro.__file__).parent
 
@@ -53,20 +52,6 @@ class Mutation:
 COMPUTE = "core/compute.py"
 SUPERVISOR = "faults/supervisor.py"
 SHUFFLE = "self._rng.shuffle(foreign)"
-
-#: M10: the steal RPC's fault-tolerant branch deleted, so the proposer
-#: always waits on the reply with a bare yield.
-STEAL_WITHOUT_LIVENESS = Mutation(
-    COMPUTE,
-    ((re.compile(
-        r"            if self\._liveness is None:\n"
-        r"                message = yield reply.*?\n"
-        r"                if message is None:\n"
-        r"                    continue\n",
-        re.DOTALL,
-    ), "            message = yield reply\n"),),
-    ("CHX021",), frozenset({"CHX021"}),
-)
 
 MUTATIONS = [
     pytest.param(Mutation(
@@ -141,7 +126,27 @@ MUTATIONS = [
           'src, dst, service, "bogus", size, payload,'),),
         ("CHX019", "CHX023"), frozenset({"CHX023"}),
     ), id="M9-ghost-message-kind"),
-    pytest.param(STEAL_WITHOUT_LIVENESS, id="M10-steal-without-liveness"),
+    pytest.param(Mutation(
+        # The steal RPC's fault-tolerant branch deleted, so the proposer
+        # always waits on the reply with a bare yield.
+        COMPUTE,
+        ((re.compile(
+            r"            if self\._liveness is None:\n"
+            r"                message = yield reply.*?\n"
+            r"                if message is None:\n"
+            r"                    continue\n",
+            re.DOTALL,
+        ), "            message = yield reply\n"),),
+        ("CHX021",), frozenset({"CHX021"}),
+    ), id="M10-steal-without-liveness"),
+    pytest.param(Mutation(
+        COMPUTE,
+        (("            if message.epoch != self.epoch:\n"
+          "                # Traffic from another recovery epoch (a straggling\n"
+          "                # reply, or a steal request from a zombie peer).\n"
+          "                continue\n", ""),),
+        ("CHX020",), frozenset({"CHX020"}),
+    ), id="M12-unfenced-compute-dispatch"),
     pytest.param(Mutation(
         COMPUTE,
         (("yield self.local_store.local_input_read(size)",
@@ -256,18 +261,3 @@ def test_planted_defect_is_caught_by_its_rule(tmp_path, mutation):
     mutant = _copy(tmp_path, _files(mutation), mutation)
     assert _catchers(mutant, mutation.rules) == mutation.caught_by
 
-
-def test_steal_without_liveness_also_fails_the_model_checker(tmp_path):
-    """M10's second catcher: without the steal RPC's timeout loop the
-    m=2 model loses wakeups and deadlocks."""
-    for name, mutation in (
-        ("pristine", None), ("mutant", STEAL_WITHOUT_LIVENESS)
-    ):
-        root = _copy(tmp_path / name, (COMPUTE,), mutation)
-        model = extract_model(ProjectIndex.build([str(root)]))
-        result = check_protocol(model, machines=2)
-        failed = {p.name for p in result.properties if not p.ok}
-        if mutation is None:
-            assert failed == set()
-        else:
-            assert {"deadlock_freedom", "no_lost_wakeup"} <= failed

@@ -177,7 +177,6 @@ def run_mcst(
     edges: EdgeList,
     config: Optional[ClusterConfig] = None,
     tracer=None,
-    sanitizer=None,
     **config_overrides,
 ) -> DriverResult:
     """Compute the minimum spanning forest of an undirected weighted graph.
@@ -204,13 +203,13 @@ def run_mcst(
 
     while current.num_edges > 0:
         rounds += 1
-        cluster = ChaosCluster(config, tracer=tracer, sanitizer=sanitizer)
+        cluster = ChaosCluster(config, tracer=tracer)
         pick_job = cluster.run(_MinEdgePick(), current)
         jobs.append(pick_job)
         chosen = pick_job.values["chosen"]
         chosen_weight = pick_job.values["chosen_weight"]
 
-        hook_job = ChaosCluster(config, tracer=tracer, sanitizer=sanitizer).run(
+        hook_job = ChaosCluster(config, tracer=tracer).run(
             _HookPropagate(chosen), current
         )
         jobs.append(hook_job)

@@ -142,7 +142,6 @@ def run_scc(
     config: Optional[ClusterConfig] = None,
     max_rounds: int = 10_000,
     tracer=None,
-    sanitizer=None,
     **config_overrides,
 ) -> DriverResult:
     """Compute SCCs of a directed graph.
@@ -170,13 +169,13 @@ def run_scc(
         color = np.arange(num_vertices, dtype=np.int64)
         color[assigned] = -1
 
-        forward = ChaosCluster(config, tracer=tracer, sanitizer=sanitizer).run(
+        forward = ChaosCluster(config, tracer=tracer).run(
             _ForwardColor(assigned, color), edges
         )
         jobs.append(forward)
         color = forward.values["color"]
 
-        backward = ChaosCluster(config, tracer=tracer, sanitizer=sanitizer).run(
+        backward = ChaosCluster(config, tracer=tracer).run(
             _BackwardConfirm(assigned, color), reversed_edges
         )
         jobs.append(backward)

@@ -7,7 +7,7 @@ Structure:
 * :mod:`callgraph` — call sites resolved to project targets, with
   explicit resolution kinds and reachability queries.
 * :mod:`dataflow` — forward taint with interprocedural summaries.
-* :mod:`rules` — CHX008, CHX010–012, CHX016, CHX018–021 and CHX023.
+* :mod:`rules` — CHX008, CHX010, CHX011, CHX016, CHX018–021 and CHX023.
 * :mod:`engine` — the cached ``check --deep`` driver.
 """
 
@@ -16,7 +16,6 @@ from repro.analysis.flow.dataflow import FunctionSummary, SinkReport, TaintAnaly
 from repro.analysis.flow.engine import (
     DeepEngine,
     DeepResult,
-    collect_focus_kinds,
     source_tree_hash,
 )
 from repro.analysis.flow.project import (
@@ -31,8 +30,6 @@ from repro.analysis.flow.rules import (
     DEEP_RULE_TABLE,
     DeepContext,
     DeepRule,
-    RaceCandidate,
-    collect_race_candidates,
     default_deep_rules,
     definitely_terminates,
 )
@@ -51,12 +48,9 @@ __all__ = [
     "FunctionSummary",
     "ModuleInfo",
     "ProjectIndex",
-    "RaceCandidate",
     "SinkReport",
     "TaintAnalysis",
     "build_call_graph",
-    "collect_focus_kinds",
-    "collect_race_candidates",
     "default_deep_rules",
     "definitely_terminates",
     "module_name_for",

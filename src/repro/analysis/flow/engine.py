@@ -24,8 +24,6 @@ from repro.analysis.flow.rules import (
     ANALYZER_VERSION,
     DeepContext,
     DeepRule,
-    RaceCandidate,
-    collect_race_candidates,
     default_deep_rules,
 )
 from repro.analysis.lint import FileContext, LintResult
@@ -39,7 +37,6 @@ class DeepResult:
     """Outcome of a deep check: findings plus the flow-layer byproducts."""
 
     result: LintResult = field(default_factory=LintResult)
-    candidates: List[RaceCandidate] = field(default_factory=list)
     resolution: Dict[str, object] = field(default_factory=dict)
     cache_hit: bool = False
 
@@ -150,7 +147,6 @@ class DeepEngine:
 
         return DeepResult(
             result=result,
-            candidates=collect_race_candidates(index),
             resolution=graph.resolution_stats(),
             cache_hit=cache_hit,
         )
@@ -163,25 +159,8 @@ class DeepEngine:
         return tables
 
 
-def collect_focus_kinds(paths: Sequence[str]) -> List[str]:
-    """State kinds named by the static race candidates under ``paths``.
-
-    ``run --sanitize --focus-from-check`` instruments only these kinds,
-    prioritizing dynamic checking where the static pass found sanitizer
-    traffic.
-    """
-    index = ProjectIndex.build(paths)
-    kinds = {
-        candidate.kind
-        for candidate in collect_race_candidates(index)
-        if candidate.kind is not None
-    }
-    return sorted(kinds)
-
-
 __all__ = [
     "DeepEngine",
     "DeepResult",
-    "collect_focus_kinds",
     "source_tree_hash",
 ]

@@ -393,22 +393,6 @@ def enclosing_class_of(
     return module.classes.get(func.class_name)
 
 
-def parse_constant_int(node: ast.AST) -> Optional[int]:
-    """The int value of a literal (or unary-minus literal), else None."""
-    if isinstance(node, ast.Constant) and isinstance(node.value, int) and not (
-        isinstance(node.value, bool)
-    ):
-        return node.value
-    if (
-        isinstance(node, ast.UnaryOp)
-        and isinstance(node.op, ast.USub)
-        and isinstance(node.operand, ast.Constant)
-        and isinstance(node.operand.value, int)
-    ):
-        return -node.operand.value
-    return None
-
-
 def dump_expr(node: ast.AST, limit: int = 60) -> str:
     """Compact source-ish rendering of an expression for messages."""
     try:
@@ -427,5 +411,4 @@ __all__ = [
     "dump_expr",
     "enclosing_class_of",
     "module_name_for",
-    "parse_constant_int",
 ]

@@ -7,7 +7,7 @@ plain :class:`~repro.analysis.findings.Finding` objects; the deep
 engine applies inline suppressions afterwards, exactly like the local
 engine does.
 
-CHX008 and CHX010–012 guard the determinism invariant of the runtime;
+CHX008, CHX010 and CHX011 guard the determinism invariant of the runtime;
 CHX016 guards the one order-sensitive step left in it (float sums must
 fold through ``exact_add_at``).  CHX018 guards replay: every RNG draw in
 the project must come from a seeded generator, or reruns and shrunk
@@ -20,7 +20,6 @@ outside the modeled vocabulary.
 from __future__ import annotations
 
 import ast
-from dataclasses import dataclass
 from typing import Dict, FrozenSet, Iterator, List, Optional, Sequence, Tuple
 
 from repro.analysis.findings import Finding
@@ -32,13 +31,8 @@ from repro.analysis.flow.project import (
     ProjectIndex,
     attr_chain,
     dump_expr,
-    parse_constant_int,
 )
 from repro.analysis.lint import SIM_PACKAGES
-
-#: Sim packages plus the analysis package itself (the sanitizer's own
-#: state is simulated-run state).
-DEEP_SIM_PACKAGES: FrozenSet[str] = SIM_PACKAGES | frozenset({"analysis"})
 
 #: Packages whose gather kernels CHX016 inspects (the simulated engine
 #: packages plus the user algorithms they drive).
@@ -62,7 +56,8 @@ HOT_PACKAGES: FrozenSet[str] = SIM_PACKAGES | frozenset({"algorithms"})
 #: 7 — CHX009 and CHX022 removed; CHX011 also flags same-module discards
 #:     and bare ``.wait()`` calls; CHX018 covers every module; CHX021
 #:     judges each wait by its own yield, not by its function.
-ANALYZER_VERSION = 7
+#: 8 — CHX012 and its race-candidate pass removed.
+ANALYZER_VERSION = 8
 
 
 class DeepContext:
@@ -71,7 +66,7 @@ class DeepContext:
     def __init__(self, index: ProjectIndex, graph: Optional[CallGraph] = None):
         self.index = index
         self.graph = graph if graph is not None else CallGraph.build(index)
-        self.taint = TaintAnalysis(self.index, self.graph, DEEP_SIM_PACKAGES)
+        self.taint = TaintAnalysis(self.index, self.graph, SIM_PACKAGES)
         self._protocol = None
 
     def module_is_sim(self, module_name: str) -> bool:
@@ -384,158 +379,6 @@ def _bare_expression_calls(func_node: ast.AST) -> Dict[int, ast.Call]:
             out[id(node.value)] = node.value
         stack.extend(ast.iter_child_nodes(node))
     return out
-
-
-# ---------------------------------------------------------------------------
-# CHX012: static race candidates
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class RaceCandidate:
-    """One sanitizer access site seen statically."""
-
-    file: str
-    line: int
-    function: str  # enclosing def chain, best-effort
-    kind: Optional[str]  # key tuple's first element when literal
-    index: Optional[int]  # key tuple's second element when a literal int
-    machine_literal: Optional[int]  # literal machine attribution, if any
-    write: Optional[bool]  # literal write flag, if any
-    label: Optional[str]
-
-    def to_dict(self) -> Dict[str, object]:
-        return {
-            "file": self.file,
-            "line": self.line,
-            "function": self.function,
-            "kind": self.kind,
-            "index": self.index,
-            "machine_literal": self.machine_literal,
-            "write": self.write,
-            "label": self.label,
-        }
-
-
-_SAN_RECEIVERS = frozenset({"_san", "san", "sanitizer", "_sanitizer"})
-
-
-def collect_race_candidates(index: ProjectIndex) -> List[RaceCandidate]:
-    """Every ``<sanitizer>.access(...)`` call site in the project.
-
-    Scans full module trees (including nested defs, which the function
-    index skips) so monkeypatch-style plants in tests are visible too.
-    """
-    candidates: List[RaceCandidate] = []
-    for module in sorted(index.modules.values(), key=lambda m: m.file):
-        stack: List[Tuple[ast.AST, str]] = [(module.tree, "<module>")]
-        while stack:
-            node, scope = stack.pop()
-            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                scope = node.name if scope == "<module>" else f"{scope}.{node.name}"
-            if isinstance(node, ast.Call):
-                candidate = _candidate_from_call(node, module, scope)
-                if candidate is not None:
-                    candidates.append(candidate)
-            for child in ast.iter_child_nodes(node):
-                stack.append((child, scope))
-    candidates.sort(key=lambda c: (c.file, c.line))
-    return candidates
-
-
-def _candidate_from_call(
-    call: ast.Call, module: ModuleInfo, scope: str
-) -> Optional[RaceCandidate]:
-    chain = attr_chain(call.func)
-    if chain is None or len(chain) < 2 or chain[-1] != "access":
-        return None
-    receiver_terminal = chain[-2]
-    if receiver_terminal not in _SAN_RECEIVERS and not any(
-        part in _SAN_RECEIVERS for part in chain[:-1]
-    ):
-        return None
-
-    def arg(position: int, keyword: str) -> Optional[ast.expr]:
-        if len(call.args) > position:
-            node = call.args[position]
-            return None if isinstance(node, ast.Starred) else node
-        for kw in call.keywords:
-            if kw.arg == keyword:
-                return kw.value
-        return None
-
-    key_node = arg(0, "key")
-    kind: Optional[str] = None
-    index_literal: Optional[int] = None
-    if isinstance(key_node, ast.Tuple) and key_node.elts:
-        first = key_node.elts[0]
-        if isinstance(first, ast.Constant) and isinstance(first.value, str):
-            kind = first.value
-        if len(key_node.elts) > 1:
-            index_literal = parse_constant_int(key_node.elts[1])
-    elif isinstance(key_node, ast.Constant) and isinstance(key_node.value, str):
-        kind = key_node.value
-
-    machine_node = arg(1, "machine")
-    machine_literal = (
-        parse_constant_int(machine_node) if machine_node is not None else None
-    )
-    write_node = arg(2, "write")
-    write: Optional[bool] = None
-    if isinstance(write_node, ast.Constant) and isinstance(write_node.value, bool):
-        write = write_node.value
-    label_node = arg(3, "label")
-    label = (
-        label_node.value
-        if isinstance(label_node, ast.Constant)
-        and isinstance(label_node.value, str)
-        else None
-    )
-    return RaceCandidate(
-        file=module.file,
-        line=call.lineno,
-        function=scope,
-        kind=kind,
-        index=index_literal,
-        machine_literal=machine_literal,
-        write=write,
-        label=label,
-    )
-
-
-class StaticRaceCandidateRule(DeepRule):
-    """Lockset-style static pass over sanitizer access sites.
-
-    The full candidate list seeds ``run --sanitize --focus-from-check``
-    (dynamic instrumentation focuses on statically flagged state kinds).
-    *Findings* are reserved for statically-pinned suspects: a write
-    whose machine attribution is a hard-coded literal cannot be the
-    accessing engine's own identity (every legitimate engine access
-    passes ``self.machine``), so it is either a planted race or a
-    mis-attributed report that would corrupt the happens-before
-    analysis.
-    """
-
-    rule_id = "CHX012"
-    severity = "error"
-    title = "statically attributed cross-machine write candidate"
-
-    def run(self, ctx: DeepContext) -> Iterator[Finding]:
-        for candidate in collect_race_candidates(ctx.index):
-            if candidate.write is True and candidate.machine_literal is not None:
-                where = (
-                    f"key kind '{candidate.kind}'"
-                    if candidate.kind is not None
-                    else "an opaque key"
-                )
-                yield self._finding(
-                    candidate.file,
-                    candidate.line,
-                    f"sanitizer write on {where} hard-codes machine "
-                    f"{candidate.machine_literal} (in {candidate.function}); "
-                    f"engine accesses must attribute to self.machine — "
-                    f"literal attribution marks a race candidate",
-                )
 
 
 # ---------------------------------------------------------------------------
@@ -873,7 +716,6 @@ def default_deep_rules() -> List[DeepRule]:
         InterproceduralTaintRule(),
         BarrierPairingRule(),
         DiscardedProcessRule(),
-        StaticRaceCandidateRule(),
         UnorderedReductionRule(),
         UnseededRandomRule(),
         UnhandledSendRule(),
@@ -892,21 +734,17 @@ DEEP_RULE_TABLE: Dict[str, str] = {
 __all__ = [
     "ANALYZER_VERSION",
     "DEEP_RULE_TABLE",
-    "DEEP_SIM_PACKAGES",
     "BarrierPairingRule",
     "DeepContext",
     "DeepRule",
     "DiscardedProcessRule",
     "GhostKindRule",
     "InterproceduralTaintRule",
-    "RaceCandidate",
-    "StaticRaceCandidateRule",
     "UnfencedReceiveRule",
     "UnhandledSendRule",
     "UnorderedReductionRule",
     "UnseededRandomRule",
     "UntimedWaitRule",
-    "collect_race_candidates",
     "default_deep_rules",
     "definitely_terminates",
 ]

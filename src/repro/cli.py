@@ -152,14 +152,6 @@ def _build_parser() -> argparse.ArgumentParser:
                           "(0 disables time-series sampling)")
     run.add_argument("--trace-csv", metavar="PATH",
                      help="also dump the counter time series as CSV")
-    run.add_argument("--sanitize", action="store_true",
-                     help="attach the happens-before sanitizer: vector-"
-                          "clock race detection over cross-machine shared "
-                          "state (non-zero exit if races are found)")
-    run.add_argument("--focus-from-check", action="store_true",
-                     help="with --sanitize: run the static race-candidate "
-                          "pass (CHX012) over src first and instrument only "
-                          "the state kinds it flags")
     run.add_argument("--inject-fault", action="append", metavar="SPEC",
                      dest="inject_fault",
                      help="inject a machine fault into the simulation; "
@@ -396,12 +388,6 @@ def _check_run_flags(args) -> None:
             "--host-json/--host-flamegraph/--host-prometheus require "
             "--host-profile"
         )
-    if args.focus_from_check and not args.sanitize:
-        raise UsageError("--focus-from-check requires --sanitize")
-    if args.inject_fault and args.sanitize:
-        raise UsageError(
-            "--inject-fault and --sanitize are mutually exclusive"
-        )
     if args.verify_recovery and not args.inject_fault:
         raise UsageError("--verify-recovery requires --inject-fault")
 
@@ -497,22 +483,6 @@ def _command_run(args) -> int:
             trace_allocations=args.host_profile == "tracemalloc"
         )
 
-    sanitizer = None
-    if args.sanitize:
-        from repro.analysis import Sanitizer
-
-        sanitizer = Sanitizer()
-        if args.focus_from_check:
-            from repro.analysis.flow import collect_focus_kinds
-
-            kinds = collect_focus_kinds(["src"])
-            sanitizer.set_focus(kinds)
-            if not args.json:
-                print(
-                    f"sanitizer focus (from CHX012 candidates): "
-                    f"{', '.join(kinds) if kinds else '(none)'}"
-                )
-
     if not args.json:
         print(f"graph: {graph}")
         print(
@@ -523,9 +493,9 @@ def _command_run(args) -> int:
 
     timeline = None
     if args.algorithm == "MCST":
-        result = run_mcst(graph, config, tracer=tracer, sanitizer=sanitizer)
+        result = run_mcst(graph, config, tracer=tracer)
     elif args.algorithm == "SCC":
-        result = run_scc(graph, config, tracer=tracer, sanitizer=sanitizer)
+        result = run_scc(graph, config, tracer=tracer)
     else:
         algorithm = _make_algorithm(args.algorithm, args, graph)
         from repro.core.runtime import ChaosCluster
@@ -538,9 +508,7 @@ def _command_run(args) -> int:
                 "machines": args.machines,
                 "seed": args.seed,
             }
-        cluster = ChaosCluster(
-            config, tracer=tracer, sanitizer=sanitizer, host=host
-        )
+        cluster = ChaosCluster(config, tracer=tracer, host=host)
         from repro.faults.diagnosis import UnrecoverableJobError
 
         try:
@@ -612,11 +580,6 @@ def _command_run(args) -> int:
 
         attribution = analyze_tracer(tracer)
 
-    sanitize_failed = False
-    if sanitizer is not None:
-        sanitize_failed = bool(sanitizer.races)
-    failed = sanitize_failed or recovery_mismatch
-
     if args.json:
         if attribution is not None or host_doc is not None:
             import json as json_module
@@ -629,14 +592,12 @@ def _command_run(args) -> int:
             print(json_module.dumps(payload, sort_keys=True, indent=2))
         else:
             print(result.to_json(indent=2))
-        if sanitizer is not None:
-            print(sanitizer.summary(), file=sys.stderr)
         if timeline is not None:
             print(timeline.summary(), file=sys.stderr)
         if args.verify_recovery:
             verdict = "MISMATCH" if recovery_mismatch else "identical"
             print(f"recovery verification: {verdict}", file=sys.stderr)
-        return 1 if failed else 0
+        return 1 if recovery_mismatch else 0
 
     print()
     print(result.summary())
@@ -662,9 +623,6 @@ def _command_run(args) -> int:
             else "final values identical to undisturbed run"
         )
         print(f"  recovery verification: {verdict}")
-    if sanitizer is not None:
-        print()
-        print(sanitizer.summary())
     if attribution is not None:
         from repro.obs.critpath import format_attribution_report
 
@@ -675,7 +633,7 @@ def _command_run(args) -> int:
 
         print()
         print(format_host_report(host_doc))
-    return 1 if failed else 0
+    return 1 if recovery_mismatch else 0
 
 
 def _command_capacity(args) -> int:
@@ -1068,9 +1026,6 @@ def _command_check(args) -> int:
         document["analysis_wall_seconds"] = round(wall_seconds, 4)
         if deep_result is not None:
             document["deep"] = {
-                "race_candidates": [
-                    c.to_dict() for c in deep_result.candidates
-                ],
                 "call_graph": deep_result.resolution,
                 "cache_hit": deep_result.cache_hit,
             }
@@ -1105,8 +1060,7 @@ def _command_check(args) -> int:
                 "project_resolution_fraction", 0.0
             )
             print(
-                f"deep: {len(deep_result.candidates)} race candidate(s), "
-                f"call-graph resolution {fraction:.1%}"
+                f"deep: call-graph resolution {fraction:.1%}"
                 + (" (cached index)" if deep_result.cache_hit else ""),
                 file=sys.stderr,
             )

@@ -84,8 +84,8 @@ class PartitionPhaseState:
     workers: int = 0
     stealers: List[int] = field(default_factory=list)
     closed: bool = False
-    #: (owner machine, accumulator) pairs shipped home by stealers.
-    accums: List[Tuple[int, object]] = field(default_factory=list)
+    #: Accumulators shipped home by stealers, in arrival order.
+    accums: List[object] = field(default_factory=list)
     accum_group: Optional[WaitGroup] = None
 
 
@@ -132,7 +132,6 @@ class ComputationEngine:
         directory: Optional[CentralizedDirectory] = None,
         input_bytes_share: int = 0,
         tracer=None,
-        sanitizer=None,
         host=None,
         epoch: int = 0,
         preprocess: bool = True,
@@ -161,11 +160,6 @@ class ComputationEngine:
         #: Failure detector view (``is_suspected(machine)``); when set,
         #: blocked reads and steal proposals time out against it.
         self._liveness = liveness
-        # Happens-before sanitizer (``repro run --sanitize``): records
-        # this engine's accesses to cross-machine shared state.
-        self._san = (
-            sanitizer if sanitizer is not None and sanitizer.enabled else None
-        )
         # Host profiler (``run --host-profile``): real wall/CPU time of
         # the synchronous GAS kernels.  Measured sections never span a
         # yield — the simulator interleaves all machines on one thread,
@@ -383,15 +377,6 @@ class ComputationEngine:
 
     def _handle_steal_request(self, message) -> None:
         request_id, proposer, partition, kind = message.payload
-        if self._san is not None:
-            # The per-partition steal queue is master-local state; every
-            # mutation must happen on the master's dispatch process.
-            self._san.access(
-                ("steal", partition),
-                self.machine,
-                write=True,
-                label="steal.decide",
-            )
         state = self._master_state.get(partition)
         if state is None or state.kind is not kind or state.closed:
             accept = False
@@ -431,13 +416,6 @@ class ComputationEngine:
 
     def _handle_accum(self, message) -> None:
         partition, accum = message.payload
-        if self._san is not None:
-            self._san.access(
-                ("steal", partition),
-                self.machine,
-                write=True,
-                label="accum.recv",
-            )
         state = self._master_state.get(partition)
         if state is None or state.accum_group is None:
             raise RuntimeError(
@@ -445,7 +423,7 @@ class ComputationEngine:
                 f"{partition}"
             )
         if accum is not None:
-            state.accums.append((message.src, accum))
+            state.accums.append(accum)
         state.accum_group.done_one()
 
     # ------------------------------------------------------------------
@@ -591,14 +569,6 @@ class ComputationEngine:
             return
         host = self._host
         if state.kind is ChunkKind.EDGES:
-            if self._san is not None:
-                # Scatter reads the partition's vertex values.
-                self._san.access(
-                    ("vertex", state.partition),
-                    self.machine,
-                    write=False,
-                    label="scatter.read",
-                )
             if host is not None:
                 token = host.start()
             batches = self.workload.scatter_chunk(
@@ -612,25 +582,6 @@ class ComputationEngine:
                 self._buffer_updates(batch)
             self.job.note_scatter(chunk.records, batches)
         else:
-            if self._san is not None:
-                # Gather reads the vertex values and writes this
-                # worker's private accumulator.
-                self._san.access(
-                    ("vertex", state.partition),
-                    self.machine,
-                    write=False,
-                    label="gather.read",
-                )
-                if state.accum is not None:
-                    # Keyed by owning machine, not id(): host pointer
-                    # values are ASLR-dependent and would make race
-                    # reports nondeterministic across runs.
-                    self._san.access(
-                        ("accum", state.partition, self.machine),
-                        self.machine,
-                        write=True,
-                        label="gather.accum",
-                    )
             if host is not None:
                 token = host.start()
             self.workload.gather_chunk(state.partition, state.accum, chunk)
@@ -867,13 +818,6 @@ class ComputationEngine:
         accum = None
         if kind is ChunkKind.UPDATES:
             accum = self.workload.begin_gather(partition)
-            if self._san is not None and accum is not None:
-                self._san.access(
-                    ("accum", partition, self.machine),
-                    self.machine,
-                    write=True,
-                    label="accum.init",
-                )
 
         # 2. Stream edge/update chunks through the request window.
         t1 = self.sim.now
@@ -928,26 +872,8 @@ class ComputationEngine:
         host = self._host
         if host is not None:
             token = host.start()
-        for owner, other in state.accums:
-            if self._san is not None and other is not None:
-                # Reading a stealer's accumulator: ordered by the
-                # accum message handoff (or it is a race).  The key
-                # names the stealer that owns the accumulator,
-                # matching its accum.init/gather.accum writes.
-                self._san.access(
-                    ("accum", partition, owner),
-                    self.machine,
-                    write=False,
-                    label="merge.read",
-                )
+        for other in state.accums:
             self.workload.merge_accumulators(partition, accum, other)
-        if self._san is not None:
-            self._san.access(
-                ("vertex", partition),
-                self.machine,
-                write=True,
-                label="apply.write",
-            )
         changed = self.workload.apply_partition(partition, accum, iteration)
         if host is not None:
             host.stop(token, self.machine, "apply", iteration)

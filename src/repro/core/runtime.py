@@ -174,7 +174,6 @@ class ChaosCluster:
         config: ClusterConfig,
         backend_factory: Optional[Callable[[int], object]] = None,
         tracer=None,
-        sanitizer=None,
         host=None,
     ):
         self.config = config
@@ -183,12 +182,6 @@ class ChaosCluster:
         #: instants and counter timelines of every run on this cluster;
         #: ``None`` (the default) costs nothing.
         self.tracer = tracer if tracer is not None else NULL_TRACER
-        #: Happens-before sanitizer (:mod:`repro.analysis.sanitizer`):
-        #: vector-clock race detection over cross-machine shared state;
-        #: ``None`` (the default) costs nothing.
-        self.sanitizer = (
-            sanitizer if sanitizer is not None and sanitizer.enabled else None
-        )
         #: Host profiler (:mod:`repro.obs.host`): real wall/CPU time per
         #: engine phase, recorded alongside the simulated spans; ``None``
         #: (the default) costs nothing — every engine resolves it to the
@@ -469,7 +462,6 @@ class ChaosCluster:
         registry.
         """
         config = self.config
-        sanitizer = self.sanitizer
         faulted = bool(fault_plan)
         self.last_fault_timeline = None
         self.last_registry = None
@@ -484,11 +476,6 @@ class ChaosCluster:
                 raise ValueError(
                     "fault injection does not support the centralized placement "
                     "baseline (directory replies carry no recovery epoch)"
-                )
-            if sanitizer is not None:
-                raise ValueError(
-                    "fault injection and the happens-before sanitizer are "
-                    "mutually exclusive (vector clocks do not model epochs)"
                 )
             if not hasattr(workload, "snapshot_partition"):
                 raise ValueError(
@@ -526,13 +513,9 @@ class ChaosCluster:
                     "algorithm": workload.algorithm.name,
                 },
             )
-        if sanitizer is not None:
-            sanitizer.bind_run(
-                config.machines, now=lambda: sim.now, track=job_track
-            )
         network = Network(
             sim, config.machines, config.network, tracer=tracer,
-            sanitizer=sanitizer, host=self.host,
+            host=self.host,
             # The failure-detector monitor is one more endpoint.
             extra_endpoints=1 if faulted else 0,
             integrity=config.integrity_checks,
@@ -545,7 +528,6 @@ class ChaosCluster:
                 config.device,
                 self.backend_factory(m),
                 tracer=tracer,
-                sanitizer=sanitizer,
                 host=self.host,
                 integrity=config.integrity_checks,
                 job_track=job_track,
@@ -600,8 +582,7 @@ class ChaosCluster:
                 workload, stores, start_iteration=resume_iteration
             )
             barrier = Barrier(
-                sim, parties=config.machines, name=f"phase-barrier{suffix}",
-                sanitizer=sanitizer,
+                sim, parties=config.machines, name=f"phase-barrier{suffix}"
             )
             engines = [
                 ComputationEngine(
@@ -616,7 +597,6 @@ class ChaosCluster:
                     directory=directory,
                     input_bytes_share=per_machine_input,
                     tracer=tracer,
-                    sanitizer=sanitizer,
                     host=self.host,
                     epoch=epoch,
                     preprocess=preprocess,
@@ -713,7 +693,6 @@ def run_algorithm(
     edges: EdgeList,
     config: Optional[ClusterConfig] = None,
     tracer=None,
-    sanitizer=None,
     host=None,
     fault_plan=None,
     deadline_seconds=None,
@@ -724,9 +703,7 @@ def run_algorithm(
     >>> result = run_algorithm(PageRank(iterations=5), graph, machines=4)
 
     Pass ``tracer=repro.obs.Tracer()`` to record spans and utilization
-    timelines of the run (see :mod:`repro.obs`),
-    ``sanitizer=repro.analysis.Sanitizer()`` to race-check the run's
-    cross-machine shared-state accesses, and
+    timelines of the run (see :mod:`repro.obs`), and
     ``fault_plan=repro.faults.FaultPlan.parse([...])`` to inject machine
     faults and exercise live recovery.  Pass
     ``host=repro.obs.HostProfiler()`` to measure the real (host) wall
@@ -736,7 +713,7 @@ def run_algorithm(
         config = ClusterConfig(**config_overrides)
     elif config_overrides:
         config = config.with_(**config_overrides)
-    cluster = ChaosCluster(config, tracer=tracer, sanitizer=sanitizer, host=host)
+    cluster = ChaosCluster(config, tracer=tracer, host=host)
     return cluster.run(
         algorithm, edges, fault_plan=fault_plan,
         deadline_seconds=deadline_seconds,

@@ -38,10 +38,6 @@ class Message:
     size: int
     payload: Any = None
     send_time: float = 0.0
-    #: Vector-clock stamp attached by the happens-before sanitizer on
-    #: synchronization messages; ``None`` when sanitizing is off (or the
-    #: message is data-plane traffic that creates no ordering edge).
-    clock: Any = None
     #: Recovery epoch the sender belongs to.  Receivers fence stale
     #: traffic (a write straggling in from before a rollback) by
     #: comparing this against their own epoch; 0 for fault-free runs.
@@ -52,9 +48,8 @@ class Message:
     seq: Any = None
     #: Causal trace context ``(trace_id, span_id, parent_span_id)``
     #: stamped by the transport when causal tracing is on; ``None``
-    #: otherwise.  Like ``clock`` it is a passive annotation: protocol
-    #: logic never reads it, so traced runs stay byte-identical to
-    #: untraced runs.
+    #: otherwise.  A passive annotation: protocol logic never reads it,
+    #: so traced runs stay byte-identical to untraced runs.
     ctx: Any = None
 
 
@@ -151,7 +146,6 @@ class Network:
         machines: int,
         config: NetworkConfig,
         tracer=None,
-        sanitizer=None,
         host=None,
         extra_endpoints: int = 0,
         integrity: bool = True,
@@ -193,9 +187,6 @@ class Network:
         self.messages_corrupted = 0
         self.messages_duplicated = 0
         self.messages_reordered = 0
-        self._san = (
-            sanitizer if sanitizer is not None and sanitizer.enabled else None
-        )
         # Host profiler: real cost of building each in-flight message
         # (the host-side analogue of the modelled copy cost); None
         # when off.
@@ -329,12 +320,11 @@ class Network:
         if not 0 <= src < len(self.nics):
             raise SimulationError(f"invalid source machine {src}")
         sim = self.sim
-        clock = self._san.on_send(src, kind) if self._san is not None else None
         host = self._host
         if host is not None:
             token = host.start()
         message = Message(
-            src, dst, service, kind, size, payload, sim.now, clock, epoch
+            src, dst, service, kind, size, payload, sim.now, epoch
         )
         if host is not None:
             host.stop(token, src, "msg_copy")
@@ -430,10 +420,6 @@ class Network:
             if not window.accept(message.seq):
                 self.duplicates_suppressed += 1
                 return
-        if self._san is not None and message.clock is not None:
-            # Receipt of a synchronization message joins the sender's
-            # vector clock into the destination machine (happens-before).
-            self._san.on_receive(message.dst, message.clock)
         if message.ctx is not None:
             self.causal.on_deliver(message.ctx)
         mailbox.put(message)

@@ -26,7 +26,6 @@ class Barrier:
         sim: Simulator,
         parties: int,
         name: str = "barrier",
-        sanitizer=None,
     ):
         if parties < 1:
             raise ValueError(f"parties must be >= 1, got {parties}")
@@ -37,9 +36,6 @@ class Barrier:
         self._arrived: List[Event] = []
         self._arrival_times: List[float] = []
         self._arrival_parties: List[Optional[int]] = []
-        self._san = (
-            sanitizer if sanitizer is not None and sanitizer.enabled else None
-        )
         # Total time spent waiting at this barrier, per party index order
         # of arrival (aggregated, for diagnostics).
         self.total_wait_time = 0.0
@@ -87,10 +83,8 @@ class Barrier:
     def wait(self, party: Optional[int] = None) -> Event:
         """Arrive at the barrier; the returned event fires on release.
 
-        ``party`` optionally identifies the arriving machine so the
-        happens-before sanitizer can join every party's vector clock at
-        the release (a barrier orders everything before it on any
-        machine with everything after it on every machine).
+        ``party`` optionally identifies the arriving machine so a stall
+        watch (:meth:`set_stall_watch`) can name the parties missing.
         """
         if len(self._arrived) >= self.parties:
             raise SimulationError(f"barrier {self.name}: too many arrivals")
@@ -104,12 +98,10 @@ class Barrier:
             release_time = self.sim.now
             waiters, self._arrived = self._arrived, []
             times, self._arrival_times = self._arrival_times, []
-            parties, self._arrival_parties = self._arrival_parties, []
+            self._arrival_parties = []
             for arrival in times:
                 self.total_wait_time += release_time - arrival
             self.generation += 1
-            if self._san is not None:
-                self._san.on_barrier(parties)
             for waiter in waiters:
                 waiter.trigger(self.generation)
         return event

@@ -65,7 +65,6 @@ class StorageEngine:
         device: DeviceSpec,
         backend,
         tracer=None,
-        sanitizer=None,
         host=None,
         integrity: bool = True,
         job_track=NULL_TRACK,
@@ -81,9 +80,6 @@ class StorageEngine:
             name=f"m{machine}.{device.name}",
         )
         self.backend = backend
-        self._san = (
-            sanitizer if sanitizer is not None and sanitizer.enabled else None
-        )
         # Host profiler: real wall/CPU cost of chunk (de)serialization
         # against the backend (``run --host-profile``); None when off.
         self._host = host if host is not None and host.enabled else None
@@ -303,15 +299,6 @@ class StorageEngine:
 
     def _handle_read(self, message) -> None:
         request_id, _requester, _reply_service, partition, kind = message.payload
-        if self._san is not None:
-            # Advancing the read-once cursor mutates shared store state;
-            # it is safe only because this engine serializes all access.
-            self._san.access(
-                ("chunks", self.machine, partition, kind),
-                self.machine,
-                write=True,
-                label="store.fetch",
-            )
         host = self._host
         if host is not None:
             token = host.start()
@@ -490,13 +477,6 @@ class StorageEngine:
         if self._reject_write(message):
             return
         chunk = message.payload[3]
-        if self._san is not None:
-            self._san.access(
-                ("chunks", self.machine, chunk.partition, chunk.kind),
-                self.machine,
-                write=True,
-                label="store.append",
-            )
         label = (
             f"write:{chunk.kind.value}:p{chunk.partition}"
             if self._trace_on
@@ -564,13 +544,6 @@ class StorageEngine:
 
     def _handle_delete(self, message) -> None:
         partition, kind = message.payload
-        if self._san is not None:
-            self._san.access(
-                ("chunks", self.machine, partition, kind),
-                self.machine,
-                write=True,
-                label="store.delete",
-            )
         # Deletion is a metadata operation: no device time.
         self.backend.delete(partition, kind)
 

@@ -455,16 +455,6 @@ class TestTimeline:
 
 
 class TestRejections:
-    def test_sanitizer_mutually_exclusive(self, small_graph):
-        from repro.analysis import Sanitizer
-
-        config = _fault_config()
-        with pytest.raises(ValueError, match="sanitizer"):
-            ChaosCluster(config, sanitizer=Sanitizer()).run(
-                PageRank(iterations=2), small_graph,
-                fault_plan=FaultPlan.parse(["crash:1@iter=1"]),
-            )
-
     def test_centralized_placement_rejected(self, small_graph):
         config = _fault_config(placement="centralized")
         with pytest.raises(ValueError, match="centralized"):

@@ -1,7 +1,7 @@
 """Tests for the interprocedural flow layer (``check --deep``).
 
 Covers the project index / call graph builders, the path-shape helper,
-the taint framework, and rules CHX008, CHX010-CHX012, CHX016 and
+the taint framework, and rules CHX008, CHX010, CHX011, CHX016 and
 CHX018 — each against a small fixture package with *planted* violations,
 asserting that exactly the planted sites are reported and that inline
 suppressions are honored.  Also self-hosts the deep check on ``src/``
@@ -21,13 +21,10 @@ from repro.analysis.flow import (
     DeepEngine,
     ProjectIndex,
     build_call_graph,
-    collect_focus_kinds,
-    collect_race_candidates,
     default_deep_rules,
     definitely_terminates,
 )
 from repro.analysis.flow.rules import DEEP_RULE_TABLE
-from repro.analysis.sanitizer import Sanitizer
 from repro.cli import main
 
 
@@ -502,85 +499,6 @@ class TestCHX011:
 
 
 # ---------------------------------------------------------------------------
-# CHX012: static race candidates
-# ---------------------------------------------------------------------------
-
-
-CHX012_FIXTURE = {
-    "proj/__init__.py": "",
-    "proj/sim/__init__.py": "",
-    "proj/sim/eng.py": (
-        "class Engine:\n"
-        "    def __init__(self, san, machine):\n"
-        "        self._san = san\n"
-        "        self.machine = machine\n"
-        "    def ok(self, v):\n"
-        "        self._san.access(('vertex', v), self.machine, write=True,\n"
-        "                         label='compute.write')\n"
-        "    def planted(self, v):\n"
-        "        self._san.access(('vertex', v), 1, write=True,\n"
-        "                         label='injected.write')\n"
-        "    def read_only(self, v):\n"
-        "        self._san.access(('chunks', v), 0, write=False,\n"
-        "                         label='scan.read')\n"
-    ),
-}
-
-
-class TestCHX012:
-    def test_literal_machine_write_is_the_only_finding(self, tmp_path):
-        build_pkg(tmp_path, CHX012_FIXTURE)
-        result = deep_check(tmp_path, rules={"CHX012"})
-        found = findings_of(result, "CHX012")
-        assert [f.line for f in found] == [9]
-        assert "machine 1" in found[0].message
-
-    def test_suppression_honored(self, tmp_path):
-        files = dict(CHX012_FIXTURE)
-        files["proj/sim/eng.py"] = files["proj/sim/eng.py"].replace(
-            "        self._san.access(('vertex', v), 1, write=True,\n",
-            "        self._san.access(('vertex', v), 1, write=True,"
-            "  # chaos: ignore[CHX012] fixture\n",
-        )
-        build_pkg(tmp_path, files)
-        result = deep_check(tmp_path, rules={"CHX012"})
-        assert findings_of(result, "CHX012") == []
-        assert [f.line for f in result.result.suppressed] == [9]
-
-    def test_candidate_table_covers_all_access_sites(self, tmp_path):
-        build_pkg(tmp_path, CHX012_FIXTURE)
-        index = ProjectIndex.build([str(tmp_path)])
-        candidates = collect_race_candidates(index)
-        assert len(candidates) == 3
-        kinds = {c.kind for c in candidates}
-        assert kinds == {"vertex", "chunks"}
-        planted = [c for c in candidates if c.machine_literal == 1]
-        assert len(planted) == 1
-        assert planted[0].write is True
-        assert planted[0].label == "injected.write"
-
-    def test_planted_site_in_real_sanitizer_test_is_a_candidate(self):
-        """The dynamic sanitizer test's monkeypatched injected write (a
-        nested def) must be visible to the static pass."""
-        index = ProjectIndex.build(["tests/test_sanitizer.py"])
-        candidates = collect_race_candidates(index)
-        planted = [
-            c
-            for c in candidates
-            if c.write is True
-            and c.machine_literal is not None
-            and c.label == "injected.write"
-        ]
-        assert planted, "planted race site not found statically"
-        assert planted[0].kind == "vertex"
-
-    def test_focus_kinds_from_src_include_sanitized_state(self):
-        kinds = collect_focus_kinds(["src"])
-        assert "vertex" in kinds
-        assert "accum" in kinds
-
-
-# ---------------------------------------------------------------------------
 # CHX016: float accumulation that does not go through ``exact_add_at``
 # ---------------------------------------------------------------------------
 
@@ -773,47 +691,6 @@ class TestCHX018:
 
 
 # ---------------------------------------------------------------------------
-# sanitizer focus (CHX012 -> run --sanitize --focus-from-check)
-# ---------------------------------------------------------------------------
-
-
-class TestSanitizerFocus:
-    def _racy_pair(self, san):
-        san.access(("vertex", 0), 0, write=True, label="m0.write")
-        san.access(("vertex", 0), 1, write=True, label="m1.write")
-
-    def test_unfocused_detects_the_race(self):
-        san = Sanitizer()
-        san.bind_run(2)
-        self._racy_pair(san)
-        assert len(san.races) == 1
-
-    def test_focus_on_other_kind_ignores_accesses(self):
-        san = Sanitizer()
-        san.bind_run(2)
-        san.set_focus(["steal"])
-        self._racy_pair(san)
-        assert san.races == []
-        assert san.accesses == 0
-
-    def test_focus_on_matching_kind_still_detects(self):
-        san = Sanitizer()
-        san.bind_run(2)
-        san.set_focus(["vertex", "steal"])
-        self._racy_pair(san)
-        assert len(san.races) == 1
-
-    def test_clearing_focus_restores_tracking(self):
-        san = Sanitizer()
-        san.bind_run(2)
-        san.set_focus(["steal"])
-        san.access(("vertex", 0), 0, write=True, label="m0.write")
-        san.set_focus(None)
-        self._racy_pair(san)
-        assert len(san.races) == 1
-
-
-# ---------------------------------------------------------------------------
 # deep engine: cache, self-host, CLI
 # ---------------------------------------------------------------------------
 
@@ -853,8 +730,8 @@ class TestDeepEngine:
         assert sorted(f.line for f in result.result.findings) == [4, 6]
 
     def test_deep_rule_table_matches_engine(self):
-        # Removed ids (CHX009, 013-015, 017, 022) are never reused.
-        kept = [f"CHX{n:03d}" for n in (8, 10, 11, 12, 16, 18, 19, 20, 21, 23)]
+        # Removed ids (CHX009, 012-015, 017, 022) are never reused.
+        kept = [f"CHX{n:03d}" for n in (8, 10, 11, 16, 18, 19, 20, 21, 23)]
         assert [rule.rule_id for rule in default_deep_rules()] == kept
         assert sorted(DEEP_RULE_TABLE) == kept
         assert DeepEngine().rule_ids() == kept
@@ -923,7 +800,6 @@ class TestDeepSelfHost:
             "CHX010", "CHX016", "CHX016", "CHX021", "CHX021", "CHX021"
         ]
         assert result.resolution["project_resolution_fraction"] >= 0.95
-        assert result.candidates, "src/ should contain sanitizer call sites"
 
 
 class TestDeepCLI:
@@ -937,7 +813,7 @@ class TestDeepCLI:
         assert document["count"] == 2
         assert "CHX008" in document["rule_stats"]
         assert document["deep"]["cache_hit"] is False
-        assert isinstance(document["deep"]["race_candidates"], list)
+        assert "race_candidates" not in document["deep"]
 
     def test_deep_rule_filter(self, tmp_path, capsys):
         build_pkg(tmp_path, CHX011_FIXTURE)
@@ -962,14 +838,14 @@ class TestDeepCLI:
         assert code == 0
 
     def test_deep_github_format(self, tmp_path, capsys):
-        build_pkg(tmp_path, CHX012_FIXTURE)
+        build_pkg(tmp_path, CHX011_FIXTURE)
         code = main(
             [
                 "check",
                 str(tmp_path),
                 "--deep",
                 "--rules",
-                "CHX012",
+                "CHX011",
                 "--format",
                 "github",
             ]
@@ -977,4 +853,4 @@ class TestDeepCLI:
         out = capsys.readouterr().out
         assert code == 1
         assert "::error file=" in out
-        assert "CHX012" in out
+        assert "CHX011" in out

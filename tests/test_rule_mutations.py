@@ -6,8 +6,10 @@ engine for local ids, the deep engine for whole-program ids) and asserts
 exactly which of them fire.  Each unmutated copy is clean under the
 same rules, so every catch is the planted defect's.  DESIGN.md section 6
 records the verdicts: rows M1-M10 and M12, plus one row for each rule no
-M-row exercises (CHX003, 005, 006, 007, 012, 016); M11 is a known gap,
-pinned as a strict xfail.
+M-row exercises (CHX003, 005, 006, 007, 016); M11 is a known gap,
+pinned as a strict xfail.  Defects of the protocol's *values* (a merge
+before the handoff, a stealer that applies) no rule can see; their rows
+are in ``tests/test_value_mutations.py``.
 """
 
 from __future__ import annotations
@@ -177,16 +179,6 @@ MUTATIONS = [
           "            handler(message)\n"),),
         ("CHX007",), frozenset({"CHX007"}),
     ), id="CHX007-print-in-store"),
-    pytest.param(Mutation(
-        COMPUTE,
-        (("                self.machine,\n"
-          "                write=True,\n"
-          '                label="steal.decide",',
-          "                0,\n"
-          "                write=True,\n"
-          '                label="steal.decide",'),),
-        ("CHX012",), frozenset({"CHX012"}),
-    ), id="CHX012-literal-machine-write"),
     pytest.param(Mutation(
         "algorithms/pagerank.py",
         (("        exact_add_at(accum, dst_local, values)",

@@ -55,7 +55,7 @@ from repro.graph import (
     to_undirected,
 )
 from repro.net import GIGE_1, GIGE_40, NetworkConfig
-from repro.obs import Tracer, summarize_trace_file, write_chrome_trace
+from repro.obs import Tracer, write_chrome_trace
 from repro.perf import (
     ActivityProfile,
     bfs_profile,
@@ -106,7 +106,6 @@ __all__ = [
     "run_mcst",
     "run_scc",
     "run_xstream",
-    "summarize_trace_file",
     "to_undirected",
     "write_chrome_trace",
 ]

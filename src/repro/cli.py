@@ -45,6 +45,7 @@ Commands
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 from typing import Optional
 
@@ -98,6 +99,13 @@ NETWORKS = {"40g": GIGE_40, "1g": GIGE_1}
 class UsageError(Exception):
     """A bad command line or unreadable input.  :func:`main` prints it to
     stderr and exits 2, a code no command uses for a verdict."""
+
+
+def _count(text: str) -> int:
+    """The type of every row-count flag: a whole number >= 0."""
+    if not text.isdecimal():
+        raise argparse.ArgumentTypeError(f"expected a whole number >= 0, got {text!r}")
+    return int(text)
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -219,7 +227,7 @@ def _build_parser() -> argparse.ArgumentParser:
         "trace-report", help="summarize a --trace JSON file"
     )
     report.add_argument("path", help="trace file written by run --trace")
-    report.add_argument("--top", type=int, default=None,
+    report.add_argument("--top", type=_count, default=None,
                         help="rows to show: top spans (default 12) and, "
                              "for traces recorded with --host-profile, "
                              "hottest host phases (default 10)")
@@ -246,11 +254,11 @@ def _build_parser() -> argparse.ArgumentParser:
                        dest="chain_of",
                        help="print the backward causal chain ending at "
                             "this event id, root first")
-    query.add_argument("--slowest-chains", type=int, nargs="?", const=5,
+    query.add_argument("--slowest-chains", type=_count, nargs="?", const=5,
                        metavar="N", dest="slowest_chains",
                        help="print the N slowest barrier chains "
                             "(default 5), each walked root-first")
-    query.add_argument("--limit", type=int, default=50,
+    query.add_argument("--limit", type=_count, default=50,
                        help="max events to print for --where (default 50)")
     query.add_argument("--format", choices=("text", "json"),
                        default="text", dest="fmt",
@@ -390,6 +398,12 @@ def _check_run_flags(args) -> None:
         )
     if args.verify_recovery and not args.inject_fault:
         raise UsageError("--verify-recovery requires --inject-fault")
+    interval = args.trace_sample_interval
+    if not (math.isfinite(interval) and interval >= 0):
+        raise UsageError(
+            f"--trace-sample-interval must be a finite number of seconds "
+            f">= 0 (0 disables sampling), got {interval}"
+        )
 
 
 def _load_fault_plan(args, config):
@@ -502,7 +516,7 @@ def _command_run(args) -> int:
 
         if host is not None:
             # Which job the host metrics document describes.
-            host.registry.job = {
+            host.job = {
                 "algorithm": algorithm.name,
                 "cli_name": args.algorithm,
                 "machines": args.machines,
@@ -678,77 +692,17 @@ def _command_utilization(args) -> int:
 def _command_trace_report(args) -> int:
     import json as json_module
 
-    from repro.obs import format_trace_report, summarize_trace
-    from repro.obs.critpath import (
-        AttributionError,
-        analyze_chrome_trace,
-        format_iteration_table,
-    )
-    from repro.obs.report import load_trace, trace_report_json
+    from repro.obs.report import format_trace_report, load_trace, trace_report
 
-    span_top = args.top if args.top is not None else 12
-    host_top = args.top if args.top is not None else 10
     try:
         trace = load_trace(args.path)
     except (OSError, ValueError) as error:
         raise UsageError(f"cannot read trace {args.path!r}: {error}")
+    doc = trace_report(trace, top=12 if args.top is None else args.top)
     if args.fmt == "json":
-        print(
-            json_module.dumps(
-                trace_report_json(trace, top=span_top),
-                sort_keys=True,
-                indent=2,
-            )
-        )
-        return 0
-    summary = summarize_trace(trace)
-    print(format_trace_report(summary, top=span_top))
-    try:
-        attribution = analyze_chrome_trace(trace)
-    except AttributionError:
-        attribution = None  # spanless trace (counters only)
-    if attribution is not None:
-        print()
-        for line in format_iteration_table(attribution):
-            print(line)
-        print(
-            f"binding resource: {attribution.bottleneck} "
-            f"(dominant category: {attribution.dominant_category})"
-        )
-    from repro.obs import causal as causal_mod
-
-    try:
-        causal_events = causal_mod.causal_events_from_trace(trace)
-    except causal_mod.CausalError:
-        causal_events = None  # pre-causal trace
-    if causal_events:
-        chains = causal_mod.slowest_chains(causal_events, span_top)
-        if chains:
-            print()
-            print(f"slowest barrier chains (top {len(chains)}):")
-            for line in causal_mod.format_chain_table(chains).splitlines():
-                print(f"  {line}")
-        if attribution is not None:
-            checks = causal_mod.cross_check(causal_events, attribution)
-            bad = [record for record in checks if not record["ok"]]
-            if checks:
-                print(
-                    f"causal x critpath cross-check: "
-                    f"{len(checks) - len(bad)}/{len(checks)} barrier(s) "
-                    f"reconciled"
-                    + ("" if not bad else "  MISMATCH")
-                )
-    host_doc = trace.get("hostMetrics")
-    if host_doc is not None:
-        from repro.obs import format_host_report
-
-        # The sim-to-host skew table: simulated span seconds next to the
-        # real host cost of the same phase (run --host-profile --trace).
-        sim_spans = {
-            name: stats.total for name, stats in summary.spans.items()
-        }
-        print()
-        print(format_host_report(host_doc, sim_spans=sim_spans, top=host_top))
+        print(json_module.dumps(doc, sort_keys=True, indent=2))
+    else:
+        print(format_trace_report(doc, host_top=10 if args.top is None else args.top))
     return 0
 
 
@@ -864,8 +818,6 @@ def _command_trace_query(args) -> int:
 
 def _parse_tolerances(specs):
     """``METRIC=REL`` specs -> ``{metric: rel}``; ValueError on a bad one."""
-    import math
-
     from repro.obs.bench import METRIC_POLICIES
 
     tolerances = {}

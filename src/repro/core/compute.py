@@ -52,7 +52,8 @@ from repro.core.stealing import estimate_cluster_remaining, should_accept_steal
 from repro.core.workload import UpdateBatch, Workload
 from repro.net.retry import backoff_delays, jittered_delay
 from repro.net.transport import Network
-from repro.obs.tracer import NULL_TRACK, TID_CPU, TID_ENGINE
+from repro.obs.log import NULL
+from repro.obs.tracer import TID_CPU, TID_ENGINE
 from repro.sim.engine import Event, Simulator
 from repro.sim.resources import CoreBank
 from repro.sim.sync import Barrier, Latch, WaitGroup
@@ -172,7 +173,7 @@ class ComputationEngine:
         if tracer is not None and tracer.enabled:
             self.track = tracer.thread(machine, TID_ENGINE, "engine")
         else:
-            self.track = NULL_TRACK
+            self.track = NULL
         self._trace_on = self.track.enabled
 
         self.layout = workload.layout

@@ -33,7 +33,8 @@ from repro.graph.edgelist import EdgeList, bytes_per_edge
 from repro.graph.stats import out_degrees as compute_out_degrees
 from repro.net.transport import Network
 from repro.obs.counters import ResourceSampler
-from repro.obs.tracer import NULL_TRACER, NULL_TRACK, TID_JOB
+from repro.obs.log import NULL
+from repro.obs.tracer import TID_JOB
 from repro.partition.streaming import (
     PartitionLayout,
     choose_partition_count,
@@ -181,7 +182,7 @@ class ChaosCluster:
         #: Observability: a :class:`repro.obs.Tracer` records spans,
         #: instants and counter timelines of every run on this cluster;
         #: ``None`` (the default) costs nothing.
-        self.tracer = tracer if tracer is not None else NULL_TRACER
+        self.tracer = tracer if tracer is not None else NULL
         #: Host profiler (:mod:`repro.obs.host`): real wall/CPU time per
         #: engine phase, recorded alongside the simulated spans; ``None``
         #: (the default) costs nothing — every engine resolves it to the
@@ -486,7 +487,7 @@ class ChaosCluster:
 
         sim = Simulator()
         tracer = self.tracer
-        job_track = NULL_TRACK
+        job_track = NULL
         if tracer.enabled:
             # A C-level reader of ``sim.now``: every begin/end/instant
             # and every causal edge asks the clock.

@@ -45,7 +45,7 @@ from repro.faults.diagnosis import JobDiagnosis, UnrecoverableJobError
 from repro.faults.plan import FaultSpec
 from repro.faults.registry import SLOT_BASES
 from repro.net.retry import jittered_delay
-from repro.obs.tracer import NULL_TRACK
+from repro.obs.log import NULL
 from repro.sim.engine import Event, SimulationError, Simulator
 from repro.store import engine as store_engine
 from repro.store.chunk import ChunkKind
@@ -151,7 +151,7 @@ class ClusterSupervisor:
         registry,
         detector,
         build_epoch,
-        job_track=NULL_TRACK,
+        job_track=NULL,
     ):
         self.sim = sim
         self.config = config

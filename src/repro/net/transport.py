@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from typing import Any, Dict, Tuple
 
 from repro.net.topology import NetworkConfig, Nic, Switch
-from repro.obs.causal import NULL_CAUSAL
+from repro.obs.log import NULL
 from repro.sim.engine import Event, SimulationError, Simulator
 from repro.sim.resources import Mailbox
 
@@ -194,7 +194,7 @@ class Network:
         self._trace_on = tracer is not None and tracer.enabled
         #: Causal DAG recorder (message sends/deliveries become edges);
         #: the null recorder when tracing is off.
-        self.causal = tracer.causal if self._trace_on else NULL_CAUSAL
+        self.causal = tracer.causal if self._trace_on else NULL
         if self._trace_on:
             from repro.obs.tracer import TID_NIC_RX, TID_NIC_TX
 

@@ -28,8 +28,8 @@ Supporting modules:
   run);
 * :mod:`repro.obs.export` / :mod:`repro.obs.report` — Chrome/Perfetto
   ``trace_event`` JSON (including causal ``flow`` arrows), flat CSV of
-  every time series, and the terminal/JSON summary behind
-  ``repro trace-report`` and ``repro trace query``;
+  every time series, and the one ``repro trace-report`` document with
+  its JSON and text renderings (plus the loader ``trace query`` uses);
 * :mod:`repro.obs.bench` — benchmark snapshots (``BENCH_<label>.json``)
   and the snapshot-diff regression gate behind ``repro bench``.  Import
   it as ``repro.obs.bench`` (not re-exported here: it pulls in the full
@@ -47,13 +47,10 @@ Typical use::
 """
 
 from repro.obs.causal import (
-    NULL_CAUSAL,
     BarrierChain,
     CausalError,
     CausalRecorder,
-    NullCausalRecorder,
     barrier_chains,
-    causal_edges_from_flows,
     causal_events_from_trace,
     chain_of,
     cross_check,
@@ -83,10 +80,7 @@ from repro.obs.export import (
 from repro.obs.host import (
     ENGINE_PHASES,
     HOST_SCHEMA_VERSION,
-    NULL_HOST_PROFILER,
-    HostMetricsRegistry,
     HostProfiler,
-    NullHostProfiler,
     check_host_schema,
     format_host_report,
     parse_collapsed_stack,
@@ -94,28 +88,21 @@ from repro.obs.host import (
     to_prometheus,
     validate_prometheus,
 )
-from repro.obs.log import EventLog
+from repro.obs.log import NULL, EventLog, NullObserver
 from repro.obs.report import (
     RECOVERY_CATEGORIES,
     RECOVERY_WALL_CATEGORIES,
-    TraceSummary,
     format_trace_report,
     load_trace,
-    summarize_trace,
-    summarize_trace_file,
-    summary_to_dict,
-    trace_report_json,
+    trace_report,
 )
 from repro.obs.tracer import (
-    NULL_TRACER,
-    NULL_TRACK,
     TID_CPU,
     TID_DEVICE,
     TID_ENGINE,
     TID_JOB,
     TID_NIC_RX,
     TID_NIC_TX,
-    NullTracer,
     TraceError,
     Tracer,
     Track,
@@ -132,15 +119,9 @@ __all__ = [
     "ENGINE_PHASES",
     "EventLog",
     "HOST_SCHEMA_VERSION",
-    "HostMetricsRegistry",
     "HostProfiler",
-    "NULL_CAUSAL",
-    "NULL_HOST_PROFILER",
-    "NULL_TRACER",
-    "NULL_TRACK",
-    "NullCausalRecorder",
-    "NullHostProfiler",
-    "NullTracer",
+    "NULL",
+    "NullObserver",
     "RECOVERY_CATEGORIES",
     "RECOVERY_WALL_CATEGORIES",
     "ResourceSampler",
@@ -155,7 +136,6 @@ __all__ = [
     "analyze_events",
     "analyze_tracer",
     "barrier_chains",
-    "causal_edges_from_flows",
     "causal_events_from_trace",
     "chain_of",
     "cross_check",
@@ -163,7 +143,6 @@ __all__ = [
     "format_attribution_report",
     "format_iteration_table",
     "TraceError",
-    "TraceSummary",
     "Tracer",
     "Track",
     "check_host_schema",
@@ -177,12 +156,9 @@ __all__ = [
     "parse_collapsed_stack",
     "parse_where",
     "slowest_chains",
-    "summarize_trace",
-    "summarize_trace_file",
-    "summary_to_dict",
     "to_collapsed_stack",
     "to_prometheus",
-    "trace_report_json",
+    "trace_report",
     "validate_prometheus",
     "write_chrome_trace",
     "write_counters_csv",

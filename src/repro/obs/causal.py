@@ -39,17 +39,14 @@ from collections import Counter
 from dataclasses import dataclass
 from typing import Any, Callable, Dict, Iterable, List, Optional, Tuple
 
-from repro.obs.log import NULL, EventLog, NullObserver, rows_from_causal
+from repro.obs.log import EventLog, rows_from_causal
 
 __all__ = [
     "CausalError",
     "CausalRecorder",
-    "NULL_CAUSAL",
-    "NullCausalRecorder",
     "BarrierChain",
     "barrier_chains",
     "causal_events_from_trace",
-    "causal_edges_from_flows",
     "chain_of",
     "cross_check",
     "event_duration",
@@ -249,11 +246,6 @@ class CausalRecorder:
         return self._new("mark", cat, **fields)
 
 
-#: Causal tracing off (one shared :class:`~repro.obs.log.NullObserver`).
-NullCausalRecorder = NullObserver
-NULL_CAUSAL = NULL
-
-
 # ---------------------------------------------------------------------------
 # Loading saved traces
 # ---------------------------------------------------------------------------
@@ -323,32 +315,6 @@ def unreleased_barriers(
         for bucket, machines in sorted(arrivals.items(), key=str)
         if bucket not in released
     ]
-
-
-def causal_edges_from_flows(trace: dict) -> List[Dict[str, Any]]:
-    """Reconstruct message edges from the Chrome ``flow`` events alone.
-
-    Returns one record per flow id: ``{"id", "src", "t0", "dst", "t1",
-    "name"}`` with times in seconds.  This is the lossy Perfetto view of
-    the DAG (message edges only, no parent links); it exists so flow
-    events are verifiably round-trippable and as a fallback for traces
-    whose ``causalEvents`` key was stripped.
-    """
-    edges: Dict[int, Dict[str, Any]] = {}
-    for event in trace.get("traceEvents", []):
-        ph = event.get("ph")
-        if ph not in ("s", "f"):
-            continue
-        flow_id = event["id"]
-        edge = edges.setdefault(flow_id, {"id": flow_id})
-        edge["name"] = event.get("name")
-        if ph == "s":
-            edge["src"] = event["pid"]
-            edge["t0"] = event["ts"] * 1e-6
-        else:
-            edge["dst"] = event["pid"]
-            edge["t1"] = event["ts"] * 1e-6
-    return [edges[key] for key in sorted(edges)]
 
 
 # ---------------------------------------------------------------------------
@@ -780,17 +746,18 @@ def format_chain(chain: BarrierChain) -> str:
     return "\n".join(lines)
 
 
-def format_chain_table(chains: List[BarrierChain]) -> str:
-    """The compact per-barrier chain table (``trace-report`` section)."""
+def format_chain_table(chains: List[dict]) -> str:
+    """The compact per-barrier chain table (``trace-report`` section) of
+    :meth:`BarrierChain.to_dict` documents."""
     lines = [
         f"{'barrier':<26s} {'machine':>7s} {'links':>5s} "
         f"{'span':>12s} {'released at':>12s}"
     ]
     for chain in chains:
         lines.append(
-            f"{chain.barrier:<26s} {chain.machine:>7d} "
-            f"{len(chain.links):>5d} {chain.duration * 1e3:>10.3f}ms "
-            f"{chain.release_t:>11.6f}s"
+            f"{chain['barrier']:<26s} {chain['machine']:>7d} "
+            f"{len(chain['links']):>5d} {chain['duration'] * 1e3:>10.3f}ms "
+            f"{chain['release_t']:>11.6f}s"
         )
     return "\n".join(lines)
 

@@ -749,11 +749,12 @@ def _header(width: int = 10) -> str:
     return f"  {'':<12}{cells}"
 
 
-def format_iteration_table(report: AttributionReport) -> List[str]:
-    """Per-iteration attribution rows (shared with ``trace-report``)."""
+def format_iteration_table(report: dict) -> List[str]:
+    """Per-iteration attribution rows of an :meth:`AttributionReport.to_dict`
+    document (shared with ``trace-report``)."""
     lines = ["per-iteration attribution (engine-seconds):", _header()]
-    for it in report.per_iteration:
-        lines.append(_row(it.label, it.seconds))
+    for it in report["per_iteration"]:
+        lines.append(_row(it["label"], it["seconds"]))
     return lines
 
 
@@ -783,7 +784,7 @@ def format_attribution_report(report: AttributionReport) -> str:
             f"  {fractions[category]:>7.1%}"
         )
     lines.append("")
-    lines.extend(format_iteration_table(report))
+    lines.extend(format_iteration_table(report.to_dict()))
     lines.append("")
     lines.append("per-machine attribution (seconds):")
     lines.append(_header())

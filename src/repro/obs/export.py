@@ -213,7 +213,7 @@ def _causal_texts(columns: Columns) -> Tuple[List[str], np.ndarray, np.ndarray]:
 def dumps_chrome_trace(tracer: Tracer, host_metrics=None) -> str:
     """The Trace Event Format document of a recorded trace, as text.
 
-    ``host_metrics`` (a :meth:`repro.obs.host.HostMetricsRegistry.to_dict`
+    ``host_metrics`` (a :meth:`repro.obs.host.HostProfiler.to_dict`
     document) is embedded under a top-level ``hostMetrics`` key — viewers
     ignore it, ``trace-report`` renders the sim-to-host skew table from
     it.  Host data is wall-clock: embedding it forfeits byte-identity,

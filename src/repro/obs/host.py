@@ -18,10 +18,10 @@ Design constraints:
   to it; the engines therefore wrap only plain function calls that
   never yield.
 * Profiling must not perturb the simulation: the profiler only reads
-  clocks and accumulates into its own registry, so final vertex values
+  clocks and appends to its own event log, so final vertex values
   are byte-identical with and without ``--host-profile`` (tested).
 
-The registry is keyed ``(machine, phase, iteration)``.  Measured
+The metrics document is keyed ``(machine, phase, iteration)``.  Measured
 intervals never nest (leaf regions), but a depth guard makes the
 region total robust anyway: only depth-0 intervals accumulate into
 ``region_wall_ns``, so the per-phase wall times sum to the profiled
@@ -35,7 +35,7 @@ from contextlib import contextmanager
 from typing import Dict, List, Optional, Tuple
 
 from repro.obs import hostclock
-from repro.obs.log import NULL, EventLog, NullObserver
+from repro.obs.log import EventLog
 
 #: Version of the host metrics JSON document.
 HOST_SCHEMA_VERSION = 1
@@ -57,33 +57,86 @@ SIM_SPAN_FOR_PHASE = {
 }
 
 
-class HostMetricsRegistry:
-    """Structured host metrics keyed by (machine, phase, iteration): a
-    reader of the ``h`` rows of an event log (the profiler's, or its
-    own when fed through :meth:`record`)."""
+class HostProfiler:
+    """Measures real wall/CPU time of engine phases during a run.
 
-    def __init__(self, trace_allocations: bool = False, rows: list = None):
+    One profiler serves the whole cluster (the simulator runs every
+    machine on one thread); engines attribute measurements to their own
+    machine id.  Store/net handlers carry no iteration, so the compute
+    engines publish the current one in :attr:`iteration` — safe because
+    execution is single-threaded and barrier-aligned.
+
+    A measurement is ``token = start()`` ... ``stop(token, machine,
+    phase)`` around a synchronous leaf section; ``stop`` appends one
+    ``h`` row to :attr:`log`, and :meth:`to_dict` reads those rows into
+    the metrics document keyed by (machine, phase, iteration).
+    """
+
+    enabled = True
+
+    def __init__(self, trace_allocations: bool = False):
         self.trace_allocations = trace_allocations
+        self.log = EventLog()
         #: The run that produced these metrics (``{"algorithm": …,
         #: "cli_name": …, "machines": …, "seed": …}``), written into the
         #: document so a reader never has to guess which run a metrics
         #: file belongs to.
         self.job: Optional[dict] = None
-        #: ``("h", machine, phase, iteration, records, wall_ns, cpu_ns,
-        #: alloc_bytes, top_level)`` per measured interval.
-        self.rows: List[tuple] = [] if rows is None else rows
         #: Wall nanoseconds of the whole profiler session (run setup,
-        #: sim bookkeeping, and the measured region together).
+        #: sim bookkeeping, and the measured region together); set by
+        #: :meth:`finalize`.
         self.session_wall_ns = 0
+        self.iteration = 0
+        self._depth = 0
+        if trace_allocations:
+            hostclock.start_allocation_tracing()
+        self._session_start = hostclock.wall_ns()
 
-    def record(
-        self, machine: int, phase: str, iteration: int, wall_ns: int, cpu_ns: int,
-        records: int = 0, alloc_bytes: int = 0, top_level: bool = True,
+    def set_iteration(self, iteration: int) -> None:
+        self.iteration = iteration
+
+    def start(self) -> tuple:
+        """Open a measurement: ``(top_level, alloc0, cpu0, wall0)``."""
+        self._depth += 1
+        alloc = hostclock.allocated_bytes() if self.trace_allocations else 0
+        return (self._depth == 1, alloc, hostclock.cpu_ns(), hostclock.wall_ns())
+
+    def stop(
+        self, token: tuple, machine: int, phase: str,
+        iteration: Optional[int] = None, records: int = 0,
     ) -> None:
-        self.rows.append(
-            ("h", machine, phase, iteration, records, wall_ns, cpu_ns,
-             alloc_bytes, top_level)
+        """Close the measurement ``token`` opened and log it."""
+        wall = hostclock.wall_ns() - token[3]
+        cpu = hostclock.cpu_ns() - token[2]
+        alloc = 0
+        if self.trace_allocations:
+            alloc = hostclock.allocated_bytes() - token[1]
+        self._depth -= 1
+        self.log.rows.append(
+            ("h", machine, phase,
+             self.iteration if iteration is None else iteration,
+             records, wall, cpu, alloc, token[0])
         )
+
+    @contextmanager
+    def measure(
+        self, machine: int, phase: str, iteration: Optional[int] = None, records: int = 0
+    ):
+        """``with`` form of :meth:`start` / :meth:`stop`."""
+        if iteration is None:
+            iteration = self.iteration
+        token = self.start()
+        try:
+            yield
+        finally:
+            self.stop(token, machine, phase, iteration, records)
+
+    def finalize(self) -> "HostProfiler":
+        """Close the session window; returns the profiler."""
+        self.session_wall_ns = hostclock.wall_ns() - self._session_start
+        if self.trace_allocations:
+            hostclock.stop_allocation_tracing()
+        return self
 
     def to_dict(self) -> dict:
         """The canonical JSON document (exporters all read this form)."""
@@ -93,7 +146,7 @@ class HostMetricsRegistry:
         # by construction.
         cells: Dict[Tuple[int, str, int], List[int]] = {}
         region_wall = region_cpu = intervals = 0
-        for _h, machine, phase, iteration, records, wall, cpu, alloc, top in self.rows:
+        for _h, machine, phase, iteration, records, wall, cpu, alloc, top in self.log.rows:
             cell = cells.setdefault((machine, phase, iteration), [0] * 5)
             cell[0] += wall
             cell[1] += cpu
@@ -181,96 +234,9 @@ class HostMetricsRegistry:
         return doc
 
 
-class HostProfiler:
-    """Measures real wall/CPU time of engine phases during a run.
-
-    One profiler serves the whole cluster (the simulator runs every
-    machine on one thread); engines attribute measurements to their own
-    machine id.  Store/net handlers carry no iteration, so the compute
-    engines publish the current one in :attr:`iteration` — safe because
-    execution is single-threaded and barrier-aligned.
-
-    A measurement is ``token = start()`` ... ``stop(token, machine,
-    phase)`` around a synchronous leaf section; ``stop`` appends one
-    ``h`` row to :attr:`log`, which the registry reads for its document.
-    """
-
-    enabled = True
-
-    def __init__(self, trace_allocations: bool = False):
-        self.trace_allocations = trace_allocations
-        self.log = EventLog()
-        self.registry = HostMetricsRegistry(trace_allocations, self.log.rows)
-        self.iteration = 0
-        self._depth = 0
-        if trace_allocations:
-            hostclock.start_allocation_tracing()
-        self._session_start = hostclock.wall_ns()
-
-    def set_iteration(self, iteration: int) -> None:
-        self.iteration = iteration
-
-    def start(self) -> tuple:
-        """Open a measurement: ``(top_level, alloc0, cpu0, wall0)``."""
-        self._depth += 1
-        alloc = hostclock.allocated_bytes() if self.trace_allocations else 0
-        return (self._depth == 1, alloc, hostclock.cpu_ns(), hostclock.wall_ns())
-
-    def stop(
-        self, token: tuple, machine: int, phase: str,
-        iteration: Optional[int] = None, records: int = 0,
-    ) -> None:
-        """Close the measurement ``token`` opened and log it."""
-        wall = hostclock.wall_ns() - token[3]
-        cpu = hostclock.cpu_ns() - token[2]
-        alloc = 0
-        if self.trace_allocations:
-            alloc = hostclock.allocated_bytes() - token[1]
-        self._depth -= 1
-        self.log.rows.append(
-            ("h", machine, phase,
-             self.iteration if iteration is None else iteration,
-             records, wall, cpu, alloc, token[0])
-        )
-
-    @contextmanager
-    def measure(
-        self, machine: int, phase: str, iteration: Optional[int] = None, records: int = 0
-    ):
-        """``with`` form of :meth:`start` / :meth:`stop`."""
-        if iteration is None:
-            iteration = self.iteration
-        token = self.start()
-        try:
-            yield
-        finally:
-            self.stop(token, machine, phase, iteration, records)
-
-    def finalize(self) -> HostMetricsRegistry:
-        """Close the session window; returns the registry."""
-        self.registry.session_wall_ns = (
-            hostclock.wall_ns() - self._session_start
-        )
-        if self.trace_allocations:
-            hostclock.stop_allocation_tracing()
-        return self.registry
-
-
-#: Host profiling off (one shared :class:`~repro.obs.log.NullObserver`).
-NullHostProfiler = NullObserver
-NULL_HOST_PROFILER = NULL
-
-
-def resolve_host_profiler(host) -> "HostProfiler | NullHostProfiler":
-    """``host`` if it is an enabled profiler, else the null one."""
-    if host is not None and host.enabled:
-        return host
-    return NULL_HOST_PROFILER
-
-
 # -- exporters -----------------------------------------------------------
 #
-# All exporters read the canonical JSON document (`registry.to_dict()`)
+# All exporters read the canonical JSON document (`profiler.to_dict()`)
 # and return strings; printing is the CLI's job (CHX007).
 
 
@@ -452,7 +418,7 @@ def check_host_schema(doc: dict) -> List[str]:
     for key in ("by_phase", "edges", "edges_per_sec"):
         if key not in doc["totals"]:
             errors.append(f"totals: missing {key}")
-    if "job" in doc:  # optional stable join keys (see registry.job)
+    if "job" in doc:  # optional stable join keys (see HostProfiler.job)
         job = doc["job"]
         if not isinstance(job, dict):
             errors.append("job: expected dict")
@@ -492,16 +458,13 @@ def host_skew(doc: dict, sim_spans: Dict[str, float]) -> List[dict]:
 
 
 def format_host_report(
-    doc: dict,
-    sim_spans: Optional[Dict[str, float]] = None,
-    top: int = 10,
+    doc: dict, skew: Optional[List[dict]] = None, top: int = 10
 ) -> str:
     """Render the host-profile section of ``trace-report`` / ``run``.
 
-    ``sim_spans`` maps sim span names to total simulated seconds (from
-    a :class:`repro.obs.report.TraceSummary`); when given, the report
-    includes the sim-to-host skew table — phases whose host share
-    exceeds their sim share are the vectorization targets.
+    ``skew`` holds the :func:`host_skew` rows of the run's trace (the
+    ``trace-report`` document's ``host_skew``); without them the sim
+    columns of the table are dashed.
     """
     lines: List[str] = []
     region = doc["region"]
@@ -519,7 +482,7 @@ def format_host_report(
     ranked = sorted(
         by_phase.items(), key=lambda kv: (-kv[1]["cpu_seconds"], kv[0])
     )[:top]
-    skews = {row["phase"]: row for row in host_skew(doc, sim_spans or {})}
+    skews = {row["phase"]: row for row in skew or host_skew(doc, {})}
 
     lines.append("")
     lines.append(f"hottest host phases by CPU time (top {len(ranked)}):")

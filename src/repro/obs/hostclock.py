@@ -11,7 +11,7 @@ inside a sim package.  Both lint layers exempt it by module path, and
 other sim-package module may import ``time``.
 
 The values returned here must never influence simulation behaviour.
-They flow into :class:`repro.obs.host.HostMetricsRegistry` and out
+They flow into :class:`repro.obs.host.HostProfiler` and out
 through exporters; nothing in ``core``/``sim``/``store``/``net`` reads
 them back.
 """

@@ -40,7 +40,7 @@ from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from repro.obs.causal import CausalRecorder
 from repro.obs.counters import CounterRegistry
-from repro.obs.log import NULL, Columns, EventLog, NullObserver
+from repro.obs.log import Columns, EventLog
 
 #: Thread ids within a machine process (Chrome ``tid``).
 TID_JOB = 0
@@ -110,11 +110,6 @@ class Track:
     def instant(self, name: str, cat: Optional[str] = None, args: Optional[dict] = None):
         """Record a zero-duration marker."""
         self._record("i", name, self.tracer.now(), cat=cat, args=args)
-
-
-#: Tracing off (one shared :class:`~repro.obs.log.NullObserver`).
-NullTracer = NullObserver
-NULL_TRACK = NULL_TRACER = NULL
 
 
 class Tracer:
@@ -203,16 +198,7 @@ class Tracer:
         self.threads[(pid, tid)] = name
         return self._track(pid, tid)
 
-    # -- recording by (pid, tid) -------------------------------------------
-
-    def end(self, pid, tid, args=None) -> None:
-        self._track(pid, tid).end(args=args)
-
-    def complete(self, pid, tid, name, start, duration, cat=None, args=None):
-        self._track(pid, tid).complete(name, start, duration, cat, args)
-
-    def instant(self, pid, tid, name, cat=None, args=None) -> None:
-        self._track(pid, tid).instant(name, cat=cat, args=args)
+    # -- counters ------------------------------------------------------------
 
     def counter(self, pid: int, name: str, value: float, ts: Optional[float] = None):
         """Record one sample of a per-process counter time series."""

@@ -39,7 +39,7 @@ from __future__ import annotations
 from typing import Dict
 
 from repro.net.transport import Network
-from repro.obs.tracer import NULL_TRACK
+from repro.obs.log import NULL
 from repro.sim.engine import Event, Simulator
 from repro.sim.resources import FifoServer
 from repro.store.chunk import Chunk, ChunkKind
@@ -67,7 +67,7 @@ class StorageEngine:
         tracer=None,
         host=None,
         integrity: bool = True,
-        job_track=NULL_TRACK,
+        job_track=NULL,
     ):
         self.sim = sim
         self.network = network

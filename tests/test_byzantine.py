@@ -325,7 +325,7 @@ class TestCheckpointQuarantine:
 class TestRecoveryCategories:
     @pytest.fixture(scope="class")
     def traced_quarantine_run(self, small_graph):
-        from repro.obs import Tracer, chrome_trace_dict, summarize_trace
+        from repro.obs import Tracer, chrome_trace_dict, trace_report
 
         tracer = Tracer(sample_interval=None)
         cluster = ChaosCluster(
@@ -337,13 +337,13 @@ class TestRecoveryCategories:
             small_graph,
             fault_plan=FaultPlan([parse_fault_spec(s) for s in specs]),
         )
-        return summarize_trace(chrome_trace_dict(tracer))
+        return trace_report(chrome_trace_dict(tracer))
 
     def test_new_categories_are_ingested(self, traced_quarantine_run):
-        summary = traced_quarantine_run
-        assert summary.category_seconds.get("retry_wait", 0.0) > 0
-        assert summary.category_seconds.get("integrity", 0.0) > 0
-        assert summary.instants.get("integrity.ckpt_quarantine", 0) > 0
+        summary = traced_quarantine_run["summary"]
+        assert summary["category_seconds"].get("retry_wait", 0.0) > 0
+        assert summary["category_seconds"].get("integrity", 0.0) > 0
+        assert summary["instants"].get("integrity.ckpt_quarantine", 0) > 0
 
     def test_report_shows_overlapping_detail_rows(self, traced_quarantine_run):
         from repro.obs import format_trace_report
@@ -364,18 +364,18 @@ class TestRecoveryCategories:
             format_trace_report,
         )
 
-        summary = traced_quarantine_run
+        summary = traced_quarantine_run["summary"]
         assert RECOVERY_WALL_CATEGORIES == ("lost", "restore")
-        report = format_trace_report(summary)
+        report = format_trace_report(traced_quarantine_run)
         match = re.search(r"useful\s+([0-9.]+)s", report)
         assert match is not None
         useful = float(match.group(1))
         wall = sum(
-            summary.category_seconds.get(cat, 0.0)
+            summary["category_seconds"].get(cat, 0.0)
             for cat in RECOVERY_WALL_CATEGORIES
         )
         assert useful == pytest.approx(
-            summary.duration - wall, abs=1e-6
+            summary["duration"] - wall, abs=1e-6
         )
 
 

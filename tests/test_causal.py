@@ -28,10 +28,11 @@ from repro.core.runtime import _check_open_spans, run_algorithm
 from repro.graph import rmat_graph
 from repro.net.topology import GIGE_40_BENCH
 from repro.obs import (
+    NULL,
     Tracer,
     analyze_tracer,
     dumps_chrome_trace,
-    trace_report_json,
+    trace_report,
     write_chrome_trace,
     write_counters_csv,
 )
@@ -39,9 +40,7 @@ from repro.obs import causal as causal_mod
 from repro.obs.causal import (
     CausalError,
     CausalRecorder,
-    NULL_CAUSAL,
     barrier_chains,
-    causal_edges_from_flows,
     causal_events_from_trace,
     chain_of,
     cross_check,
@@ -55,7 +54,6 @@ from repro.obs.causal import (
     slowest_chains,
 )
 from repro.obs.export import chrome_trace_dict
-from repro.obs.report import summarize_trace
 from repro.store.device import SSD_BENCH
 
 from tests.conftest import assert_usage_error, fast_config
@@ -151,11 +149,12 @@ class TestRecorder:
         assert len(rec.events) == 1
 
     def test_null_recorder_is_inert(self):
-        assert NULL_CAUSAL.on_send("read", 0, 1, 64) is None
-        assert NULL_CAUSAL.barrier_release(0, 0, "1", "scatter") is None
-        assert NULL_CAUSAL.mark("x") is None
-        assert not NULL_CAUSAL.enabled
-        assert NULL_CAUSAL.events == []
+        assert NULL.causal is NULL
+        assert NULL.on_send("read", 0, 1, 64) is None
+        assert NULL.barrier_release(0, 0, "1", "scatter") is None
+        assert NULL.mark("x") is None
+        assert not NULL.enabled
+        assert NULL.events == []
 
 
 # ---------------------------------------------------------------------------
@@ -222,7 +221,7 @@ class TestChainAnalysis:
         events = _synthetic_dag()
         (chain,) = barrier_chains(events)
         assert "e0/0/scatter" in format_chain(chain)
-        assert "barrier" in format_chain_table([chain])
+        assert "barrier" in format_chain_table([chain.to_dict()])
         for event in events:
             assert f"#{event['id']}" in format_event(event)
 
@@ -474,7 +473,7 @@ class TestMultiRunDrivers:
         ]
         assert any(record["instances"] > 1 for record in records)
         assert "e0/preprocess/preprocess " in format_chain_table(
-            barrier_chains(driver_tracer.causal.events)
+            [chain.to_dict() for chain in barrier_chains(driver_tracer.causal.events)]
         )
 
 
@@ -522,8 +521,9 @@ class TestExporterEdgeCases:
         doc = chrome_trace_dict(tracer)
         assert doc["traceEvents"] == []
         assert "causalEvents" not in doc
-        summary = summarize_trace(doc)
-        assert summary.total_events == 0
+        report = trace_report(doc)
+        assert report["summary"]["total_events"] == 0
+        assert report["attribution"] is None
 
     def test_instant_with_nested_args_round_trips(self, tmp_path):
         tracer = Tracer(sample_interval=None)
@@ -539,8 +539,8 @@ class TestExporterEdgeCases:
         ]
         assert event["args"] == nested
         assert event["s"] == "t"
-        summary = summarize_trace(doc)
-        assert summary.instants["job.milestone"] == 1
+        summary = trace_report(doc)["summary"]
+        assert summary["instants"]["job.milestone"] == 1
 
     def test_flow_events_round_trip(self, medium_graph, tmp_path):
         _, tracer = _traced_run(medium_graph, fast_config(machines=2))
@@ -551,7 +551,13 @@ class TestExporterEdgeCases:
             e for e in doc["traceEvents"] if e.get("ph") in ("s", "f")
         ]
         assert flows and len(flows) % 2 == 0
-        edges = {e["id"]: e for e in causal_edges_from_flows(doc)}
+        # The lossy Perfetto view of the DAG: one s/f pair per delivered
+        # message edge, matched by id (times in microseconds).
+        edges = {}
+        for flow in flows:
+            machine, time = ("src", "t0") if flow["ph"] == "s" else ("dst", "t1")
+            edge = edges.setdefault(flow["id"], {"name": flow["name"]})
+            edge[machine], edge[time] = flow["pid"], flow["ts"] * 1e-6
         delivered = [
             e
             for e in causal_events_from_trace(doc)
@@ -605,13 +611,13 @@ class TestReportIntegration:
     def test_trace_carries_integrity_instant(self, medium_graph):
         _, tracer = _traced_run(medium_graph, fast_config(machines=2))
         doc = chrome_trace_dict(tracer)
-        summary = summarize_trace(doc)
-        assert summary.instants["job.integrity"] == 1
-        assert "messages_corrupted" in summary.integrity
+        summary = trace_report(doc)["summary"]
+        assert summary["instants"]["job.integrity"] == 1
+        assert "messages_corrupted" in summary["integrity"]
 
     def test_trace_report_json_sections(self, medium_graph):
         _, tracer = _traced_run(medium_graph, fast_config(machines=2))
-        doc = trace_report_json(chrome_trace_dict(tracer))
+        doc = trace_report(chrome_trace_dict(tracer))
         assert set(doc) == {
             "summary",
             "attribution",
@@ -633,15 +639,15 @@ class TestReportIntegration:
         _, tracer = _traced_run(medium_graph, fast_config(machines=2))
         doc = chrome_trace_dict(tracer)
         del doc["causalEvents"]
-        report = trace_report_json(doc)
+        report = trace_report(doc)
         assert report["slowest_chains"] is None
         assert report["cross_check"] is None
 
     def test_prometheus_integrity_family(self):
         from repro.obs import to_prometheus, validate_prometheus
-        from repro.obs.host import HostMetricsRegistry
+        from repro.obs.host import HostProfiler
 
-        doc = HostMetricsRegistry().to_dict()
+        doc = HostProfiler().to_dict()
         text = to_prometheus(
             doc, integrity={"messages_corrupted": 2, "retransmits": 1}
         )

@@ -122,6 +122,16 @@ class TestRun:
             "run: machines must be >= 1",
         )
 
+    @pytest.mark.parametrize("interval", ["-1", "nan", "inf", "-inf"])
+    def test_bad_trace_sample_interval_is_a_usage_error(self, capsys,
+                                                        interval):
+        assert_usage_error(
+            capsys,
+            ["run", "--algorithm", "PR", "--scale", "8",
+             f"--trace-sample-interval={interval}"],
+            "--trace-sample-interval must be a finite number",
+        )
+
     @pytest.mark.parametrize("flag", ["--sanitize", "--focus-from-check"])
     def test_removed_sanitizer_flags_are_unknown(self, capsys, flag):
         with pytest.raises(SystemExit) as exit_info:
@@ -262,6 +272,35 @@ class TestTrace:
             capsys, ["trace-report", str(tmp_path / "nope.json")],
             "cannot read trace",
         )
+
+    @pytest.mark.parametrize("text", ["5", "null", '{"traceEvents": 3}'])
+    @pytest.mark.parametrize(
+        "verb", [["trace-report"], ["trace", "query"], ["trace", "conform"]]
+    )
+    def test_malformed_trace_is_a_usage_error(self, tmp_path, capsys, verb,
+                                              text):
+        path = tmp_path / "bad.json"
+        path.write_text(text)
+        extra = ["--slowest-chains"] if verb[-1] == "query" else []
+        assert_usage_error(
+            capsys, [*verb, str(path), *extra], "not a Chrome trace"
+        )
+
+    @pytest.mark.parametrize(
+        "argv",
+        [["trace-report", "--top", "-1"],
+         ["trace", "query", "--where", "kind=msg", "--limit", "-1"],
+         ["trace", "query", "--slowest-chains", "-2"]],
+    )
+    def test_negative_counts_are_rejected(self, tmp_path, capsys, argv):
+        path = str(tmp_path / "t.json")
+        self._run_traced(capsys, path)
+        with pytest.raises(SystemExit) as exit_info:
+            main([*argv[:-2], path, *argv[-2:]])
+        captured = capsys.readouterr()
+        assert exit_info.value.code == 2
+        assert "expected a whole number >= 0" in captured.err
+        assert captured.out == ""
 
 
 class TestHostProfile:

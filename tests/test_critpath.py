@@ -265,10 +265,10 @@ class TestRealRunClosure:
             )
 
     def test_disabled_tracer_rejected(self):
-        from repro.obs import NULL_TRACER
+        from repro.obs import NULL
 
         with pytest.raises(AttributionError):
-            analyze_tracer(NULL_TRACER)
+            analyze_tracer(NULL)
 
 
 class TestBottleneckNaming:
@@ -351,7 +351,7 @@ class TestRendering:
         assert "binding resource" in text
         assert "closure error" in text
         assert "per-machine attribution" in text
-        table = format_iteration_table(report)
+        table = format_iteration_table(report.to_dict())
         assert any("per-iteration" in line for line in table)
         # One row per iteration label plus header lines.
         assert len(table) == 2 + len(report.per_iteration)

@@ -378,7 +378,7 @@ class TestRollbackFence:
 class TestTimeline:
     @pytest.fixture(scope="class")
     def traced_run(self, small_graph):
-        from repro.obs import Tracer, chrome_trace_dict, summarize_trace
+        from repro.obs import Tracer, chrome_trace_dict, trace_report
 
         config = _fault_config()
         tracer = Tracer(sample_interval=None)
@@ -387,8 +387,8 @@ class TestTimeline:
             PageRank(iterations=5), small_graph,
             fault_plan=FaultPlan.parse(["crash:1@iter=2"]),
         )
-        summary = summarize_trace(chrome_trace_dict(tracer))
-        return cluster.last_fault_timeline, result, summary
+        report = trace_report(chrome_trace_dict(tracer))
+        return cluster.last_fault_timeline, result, report
 
     def test_decomposition_sums_to_total(self, traced_run):
         timeline, result, _ = traced_run
@@ -428,25 +428,24 @@ class TestTimeline:
     def test_tracer_categories_reconcile(self, traced_run):
         """The lost/restore spans on the cluster job track sum to the
         timeline's decomposition exactly (ISSUE acceptance)."""
-        timeline, _, summary = traced_run
-        assert summary.category_seconds["lost"] == pytest.approx(
-            timeline.lost_seconds
-        )
-        assert summary.category_seconds["restore"] == pytest.approx(
+        timeline, _, report = traced_run
+        seconds = report["summary"]["category_seconds"]
+        assert seconds["lost"] == pytest.approx(timeline.lost_seconds)
+        assert seconds["restore"] == pytest.approx(
             timeline.restore_seconds
         )
 
     def test_trace_report_shows_recovery_rows(self, traced_run):
         from repro.obs import format_trace_report
 
-        _, _, summary = traced_run
-        report = format_trace_report(summary)
-        assert "recovery decomposition" in report
-        assert "lost" in report and "restore" in report
+        _, _, report = traced_run
+        text = format_trace_report(report)
+        assert "recovery decomposition" in text
+        assert "lost" in text and "restore" in text
 
     def test_fault_instants_traced(self, traced_run):
-        _, _, summary = traced_run
-        assert summary.instants.get("fault.suspect", 0) >= 1
+        _, _, report = traced_run
+        assert report["summary"]["instants"].get("fault.suspect", 0) >= 1
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,6 @@
 """Host-side profiling (:mod:`repro.obs.host` / :mod:`repro.obs.hostclock`).
 
-Covers the registry accounting and the depth-0 region invariant, the
+Covers the metrics accounting and the depth-0 region invariant, the
 three exporters (collapsed-stack, Prometheus, JSON schema) round-trip,
 the report formatting, the hostclock single-entry-point lint contract,
 and the end-to-end properties the ``--host-profile`` flag promises: it
@@ -20,17 +20,15 @@ from repro.algorithms import PageRank
 from repro.core.gas import GAS_PHASES
 from repro.core.runtime import run_algorithm
 from repro.graph.rmat import rmat_graph
+from repro.obs.log import NullObserver
 from repro.obs.host import (
     ENGINE_PHASES,
     GAS_HOST_PHASES,
-    NULL_HOST_PROFILER,
-    HostMetricsRegistry,
     HostProfiler,
-    NullHostProfiler,
     check_host_schema,
     format_host_report,
+    host_skew,
     parse_collapsed_stack,
-    resolve_host_profiler,
     to_collapsed_stack,
     to_prometheus,
     validate_prometheus,
@@ -49,19 +47,31 @@ def profiled_run(machines=4, scale=8, iterations=3, **kwargs):
     return result, profiler.finalize().to_dict()
 
 
+def _row(machine, phase, iteration, wall_ns, cpu_ns, records=0,
+         top_level=True):
+    """One ``h`` row of a profiler's event log (no allocation delta)."""
+    return ("h", machine, phase, iteration, records, wall_ns, cpu_ns, 0,
+            top_level)
+
+
+def _doc(*rows):
+    """The metrics document of a profiler whose log holds ``rows``."""
+    profiler = HostProfiler()
+    profiler.log.rows.extend(rows)
+    return profiler.to_dict()
+
+
 # ---------------------------------------------------------------------------
-# Registry accounting
+# Metrics accounting
 
 
 class TestRegistry:
     def test_record_accumulates_per_key(self):
-        registry = HostMetricsRegistry()
-        registry.record(0, "scatter", 1, wall_ns=1000, cpu_ns=800,
-                        records=10)
-        registry.record(0, "scatter", 1, wall_ns=500, cpu_ns=400,
-                        records=5)
-        registry.record(1, "scatter", 1, wall_ns=200, cpu_ns=100)
-        doc = registry.to_dict()
+        doc = _doc(
+            _row(0, "scatter", 1, wall_ns=1000, cpu_ns=800, records=10),
+            _row(0, "scatter", 1, wall_ns=500, cpu_ns=400, records=5),
+            _row(1, "scatter", 1, wall_ns=200, cpu_ns=100),
+        )
         entries = {
             (p["machine"], p["phase"], p["iteration"]): p
             for p in doc["phases"]
@@ -74,11 +84,10 @@ class TestRegistry:
         assert entries[(1, "scatter", 1)]["calls"] == 1
 
     def test_top_level_intervals_feed_the_region(self):
-        registry = HostMetricsRegistry()
-        registry.record(0, "scatter", 0, wall_ns=1000, cpu_ns=900)
-        registry.record(0, "gather", 0, wall_ns=300, cpu_ns=200,
-                        top_level=False)
-        doc = registry.to_dict()
+        doc = _doc(
+            _row(0, "scatter", 0, wall_ns=1000, cpu_ns=900),
+            _row(0, "gather", 0, wall_ns=300, cpu_ns=200, top_level=False),
+        )
         assert doc["region"]["wall_seconds"] == pytest.approx(1e-6)
         assert doc["region"]["intervals"] == 1
         # The nested interval still shows up in its phase entry.
@@ -97,10 +106,10 @@ class TestRegistry:
         )
 
     def test_edges_per_sec_from_scatter_records(self):
-        registry = HostMetricsRegistry()
-        registry.record(0, "scatter", 0, wall_ns=2_000_000_000,
-                        cpu_ns=1_000_000_000, records=1000)
-        doc = registry.to_dict()
+        doc = _doc(
+            _row(0, "scatter", 0, wall_ns=2_000_000_000,
+                 cpu_ns=1_000_000_000, records=1000),
+        )
         assert doc["totals"]["edges"] == 1000
         assert doc["totals"]["edges_per_sec"] == pytest.approx(500.0)
         assert doc["iterations"][0]["edges_per_sec"] == pytest.approx(500.0)
@@ -112,18 +121,12 @@ class TestRegistry:
 
 class TestProfiler:
     def test_null_profiler_is_free_and_disabled(self):
-        null = NullHostProfiler()
+        null = NullObserver()
         assert not null.enabled
         with null.measure(0, "scatter"):
             pass
         null.set_iteration(3)
         assert null.finalize() is None
-
-    def test_resolve_defaults_to_the_null_singleton(self):
-        assert resolve_host_profiler(None) is NULL_HOST_PROFILER
-        assert resolve_host_profiler(NULL_HOST_PROFILER) is NULL_HOST_PROFILER
-        profiler = HostProfiler()
-        assert resolve_host_profiler(profiler) is profiler
 
     def test_measure_defaults_iteration_to_current(self):
         profiler = HostProfiler()
@@ -149,10 +152,10 @@ class TestProfiler:
 
 class TestExporters:
     def test_collapsed_stack_round_trips(self):
-        registry = HostMetricsRegistry()
-        registry.record(0, "scatter", 0, wall_ns=1_500_000, cpu_ns=1_000)
-        registry.record(1, "msg_copy", 2, wall_ns=2_000_000, cpu_ns=500)
-        doc = registry.to_dict()
+        doc = _doc(
+            _row(0, "scatter", 0, wall_ns=1_500_000, cpu_ns=1_000),
+            _row(1, "msg_copy", 2, wall_ns=2_000_000, cpu_ns=500),
+        )
         text = to_collapsed_stack(doc)
         assert text.endswith("\n")
         parsed = parse_collapsed_stack(text)
@@ -205,7 +208,7 @@ class TestReport:
         _, doc = profiled_run()
         report = format_host_report(
             doc,
-            sim_spans={"scatter": 0.5, "gather": 0.3, "merge_apply": 0.2},
+            host_skew(doc, {"scatter": 0.5, "gather": 0.3, "merge_apply": 0.2}),
         )
         assert "hottest host phases by CPU time" in report
         assert "scatter" in report and "msg_copy" in report
@@ -347,14 +350,13 @@ class TestHostJobKeys:
             PageRank(iterations=4), rmat_graph(7, seed=7), machines=machines,
             host=profiler,
         )
-        registry = profiler.finalize()
-        registry.job = {
+        profiler.finalize().job = {
             "algorithm": "PR",
             "cli_name": "PR",
             "machines": machines,
             "seed": 0,
         }
-        return registry.to_dict()
+        return profiler.to_dict()
 
     def test_job_keys_survive_to_dict_and_schema(self):
         doc = self._doc(machines=2)

@@ -15,20 +15,20 @@ from repro.algorithms import run_mcst
 from repro.core.metrics import BREAKDOWN_CATEGORIES
 from repro.graph.convert import to_undirected
 from repro.obs import (
+    NULL,
     CounterRegistry,
-    NULL_TRACER,
     ResourceSampler,
     TraceError,
     Tracer,
     chrome_trace_dict,
     dumps_chrome_trace,
     format_trace_report,
-    summarize_trace,
-    summarize_trace_file,
+    load_trace,
+    trace_report,
     write_chrome_trace,
     write_counters_csv,
 )
-from repro.obs.tracer import NULL_TRACK, TID_DEVICE, TID_ENGINE, TID_JOB
+from repro.obs.tracer import TID_DEVICE, TID_ENGINE, TID_JOB
 from repro.sim.engine import Simulator
 
 
@@ -64,20 +64,20 @@ class TestTracerPrimitives:
     def test_end_without_begin_raises(self):
         tracer = Tracer()
         with pytest.raises(TraceError):
-            tracer.end(0, TID_ENGINE)
+            tracer.thread(0, TID_ENGINE).end()
 
     def test_negative_complete_duration_raises(self):
         tracer = Tracer()
         with pytest.raises(TraceError):
-            tracer.complete(0, TID_DEVICE, "io", start=1.0, duration=-0.5)
+            tracer.thread(0, TID_DEVICE).complete("io", start=1.0, duration=-0.5)
 
     def test_bind_run_rebases_subsequent_runs(self):
         tracer = Tracer()
         tracer.bind_run(lambda: 2.0)
-        tracer.instant(0, TID_JOB, "first")
+        tracer.thread(0, TID_JOB).instant("first")
         assert tracer.end_time == 2.0
         tracer.bind_run(lambda: 1.0)  # new run, clock restarts
-        tracer.instant(0, TID_JOB, "second")
+        tracer.thread(0, TID_JOB).instant("second")
         assert tracer.events[1]["ts"] == pytest.approx(3.0)
         assert tracer.end_time == pytest.approx(3.0)
 
@@ -93,13 +93,14 @@ class TestTracerPrimitives:
         assert tracer.end_time == 0.0
         tracer.bind_run(lambda: 4.0)
         track.begin("b", args={"k": 1})
-        tracer.complete(0, TID_DEVICE, "io", start=1.0, duration=2.0)
+        device = tracer.thread(0, TID_DEVICE)
+        device.complete("io", start=1.0, duration=2.0)
         assert [e["name"] for e in tracer.events] == ["a", "b", "io"]
         assert [e["name"] for e in first] == ["a"]  # a snapshot
         assert tracer.end_time == 4.0
         assert '"name":"b"' in dumps_chrome_trace(tracer)
         with pytest.raises(TraceError):
-            tracer.end(0, TID_DEVICE)
+            device.end()
         with pytest.raises(TraceError):
             track.complete("io", 0.0, -1e-9)
         assert len(tracer.events) == 3  # the failed calls recorded nothing
@@ -111,16 +112,15 @@ class TestTracerPrimitives:
         assert tracer.registry.get("missing") is None
 
     def test_null_objects_are_inert(self):
-        assert not NULL_TRACER.enabled
-        track = NULL_TRACER.thread(0, TID_ENGINE)
-        assert track is NULL_TRACK
-        assert not track.enabled
+        assert not NULL.enabled
+        track = NULL.thread(0, TID_ENGINE)
+        assert track is NULL
         track.begin("x")
         track.end()
         track.complete("x", 0.0, 1.0)
         track.instant("x")
-        NULL_TRACER.counter(0, "c", 1.0)
-        NULL_TRACER.bind_run(lambda: 0.0)
+        NULL.counter(0, "c", 1.0)
+        NULL.bind_run(lambda: 0.0)
 
     def test_invalid_sample_interval(self):
         with pytest.raises(ValueError):
@@ -214,17 +214,17 @@ class TestTracedRun:
     def test_all_spans_closed_after_run(self):
         tracer, _ = _traced_run()
         assert tracer.open_span_count() == 0
-        summary = summarize_trace(chrome_trace_dict(tracer))
-        assert summary.unbalanced_spans == 0
-        assert summary.begin_events == summary.end_events
-        assert summary.begin_events > 0
+        summary = trace_report(chrome_trace_dict(tracer))["summary"]
+        assert summary["unbalanced_spans"] == 0
+        phases = [event["ph"] for event in tracer.events]
+        assert phases.count("B") == phases.count("E") > 0
 
     def test_category_totals_match_breakdown(self):
         tracer, result = _traced_run()
-        summary = summarize_trace(chrome_trace_dict(tracer))
+        summary = trace_report(chrome_trace_dict(tracer))["summary"]
         breakdown = result.total_breakdown()
         for category in BREAKDOWN_CATEGORIES:
-            assert summary.category_seconds.get(category, 0.0) == pytest.approx(
+            assert summary["category_seconds"].get(category, 0.0) == pytest.approx(
                 getattr(breakdown, category), abs=1e-6
             )
 
@@ -281,13 +281,13 @@ class TestExportAndReport:
         assert size > 0
         with open(path) as handle:
             assert json.load(handle)["traceEvents"]
-        summary = summarize_trace_file(path)
+        doc = trace_report(load_trace(path))
         breakdown = result.total_breakdown()
         for category in BREAKDOWN_CATEGORIES:
-            assert summary.category_seconds.get(category, 0.0) == pytest.approx(
+            assert doc["summary"]["category_seconds"].get(category, 0.0) == pytest.approx(
                 getattr(breakdown, category), abs=1e-6
             )
-        report = format_trace_report(summary)
+        report = format_trace_report(doc)
         assert "per-device utilization" in report
         assert "breakdown categories" in report
         assert "gp_master" in report
@@ -306,7 +306,14 @@ class TestExportAndReport:
         path = tmp_path / "bad.json"
         path.write_text("{}")
         with pytest.raises(ValueError):
-            summarize_trace_file(str(path))
+            load_trace(str(path))
+
+    @pytest.mark.parametrize("text", ["5", "null", "[]", '{"traceEvents": 3}'])
+    def test_load_trace_rejects_json_that_is_not_a_trace(self, tmp_path, text):
+        path = tmp_path / "bad.json"
+        path.write_text(text)
+        with pytest.raises(ValueError, match="not a Chrome trace"):
+            load_trace(str(path))
 
 
 class TestDriversAndRecovery:

@@ -12,15 +12,22 @@ recovery path's job-track spans and checkpoint marks, a run without
 counters, and a run with the host profiler on (whose wall-clock
 ``hostMetrics`` are cut out of the text before hashing: everything
 around them must equal the unprofiled trace).
+
+``repro trace-report``'s text on the three deterministic jobs is pinned
+the same way (computed on the commit before the report's text and JSON
+builders became one document), and every resource track the text lists
+must be a row of the JSON document's ``summary.tracks``.
 """
 
 from __future__ import annotations
 
 import hashlib
+import json
 
 import pytest
 
 from repro.algorithms import WCC, PageRank
+from repro.cli import main
 from repro.core.config import ClusterConfig
 from repro.core.runtime import ChaosCluster
 from repro.faults import FaultPlan
@@ -37,6 +44,16 @@ PINNED = {
         807086, "f870677e705aa10c678e7874203e11486bd8d70403faa49c0600724b13c4841d"),
     "pr_host_stripped": (
         744638, "1f43833e353358d000324d355e120e47ceeb9585c2906d126cb6d9d0d9dd8365"),
+}
+
+#: job -> (characters, SHA-256) of ``repro trace-report`` on its trace.
+REPORT_PINNED = {
+    "pr": (
+        5696, "fb34f12a9d2ff1517c70a27697140be233ef885fdaaff034dcb968ab4172c694"),
+    "pr_crash": (
+        5675, "3b945a7b6c4f6ae959cc35893fa0ac1f55bdcbf4882be2f0a122d681f2cf45ed"),
+    "wcc_no_counters": (
+        3610, "260a4735dea7c019ddc410d752640a681971eb3b662d666e29b7a87490cfd054"),
 }
 
 
@@ -74,6 +91,39 @@ def test_trace_text_is_pinned(job):
 
 def test_host_profiler_leaves_the_trace_untouched():
     assert PINNED["pr_host_stripped"] == PINNED["pr"]
+
+
+def _report(job: str, tmp_path, capsys, *flags) -> str:
+    path = tmp_path / f"{job}.json"
+    path.write_text(_trace_text(job))
+    capsys.readouterr()
+    assert main(["trace-report", str(path), *flags]) == 0
+    return capsys.readouterr().out
+
+
+@pytest.mark.parametrize("job", list(REPORT_PINNED))
+def test_trace_report_text_is_pinned(job, tmp_path, capsys):
+    text = _report(job, tmp_path, capsys)
+    digest = hashlib.sha256(text.encode()).hexdigest()
+    assert (len(text), digest) == REPORT_PINNED[job]
+
+
+@pytest.mark.parametrize("job", list(REPORT_PINNED))
+def test_every_listed_track_is_in_the_json(job, tmp_path, capsys):
+    text = _report(job, tmp_path, capsys)
+    listed, section = set(), False
+    for line in text.splitlines():
+        if line.startswith("per-") and line.endswith("utilization:"):
+            section = True
+        elif not line.strip():
+            section = False
+        elif section:
+            process, thread = line.split()[:2]
+            listed.add((process, thread))
+    assert listed
+    doc = json.loads(_report(job, tmp_path, capsys, "--format", "json"))
+    rows = {(t["process"], t["thread"]) for t in doc["summary"]["tracks"]}
+    assert listed <= rows, sorted(listed - rows)
 
 
 if __name__ == "__main__":  # the numbers behind the pins

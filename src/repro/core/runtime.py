@@ -29,7 +29,7 @@ from repro.core.gas import GasAlgorithm, GraphContext
 from repro.core.job import JobCoordinator
 from repro.core.metrics import Breakdown, JobResult
 from repro.core.workload import DataWorkload, ModelWorkload, Workload
-from repro.graph.edgelist import EdgeList, bytes_per_edge
+from repro.graph.edgelist import COMPACT_VERTEX_LIMIT, EdgeList, bytes_per_edge
 from repro.graph.stats import out_degrees as compute_out_degrees
 from repro.net.transport import Network
 from repro.obs.counters import ResourceSampler
@@ -88,6 +88,15 @@ def _check_open_spans(tracer) -> None:
             RuntimeWarning,
             stacklevel=3,
         )
+
+
+def stored_id_dtype(num_vertices: int) -> np.dtype:
+    """Type of the vertex-id columns of stored edge chunks: 4 bytes below
+    2**32 vertices, as in the paper's compact format (Section 8), else
+    int64.  Never uint64: ``uint64 - int64`` promotes to float64."""
+    if num_vertices < COMPACT_VERTEX_LIMIT:
+        return np.dtype(np.uint32)
+    return np.dtype(np.int64)
 
 
 @dataclass
@@ -324,24 +333,33 @@ class ChaosCluster:
 
     def _place_data_chunks(
         self,
-        parts: List[EdgeList],
+        parts: List[Optional[EdgeList]],
         layout: PartitionLayout,
         edge_bytes: int,
         placement_rng: random.Random,
         stores: List[StorageEngine],
     ) -> int:
-        """Split per-partition edge lists into chunks at random engines."""
+        """Split per-partition edge lists into chunks at random engines.
+
+        Vertex ids are stored at :func:`stored_id_dtype`'s width.  Each
+        partition's int64 edge list is dropped from ``parts`` once it is
+        chunked, so its id arrays are freed as soon as the compact
+        copies exist.
+        """
         chunk_records = max(1, self.config.chunk_bytes // edge_bytes)
+        id_dtype = stored_id_dtype(layout.num_vertices)
         total_chunks = 0
-        for p, part in enumerate(parts):
-            for start in range(0, part.num_edges, chunk_records):
-                stop = min(start + chunk_records, part.num_edges)
-                payload = {
-                    "src": part.src[start:stop],
-                    "dst": part.dst[start:stop],
-                }
-                if part.weighted:
-                    payload["weight"] = part.weight[start:stop]
+        for p in range(len(parts)):
+            part, parts[p] = parts[p], None
+            count, weight = part.num_edges, part.weight
+            src = part.src.astype(id_dtype, copy=False)
+            dst = part.dst.astype(id_dtype, copy=False)
+            del part
+            for start in range(0, count, chunk_records):
+                stop = min(start + chunk_records, count)
+                payload = {"src": src[start:stop], "dst": dst[start:stop]}
+                if weight is not None:
+                    payload["weight"] = weight[start:stop]
                 chunk = Chunk(
                     partition=p,
                     kind=ChunkKind.EDGES,

@@ -6,12 +6,20 @@ import math
 import numpy as np
 import pytest
 
-from repro.algorithms import BFS, PageRank, WCC
+from repro.algorithms import BFS, SSSP, PageRank, WCC
 from repro.core import ClusterConfig
-from repro.core.runtime import ChaosCluster, GraphSpec, rmat_partition_fractions, run_algorithm
+from repro.core.runtime import (
+    ChaosCluster,
+    GraphSpec,
+    rmat_partition_fractions,
+    run_algorithm,
+    stored_id_dtype,
+)
 from repro.graph import rmat_graph, to_undirected
+from repro.graph.edgelist import COMPACT_VERTEX_LIMIT
+from repro.partition import PartitionLayout
 from repro.perf.profiles import fixed_profile
-from repro.store import FileChunkStore
+from repro.store import ChunkKind, FileChunkStore
 
 from tests.conftest import fast_config
 from tests.references import reference_pagerank
@@ -63,6 +71,60 @@ class TestFileBackend:
         ).run(PageRank(iterations=3), small_graph)
         assert np.array_equal(memory.values["rank"], files.values["rank"])
         assert memory.runtime == pytest.approx(files.runtime)
+
+
+class _ExtentLog(FileChunkStore):
+    """A file store that logs ``(kind, records, column dtypes, extent
+    bytes)`` per stowed chunk."""
+
+    def __init__(self, root, log):
+        super().__init__(root)
+        self.log = log
+
+    def _stow(self, chunk):
+        held = super()._stow(chunk)
+        if chunk.payload is not None:
+            dtypes = {name: dtype for name, dtype, _shape in held.layout}
+            self.log.append((chunk.kind, chunk.records, dtypes, held.nbytes))
+        return held
+
+
+class TestCompactIds:
+    """Stored vertex ids take the paper's 4 bytes below 2**32 vertices
+    (Section 8), pinned in bytes on disk: host-side call counts barely
+    see the change."""
+
+    @pytest.mark.parametrize("weighted", [False, True])
+    def test_edge_extents_and_update_ids(self, tmp_path, weighted):
+        graph = to_undirected(rmat_graph(8, seed=5, weighted=weighted))
+        log = []
+        ChaosCluster(
+            fast_config(2),
+            backend_factory=lambda m: _ExtentLog(str(tmp_path / f"m{m}"), log),
+        ).run(SSSP(root=0) if weighted else WCC(), graph)
+        per_edge = 16 if weighted else 8  # uint32 src + dst (+ float64)
+        edges = [entry for entry in log if entry[0] is ChunkKind.EDGES]
+        assert sum(records for _k, records, _d, _n in edges) == graph.num_edges
+        for _kind, records, dtypes, nbytes in edges:
+            assert nbytes == per_edge * records
+            assert dtypes["src"] == dtypes["dst"] == np.uint32
+            assert dtypes.get("weight", np.float64) == np.float64
+        updates = [entry for entry in log if entry[0] is ChunkKind.UPDATES]
+        assert updates
+        assert all(dtypes["dst"] == np.uint32 for _k, _r, dtypes, _n in updates)
+
+    def test_id_type_switches_at_the_compact_limit(self):
+        assert stored_id_dtype(COMPACT_VERTEX_LIMIT - 1) == np.uint32
+        assert stored_id_dtype(COMPACT_VERTEX_LIMIT) == np.int64
+
+    def test_to_local_of_compact_ids_is_non_negative_int64(self):
+        layout = PartitionLayout.even(1000, 4)
+        local = layout.to_local(3, np.arange(750, 1000, dtype=np.uint32))
+        assert local.dtype == np.int64
+        assert np.array_equal(local, np.arange(250))
+        # The reason ``to_local`` subtracts a numpy int64: a Python int
+        # keeps the uint32 column's type and wraps below the boundary.
+        assert (np.arange(2, dtype=np.uint32) - 1)[0] == 2**32 - 1
 
 
 class TestCheckpointing:

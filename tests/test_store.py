@@ -1,5 +1,7 @@
 """Unit tests for the storage substrate: chunks, backends, engines, placement."""
 
+import os
+
 import numpy as np
 import pytest
 
@@ -18,6 +20,7 @@ from repro.store import (
 )
 from repro.store.chunk import split_into_chunks
 from repro.store.device import HDD_RAID0, DeviceSpec
+from repro.store.integrity import seal_chunk, verify_chunk
 
 from tests.conftest import PROVIDERS, make_store
 
@@ -75,6 +78,14 @@ def _data_chunk(kind=ChunkKind.EDGES, partition=0, size=100, seq=0, index=0):
         index=index,
         records=seq,
     )
+
+
+def _open_descriptors():
+    """Descriptors this process holds, or ``None`` without ``/proc``."""
+    try:
+        return len(os.listdir("/proc/self/fd"))
+    except FileNotFoundError:
+        return None
 
 
 @pytest.fixture(params=PROVIDERS)
@@ -174,6 +185,73 @@ class TestFileChunkStore:
         store.delete(1, ChunkKind.EDGES)
         assert not (tmp_path / "p1.edges").exists()
         assert store.fetch_any(1, ChunkKind.EDGES) is None
+
+    def test_reusing_a_root_keeps_one_extent(self, tmp_path):
+        """A store truncates each stream on first use: bytes an earlier
+        store left behind are unreachable through the new index."""
+        for chunks in (2, 1):
+            store = FileChunkStore(str(tmp_path))
+            for seq in range(chunks):
+                store.append_chunk(_data_chunk(seq=seq))
+            store.close()
+        assert (tmp_path / "p0.edges").stat().st_size == 2 * 3 * 8
+
+    def test_delete_closes_the_stream_and_a_later_append_reads_back(
+        self, tmp_path
+    ):
+        store = FileChunkStore(str(tmp_path))
+        store.append_chunk(_data_chunk(ChunkKind.UPDATES, seq=1))
+        store.append_chunk(_data_chunk(ChunkKind.EDGES))
+        before = _open_descriptors()
+        store.delete(0, ChunkKind.UPDATES)
+        if before is not None:
+            assert _open_descriptors() == before - 1
+        store.append_chunk(_data_chunk(ChunkKind.UPDATES, seq=4))
+        loaded = store.fetch_any(0, ChunkKind.UPDATES)
+        assert np.array_equal(loaded.payload["src"], [8, 10, 12])
+        assert store.fetch_any(0, ChunkKind.EDGES) is not None
+        store.close()
+
+    @pytest.mark.skipif(
+        _open_descriptors() is None, reason="needs /proc/self/fd"
+    )
+    @pytest.mark.parametrize("ending", ["closed", "dropped"])
+    def test_descriptors_come_back_to_baseline(self, tmp_path, ending):
+        baseline = _open_descriptors()
+        for n in range(50):
+            store = FileChunkStore(str(tmp_path / f"s{n}"))
+            for kind in (ChunkKind.EDGES, ChunkKind.UPDATES):
+                store.append_chunk(_data_chunk(kind, partition=n % 3))
+            store.put_vertex_chunk(_data_chunk(ChunkKind.VERTICES))
+            assert store.fetch_any(n % 3, ChunkKind.EDGES) is not None
+            assert _open_descriptors() == baseline + 3
+            if ending == "closed":
+                store.close()
+                store.close()  # idempotent
+            del store
+            assert _open_descriptors() == baseline
+
+    @pytest.mark.parametrize("kind", list(ChunkKind), ids=lambda k: k.value)
+    def test_rot_outside_the_model_is_caught_on_read(self, tmp_path, kind):
+        """A byte that changes on disk behind the store's back, not
+        through the provider API, fails the read's CRC walk."""
+        store = FileChunkStore(str(tmp_path))
+        chunk = seal_chunk(_data_chunk(kind, partition=2, seq=7))
+        if kind is ChunkKind.VERTICES:
+            store.put_vertex_chunk(chunk)
+        else:
+            store.append_chunk(chunk)
+        with open(tmp_path / f"p2.{kind.value}", "r+b") as stream:
+            stream.seek(5)
+            byte = stream.read(1)
+            stream.seek(5)
+            stream.write(bytes([byte[0] ^ 0x10]))
+        if kind is ChunkKind.VERTICES:
+            loaded = store.get_vertex_chunk(2, 0)
+        else:
+            loaded = store.fetch_any(2, kind)
+        assert loaded.crc == chunk.crc and not loaded.verified
+        assert not verify_chunk(loaded)
 
 
 class TestRandomPlacement:

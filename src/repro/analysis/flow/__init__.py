@@ -7,7 +7,7 @@ Structure:
 * :mod:`callgraph` — call sites resolved to project targets, with
   explicit resolution kinds and reachability queries.
 * :mod:`dataflow` — forward taint with interprocedural summaries.
-* :mod:`rules` — CHX008, CHX010, CHX011, CHX016, CHX018–021 and CHX023.
+* :mod:`rules` — CHX008, CHX010, CHX011, CHX016, CHX018, CHX020 and CHX021.
 * :mod:`engine` — the cached ``check --deep`` driver.
 """
 

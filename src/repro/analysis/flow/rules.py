@@ -1,4 +1,4 @@
-"""Interprocedural rules CHX008-CHX023 over the flow layer.
+"""Interprocedural rules CHX008-CHX021 over the flow layer.
 
 Unlike the local rules (which see one AST at a time), a deep rule sees
 the whole project: the :class:`DeepContext` bundles the project index,
@@ -11,10 +11,12 @@ CHX008, CHX010 and CHX011 guard the determinism invariant of the runtime;
 CHX016 guards the one order-sensitive step left in it (float sums must
 fold through ``exact_add_at``).  CHX018 guards replay: every RNG draw in
 the project must come from a seeded generator, or reruns and shrunk
-reproducer plans stop reproducing.  CHX019–021 and CHX023 stand on the
-extracted protocol model (:mod:`repro.analysis.protocol`): unhandled
-sends, unfenced receive loops, untimed remote waits and message kinds
-outside the modeled vocabulary.
+reproducer plans stop reproducing.  CHX020 and CHX021 stand on the
+receive loops and waits extracted by :mod:`repro.analysis.protocol`:
+unfenced receive loops and untimed remote waits.  The message vocabulary
+is not judged here: it is declared in
+:data:`repro.net.transport.MESSAGE_KINDS`, and every receive loop
+rejects an undeclared kind on first delivery.
 """
 
 from __future__ import annotations
@@ -47,7 +49,7 @@ HOT_PACKAGES: FrozenSet[str] = SIM_PACKAGES | frozenset({"algorithms"})
 #: 1 — CHX008–012 (PR 5).
 #: 2 — CHX013–017 (of which CHX016 survives revision 5).
 #: 3 — CHX018: unseeded RNG in fault-injection/fuzzing code.
-#: 4 — CHX019–023: protocol model extraction (unhandled sends,
+#: 4 — protocol model extraction: five protocol rules (unhandled sends,
 #:     unfenced receives, untimed waits, lopsided barrier arrives,
 #:     ghost message kinds).
 #: 5 — CHX013/014/015/017 and the loop/escape analyses removed.
@@ -57,7 +59,10 @@ HOT_PACKAGES: FrozenSet[str] = SIM_PACKAGES | frozenset({"algorithms"})
 #:     and bare ``.wait()`` calls; CHX018 covers every module; CHX021
 #:     judges each wait by its own yield, not by its function.
 #: 8 — CHX012 and its race-candidate pass removed.
-ANALYZER_VERSION = 8
+#: 9 — the unhandled-send and ghost-kind rules removed with the send-site
+#:     and kind resolution they stood on: the vocabulary is declared in
+#:     ``net/transport.py`` and enforced by every receive loop.
+ANALYZER_VERSION = 9
 
 
 class DeepContext:
@@ -73,8 +78,8 @@ class DeepContext:
         return any(part in SIM_PACKAGES for part in module_name.split("."))
 
     def protocol(self):
-        """The extracted protocol model, built lazily and shared by the
-        protocol rules CHX019-021/023."""
+        """The extracted receive loops and waits, built lazily and shared
+        by the protocol rules CHX020 and CHX021."""
         if self._protocol is None:
             from repro.analysis.protocol.extract import extract_model
 
@@ -550,48 +555,8 @@ class UnseededRandomRule(DeepRule):
 
 
 # ---------------------------------------------------------------------------
-# CHX019–021, CHX023: protocol-model rules (extracted state machines)
+# CHX020–021: protocol rules (extracted receive loops and waits)
 # ---------------------------------------------------------------------------
-
-
-class UnhandledSendRule(DeepRule):
-    """A send whose destination service has no receive loop dispatching
-    that message kind: the message is delivered into a mailbox nobody
-    drains for it, and the sender's reply wait hangs (or the receiver's
-    dispatch raises on the unknown kind).  Only send sites whose service
-    and kind both resolve to literals are judged — an opaque expression
-    is never proof of absence.
-    """
-
-    rule_id = "CHX019"
-    severity = "error"
-    title = "send with no matching receive handler"
-
-    def run(self, ctx: DeepContext) -> Iterator[Finding]:
-        model = ctx.protocol()
-        for op in model.all_sends():
-            if op.service is None or not op.kinds_complete or not op.kinds:
-                continue
-            if not model.handlers_for(op.service):
-                # No receive loop registered for the service at all —
-                # covered per kind below, but name the service once.
-                yield self._finding(
-                    op.file,
-                    op.line,
-                    f"{op.qualname} sends to service {op.service!r} "
-                    f"but no receive loop drains that mailbox",
-                )
-                continue
-            for kind in op.kinds:
-                if not model.handles(op.service, kind):
-                    yield self._finding(
-                        op.file,
-                        op.line,
-                        f"{op.qualname} sends kind {kind!r} to service "
-                        f"{op.service!r} but no receive loop on that "
-                        f"service dispatches it; the message is dropped "
-                        f"on the floor (or kills the dispatcher)",
-                    )
 
 
 class UnfencedReceiveRule(DeepRule):
@@ -609,15 +574,10 @@ class UnfencedReceiveRule(DeepRule):
     def run(self, ctx: DeepContext) -> Iterator[Finding]:
         for loop in ctx.protocol().all_receives():
             if loop.epoch_aware and not loop.epoch_guard:
-                service = (
-                    f"service {loop.service!r}"
-                    if loop.service is not None
-                    else "its mailbox"
-                )
                 yield self._finding(
                     loop.file,
                     loop.line,
-                    f"{loop.qualname} drains {service} without comparing "
+                    f"{loop.qualname} drains its mailbox without comparing "
                     f"message.epoch, but {loop.role} tracks a recovery "
                     f"epoch; a stale-epoch straggler would be executed "
                     f"against post-rollback state",
@@ -650,67 +610,6 @@ class UntimedWaitRule(DeepRule):
                 )
 
 
-class GhostKindRule(DeepRule):
-    """A transport :class:`Message` constructed with a kind the
-    extracted protocol model has never heard of: no send site emits it
-    and no receive loop dispatches it, so it is either dead vocabulary
-    or a hand-rolled message that bypasses the modeled protocol (and
-    every protocol rule that judges it).
-    """
-
-    rule_id = "CHX023"
-    severity = "warning"
-    title = "message kind constructed but absent from the extracted model"
-
-    #: kind's position among Message's constructor fields
-    #: (src, dst, service, kind, ...).
-    _KIND_POSITION = 3
-
-    def run(self, ctx: DeepContext) -> Iterator[Finding]:
-        model = ctx.protocol()
-        alphabet = model.alphabet()
-        for func in ctx.index.iter_functions():
-            module = ctx.index.modules.get(func.module)
-            if module is None:
-                continue
-            for node in ast.walk(func.node):
-                if not isinstance(node, ast.Call):
-                    continue
-                if not self._is_message_construction(ctx, module, node):
-                    continue
-                kind = self._literal_kind(node)
-                if kind is None or kind in alphabet:
-                    continue
-                yield self._finding(
-                    func.file,
-                    node.lineno,
-                    f"{func.qualname} constructs a Message of kind "
-                    f"{kind!r}, which no modeled send or receive loop "
-                    f"mentions; it bypasses the extracted protocol",
-                )
-
-    def _is_message_construction(
-        self, ctx: DeepContext, module: ModuleInfo, call: ast.Call
-    ) -> bool:
-        chain = attr_chain(call.func)
-        if chain is None or chain[-1] != "Message":
-            return False
-        target = ctx.index.resolve_chain_in(module, chain)
-        name = getattr(target, "qualname", "")
-        return name.endswith(".Message") or chain == ["Message"]
-
-    def _literal_kind(self, call: ast.Call) -> Optional[str]:
-        expr: Optional[ast.expr] = None
-        for kw in call.keywords:
-            if kw.arg == "kind":
-                expr = kw.value
-        if expr is None and len(call.args) > self._KIND_POSITION:
-            expr = call.args[self._KIND_POSITION]
-        if isinstance(expr, ast.Constant) and isinstance(expr.value, str):
-            return expr.value
-        return None
-
-
 def default_deep_rules() -> List[DeepRule]:
     return [
         InterproceduralTaintRule(),
@@ -718,10 +617,8 @@ def default_deep_rules() -> List[DeepRule]:
         DiscardedProcessRule(),
         UnorderedReductionRule(),
         UnseededRandomRule(),
-        UnhandledSendRule(),
         UnfencedReceiveRule(),
         UntimedWaitRule(),
-        GhostKindRule(),
     ]
 
 
@@ -738,10 +635,8 @@ __all__ = [
     "DeepContext",
     "DeepRule",
     "DiscardedProcessRule",
-    "GhostKindRule",
     "InterproceduralTaintRule",
     "UnfencedReceiveRule",
-    "UnhandledSendRule",
     "UnorderedReductionRule",
     "UnseededRandomRule",
     "UntimedWaitRule",

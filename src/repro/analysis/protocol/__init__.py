@@ -1,25 +1,26 @@
-"""Protocol model extraction and trace conformance.
+"""Protocol facts and trace conformance.
 
-One extractor feeds two checks over the deep-analysis project index:
+The message vocabulary is declared once, in
+:data:`repro.net.transport.MESSAGE_KINDS`, and every receive loop
+rejects an undeclared kind at run time.  Two checks stand beside it:
 
-* :mod:`.extract` lifts per-role send sites, receive loops (with their
-  handled kinds and epoch guards) and blocking waits out of the code;
-  the protocol rules CHX019-021/023 judge that model statically;
+* :mod:`.extract` lifts each receive loop's epoch fence and each bare
+  blocking wait out of the deep-analysis project index; the protocol
+  rules CHX020 and CHX021 judge them statically;
 * :mod:`.conform` replays recorded causal-trace DAGs against the
-  extracted model, flagging unmodeled transitions and naming stuck
+  declared vocabulary, flagging undeclared kinds and naming stuck
   transitions in deadlocked traces (``trace conform``).
 """
 
 from .conform import ConformanceReport, conform
 from .extract import extract_model
-from .model import ProtocolModel, ReceiveLoop, RoleModel, SendOp, WaitOp
+from .model import ProtocolModel, ReceiveLoop, RoleModel, WaitOp
 
 __all__ = [
     "ConformanceReport",
     "ProtocolModel",
     "ReceiveLoop",
     "RoleModel",
-    "SendOp",
     "WaitOp",
     "conform",
     "extract_model",

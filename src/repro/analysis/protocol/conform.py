@@ -1,20 +1,21 @@
-"""Replay causal-trace DAGs against the extracted protocol model.
+"""Replay causal-trace DAGs against the declared protocol vocabulary.
 
 A trace (``run --trace`` / fuzz deadlock capture) carries the causal
 events of one execution: message sends (with delivery stamps), barrier
 arrivals and releases.  Conformance holds when
 
-* every observed message kind is in the extracted model's alphabet
-  (no **unmodeled transitions**), and
+* every observed message kind is declared in
+  :data:`repro.net.transport.MESSAGE_KINDS` (no **unmodeled
+  transitions**), and
 * every barrier release is causally downstream of every arrival of its
   round (no premature release).
 
-The report also surfaces **modeled-but-never-observed** kinds (paths the
-model allows that this execution never took — a coverage signal, not a
-failure) and the **stuck transitions** of an incomplete trace: messages
-that were sent but never delivered and barrier rounds with arrivals but
-no release.  For a deadlock-classified fuzz episode that is exactly the
-transition the cluster hung on.
+The report also surfaces **declared-but-never-observed** kinds (paths
+the protocol allows that this execution never took — a coverage signal,
+not a failure) and the **stuck transitions** of an incomplete trace:
+messages that were sent but never delivered and barrier rounds with
+arrivals but no release.  For a deadlock-classified fuzz episode that is
+exactly the transition the cluster hung on.
 """
 
 from __future__ import annotations
@@ -22,22 +23,21 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Sequence
 
+from repro.net.transport import MESSAGE_KINDS
 from repro.obs.causal import (
     message_kind_counts,
     undelivered_messages,
     unreleased_barriers,
 )
 
-from .model import ProtocolModel
-
 __all__ = ["ConformanceReport", "conform"]
 
 
 @dataclass
 class ConformanceReport:
-    #: message kinds observed in the trace but absent from the model.
+    #: message kinds observed in the trace but declared by no service.
     unmodeled: List[str] = field(default_factory=list)
-    #: modeled kinds the trace never exercised (coverage, not failure).
+    #: declared kinds the trace never exercised (coverage, not failure).
     unobserved: List[str] = field(default_factory=list)
     #: barrier rounds violating arrive-before-release, with detail.
     barrier_violations: List[str] = field(default_factory=list)
@@ -83,7 +83,7 @@ class ConformanceReport:
         for kind in sorted(self.observed):
             lines.append(f"    {kind}: {self.observed[kind]}")
         if self.unmodeled:
-            lines.append("  UNMODELED transitions (kind not in model):")
+            lines.append("  UNMODELED transitions (kind not declared):")
             for kind in self.unmodeled:
                 lines.append(f"    {kind}")
         else:
@@ -96,7 +96,7 @@ class ConformanceReport:
             lines.append("  barrier violations: none")
         if self.unobserved:
             lines.append(
-                "  modeled but never observed (coverage): "
+                "  declared but never observed (coverage): "
                 + ", ".join(self.unobserved)
             )
         if self.stuck_messages:
@@ -110,15 +110,15 @@ class ConformanceReport:
         return "\n".join(lines)
 
 
-def conform(
-    events: Sequence[Dict[str, Any]], model: ProtocolModel
-) -> ConformanceReport:
-    """Check one causal event list against the extracted model."""
+def conform(events: Sequence[Dict[str, Any]]) -> ConformanceReport:
+    """Check one causal event list against the declared vocabulary (a
+    trace records each message's kind, not its service, so the check
+    is against the union of every service's kinds)."""
     report = ConformanceReport()
     report.observed = message_kind_counts(events)
-    alphabet = model.alphabet()
-    report.unmodeled = sorted(set(report.observed) - alphabet)
-    report.unobserved = sorted(alphabet - set(report.observed))
+    declared = frozenset().union(*MESSAGE_KINDS.values())
+    report.unmodeled = sorted(set(report.observed) - declared)
+    report.unobserved = sorted(declared - set(report.observed))
 
     # Barrier consensus on the recorded DAG: the release of a round
     # must list every arrival as a parent and never precede one.

@@ -264,22 +264,12 @@ def _build_parser() -> argparse.ArgumentParser:
                        default="text", dest="fmt",
                        help="output format")
     conform = trace_commands.add_parser(
-        "conform", help="replay a causal trace against the extracted "
-                        "protocol model (unmodeled transitions, barrier "
+        "conform", help="replay a causal trace against the declared "
+                        "message kinds (unmodeled transitions, barrier "
                         "consensus, stuck transitions)"
     )
     conform.add_argument("path", help="trace file written by run --trace "
                                       "(or a fuzz deadlock capture)")
-    conform.add_argument("--src", action="append", metavar="PATH",
-                         dest="src", default=None,
-                         help="source tree(s) to extract the model from "
-                              "(default: src)")
-    conform.add_argument("--cache-dir", metavar="DIR", default=None,
-                         dest="cache_dir",
-                         help="reuse the deep lint's pickled project "
-                              "index cache (e.g. .chaos-cache)")
-    conform.add_argument("--model-json", metavar="FILE", default=None,
-                         help="also write the extracted model as JSON")
     conform.add_argument("--report-json", metavar="FILE", default=None,
                          help="also write the conformance report as JSON")
     conform.add_argument("--format", choices=("text", "json"),
@@ -318,9 +308,9 @@ def _build_parser() -> argparse.ArgumentParser:
                        help="comma-separated rule ids to run "
                             "(default: all CHX rules)")
     check.add_argument("--deep", action="store_true",
-                       help="also run the whole-program rules CHX008-023 "
+                       help="also run the whole-program rules CHX008-021 "
                             "(call graph, interprocedural dataflow, "
-                            "protocol model)")
+                            "receive loops and waits)")
     check.add_argument("--stats", action="store_true",
                        help="print per-rule finding/suppression counts "
                             "(text format only; json always includes them)")
@@ -715,8 +705,7 @@ def _command_trace(args) -> int:
 def _command_trace_conform(args) -> int:
     import json as json_module
 
-    from repro.analysis.flow import DeepEngine
-    from repro.analysis.protocol import conform, extract_model
+    from repro.analysis.protocol import conform
     from repro.obs import causal as causal_mod
     from repro.obs.report import load_trace
 
@@ -726,18 +715,7 @@ def _command_trace_conform(args) -> int:
     except (OSError, ValueError) as error:  # CausalError included
         raise UsageError(f"cannot read trace {args.path!r}: {error}")
 
-    sources = args.src if args.src else ["src"]
-    # Shares the deep lint's pickled project index (.chaos-cache).
-    index, _ = DeepEngine().build_index(
-        sources, cache_dir=args.cache_dir
-    )
-    model = extract_model(index)
-    report = conform(events, model)
-
-    if args.model_json:
-        with open(args.model_json, "w", encoding="utf-8") as handle:
-            json_module.dump(model.to_dict(), handle, indent=2,
-                             sort_keys=True)
+    report = conform(events)
     if args.report_json:
         with open(args.report_json, "w", encoding="utf-8") as handle:
             json_module.dump(report.to_dict(), handle, indent=2,
@@ -1095,8 +1073,9 @@ def _command_fuzz(args) -> int:
                 violation.episode.outcome, violation.shrunk_outcome
             ):
                 # The causal trace of the wedged run, written next to
-                # the reproducer: `repro trace conform <trace>` names
-                # the stuck transition.
+                # the reproducer: `repro trace conform <trace>` checks
+                # it against the declared message kinds and names the
+                # stuck transition.
                 trace_path = path[: -len(".faults")] + ".trace.json"
                 fuzzer.capture_trace(violation.shrunk, trace_path)
                 print(f"deadlock causal trace -> {trace_path}")

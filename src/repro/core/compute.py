@@ -51,7 +51,13 @@ from repro.core.metrics import Breakdown
 from repro.core.stealing import estimate_cluster_remaining, should_accept_steal
 from repro.core.workload import UpdateBatch, Workload
 from repro.net.retry import backoff_delays, jittered_delay
-from repro.net.transport import Network
+from repro.net.transport import (
+    COMPUTE_SERVICE,
+    MESSAGE_KINDS,
+    STORAGE_SERVICE,
+    Network,
+    undeclared_kind,
+)
 from repro.obs.log import NULL
 from repro.obs.tracer import TID_CPU, TID_ENGINE
 from repro.sim.engine import Event, Simulator
@@ -65,8 +71,6 @@ from repro.store.placement import (
     HashedVertexPlacement,
     RandomPlacement,
 )
-
-COMPUTE_SERVICE = "compute"
 
 #: Wire size of a steal proposal / response (control messages).
 STEAL_MESSAGE_BYTES = 48
@@ -264,19 +268,25 @@ class ComputationEngine:
         return self._next_request
 
     def _dispatch(self):
+        accepted = MESSAGE_KINDS[COMPUTE_SERVICE]
         while True:
             message = yield self._mailbox.get()
+            kind = message.kind
+            if kind not in accepted:
+                raise undeclared_kind(self.machine, message)
             if message.epoch != self.epoch:
                 # Traffic from another recovery epoch (a straggling
                 # reply, or a steal request from a zombie peer).
                 continue
             if message.ctx is not None:
                 self._causal.on_dispatch(self.machine, message.ctx)
-            kind = message.kind
-            if kind in (
-                "read_reply", "vread_reply", "write_ack", "directory_reply",
-                "steal_reply",
-            ):
+            if kind == "steal_request":
+                self._handle_steal_request(message)
+            elif kind == "accum":
+                self._handle_accum(message)
+            else:
+                # Every other declared kind is a reply: its request id
+                # finds the continuation in the reply table.
                 request_id = message.payload[0]
                 entry = self._pending.pop(request_id, None)
                 if entry is not None:
@@ -291,14 +301,6 @@ class ComputationEngine:
                         f"engine {self.machine}: unexpected reply "
                         f"{kind} id={request_id}"
                     )
-            elif kind == "steal_request":
-                self._handle_steal_request(message)
-            elif kind == "accum":
-                self._handle_accum(message)
-            else:
-                raise RuntimeError(
-                    f"engine {self.machine}: unknown message kind {kind!r}"
-                )
 
     def _backoff(
         self, attempt: int, request_id: int, label: str, then: Callable, *args
@@ -350,7 +352,7 @@ class ComputationEngine:
         self.network.send(
             src=self.machine,
             dst=target,
-            service=store_engine.SERVICE,
+            service=STORAGE_SERVICE,
             kind="vwrite" if chunk.kind is ChunkKind.VERTICES else "write",
             size=chunk.size,
             payload=(request_id, self.machine, COMPUTE_SERVICE, chunk),
@@ -467,7 +469,7 @@ class ComputationEngine:
         self.network.send(
             src=self.machine,
             dst=target,
-            service=store_engine.SERVICE,
+            service=STORAGE_SERVICE,
             kind="read",
             size=store_engine.CONTROL_BYTES,
             payload=(
@@ -520,7 +522,7 @@ class ComputationEngine:
         self.network.send(
             src=self.machine,
             dst=target,
-            service=store_engine.SERVICE,
+            service=STORAGE_SERVICE,
             kind="read_retry",
             size=store_engine.CONTROL_BYTES,
             payload=(request_id, self.machine, COMPUTE_SERVICE),
@@ -724,7 +726,7 @@ class ComputationEngine:
         self.network.send(
             src=self.machine,
             dst=target,
-            service=store_engine.SERVICE,
+            service=STORAGE_SERVICE,
             kind="vread",
             size=store_engine.CONTROL_BYTES,
             payload=(request_id, self.machine, COMPUTE_SERVICE, partition, index),
@@ -897,7 +899,7 @@ class ComputationEngine:
             self.network.send(
                 src=self.machine,
                 dst=target,
-                service=store_engine.SERVICE,
+                service=STORAGE_SERVICE,
                 kind="delete",
                 size=store_engine.CONTROL_BYTES,
                 payload=(partition, ChunkKind.UPDATES),
@@ -1141,7 +1143,7 @@ class ComputationEngine:
             self.network.send(
                 src=self.machine,
                 dst=target,
-                service=store_engine.SERVICE,
+                service=STORAGE_SERVICE,
                 kind="pwrite",
                 size=size,
                 payload=(request_id, self.machine, COMPUTE_SERVICE, size),

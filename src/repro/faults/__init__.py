@@ -21,7 +21,6 @@ Entry points:
 
 from repro.faults.detector import (
     HEARTBEAT_BYTES,
-    MEMBERSHIP_SERVICE,
     FailureDetector,
     HeartbeatSender,
 )
@@ -36,7 +35,6 @@ from repro.faults.plan import (
 )
 from repro.faults.registry import CheckpointGeneration, CheckpointRegistry
 from repro.faults.supervisor import (
-    RESTORE_SERVICE,
     ClusterSupervisor,
     FaultRecord,
     FaultTimeline,
@@ -46,8 +44,6 @@ from repro.faults.supervisor import (
 __all__ = [
     "BYZANTINE_KINDS",
     "HEARTBEAT_BYTES",
-    "MEMBERSHIP_SERVICE",
-    "RESTORE_SERVICE",
     "CheckpointGeneration",
     "CheckpointRegistry",
     "ClusterSupervisor",

@@ -21,11 +21,14 @@ from __future__ import annotations
 
 from typing import Callable, List, Optional
 
-from repro.net.transport import Network
+from repro.net.transport import (
+    MEMBERSHIP_SERVICE,
+    MESSAGE_KINDS,
+    Network,
+    undeclared_kind,
+)
 from repro.sim.engine import Simulator
 
-#: Service name of the monitor's heartbeat mailbox.
-MEMBERSHIP_SERVICE = "membership"
 #: Wire size of one heartbeat message (machine id + epoch + sequence).
 HEARTBEAT_BYTES = 24
 
@@ -150,8 +153,11 @@ class FailureDetector:
     # -- processes ----------------------------------------------------------
 
     def _receive(self):
+        accepted = MESSAGE_KINDS[MEMBERSHIP_SERVICE]
         while True:
             message = yield self._mailbox.get()
+            if message.kind not in accepted:
+                raise undeclared_kind(self.monitor, message)
             machine = message.payload
             if 0 <= machine < self.machines:
                 self._last_seen[machine] = self.sim.now

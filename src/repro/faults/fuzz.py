@@ -296,7 +296,7 @@ class ChaosFuzzer:
         trace to ``path`` — even when the run deadlocks or crashes.
 
         The partial causal DAG of a wedged run is the point: ``repro
-        trace conform`` replays it against the extracted protocol model
+        trace conform`` replays it against the declared message kinds
         and names the stuck transition (the sent-but-never-delivered
         message or the barrier round still waiting for arrivals).
         Returns the traced run's outcome string.

@@ -39,21 +39,24 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
-from repro.core import compute as compute_engine
 from repro.faults.detector import HeartbeatSender
 from repro.faults.diagnosis import JobDiagnosis, UnrecoverableJobError
 from repro.faults.plan import FaultSpec
 from repro.faults.registry import SLOT_BASES
 from repro.net.retry import jittered_delay
+from repro.net.transport import (
+    COMPUTE_SERVICE,
+    MESSAGE_KINDS,
+    RESTORE_SERVICE,
+    STORAGE_SERVICE,
+    undeclared_kind,
+)
 from repro.obs.log import NULL
 from repro.sim.engine import Event, SimulationError, Simulator
 from repro.store import engine as store_engine
 from repro.store.chunk import ChunkKind
 from repro.store.integrity import verify_chunk
 from repro.store.placement import HashedVertexPlacement
-
-#: Service name of the per-machine restore worker mailboxes.
-RESTORE_SERVICE = "restore"
 
 
 @dataclass
@@ -442,9 +445,7 @@ class ClusterSupervisor:
         # The dead dispatchers' mailboxes may hold queued messages whose
         # consumers no longer exist; drop them.
         for machine in range(machines):
-            self.network.mailbox(
-                machine, compute_engine.COMPUTE_SERVICE
-            ).reset()
+            self.network.mailbox(machine, COMPUTE_SERVICE).reset()
         # Plainly crashed machines are rebooted by the recovery
         # procedure itself (the "operator"), restart_seconds in.
         for machine in range(machines):
@@ -568,8 +569,11 @@ class _RestoreClient:
         self._dispatcher.kill("restore-done")
 
     def _dispatch(self):
+        accepted = MESSAGE_KINDS[RESTORE_SERVICE]
         while True:
             message = yield self._mailbox.get()
+            if message.kind not in accepted:
+                raise undeclared_kind(self.machine, message)
             if message.epoch != self.epoch:
                 continue
             callback = self._pending.pop(message.payload[0], None)
@@ -608,7 +612,7 @@ class _RestoreClient:
         sup.network.send(
             src=self.machine,
             dst=target,
-            service=store_engine.SERVICE,
+            service=STORAGE_SERVICE,
             kind=kind,
             size=size,
             payload=(request_id, self.machine, RESTORE_SERVICE, *body),
@@ -656,7 +660,7 @@ class _RestoreClient:
             sup.network.send(
                 src=self.machine,
                 dst=self.machine,
-                service=store_engine.SERVICE,
+                service=STORAGE_SERVICE,
                 kind="delete",
                 size=store_engine.CONTROL_BYTES,
                 payload=(partition, ChunkKind.UPDATES),

@@ -8,18 +8,56 @@ the co-located computation/storage engine deployment of Section 7.
 
 Endpoints register a :class:`repro.sim.resources.Mailbox` per service
 name, so one machine can host several services (computation engine,
-storage engine, barrier coordinator).
+storage engine, chunk directory, failure monitor, restore worker).
+:data:`MESSAGE_KINDS` declares the protocol's vocabulary: the kinds
+each service's receive loop accepts.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Dict, Tuple
+from typing import Any, Dict, FrozenSet, Tuple
 
 from repro.net.topology import NetworkConfig, Nic, Switch
 from repro.obs.log import NULL
 from repro.sim.engine import Event, SimulationError, Simulator
 from repro.sim.resources import Mailbox
+
+#: The services a machine endpoint can host, one mailbox each.
+COMPUTE_SERVICE = "compute"
+STORAGE_SERVICE = "storage"
+DIRECTORY_SERVICE = "directory"
+MEMBERSHIP_SERVICE = "membership"
+RESTORE_SERVICE = "restore"
+
+#: The protocol's vocabulary: service -> the message kinds its receive
+#: loop accepts (paper section 5: chunk reads and writes between the
+#: computation and storage engines; section 5.4: the steal proposal and
+#: the accumulator handoff).  A reply (``*_reply``, ``write_ack``)
+#: carries its request id first.  Every receive loop rejects any other
+#: kind on first delivery (:func:`undeclared_kind`), and ``trace
+#: conform`` checks recorded traffic against the union.
+MESSAGE_KINDS: Dict[str, FrozenSet[str]] = {
+    COMPUTE_SERVICE: frozenset({
+        "read_reply", "vread_reply", "write_ack", "directory_reply",
+        "steal_reply", "steal_request", "accum",
+    }),
+    STORAGE_SERVICE: frozenset({
+        "read", "vread", "read_retry", "write", "vwrite", "pwrite", "delete",
+    }),
+    DIRECTORY_SERVICE: frozenset({"directory_lookup"}),
+    MEMBERSHIP_SERVICE: frozenset({"heartbeat"}),
+    RESTORE_SERVICE: frozenset({"vread_reply", "write_ack"}),
+}
+
+
+def undeclared_kind(machine: int, message: "Message") -> SimulationError:
+    """The error a receive loop raises for a kind its service does not
+    declare (a typo at the send site, or a message for another service)."""
+    return SimulationError(
+        f"machine {machine}: service {message.service!r} received "
+        f"undeclared message kind {message.kind!r}"
+    )
 
 
 @dataclass(slots=True)

@@ -38,15 +38,18 @@ from __future__ import annotations
 
 from typing import Dict
 
-from repro.net.transport import Network
+from repro.net.transport import (
+    MESSAGE_KINDS,
+    STORAGE_SERVICE,
+    Network,
+    undeclared_kind,
+)
 from repro.obs.log import NULL
 from repro.sim.engine import Event, Simulator
 from repro.sim.resources import FifoServer
 from repro.store.chunk import Chunk, ChunkKind
 from repro.store.device import DeviceSpec, StorageFaultState
 from repro.store.integrity import corrupt_chunk, seal_chunk, verify_chunk
-
-SERVICE = "storage"
 
 #: Wire size of a request / control reply (headers and ids only).
 CONTROL_BYTES = 32
@@ -91,7 +94,7 @@ class StorageEngine:
                 tracer.thread(machine, TID_DEVICE, device.track_label()),
                 label="io",
             )
-        self._mailbox = network.register(machine, SERVICE)
+        self._mailbox = network.register(machine, STORAGE_SERVICE)
         self.reads_served = 0
         self.writes_served = 0
         self.exhausted_replies = 0
@@ -253,24 +256,23 @@ class StorageEngine:
     # -- message dispatch --------------------------------------------------
 
     def _dispatch(self):
-        # The handler table, resolved once per dispatcher (re)start
-        # instead of once per message.
-        kinds = [n[len("_handle_"):] for n in dir(self) if n.startswith("_handle_")]
-        handlers = {kind: getattr(self, f"_handle_{kind}") for kind in kinds}
+        # The handler table: one ``_handle_<kind>`` per declared kind,
+        # resolved once per dispatcher (re)start instead of per message.
+        handlers = {
+            kind: getattr(self, f"_handle_{kind}")
+            for kind in MESSAGE_KINDS[STORAGE_SERVICE]
+        }
         while True:
             message = yield self._mailbox.get()
+            handler = handlers.get(message.kind)
+            if handler is None:
+                raise undeclared_kind(self.machine, message)
             if message.epoch < self.data_epoch:
                 # A straggler from before a rollback (e.g. an update
                 # write that was in flight when the cluster fenced):
                 # executing it would corrupt the restored state.
                 self.stale_dropped += 1
                 continue
-            handler = handlers.get(message.kind)
-            if handler is None:
-                raise RuntimeError(
-                    f"storage engine {self.machine}: unknown message "
-                    f"kind {message.kind!r}"
-                )
             handler(message)
 
     def _reply(

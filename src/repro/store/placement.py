@@ -17,7 +17,12 @@ from __future__ import annotations
 import random
 from typing import Optional, Set
 
-from repro.net.transport import Network
+from repro.net.transport import (
+    DIRECTORY_SERVICE,
+    MESSAGE_KINDS,
+    Network,
+    undeclared_kind,
+)
 from repro.sim.engine import Simulator
 from repro.sim.resources import FifoServer
 
@@ -94,7 +99,6 @@ class CentralizedDirectory:
     is requests/second; each lookup costs one request.
     """
 
-    SERVICE = "directory"
     LOOKUP_MESSAGE_BYTES = 48
 
     def __init__(
@@ -114,14 +118,17 @@ class CentralizedDirectory:
         self._server = FifoServer(
             sim, bandwidth=lookups_per_second, latency=0.0, name="directory"
         )
-        self._mailbox = network.register(home, self.SERVICE)
+        self._mailbox = network.register(home, DIRECTORY_SERVICE)
         self._next_request = 0
         self.lookups = 0
         sim.process(self._serve(), name="directory")
 
     def _serve(self):
+        accepted = MESSAGE_KINDS[DIRECTORY_SERVICE]
         while True:
             message = yield self._mailbox.get()
+            if message.kind not in accepted:
+                raise undeclared_kind(self.home, message)
             request_id, reply_machine, reply_service = message.payload
             self.lookups += 1
             self._server.service(
@@ -147,7 +154,7 @@ class CentralizedDirectory:
         self.network.send(
             src=machine,
             dst=self.home,
-            service=self.SERVICE,
+            service=DIRECTORY_SERVICE,
             kind="directory_lookup",
             size=self.LOOKUP_MESSAGE_BYTES,
             payload=(request_id, machine, reply_service),

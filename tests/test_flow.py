@@ -730,8 +730,8 @@ class TestDeepEngine:
         assert sorted(f.line for f in result.result.findings) == [4, 6]
 
     def test_deep_rule_table_matches_engine(self):
-        # Removed ids (CHX009, 012-015, 017, 022) are never reused.
-        kept = [f"CHX{n:03d}" for n in (8, 10, 11, 16, 18, 19, 20, 21, 23)]
+        # Removed ids (CHX009, 012-015, 017, 019, 022, 023) are never reused.
+        kept = [f"CHX{n:03d}" for n in (8, 10, 11, 16, 18, 20, 21)]
         assert [rule.rule_id for rule in default_deep_rules()] == kept
         assert sorted(DEEP_RULE_TABLE) == kept
         assert DeepEngine().rule_ids() == kept

@@ -1,16 +1,15 @@
-"""Protocol model extraction, trace conformance and the protocol rules.
+"""Protocol fact extraction, trace conformance and the protocol rules.
 
-Three layers of :mod:`repro.analysis.protocol` plus its rule/CLI
-surface:
+Two layers of :mod:`repro.analysis.protocol` plus its rule/CLI surface:
 
-* the extractor lifts per-role send sites, receive loops (mailbox
-  bindings, dispatched kinds, epoch fences) and blocking waits from
-  fixture packages and from ``src/`` itself;
+* the extractor lifts per-role receive loops (epoch fences) and
+  blocking waits from fixture packages and from ``src/`` itself;
 * the conformance checker replays causal DAGs — real traced runs and
-  synthetic event lists — against the model;
-* rules CHX019-CHX021 and CHX023 fire exactly on planted fixture sites,
-  honor suppressions, and the ``trace conform`` CLI verb exits and
-  exports correctly.
+  synthetic event lists — against the declared message kinds
+  (``repro.net.transport.MESSAGE_KINDS``);
+* rules CHX020 and CHX021 fire exactly on planted fixture sites, honor
+  suppressions, and the ``trace conform`` CLI verb exits and reports
+  correctly.
 """
 
 from __future__ import annotations
@@ -22,16 +21,11 @@ import pytest
 from repro.algorithms import PageRank
 from repro.analysis.flow import DeepEngine, ProjectIndex
 from repro.analysis.flow.rules import ANALYZER_VERSION, DEEP_RULE_TABLE
-from repro.analysis.protocol import (
-    ProtocolModel,
-    ReceiveLoop,
-    SendOp,
-    conform,
-    extract_model,
-)
+from repro.analysis.protocol import conform, extract_model
 from repro.cli import main
 from repro.core.runtime import run_algorithm
 from repro.faults.fuzz import ChaosFuzzer
+from repro.net.transport import MESSAGE_KINDS
 from repro.obs import Tracer, write_chrome_trace
 from repro.obs.causal import causal_events_from_trace
 from repro.obs.export import chrome_trace_dict
@@ -41,13 +35,8 @@ from tests.test_flow import build_pkg, deep_check, findings_of
 
 
 @pytest.fixture(scope="module")
-def src_index():
-    return ProjectIndex.build(["src"])
-
-
-@pytest.fixture(scope="module")
-def src_model(src_index):
-    return extract_model(src_index)
+def src_model():
+    return extract_model(ProjectIndex.build(["src"]))
 
 
 # ---------------------------------------------------------------------------
@@ -144,35 +133,12 @@ class TestExtraction:
         model = _fixture_model(tmp_path)
         assert set(model.roles) == {"Server", "Client"}
 
-    def test_mailbox_binding_names_the_service(self, tmp_path):
-        model = _fixture_model(tmp_path)
-        assert model.roles["Server"].services == ("alpha",)
-        assert model.roles["Client"].services == ()
-
-    def test_receive_loop_kinds_and_epoch_guard(self, tmp_path):
+    def test_receive_loop_epoch_guard(self, tmp_path):
         model = _fixture_model(tmp_path)
         (loop,) = model.roles["Server"].receives
-        assert loop.service == "alpha"
-        assert loop.kinds == ("accept", "ping", "share")
-        assert not loop.wildcard
+        assert loop.qualname == "proj.sim.node.Server._serve"
         assert loop.epoch_guard
         assert loop.epoch_aware
-        assert loop.handles("ping") and not loop.handles("nudge")
-
-    def test_send_kind_resolution_paths(self, tmp_path):
-        model = _fixture_model(tmp_path)
-        sends = {op.qualname.rsplit(".", 1)[-1]: op
-                 for op in model.roles["Client"].sends}
-        # Imported-constant kind.
-        assert sends["ping"].kinds == ("ping",)
-        assert sends["ping"].kinds_complete
-        assert sends["ping"].remote
-        assert sends["ping"].service == "alpha"
-        # Conditional-expression kind resolves both arms.
-        assert sends["offer"].kinds == ("accept", "share")
-        assert sends["offer"].kinds_complete
-        # Same src and dst expression: not remote.
-        assert not sends["local_ping"].remote
 
     def test_waits_and_their_remote_flags(self, tmp_path):
         model = _fixture_model(tmp_path)
@@ -184,42 +150,12 @@ class TestExtraction:
         assert waits["patient_ping"].remote
         assert not waits["local_ping"].remote
 
-    def test_alphabet_and_stats(self, tmp_path):
-        model = _fixture_model(tmp_path)
-        assert model.alphabet() == {"ping", "share", "accept"}
-        assert len(model.roles) == 2
-        assert len(model.all_sends()) == 4
-        assert len(model.all_receives()) == 1
-        assert len(model.all_waits()) == 3
-
-    def test_to_dict_is_json_serializable(self, tmp_path):
-        model = _fixture_model(tmp_path)
-        blob = json.loads(json.dumps(model.to_dict(), sort_keys=True))
-        assert set(blob) == {"model_version", "roles", "alphabet"}
-        assert blob["model_version"] == 2
-        assert blob["alphabet"] == ["accept", "ping", "share"]
-        assert set(blob["roles"]) == {"Server", "Client"}
-
-
 class TestSelfHostExtraction:
     def test_every_surviving_role_has_protocol_ops(self, src_model):
         for role in src_model.roles.values():
             assert (
-                role.sends or role.receives or role.waits or role.services
+                role.receives or role.waits
             ), f"empty role {role.name} survived pruning"
-
-    def test_core_protocol_vocabulary_extracted(self, src_model):
-        assert {
-            "steal_request", "steal_reply", "read", "read_reply",
-            "write", "write_ack", "accum",
-        } <= src_model.alphabet()
-
-    def test_engine_services_bound_to_owners(self, src_model):
-        assert any(
-            "directory" in role.services
-            for role in src_model.roles.values()
-        )
-        assert src_model.handlers_for("directory")
 
     def test_epoch_fences_extracted_from_dispatch_loops(self, src_model):
         guarded = [
@@ -232,26 +168,6 @@ class TestSelfHostExtraction:
 # ---------------------------------------------------------------------------
 # Conformance
 # ---------------------------------------------------------------------------
-
-
-def _steal_model():
-    """A hand-built model whose alphabet is the steal handshake."""
-    model = ProtocolModel()
-    role = model.role("Compute")
-    role.services = ("compute",)
-    kinds = ("steal_request", "steal_reply")
-    for kind in kinds:
-        role.sends.append(SendOp(
-            role="Compute", qualname=f"Compute.send_{kind}", file="x.py",
-            line=1, service="compute", kinds=(kind,), kinds_complete=True,
-            remote=True,
-        ))
-    role.receives.append(ReceiveLoop(
-        role="Compute", qualname="Compute._serve", file="x.py", line=2,
-        service="compute", kinds=kinds, wildcard=False,
-        epoch_guard=True, epoch_aware=True,
-    ))
-    return model
 
 
 def _msg(cat, src=0, dst=1, t1=1.0, ident=0):
@@ -275,33 +191,36 @@ def _release(parents, barrier="e0/loop/0", t0=1.0, ident=99):
     }
 
 
+#: Every kind some service declares (a trace records no service).
+DECLARED = frozenset().union(*MESSAGE_KINDS.values())
+
+
 class TestConformance:
     def test_modeled_traffic_conforms(self):
         report = conform(
-            [_msg("steal_request"), _msg("steal_reply", src=1, dst=0)],
-            _steal_model(),
+            [_msg(kind, ident=i) for i, kind in enumerate(sorted(DECLARED))]
         )
         assert report.ok
         assert not report.stuck
         assert report.unmodeled == []
-        assert report.observed == {"steal_request": 1, "steal_reply": 1}
+        assert report.observed == {kind: 1 for kind in DECLARED}
         assert report.unobserved == []
 
     def test_unmodeled_kind_fails(self):
-        report = conform([_msg("mystery")], _steal_model())
+        report = conform([_msg("write_ack"), _msg("write_akc", ident=1)])
         assert not report.ok
-        assert report.unmodeled == ["mystery"]
+        assert report.unmodeled == ["write_akc"]
         assert "UNMODELED" in report.format_text()
 
     def test_unobserved_kinds_are_coverage_not_failure(self):
-        report = conform([_msg("steal_request")], _steal_model())
+        report = conform([_msg("steal_request")])
         assert report.ok
-        assert report.unobserved == ["steal_reply"]
+        assert report.unobserved == sorted(DECLARED - {"steal_request"})
         assert "never observed" in report.format_text()
 
     def test_release_missing_arrival_parent_is_violation(self):
         events = [_arrive(0, 1), _arrive(1, 2), _release([1])]
-        report = conform(events, _steal_model())
+        report = conform(events)
         assert not report.ok
         (violation,) = report.barrier_violations
         assert "machine 1" in violation
@@ -313,39 +232,37 @@ class TestConformance:
             _arrive(1, 2, t0=2.0),  # arrives after the release stamp
             _release([1, 2], t0=1.0),
         ]
-        report = conform(events, _steal_model())
+        report = conform(events)
         assert not report.ok
         (violation,) = report.barrier_violations
         assert "after release" in violation
 
     def test_consistent_barrier_round_passes(self):
         events = [_arrive(0, 1), _arrive(1, 2), _release([1, 2])]
-        report = conform(events, _steal_model())
+        report = conform(events)
         assert report.ok and not report.barrier_violations
 
     def test_stuck_message_named_for_deadlock_capture(self):
-        report = conform([_msg("steal_request", t1=None)], _steal_model())
+        report = conform([_msg("steal_request", t1=None)])
         assert report.ok  # incomplete, not nonconforming
         assert report.stuck
         assert report.stuck_messages == ["steal_request m0->m1"]
         assert "never delivered" in report.format_text()
 
     def test_stuck_barrier_names_the_waiters(self):
-        report = conform([_arrive(0, 1), _arrive(1, 2)], _steal_model())
+        report = conform([_arrive(0, 1), _arrive(1, 2)])
         assert report.stuck
         (stuck,) = report.stuck_barriers
         assert stuck == "e0/loop/0 waited on by m0, m1"
 
-    def test_real_traced_run_conforms_to_self_host_model(
-        self, small_graph, src_model
-    ):
+    def test_real_traced_run_conforms_to_self_host_model(self, small_graph):
         tracer = Tracer(sample_interval=None)
         config = fast_config(2, seed=11)
         run_algorithm(
             PageRank(iterations=2), small_graph, config, tracer=tracer
         )
         events = causal_events_from_trace(chrome_trace_dict(tracer))
-        report = conform(events, src_model)
+        report = conform(events)
         assert report.ok, report.format_text()
         assert report.unmodeled == []
         assert not report.barrier_violations
@@ -353,92 +270,8 @@ class TestConformance:
 
 
 # ---------------------------------------------------------------------------
-# Deep rules CHX019-CHX023
+# Deep rules CHX020-CHX021
 # ---------------------------------------------------------------------------
-
-
-CHX019_FIXTURE = {
-    "proj/__init__.py": "",
-    "proj/sim/__init__.py": "",
-    "proj/sim/node.py": """\
-        class Server:
-            SERVICE = "alpha"
-
-            def __init__(self, network, machine):
-                self._mailbox = network.register(machine, self.SERVICE)
-
-            def _serve(self):
-                while True:
-                    message = yield self._mailbox.get()
-                    if message.kind == "ping":
-                        self._count = 1
-
-
-        class Client:
-            def __init__(self, network):
-                self.network = network
-
-            def good(self, src, dst):
-                self.network.send(
-                    src=src, dst=dst, service="alpha", kind="ping",
-                    size=8,
-                )
-
-            def bad(self, src, dst):
-                self.network.send(
-                    src=src, dst=dst, service="alpha", kind="pong",
-                    size=8,
-                )
-
-            def opaque(self, src, dst, kind):
-                self.network.send(
-                    src=src, dst=dst, service="alpha", kind=kind,
-                    size=8,
-                )
-        """,
-}
-
-
-class TestCHX019:
-    def test_exactly_the_unhandled_kind_reports(self, tmp_path):
-        build_pkg(tmp_path, CHX019_FIXTURE)
-        result = deep_check(tmp_path, rules={"CHX019"})
-        (found,) = findings_of(result, "CHX019")
-        assert "Client.bad" in found.message
-        assert "'pong'" in found.message
-        assert found.severity == "error"
-
-    def test_send_to_unregistered_service_reports(self, tmp_path):
-        files = dict(CHX019_FIXTURE)
-        files["proj/sim/lost.py"] = (
-            "class Stray:\n"
-            "    def __init__(self, network):\n"
-            "        self.network = network\n"
-            "\n"
-            "    def shout(self, src, dst):\n"
-            "        self.network.send(\n"
-            "            src=src, dst=dst, service='void', kind='ping',\n"
-            "            size=8,\n"
-            "        )\n"
-        )
-        build_pkg(tmp_path, files)
-        result = deep_check(tmp_path, rules={"CHX019"})
-        messages = [f.message for f in findings_of(result, "CHX019")]
-        assert any("no receive loop drains" in m for m in messages)
-
-    def test_suppression_honored(self, tmp_path):
-        files = dict(CHX019_FIXTURE)
-        files["proj/sim/node.py"] = files["proj/sim/node.py"].replace(
-            '            def bad(self, src, dst):\n'
-            '                self.network.send(\n',
-            '            def bad(self, src, dst):\n'
-            '                self.network.send('
-            '  # chaos: ignore[CHX019] fixture\n',
-        )
-        build_pkg(tmp_path, files)
-        result = deep_check(tmp_path, rules={"CHX019"})
-        assert findings_of(result, "CHX019") == []
-        assert len(result.result.suppressed) == 1
 
 
 CHX020_FIXTURE = {
@@ -626,81 +459,13 @@ class TestCHX022:
         assert [f.line for f in result.result.suppressed] == [6]
 
 
-CHX023_FIXTURE = {
-    "proj/__init__.py": "",
-    "proj/sim/__init__.py": "",
-    "proj/sim/wire.py": """\
-        class Message:
-            def __init__(self, src, dst, service, kind, size):
-                self.kind = kind
-        """,
-    "proj/sim/node.py": """\
-        from proj.sim.wire import Message
-
-
-        class Server:
-            def __init__(self, network, machine):
-                self._mailbox = network.register(machine, "alpha")
-
-            def _serve(self):
-                while True:
-                    message = yield self._mailbox.get()
-                    if message.kind == "ping":
-                        self._count = 1
-
-
-        class Forge:
-            def craft_ok(self):
-                return Message(0, 1, "alpha", "ping", 8)
-
-            def craft_ghost(self):
-                return Message(0, 1, "alpha", "phantom", 8)
-
-            def craft_kw(self):
-                return Message(0, 1, "alpha", kind="wraith", size=8)
-        """,
-}
-
-
-class TestCHX023:
-    def test_ghost_kinds_report_modeled_kind_does_not(self, tmp_path):
-        build_pkg(tmp_path, CHX023_FIXTURE)
-        result = deep_check(tmp_path, rules={"CHX023"})
-        found = findings_of(result, "CHX023")
-        kinds = sorted(
-            m.split("'")[1] for m in (f.message for f in found)
-        )
-        assert kinds == ["phantom", "wraith"]
-        assert all(f.severity == "warning" for f in found)
-        assert all("bypasses the extracted protocol" in f.message
-                   for f in found)
-
-    def test_suppression_honored(self, tmp_path):
-        files = dict(CHX023_FIXTURE)
-        files["proj/sim/node.py"] = files["proj/sim/node.py"].replace(
-            '                return Message(0, 1, "alpha", "phantom", 8)',
-            '                return Message(0, 1, "alpha", "phantom", 8)'
-            "  # chaos: ignore[CHX023] fixture",
-        )
-        build_pkg(tmp_path, files)
-        result = deep_check(tmp_path, rules={"CHX023"})
-        found = findings_of(result, "CHX023")
-        assert ["wraith" in f.message for f in found] == [True]
-
-
 class TestRuleRegistration:
     def test_protocol_rules_in_table_with_titles(self):
-        assert DEEP_RULE_TABLE["CHX019"] == (
-            "send with no matching receive handler"
-        )
         assert DEEP_RULE_TABLE["CHX020"] == (
             "receive loop missing epoch guard"
         )
         assert DEEP_RULE_TABLE["CHX021"] == (
             "blocking wait with no timeout/liveness path"
-        )
-        assert DEEP_RULE_TABLE["CHX023"] == (
-            "message kind constructed but absent from the extracted model"
         )
 
 
@@ -744,29 +509,6 @@ class TestAnalyzerVersionCache:
 
 
 class TestProtocolCLI:
-    def test_trace_conform_shares_deep_index_cache(
-        self, tmp_path, capsys
-    ):
-        build_pkg(tmp_path / "pkg", PROTOCOL_FIXTURE)
-        trace_path = tmp_path / "empty.trace.json"
-        trace_path.write_text(
-            json.dumps({"traceEvents": [], "causalEvents": []})
-        )
-        blob = tmp_path / "model.json"
-        cache = tmp_path / "cache"
-        argv = ["trace", "conform", str(trace_path),
-                "--src", str(tmp_path / "pkg"), "--cache-dir", str(cache),
-                "--model-json", str(blob)]
-        assert main(argv) == 0
-        (pickled,) = cache.glob("deepindex-*.pkl")
-        stamp = pickled.stat().st_mtime_ns
-        assert main(argv) == 0  # served from the pickled index
-        assert pickled.stat().st_mtime_ns == stamp
-        exported = json.loads(blob.read_text())
-        assert exported["model_version"] == 2
-        assert exported["alphabet"] == ["accept", "ping", "share"]
-        capsys.readouterr()
-
     def test_trace_conform_cli_passes_on_real_trace(
         self, tmp_path, small_graph, capsys
     ):
@@ -779,11 +521,9 @@ class TestProtocolCLI:
         write_chrome_trace(tracer, str(trace_path))
 
         report_path = tmp_path / "conformance.json"
-        model_path = tmp_path / "model.json"
         code = main([
-            "trace", "conform", str(trace_path), "--src", "src",
+            "trace", "conform", str(trace_path),
             "--report-json", str(report_path),
-            "--model-json", str(model_path),
         ])
         out = capsys.readouterr().out
         assert code == 0
@@ -792,8 +532,6 @@ class TestProtocolCLI:
         report = json.loads(report_path.read_text())
         assert report["ok"] is True
         assert report["unmodeled"] == []
-        model = json.loads(model_path.read_text())
-        assert "steal_request" in model["alphabet"]
 
     def test_trace_conform_fails_on_unmodeled_traffic(
         self, tmp_path, small_graph, capsys
@@ -806,21 +544,27 @@ class TestProtocolCLI:
         trace = chrome_trace_dict(tracer)
         for event in trace["causalEvents"]:
             if event.get("kind") == "msg":
-                event["cat"] = "off_the_books"
+                event["cat"] = "write_akc"
                 break
         trace_path = tmp_path / "doctored.trace.json"
         trace_path.write_text(json.dumps(trace))
-        code = main(["trace", "conform", str(trace_path),
-                     "--src", "src"])
+        code = main(["trace", "conform", str(trace_path)])
         out = capsys.readouterr().out
         assert code == 1
-        assert "off_the_books" in out
+        assert "write_akc" in out
+
+    @pytest.mark.parametrize("flag", ["--src", "--cache-dir", "--model-json"])
+    def test_source_options_are_gone(self, tmp_path, capsys, flag):
+        with pytest.raises(SystemExit) as exit_info:
+            main(["trace", "conform", str(tmp_path / "t.json"), flag, "x"])
+        assert exit_info.value.code == 2
+        assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
 
     def test_trace_conform_rejects_causal_less_trace(self, tmp_path, capsys):
         stub = tmp_path / "plain.trace.json"
         stub.write_text(json.dumps({"traceEvents": []}))
         assert_usage_error(
-            capsys, ["trace", "conform", str(stub), "--src", "src"],
+            capsys, ["trace", "conform", str(stub)],
             "causalEvents",
         )
 
@@ -829,7 +573,7 @@ class TestProtocolCLI:
         garbage.write_text("{not json")
         for path in (garbage, tmp_path / "missing.trace.json"):
             assert_usage_error(
-                capsys, ["trace", "conform", str(path), "--src", "src"],
+                capsys, ["trace", "conform", str(path)],
                 f"cannot read trace {str(path)!r}",
             )
 
@@ -840,9 +584,7 @@ class TestProtocolCLI:
 
 
 class TestFuzzTraceCapture:
-    def test_capture_trace_writes_causal_events(
-        self, tmp_path, small_graph, src_model
-    ):
+    def test_capture_trace_writes_causal_events(self, tmp_path, small_graph):
         fuzzer = ChaosFuzzer(
             lambda: PageRank(iterations=2),
             small_graph,
@@ -854,7 +596,7 @@ class TestFuzzTraceCapture:
         assert outcome == "ok"
         trace = json.loads(path.read_text())
         assert trace["causalEvents"]
-        assert conform(causal_events_from_trace(trace), src_model).ok
+        assert conform(causal_events_from_trace(trace)).ok
 
     def test_fuzz_cli_writes_trace_next_to_deadlock_reproducer(
         self, tmp_path, monkeypatch, capsys

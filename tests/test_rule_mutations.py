@@ -5,11 +5,12 @@ source files it needs, runs the rules that could catch it (the local
 engine for local ids, the deep engine for whole-program ids) and asserts
 exactly which of them fire.  Each unmutated copy is clean under the
 same rules, so every catch is the planted defect's.  DESIGN.md section 6
-records the verdicts: rows M1-M10 and M12, plus one row for each rule no
-M-row exercises (CHX003, 005, 006, 007, 016); M11 is a known gap,
-pinned as a strict xfail.  Defects of the protocol's *values* (a merge
-before the handoff, a stealer that applies) no rule can see; their rows
-are in ``tests/test_value_mutations.py``.
+records the verdicts: rows M1-M4, M6-M8, M10 and M12, plus one row for
+each rule no M-row exercises (CHX003, 005, 006, 007, 016).  Defects of
+the protocol's *values* (a merge before the handoff, a stealer that
+applies) no rule can see, and a mistyped message kind (M5, M9, M11) is
+rejected by the receiving loop on first delivery; their rows are in
+``tests/test_value_mutations.py``.
 """
 
 from __future__ import annotations
@@ -94,10 +95,6 @@ MUTATIONS = [
         ("CHX011",), frozenset({"CHX011"}),
     ), id="M4-discarded-wait"),
     pytest.param(Mutation(
-        COMPUTE, (('kind="steal_reply",', 'kind="steal_ack",'),),
-        ("CHX019", "CHX023"), frozenset({"CHX019"}),
-    ), id="M5-mistyped-reply-kind"),
-    pytest.param(Mutation(
         SUPERVISOR,
         (("            if message.epoch != self.epoch:\n"
           "                continue\n"
@@ -122,12 +119,6 @@ MUTATIONS = [
           "if self.preprocess:"),),
         ("CHX010",), frozenset({"CHX010"}),
     ), id="M8-unsuppressed-lopsided-barrier"),
-    pytest.param(Mutation(
-        "net/transport.py",
-        (("src, dst, service, kind, size, payload,",
-          'src, dst, service, "bogus", size, payload,'),),
-        ("CHX019", "CHX023"), frozenset({"CHX023"}),
-    ), id="M9-ghost-message-kind"),
     pytest.param(Mutation(
         # The steal RPC's fault-tolerant branch deleted, so the proposer
         # always waits on the reply with a bare yield.
@@ -185,19 +176,6 @@ MUTATIONS = [
           "        np.add.at(accum, dst_local, values)"),),
         ("CHX016",), frozenset({"CHX016"}),
     ), id="CHX016-float-sum-in-arrival-order"),
-    pytest.param(Mutation(
-        "store/engine.py",
-        (('            "write_ack",\n            CONTROL_BYTES,\n'
-          '            (request_id, None),',
-          '            "write_akc",\n            CONTROL_BYTES,\n'
-          '            (request_id, None),'),),
-        ("CHX019", "CHX023"), frozenset({"CHX019"}),
-        context=(COMPUTE,),
-    ), id="M11-mistyped-store-reply", marks=pytest.mark.xfail(
-        strict=True,
-        reason="a store reply's service rides in the request payload, "
-               "so CHX019 cannot resolve where it goes",
-    )),
 ]
 
 

@@ -2,19 +2,23 @@
 
 Each row plants one defect in the cross-machine protocol (the steal
 proposal and the accumulator handoff of paper section 5.4, the phase
-barriers, the write drain before a barrier) in a temporary copy of the
-whole ``repro`` package, then runs three small jobs on the copy in a
-fresh interpreter: PageRank on two machines (a float-sum fold), WCC on
-three (a min label) and SSSP on four (a min distance), all stealing.
+barriers, the write drain before a barrier, a mistyped message kind) in
+a temporary copy of the whole ``repro`` package, then runs three small
+jobs on the copy in a fresh interpreter: PageRank on two machines (a
+float-sum fold), WCC on three (a min label) and SSSP on four (a min
+distance), all stealing.
 
 The oracle is the unmutated engine's result for the same job on one
 machine with stealing off.  Final values are byte-identical across
 machine counts and stealing (``tests/test_order_sensitive.py``), so a
 difference is the defect's.  A job catches a defect when its values
 differ from the oracle's or when the simulation fails: an engine
-assertion, or the simulated deadline of a livelocked run.  DESIGN.md section 6 records
-every row's verdict beside the happens-before sanitizer's, which these
-rows replaced.
+assertion, a receive loop rejecting a kind its service does not declare
+(``repro.net.transport.MESSAGE_KINDS``), or the simulated deadline of a
+livelocked run.  DESIGN.md section 6 records every row's verdict beside
+the happens-before sanitizer's, which rows V1-V8 replaced, and beside
+the lint rules that caught M5, M9 and M11 before the vocabulary was
+declared.
 """
 
 from __future__ import annotations
@@ -92,8 +96,9 @@ def outcomes(oracle: bool = False) -> Dict[str, str]:
 
 @dataclass(frozen=True)
 class Defect:
-    """One planted defect: edits to ``core/compute.py``."""
+    """One planted defect: edits to one file of the ``repro`` package."""
 
+    file: str  # relative to the repro package
     edits: Tuple[Tuple[str, str], ...]  # (literal, replacement), each matching once
     caught_as: FrozenSet[str]  # "values" and/or "raised:<name>", over the jobs
 
@@ -105,20 +110,24 @@ class Defect:
 
 
 VALUES = frozenset({"values"})
+UNDECLARED = frozenset({"raised:SimulationError"})
 
 DEFECTS = [
     pytest.param(Defect(
+        COMPUTE,
         # The master merges and applies without waiting for the
         # accumulators its accepted stealers ship home.
         (("        yield state.accum_group.wait()\n", ""),), VALUES,
     ), id="V1-merge-before-handoff"),
     pytest.param(Defect(
+        COMPUTE,
         # An accepted gather steal is not counted in the handoff group.
         (("                state.accum_group.add(1)\n",
           "                pass\n"),),
         frozenset({"raised:SimulationError"}),
     ), id="V2-uncounted-steal"),
     pytest.param(Defect(
+        COMPUTE,
         # The master accepts steals of a partition it already closed.
         (("if state is None or state.kind is not kind or state.closed:",
           "if state is None or state.kind is not kind:"),), VALUES,
@@ -128,12 +137,14 @@ DEFECTS = [
                "read: it wastes a vertex load and changes no value",
     )),
     pytest.param(Defect(
+        COMPUTE,
         # Gather starts while other machines still scatter.
         (("            yield from self._enter_barrier(\n"
           '                stats, label=str(self.job.iteration), phase="scatter"\n'
           "            )\n", ""),), VALUES,
     ), id="V4-no-scatter-barrier"),
     pytest.param(Defect(
+        COMPUTE,
         # A stealer applies its partial accumulator to the vertex set.
         (("                yield from self._ship_accumulator(partition, accum)\n",
           "                self.workload.apply_partition(partition, accum, iteration)\n"
@@ -141,6 +152,7 @@ DEFECTS = [
         VALUES,
     ), id="V5-stealer-applies"),
     pytest.param(Defect(
+        COMPUTE,
         # The next scatter starts while other machines still gather.
         (("            yield from self._enter_barrier(\n"
           '                stats, label=str(self.job.iteration), phase="gather"\n'
@@ -148,10 +160,12 @@ DEFECTS = [
         frozenset({"raised:DeadlineExceeded"}),
     ), id="V6-no-gather-barrier"),
     pytest.param(Defect(
+        COMPUTE,
         # A machine enters the barrier before its chunk writes land.
         (("        yield self._write_group.wait()\n", ""),), VALUES,
     ), id="V7-no-write-drain"),
     pytest.param(Defect(
+        COMPUTE,
         # A proposer works on a partition whose master rejected it.
         (("            if accepted:\n"
           "                yield from self._work_on_partition(",
@@ -159,6 +173,26 @@ DEFECTS = [
           "                yield from self._work_on_partition("),),
         frozenset({"raised:SimulationError"}),
     ), id="V8-steal-ignores-reply"),
+    pytest.param(Defect(
+        COMPUTE,
+        # The master answers a steal proposal with a mistyped kind.
+        (('kind="steal_reply",', 'kind="steal_ack",'),), UNDECLARED,
+    ), id="M5-mistyped-reply-kind"),
+    pytest.param(Defect(
+        "net/transport.py",
+        # Every message leaves the transport with a kind nobody declares.
+        (("src, dst, service, kind, size, payload,",
+          'src, dst, service, "bogus", size, payload,'),), UNDECLARED,
+    ), id="M9-ghost-message-kind"),
+    pytest.param(Defect(
+        "store/engine.py",
+        # A storage engine acks a stored chunk with a mistyped kind; the
+        # reply's service rides in the request payload.
+        (('            "write_ack",\n            CONTROL_BYTES,\n'
+          '            (request_id, None),',
+          '            "write_akc",\n            CONTROL_BYTES,\n'
+          '            (request_id, None),'),), UNDECLARED,
+    ), id="M11-mistyped-store-reply"),
 ]
 
 
@@ -168,7 +202,7 @@ def _run_copy(root: Path, defect=None) -> Dict[str, str]:
     package = root / "repro"
     shutil.copytree(SRC, package, ignore=shutil.ignore_patterns("__pycache__"))
     if defect is not None:
-        target = package / COMPUTE
+        target = package / defect.file
         target.write_text(defect.apply(target.read_text(encoding="utf-8")),
                           encoding="utf-8")
     code = (

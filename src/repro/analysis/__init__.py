@@ -1,35 +1,38 @@
 """Static analysis for the reproduction.
 
 Guards the invariant that every run is a deterministic function of
-``(config, seed)``:
+``(config, seed)``.  ``chaos-repro check`` runs one engine
+(:mod:`repro.analysis.engine`) over one parse of the tree:
 
-:mod:`repro.analysis.lint`
-    An AST-based lint engine with codebase-specific rules (CHX001 …
-    CHX007) that catch determinism hazards at rest: wall-clock calls in
-    simulated-clock packages, compute code reaching past the
-    :class:`~repro.store.engine.StorageEngine` mediation layer,
+:mod:`repro.analysis.rules`
+    The local rules (CHX001 … CHX007), one AST node at a time:
+    wall-clock calls in simulated-clock packages, compute code reaching
+    past the :class:`~repro.store.engine.StorageEngine` mediation layer,
     nondeterministic iteration, broad excepts and ad-hoc telemetry.
-    Exposed as ``chaos-repro check``; ``check --deep`` adds the
-    whole-program rules of :mod:`repro.analysis.flow`.
+    :func:`default_rules` lists every rule and :data:`RULE_TABLE` maps
+    each id to its title.
+:mod:`repro.analysis.flow`
+    The whole-program rules (CHX008 … CHX021) over the project index,
+    the call graph and the taint analysis.
 
 Whether cross-machine state is *right* is not judged here: a run's final
 vertex values are checked against independent references, and planted
 protocol defects are pinned by ``tests/test_value_mutations.py``.
 """
 
+from repro.analysis.engine import LintEngine, LintResult
 from repro.analysis.findings import (
     Finding,
     format_github,
     format_json,
     format_text,
 )
-from repro.analysis.lint import FileContext, LintEngine, LintResult, Rule
-from repro.analysis.rules import DEFAULT_RULES, default_rules, full_rule_table
+from repro.analysis.lint import FileContext, Rule
+from repro.analysis.rules import RULE_TABLE, default_rules
 
 __all__ = [
-    "DEFAULT_RULES",
+    "RULE_TABLE",
     "default_rules",
-    "full_rule_table",
     "FileContext",
     "Finding",
     "format_github",

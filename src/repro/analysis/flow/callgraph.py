@@ -100,7 +100,7 @@ class CallGraph:
                 continue
             class_ctx = enclosing_class_of(module, func)
             sites: List[CallSite] = []
-            for node in ast.walk(func.node):
+            for node in func.nodes:
                 if isinstance(node, ast.Call):
                     sites.append(graph._resolve_site(func, module, class_ctx, node))
             sites.sort(key=lambda s: (s.line, s.node.col_offset))

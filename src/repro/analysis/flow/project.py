@@ -1,10 +1,12 @@
 """Whole-program index: modules, functions, classes, imports, re-exports.
 
-The :class:`ProjectIndex` is the substrate every interprocedural (deep)
-rule stands on.  It parses each file once and records
+The :class:`ProjectIndex` is the one parse behind ``repro check``:
+the local rules walk its module trees and the whole-program rules stand
+on it.  It parses each file once and records
 
 * a module table keyed by dotted module name (derived from the package
-  layout on disk: ancestors holding an ``__init__.py``),
+  layout on disk: ancestors holding an ``__init__.py``; a second file
+  with a taken name gets a ``#<n>`` suffix, so every file is a module),
 * every function and method with a project-unique qualified name
   (``repro.sim.engine.Simulator.process``), its AST node, and whether
   it is a generator (a simulator process),
@@ -17,7 +19,7 @@ Resolution is deliberately an *over-approximation*: a method call on a
 receiver of unknown type resolves to every project method of that name
 ("by-name" resolution).  For call-graph reachability questions — "can
 this function reach a barrier wait?" — over-approximating keeps the
-deep rules sound (no missed protocol edge), at the price of extra
+whole-program rules sound (no missed protocol edge), at the price of extra
 edges, which the rules tolerate by design.
 """
 
@@ -26,8 +28,9 @@ from __future__ import annotations
 import ast
 import builtins
 from dataclasses import dataclass, field
+from functools import cached_property
 from pathlib import Path
-from typing import Dict, Iterable, List, Optional, Sequence
+from typing import Dict, Iterable, List, Optional, Set, Tuple
 
 #: Names that resolve to the Python builtin namespace (not project code).
 BUILTIN_NAMES = frozenset(dir(builtins))
@@ -76,6 +79,12 @@ class FunctionInfo:
     def line(self) -> int:
         return self.node.lineno
 
+    @cached_property
+    def nodes(self) -> List[ast.AST]:
+        """Every node of the definition (nested scopes included), in
+        ``ast.walk`` order: walked once, read by every rule."""
+        return list(ast.walk(self.node))
+
 
 @dataclass
 class ClassInfo:
@@ -99,6 +108,8 @@ class ModuleInfo:
     file: str
     tree: ast.Module
     source: str
+    #: Every node of ``tree`` in ``ast.walk`` order, walked once.
+    nodes: List[ast.AST] = field(default_factory=list)
     #: local binding -> dotted target ("np" -> "numpy",
     #: "Simulator" -> "repro.sim.engine.Simulator").
     imports: Dict[str, str] = field(default_factory=dict)
@@ -138,23 +149,29 @@ class ProjectIndex:
         self.methods_by_name: Dict[str, List[FunctionInfo]] = {}
         #: plain function name -> [FunctionInfo].
         self.functions_by_name: Dict[str, List[FunctionInfo]] = {}
+        #: ``(path, error)`` of every walked file that does not parse.
+        self.syntax_errors: List[Tuple[str, SyntaxError]] = []
 
     # -- construction ---------------------------------------------------
 
     @classmethod
     def build(cls, paths: Iterable[str]) -> "ProjectIndex":
-        """Index every ``*.py`` under each path (files or directories)."""
+        """Index every ``*.py`` under each path (files or directories),
+        each resolved file once however many paths reach it."""
         index = cls()
+        seen: Set[Path] = set()
         for entry in paths:
             root = Path(entry)
+            files: Iterable[Path] = [root]
             if root.is_dir():
-                files: Sequence[Path] = sorted(
+                files = sorted(
                     p for p in root.rglob("*.py") if "__pycache__" not in p.parts
                 )
-            else:
-                files = [root]
             for file_path in files:
-                index.add_file(file_path)
+                resolved = file_path.resolve()
+                if resolved not in seen:
+                    seen.add(resolved)
+                    index.add_file(file_path)
         index._link()
         return index
 
@@ -163,23 +180,36 @@ class ProjectIndex:
         return self.add_source(source, path=str(path))
 
     def add_source(self, source: str, path: str) -> Optional[ModuleInfo]:
-        """Index one source unit; returns None on syntax errors (the
-        plain lint engine already reports those as CHX000)."""
+        """Index one source unit; a file that does not parse is kept in
+        :attr:`syntax_errors` instead (the engine reports it as CHX000).
+
+        Two files with the same dotted name (two loose ``a.py`` in
+        different directories) both stay indexed: the later one is
+        renamed ``<name>#<n>``.
+        """
         try:
             tree = ast.parse(source, filename=path)
-        except SyntaxError:
+        except SyntaxError as error:
+            self.syntax_errors.append((path, error))
             return None
-        name = module_name_for(Path(path)) if Path(path).exists() else (
+        base = module_name_for(Path(path)) if Path(path).exists() else (
             Path(path).stem
         )
-        module = ModuleInfo(name=name, file=path, tree=tree, source=source)
+        name, copies = base, 1
+        while name in self.modules:
+            copies += 1
+            name = f"{base}#{copies}"
+        module = ModuleInfo(
+            name=name, file=path, tree=tree, source=source,
+            nodes=list(ast.walk(tree)),
+        )
         self._collect_imports(module)
         self._collect_defs(module)
         self.modules[name] = module
         return module
 
     def _collect_imports(self, module: ModuleInfo) -> None:
-        for node in ast.walk(module.tree):
+        for node in module.nodes:
             if isinstance(node, ast.Import):
                 for alias in node.names:
                     bound = alias.asname or alias.name.split(".")[0]

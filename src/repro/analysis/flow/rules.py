@@ -1,18 +1,18 @@
-"""Interprocedural rules CHX008-CHX021 over the flow layer.
+"""Whole-program rules CHX008-CHX021 over the flow layer.
 
-Unlike the local rules (which see one AST at a time), a deep rule sees
-the whole project: the :class:`DeepContext` bundles the project index,
-the call graph and the taint analysis.  Each rule's ``run`` returns
-plain :class:`~repro.analysis.findings.Finding` objects; the deep
-engine applies inline suppressions afterwards, exactly like the local
-engine does.
+Unlike the local rules (which see one AST node at a time), a
+whole-program rule sees the whole project: the :class:`DeepContext`
+bundles the project index, the call graph and the taint analysis.
+Each rule's ``run`` yields plain
+:class:`~repro.analysis.findings.Finding` objects; the engine applies
+inline suppressions afterwards, the same pass as for the local rules.
 
 CHX008, CHX010 and CHX011 guard the determinism invariant of the runtime;
 CHX016 guards the one order-sensitive step left in it (float sums must
 fold through ``exact_add_at``).  CHX018 guards replay: every RNG draw in
 the project must come from a seeded generator, or reruns and shrunk
 reproducer plans stop reproducing.  CHX020 and CHX021 stand on the
-receive loops and waits extracted by :mod:`repro.analysis.protocol`:
+receive loops and waits found by :mod:`repro.analysis.protocol`:
 unfenced receive loops and untimed remote waits.  The message vocabulary
 is not judged here: it is declared in
 :data:`repro.net.transport.MESSAGE_KINDS`, and every receive loop
@@ -22,6 +22,7 @@ rejects an undeclared kind on first delivery.
 from __future__ import annotations
 
 import ast
+from functools import cached_property
 from typing import Dict, FrozenSet, Iterator, List, Optional, Sequence, Tuple
 
 from repro.analysis.findings import Finding
@@ -33,78 +34,36 @@ from repro.analysis.flow.project import (
     ProjectIndex,
     attr_chain,
     dump_expr,
+    enclosing_class_of,
 )
-from repro.analysis.lint import SIM_PACKAGES
+from repro.analysis.lint import SIM_PACKAGES, Rule
+from repro.analysis.protocol.extract import remote_waits, unfenced_receives
 
 #: Packages whose gather kernels CHX016 inspects (the simulated engine
 #: packages plus the user algorithms they drive).
 HOT_PACKAGES: FrozenSet[str] = SIM_PACKAGES | frozenset({"algorithms"})
 
-#: Version of the deep analyzer's *rule logic*.  Mixed into the
-#: ``check --deep`` pickled-index cache key alongside the index-layout
-#: version, so a rule change invalidates cached results even when the
-#: analyzed sources are unchanged.  Bump on any behavioural change to
-#: the deep rules or the analyses they stand on.
-#:
-#: 1 — CHX008–012 (PR 5).
-#: 2 — CHX013–017 (of which CHX016 survives revision 5).
-#: 3 — CHX018: unseeded RNG in fault-injection/fuzzing code.
-#: 4 — protocol model extraction: five protocol rules (unhandled sends,
-#:     unfenced receives, untimed waits, lopsided barrier arrives,
-#:     ghost message kinds).
-#: 5 — CHX013/014/015/017 and the loop/escape analyses removed.
-#: 6 — CHX016 exempts a fold that calls ``exact_add_at`` (it used to
-#:     exempt a kernel whose caller sorted with ``canonical_update_order``).
-#: 7 — CHX009 and CHX022 removed; CHX011 also flags same-module discards
-#:     and bare ``.wait()`` calls; CHX018 covers every module; CHX021
-#:     judges each wait by its own yield, not by its function.
-#: 8 — CHX012 and its race-candidate pass removed.
-#: 9 — the unhandled-send and ghost-kind rules removed with the send-site
-#:     and kind resolution they stood on: the vocabulary is declared in
-#:     ``net/transport.py`` and enforced by every receive loop.
-ANALYZER_VERSION = 9
-
 
 class DeepContext:
-    """Everything a deep rule needs, built once per ``check --deep``."""
+    """Everything a whole-program rule needs, built once per check.
 
-    def __init__(self, index: ProjectIndex, graph: Optional[CallGraph] = None):
+    The call graph and the taint analysis are built on first use, so a
+    ``--rules`` subset that reads neither does not pay for them.
+    """
+
+    def __init__(self, index: ProjectIndex):
         self.index = index
-        self.graph = graph if graph is not None else CallGraph.build(index)
-        self.taint = TaintAnalysis(self.index, self.graph, SIM_PACKAGES)
-        self._protocol = None
+
+    @cached_property
+    def graph(self) -> CallGraph:
+        return CallGraph.build(self.index)
+
+    @cached_property
+    def taint(self) -> TaintAnalysis:
+        return TaintAnalysis(self.index, self.graph, SIM_PACKAGES)
 
     def module_is_sim(self, module_name: str) -> bool:
         return any(part in SIM_PACKAGES for part in module_name.split("."))
-
-    def protocol(self):
-        """The extracted receive loops and waits, built lazily and shared
-        by the protocol rules CHX020 and CHX021."""
-        if self._protocol is None:
-            from repro.analysis.protocol.extract import extract_model
-
-            self._protocol = extract_model(self.index)
-        return self._protocol
-
-
-class DeepRule:
-    """Base for whole-program rules."""
-
-    rule_id: str = "CHX0xx"
-    severity: str = "error"
-    title: str = ""
-
-    def run(self, ctx: DeepContext) -> Iterator[Finding]:
-        return iter(())
-
-    def _finding(self, file: str, line: int, message: str) -> Finding:
-        return Finding(
-            file=file,
-            line=line,
-            rule_id=self.rule_id,
-            severity=self.severity,
-            message=message,
-        )
 
 
 # ---------------------------------------------------------------------------
@@ -112,7 +71,7 @@ class DeepRule:
 # ---------------------------------------------------------------------------
 
 
-class InterproceduralTaintRule(DeepRule):
+class InterproceduralTaintRule(Rule):
     """Wall-clock / host-RNG / host-id values flowing, through any call
     chain, into a sim-package call or sim-class attribute.
 
@@ -157,7 +116,7 @@ def definitely_terminates(statements: Sequence[ast.stmt]) -> bool:
     return False
 
 
-class BarrierPairingRule(DeepRule):
+class BarrierPairingRule(Rule):
     """Every code path through an engine function must reach the same
     barrier sequence.  A branch that waits on a barrier the other branch
     skips deadlocks the cluster (the barrier waits forever for the
@@ -325,7 +284,7 @@ def _render_sig(sig: Tuple) -> str:
 # ---------------------------------------------------------------------------
 
 
-class DiscardedProcessRule(DeepRule):
+class DiscardedProcessRule(Rule):
     """A call used as a bare expression statement that drops a simulator
     process or event on the floor:
 
@@ -399,7 +358,7 @@ _GATHER_FAMILY = frozenset(
 _EXACT_FOLD_CALL = "exact_add_at"
 
 
-class UnorderedReductionRule(DeepRule):
+class UnorderedReductionRule(Rule):
     """Float ``+=`` accumulation is order-sensitive (every ``+``
     rounds), and the runtime folds updates in arrival order, which
     stealing and recovery change.  A float sum must go through
@@ -434,7 +393,7 @@ class UnorderedReductionRule(DeepRule):
         )
 
     def _additive_folds(self, func: FunctionInfo) -> Iterator[Finding]:
-        for node in ast.walk(func.node):
+        for node in func.nodes:
             if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) and (
                 node is not func.node
             ):
@@ -486,7 +445,7 @@ _NUMPY_RANDOM_TYPES = frozenset(
 )
 
 
-class UnseededRandomRule(DeepRule):
+class UnseededRandomRule(Rule):
     """A run is a function of ``(config, seed)``, and the chaos fuzzer's
     contract is that a ``(seed, episode)`` pair — or a shrunk reproducer
     plan — replays the exact same schedule.  One draw from an unseeded
@@ -508,7 +467,7 @@ class UnseededRandomRule(DeepRule):
             yield from self._scan_module(module)
 
     def _scan_module(self, module: ModuleInfo) -> Iterator[Finding]:
-        for node in ast.walk(module.tree):
+        for node in module.nodes:
             if not isinstance(node, ast.Call):
                 continue
             dotted = self._resolve(module, node.func)
@@ -559,7 +518,7 @@ class UnseededRandomRule(DeepRule):
 # ---------------------------------------------------------------------------
 
 
-class UnfencedReceiveRule(DeepRule):
+class UnfencedReceiveRule(Rule):
     """An epoch-aware role's receive loop without an epoch fence: a
     straggling message from before a rollback (a stale reply, a zombie
     peer's steal request) is executed against post-recovery state and
@@ -572,19 +531,20 @@ class UnfencedReceiveRule(DeepRule):
     title = "receive loop missing epoch guard"
 
     def run(self, ctx: DeepContext) -> Iterator[Finding]:
-        for loop in ctx.protocol().all_receives():
-            if loop.epoch_aware and not loop.epoch_guard:
+        for func in ctx.index.iter_functions():
+            class_ctx = enclosing_class_of(ctx.index.modules[func.module], func)
+            for line in unfenced_receives(func, class_ctx):
                 yield self._finding(
-                    loop.file,
-                    loop.line,
-                    f"{loop.qualname} drains its mailbox without comparing "
-                    f"message.epoch, but {loop.role} tracks a recovery "
+                    func.file,
+                    line,
+                    f"{func.qualname} drains its mailbox without comparing "
+                    f"message.epoch, but {func.class_name} tracks a recovery "
                     f"epoch; a stale-epoch straggler would be executed "
                     f"against post-rollback state",
                 )
 
 
-class UntimedWaitRule(DeepRule):
+class UntimedWaitRule(Rule):
     """A process blocks on a remote delivery (or a reply event armed by
     a remote request) with a bare ``yield``: if the peer fail-stops, the
     message is lost and the process hangs forever — under the
@@ -599,47 +559,25 @@ class UntimedWaitRule(DeepRule):
     title = "blocking wait with no timeout/liveness path"
 
     def run(self, ctx: DeepContext) -> Iterator[Finding]:
-        for wait in ctx.protocol().all_waits():
-            if wait.remote:
+        for func in ctx.index.iter_functions():
+            for line, target in remote_waits(func):
                 yield self._finding(
-                    wait.file,
-                    wait.line,
-                    f"{wait.qualname} yields on {wait.target!r} (a remote "
+                    func.file,
+                    line,
+                    f"{func.qualname} yields on {target!r} (a remote "
                     f"delivery) with no any_of+timeout race of its own; a "
                     f"fail-stopped peer hangs this process forever",
                 )
 
 
-def default_deep_rules() -> List[DeepRule]:
-    return [
-        InterproceduralTaintRule(),
-        BarrierPairingRule(),
-        DiscardedProcessRule(),
-        UnorderedReductionRule(),
-        UnseededRandomRule(),
-        UnfencedReceiveRule(),
-        UntimedWaitRule(),
-    ]
-
-
-#: rule id -> title, for docs/tests (mirrors rules.RULE_TABLE).
-DEEP_RULE_TABLE: Dict[str, str] = {
-    rule.rule_id: rule.title for rule in default_deep_rules()
-}
-
-
 __all__ = [
-    "ANALYZER_VERSION",
-    "DEEP_RULE_TABLE",
     "BarrierPairingRule",
     "DeepContext",
-    "DeepRule",
     "DiscardedProcessRule",
     "InterproceduralTaintRule",
     "UnfencedReceiveRule",
     "UnorderedReductionRule",
     "UnseededRandomRule",
     "UntimedWaitRule",
-    "default_deep_rules",
     "definitely_terminates",
 ]

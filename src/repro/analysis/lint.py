@@ -1,11 +1,15 @@
-"""The AST lint engine: rules, file contexts and suppression.
+"""Rules, file contexts and suppression.
 
-The engine parses each file once and walks the tree once; every
-:class:`Rule` subscribes to the node types it cares about via
-``node_types`` and yields ``(line, message)`` pairs from
-:meth:`Rule.check`.  Package scoping (a rule that only applies inside
-the simulated-clock packages, say) goes through
-:meth:`Rule.applies`, which sees the :class:`FileContext`.
+A :class:`Rule` is one of two shapes.  A *local* rule subscribes to
+the AST node types it cares about via ``node_types`` and yields
+``(line, message)`` pairs from :meth:`Rule.check`; the engine walks
+each file's tree once and dispatches every node to the rules that
+asked for its type.  Package scoping (a rule that only applies inside
+the simulated-clock packages, say) goes through :meth:`Rule.applies`,
+which sees the :class:`FileContext`.  A *whole-program* rule leaves
+``node_types`` empty and yields findings from :meth:`Rule.run` over
+the :class:`~repro.analysis.flow.rules.DeepContext` (project index,
+call graph, taint analysis).
 
 Suppression is inline and must name the rule::
 
@@ -20,9 +24,8 @@ from __future__ import annotations
 
 import ast
 import re
-from dataclasses import dataclass, field
-from pathlib import Path, PurePath
-from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Set, Tuple, Type
+from pathlib import PurePath
+from typing import Dict, Iterator, Set, Tuple, Type
 
 from repro.analysis.findings import Finding
 
@@ -125,15 +128,15 @@ class FileContext:
 class Rule:
     """Base class for lint rules.
 
-    Subclasses set ``rule_id``, ``severity``, ``title`` and
-    ``node_types``, then implement :meth:`check` to yield
-    ``(line, message)`` pairs for each offending node.
+    Subclasses set ``rule_id``, ``severity`` and ``title``.  A local
+    rule sets ``node_types`` and implements :meth:`check`; a
+    whole-program rule implements :meth:`run`.
     """
 
     rule_id: str = "CHX000"
     severity: str = "error"
     title: str = ""
-    #: AST node classes this rule wants to inspect.
+    #: AST node classes this rule wants to inspect (local rules only).
     node_types: Tuple[Type[ast.AST], ...] = ()
 
     def applies(self, ctx: FileContext) -> bool:
@@ -144,115 +147,15 @@ class Rule:
         """Yield ``(line, message)`` for each violation at ``node``."""
         return iter(())
 
+    def run(self, ctx) -> Iterator[Finding]:
+        """Yield findings over the whole project (whole-program rules)."""
+        return iter(())
 
-@dataclass
-class LintResult:
-    """Outcome of a lint run: active findings plus suppressed ones."""
-
-    findings: List[Finding] = field(default_factory=list)
-    suppressed: List[Finding] = field(default_factory=list)
-    files_checked: int = 0
-
-    @property
-    def clean(self) -> bool:
-        return not self.findings
-
-    def extend(self, other: "LintResult") -> None:
-        self.findings.extend(other.findings)
-        self.suppressed.extend(other.suppressed)
-        self.files_checked += other.files_checked
-
-
-class LintEngine:
-    """Parses files and drives every rule over each AST once."""
-
-    def __init__(self, rules: Optional[Sequence[Rule]] = None):
-        if rules is None:
-            from repro.analysis.rules import default_rules
-
-            rules = default_rules()
-        self.rules: List[Rule] = list(rules)
-
-    def rule_ids(self) -> List[str]:
-        return [rule.rule_id for rule in self.rules]
-
-    # -- single source unit -------------------------------------------
-
-    def check_source(self, source: str, path: str = "<string>") -> LintResult:
-        """Lint one source string (the path drives package scoping)."""
-        result = LintResult(files_checked=1)
-        try:
-            tree = ast.parse(source, filename=path)
-        except SyntaxError as error:
-            result.findings.append(
-                Finding(
-                    file=path,
-                    line=error.lineno or 1,
-                    rule_id="CHX000",
-                    severity="error",
-                    message=f"syntax error: {error.msg}",
-                )
-            )
-            return result
-
-        ctx = FileContext(path, source)
-        active = [rule for rule in self.rules if rule.applies(ctx)]
-        if not active:
-            return result
-
-        dispatch: Dict[Type[ast.AST], List[Rule]] = {}
-        for rule in active:
-            for node_type in rule.node_types:
-                dispatch.setdefault(node_type, []).append(rule)
-
-        raw: List[Finding] = []
-        seen: Set[Tuple[str, int, str]] = set()
-        for node in ast.walk(tree):
-            for rule in dispatch.get(type(node), ()):
-                for line, message in rule.check(node, ctx):
-                    key = (rule.rule_id, line, message)
-                    if key in seen:
-                        continue
-                    seen.add(key)
-                    raw.append(
-                        Finding(
-                            file=path,
-                            line=line,
-                            rule_id=rule.rule_id,
-                            severity=rule.severity,
-                            message=message,
-                        )
-                    )
-
-        suppressions = ctx.effective_suppressions(tree)
-        for finding in sorted(raw):
-            if finding.rule_id in suppressions.get(finding.line, ()):
-                result.suppressed.append(finding)
-            else:
-                result.findings.append(finding)
-        return result
-
-    # -- trees of files -----------------------------------------------
-
-    def check_file(self, path: str) -> LintResult:
-        source = Path(path).read_text(encoding="utf-8")
-        return self.check_source(source, path=str(path))
-
-    def check_paths(self, paths: Iterable[str]) -> LintResult:
-        """Lint every ``*.py`` under each path (files or directories)."""
-        result = LintResult()
-        for entry in paths:
-            root = Path(entry)
-            if root.is_dir():
-                files = sorted(
-                    p
-                    for p in root.rglob("*.py")
-                    if "__pycache__" not in p.parts
-                )
-            else:
-                files = [root]
-            for file_path in files:
-                result.extend(self.check_file(str(file_path)))
-        result.findings.sort()
-        result.suppressed.sort()
-        return result
+    def _finding(self, file: str, line: int, message: str) -> Finding:
+        return Finding(
+            file=file,
+            line=line,
+            rule_id=self.rule_id,
+            severity=self.severity,
+            message=message,
+        )

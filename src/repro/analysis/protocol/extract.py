@@ -1,39 +1,34 @@
-"""Lift receive loops and blocking waits out of the code.
+"""Find receive loops and blocking waits in the code.
 
 The message vocabulary is declared (:data:`repro.net.transport.MESSAGE_KINDS`)
 and every receive loop enforces it at run time, so kinds and services
-are not resolved here.  The extractor walks the
-:class:`~repro.analysis.flow.project.ProjectIndex` for the two facts the
-protocol rules judge:
+are not resolved here.  Two helpers read an indexed function for the
+facts the protocol rules judge:
 
-* ``message = yield self._mailbox.get()`` opens a receive loop; a
-  ``message.epoch`` comparison in the same function marks it
-  epoch-fenced, and a class that reads ``self.epoch`` or
-  ``self.data_epoch`` is epoch-aware (CHX020);
-* a bare ``yield delivered`` on a send result or a registered reply
-  :class:`Event` is a blocking wait (CHX021).  It has no timeout of its
-  own: a wait that races the event against a timer (``any_of`` +
-  ``timeout``) is not a blocking wait, and a timer elsewhere in the
-  function does not bound this one.
+* :func:`unfenced_receives` — ``message = yield self._mailbox.get()``
+  opens a receive loop; a ``message.epoch`` comparison in the same
+  function fences it, and only a class that reads ``self.epoch`` or
+  ``self.data_epoch`` (an epoch-aware role) needs the fence (CHX020);
+* :func:`remote_waits` — a bare ``yield delivered`` on a send result or
+  a registered reply :class:`Event` is a blocking wait (CHX021).  It
+  has no timeout of its own: a wait that races the event against a
+  timer (``any_of`` + ``timeout``) is not a blocking wait, and a timer
+  elsewhere in the function does not bound this one.
 """
 
 from __future__ import annotations
 
 import ast
-from typing import Dict, Iterator, List, Optional, Set
+from typing import Dict, Iterator, List, Optional, Set, Tuple
 
 from repro.analysis.flow.project import (
     ClassInfo,
     FunctionInfo,
-    ProjectIndex,
     attr_chain,
     dump_expr,
-    enclosing_class_of,
 )
 
-from .model import ProtocolModel, ReceiveLoop, WaitOp
-
-__all__ = ["extract_model"]
+__all__ = ["remote_waits", "unfenced_receives"]
 
 
 def _call_chain(node: Optional[ast.AST]) -> Optional[List[str]]:
@@ -78,9 +73,7 @@ def _is_transport_send(call: ast.Call) -> bool:
     return len(call.args) >= 5 and not call.keywords
 
 
-def _is_epoch_aware(class_ctx: Optional[ClassInfo]) -> bool:
-    if class_ctx is None:
-        return False
+def _is_epoch_aware(class_ctx: ClassInfo) -> bool:
     return any(
         attr_chain(node) in (["self", "epoch"], ["self", "data_epoch"])
         for node in ast.walk(class_ctx.node)
@@ -88,10 +81,12 @@ def _is_epoch_aware(class_ctx: Optional[ClassInfo]) -> bool:
     )
 
 
-def _receive_loops(
-    func: FunctionInfo, class_ctx: Optional[ClassInfo], role: str
-) -> Iterator[ReceiveLoop]:
-    for node in ast.walk(func.node):
+def unfenced_receives(
+    func: FunctionInfo, class_ctx: Optional[ClassInfo]
+) -> Iterator[int]:
+    """Lines of ``func``'s receive loops that never compare the received
+    message's epoch, when the enclosing class tracks a recovery epoch."""
+    for node in func.nodes:
         if not (
             isinstance(node, ast.Assign)
             and len(node.targets) == 1
@@ -103,25 +98,23 @@ def _receive_loops(
         if chain is None or chain[-1] != "get":
             continue
         epoch = f"{node.targets[0].id}.epoch"
-        yield ReceiveLoop(
-            role=role,
-            qualname=func.qualname,
-            file=func.file,
-            line=node.lineno,
-            epoch_guard=any(
-                isinstance(test, ast.Compare)
-                and ".".join(attr_chain(test.left) or ()) == epoch
-                for test in ast.walk(func.node)
-            ),
-            epoch_aware=_is_epoch_aware(class_ctx),
+        fenced = any(
+            isinstance(test, ast.Compare)
+            and ".".join(attr_chain(test.left) or ()) == epoch
+            for test in func.nodes
         )
+        if not fenced and class_ctx is not None and _is_epoch_aware(class_ctx):
+            yield node.lineno
 
 
-def _waits(func: FunctionInfo, role: str) -> Iterator[WaitOp]:
+def remote_waits(func: FunctionInfo) -> Iterator[Tuple[int, str]]:
+    """``(line, awaited name)`` of each bare yield in ``func`` on a
+    delivery or reply event that a remote machine must complete."""
     send_results: Dict[str, ast.Call] = {}
     event_names: Set[str] = set()
     any_remote_send = False
-    for node in ast.walk(func.node):
+    yields: List[Tuple[int, str]] = []
+    for node in func.nodes:
         if isinstance(node, ast.Assign) and len(node.targets) == 1:
             target = node.targets[0]
             chain = _call_chain(node.value)
@@ -139,43 +132,17 @@ def _waits(func: FunctionInfo, role: str) -> Iterator[WaitOp]:
                 and _is_remote(node)
             ):
                 any_remote_send = True
+        if isinstance(node, ast.stmt):
+            expr = _yielded_expr(node)
+            if isinstance(expr, ast.Name):
+                yields.append((node.lineno, expr.id))
 
-    for node in ast.walk(func.node):
-        expr = _yielded_expr(node) if isinstance(node, ast.stmt) else None
-        if not isinstance(expr, ast.Name):
-            continue
-        if expr.id in send_results:
-            remote = _is_remote(send_results[expr.id])
-        elif expr.id in event_names:
+    for line, name in yields:
+        if name in send_results:
+            remote = _is_remote(send_results[name])
+        elif name in event_names:
             remote = any_remote_send
         else:
             continue
-        yield WaitOp(
-            role=role,
-            qualname=func.qualname,
-            file=func.file,
-            line=node.lineno,
-            target=expr.id,
-            remote=remote,
-        )
-
-
-def extract_model(index: ProjectIndex) -> ProtocolModel:
-    """Extract the receive loops and waits of an indexed project."""
-    model = ProtocolModel()
-    for func in index.iter_functions():
-        module = index.modules.get(func.module)
-        if module is None:
-            continue
-        class_ctx = enclosing_class_of(module, func)
-        name = (
-            class_ctx.name if class_ctx is not None
-            else func.module.rsplit(".", 1)[-1]
-        )
-        receives = list(_receive_loops(func, class_ctx, name))
-        waits = list(_waits(func, name))
-        if receives or waits:
-            role = model.role(name)
-            role.receives += receives
-            role.waits += waits
-    return model
+        if remote:
+            yield line, name

@@ -1,7 +1,8 @@
-"""Codebase-specific determinism rules (CHX001, CHX003, CHX005–007).
+"""Codebase-specific determinism rules and the one rule registry.
 
 Each rule targets one way a change can silently break the invariant
-that a run is a deterministic function of ``(config, seed)``:
+that a run is a deterministic function of ``(config, seed)``.  The
+local rules, defined here, see one AST node at a time:
 
 =======  ==========================================================
 CHX001   wall-clock calls inside simulated-clock packages
@@ -26,6 +27,15 @@ from __future__ import annotations
 import ast
 from typing import Dict, Iterator, List, Optional, Set, Tuple
 
+from repro.analysis.flow.rules import (
+    BarrierPairingRule,
+    DiscardedProcessRule,
+    InterproceduralTaintRule,
+    UnfencedReceiveRule,
+    UnorderedReductionRule,
+    UnseededRandomRule,
+    UntimedWaitRule,
+)
 from repro.analysis.lint import (
     COMPUTE_PACKAGES,
     SIM_PACKAGES,
@@ -421,39 +431,22 @@ class AdHocTelemetryRule(Rule):
 
 
 def default_rules() -> List[Rule]:
-    """Fresh instances of every local CHX rule."""
+    """Fresh instances of every CHX rule, local and whole-program."""
     return [
         WallClockRule(),
         StorageMediationRule(),
         NondetOrderRule(),
         BroadExceptRule(),
         AdHocTelemetryRule(),
+        InterproceduralTaintRule(),
+        BarrierPairingRule(),
+        DiscardedProcessRule(),
+        UnorderedReductionRule(),
+        UnseededRandomRule(),
+        UnfencedReceiveRule(),
+        UntimedWaitRule(),
     ]
 
 
-#: Rule classes, for introspection / docs.
-DEFAULT_RULES = (
-    WallClockRule,
-    StorageMediationRule,
-    NondetOrderRule,
-    BroadExceptRule,
-    AdHocTelemetryRule,
-)
-
 #: Mapping rule id -> one-line description (the README rule table).
-RULE_TABLE: Dict[str, str] = {
-    cls.rule_id: cls.title for cls in DEFAULT_RULES
-}
-
-
-def full_rule_table() -> Dict[str, str]:
-    """Every rule id -> title, local (CHX001–007) and deep (CHX008–023).
-
-    Imports the deep registry lazily so the local lint path keeps its
-    zero-cost import footprint.
-    """
-    from repro.analysis.flow.rules import DEEP_RULE_TABLE
-
-    table = dict(RULE_TABLE)
-    table.update(DEEP_RULE_TABLE)
-    return table
+RULE_TABLE: Dict[str, str] = {rule.rule_id: rule.title for rule in default_rules()}

@@ -307,16 +307,9 @@ def _build_parser() -> argparse.ArgumentParser:
     check.add_argument("--rules", metavar="IDS",
                        help="comma-separated rule ids to run "
                             "(default: all CHX rules)")
-    check.add_argument("--deep", action="store_true",
-                       help="also run the whole-program rules CHX008-021 "
-                            "(call graph, interprocedural dataflow, "
-                            "receive loops and waits)")
     check.add_argument("--stats", action="store_true",
                        help="print per-rule finding/suppression counts "
                             "(text format only; json always includes them)")
-    check.add_argument("--cache-dir", metavar="DIR", default=None,
-                       help="cache the parsed project index for --deep, "
-                            "keyed on a source-tree hash (e.g. .chaos-cache)")
 
     fuzz = commands.add_parser(
         "fuzz", help="chaos-schedule fuzzer: random fault plans vs the "
@@ -897,85 +890,58 @@ def _command_check(args) -> int:
     import time
 
     from repro.analysis import (
+        RULE_TABLE,
         LintEngine,
-        LintResult,
         default_rules,
         format_github,
         format_json,
         format_text,
     )
-    from repro.analysis.flow import DeepEngine, default_deep_rules
 
     for path in args.paths:
         if not os.path.exists(path):
             raise UsageError(f"check: no such file or directory: {path}")
 
     wall_start = time.perf_counter()
-    local_rules = default_rules()
-    deep_rules = default_deep_rules()
+    rules = default_rules()
     if args.rules:
-        # The ids pick the engines: a deep id runs the deep engine with
-        # or without --deep.
         wanted = {rule_id.strip() for rule_id in args.rules.split(",")
                   if rule_id.strip()}
-        known = {rule.rule_id for rule in local_rules} | {
-            rule.rule_id for rule in deep_rules
-        }
-        unknown = wanted - known
+        unknown = wanted - set(RULE_TABLE)
         if unknown:
             raise UsageError(
                 f"unknown rule ids: {', '.join(sorted(unknown))} "
-                f"(known: {', '.join(sorted(known))})"
+                f"(known: {', '.join(sorted(RULE_TABLE))})"
             )
-        local_rules = [r for r in local_rules if r.rule_id in wanted]
-        deep_rules = [r for r in deep_rules if r.rule_id in wanted]
-    elif not args.deep:
-        deep_rules = []
-
-    combined = LintResult()
-    if local_rules:
-        combined = LintEngine(rules=local_rules).check_paths(args.paths)
-    deep_result = None
-    if deep_rules:
-        deep_result = DeepEngine(rules=deep_rules).check_paths(
-            args.paths, cache_dir=args.cache_dir
-        )
-        deep = deep_result.result
-        combined.findings = sorted(combined.findings + deep.findings)
-        combined.suppressed = sorted(combined.suppressed + deep.suppressed)
-        # The deep index holds every parsable file the local walk saw.
-        combined.files_checked = max(combined.files_checked, deep.files_checked)
-
+        rules = [rule for rule in rules if rule.rule_id in wanted]
+    result = LintEngine(rules).check_paths(args.paths)
     wall_seconds = time.perf_counter() - wall_start
 
     if args.fmt == "json":
         document = json_module.loads(
-            format_json(combined.findings, suppressed=len(combined.suppressed))
+            format_json(result.findings, suppressed=len(result.suppressed))
         )
-        document["rule_stats"] = _rule_stats(combined)
+        document["rule_stats"] = _rule_stats(result)
         document["analysis_wall_seconds"] = round(wall_seconds, 4)
-        if deep_result is not None:
-            document["deep"] = {
-                "call_graph": deep_result.resolution,
-                "cache_hit": deep_result.cache_hit,
-            }
+        if result.resolution is not None:
+            document["call_graph"] = result.resolution
         print(json_module.dumps(document, indent=2))
     elif args.fmt == "github":
-        output = format_github(combined.findings)
+        output = format_github(result.findings)
         if output:
             print(output)
     else:
-        output = format_text(combined.findings)
+        output = format_text(result.findings)
         if output:
             print(output)
         print(
-            f"{len(combined.findings)} finding(s), "
-            f"{len(combined.suppressed)} suppressed, "
-            f"{combined.files_checked} file(s) checked",
+            f"{len(result.findings)} finding(s), "
+            f"{len(result.suppressed)} suppressed, "
+            f"{result.files_checked} file(s) checked",
             file=sys.stderr,
         )
         if args.stats:
-            for rule_id, entry in _rule_stats(combined).items():
+            for rule_id, entry in _rule_stats(result).items():
                 print(
                     f"  {rule_id}: {entry['findings']} finding(s), "
                     f"{entry['suppressed']} suppressed",
@@ -985,16 +951,10 @@ def _command_check(args) -> int:
                 f"  analysis wall time: {wall_seconds:.2f}s",
                 file=sys.stderr,
             )
-        if deep_result is not None:
-            fraction = deep_result.resolution.get(
-                "project_resolution_fraction", 0.0
-            )
-            print(
-                f"deep: call-graph resolution {fraction:.1%}"
-                + (" (cached index)" if deep_result.cache_hit else ""),
-                file=sys.stderr,
-            )
-    return 1 if combined.findings else 0
+        if result.resolution is not None:
+            fraction = result.resolution["project_resolution_fraction"]
+            print(f"call-graph resolution {fraction:.1%}", file=sys.stderr)
+    return 1 if result.findings else 0
 
 
 def _command_fuzz(args) -> int:

@@ -1,13 +1,12 @@
-"""Tests for the interprocedural flow layer (``check --deep``).
+"""Tests for the interprocedural flow layer of ``repro check``.
 
 Covers the project index / call graph builders, the path-shape helper,
 the taint framework, and rules CHX008, CHX010, CHX011, CHX016 and
 CHX018 — each against a small fixture package with *planted* violations,
 asserting that exactly the planted sites are reported and that inline
-suppressions are honored.  Also self-hosts the deep check on ``src/``
-(must be clean) and verifies the call-graph resolution floor, the
-analyzer-version cache key and the Workload-dispatch call-graph
-contract.
+suppressions are honored.  Also verifies the call-graph resolution
+floor and the Workload-dispatch call-graph contract; the self-host run
+over ``src/`` is in ``tests/test_analysis.py``.
 """
 
 import ast
@@ -16,15 +15,13 @@ import textwrap
 
 import pytest
 
+from repro.analysis import LintEngine, default_rules
 from repro.analysis.flow import (
     CallGraph,
-    DeepEngine,
     ProjectIndex,
     build_call_graph,
-    default_deep_rules,
     definitely_terminates,
 )
-from repro.analysis.flow.rules import DEEP_RULE_TABLE
 from repro.cli import main
 
 
@@ -37,15 +34,16 @@ def build_pkg(tmp_path, files):
     return tmp_path
 
 
-def deep_check(path, rules=None):
-    engine = DeepEngine()
-    if rules is not None:
-        engine.rules = [r for r in engine.rules if r.rule_id in rules]
-    return engine.check_paths([str(path)])
+def check_tree(path, rules=None):
+    """Check ``path`` with every rule, or only the ids in ``rules``."""
+    selected = [
+        r for r in default_rules() if rules is None or r.rule_id in rules
+    ]
+    return LintEngine(selected).check_paths([str(path)])
 
 
 def findings_of(result, rule_id):
-    return [f for f in result.result.findings if f.rule_id == rule_id]
+    return [f for f in result.findings if f.rule_id == rule_id]
 
 
 # ---------------------------------------------------------------------------
@@ -274,7 +272,7 @@ CHX008_FIXTURE = {
 class TestCHX008:
     def test_exactly_the_planted_flows_report(self, tmp_path):
         build_pkg(tmp_path, CHX008_FIXTURE)
-        result = deep_check(tmp_path, rules={"CHX008"})
+        result = check_tree(tmp_path, rules={"CHX008"})
         found = findings_of(result, "CHX008")
         lines = sorted(f.line for f in found)
         assert lines == [4, 6]  # direct_launder + double_launder, not clean
@@ -288,9 +286,9 @@ class TestCHX008:
             "    configure(host_seed())  # chaos: ignore[CHX008] fixture",
         )
         build_pkg(tmp_path, files)
-        result = deep_check(tmp_path, rules={"CHX008"})
+        result = check_tree(tmp_path, rules={"CHX008"})
         assert sorted(f.line for f in findings_of(result, "CHX008")) == [6]
-        assert [f.line for f in result.result.suppressed] == [4]
+        assert [f.line for f in result.suppressed] == [4]
 
     def test_seeded_rng_factory_is_clean(self, tmp_path):
         build_pkg(
@@ -311,7 +309,7 @@ class TestCHX008:
                 ),
             },
         )
-        result = deep_check(tmp_path, rules={"CHX008"})
+        result = check_tree(tmp_path, rules={"CHX008"})
         assert sorted(f.line for f in findings_of(result, "CHX008")) == [8]
 
 
@@ -350,7 +348,7 @@ CHX010_FIXTURE = {
 class TestCHX010:
     def test_exactly_the_planted_divergence_reports(self, tmp_path):
         build_pkg(tmp_path, CHX010_FIXTURE)
-        result = deep_check(tmp_path, rules={"CHX010"})
+        result = check_tree(tmp_path, rules={"CHX010"})
         found = findings_of(result, "CHX010")
         assert [f.line for f in found] == [5]  # lopsided's if only
         assert "barrier" in found[0].message
@@ -363,7 +361,7 @@ class TestCHX010:
             "proj/tools/eng.py": CHX010_FIXTURE["proj/sim/eng.py"],
         }
         build_pkg(tmp_path, files)
-        result = deep_check(tmp_path, rules={"CHX010"})
+        result = check_tree(tmp_path, rules={"CHX010"})
         assert findings_of(result, "CHX010") == []
 
     def test_suppression_honored(self, tmp_path):
@@ -375,9 +373,9 @@ class TestCHX010:
             1,
         )
         build_pkg(tmp_path, files)
-        result = deep_check(tmp_path, rules={"CHX010"})
+        result = check_tree(tmp_path, rules={"CHX010"})
         assert findings_of(result, "CHX010") == []
-        assert [f.line for f in result.result.suppressed] == [5]
+        assert [f.line for f in result.suppressed] == [5]
 
 
 class TestCompoundHeaderSuppression:
@@ -394,7 +392,7 @@ class TestCompoundHeaderSuppression:
         )
         assert files != CHX010_FIXTURE
         build_pkg(tmp_path, files)
-        return deep_check(tmp_path, rules={"CHX010"})
+        return check_tree(tmp_path, rules={"CHX010"})
 
     def test_trailing_comment_on_condition_suppresses_header_finding(
         self, tmp_path
@@ -407,7 +405,7 @@ class TestCompoundHeaderSuppression:
             "            self.barrier.wait()\n",
         )
         assert findings_of(result, "CHX010") == []
-        assert [f.rule_id for f in result.result.suppressed] == ["CHX010"]
+        assert [f.rule_id for f in result.suppressed] == ["CHX010"]
 
     def test_one_liner_body_on_header_closing_line_suppresses(self, tmp_path):
         result = self._check(
@@ -417,7 +415,7 @@ class TestCompoundHeaderSuppression:
             "        ): self.barrier.wait()  # chaos: ignore[CHX010]\n",
         )
         assert findings_of(result, "CHX010") == []
-        assert [f.rule_id for f in result.result.suppressed] == ["CHX010"]
+        assert [f.rule_id for f in result.suppressed] == ["CHX010"]
 
     def test_comment_inside_body_does_not_silence_header(self, tmp_path):
         result = self._check(
@@ -455,7 +453,7 @@ CHX011_FIXTURE = {
 class TestCHX011:
     def test_exactly_the_planted_discard_reports(self, tmp_path):
         build_pkg(tmp_path, CHX011_FIXTURE)
-        result = deep_check(tmp_path, rules={"CHX011"})
+        result = check_tree(tmp_path, rules={"CHX011"})
         found = findings_of(result, "CHX011")
         assert [f.line for f in found] == [3]
         assert "proj.sim.workers.pump" in found[0].message
@@ -474,7 +472,7 @@ class TestCHX011:
                 ),
             },
         )
-        result = deep_check(tmp_path, rules={"CHX011"})
+        result = check_tree(tmp_path, rules={"CHX011"})
         assert [f.line for f in findings_of(result, "CHX011")] == [4]
 
     def test_discarded_wait_event_reports(self, tmp_path):
@@ -492,7 +490,7 @@ class TestCHX011:
                 ),
             },
         )
-        result = deep_check(tmp_path, rules={"CHX011"})
+        result = check_tree(tmp_path, rules={"CHX011"})
         (found,) = findings_of(result, "CHX011")
         assert found.line == 3
         assert "self._write_group.wait()" in found.message
@@ -533,7 +531,7 @@ class TestPlantedFixtures:
     )
     def test_rule_fires_exactly_once(self, tmp_path, rule_id, fixture, fragment):
         build_pkg(tmp_path, fixture)
-        result = deep_check(tmp_path)
+        result = check_tree(tmp_path)
         found = findings_of(result, rule_id)
         assert len(found) == 1, [str(f) for f in found]
         assert fragment in found[0].message
@@ -553,7 +551,7 @@ class TestPlantedFixtures:
                 """,
             },
         )
-        result = deep_check(tmp_path)
+        result = check_tree(tmp_path)
         assert findings_of(result, "CHX016") == []
 
     def test_chx016_a_sorting_caller_no_longer_exempts(self, tmp_path):
@@ -564,7 +562,7 @@ class TestPlantedFixtures:
             {
                 "core/__init__.py": "",
                 "core/reduce.py": """
-                    def canonical_update_order(updates):
+                    def sort_updates(updates):
                         return sorted(updates)
 
                     def merge(accum, other):
@@ -572,13 +570,13 @@ class TestPlantedFixtures:
                         return accum
 
                     def fold_all(accum, updates):
-                        for u in canonical_update_order(updates):
+                        for u in sort_updates(updates):
                             accum = merge(accum, u)
                         return accum
                 """,
             },
         )
-        result = deep_check(tmp_path)
+        result = check_tree(tmp_path)
         assert len(findings_of(result, "CHX016")) == 1
 
     def test_chx016_integer_sum_is_suppressed_inline(self, tmp_path):
@@ -594,9 +592,9 @@ class TestPlantedFixtures:
                 """,
             },
         )
-        result = deep_check(tmp_path)
+        result = check_tree(tmp_path)
         assert findings_of(result, "CHX016") == []
-        assert [f.rule_id for f in result.result.suppressed] == ["CHX016"]
+        assert [f.rule_id for f in result.suppressed] == ["CHX016"]
 
 
 # ---------------------------------------------------------------------------
@@ -632,7 +630,7 @@ CHX018_FIXTURE = {
 class TestCHX018:
     def test_flags_every_module(self, tmp_path):
         build_pkg(tmp_path, CHX018_FIXTURE)
-        result = deep_check(tmp_path, rules={"CHX018"})
+        result = check_tree(tmp_path, rules={"CHX018"})
         found = findings_of(result, "CHX018")
         assert [(f.file.split("proj/")[1], f.line) for f in found] == [
             ("faults/fuzzer.py", 7),
@@ -654,7 +652,7 @@ class TestCHX018:
             ),
         }
         build_pkg(tmp_path, files)
-        result = deep_check(tmp_path, rules={"CHX018"})
+        result = check_tree(tmp_path, rules={"CHX018"})
         assert findings_of(result, "CHX018") == []
 
     def test_numpy_default_rng_needs_a_seed(self, tmp_path):
@@ -671,7 +669,7 @@ class TestCHX018:
             ),
         }
         build_pkg(tmp_path, files)
-        result = deep_check(tmp_path, rules={"CHX018"})
+        result = check_tree(tmp_path, rules={"CHX018"})
         found = findings_of(result, "CHX018")
         assert [f.line for f in found] == [4]
 
@@ -685,74 +683,23 @@ class TestCHX018:
             "    return rnd.random()  # chaos: ignore[CHX018] fixture\n",
         )
         build_pkg(tmp_path, files)
-        result = deep_check(tmp_path, rules={"CHX018"})
+        result = check_tree(tmp_path, rules={"CHX018"})
         assert [f.line for f in findings_of(result, "CHX018")] == [4]
-        assert [f.line for f in result.result.suppressed] == [7, 10]
+        assert [f.line for f in result.suppressed] == [7, 10]
 
 
 # ---------------------------------------------------------------------------
-# deep engine: cache, self-host, CLI
+# registry, call-graph contract and CLI
 # ---------------------------------------------------------------------------
 
 
-class TestDeepEngine:
-    def test_index_cache_roundtrip(self, tmp_path):
-        pkg = build_pkg(tmp_path / "pkg", CHX008_FIXTURE)
-        cache = tmp_path / "cache"
-        engine = DeepEngine()
-        first = engine.check_paths([str(pkg)], cache_dir=str(cache))
-        second = engine.check_paths([str(pkg)], cache_dir=str(cache))
-        assert first.cache_hit is False
-        assert second.cache_hit is True
-        assert [f.line for f in first.result.findings] == [
-            f.line for f in second.result.findings
-        ]
-
-    def test_cache_invalidated_on_source_change(self, tmp_path):
-        pkg = build_pkg(tmp_path / "pkg", CHX008_FIXTURE)
-        cache = tmp_path / "cache"
-        engine = DeepEngine()
-        engine.check_paths([str(pkg)], cache_dir=str(cache))
-        (pkg / "proj/driver.py").write_text("def clean():\n    return 1\n")
-        third = engine.check_paths([str(pkg)], cache_dir=str(cache))
-        assert third.cache_hit is False
-        assert third.result.findings == []
-
-    def test_corrupt_cache_falls_back_to_rebuild(self, tmp_path):
-        pkg = build_pkg(tmp_path / "pkg", CHX008_FIXTURE)
-        cache = tmp_path / "cache"
-        engine = DeepEngine()
-        engine.check_paths([str(pkg)], cache_dir=str(cache))
-        for pickle_file in cache.glob("deepindex-*.pkl"):
-            pickle_file.write_bytes(b"not a pickle")
-        result = engine.check_paths([str(pkg)], cache_dir=str(cache))
-        assert result.cache_hit is False
-        assert sorted(f.line for f in result.result.findings) == [4, 6]
-
-    def test_deep_rule_table_matches_engine(self):
+class TestRuleRegistry:
+    def test_project_rules_are_the_whole_program_half(self):
+        # The whole-program half of the one registry: the rules that
+        # read the project index instead of one node at a time.
         # Removed ids (CHX009, 012-015, 017, 019, 022, 023) are never reused.
         kept = [f"CHX{n:03d}" for n in (8, 10, 11, 16, 18, 20, 21)]
-        assert [rule.rule_id for rule in default_deep_rules()] == kept
-        assert sorted(DEEP_RULE_TABLE) == kept
-        assert DeepEngine().rule_ids() == kept
-
-
-class TestAnalyzerVersionCacheKey:
-    def test_version_bump_invalidates_cache(self, tmp_path, monkeypatch):
-        pkg = build_pkg(tmp_path / "pkg", CHX016_FIXTURE)
-        cache = tmp_path / "cache"
-        engine = DeepEngine()
-        first = engine.check_paths([str(pkg)], cache_dir=str(cache))
-        assert first.cache_hit is False
-        second = engine.check_paths([str(pkg)], cache_dir=str(cache))
-        assert second.cache_hit is True
-
-        monkeypatch.setattr(
-            "repro.analysis.flow.engine.ANALYZER_VERSION", 99
-        )
-        third = engine.check_paths([str(pkg)], cache_dir=str(cache))
-        assert third.cache_hit is False
-        assert [f.rule_id for f in third.result.findings] == ["CHX016"]
+        assert [r.rule_id for r in default_rules() if not r.node_types] == kept
 
 
 class TestWorkloadDispatch:
@@ -785,40 +732,22 @@ class TestWorkloadDispatch:
         assert stats["project_resolution_fraction"] >= 0.95
 
 
-class TestDeepSelfHost:
-    def test_src_is_clean_under_deep_check(self):
-        """The repo self-hosts its own interprocedural rules: no
-        finding at all, and no baseline to hide one in."""
-        result = DeepEngine().check_paths(["src"])
-        assert result.result.findings == []
-        # Known, justified suppressions only (each carries an inline
-        # ``chaos: ignore`` with a reason next to it in the source): the
-        # CHX010 barrier branch, the two integer-sum CHX016 folds and the
-        # engine main process's three bare waits (CHX021), which the
-        # rollback fence or a fault-free run make safe.
-        assert sorted(f.rule_id for f in result.result.suppressed) == [
-            "CHX010", "CHX016", "CHX016", "CHX021", "CHX021", "CHX021"
-        ]
-        assert result.resolution["project_resolution_fraction"] >= 0.95
-
-
 class TestDeepCLI:
     def test_deep_json_document(self, tmp_path, capsys):
         build_pkg(tmp_path, CHX008_FIXTURE)
         code = main(
-            ["check", str(tmp_path), "--deep", "--format", "json", "--stats"]
+            ["check", str(tmp_path), "--format", "json", "--stats"]
         )
         document = json.loads(capsys.readouterr().out)
         assert code == 1
         assert document["count"] == 2
         assert "CHX008" in document["rule_stats"]
-        assert document["deep"]["cache_hit"] is False
-        assert "race_candidates" not in document["deep"]
+        assert document["call_graph"]["project_resolution_fraction"] > 0
 
     def test_deep_rule_filter(self, tmp_path, capsys):
         build_pkg(tmp_path, CHX011_FIXTURE)
         code = main(
-            ["check", str(tmp_path), "--deep", "--rules", "CHX011"]
+            ["check", str(tmp_path), "--rules", "CHX011"]
         )
         out = capsys.readouterr().out
         assert code == 1
@@ -833,7 +762,7 @@ class TestDeepCLI:
                 "proj/util.py": "def f():\n    return 1\n",
             },
         )
-        code = main(["check", str(tmp_path), "--deep"])
+        code = main(["check", str(tmp_path)])
         capsys.readouterr()
         assert code == 0
 
@@ -843,7 +772,6 @@ class TestDeepCLI:
             [
                 "check",
                 str(tmp_path),
-                "--deep",
                 "--rules",
                 "CHX011",
                 "--format",

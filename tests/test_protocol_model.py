@@ -1,9 +1,11 @@
-"""Protocol fact extraction, trace conformance and the protocol rules.
+"""Protocol facts, trace conformance and the protocol rules.
 
 Two layers of :mod:`repro.analysis.protocol` plus its rule/CLI surface:
 
-* the extractor lifts per-role receive loops (epoch fences) and
-  blocking waits from fixture packages and from ``src/`` itself;
+* the fact-finding helpers see receive loops (epoch fences) and
+  blocking waits in fixture packages, asserted through the findings of
+  CHX020 and CHX021 (``tests/test_rule_mutations.py`` plants the same
+  defects in the real ``src/`` loops);
 * the conformance checker replays causal DAGs — real traced runs and
   synthetic event lists — against the declared message kinds
   (``repro.net.transport.MESSAGE_KINDS``);
@@ -19,9 +21,8 @@ import json
 import pytest
 
 from repro.algorithms import PageRank
-from repro.analysis.flow import DeepEngine, ProjectIndex
-from repro.analysis.flow.rules import ANALYZER_VERSION, DEEP_RULE_TABLE
-from repro.analysis.protocol import conform, extract_model
+from repro.analysis import RULE_TABLE
+from repro.analysis.protocol import conform
 from repro.cli import main
 from repro.core.runtime import run_algorithm
 from repro.faults.fuzz import ChaosFuzzer
@@ -31,16 +32,11 @@ from repro.obs.causal import causal_events_from_trace
 from repro.obs.export import chrome_trace_dict
 
 from tests.conftest import assert_usage_error, fast_config
-from tests.test_flow import build_pkg, deep_check, findings_of
-
-
-@pytest.fixture(scope="module")
-def src_model():
-    return extract_model(ProjectIndex.build(["src"]))
+from tests.test_flow import build_pkg, check_tree, findings_of
 
 
 # ---------------------------------------------------------------------------
-# Extraction on a fixture package
+# Receive loops and waits in a fixture package
 # ---------------------------------------------------------------------------
 
 
@@ -123,46 +119,55 @@ PROTOCOL_FIXTURE = {
 }
 
 
-def _fixture_model(tmp_path, files=PROTOCOL_FIXTURE):
+#: The Server's epoch fence, which :func:`_unfence` deletes.
+FENCE = (
+    "                    if message.epoch != self.epoch:\n"
+    "                        continue\n"
+)
+
+
+def _protocol_findings(tmp_path, files=PROTOCOL_FIXTURE):
+    """``(rule id, reporting function, line)`` of each CHX020/CHX021
+    finding, sorted."""
     build_pkg(tmp_path, files)
-    return extract_model(ProjectIndex.build([str(tmp_path)]))
+    result = check_tree(tmp_path, rules={"CHX020", "CHX021"})
+    return sorted(
+        (f.rule_id, f.message.split(" ")[0].rsplit(".", 1)[-1], f.line)
+        for f in result.findings
+    )
+
+
+def _unfence(files=PROTOCOL_FIXTURE):
+    node = files["proj/sim/node.py"]
+    assert node.count(FENCE) == 1
+    return {**files, "proj/sim/node.py": node.replace(FENCE, "")}
 
 
 class TestExtraction:
     def test_roles_pruned_to_protocol_participants(self, tmp_path):
-        model = _fixture_model(tmp_path)
-        assert set(model.roles) == {"Server", "Client"}
+        # Only the classes with receive loops or waits can report; the
+        # Bystander never does, even with every protocol defect planted.
+        findings = _protocol_findings(tmp_path, _unfence())
+        assert {name for _, name, _ in findings} == {
+            "_serve", "ping", "patient_ping",
+        }
 
     def test_receive_loop_epoch_guard(self, tmp_path):
-        model = _fixture_model(tmp_path)
-        (loop,) = model.roles["Server"].receives
-        assert loop.qualname == "proj.sim.node.Server._serve"
-        assert loop.epoch_guard
-        assert loop.epoch_aware
+        # The fenced loop of an epoch-aware role is clean; without its
+        # fence the same loop reports.
+        assert [f for f in _protocol_findings(tmp_path) if f[0] == "CHX020"] == []
+        unfenced = _protocol_findings(tmp_path / "unfenced", _unfence())
+        assert [f[:2] for f in unfenced if f[0] == "CHX020"] == [
+            ("CHX020", "_serve"),
+        ]
 
     def test_waits_and_their_remote_flags(self, tmp_path):
-        model = _fixture_model(tmp_path)
-        waits = {w.qualname.rsplit(".", 1)[-1]: w
-                 for w in model.all_waits()}
-        # A backoff helper called before a bare yield leaves it a wait.
-        assert set(waits) == {"ping", "patient_ping", "local_ping"}
-        assert waits["ping"].remote
-        assert waits["patient_ping"].remote
-        assert not waits["local_ping"].remote
-
-class TestSelfHostExtraction:
-    def test_every_surviving_role_has_protocol_ops(self, src_model):
-        for role in src_model.roles.values():
-            assert (
-                role.receives or role.waits
-            ), f"empty role {role.name} survived pruning"
-
-    def test_epoch_fences_extracted_from_dispatch_loops(self, src_model):
-        guarded = [
-            loop for loop in src_model.all_receives()
-            if loop.epoch_aware and loop.epoch_guard
+        # A backoff helper called before a bare yield leaves it a wait;
+        # a send to the sender's own machine is not remote.
+        assert _protocol_findings(tmp_path) == [
+            ("CHX021", "patient_ping", 46),
+            ("CHX021", "ping", 32),
         ]
-        assert guarded, "no epoch-guarded receive loop extracted"
 
 
 # ---------------------------------------------------------------------------
@@ -270,7 +275,7 @@ class TestConformance:
 
 
 # ---------------------------------------------------------------------------
-# Deep rules CHX020-CHX021
+# Protocol rules CHX020-CHX021
 # ---------------------------------------------------------------------------
 
 
@@ -319,7 +324,7 @@ CHX020_FIXTURE = {
 class TestCHX020:
     def test_only_the_unfenced_epoch_aware_loop_reports(self, tmp_path):
         build_pkg(tmp_path, CHX020_FIXTURE)
-        result = deep_check(tmp_path, rules={"CHX020"})
+        result = check_tree(tmp_path, rules={"CHX020"})
         (found,) = findings_of(result, "CHX020")
         assert "Unfenced._serve" in found.message
         assert "message.epoch" in found.message
@@ -335,7 +340,7 @@ class TestCHX020:
             "                    if message.kind == \"task\":",
         )
         build_pkg(tmp_path, files)
-        result = deep_check(tmp_path, rules={"CHX020"})
+        result = check_tree(tmp_path, rules={"CHX020"})
         assert findings_of(result, "CHX020") == []
 
 
@@ -374,7 +379,7 @@ CHX021_FIXTURE = {
 class TestCHX021:
     def test_only_the_untimed_remote_wait_reports(self, tmp_path):
         build_pkg(tmp_path, CHX021_FIXTURE)
-        result = deep_check(tmp_path, rules={"CHX021"})
+        result = check_tree(tmp_path, rules={"CHX021"})
         (found,) = findings_of(result, "CHX021")
         assert ".fetch yields" in found.message
         assert "'delivered'" in found.message
@@ -385,7 +390,7 @@ class TestCHX021:
         # then waits with a bare yield: the helper bounds nothing, so
         # both remote waits fire (each wait is judged by its own yield).
         build_pkg(tmp_path, PROTOCOL_FIXTURE)
-        result = deep_check(tmp_path, rules={"CHX021"})
+        result = check_tree(tmp_path, rules={"CHX021"})
         found = findings_of(result, "CHX021")
         assert sorted(f.message.split(" ")[0] for f in found) == [
             "proj.sim.node.Client.patient_ping",
@@ -402,7 +407,7 @@ class TestCHX021:
             "            def fetch_guarded",
         )
         build_pkg(tmp_path, files)
-        result = deep_check(tmp_path, rules={"CHX021"})
+        result = check_tree(tmp_path, rules={"CHX021"})
         assert findings_of(result, "CHX021") == []
 
 
@@ -439,7 +444,7 @@ class TestCHX022:
         # Both the lopsided arrive (line 6) and the count divergence
         # (line 11) are CHX010 findings.
         build_pkg(tmp_path, LOPSIDED_FIXTURE)
-        result = deep_check(tmp_path, rules={"CHX010"})
+        result = check_tree(tmp_path, rules={"CHX010"})
         assert [f.line for f in findings_of(result, "CHX010")] == [6, 11]
 
     def test_suppression_honored(self, tmp_path):
@@ -454,53 +459,19 @@ class TestCHX022:
             1,
         )
         build_pkg(tmp_path, files)
-        result = deep_check(tmp_path, rules={"CHX010"})
+        result = check_tree(tmp_path, rules={"CHX010"})
         assert [f.line for f in findings_of(result, "CHX010")] == [11]
-        assert [f.line for f in result.result.suppressed] == [6]
+        assert [f.line for f in result.suppressed] == [6]
 
 
 class TestRuleRegistration:
     def test_protocol_rules_in_table_with_titles(self):
-        assert DEEP_RULE_TABLE["CHX020"] == (
+        assert RULE_TABLE["CHX020"] == (
             "receive loop missing epoch guard"
         )
-        assert DEEP_RULE_TABLE["CHX021"] == (
+        assert RULE_TABLE["CHX021"] == (
             "blocking wait with no timeout/liveness path"
         )
-
-
-class TestAnalyzerVersionCache:
-    def test_analyzer_version_bumped_for_protocol_rules(self):
-        assert ANALYZER_VERSION >= 4  # 7 since CHX021 judges each wait
-
-    def test_version_bump_invalidates_pickled_deep_index(
-        self, tmp_path, monkeypatch
-    ):
-        """A cache written by the previous analyzer revision must not
-        be served once ANALYZER_VERSION moves (the protocol model rides
-        in DeepContext, so stale caches would hide the protocol rules)."""
-        pkg = tmp_path / "pkg"
-        build_pkg(pkg, CHX020_FIXTURE)
-        cache = tmp_path / "cache"
-
-        engine = DeepEngine()
-        monkeypatch.setattr(
-            "repro.analysis.flow.engine.ANALYZER_VERSION",
-            ANALYZER_VERSION - 1,
-        )
-        first = engine.check_paths([str(pkg)], cache_dir=str(cache))
-        assert first.cache_hit is False
-        assert engine.check_paths(
-            [str(pkg)], cache_dir=str(cache)
-        ).cache_hit is True
-
-        monkeypatch.setattr(
-            "repro.analysis.flow.engine.ANALYZER_VERSION",
-            ANALYZER_VERSION,
-        )
-        bumped = engine.check_paths([str(pkg)], cache_dir=str(cache))
-        assert bumped.cache_hit is False
-        assert findings_of(bumped, "CHX020")
 
 
 # ---------------------------------------------------------------------------

@@ -1,8 +1,7 @@
 """Every lint rule earns its place by a planted defect.
 
 Each row plants one realistic defect in a temporary copy of the real
-source files it needs, runs the rules that could catch it (the local
-engine for local ids, the deep engine for whole-program ids) and asserts
+source files it needs, runs the rules that could catch it and asserts
 exactly which of them fire.  Each unmutated copy is clean under the
 same rules, so every catch is the planted defect's.  DESIGN.md section 6
 records the verdicts: rows M1-M4, M6-M8, M10 and M12, plus one row for
@@ -24,7 +23,6 @@ import pytest
 
 import repro
 from repro.analysis import LintEngine, default_rules
-from repro.analysis.flow import DeepEngine, default_deep_rules
 
 SRC = Path(repro.__file__).parent
 
@@ -195,14 +193,9 @@ def _copy(root: Path, files, mutation=None) -> Path:
 
 def _catchers(root: Path, rule_ids) -> Set[str]:
     """Ids of the given rules with an unsuppressed finding under ``root``."""
-    local = [r for r in default_rules() if r.rule_id in rule_ids]
-    deep = [r for r in default_deep_rules() if r.rule_id in rule_ids]
-    findings = []
-    if local:
-        findings += LintEngine(rules=local).check_paths([str(root)]).findings
-    if deep:
-        findings += DeepEngine(rules=deep).check_paths([str(root)]).result.findings
-    return {finding.rule_id for finding in findings}
+    rules = [r for r in default_rules() if r.rule_id in rule_ids]
+    result = LintEngine(rules).check_paths([str(root)])
+    return {finding.rule_id for finding in result.findings}
 
 
 def _files(mutation: Mutation) -> Tuple[str, ...]:

@@ -5,15 +5,15 @@ Guards the invariant that every run is a deterministic function of
 (:mod:`repro.analysis.engine`) over one parse of the tree:
 
 :mod:`repro.analysis.rules`
-    The local rules (CHX001 … CHX007), one AST node at a time:
-    wall-clock calls in simulated-clock packages, compute code reaching
-    past the :class:`~repro.store.engine.StorageEngine` mediation layer,
+    The local rules (CHX001 … CHX007), one AST node at a time: host
+    clock and host identity reads, compute code reaching past the
+    :class:`~repro.store.engine.StorageEngine` mediation layer,
     nondeterministic iteration, broad excepts and ad-hoc telemetry.
     :func:`default_rules` lists every rule and :data:`RULE_TABLE` maps
     each id to its title.
 :mod:`repro.analysis.flow`
-    The whole-program rules (CHX008 … CHX021) over the project index,
-    the call graph and the taint analysis.
+    The whole-program rules (CHX010 … CHX021) over the project index
+    and the call graph.
 
 Whether cross-machine state is *right* is not judged here: a run's final
 vertex values are checked against independent references, and planted

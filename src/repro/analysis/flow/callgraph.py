@@ -12,8 +12,8 @@ Every call expression inside an indexed function becomes a
 ``by-name``
     The receiver's type is unknown (``self.workload.merge(...)``); the
     attribute name matches one or more project functions/methods, and
-    the site over-approximates to *all* of them.  Sound for
-    reachability; imprecise by design.
+    the site over-approximates to *all* of them.  Imprecise by
+    design.
 ``external``
     The head name binds to an import that is not part of the project
     (``time.monotonic`` when ``time`` is the stdlib module).
@@ -33,7 +33,7 @@ from __future__ import annotations
 
 import ast
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Set
+from typing import Dict, List, Optional
 
 from repro.analysis.flow.project import (
     BUILTIN_NAMES,
@@ -80,14 +80,12 @@ class CallSite:
 
 
 class CallGraph:
-    """Call sites grouped by caller, plus reachability helpers."""
+    """Call sites grouped by caller, with resolution statistics."""
 
     def __init__(self, index: ProjectIndex):
         self.index = index
         #: caller qualname -> its call sites, in source order.
         self.sites: Dict[str, List[CallSite]] = {}
-        #: caller qualname -> set of callee qualnames.
-        self.edges: Dict[str, Set[str]] = {}
 
     # -- construction ---------------------------------------------------
 
@@ -105,9 +103,6 @@ class CallGraph:
                     sites.append(graph._resolve_site(func, module, class_ctx, node))
             sites.sort(key=lambda s: (s.line, s.node.col_offset))
             graph.sites[func.qualname] = sites
-            graph.edges[func.qualname] = {
-                target for site in sites for target in site.targets
-            }
         return graph
 
     def _resolve_site(
@@ -191,18 +186,6 @@ class CallGraph:
     def call_sites_in(self, qualname: str) -> List[CallSite]:
         return self.sites.get(qualname, [])
 
-    def reachable(self, start: str) -> Set[str]:
-        """Every function transitively callable from ``start`` (inclusive)."""
-        seen: Set[str] = set()
-        stack = [start]
-        while stack:
-            current = stack.pop()
-            if current in seen:
-                continue
-            seen.add(current)
-            stack.extend(self.edges.get(current, ()))
-        return seen
-
     # -- statistics -----------------------------------------------------
 
     def resolution_stats(self) -> Dict[str, object]:
@@ -251,8 +234,4 @@ class CallGraph:
         return count
 
 
-def build_call_graph(index: ProjectIndex) -> CallGraph:
-    return CallGraph.build(index)
-
-
-__all__ = ["CallGraph", "CallSite", "PROJECT_KINDS", "build_call_graph"]
+__all__ = ["CallGraph", "CallSite", "PROJECT_KINDS"]

@@ -1,22 +1,22 @@
-"""Whole-program rules CHX008-CHX021 over the flow layer.
+"""Whole-program rules CHX010-CHX021 over the flow layer.
 
 Unlike the local rules (which see one AST node at a time), a
 whole-program rule sees the whole project: the :class:`DeepContext`
-bundles the project index, the call graph and the taint analysis.
-Each rule's ``run`` yields plain
-:class:`~repro.analysis.findings.Finding` objects; the engine applies
-inline suppressions afterwards, the same pass as for the local rules.
+bundles the project index and the call graph.  Each rule's ``run``
+yields plain :class:`~repro.analysis.findings.Finding` objects; the
+engine applies inline suppressions afterwards, the same pass as for the
+local rules.
 
-CHX008, CHX010 and CHX011 guard the determinism invariant of the runtime;
+CHX010 and CHX011 guard the determinism invariant of the runtime;
 CHX016 guards the one order-sensitive step left in it (float sums must
-fold through ``exact_add_at``).  CHX018 guards replay: every RNG draw in
-the project must come from a seeded generator, or reruns and shrunk
-reproducer plans stop reproducing.  CHX020 and CHX021 stand on the
-receive loops and waits found by :mod:`repro.analysis.protocol`:
-unfenced receive loops and untimed remote waits.  The message vocabulary
-is not judged here: it is declared in
-:data:`repro.net.transport.MESSAGE_KINDS`, and every receive loop
-rejects an undeclared kind on first delivery.
+fold through ``exact_add_at``).  CHX018 guards replay: every random
+draw in the project must come from a seeded generator and never from
+host entropy, or reruns and shrunk reproducer plans stop reproducing.
+CHX020 and CHX021 stand on the receive loops and waits found by
+:mod:`repro.analysis.protocol`: unfenced receive loops and untimed
+remote waits.  The message vocabulary is not judged here: it is
+declared in :data:`repro.net.transport.MESSAGE_KINDS`, and every
+receive loop rejects an undeclared kind on first delivery.
 """
 
 from __future__ import annotations
@@ -27,7 +27,6 @@ from typing import Dict, FrozenSet, Iterator, List, Optional, Sequence, Tuple
 
 from repro.analysis.findings import Finding
 from repro.analysis.flow.callgraph import CallGraph, CallSite
-from repro.analysis.flow.dataflow import TaintAnalysis
 from repro.analysis.flow.project import (
     FunctionInfo,
     ModuleInfo,
@@ -47,8 +46,8 @@ HOT_PACKAGES: FrozenSet[str] = SIM_PACKAGES | frozenset({"algorithms"})
 class DeepContext:
     """Everything a whole-program rule needs, built once per check.
 
-    The call graph and the taint analysis are built on first use, so a
-    ``--rules`` subset that reads neither does not pay for them.
+    The call graph is built on first use, so a ``--rules`` subset that
+    does not read it does not pay for it.
     """
 
     def __init__(self, index: ProjectIndex):
@@ -58,36 +57,8 @@ class DeepContext:
     def graph(self) -> CallGraph:
         return CallGraph.build(self.index)
 
-    @cached_property
-    def taint(self) -> TaintAnalysis:
-        return TaintAnalysis(self.index, self.graph, SIM_PACKAGES)
-
     def module_is_sim(self, module_name: str) -> bool:
         return any(part in SIM_PACKAGES for part in module_name.split("."))
-
-
-# ---------------------------------------------------------------------------
-# CHX008: host-nondeterminism taint reaching simulated state
-# ---------------------------------------------------------------------------
-
-
-class InterproceduralTaintRule(Rule):
-    """Wall-clock / host-RNG / host-id values flowing, through any call
-    chain, into a sim-package call or sim-class attribute.
-
-    Closes the CHX001 laundering hole: that rule sees only the source
-    *expression* inside a sim package; a helper in ``graph/`` or
-    ``perf/`` that returns ``time.time()`` and hands it to
-    ``Simulator``-side code slipped through.
-    """
-
-    rule_id = "CHX008"
-    severity = "error"
-    title = "host-nondeterministic value flows into simulated state"
-
-    def run(self, ctx: DeepContext) -> Iterator[Finding]:
-        for report in ctx.taint.run():
-            yield self._finding(report.file, report.line, report.message())
 
 
 # ---------------------------------------------------------------------------
@@ -433,9 +404,11 @@ _RNG_CONSTRUCTORS = frozenset(
     {"random.Random", "numpy.random.default_rng", "numpy.random.RandomState"}
 )
 
-#: Stdlib ``random`` attributes that are *types*, not the global-RNG
-#: convenience functions (calling these is not a global-state draw).
-_RANDOM_TYPES = frozenset({"Random", "SystemRandom"})
+#: Every call of these reads the host's entropy pool: no seed makes
+#: them replay (``secrets.*`` is matched by its module).
+_HOST_ENTROPY = frozenset(
+    {"os.urandom", "uuid.uuid1", "uuid.uuid4", "random.SystemRandom"}
+)
 
 #: ``numpy.random`` attributes that build owned generator state rather
 #: than draw from the legacy global RNG.
@@ -448,19 +421,21 @@ _NUMPY_RANDOM_TYPES = frozenset(
 class UnseededRandomRule(Rule):
     """A run is a function of ``(config, seed)``, and the chaos fuzzer's
     contract is that a ``(seed, episode)`` pair — or a shrunk reproducer
-    plan — replays the exact same schedule.  One draw from an unseeded
-    or interpreter-global RNG anywhere silently breaks both.
+    plan — replays the exact same schedule.  One draw from host entropy
+    or from an unseeded or interpreter-global RNG anywhere silently
+    breaks both.
 
-    Flags, in every module: zero-argument RNG construction
-    (``random.Random()``, ``np.random.default_rng()``) and draws on the
-    interpreter-global RNGs (``random.shuffle(...)``,
+    Flags, in every module: reads of host entropy (``os.urandom``,
+    ``uuid.uuid4``, ``secrets.*``, ``random.SystemRandom``), zero-argument
+    RNG construction (``random.Random()``, ``np.random.default_rng()``)
+    and draws on the interpreter-global RNGs (``random.shuffle(...)``,
     ``np.random.permutation(...)``…), resolved through import aliases
     (``import random as rnd``, ``from random import shuffle``).
     """
 
     rule_id = "CHX018"
     severity = "error"
-    title = "unseeded or global-state RNG breaks replay"
+    title = "host entropy or unseeded / global-state RNG breaks replay"
 
     def run(self, ctx: DeepContext) -> Iterator[Finding]:
         for module in sorted(ctx.index.modules.values(), key=lambda m: m.file):
@@ -473,19 +448,26 @@ class UnseededRandomRule(Rule):
             dotted = self._resolve(module, node.func)
             if dotted is None:
                 continue
-            if dotted in _RNG_CONSTRUCTORS:
+            head, _, leaf = dotted.rpartition(".")
+            if dotted in _HOST_ENTROPY or head == "secrets":
+                yield self._finding(
+                    module.file,
+                    node.lineno,
+                    f"{dotted}() reads host entropy in {module.name}; runs "
+                    f"and fault schedules must replay byte-for-byte — "
+                    f"derive every random value from the config/campaign seed",
+                )
+            elif dotted in _RNG_CONSTRUCTORS:
                 if not node.args and not node.keywords:
                     yield self._finding(
                         module.file,
                         node.lineno,
-                        f"{dotted.rsplit('.', 1)[-1]}() constructed without "
+                        f"{leaf}() constructed without "
                         f"a seed in {module.name}; runs and fault schedules "
                         f"must replay byte-for-byte — derive the seed from "
                         f"the config/campaign seed",
                     )
-                continue
-            head, _, leaf = dotted.rpartition(".")
-            if head == "random" and leaf not in _RANDOM_TYPES:
+            elif head == "random":
                 yield self._finding(
                     module.file,
                     node.lineno,
@@ -574,7 +556,6 @@ __all__ = [
     "BarrierPairingRule",
     "DeepContext",
     "DiscardedProcessRule",
-    "InterproceduralTaintRule",
     "UnfencedReceiveRule",
     "UnorderedReductionRule",
     "UnseededRandomRule",

@@ -9,7 +9,7 @@ the simulated-clock packages, say) goes through :meth:`Rule.applies`,
 which sees the :class:`FileContext`.  A *whole-program* rule leaves
 ``node_types`` empty and yields findings from :meth:`Rule.run` over
 the :class:`~repro.analysis.flow.rules.DeepContext` (project index,
-call graph, taint analysis).
+call graph).
 
 Suppression is inline and must name the rule::
 
@@ -29,7 +29,7 @@ from typing import Dict, Iterator, Set, Tuple, Type
 
 from repro.analysis.findings import Finding
 
-#: Packages whose code runs under the simulated clock: wall-clock reads
+#: Packages whose code runs under the simulated clock: host reads
 #: there silently corrupt timing results instead of failing tests.
 SIM_PACKAGES = frozenset({"core", "sim", "store", "net", "obs", "faults"})
 

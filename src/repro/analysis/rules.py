@@ -5,7 +5,8 @@ that a run is a deterministic function of ``(config, seed)``.  The
 local rules, defined here, see one AST node at a time:
 
 =======  ==========================================================
-CHX001   wall-clock calls inside simulated-clock packages
+CHX001   host clock reads anywhere but ``repro.obs.hostclock``; host
+         identity (``id()``, ``os.getpid()``) in simulated-clock packages
 CHX003   compute/algorithm code reaching past the StorageEngine into
          ``Device``/backend chunk internals
 CHX005   iteration over sets feeding the simulated schedule; mutable
@@ -17,9 +18,9 @@ CHX007   ad-hoc ``print``/``logging`` telemetry in engine packages
          instead of Tracer spans / CounterRegistry series
 =======  ==========================================================
 
-Global-state randomness and discarded processes or wait events are
-whole-program rules (CHX018, CHX011): resolving import aliases and
-callees needs the project index.
+Host entropy and global-state randomness, and discarded processes or
+wait events, are whole-program rules (CHX018, CHX011): resolving import
+aliases and callees needs the project index.
 """
 
 from __future__ import annotations
@@ -30,7 +31,6 @@ from typing import Dict, Iterator, List, Optional, Set, Tuple
 from repro.analysis.flow.rules import (
     BarrierPairingRule,
     DiscardedProcessRule,
-    InterproceduralTaintRule,
     UnfencedReceiveRule,
     UnorderedReductionRule,
     UnseededRandomRule,
@@ -74,11 +74,16 @@ def _base_terminal(node: ast.AST) -> Optional[str]:
 
 
 class WallClockRule(Rule):
-    """CHX001: wall-clock time in packages ordered by the simulated clock."""
+    """CHX001: host clock reads anywhere, host identity in sim packages.
+
+    Catches host state where it is read: a wall-clock value computed in
+    a helper and handed to simulated code is flagged in the helper,
+    whatever call chain carries it afterwards.
+    """
 
     rule_id = "CHX001"
     severity = "error"
-    title = "wall-clock call in simulated-clock package"
+    title = "host clock read outside repro.obs.hostclock, or host identity in a sim package"
     node_types = (ast.Call, ast.Import, ast.ImportFrom)
 
     _TIME_FNS = frozenset(
@@ -87,16 +92,20 @@ class WallClockRule(Rule):
          "clock"}
     )
     _DATETIME_FNS = frozenset({"now", "utcnow", "today"})
+    #: Host process identity; ``id()`` (an object address) is checked
+    #: as a bare builtin call.
+    _IDENTITY_FNS = frozenset({"getpid", "getppid"})
 
     def applies(self, ctx: FileContext) -> bool:
         # repro.obs.hostclock is the single sanctioned host-clock entry
         # point (host profiling); tests/test_host.py pins the exemption
         # to exactly this one module.
-        if ctx.parts and ctx.parts[-1] == "hostclock.py":
-            return False
-        return ctx.in_packages(SIM_PACKAGES)
+        return not (ctx.parts and ctx.parts[-1] == "hostclock.py")
 
     def check(self, node: ast.AST, ctx: FileContext) -> Iterator[Tuple[int, str]]:
+        # Host identity is judged in the sim packages only: host-side
+        # tooling (the analyzer itself) keys in-process dicts by id().
+        in_sim = ctx.in_packages(SIM_PACKAGES)
         if isinstance(node, ast.Import):
             # A bare ``import time`` would let wall-clock calls in via
             # the module object, sidestepping the call check below.
@@ -104,7 +113,7 @@ class WallClockRule(Rule):
                 if alias.name == "time" or alias.name.startswith("time."):
                     yield (
                         node.lineno,
-                        "importing 'time' in a simulated-clock package; "
+                        "importing 'time' outside repro.obs.hostclock; "
                         "host-side timing must go through "
                         "repro.obs.hostclock, sim timing through "
                         "Simulator.now",
@@ -120,9 +129,31 @@ class WallClockRule(Rule):
                     yield (
                         node.lineno,
                         f"importing wall-clock function(s) {', '.join(bad)} "
-                        f"from 'time' in a simulated-clock package; use "
+                        f"from 'time' outside repro.obs.hostclock; use "
                         f"Simulator.now / timeout events",
                     )
+            elif node.module == "os" and in_sim:
+                bad = sorted(
+                    alias.name for alias in node.names
+                    if alias.name in self._IDENTITY_FNS
+                )
+                if bad:
+                    yield (
+                        node.lineno,
+                        f"importing host identity function(s) "
+                        f"{', '.join(bad)} from 'os' in a simulated-clock "
+                        f"package; key by simulated identity (machine, "
+                        f"partition) instead",
+                    )
+            return
+        if isinstance(node.func, ast.Name):
+            if node.func.id == "id" and in_sim:
+                yield (
+                    node.lineno,
+                    "host identity id() in a simulated-clock package: "
+                    "object addresses differ from run to run; key by "
+                    "simulated identity (machine, partition) instead",
+                )
             return
         chain = _attr_chain(node.func)
         if not chain or len(chain) < 2:
@@ -131,15 +162,23 @@ class WallClockRule(Rule):
         if module == "time" and fn in self._TIME_FNS:
             yield (
                 node.lineno,
-                f"wall-clock call time.{fn}() in a simulated-clock package; "
-                f"all timing must come from the simulated clock "
-                f"(Simulator.now)",
+                f"wall-clock call time.{fn}() outside repro.obs.hostclock; "
+                f"sim timing must come from the simulated clock "
+                f"(Simulator.now), host timing from repro.obs.hostclock",
             )
         elif module in ("datetime", "date") and fn in self._DATETIME_FNS:
             yield (
                 node.lineno,
-                f"wall-clock call {module}.{fn}() in a simulated-clock "
-                f"package; all timing must come from the simulated clock",
+                f"wall-clock call {module}.{fn}() outside "
+                f"repro.obs.hostclock; sim timing must come from the "
+                f"simulated clock",
+            )
+        elif module == "os" and fn in self._IDENTITY_FNS and in_sim:
+            yield (
+                node.lineno,
+                f"host identity os.{fn}() in a simulated-clock package: "
+                f"process ids differ from run to run; key by simulated "
+                f"identity (machine, partition) instead",
             )
 
 
@@ -438,7 +477,6 @@ def default_rules() -> List[Rule]:
         NondetOrderRule(),
         BroadExceptRule(),
         AdHocTelemetryRule(),
-        InterproceduralTaintRule(),
         BarrierPairingRule(),
         DiscardedProcessRule(),
         UnorderedReductionRule(),

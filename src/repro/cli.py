@@ -102,7 +102,7 @@ class UsageError(Exception):
 
 
 def _count(text: str) -> int:
-    """The type of every row-count flag: a whole number >= 0."""
+    """The type of every count flag (rows, RMAT scales): a whole number >= 0."""
     if not text.isdecimal():
         raise argparse.ArgumentTypeError(f"expected a whole number >= 0, got {text!r}")
     return int(text)
@@ -118,7 +118,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     generate = commands.add_parser("generate", help="generate a graph file")
     generate.add_argument("--kind", choices=("rmat", "web"), default="rmat")
-    generate.add_argument("--scale", type=int, default=14,
+    generate.add_argument("--scale", type=_count, default=14,
                           help="RMAT scale (2^scale vertices)")
     generate.add_argument("--pages", type=int, default=100_000,
                           help="web graph page count")
@@ -129,7 +129,7 @@ def _build_parser() -> argparse.ArgumentParser:
     run = commands.add_parser("run", help="run an algorithm on a cluster")
     run.add_argument("--algorithm", choices=ALGORITHMS, required=True)
     run.add_argument("--machines", type=int, default=4)
-    run.add_argument("--scale", type=int, default=12,
+    run.add_argument("--scale", type=_count, default=12,
                      help="generate an RMAT graph of this scale")
     run.add_argument("--input", help="binary edge-list file instead")
     run.add_argument("--vertices", type=int,
@@ -210,7 +210,7 @@ def _build_parser() -> argparse.ArgumentParser:
         "capacity", help="paper-scale capacity projection (model mode)"
     )
     capacity.add_argument("--algorithm", choices=("BFS", "PR"), default="BFS")
-    capacity.add_argument("--scale", type=int, default=36)
+    capacity.add_argument("--scale", type=_count, default=36)
     capacity.add_argument("--machines", type=int, default=32)
     capacity.add_argument("--device", choices=DEVICES, default="hdd")
     capacity.add_argument("--iterations", type=int, default=5,
@@ -320,7 +320,7 @@ def _build_parser() -> argparse.ArgumentParser:
     fuzz.add_argument("--seed", type=int, default=7,
                       help="fuzz seed: the whole campaign (schedules, "
                            "jitter, placement) is reproducible from it")
-    fuzz.add_argument("--scale", type=int, default=12,
+    fuzz.add_argument("--scale", type=_count, default=12,
                       help="RMAT scale of the fuzzed graph")
     fuzz.add_argument("--machines", type=int, default=2)
     fuzz.add_argument("--iterations", type=int, default=3,
@@ -345,6 +345,10 @@ def _make_algorithm(name: str, args, graph):
         root = args.root
         if root is None:
             root = int(np.argmax(out_degrees(graph)))
+        elif not 0 <= root < graph.num_vertices:
+            raise ValueError(
+                f"--root {root} out of range for {graph.num_vertices} vertices"
+            )
         return BFS(root=root) if name == "BFS" else SSSP(root=root)
     if name == "WCC":
         return WCC()
@@ -438,8 +442,9 @@ def _command_generate(args) -> int:
 
 
 def _command_run(args) -> int:
-    # Every usage error (flags, config, fault plan, input file) is raised
-    # before the first line of output and the first simulated event.
+    # Every usage error (flags, config, fault plan, input file, algorithm
+    # parameters) is raised before the first line of output and the
+    # first simulated event.
     _check_run_flags(args)
     try:
         config = ClusterConfig(
@@ -459,6 +464,12 @@ def _command_run(args) -> int:
         raise UsageError(f"run: {error}")
     fault_plan = _load_fault_plan(args, config) if args.inject_fault else None
     graph = _load_graph(args)
+    algorithm = None
+    if args.algorithm not in ("MCST", "SCC"):
+        try:
+            algorithm = _make_algorithm(args.algorithm, args, graph)
+        except ValueError as error:
+            raise UsageError(f"run: {error}")
 
     tracer = None
     if args.trace or args.trace_csv:
@@ -494,7 +505,6 @@ def _command_run(args) -> int:
     elif args.algorithm == "SCC":
         result = run_scc(graph, config, tracer=tracer)
     else:
-        algorithm = _make_algorithm(args.algorithm, args, graph)
         from repro.core.runtime import ChaosCluster
 
         if host is not None:
@@ -634,26 +644,25 @@ def _command_run(args) -> int:
 
 
 def _command_capacity(args) -> int:
-    config = ClusterConfig(
-        machines=args.machines,
-        device=DEVICES[args.device],
-        network=GIGE_40,
-        chunk_bytes=args.chunk_mb * 1024 * 1024,
-        partitions_per_machine=1,
-    )
-    if args.algorithm == "BFS":
-        projection = project_capacity(
-            BFS(), bfs_profile(13), scale=args.scale,
-            machines=args.machines, config=config,
-        )
-    else:
-        projection = project_capacity(
-            PageRank(iterations=args.iterations),
-            fixed_profile(args.iterations),
-            scale=args.scale,
+    try:
+        config = ClusterConfig(
             machines=args.machines,
-            config=config,
+            device=DEVICES[args.device],
+            network=GIGE_40,
+            chunk_bytes=args.chunk_mb * 1024 * 1024,
+            partitions_per_machine=1,
         )
+        if args.algorithm == "BFS":
+            algorithm, profile = BFS(), bfs_profile(13)
+        else:
+            algorithm = PageRank(iterations=args.iterations)
+            profile = fixed_profile(args.iterations)
+    except ValueError as error:
+        raise UsageError(f"capacity: {error}")
+    projection = project_capacity(
+        algorithm, profile, scale=args.scale,
+        machines=args.machines, config=config,
+    )
     print(projection.summary())
     return 0
 
@@ -887,7 +896,6 @@ def _rule_stats(result) -> dict:
 def _command_check(args) -> int:
     import json as json_module
     import os
-    import time
 
     from repro.analysis import (
         RULE_TABLE,
@@ -902,7 +910,9 @@ def _command_check(args) -> int:
         if not os.path.exists(path):
             raise UsageError(f"check: no such file or directory: {path}")
 
-    wall_start = time.perf_counter()
+    from repro.obs import hostclock
+
+    wall_start = hostclock.wall_ns()
     rules = default_rules()
     if args.rules:
         wanted = {rule_id.strip() for rule_id in args.rules.split(",")
@@ -915,7 +925,7 @@ def _command_check(args) -> int:
             )
         rules = [rule for rule in rules if rule.rule_id in wanted]
     result = LintEngine(rules).check_paths(args.paths)
-    wall_seconds = time.perf_counter() - wall_start
+    wall_seconds = (hostclock.wall_ns() - wall_start) / 1e9
 
     if args.fmt == "json":
         document = json_module.loads(

@@ -8,6 +8,7 @@ of the evaluation is a sweep over config fields.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 from typing import Optional
 
@@ -97,31 +98,41 @@ class ClusterConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.machines < 1:
-            raise ValueError("machines must be >= 1")
-        if self.cores < 1:
-            raise ValueError("cores must be >= 1")
-        if self.chunk_bytes < 1:
-            raise ValueError("chunk_bytes must be >= 1")
-        if self.batch_factor < 1:
-            raise ValueError("batch_factor must be >= 1")
-        if self.placement not in ("random", "centralized"):
-            raise ValueError(f"unknown placement {self.placement!r}")
-        if self.steal_alpha < 0:
-            raise ValueError("steal_alpha must be non-negative")
-        if (
-            self.request_window_override is not None
-            and self.request_window_override < 1
-        ):
-            raise ValueError("request_window_override must be >= 1")
-        if self.vertex_replicas < 1:
-            raise ValueError("vertex_replicas must be >= 1")
-        if self.vertex_replicas > self.machines:
-            raise ValueError("cannot replicate beyond the machine count")
-        if self.heartbeat_interval <= 0:
-            raise ValueError("heartbeat_interval must be positive")
-        if self.restart_seconds <= 0:
-            raise ValueError("restart_seconds must be positive")
+        # Each check is written so that NaN fails it (every comparison
+        # with NaN is false); steal_alpha = math.inf stays valid.
+        checks = (
+            (self.machines >= 1, "machines must be >= 1"),
+            (self.cores >= 1, "cores must be >= 1"),
+            (self.memory_bytes >= 1, "memory_bytes must be >= 1"),
+            (self.chunk_bytes >= 1, "chunk_bytes must be >= 1"),
+            (self.placement in ("random", "centralized"),
+             f"unknown placement {self.placement!r}"),
+            (self.directory_lookups_per_second > 0,
+             "directory_lookups_per_second must be positive"),
+            (self.partitions_per_machine is None
+             or self.partitions_per_machine >= 1,
+             "partitions_per_machine must be >= 1"),
+            (self.batch_factor >= 1, "batch_factor must be >= 1"),
+            (self.request_window_override is None
+             or self.request_window_override >= 1,
+             "request_window_override must be >= 1"),
+            (self.steal_alpha >= 0, "steal_alpha must be a number >= 0"),
+            (self.vertex_replicas >= 1, "vertex_replicas must be >= 1"),
+            (self.vertex_replicas <= self.machines,
+             "cannot replicate beyond the machine count"),
+            (0 < self.heartbeat_interval < math.inf,
+             "heartbeat_interval must be positive and finite"),
+            (0 < self.restart_seconds < math.inf,
+             "restart_seconds must be positive and finite"),
+            (all(0 <= cost < math.inf for cost in (
+                self.cpu_seconds_per_edge,
+                self.cpu_seconds_per_update,
+                self.cpu_seconds_per_vertex,
+            )), "cpu_seconds_per_* must be non-negative and finite"),
+        )
+        for ok, message in checks:
+            if not ok:
+                raise ValueError(message)
 
     # -- derived quantities ------------------------------------------------
 

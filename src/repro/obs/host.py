@@ -11,7 +11,7 @@ item 1.
 Design constraints:
 
 * Host clocks are only read through :mod:`repro.obs.hostclock` (the
-  single CHX001/CHX008 exemption in the sim packages).
+  single CHX001 exemption in the package).
 * Measured sections must be synchronous leaf regions.  The simulator
   interleaves all machines on one thread, so wrapping a sim *span*
   (begin ... yield ... end) would attribute other machines' host time

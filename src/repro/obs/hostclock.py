@@ -1,19 +1,18 @@
-"""The single sanctioned host-clock entry point inside sim packages.
+"""The single sanctioned host-clock entry point of the package.
 
-Everything under ``SIM_PACKAGES`` is forbidden from reading host time:
-CHX001 flags ``time.*`` calls statically and CHX008 chases laundered
-wall-clock values through the call graph, because host time leaking
-into *simulation state* destroys determinism.  Host *profiling*
-(:mod:`repro.obs.host`) still needs real clocks — so this module, and
-only this module, may import :mod:`time` (and :mod:`tracemalloc`) from
-inside a sim package.  Both lint layers exempt it by module path, and
-``tests/test_host.py`` asserts the exemption stays this narrow: no
-other sim-package module may import ``time``.
+Every other module is forbidden from reading host time: CHX001 flags
+``time`` imports and ``time.*`` / ``datetime.now`` calls where they are
+read, because host time leaking into *simulation state* destroys
+determinism.  Host *profiling* (:mod:`repro.obs.host`) and the
+``check`` command's timer still need real clocks — so this module, and
+only this module, may import :mod:`time` (and :mod:`tracemalloc`).
+CHX001 exempts it by module path, and ``tests/test_host.py`` asserts
+the exemption stays this narrow: no other module may import ``time``.
 
 The values returned here must never influence simulation behaviour.
 They flow into :class:`repro.obs.host.HostProfiler` and out
-through exporters; nothing in ``core``/``sim``/``store``/``net`` reads
-them back.
+through exporters, or into the ``check`` command's wall-time report;
+nothing in ``core``/``sim``/``store``/``net`` reads them back.
 """
 
 from __future__ import annotations

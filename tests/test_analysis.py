@@ -55,7 +55,7 @@ def write_tree(root, files):
 
 
 # ---------------------------------------------------------------------------
-# CHX001: wall clock in simulated-clock packages
+# CHX001: host clock anywhere, host identity in simulated-clock packages
 
 
 class TestWallClock:
@@ -101,8 +101,30 @@ class TestWallClock:
         result = lint("from time import perf_counter\n")
         assert rule_ids(result) == ["CHX001"]
 
-    def test_ignores_outside_sim_packages(self):
+    def test_flags_outside_sim_packages(self):
+        # A helper outside the sim packages that reads the clock is
+        # caught at the read, whatever call chain carries the value on.
         result = lint("import time\nt0 = time.time()\n", path=OUTSIDE_PATH)
+        assert rule_ids(result) == ["CHX001", "CHX001"]
+
+    @pytest.mark.parametrize(
+        "source",
+        ["key = id(self)\n", "import os\npid = os.getpid()\n",
+         "import os\npid = os.getppid()\n", "from os import getpid\n"],
+    )
+    def test_flags_host_identity_in_sim_package(self, source):
+        result = lint(source)
+        assert rule_ids(result) == ["CHX001"]
+        assert "host identity" in result.findings[0].message
+
+    @pytest.mark.parametrize(
+        "path", [OUTSIDE_PATH, "src/repro/analysis/flow/fixture.py"]
+    )
+    def test_host_identity_outside_sim_packages_is_clean(self, path):
+        # Host-side tooling keys in-process dicts by id().
+        result = lint(
+            "import os\nkey = id(object())\npid = os.getpid()\n", path=path
+        )
         assert result.clean
 
     def test_ignores_simulated_clock_use(self):
@@ -141,6 +163,22 @@ class TestGlobalRandom:
             path="graph/fixture.py",
         )
         assert rule_ids(result) == ["CHX018"]
+
+    @pytest.mark.parametrize(
+        "source",
+        ["import os\nb = os.urandom(8)\n",
+         "from os import urandom\nb = urandom(8)\n",
+         "import uuid\nu = uuid.uuid4()\n",
+         "import uuid\nu = uuid.uuid1()\n",
+         "import secrets\nt = secrets.token_hex(8)\n",
+         "import random\nrng = random.SystemRandom()\n",
+         "import random\nrng = random.SystemRandom(7)\n"],
+    )
+    def test_flags_host_entropy_everywhere(self, source):
+        # Host entropy replays under no seed, in any module.
+        result = lint_one(source, "CHX018", path="graph/fixture.py")
+        assert rule_ids(result) == ["CHX018"]
+        assert "host entropy" in result.findings[0].message
 
     def test_allows_seeded_constructors(self):
         result = lint_one(
@@ -550,9 +588,8 @@ class TestEngine:
         assert rule_ids(result) == ["CHX001"]
 
     def test_rule_table_covers_all_rules(self):
-        # Removed ids (CHX002, 004, 009, 012-015, 017, 019, 022, 023) are
-        # never reused.
-        kept = [f"CHX{n:03d}" for n in (1, 3, 5, 6, 7, 8, 10, 11, 16, 18, 20, 21)]
+        # Removed ids are never reused (test_removed_rule_ids_are_unknown_again).
+        kept = [f"CHX{n:03d}" for n in (1, 3, 5, 6, 7, 10, 11, 16, 18, 20, 21)]
         assert [rule.rule_id for rule in default_rules()] == kept
         assert sorted(RULE_TABLE) == kept
         assert LintEngine().check_source("x = 1\n").clean
@@ -676,7 +713,7 @@ class TestCheckCommand:
 
     @pytest.mark.parametrize(
         "rule_id",
-        [f"CHX{n:03d}" for n in (2, 4, 9, 12, 13, 14, 15, 17, 19, 22, 23)],
+        [f"CHX{n:03d}" for n in (2, 4, 8, 9, 12, 13, 14, 15, 17, 19, 22, 23)],
     )
     def test_removed_rule_ids_are_unknown_again(
         self, tmp_path, capsys, rule_id

@@ -122,6 +122,28 @@ class TestRun:
             "run: machines must be >= 1",
         )
 
+    @pytest.mark.parametrize(
+        "extra, message",
+        [
+            (["--algorithm", "PR", "--iterations", "0"],
+             "run: iterations must be >= 1"),
+            (["--algorithm", "BFS", "--root", "999999"],
+             "run: --root 999999 out of range for 256 vertices"),
+            (["--algorithm", "PR", "--partitions-per-machine", "0"],
+             "run: partitions_per_machine must be >= 1"),
+            (["--algorithm", "PR", "--alpha", "nan"],
+             "run: steal_alpha must be a number >= 0"),
+        ],
+        ids=["iterations", "root", "partitions", "alpha"],
+    )
+    def test_bad_parameter_is_a_usage_error_before_output(
+        self, capsys, extra, message
+    ):
+        # Graph and algorithm are built before the graph:/cluster: lines.
+        assert_usage_error(
+            capsys, ["run", "--scale", "8", "--machines", "2", *extra], message
+        )
+
     @pytest.mark.parametrize("interval", ["-1", "nan", "inf", "-inf"])
     def test_bad_trace_sample_interval_is_a_usage_error(self, capsys,
                                                         interval):
@@ -440,6 +462,30 @@ class TestCapacity:
         assert code == 0
         out = capsys.readouterr().out
         assert "PR:" in out and "TB I/O" in out
+
+    @pytest.mark.parametrize(
+        "extra, message",
+        [
+            (["--algorithm", "PR", "--iterations", "0"],
+             "capacity: iterations must be >= 1"),
+            (["--machines", "0"], "capacity: machines must be >= 1"),
+        ],
+        ids=["iterations", "machines"],
+    )
+    def test_bad_parameter_is_a_usage_error(self, capsys, extra, message):
+        assert_usage_error(capsys, ["capacity", *extra], message)
+
+
+@pytest.mark.parametrize("command", ["generate", "run", "capacity", "fuzz"])
+def test_negative_scale_is_rejected_at_parse_time(capsys, command):
+    with pytest.raises(SystemExit) as exit_info:
+        main([command, "--scale", "-3"])
+    captured = capsys.readouterr()
+    assert exit_info.value.code == 2
+    assert captured.out == ""
+    assert "argument --scale: expected a whole number >= 0, got '-3'" in (
+        captured.err
+    )
 
 
 class TestUtilization:

@@ -1,5 +1,7 @@
 """Unit tests for cluster configuration and metrics containers."""
 
+import math
+
 import pytest
 
 from repro.core import ClusterConfig
@@ -52,6 +54,31 @@ class TestClusterConfig:
             ClusterConfig(steal_alpha=-1)
         with pytest.raises(ValueError):
             ClusterConfig(request_window_override=0)
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("steal_alpha", math.nan),
+            ("heartbeat_interval", math.nan),
+            ("heartbeat_interval", math.inf),
+            ("restart_seconds", math.inf),
+            ("restart_seconds", math.nan),
+            ("memory_bytes", 0),
+            ("directory_lookups_per_second", 0),
+            ("directory_lookups_per_second", math.nan),
+            ("partitions_per_machine", 0),
+            ("partitions_per_machine", -1),
+            ("cpu_seconds_per_edge", -1),
+            ("cpu_seconds_per_update", math.nan),
+            ("cpu_seconds_per_vertex", math.inf),
+        ],
+    )
+    def test_rejects_nan_zero_and_negative(self, field, value):
+        # Plain ``<`` checks let NaN through: stealing silently off at
+        # alpha = NaN, a ZeroDivisionError deep in partitioning at zero
+        # partitions per machine.
+        with pytest.raises(ValueError, match=field.split("_per_")[0]):
+            ClusterConfig(**{field: value})
 
     def test_slow_network_raises_phi(self):
         config = ClusterConfig(network=GIGE_1)

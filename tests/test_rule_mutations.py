@@ -4,8 +4,8 @@ Each row plants one realistic defect in a temporary copy of the real
 source files it needs, runs the rules that could catch it and asserts
 exactly which of them fire.  Each unmutated copy is clean under the
 same rules, so every catch is the planted defect's.  DESIGN.md section 6
-records the verdicts: rows M1-M4, M6-M8, M10 and M12, plus one row for
-each rule no M-row exercises (CHX003, 005, 006, 007, 016).  Defects of
+records the verdicts: rows M1-M4, M6-M8, M10, M12 and M13-M15, plus one
+row for each rule no M-row exercises (CHX003, 005, 006, 007, 016).  Defects of
 the protocol's *values* (a merge before the handoff, a stealer that
 applies) no rule can see, and a mistyped message kind (M5, M9, M11) is
 rejected by the receiving loop on first delivery; their rows are in
@@ -53,6 +53,7 @@ class Mutation:
 COMPUTE = "core/compute.py"
 SUPERVISOR = "faults/supervisor.py"
 SHUFFLE = "self._rng.shuffle(foreign)"
+RNG_SEED = "self._rng = random.Random(config.seed * 1_000_003 + machine * 7919 + 1)"
 
 MUTATIONS = [
     pytest.param(Mutation(
@@ -62,26 +63,45 @@ MUTATIONS = [
           "            track.begin(\"vertex_load\"",
           "        t0 = time.time()\n        if self._trace_on:\n"
           "            track.begin(\"vertex_load\"")),
-        ("CHX001", "CHX008"), frozenset({"CHX001"}),
+        ("CHX001",), frozenset({"CHX001"}),
         context=("core/metrics.py",),
     ), id="M1-wall-clock-into-breakdown"),
     pytest.param(Mutation(
         COMPUTE, ((SHUFFLE, "random.shuffle(foreign)"),),
-        ("CHX008", "CHX018"), frozenset({"CHX018"}),
+        ("CHX018",), frozenset({"CHX018"}),
     ), id="M2-global-shuffle"),
     pytest.param(Mutation(
         COMPUTE,
         (("import random\n", "import random\nfrom random import shuffle\n"),
          (SHUFFLE, "shuffle(foreign)")),
-        ("CHX008", "CHX018"), frozenset({"CHX018"}),
+        ("CHX018",), frozenset({"CHX018"}),
     ), id="M2b-imported-shuffle"),
     pytest.param(Mutation(
         COMPUTE,
         ((SHUFFLE, "foreign = list(np.random.permutation(foreign))"),),
-        # The permuted list feeds the steal loop's sim calls: a host-RNG
-        # value flowing into simulated state, which CHX008 also sees.
-        ("CHX008", "CHX018"), frozenset({"CHX008", "CHX018"}),
+        ("CHX018",), frozenset({"CHX018"}),
     ), id="M2c-numpy-permutation"),
+    pytest.param(Mutation(
+        # A driver reseeds every job from the host clock: caught in the
+        # driver, where the clock is read, not in the cluster it seeds.
+        "algorithms/mcst.py",
+        (("from typing import Optional\n",
+          "import time\nfrom typing import Optional\n"),
+         ("        cluster = ChaosCluster(config, tracer=tracer)\n",
+          "        cluster = ChaosCluster(config.with_(seed=time.time_ns()), "
+          "tracer=tracer)\n")),
+        ("CHX001", "CHX018"), frozenset({"CHX001"}),
+    ), id="M13-clock-seeded-driver"),
+    pytest.param(Mutation(
+        COMPUTE,
+        (("import random\n", "import os\nimport random\n"),
+         (RNG_SEED, "self._rng = random.Random(os.urandom(8))")),
+        ("CHX001", "CHX018"), frozenset({"CHX018"}),
+    ), id="M14-entropy-seeded-rng"),
+    pytest.param(Mutation(
+        COMPUTE, ((RNG_SEED, "self._rng = random.Random(id(self))"),),
+        ("CHX001", "CHX018"), frozenset({"CHX001"}),
+    ), id="M15-identity-seeded-rng"),
     pytest.param(Mutation(
         COMPUTE,
         (("yield from self._preprocess()", "self._preprocess()"),),

@@ -12,11 +12,11 @@ CHX016 guards the one order-sensitive step left in it (float sums must
 fold through ``exact_add_at``).  CHX018 guards replay: every random
 draw in the project must come from a seeded generator and never from
 host entropy, or reruns and shrunk reproducer plans stop reproducing.
-CHX020 and CHX021 stand on the receive loops and waits found by
-:mod:`repro.analysis.protocol`: unfenced receive loops and untimed
-remote waits.  The message vocabulary is not judged here: it is
-declared in :data:`repro.net.transport.MESSAGE_KINDS`, and every
-receive loop rejects an undeclared kind on first delivery.
+CHX020 and CHX021 stand on the registrations and waits found by
+:mod:`repro.analysis.protocol`: unfenced service registrations and
+untimed remote waits.  The message vocabulary is not judged here: it
+is declared in :data:`repro.net.transport.MESSAGE_KINDS`, and delivery
+rejects an undeclared kind on first arrival.
 """
 
 from __future__ import annotations
@@ -496,21 +496,21 @@ class UnseededRandomRule(Rule):
 
 
 # ---------------------------------------------------------------------------
-# CHX020–021: protocol rules (extracted receive loops and waits)
+# CHX020–021: protocol rules (extracted registrations and waits)
 # ---------------------------------------------------------------------------
 
 
 class UnfencedReceiveRule(Rule):
-    """An epoch-aware role's receive loop without an epoch fence: a
-    straggling message from before a rollback (a stale reply, a zombie
-    peer's steal request) is executed against post-recovery state and
-    silently corrupts it.  Roles that never track a recovery epoch
+    """An epoch-aware role registers its service without an epoch
+    fence: a straggling message from before a rollback (a stale reply, a
+    zombie peer's steal request) is executed against post-recovery state
+    and silently corrupts it.  Roles that never track a recovery epoch
     (e.g. the failure detector) are exempt — they have nothing to fence.
     """
 
     rule_id = "CHX020"
     severity = "error"
-    title = "receive loop missing epoch guard"
+    title = "service registered without an epoch fence"
 
     def run(self, ctx: DeepContext) -> Iterator[Finding]:
         for func in ctx.index.iter_functions():
@@ -519,7 +519,7 @@ class UnfencedReceiveRule(Rule):
                 yield self._finding(
                     func.file,
                     line,
-                    f"{func.qualname} drains its mailbox without comparing "
+                    f"{func.qualname} registers a service with no fence on "
                     f"message.epoch, but {func.class_name} tracks a recovery "
                     f"epoch; a stale-epoch straggler would be executed "
                     f"against post-rollback state",

@@ -1,14 +1,15 @@
-"""Find receive loops and blocking waits in the code.
+"""Find service registrations and blocking waits in the code.
 
 The message vocabulary is declared (:data:`repro.net.transport.MESSAGE_KINDS`)
-and every receive loop enforces it at run time, so kinds and services
-are not resolved here.  Two helpers read an indexed function for the
-facts the protocol rules judge:
+and delivery enforces it at run time, so kinds and services are not
+resolved here.  Two helpers read an indexed function for the facts the
+protocol rules judge:
 
-* :func:`unfenced_receives` — ``message = yield self._mailbox.get()``
-  opens a receive loop; a ``message.epoch`` comparison in the same
-  function fences it, and only a class that reads ``self.epoch`` or
-  ``self.data_epoch`` (an epoch-aware role) needs the fence (CHX020);
+* :func:`unfenced_receives` — ``network.register(machine, service,
+  handlers, fence)`` is a service's whole receive path; a class that
+  reads ``self.epoch`` or ``self.data_epoch`` (an epoch-aware role)
+  must pass a ``fence``, and a ``self.<method>`` fence must compare its
+  message's ``epoch`` (CHX020);
 * :func:`remote_waits` — a bare ``yield delivered`` on a send result or
   a registered reply :class:`Event` is a blocking wait (CHX021).  It
   has no timeout of its own: a wait that races the event against a
@@ -29,12 +30,6 @@ from repro.analysis.flow.project import (
 )
 
 __all__ = ["remote_waits", "unfenced_receives"]
-
-
-def _call_chain(node: Optional[ast.AST]) -> Optional[List[str]]:
-    if isinstance(node, ast.Call):
-        return attr_chain(node.func)
-    return None
 
 
 def _yielded_expr(stmt: ast.stmt) -> Optional[ast.AST]:
@@ -81,29 +76,42 @@ def _is_epoch_aware(class_ctx: ClassInfo) -> bool:
     )
 
 
+def _fences_epoch(fence: Optional[ast.AST], class_ctx: ClassInfo) -> bool:
+    """A fence is passed and, if it is a ``self.<method>``, that method
+    compares its message parameter's ``epoch`` (a fence the class does
+    not define is taken on trust)."""
+    if fence is None or isinstance(fence, ast.Constant):
+        return False
+    chain = attr_chain(fence) or []
+    method = class_ctx.methods.get(chain[-1]) if chain[:-1] == ["self"] else None
+    if method is None:
+        return True
+    epoch = [method.node.args.args[-1].arg, "epoch"]  # type: ignore[attr-defined]
+    return any(
+        isinstance(node, ast.Compare)
+        and epoch in map(attr_chain, (node.left, *node.comparators))
+        for node in method.nodes
+    )
+
+
 def unfenced_receives(
     func: FunctionInfo, class_ctx: Optional[ClassInfo]
 ) -> Iterator[int]:
-    """Lines of ``func``'s receive loops that never compare the received
-    message's epoch, when the enclosing class tracks a recovery epoch."""
+    """Lines of ``func``'s service registrations that pass no fence, or
+    a fence that never compares the message's epoch, when the enclosing
+    class tracks a recovery epoch."""
+    if class_ctx is None or not _is_epoch_aware(class_ctx):
+        return
     for node in func.nodes:
-        if not (
-            isinstance(node, ast.Assign)
-            and len(node.targets) == 1
-            and isinstance(node.targets[0], ast.Name)
-            and isinstance(node.value, ast.Yield)
+        if not isinstance(node, ast.Call):
+            continue
+        chain = attr_chain(node.func)
+        if (
+            chain is not None
+            and chain[-1] == "register"
+            and _argument(node, "handlers", 2) is not None
+            and not _fences_epoch(_argument(node, "fence", 3), class_ctx)
         ):
-            continue
-        chain = _call_chain(node.value.value)
-        if chain is None or chain[-1] != "get":
-            continue
-        epoch = f"{node.targets[0].id}.epoch"
-        fenced = any(
-            isinstance(test, ast.Compare)
-            and ".".join(attr_chain(test.left) or ()) == epoch
-            for test in func.nodes
-        )
-        if not fenced and class_ctx is not None and _is_epoch_aware(class_ctx):
             yield node.lineno
 
 
@@ -116,11 +124,11 @@ def remote_waits(func: FunctionInfo) -> Iterator[Tuple[int, str]]:
     yields: List[Tuple[int, str]] = []
     for node in func.nodes:
         if isinstance(node, ast.Assign) and len(node.targets) == 1:
-            target = node.targets[0]
-            chain = _call_chain(node.value)
+            target, value = node.targets[0], node.value
+            chain = attr_chain(value.func) if isinstance(value, ast.Call) else None
             if isinstance(target, ast.Name) and chain is not None:
                 if chain[-1] == "send":
-                    send_results[target.id] = node.value  # type: ignore[assignment]
+                    send_results[target.id] = value
                 elif chain[-1] == "Event":
                     event_names.add(target.id)
         if isinstance(node, ast.Call):

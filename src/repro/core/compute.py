@@ -51,16 +51,10 @@ from repro.core.metrics import Breakdown
 from repro.core.stealing import estimate_cluster_remaining, should_accept_steal
 from repro.core.workload import UpdateBatch, Workload
 from repro.net.retry import backoff_delays, jittered_delay
-from repro.net.transport import (
-    COMPUTE_SERVICE,
-    MESSAGE_KINDS,
-    STORAGE_SERVICE,
-    Network,
-    undeclared_kind,
-)
+from repro.net.transport import COMPUTE_SERVICE, STORAGE_SERVICE, Network
 from repro.obs.log import NULL
 from repro.obs.tracer import TID_CPU, TID_ENGINE
-from repro.sim.engine import Event, Simulator
+from repro.sim.engine import Event, SimulationError, Simulator
 from repro.sim.resources import CoreBank
 from repro.sim.sync import Barrier, Latch, WaitGroup
 from repro.store import engine as store_engine
@@ -207,7 +201,6 @@ class ComputationEngine:
             if p % config.machines == machine
         ]
 
-        self._mailbox = network.register(machine, COMPUTE_SERVICE)
         #: The reply table: request id -> ``(then, args)``; the reply
         #: runs ``then(reply, *args)`` (see :meth:`_expect`).
         self._pending: Dict[int, Tuple[Callable, tuple]] = {}
@@ -242,9 +235,16 @@ class ComputationEngine:
         self.updates_written_bytes = 0
         self.finished: Optional[Event] = None
 
-        self.dispatch_process = sim.process(
-            self._dispatch(), name=f"compute{machine}.dispatch.e{epoch}"
-            if epoch else f"compute{machine}.dispatch"
+        replies = ("read_reply", "vread_reply", "write_ack",
+                   "directory_reply", "steal_reply")
+        self.endpoint = network.register(
+            machine, COMPUTE_SERVICE,
+            {"steal_request": self._handle_steal_request,
+             "accum": self._handle_accum,
+             **dict.fromkeys(replies, self._on_reply)},
+            self._admit,
+            name=f"compute{machine}.dispatch.e{epoch}"
+            if epoch else f"compute{machine}.dispatch",
         )
 
     # ------------------------------------------------------------------
@@ -267,40 +267,32 @@ class ComputationEngine:
         self._pending[self._next_request] = (then, args)
         return self._next_request
 
-    def _dispatch(self):
-        accepted = MESSAGE_KINDS[COMPUTE_SERVICE]
-        while True:
-            message = yield self._mailbox.get()
-            kind = message.kind
-            if kind not in accepted:
-                raise undeclared_kind(self.machine, message)
-            if message.epoch != self.epoch:
-                # Traffic from another recovery epoch (a straggling
-                # reply, or a steal request from a zombie peer).
-                continue
-            if message.ctx is not None:
-                self._causal.on_dispatch(self.machine, message.ctx)
-            if kind == "steal_request":
-                self._handle_steal_request(message)
-            elif kind == "accum":
-                self._handle_accum(message)
-            else:
-                # Every other declared kind is a reply: its request id
-                # finds the continuation in the reply table.
-                request_id = message.payload[0]
-                entry = self._pending.pop(request_id, None)
-                if entry is not None:
-                    then, args = entry
-                    then(message, *args)
-                elif request_id in self._abandoned or kind == "steal_reply":
-                    # The straggling reply of an abandoned read or of a
-                    # steal proposal given up on.
-                    self._abandoned.discard(request_id)
-                else:
-                    raise RuntimeError(
-                        f"engine {self.machine}: unexpected reply "
-                        f"{kind} id={request_id}"
-                    )
+    def _admit(self, message) -> bool:
+        """The epoch fence: traffic from another recovery epoch (a
+        straggling reply, a zombie peer's steal request) is dropped; an
+        admitted message moves this machine's causal chain head."""
+        if message.epoch != self.epoch:
+            return False
+        if message.ctx is not None:
+            self._causal.on_dispatch(self.machine, message.ctx)
+        return True
+
+    def _on_reply(self, message) -> None:
+        """Run the continuation the reply's request id finds."""
+        request_id = message.payload[0]
+        entry = self._pending.pop(request_id, None)
+        if entry is not None:
+            then, args = entry
+            then(message, *args)
+        elif request_id in self._abandoned or message.kind == "steal_reply":
+            # The straggling reply of an abandoned read or of a steal
+            # proposal given up on.
+            self._abandoned.discard(request_id)
+        else:
+            raise SimulationError(
+                f"engine {self.machine}: unexpected reply "
+                f"{message.kind} id={request_id}"
+            )
 
     def _backoff(
         self, attempt: int, request_id: int, label: str, then: Callable, *args
@@ -421,7 +413,7 @@ class ComputationEngine:
         partition, accum = message.payload
         state = self._master_state.get(partition)
         if state is None or state.accum_group is None:
-            raise RuntimeError(
+            raise SimulationError(
                 f"engine {self.machine}: stray accumulator for partition "
                 f"{partition}"
             )
@@ -479,11 +471,19 @@ class ComputationEngine:
             epoch=self.epoch,
         )
         if self._liveness is not None:
-            self._watch_read(request_id, state, target, iteration)
+            # Armed with the first period only: the rest of the schedule
+            # is built by the first re-check that finds the read pending.
+            self.sim.schedule(
+                jittered_delay(
+                    self._liveness_policy, 0, self.config.seed, self.machine,
+                    request_id,
+                ),
+                self._watch_read, request_id, state, target, iteration, None,
+            )
 
     def _watch_read(
         self, request_id: int, state: _StreamState, target: int,
-        iteration: int, delays=None,
+        iteration: int, delays,
     ) -> None:
         """Fault-tolerant read RPC: re-check on the liveness schedule
         until the reply lands or the failure detector fences the target.
@@ -494,14 +494,9 @@ class ComputationEngine:
         abandoned and the target marked exhausted — the cluster-wide
         rollback that follows re-streams everything anyway.
         """
-        if delays is None:  # arming, not a re-check
-            delays = backoff_delays(
-                self._liveness_policy, self.config.seed, self.machine,
-                request_id,
-            )
-        elif self.fenced or request_id not in self._pending:
+        if self.fenced or request_id not in self._pending:
             return
-        elif (
+        if (
             self._liveness.is_suspected(target)
             or not self.network.is_reachable(target)
         ):
@@ -511,6 +506,12 @@ class ComputationEngine:
             state.exhausted.add(target)
             self._pump(state, iteration)
             return
+        if delays is None:  # the first re-check
+            delays = backoff_delays(
+                self._liveness_policy, self.config.seed, self.machine,
+                request_id,
+            )
+            next(delays)  # draw 0 was the first period, spent arming
         self.sim.schedule(
             next(delays), self._watch_read,
             request_id, state, target, iteration, delays,
@@ -921,6 +922,7 @@ class ComputationEngine:
             size=size,
             payload=(partition, accum),
             epoch=self.epoch,
+            track=True,
         )
         yield delivered  # chaos: ignore[CHX021] main process: the rollback fence kills it
         self.metrics.add("copy", self.sim.now - t0)

@@ -21,12 +21,7 @@ from __future__ import annotations
 
 from typing import Callable, List, Optional
 
-from repro.net.transport import (
-    MEMBERSHIP_SERVICE,
-    MESSAGE_KINDS,
-    Network,
-    undeclared_kind,
-)
+from repro.net.transport import MEMBERSHIP_SERVICE, Network
 from repro.sim.engine import Simulator
 
 #: Wire size of one heartbeat message (machine id + epoch + sequence).
@@ -102,7 +97,6 @@ class FailureDetector:
         self.sim = sim
         self.network = network
         self.machines = machines
-        self.monitor = monitor
         self.lease = lease
         self.on_suspect = on_suspect
         self.armed = False
@@ -110,8 +104,10 @@ class FailureDetector:
         self.suspicions = 0
         self._last_seen: List[float] = [0.0] * machines
         self._suspected: List[bool] = [False] * machines
-        self._mailbox = network.register(monitor, MEMBERSHIP_SERVICE)
-        self._receiver = sim.process(self._receive(), name="detector.rx")
+        network.register(
+            monitor, MEMBERSHIP_SERVICE,
+            {"heartbeat": self._handle_heartbeat}, name="detector.rx",
+        )
         self._watchdog = sim.process(self._watch(), name="detector.watch")
 
     # -- lifecycle ---------------------------------------------------------
@@ -152,15 +148,10 @@ class FailureDetector:
 
     # -- processes ----------------------------------------------------------
 
-    def _receive(self):
-        accepted = MESSAGE_KINDS[MEMBERSHIP_SERVICE]
-        while True:
-            message = yield self._mailbox.get()
-            if message.kind not in accepted:
-                raise undeclared_kind(self.monitor, message)
-            machine = message.payload
-            if 0 <= machine < self.machines:
-                self._last_seen[machine] = self.sim.now
+    def _handle_heartbeat(self, message) -> None:
+        machine = message.payload
+        if 0 <= machine < self.machines:
+            self._last_seen[machine] = self.sim.now
 
     def _watch(self):
         # Checking at half the lease period bounds detection latency to

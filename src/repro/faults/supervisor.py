@@ -44,13 +44,7 @@ from repro.faults.diagnosis import JobDiagnosis, UnrecoverableJobError
 from repro.faults.plan import FaultSpec
 from repro.faults.registry import SLOT_BASES
 from repro.net.retry import jittered_delay
-from repro.net.transport import (
-    COMPUTE_SERVICE,
-    MESSAGE_KINDS,
-    RESTORE_SERVICE,
-    STORAGE_SERVICE,
-    undeclared_kind,
-)
+from repro.net.transport import RESTORE_SERVICE, STORAGE_SERVICE
 from repro.obs.log import NULL
 from repro.sim.engine import Event, SimulationError, Simulator
 from repro.store import engine as store_engine
@@ -408,7 +402,7 @@ class ClusterSupervisor:
         if machine < len(self.engines):
             engine = self.engines[machine]
             engine.fence()
-            engine.dispatch_process.kill(cause)
+            engine.endpoint.kill()
         if machine < len(self.processes):
             self.processes[machine].kill(cause)
         if machine < len(self._senders):
@@ -442,10 +436,9 @@ class ClusterSupervisor:
         for machine in range(machines):
             if self.stores[machine].running:
                 self.stores[machine].advance_epoch(self.epoch)
-        # The dead dispatchers' mailboxes may hold queued messages whose
-        # consumers no longer exist; drop them.
-        for machine in range(machines):
-            self.network.mailbox(machine, COMPUTE_SERVICE).reset()
+        # The dead epoch's compute endpoints stop receiving now.
+        for engine in self.engines:
+            engine.endpoint.close()
         # Plainly crashed machines are rebooted by the recovery
         # procedure itself (the "operator"), restart_seconds in.
         for machine in range(machines):
@@ -559,26 +552,23 @@ class _RestoreClient:
         self.epoch = supervisor.epoch
         self._pending: Dict[int, object] = {}
         self._next_id = machine
-        self._mailbox = supervisor.network.register(machine, RESTORE_SERVICE)
-        self._mailbox.reset()  # strays from a previous recovery
-        self._dispatcher = self.sim.process(
-            self._dispatch(), name=f"restore{machine}.rx.e{self.epoch}"
+        self._endpoint = supervisor.network.register(
+            machine, RESTORE_SERVICE,
+            {"vread_reply": self._on_reply, "write_ack": self._on_reply},
+            self._admit,
+            name=f"restore{machine}.rx.e{self.epoch}",
         )
 
     def close(self) -> None:
-        self._dispatcher.kill("restore-done")
+        self._endpoint.kill()
 
-    def _dispatch(self):
-        accepted = MESSAGE_KINDS[RESTORE_SERVICE]
-        while True:
-            message = yield self._mailbox.get()
-            if message.kind not in accepted:
-                raise undeclared_kind(self.machine, message)
-            if message.epoch != self.epoch:
-                continue
-            callback = self._pending.pop(message.payload[0], None)
-            if callback is not None:
-                callback(message)
+    def _admit(self, message) -> bool:
+        return message.epoch == self.epoch
+
+    def _on_reply(self, message) -> None:
+        callback = self._pending.pop(message.payload[0], None)
+        if callback is not None:
+            callback(message)
 
     def _timed_call(self, target, kind, size, body, partition, attempt=0):
         """One storage RPC raced against a one-lease timeout: the reply,

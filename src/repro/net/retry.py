@@ -62,6 +62,9 @@ class RetryPolicy:
         return raw * (1.0 - self.jitter * rng.random())
 
 
+_RNG = random.Random(0)  # reseeded before each jittered_delay draw
+
+
 def retry_rng_seed(config_seed: int, machine: int, request_id: int) -> int:
     """Stable per-request jitter seed (same scheme as the engine RNGs)."""
     return config_seed * 1_000_003 + machine * 7919 + request_id * 31 + 17
@@ -77,12 +80,13 @@ def jittered_delay(
     """One seeded jittered delay for the ``attempt``-th retry of an RPC.
 
     The engine's integrity backoff and the restore client's replica
-    cycling each call it once per retry.  The jitter RNG is freshly
-    seeded per call from ``(config_seed, machine, request_id)`` — a pure
-    function of the run's identity, independent of call order.
+    cycling each call it once per retry, and a read's liveness watch
+    takes its first period from it.  The jitter RNG is reseeded per call
+    from ``(config_seed, machine, request_id)`` — a pure function of the
+    run's identity, independent of call order.
     """
-    rng = random.Random(retry_rng_seed(config_seed, machine, request_id))
-    return policy.delay(attempt, rng)
+    _RNG.seed(retry_rng_seed(config_seed, machine, request_id))
+    return policy.delay(attempt, _RNG)
 
 
 def backoff_delays(

@@ -6,37 +6,37 @@ latency, and deserialization time on the receiver's NIC ingress.  Local
 (self-addressed) messages are delivered with zero network cost, matching
 the co-located computation/storage engine deployment of Section 7.
 
-Endpoints register a :class:`repro.sim.resources.Mailbox` per service
-name, so one machine can host several services (computation engine,
-storage engine, chunk directory, failure monitor, restore worker).
-:data:`MESSAGE_KINDS` declares the protocol's vocabulary: the kinds
-each service's receive loop accepts.
+A service on a machine (computation engine, storage engine, chunk
+directory, failure monitor, restore worker) registers an
+:class:`Endpoint`: one handler per kind :data:`MESSAGE_KINDS` declares
+for it, and an epoch fence.  Delivery drops duplicates, rejects an
+undeclared kind, applies the fence and runs the handler where the
+message lands: no receive loop, no queue.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Dict, FrozenSet, Tuple
+from typing import Any, Callable, Dict, FrozenSet, Optional, Tuple
 
 from repro.net.topology import NetworkConfig, Nic, Switch
 from repro.obs.log import NULL
 from repro.sim.engine import Event, SimulationError, Simulator
-from repro.sim.resources import Mailbox
 
-#: The services a machine endpoint can host, one mailbox each.
+#: The services a machine endpoint can host, one handler table each.
 COMPUTE_SERVICE = "compute"
 STORAGE_SERVICE = "storage"
 DIRECTORY_SERVICE = "directory"
 MEMBERSHIP_SERVICE = "membership"
 RESTORE_SERVICE = "restore"
 
-#: The protocol's vocabulary: service -> the message kinds its receive
-#: loop accepts (paper section 5: chunk reads and writes between the
-#: computation and storage engines; section 5.4: the steal proposal and
-#: the accumulator handoff).  A reply (``*_reply``, ``write_ack``)
-#: carries its request id first.  Every receive loop rejects any other
-#: kind on first delivery (:func:`undeclared_kind`), and ``trace
-#: conform`` checks recorded traffic against the union.
+#: The protocol's vocabulary: service -> the message kinds it handles
+#: (paper section 5: chunk reads and writes between the computation and
+#: storage engines; section 5.4: the steal proposal and the accumulator
+#: handoff).  A reply (``*_reply``, ``write_ack``) carries its request
+#: id first.  A registration supplies exactly one handler per declared
+#: kind, delivery rejects any other kind (:func:`undeclared_kind`), and
+#: ``trace conform`` checks recorded traffic against the union.
 MESSAGE_KINDS: Dict[str, FrozenSet[str]] = {
     COMPUTE_SERVICE: frozenset({
         "read_reply", "vread_reply", "write_ack", "directory_reply",
@@ -52,8 +52,8 @@ MESSAGE_KINDS: Dict[str, FrozenSet[str]] = {
 
 
 def undeclared_kind(machine: int, message: "Message") -> SimulationError:
-    """The error a receive loop raises for a kind its service does not
-    declare (a typo at the send site, or a message for another service)."""
+    """The error for a kind the receiving service does not declare (a
+    typo at the send site, or a message for another service)."""
     return SimulationError(
         f"machine {machine}: service {message.service!r} received "
         f"undeclared message kind {message.kind!r}"
@@ -109,7 +109,8 @@ class _DedupWindow:
         self.seen = set()
 
     def accept(self, seq: int) -> bool:
-        """True iff ``seq`` is new; records it as delivered."""
+        """True iff ``seq`` is new; records it as delivered
+        (``Network._deliver`` inlines the first branch)."""
         if seq == self.floor + 1 and not self.seen:
             self.floor = seq  # in order, no gap open: the common case
             return True
@@ -125,6 +126,72 @@ class _DedupWindow:
             self.floor = seq - self.WINDOW
             self.seen = {s for s in self.seen if s > self.floor}
         return True
+
+
+class Endpoint:
+    """One service's receive side on one machine: ``handlers`` (kind ->
+    ``handler(message)``) and ``fence(message)``, true to admit (None
+    admits all).  Registered with no handlers it is a sink.
+
+    Its lifecycle is the dispatcher process's it replaced, event for
+    event: it receives from the zero-delay instant after registration (a
+    message landing earlier waits for it), stops at once on
+    :meth:`close` and at the zero-delay instant after :meth:`kill`, and
+    reports both ends to ``sim.process_hook`` under :attr:`name`.
+    """
+
+    __slots__ = ("sim", "name", "handlers", "fence", "receiving", "alive",
+                 "_waiting")
+
+    def __init__(self, sim: Simulator):
+        self.sim, self.name = sim, ""
+        self.handlers = self.fence = None
+        self.receiving = self.alive = False
+        self._waiting = None  # what landed before the first instant
+
+    def _register(self, name, handlers, fence) -> None:
+        if self.alive:
+            raise SimulationError(f"{self.name} is registered and alive")
+        self.name, self.handlers, self.fence = name, handlers, fence
+        self.alive, self._waiting = True, []
+        sim = self.sim
+        sim.schedule(0.0, self._open)
+        if sim.process_hook is not None:
+            sim.process_hook(self, "start")
+
+    def _open(self) -> None:
+        self.receiving = True
+        while self._waiting:
+            self._dispatch(self._waiting.pop(0))
+        self._waiting = None
+
+    def _dispatch(self, message: Message) -> None:
+        """Kind check, fence, handler (``Network._deliver`` inlines
+        this on the hot path: keep the two in step)."""
+        handler = self.handlers.get(message.kind)
+        if handler is None:
+            raise undeclared_kind(message.dst, message)
+        fence = self.fence
+        if fence is None or fence(message):
+            handler(message)
+
+    def close(self) -> None:
+        """Stop receiving now and drop whatever waits; the registration
+        stays alive (and unreported) until :meth:`kill` lands."""
+        self.receiving, self._waiting = False, None
+
+    def kill(self) -> None:
+        """Stop at the zero-delay instant after this call; a no-op on a
+        stopped endpoint."""
+        if self.alive:
+            self.sim.schedule(0.0, self._land)
+
+    def _land(self) -> None:
+        if not self.alive:
+            return
+        self.alive = self.receiving = False
+        if self.sim.process_hook is not None:
+            self.sim.process_hook(self, "finish")
 
 
 class _TransportFault:
@@ -190,7 +257,7 @@ class Network:
     ):
         """``extra_endpoints`` adds management endpoints beyond the
         compute machines (the fault-injection runtime attaches its
-        failure-detector monitor this way); they get NICs and mailboxes
+        failure-detector monitor this way); they get NICs and endpoints
         but are never placement targets — ``self.machines`` stays the
         compute machine count."""
         if machines < 1:
@@ -205,7 +272,7 @@ class Network:
             Nic(sim, machine, config)
             for machine in range(machines + extra_endpoints)
         ]
-        self._mailboxes: Dict[Tuple[int, str], Mailbox] = {}
+        self._endpoints: Dict[Tuple[int, str], Endpoint] = {}
         # Reachability per endpoint: False while an endpoint is crashed
         # or partitioned away.  Remote messages touching an unreachable
         # endpoint are dropped (fail-stop links: no queuing, no retry at
@@ -246,23 +313,32 @@ class Network:
 
     # -- service registry ----------------------------------------------
 
-    def register(self, machine: int, service: str) -> Mailbox:
-        """Create (or fetch) the mailbox for ``service`` on ``machine``."""
+    def register(
+        self,
+        machine: int,
+        service: str,
+        handlers: Optional[Dict[str, Callable]] = None,
+        fence: Optional[Callable] = None,
+        name: str = "",
+    ) -> Endpoint:
+        """Register ``service`` on ``machine``: ``handlers`` holds one
+        ``handler(message)`` per kind :data:`MESSAGE_KINDS` declares for
+        the service, ``fence(message)`` says whether a message is
+        admitted.  With no handlers the endpoint is a sink.  Re-registering
+        a stopped endpoint replaces its table."""
         key = (machine, service)
-        if key not in self._mailboxes:
-            self._mailboxes[key] = Mailbox(
-                self.sim, name=f"m{machine}.{service}"
-            )
-        return self._mailboxes[key]
-
-    def mailbox(self, machine: int, service: str) -> Mailbox:
-        key = (machine, service)
-        try:
-            return self._mailboxes[key]
-        except KeyError:
+        endpoint = self._endpoints.get(key)
+        if endpoint is None:
+            endpoint = self._endpoints[key] = Endpoint(self.sim)
+        if handlers is None:
+            return endpoint
+        if set(handlers) != MESSAGE_KINDS.get(service):
             raise SimulationError(
-                f"no service {service!r} registered on machine {machine}"
-            ) from None
+                f"machine {machine}: handlers for service {service!r} "
+                f"cover {sorted(handlers)}, not its declared kinds"
+            )
+        endpoint._register(name or f"m{machine}.{service}", handlers, fence)
+        return endpoint
 
     # -- fault state (reachability) --------------------------------------
 
@@ -281,9 +357,6 @@ class Network:
 
     def is_reachable(self, endpoint: int) -> bool:
         return self._reachable[endpoint]
-
-    def _drop(self, message: Message) -> None:
-        self.messages_dropped += 1
 
     # -- fault state (byzantine fabric faults) ----------------------------
 
@@ -335,17 +408,17 @@ class Network:
         epoch: int = 0,
         parent: Any = None,
         attempt: int = 0,
-    ) -> Event:
-        """Send a message; the returned event fires on *delivery*.
+        track: bool = False,
+    ) -> Optional[Event]:
+        """Send a message: fire and forget, or, with ``track``, an event
+        that fires on *delivery*.
 
-        Delivery places the message into the destination mailbox.  The
-        sender does not block on delivery (fire and forget); callers that
-        need completion semantics can wait on the returned event.  If
-        either endpoint is unreachable the message is dropped and the
-        returned event never fires — callers needing progress guarantees
-        must pair the event with a timeout (the fault-tolerant RPC
-        pattern the computation engine uses).  ``src`` and ``dst`` must
-        name endpoints.  On the wire a message is three scheduled calls
+        Delivery runs the destination service's handler.  If either
+        endpoint is unreachable the message is dropped and a tracked
+        event never fires — callers needing progress guarantees must
+        pair it with a timeout (the fault-tolerant RPC pattern the
+        computation engine uses).  ``src`` and ``dst`` must name
+        endpoints.  On the wire a message is three scheduled calls
         (egress done -> ``_after_tx``, switch hop -> ``_receive``,
         ingress done -> ``_deliver``), not three events.
 
@@ -357,6 +430,11 @@ class Network:
             raise SimulationError(f"invalid destination machine {dst}")
         if not 0 <= src < len(self.nics):
             raise SimulationError(f"invalid source machine {src}")
+        endpoint = self._endpoints.get((dst, service))
+        if endpoint is None:
+            raise SimulationError(
+                f"no service {service!r} registered on machine {dst}"
+            )
         sim = self.sim
         host = self._host
         if host is not None:
@@ -370,12 +448,11 @@ class Network:
             message.ctx = self.causal.on_send(
                 kind, src, dst, size, parent=parent, attempt=attempt
             )
-        mailbox = self.mailbox(dst, service)
-        delivered = Event(sim, f"deliver.{kind}")
+        delivered = Event(sim, f"deliver.{kind}") if track else None
 
         if src == dst:
             # Local delivery: intra-process handoff, no network cost.
-            sim.schedule(0.0, self._deliver, mailbox, message, delivered)
+            sim.schedule(0.0, self._deliver, endpoint, message, delivered)
             return delivered
 
         stream = (src, dst, service)
@@ -383,40 +460,40 @@ class Network:
         if not (self._reachable[src] and self._reachable[dst]):
             # Fail-stop link: a dead sender emits nothing; a message for
             # a dead receiver is dropped without charging the fabric.
-            self._drop(message)
+            self.messages_dropped += 1
             return delivered
 
         wire_size = size + self.MESSAGE_OVERHEAD
         self.nics[src].egress.service(
             wire_size, label=f"tx:{kind}" if self._trace_on else None,
-            then=self._after_tx, args=(wire_size, mailbox, message, delivered),
+            then=self._after_tx, args=(wire_size, endpoint, message, delivered),
         )
         return delivered
 
-    def _after_tx(self, wire_size: int, mailbox, message, delivered) -> None:
+    def _after_tx(self, wire_size: int, endpoint, message, delivered) -> None:
         dst = message.dst
         if not (self._reachable[message.src] and self._reachable[dst]):
             # Link state changed while the message sat in the egress
             # queue: drop in flight.
-            self._drop(message)
+            self.messages_dropped += 1
             return
         self.sim.schedule(
             self.switch.forward(wire_size), self._receive,
-            dst, wire_size, mailbox, message, delivered,
+            dst, wire_size, endpoint, message, delivered,
         )
 
     def _receive(
         self,
         dst: int,
         wire_size: int,
-        mailbox: Mailbox,
+        endpoint: Endpoint,
         message: Message,
-        delivered: Event,
+        delivered: Optional[Event],
         pristine: bool = True,
     ) -> None:
         if not self._reachable[dst]:
             # The receiver died while the message crossed the switch.
-            self._drop(message)
+            self.messages_dropped += 1
             return
         if pristine and self._pending_faults:
             fault = self._take_fault(dst, message)
@@ -430,7 +507,7 @@ class Network:
                     self.messages_reordered += 1
                     self.sim.schedule(
                         fault.delay, self._receive, dst, wire_size,
-                        mailbox, message, delivered, False,
+                        endpoint, message, delivered, False,
                     )
                     return
                 elif fault.kind == "dup":
@@ -440,28 +517,42 @@ class Network:
                     self.messages_duplicated += 1
                     self.sim.schedule(
                         0.0, self._receive, dst, wire_size,
-                        mailbox, message, delivered, False,
+                        endpoint, message, delivered, False,
                     )
         self.nics[dst].ingress.service(
             wire_size, label=f"rx:{message.kind}" if self._trace_on else None,
-            then=self._deliver, args=(mailbox, message, delivered),
+            then=self._deliver, args=(endpoint, message, delivered),
         )
 
     def _deliver(
-        self, mailbox: Mailbox, message: Message, delivered: Event
+        self, endpoint: Endpoint, message: Message,
+        delivered: Optional[Event],
     ) -> None:
-        if self._integrity and message.seq is not None:
+        """The one receive path of every message: dedup, kind check,
+        fence, handler."""
+        seq = message.seq
+        if self._integrity and seq is not None:
             stream = (message.dst, message.service, message.src)
             window = self._dedup.get(stream)
             if window is None:
                 window = self._dedup[stream] = _DedupWindow()
-            if not window.accept(message.seq):
+            if seq == window.floor + 1 and not window.seen:
+                window.floor = seq  # accept()'s in-order case, inline
+            elif not window.accept(seq):
                 self.duplicates_suppressed += 1
                 return
         if message.ctx is not None:
             self.causal.on_deliver(message.ctx)
-        mailbox.put(message)
-        if not delivered.triggered:
+        if endpoint.receiving:  # Endpoint._dispatch, inline
+            handler = endpoint.handlers.get(message.kind)
+            if handler is None:
+                raise undeclared_kind(message.dst, message)
+            fence = endpoint.fence
+            if fence is None or fence(message):
+                handler(message)
+        elif endpoint._waiting is not None:
+            endpoint._waiting.append(message)
+        if delivered is not None and not delivered.triggered:
             delivered.trigger(message)
 
     # -- accounting ------------------------------------------------------
@@ -469,13 +560,3 @@ class Network:
     def total_bytes(self) -> int:
         """Total bytes that crossed the switch fabric."""
         return self.switch.bytes_forwarded
-
-    def aggregate_nic_utilization(self, elapsed: float) -> float:
-        """Mean egress utilization over the compute machines' NICs."""
-        if elapsed <= 0 or not self.nics:
-            return 0.0
-        compute_nics = self.nics[: self.machines]
-        total = sum(
-            nic.egress.meter.utilization(elapsed) for nic in compute_nics
-        )
-        return total / len(compute_nics)

@@ -120,7 +120,7 @@ class CausalRecorder:
         self._barriers.clear()
         self._arrivals.clear()
 
-    def _new(self, kind: str, cat: str, **fields) -> Dict[str, Any]:
+    def _new(self, kind: str, cat: str, /, **fields) -> Dict[str, Any]:
         """Record a non-message event, instantaneous at the current time."""
         now = self._now()
         event = {

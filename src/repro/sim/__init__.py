@@ -26,7 +26,6 @@ from repro.sim.engine import (
 from repro.sim.resources import (
     CoreBank,
     FifoServer,
-    Mailbox,
     UtilizationMeter,
 )
 from repro.sim.sync import Barrier, Latch, WaitGroup
@@ -41,7 +40,6 @@ __all__ = [
     "Event",
     "FifoServer",
     "Interrupt",
-    "Mailbox",
     "Process",
     "SimulationError",
     "Simulator",

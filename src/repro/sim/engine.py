@@ -273,8 +273,9 @@ class Simulator:
         self._seq = 0
         self._running = False
         #: Optional lifecycle hook ``fn(process, phase)`` invoked with
-        #: ``phase in ("start", "finish")`` for every process — the
-        #: tracer uses it for process naming; ``None`` costs nothing.
+        #: ``phase in ("start", "finish")`` for every process and service
+        #: registration (anything with a ``name``) — the tracer uses it
+        #: for process naming; ``None`` costs nothing.
         self.process_hook: Optional[Callable[["Process", str], None]] = None
 
     # -- scheduling ---------------------------------------------------

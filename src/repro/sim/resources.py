@@ -24,8 +24,7 @@ Both meters accumulate busy time so experiments can report utilization
 from __future__ import annotations
 
 import heapq
-from typing import Any, Callable, Deque, List, Optional, Tuple
-from collections import deque
+from typing import Any, Callable, List, Optional
 
 from repro.sim.engine import Event, Simulator
 
@@ -39,11 +38,6 @@ class UtilizationMeter:
         self.busy_time = 0.0
         self.bytes_served = 0
         self.requests = 0
-
-    def record(self, service_time: float, size: float) -> None:
-        self.busy_time += service_time
-        self.bytes_served += int(size)
-        self.requests += 1
 
     def utilization(self, elapsed: float) -> float:
         """Fraction of ``elapsed`` the resource spent busy."""
@@ -149,7 +143,10 @@ class FifoServer:
         start = max(sim.now, self._busy_until)
         duration = self.latency + size / self.bandwidth
         self._busy_until = finish = start + duration
-        self.meter.record(duration, size)
+        meter = self.meter  # one record, inline: a NIC hop of every message
+        meter.busy_time += duration
+        meter.bytes_served += int(size)
+        meter.requests += 1
         track = self._trace_track
         if track is not None:
             # One event-log row (layout: repro.obs.log), built here.
@@ -221,7 +218,9 @@ class CoreBank:
         start = max(sim.now, self._free_at[0])
         finish = start + duration
         heapq.heapreplace(self._free_at, finish)
-        self.meter.record(duration, 0)
+        meter = self.meter
+        meter.busy_time += duration
+        meter.requests += 1
         track = self._trace_track
         if track is not None and duration > 0:
             track.append(
@@ -244,57 +243,3 @@ class CoreBank:
         if now is None:
             now = self.sim.now
         return sum(1 for free_at in self._free_at if free_at > now)
-
-
-class Mailbox:
-    """Unbounded FIFO channel between processes.
-
-    ``put`` never blocks; ``get`` returns an event that fires when an
-    item is available (immediately if the mailbox is non-empty).
-    """
-
-    __slots__ = ("sim", "name", "_items", "_getters", "_event_name")
-
-    def __init__(self, sim: Simulator, name: str = ""):
-        self.sim = sim
-        self.name = name
-        self._items: Deque[Any] = deque()
-        self._getters: Deque[Event] = deque()
-        self._event_name = f"{name}.get"
-
-    def __len__(self) -> int:
-        return len(self._items)
-
-    def put(self, item: Any) -> None:
-        if self._getters:
-            getter = self._getters.popleft()
-            getter.trigger(item)
-        else:
-            self._items.append(item)
-
-    def get(self) -> Event:
-        event = Event(self.sim, self._event_name)
-        if self._items:
-            event.trigger(self._items.popleft())
-        else:
-            self._getters.append(event)
-        return event
-
-    def try_get(self) -> Tuple[bool, Optional[Any]]:
-        """Non-blocking get: ``(True, item)`` or ``(False, None)``."""
-        if self._items:
-            return True, self._items.popleft()
-        return False, None
-
-    def reset(self) -> int:
-        """Drop queued items and abandon blocked getters; return #dropped.
-
-        Fault recovery uses this when a machine's consumer process was
-        killed: messages delivered after the crash must not be consumed
-        by a stale ``get`` event (whose waiter no longer exists) or leak
-        into the restarted consumer's epoch.
-        """
-        dropped = len(self._items)
-        self._items.clear()
-        self._getters.clear()
-        return dropped

@@ -127,6 +127,3 @@ class StorageFaultState:
     read_corrupt: int = 0
     write_corrupt: int = 0
     stale_reads: int = 0
-
-    def any_armed(self) -> bool:
-        return bool(self.read_corrupt or self.write_corrupt or self.stale_reads)

@@ -22,7 +22,7 @@ Protocol (service name ``"storage"``):
 Replies carry the original ``request_id`` so computation engines can
 keep many requests outstanding (the batch window of Section 6.5).
 
-Fault tolerance (Section 6.6): the engine's dispatcher can be
+Fault tolerance (Section 6.6): the engine's endpoint can be
 :meth:`crashed <StorageEngine.crash>` and :meth:`restarted
 <StorageEngine.restart>` by the fault injector.  The chunk backend
 survives a crash — Chaos assumes transient machine failures, so a
@@ -38,12 +38,7 @@ from __future__ import annotations
 
 from typing import Dict
 
-from repro.net.transport import (
-    MESSAGE_KINDS,
-    STORAGE_SERVICE,
-    Network,
-    undeclared_kind,
-)
+from repro.net.transport import MESSAGE_KINDS, STORAGE_SERVICE, Network
 from repro.obs.log import NULL
 from repro.sim.engine import Event, Simulator
 from repro.sim.resources import FifoServer
@@ -58,7 +53,7 @@ EXHAUSTED_BYTES = 16
 
 
 class StorageEngine:
-    """One machine's storage engine: device + chunk store + dispatcher."""
+    """One machine's storage engine: device + chunk store + handlers."""
 
     def __init__(
         self,
@@ -94,7 +89,6 @@ class StorageEngine:
                 tracer.thread(machine, TID_DEVICE, device.track_label()),
                 label="io",
             )
-        self._mailbox = network.register(machine, STORAGE_SERVICE)
         self.reads_served = 0
         self.writes_served = 0
         self.exhausted_replies = 0
@@ -126,33 +120,31 @@ class StorageEngine:
         # corrupted frame can re-request without a second cursor
         # consume (fetch_any is read-once).  Cleared each phase.
         self._retransmit: Dict[int, Chunk] = {}
-        self._process = sim.process(self._dispatch(), name=f"storage{machine}")
+        self.endpoint = self._register(f"storage{machine}")
 
     # -- fault injection ---------------------------------------------------
 
     @property
     def running(self) -> bool:
-        """Whether the dispatcher is serving requests."""
-        return self._process.alive
+        """Whether the engine is serving requests."""
+        return self.endpoint.alive
 
     def crash(self) -> None:
-        """Fail-stop: kill the dispatcher; the chunk backend survives.
+        """Fail-stop: kill the endpoint; the chunk backend survives.
 
         Device requests already queued keep their (analytic) completion
         times; their reply sends originate from an unreachable machine
         and are dropped by the transport, so nothing escapes.
         """
-        self._process.kill("storage-crash")
+        self.endpoint.kill()
 
     def restart(self) -> None:
-        """Reboot the engine: fresh dispatcher over the surviving backend."""
-        if self._process.alive:
+        """Reboot the engine: fresh registration over the surviving
+        backend (requests that reached it while down are lost)."""
+        if self.endpoint.alive:
             return
-        self._mailbox.reset()  # requests queued while down are lost
         self.restarts += 1
-        self._process = self.sim.process(
-            self._dispatch(), name=f"storage{self.machine}.r{self.restarts}"
-        )
+        self._register(f"storage{self.machine}.r{self.restarts}")
 
     def advance_epoch(self, epoch: int) -> None:
         """Fence all traffic from recovery epochs before ``epoch``."""
@@ -255,25 +247,23 @@ class StorageEngine:
 
     # -- message dispatch --------------------------------------------------
 
-    def _dispatch(self):
-        # The handler table: one ``_handle_<kind>`` per declared kind,
-        # resolved once per dispatcher (re)start instead of per message.
-        handlers = {
+    def _register(self, name: str):
+        handlers = {  # one ``_handle_<kind>`` per declared kind
             kind: getattr(self, f"_handle_{kind}")
             for kind in MESSAGE_KINDS[STORAGE_SERVICE]
         }
-        while True:
-            message = yield self._mailbox.get()
-            handler = handlers.get(message.kind)
-            if handler is None:
-                raise undeclared_kind(self.machine, message)
-            if message.epoch < self.data_epoch:
-                # A straggler from before a rollback (e.g. an update
-                # write that was in flight when the cluster fenced):
-                # executing it would corrupt the restored state.
-                self.stale_dropped += 1
-                continue
-            handler(message)
+        return self.network.register(
+            self.machine, STORAGE_SERVICE, handlers, self._admit, name=name
+        )
+
+    def _admit(self, message) -> bool:
+        """The epoch fence: a straggler from before a rollback (e.g. an
+        update write that was in flight when the cluster fenced) is
+        dropped — executing it would corrupt the restored state."""
+        if message.epoch < self.data_epoch:
+            self.stale_dropped += 1
+            return False
+        return True
 
     def _reply(
         self,
@@ -286,8 +276,8 @@ class StorageEngine:
         parent=None,
     ) -> None:
         # ``parent`` is the request's causal context: replies fire from
-        # device-completion callbacks long after dispatch moved on, so
-        # the causal edge must be threaded explicitly.
+        # device-completion callbacks long after the handler returned,
+        # so the causal edge must be threaded explicitly.
         self.network.send(
             src=self.machine,
             dst=requester,

@@ -17,12 +17,7 @@ from __future__ import annotations
 import random
 from typing import Optional, Set
 
-from repro.net.transport import (
-    DIRECTORY_SERVICE,
-    MESSAGE_KINDS,
-    Network,
-    undeclared_kind,
-)
+from repro.net.transport import DIRECTORY_SERVICE, Network
 from repro.sim.engine import Simulator
 from repro.sim.resources import FifoServer
 
@@ -118,23 +113,20 @@ class CentralizedDirectory:
         self._server = FifoServer(
             sim, bandwidth=lookups_per_second, latency=0.0, name="directory"
         )
-        self._mailbox = network.register(home, DIRECTORY_SERVICE)
-        self._next_request = 0
         self.lookups = 0
-        sim.process(self._serve(), name="directory")
+        network.register(
+            home, DIRECTORY_SERVICE,
+            {"directory_lookup": self._handle_directory_lookup},
+            name="directory",
+        )
 
-    def _serve(self):
-        accepted = MESSAGE_KINDS[DIRECTORY_SERVICE]
-        while True:
-            message = yield self._mailbox.get()
-            if message.kind not in accepted:
-                raise undeclared_kind(self.home, message)
-            request_id, reply_machine, reply_service = message.payload
-            self.lookups += 1
-            self._server.service(
-                1.0, then=self._reply,
-                args=(request_id, reply_machine, reply_service),
-            )
+    def _handle_directory_lookup(self, message) -> None:
+        request_id, reply_machine, reply_service = message.payload
+        self.lookups += 1
+        self._server.service(
+            1.0, then=self._reply,
+            args=(request_id, reply_machine, reply_service),
+        )
 
     def _reply(self, request_id: int, reply_machine: int, reply_service: str):
         location = self._rng.randrange(self.network.machines)

@@ -119,6 +119,13 @@ class TestRecorder:
         reply = rec.on_send("read_reply", 1, 0, 32, parent=a)
         assert reply[2] == a[1]
 
+    def test_mark_args_may_use_any_key(self):
+        # ``args`` keys share a namespace with the event's own fields;
+        # "self" once collided with the recorder's parameter name.
+        rec = CausalRecorder(_StubTracer())
+        event = rec.mark("ckpt", machine=0, args={"self": None, "note": 1})
+        assert event["self"] is None and event["note"] == 1
+
     def test_barrier_release_names_straggler_and_moves_heads(self):
         tracer = _StubTracer()
         rec = CausalRecorder(tracer)

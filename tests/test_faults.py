@@ -335,10 +335,10 @@ class TestByteIdentity:
 
 class TestRollbackFence:
     """Recovery is cluster-wide (Section 6.6): the rollback fence kills
-    every engine main and dispatch process of the failed epoch, crashed
-    or not.  The CHX021 suppressions on the main process's bare waits
-    (``core/compute.py``) rely on it — a wait no process is parked on
-    cannot hang."""
+    every engine main process and compute registration of the failed
+    epoch, crashed or not.  The CHX021 suppressions on the main
+    process's bare waits (``core/compute.py``) rely on it — a wait no
+    process is parked on cannot hang."""
 
     @pytest.mark.parametrize(
         "fault", ["crash:1@iter=1", "partition:2@iter=1,for=0.05"]
@@ -346,16 +346,20 @@ class TestRollbackFence:
     def test_rollback_finishes_every_process_of_the_failed_epoch(
         self, fault, small_graph, monkeypatch
     ):
-        fenced, alive = [], []
+        fenced, alive, receiving = [], [], []
         recover = ClusterSupervisor._recover
 
         def recover_and_inspect(supervisor):
             processes = list(supervisor.processes) + [
-                engine.dispatch_process for engine in supervisor.engines
+                engine.endpoint for engine in supervisor.engines
             ]
             resume = recover(supervisor)
             fenced.extend(processes)
             alive.extend(p.name for p in processes if p.alive)
+            receiving.extend(
+                m for m, engine in enumerate(supervisor.engines)
+                if engine.endpoint.receiving
+            )
             return resume
 
         monkeypatch.setattr(ClusterSupervisor, "_recover", recover_and_inspect)
@@ -368,6 +372,7 @@ class TestRollbackFence:
         assert len(cluster.last_fault_timeline.rounds) == 1
         assert len(fenced) == 2 * config.machines
         assert alive == []
+        assert receiving == []
 
 
 # ---------------------------------------------------------------------------

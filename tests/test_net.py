@@ -3,8 +3,19 @@
 import pytest
 
 from repro.net import GIGE_1, GIGE_40, Network, NetworkConfig
+from repro.net.transport import MEMBERSHIP_SERVICE, STORAGE_SERVICE
 from repro.sim import Simulator
 from repro.sim.engine import SimulationError
+
+
+def _collector(network, machine, fence=None):
+    """Register the membership service on ``machine`` with one handler
+    that keeps every heartbeat it is given; the kept list."""
+    got = []
+    network.register(
+        machine, MEMBERSHIP_SERVICE, {"heartbeat": got.append}, fence
+    )
+    return got
 
 
 class TestNetworkConfig:
@@ -30,7 +41,7 @@ class TestTransport:
         sim, network = self._network()
         network.register(1, "svc")
         size = 1_000_000
-        delivered = network.send(0, 1, "svc", "data", size)
+        delivered = network.send(0, 1, "svc", "data", size, track=True)
         sim.run_until(delivered)
         wire = size + Network.MESSAGE_OVERHEAD
         expected = wire / GIGE_40.bandwidth * 2 + GIGE_40.latency
@@ -39,20 +50,20 @@ class TestTransport:
     def test_local_delivery_is_free(self):
         sim, network = self._network()
         network.register(0, "svc")
-        delivered = network.send(0, 0, "svc", "data", 10**9)
+        delivered = network.send(0, 0, "svc", "data", 10**9, track=True)
         sim.run_until(delivered)
         assert sim.now == 0.0
         assert network.total_bytes() == 0
 
     def test_message_payload_and_metadata(self):
         sim, network = self._network()
-        mailbox = network.register(1, "svc")
-        network.send(0, 1, "svc", "ping", 100, payload={"x": 1})
+        got = _collector(network, 1)
+        network.send(0, 1, MEMBERSHIP_SERVICE, "heartbeat", 100,
+                     payload={"x": 1})
         sim.run()
-        ok, message = mailbox.try_get()
-        assert ok
+        (message,) = got
         assert message.src == 0 and message.dst == 1
-        assert message.kind == "ping" and message.payload == {"x": 1}
+        assert message.kind == "heartbeat" and message.payload == {"x": 1}
 
     def test_switch_counts_remote_bytes(self):
         sim, network = self._network()
@@ -70,7 +81,7 @@ class TestTransport:
         arrivals = []
         size = 5_000_000  # 1 ms serialization at 5 GB/s
         for dst in (1, 2):
-            network.send(0, dst, "svc", "bulk", size).subscribe(
+            network.send(0, dst, "svc", "bulk", size, track=True).subscribe(
                 lambda e: arrivals.append(sim.now)
             )
         sim.run()
@@ -87,7 +98,7 @@ class TestTransport:
             sim = Simulator()
             network = Network(sim, 2, config)
             network.register(1, "svc")
-            done = network.send(0, 1, "svc", "x", size)
+            done = network.send(0, 1, "svc", "x", size, track=True)
             sim.run_until(done)
             times[name] = sim.now
         assert times["slow"] > 10 * times["fast"]
@@ -117,18 +128,20 @@ class TestTransport:
         # endpoint's egress NIC; one past the end died with a bare
         # IndexError inside the reachability check.
         sim, network = self._network(machines=3)
-        network.register(1, "svc")
+        got = _collector(network, 1)
         for src in (-1, 3, 5):
             with pytest.raises(SimulationError, match="invalid source machine"):
-                network.send(src, 1, "svc", "x", 10)
+                network.send(src, 1, MEMBERSHIP_SERVICE, "heartbeat", 10)
         sim.run()
-        assert len(network.mailbox(1, "svc")) == 0
+        assert got == []
         assert all(nic.bytes_sent() == 0 for nic in network.nics)
 
     def test_message_has_no_instance_dict(self):
         sim, network = self._network()
         network.register(1, "svc")
-        message = sim.run_until(network.send(0, 1, "svc", "data", 8, payload="p"))
+        message = sim.run_until(
+            network.send(0, 1, "svc", "data", 8, payload="p", track=True)
+        )
         assert not hasattr(message, "__dict__")
         assert (message.src, message.dst, message.service, message.kind,
                 message.size, message.payload, message.seq) == (
@@ -211,17 +224,18 @@ class TestArmedFaults:
         # Traffic before the fault is armed takes the unarmed fast path;
         # arming must take effect on the very next frame received.
         sim, network = self._pair()
+        got = _collector(network, 1)
         for _ in range(3):
-            network.send(0, 1, "svc", "data", 100)
+            network.send(0, 1, MEMBERSHIP_SERVICE, "heartbeat", 100)
         sim.run()
         assert network.messages_duplicated == 0
         network.inject_fault(1, "dup")
-        network.send(0, 1, "svc", "data", 100)
-        network.send(2, 1, "svc", "data", 100)
+        network.send(0, 1, MEMBERSHIP_SERVICE, "heartbeat", 100)
+        network.send(2, 1, MEMBERSHIP_SERVICE, "heartbeat", 100)
         sim.run()
         assert network.messages_duplicated == 1
         assert network.duplicates_suppressed == 1
-        assert len(network.mailbox(1, "svc")) == 5
+        assert len(got) == 5
         assert not network._pending_faults
 
     def test_fault_armed_while_frame_is_in_flight_still_applies(self):
@@ -251,3 +265,136 @@ class TestArmedFaults:
         network.send(0, 2, "svc", "data", 100)
         sim.run()
         assert network.messages_duplicated == 1
+
+
+class TestEndpoint:
+    """The one receive path: a registration's handler runs where its
+    message lands, behind the kind check and the fence."""
+
+    def _network(self, machines=2):
+        sim = Simulator()
+        return sim, Network(sim, machines, GIGE_40)
+
+    def test_handler_table_must_equal_the_declared_kinds(self):
+        sim, network = self._network()
+        for table in ({}, {"heartbeat": print, "beat": print}, {"beat": print}):
+            with pytest.raises(SimulationError, match="declared kinds"):
+                network.register(1, MEMBERSHIP_SERVICE, table)
+        with pytest.raises(SimulationError, match="declared kinds"):
+            network.register(1, "svc", {"data": print})
+
+    def test_undeclared_kind_raises_at_delivery(self):
+        sim, network = self._network()
+        _collector(network, 1)
+        network.send(0, 1, MEMBERSHIP_SERVICE, "heartbaet", 8)
+        with pytest.raises(SimulationError, match=(
+            "machine 1: service 'membership' received undeclared "
+            "message kind 'heartbaet'"
+        )):
+            sim.run()
+
+    def test_fence_drops_a_stale_epoch(self):
+        sim, network = self._network()
+        got = _collector(network, 1, fence=lambda m: m.epoch == 2)
+        for epoch in (1, 2, 3):
+            network.send(0, 1, MEMBERSHIP_SERVICE, "heartbeat", 8,
+                         epoch=epoch)
+        sim.run()
+        assert [m.epoch for m in got] == [2]
+
+    def test_storage_counts_what_its_fence_drops(self):
+        from repro.store.device import SSD_BENCH as SSD
+        from repro.store.engine import CONTROL_BYTES, StorageEngine
+        from repro.store.memstore import MemoryChunkStore
+        from repro.store.chunk import ChunkKind
+
+        sim, network = self._network()
+        store = StorageEngine(sim, network, 1, SSD, MemoryChunkStore())
+        store.advance_epoch(2)
+        for epoch in (1, 2):
+            network.send(0, 1, STORAGE_SERVICE, "delete", CONTROL_BYTES,
+                         payload=(0, ChunkKind.UPDATES), epoch=epoch)
+        sim.run()
+        assert store.stale_dropped == 1
+
+    def test_track_returns_an_event_that_fires_on_delivery(self):
+        sim, network = self._network()
+        got = _collector(network, 1)
+        assert network.send(0, 1, MEMBERSHIP_SERVICE, "heartbeat", 8) is None
+        delivered = network.send(
+            0, 1, MEMBERSHIP_SERVICE, "heartbeat", 8, payload=7, track=True
+        )
+        assert not delivered.triggered
+        message = sim.run_until(delivered)
+        assert message.payload == 7 and got[-1] is message
+
+    def test_handler_runs_at_the_delivery_instant(self):
+        sim, network = self._network()
+        times = []
+        network.register(
+            1, MEMBERSHIP_SERVICE, {"heartbeat": lambda m: times.append(sim.now)}
+        )
+        delivered = network.send(0, 1, MEMBERSHIP_SERVICE, "heartbeat", 8,
+                                 track=True)
+        delivered.subscribe(lambda e: times.append(sim.now))
+        sim.run()
+        assert len(times) == 2 and times[0] == times[1] > 0
+
+    def test_handlers_run_in_delivery_order(self):
+        sim, network = self._network()
+        got = _collector(network, 1)
+        for payload in range(5):
+            network.send(0, 1, MEMBERSHIP_SERVICE, "heartbeat", 8,
+                         payload=payload)
+        sim.run()
+        assert [m.payload for m in got] == list(range(5))
+
+    def test_message_before_the_first_instant_waits_for_it(self):
+        # A registration starts receiving at the zero-delay instant
+        # after it is made, as the dispatcher process it replaces did:
+        # a message landing in between is handled then, in order.
+        sim, network = self._network()
+        network.register(0, MEMBERSHIP_SERVICE)  # a sink, for now
+        network.send(0, 0, MEMBERSHIP_SERVICE, "heartbeat", 8, payload="x")
+        got = []
+        network.register(0, MEMBERSHIP_SERVICE, {"heartbeat": got.append})
+        sim.schedule(0.0, lambda: got.append("first instant"))
+        sim.run()
+        assert [getattr(m, "payload", m) for m in got] == [
+            "x", "first instant"]
+
+    def test_sink_drops_what_reaches_it(self):
+        sim, network = self._network()
+        sink = network.register(1, "svc")
+        delivered = network.send(0, 1, "svc", "anything", 8, track=True)
+        sim.run()
+        assert delivered.triggered
+        assert not sink.alive and not sink.receiving
+
+    def test_close_stops_at_once_and_kill_at_the_next_instant(self):
+        sim, network = self._network()
+        phases = []
+        sim.process_hook = lambda endpoint, phase: phases.append(
+            (phase, endpoint.name, sim.now)
+        )
+        got = []
+        endpoint = network.register(
+            0, MEMBERSHIP_SERVICE, {"heartbeat": got.append}
+        )
+        sim.run()
+        network.send(0, 0, MEMBERSHIP_SERVICE, "heartbeat", 8, payload=1)
+        endpoint.kill()
+        endpoint.kill()  # one landing per kill while alive; the second is a no-op
+        network.send(0, 0, MEMBERSHIP_SERVICE, "heartbeat", 8, payload=2)
+        assert endpoint.alive
+        sim.run()
+        assert [m.payload for m in got] == [1]  # 2 landed after the kill did
+        assert not endpoint.alive
+        assert phases == [("start", "m0.membership", 0.0),
+                          ("finish", "m0.membership", 0.0)]
+        network.register(0, MEMBERSHIP_SERVICE, {"heartbeat": got.append})
+        sim.run()
+        endpoint.close()
+        network.send(0, 0, MEMBERSHIP_SERVICE, "heartbeat", 8, payload=3)
+        sim.run()
+        assert [m.payload for m in got] == [1] and endpoint.alive

@@ -2,10 +2,10 @@
 
 Two layers of :mod:`repro.analysis.protocol` plus its rule/CLI surface:
 
-* the fact-finding helpers see receive loops (epoch fences) and
-  blocking waits in fixture packages, asserted through the findings of
-  CHX020 and CHX021 (``tests/test_rule_mutations.py`` plants the same
-  defects in the real ``src/`` loops);
+* the fact-finding helpers see service registrations (epoch fences)
+  and blocking waits in fixture packages, asserted through the findings
+  of CHX020 and CHX021 (``tests/test_rule_mutations.py`` plants the
+  same defects in the real ``src/`` registrations);
 * the conformance checker replays causal DAGs — real traced runs and
   synthetic event lists — against the declared message kinds
   (``repro.net.transport.MESSAGE_KINDS``);
@@ -36,7 +36,7 @@ from tests.test_flow import build_pkg, check_tree, findings_of
 
 
 # ---------------------------------------------------------------------------
-# Receive loops and waits in a fixture package
+# Registrations and waits in a fixture package
 # ---------------------------------------------------------------------------
 
 
@@ -63,20 +63,20 @@ PROTOCOL_FIXTURE = {
         class Server:
             def __init__(self, network, machine):
                 self.epoch = 0
-                self._mailbox = network.register(
-                    machine, wire.SERVICE_ALPHA
+                network.register(
+                    machine, wire.SERVICE_ALPHA,
+                    {"ping": self._ping, "share": self._share},
+                    self._admit,
                 )
 
-            def _serve(self):
-                while True:
-                    message = yield self._mailbox.get()
-                    if message.epoch != self.epoch:
-                        continue
-                    kind = message.kind
-                    if kind == "ping":
-                        self._count = 1
-                    elif kind in ("share", "accept"):
-                        self._count = 2
+            def _admit(self, message):
+                return message.epoch == self.epoch
+
+            def _ping(self, message):
+                self._count = 1
+
+            def _share(self, message):
+                self._count = 2
 
 
         class Client:
@@ -120,10 +120,7 @@ PROTOCOL_FIXTURE = {
 
 
 #: The Server's epoch fence, which :func:`_unfence` deletes.
-FENCE = (
-    "                    if message.epoch != self.epoch:\n"
-    "                        continue\n"
-)
+FENCE = "                    self._admit,\n"
 
 
 def _protocol_findings(tmp_path, files=PROTOCOL_FIXTURE):
@@ -145,20 +142,20 @@ def _unfence(files=PROTOCOL_FIXTURE):
 
 class TestExtraction:
     def test_roles_pruned_to_protocol_participants(self, tmp_path):
-        # Only the classes with receive loops or waits can report; the
+        # Only the classes with registrations or waits can report; the
         # Bystander never does, even with every protocol defect planted.
         findings = _protocol_findings(tmp_path, _unfence())
         assert {name for _, name, _ in findings} == {
-            "_serve", "ping", "patient_ping",
+            "__init__", "ping", "patient_ping",
         }
 
     def test_receive_loop_epoch_guard(self, tmp_path):
-        # The fenced loop of an epoch-aware role is clean; without its
-        # fence the same loop reports.
+        # The fenced registration of an epoch-aware role is clean;
+        # without its fence the same registration reports.
         assert [f for f in _protocol_findings(tmp_path) if f[0] == "CHX020"] == []
         unfenced = _protocol_findings(tmp_path / "unfenced", _unfence())
         assert [f[:2] for f in unfenced if f[0] == "CHX020"] == [
-            ("CHX020", "_serve"),
+            ("CHX020", "__init__"),
         ]
 
     def test_waits_and_their_remote_flags(self, tmp_path):
@@ -286,37 +283,52 @@ CHX020_FIXTURE = {
         class Fenced:
             def __init__(self, network, machine):
                 self.epoch = 0
-                self._mailbox = network.register(machine, "work")
+                network.register(machine, "work", {"task": self._task},
+                                 self._admit)
 
-            def _serve(self):
-                while True:
-                    message = yield self._mailbox.get()
-                    if message.epoch < self.epoch:
-                        continue
-                    if message.kind == "task":
-                        self.epoch += 1
+            def _admit(self, message):
+                return message.epoch >= self.epoch
+
+            def _task(self, message):
+                self.epoch += 1
 
 
         class Unfenced:
             def __init__(self, network, machine):
                 self.epoch = 0
-                self._box = network.register(machine, "jobs")
+                network.register(machine, "jobs", {"task": self._task})
 
-            def _serve(self):
-                while True:
-                    message = yield self._box.get()
-                    if message.kind == "task":
-                        self.epoch += 1
+            def _task(self, message):
+                self.epoch += 1
+
+
+        class NoneFenced:
+            def __init__(self, network, machine):
+                self.epoch = 0
+                network.register(machine, "jobs", {"task": print}, fence=None)
+
+
+        class OpenFenced:
+            def __init__(self, network, machine):
+                self.epoch = 0
+                network.register(machine, "jobs", {"task": print}, self._open)
+
+            def _open(self, message):
+                return message.size >= 0
+
+
+        class LentFence:
+            def __init__(self, network, machine, fence):
+                self.epoch = 0
+                network.register(machine, "jobs", {"task": print}, fence)
 
 
         class Carefree:
             def __init__(self, network, machine):
-                self._box = network.register(machine, "beat")
+                network.register(machine, "beat", {"beat": self._beat})
 
-            def _serve(self):
-                while True:
-                    message = yield self._box.get()
-                    self._last = message
+            def _beat(self, message):
+                self._last = message
         """,
 }
 
@@ -325,20 +337,28 @@ class TestCHX020:
     def test_only_the_unfenced_epoch_aware_loop_reports(self, tmp_path):
         build_pkg(tmp_path, CHX020_FIXTURE)
         result = check_tree(tmp_path, rules={"CHX020"})
-        (found,) = findings_of(result, "CHX020")
-        assert "Unfenced._serve" in found.message
-        assert "message.epoch" in found.message
-        assert found.severity == "error"
+        found = findings_of(result, "CHX020")
+        assert [f.message.split(" ")[0] for f in found] == [
+            "proj.sim.node.Unfenced.__init__",
+            "proj.sim.node.NoneFenced.__init__",
+            "proj.sim.node.OpenFenced.__init__",
+        ]
+        assert all("message.epoch" in f.message for f in found)
+        assert all(f.severity == "error" for f in found)
 
     def test_suppression_honored(self, tmp_path):
         files = dict(CHX020_FIXTURE)
-        files["proj/sim/node.py"] = files["proj/sim/node.py"].replace(
-            "                    message = yield self._box.get()\n"
-            "                    if message.kind == \"task\":",
-            "                    message = yield self._box.get()"
-            "  # chaos: ignore[CHX020] fixture\n"
-            "                    if message.kind == \"task\":",
-        )
+        node = files["proj/sim/node.py"]
+        for line in (
+            '                network.register(machine, "jobs", {"task": self._task})\n',
+            '                network.register(machine, "jobs", {"task": print}, fence=None)\n',
+            '                network.register(machine, "jobs", {"task": print}, self._open)\n',
+        ):
+            assert node.count(line) == 1
+            node = node.replace(
+                line, line[:-1] + "  # chaos: ignore[CHX020] fixture\n"
+            )
+        files["proj/sim/node.py"] = node
         build_pkg(tmp_path, files)
         result = check_tree(tmp_path, rules={"CHX020"})
         assert findings_of(result, "CHX020") == []
@@ -467,7 +487,7 @@ class TestCHX022:
 class TestRuleRegistration:
     def test_protocol_rules_in_table_with_titles(self):
         assert RULE_TABLE["CHX020"] == (
-            "receive loop missing epoch guard"
+            "service registered without an epoch fence"
         )
         assert RULE_TABLE["CHX021"] == (
             "blocking wait with no timeout/liveness path"

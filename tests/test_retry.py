@@ -104,6 +104,20 @@ class TestDeterminism:
         stream = backoff_delays(POLICY, 7, 2, 41)
         assert next(stream) == jittered_delay(POLICY, 0, 7, 2, 41)
 
+    def test_lazy_liveness_schedule_matches_backoff_delays(self):
+        # A read's watch is armed with jittered_delay's attempt 0 alone;
+        # the first re-check builds the schedule and skips its draw 0.
+        # Draw for draw it is the eager schedule: 8 delays for each of
+        # 1,000 request ids.
+        policy = ClusterConfig().liveness_policy()
+        for request_id in range(1000):
+            eager = backoff_delays(policy, 7, 2, request_id)
+            lazy = [jittered_delay(policy, 0, 7, 2, request_id)]
+            rest = backoff_delays(policy, 7, 2, request_id)
+            next(rest)
+            lazy += [next(rest) for _ in range(7)]
+            assert lazy == [next(eager) for _ in range(8)]
+
     def test_backoff_stream_is_reproducible_and_endless_enough(self):
         a = backoff_delays(POLICY, 7, 2, 41)
         b = backoff_delays(POLICY, 7, 2, 41)

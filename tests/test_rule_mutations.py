@@ -8,7 +8,7 @@ records the verdicts: rows M1-M4, M6-M8, M10, M12 and M13-M15, plus one
 row for each rule no M-row exercises (CHX003, 005, 006, 007, 016).  Defects of
 the protocol's *values* (a merge before the handoff, a stealer that
 applies) no rule can see, and a mistyped message kind (M5, M9, M11) is
-rejected by the receiving loop on first delivery; their rows are in
+rejected by delivery on its first arrival; their rows are in
 ``tests/test_value_mutations.py``.
 """
 
@@ -113,11 +113,8 @@ MUTATIONS = [
         ("CHX011",), frozenset({"CHX011"}),
     ), id="M4-discarded-wait"),
     pytest.param(Mutation(
-        SUPERVISOR,
-        (("            if message.epoch != self.epoch:\n"
-          "                continue\n"
-          "            callback = self._pending.pop(",
-          "            callback = self._pending.pop("),),
+        # The restore client registers its service with no fence.
+        SUPERVISOR, (("            self._admit,\n", ""),),
         ("CHX020",), frozenset({"CHX020"}),
     ), id="M6-unfenced-restore-dispatch"),
     pytest.param(Mutation(
@@ -151,13 +148,26 @@ MUTATIONS = [
         ("CHX021",), frozenset({"CHX021"}),
     ), id="M10-steal-without-liveness"),
     pytest.param(Mutation(
-        COMPUTE,
-        (("            if message.epoch != self.epoch:\n"
-          "                # Traffic from another recovery epoch (a straggling\n"
-          "                # reply, or a steal request from a zombie peer).\n"
-          "                continue\n", ""),),
+        # The compute engine registers its service with no fence.
+        COMPUTE, (("            self._admit,\n", ""),),
         ("CHX020",), frozenset({"CHX020"}),
     ), id="M12-unfenced-compute-dispatch"),
+    pytest.param(Mutation(
+        # The compute engine's fence admits every epoch.
+        COMPUTE,
+        (("        if message.epoch != self.epoch:\n"
+          "            return False\n", ""),),
+        ("CHX020",), frozenset({"CHX020"}),
+    ), id="M12-compute-fence-without-epoch-test"),
+    pytest.param(Mutation(
+        # The storage engine's fence no longer drops stale epochs.
+        "store/engine.py",
+        (("        if message.epoch < self.data_epoch:\n"
+          "            self.stale_dropped += 1\n"
+          "            return False\n"
+          "        return True\n", "        return True\n"),),
+        ("CHX020",), frozenset({"CHX020"}),
+    ), id="M12-storage-fence-without-epoch-test"),
     pytest.param(Mutation(
         COMPUTE,
         (("yield self.local_store.local_input_read(size)",
@@ -172,20 +182,20 @@ MUTATIONS = [
     ), id="CHX005-set-comprehension-loop"),
     pytest.param(Mutation(
         SUPERVISOR,
-        (("            if callback is not None:\n"
-          "                callback(message)\n",
-          "            if callback is not None:\n"
-          "                try:\n"
-          "                    callback(message)\n"
-          "                except Exception:\n"
-          "                    pass\n"),),
+        (("        if callback is not None:\n"
+          "            callback(message)\n",
+          "        if callback is not None:\n"
+          "            try:\n"
+          "                callback(message)\n"
+          "            except Exception:\n"
+          "                pass\n"),),
         ("CHX006",), frozenset({"CHX006"}),
     ), id="CHX006-swallowed-interrupt"),
     pytest.param(Mutation(
         "store/engine.py",
-        (("            handler(message)\n",
-          '            print(f"storage {self.machine}: {message.kind}")\n'
-          "            handler(message)\n"),),
+        (("        self.backend.delete(partition, kind)\n",
+          '        print(f"storage {self.machine}: delete {partition}")\n'
+          "        self.backend.delete(partition, kind)\n"),),
         ("CHX007",), frozenset({"CHX007"}),
     ), id="CHX007-print-in-store"),
     pytest.param(Mutation(

@@ -1,8 +1,8 @@
-"""Unit tests for queueing resources (FIFO servers, core banks, mailboxes)."""
+"""Unit tests for queueing resources (FIFO servers, core banks)."""
 
 import pytest
 
-from repro.sim import CoreBank, FifoServer, Mailbox, Simulator
+from repro.sim import CoreBank, FifoServer, Simulator
 
 
 class TestFifoServer:
@@ -188,43 +188,3 @@ class TestCoreBank:
     def test_invalid_cores_rejected(self):
         with pytest.raises(ValueError):
             CoreBank(Simulator(), cores=0)
-
-
-class TestMailbox:
-    def test_put_then_get(self):
-        sim = Simulator()
-        mailbox = Mailbox(sim)
-        mailbox.put("hello")
-        event = mailbox.get()
-        assert event.triggered and event.value == "hello"
-
-    def test_get_blocks_until_put(self):
-        sim = Simulator()
-        mailbox = Mailbox(sim)
-        event = mailbox.get()
-        assert not event.triggered
-        mailbox.put("late")
-        assert event.value == "late"
-
-    def test_fifo_order(self):
-        sim = Simulator()
-        mailbox = Mailbox(sim)
-        mailbox.put(1)
-        mailbox.put(2)
-        assert mailbox.get().value == 1
-        assert mailbox.get().value == 2
-
-    def test_try_get(self):
-        sim = Simulator()
-        mailbox = Mailbox(sim)
-        assert mailbox.try_get() == (False, None)
-        mailbox.put("x")
-        assert mailbox.try_get() == (True, "x")
-
-    def test_len_counts_queued_items(self):
-        sim = Simulator()
-        mailbox = Mailbox(sim)
-        assert len(mailbox) == 0
-        mailbox.put(1)
-        mailbox.put(2)
-        assert len(mailbox) == 2

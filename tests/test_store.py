@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from repro.net import GIGE_40, Network
+from repro.net.transport import COMPUTE_SERVICE, MESSAGE_KINDS
 from repro.sim import Simulator
 from repro.store import (
     CentralizedDirectory,
@@ -297,6 +298,15 @@ class TestHashedVertexPlacement:
         assert machines == set(range(8))
 
 
+def _client(network, machine, keep):
+    """Stand in for the compute service on ``machine``: every reply it
+    is given goes to ``keep``."""
+    network.register(
+        machine, COMPUTE_SERVICE,
+        dict.fromkeys(MESSAGE_KINDS[COMPUTE_SERVICE], keep),
+    )
+
+
 class TestStorageEngineProtocol:
     def _cluster(self, machines=2):
         sim = Simulator()
@@ -305,30 +315,24 @@ class TestStorageEngineProtocol:
             StorageEngine(sim, network, m, SSD_480GB, MemoryChunkStore())
             for m in range(machines)
         ]
+        self.replies = []
+        _client(network, 0, self.replies.append)
         return sim, network, engines
 
     def _request(self, sim, network, kind, payload):
-        mailbox = network.register(0, "client")
         network.send(0, 1, "storage", kind, 32, payload=payload)
-        replies = []
-
-        def collect():
-            message = yield mailbox.get()
-            replies.append(message)
-
-        sim.process(collect())
         sim.run()
-        return replies[0]
+        return self.replies[-1]
 
     def test_read_returns_chunk_then_exhausted(self):
         sim, network, engines = self._cluster()
         engines[1].preload_chunk(_edge_chunk(size=4096))
         reply = self._request(
-            sim, network, "read", (1, 0, "client", 0, ChunkKind.EDGES)
+            sim, network, "read", (1, 0, COMPUTE_SERVICE, 0, ChunkKind.EDGES)
         )
         assert reply.payload[1].size == 4096
         reply = self._request(
-            sim, network, "read", (2, 0, "client", 0, ChunkKind.EDGES)
+            sim, network, "read", (2, 0, COMPUTE_SERVICE, 0, ChunkKind.EDGES)
         )
         assert reply.payload[1] is None
         assert engines[1].exhausted_replies == 1
@@ -336,10 +340,10 @@ class TestStorageEngineProtocol:
     def test_write_then_read_back(self):
         sim, network, engines = self._cluster()
         chunk = Chunk(partition=2, kind=ChunkKind.UPDATES, size=1000)
-        reply = self._request(sim, network, "write", (5, 0, "client", chunk))
+        reply = self._request(sim, network, "write", (5, 0, COMPUTE_SERVICE, chunk))
         assert reply.kind == "write_ack"
         reply = self._request(
-            sim, network, "read", (6, 0, "client", 2, ChunkKind.UPDATES)
+            sim, network, "read", (6, 0, COMPUTE_SERVICE, 2, ChunkKind.UPDATES)
         )
         assert reply.payload[1].size == 1000
 
@@ -348,15 +352,15 @@ class TestStorageEngineProtocol:
         chunk = Chunk(
             partition=0, kind=ChunkKind.VERTICES, size=64, index=3
         )
-        self._request(sim, network, "vwrite", (7, 0, "client", chunk))
-        reply = self._request(sim, network, "vread", (8, 0, "client", 0, 3))
+        self._request(sim, network, "vwrite", (7, 0, COMPUTE_SERVICE, chunk))
+        reply = self._request(sim, network, "vread", (8, 0, COMPUTE_SERVICE, 0, 3))
         assert reply.payload[1].index == 3
 
     def test_device_time_charged(self):
         sim, network, engines = self._cluster()
         size = 4 * 1024 * 1024
         engines[1].preload_chunk(_edge_chunk(size=size))
-        self._request(sim, network, "read", (1, 0, "client", 0, ChunkKind.EDGES))
+        self._request(sim, network, "read", (1, 0, COMPUTE_SERVICE, 0, ChunkKind.EDGES))
         expected_device = SSD_480GB.latency + size / SSD_480GB.bandwidth
         assert sim.now > expected_device  # device + network time elapsed
         assert engines[1].bytes_served() == size
@@ -373,15 +377,9 @@ class TestCentralizedDirectory:
         sim = Simulator()
         network = Network(sim, 4, GIGE_40)
         directory = CentralizedDirectory(sim, network, home=0)
-        mailbox = network.register(2, "client")
-        directory.lookup_from(2, "client", request_id=42)
         replies = []
-
-        def collect():
-            message = yield mailbox.get()
-            replies.append(message)
-
-        sim.process(collect())
+        _client(network, 2, replies.append)
+        directory.lookup_from(2, COMPUTE_SERVICE, request_id=42)
         sim.run()
         request_id, location = replies[0].payload
         assert request_id == 42
@@ -395,18 +393,12 @@ class TestCentralizedDirectory:
         directory = CentralizedDirectory(
             sim, network, home=0, lookups_per_second=10.0
         )
-        mailbox = network.register(1, "client")
-        for request_id in range(3):
-            directory.lookup_from(1, "client", request_id)
         arrival_times = []
-
-        def collect():
-            for _ in range(3):
-                yield mailbox.get()
-                arrival_times.append(sim.now)
-
-        sim.process(collect())
+        _client(network, 1, lambda _reply: arrival_times.append(sim.now))
+        for request_id in range(3):
+            directory.lookup_from(1, COMPUTE_SERVICE, request_id)
         sim.run()
+        assert len(arrival_times) == 3
         gaps = np.diff(arrival_times)
         assert (gaps > 0.09).all()  # ~0.1 s service time each
 

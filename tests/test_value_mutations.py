@@ -13,7 +13,7 @@ machine with stealing off.  Final values are byte-identical across
 machine counts and stealing (``tests/test_order_sensitive.py``), so a
 difference is the defect's.  A job catches a defect when its values
 differ from the oracle's or when the simulation fails: an engine
-assertion, a receive loop rejecting a kind its service does not declare
+assertion, delivery rejecting a kind its service does not declare
 (``repro.net.transport.MESSAGE_KINDS``), or the simulated deadline of a
 livelocked run.  DESIGN.md section 6 records every row's verdict beside
 the happens-before sanitizer's, which rows V1-V8 replaced, and beside

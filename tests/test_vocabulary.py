@@ -1,9 +1,10 @@
 """The declared message vocabulary holds in both directions.
 
 ``repro.net.transport.MESSAGE_KINDS`` declares, per service, the kinds
-its receive loop accepts.  Each of the five loops rejects any other kind
-on first delivery, with a :class:`SimulationError` naming the machine,
-the service and the kind.  Conversely every declared kind is delivered
+it handles.  Each of the five services registers exactly one handler
+per declared kind, and delivery rejects any other kind on first
+arrival, with a :class:`SimulationError` naming the machine, the
+service and the kind.  Conversely every declared kind is delivered
 to its service and handled there in one of two small traced runs, and
 ``trace conform`` over those two runs observes every declared kind:
 
@@ -52,7 +53,7 @@ from repro.store.placement import CentralizedDirectory
 
 from tests.conftest import fast_config
 
-#: The class whose receive loop drains each service's mailbox.
+#: The class that registers each service's handlers.
 ROLES = {
     COMPUTE_SERVICE: ComputationEngine,
     STORAGE_SERVICE: StorageEngine,
@@ -93,9 +94,9 @@ def _record(name):
     delivered = collections.defaultdict(set)
     deliver = Network._deliver
 
-    def recording(self, mailbox, message, event):
+    def recording(self, endpoint, message, event):
         delivered[message.service].add(message.kind)
-        deliver(self, mailbox, message, event)
+        deliver(self, endpoint, message, event)
 
     tracer = Tracer(sample_interval=None)
     with pytest.MonkeyPatch.context() as patch:
@@ -159,3 +160,22 @@ def test_conform_over_the_coverage_runs_observes_every_kind(coverage):
         assert report.ok, report.format_text()
         unobserved.append(set(report.unobserved))
     assert set.intersection(*unobserved) == set()
+
+
+def test_reply_with_an_unknown_request_id_is_a_simulation_error(monkeypatch):
+    """A reply no request is waiting for (and none was abandoned) is a
+    protocol violation, raised as such rather than as a bare
+    ``RuntimeError`` the value harness cannot tell from a crash."""
+    send = Network.send
+
+    def send_stray(self, *args, **kwargs):
+        if kwargs.get("kind") == "read_reply":
+            kwargs["payload"] = (-1, *kwargs["payload"][1:])
+        return send(self, *args, **kwargs)
+
+    monkeypatch.setattr(Network, "send", send_stray)
+    with pytest.raises(
+        SimulationError, match=r"engine \d: unexpected reply read_reply id=-1"
+    ):
+        run_algorithm(PageRank(iterations=1), rmat_graph(7, seed=5),
+                      fast_config(2))

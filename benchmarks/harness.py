@@ -27,7 +27,7 @@ from __future__ import annotations
 import functools
 import math
 import os
-from typing import Dict, List, Optional
+from typing import Dict, List
 
 import numpy as np
 
@@ -95,29 +95,6 @@ def report(name: str, lines) -> str:
 
 def collected_reports() -> List[str]:
     return list(_REPORTS)
-
-
-def write_bench_snapshot(
-    label: str,
-    names: Optional[List[str]] = None,
-    out: Optional[str] = None,
-) -> str:
-    """Run the tracked ``repro bench`` scenarios into a snapshot file.
-
-    Benchmark drivers call this after their figure sweeps so a full
-    benchmark session also refreshes the machine-readable perf
-    trajectory (``BENCH_<label>.json`` at the repo root by default,
-    matching what ``repro bench --label <label>`` writes).
-    """
-    from repro.obs import bench
-
-    snapshot = bench.run_scenarios(names, label=label, progress=print)
-    path = out or bench.snapshot_path(
-        label, root=os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
-    )
-    bench.write_snapshot(snapshot, path)
-    print(f"bench snapshot: {len(snapshot['scenarios'])} scenario(s) -> {path}")
-    return path
 
 
 # ---------------------------------------------------------------------------

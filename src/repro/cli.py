@@ -24,12 +24,6 @@ Commands
     ``--where`` filters events with a small expression language,
     ``--chain-of`` walks the backward causal chain of one event, and
     ``--slowest-chains N`` prints the chains that bound the barriers.
-``bench``
-    Run the tracked benchmark scenarios into a schema-versioned
-    ``BENCH_<label>.json`` snapshot (runtime, attribution vector,
-    utilization, bytes moved, checkpoint overhead per scenario), or
-    diff two snapshots with per-metric tolerances (``--compare``);
-    non-zero exit on regression — the CI perf gate.
 ``check``
     Determinism lint: run the CHX rules (:mod:`repro.analysis`) over
     source trees; non-zero exit on findings.  ``--format github`` emits
@@ -275,26 +269,6 @@ def _build_parser() -> argparse.ArgumentParser:
     conform.add_argument("--format", choices=("text", "json"),
                          default="text", dest="fmt",
                          help="output format")
-
-    bench = commands.add_parser(
-        "bench", help="benchmark snapshots and the perf regression gate"
-    )
-    bench.add_argument("--label", default="local",
-                       help="snapshot label (file is BENCH_<label>.json)")
-    bench.add_argument("--scenario", action="append", metavar="NAME",
-                       help="run only this scenario (repeatable; "
-                            "see --list)")
-    bench.add_argument("--out", metavar="PATH",
-                       help="snapshot output path (default: "
-                            "BENCH_<label>.json in the current directory)")
-    bench.add_argument("--list", action="store_true",
-                       help="list the tracked scenarios and exit")
-    bench.add_argument("--compare", nargs=2, metavar=("BASE", "NEW"),
-                       help="diff two snapshots instead of running; "
-                            "exit 1 if NEW regresses vs BASE")
-    bench.add_argument("--tolerance", action="append", metavar="METRIC=REL",
-                       help="override a metric's relative tolerance for "
-                            "--compare, e.g. runtime=0.10 (repeatable)")
 
     check = commands.add_parser(
         "check", help="determinism lint (CHX rules) over source trees"
@@ -796,91 +770,6 @@ def _command_trace_query(args) -> int:
         raise UsageError(f"trace query: {error}")
 
 
-def _parse_tolerances(specs):
-    """``METRIC=REL`` specs -> ``{metric: rel}``; ValueError on a bad one."""
-    from repro.obs.bench import METRIC_POLICIES
-
-    tolerances = {}
-    for spec in specs or ():
-        metric, _, value = spec.partition("=")
-        if metric not in METRIC_POLICIES:
-            raise ValueError(
-                f"unknown metric {metric!r} in --tolerance (known: "
-                f"{', '.join(sorted(METRIC_POLICIES))})"
-            )
-        try:
-            tolerance = float(value)
-        except ValueError:
-            tolerance = math.nan
-        # NaN would disable the gate silently: `delta > nan` is never true.
-        if not (math.isfinite(tolerance) and tolerance >= 0):
-            raise ValueError(
-                f"bad --tolerance value {spec!r} (need a finite "
-                f"number >= 0)"
-            )
-        tolerances[metric] = tolerance
-    return tolerances
-
-
-def _command_bench(args) -> int:
-    from repro.obs import bench
-
-    if args.list:
-        for scenario in bench.DEFAULT_SCENARIOS:
-            print(f"{scenario.name:<16}{scenario.description}")
-        return 0
-
-    if args.compare:
-        run_only = [
-            flag
-            for flag, given in (
-                ("--scenario", bool(args.scenario)),
-                ("--label", args.label != "local"),
-                ("--out", bool(args.out)),
-            )
-            if given
-        ]
-        if run_only:
-            raise UsageError(
-                f"bench: {', '.join(run_only)} only applies when running "
-                "scenarios and would be ignored with --compare"
-            )
-        try:
-            tolerances = _parse_tolerances(args.tolerance)
-        except ValueError as error:
-            raise UsageError(f"bench: {error}")
-        try:
-            base = bench.load_snapshot(args.compare[0])
-            new = bench.load_snapshot(args.compare[1])
-            comparison = bench.compare_snapshots(base, new, tolerances)
-        except (OSError, ValueError) as error:
-            raise UsageError(f"bench compare error: {error}")
-        for line in comparison.lines():
-            print(line)
-        verdict = "PASS" if comparison.ok else "FAIL"
-        print(
-            f"{verdict}: {len(comparison.regressions)} regression(s), "
-            f"{len(comparison.improvements)} improvement(s)"
-        )
-        return 0 if comparison.ok else 1
-
-    if args.tolerance:
-        raise UsageError("bench: --tolerance only applies with --compare")
-    try:
-        snapshot = bench.run_scenarios(
-            args.scenario, label=args.label, progress=print
-        )
-    except ValueError as error:  # unknown --scenario name
-        raise UsageError(f"bench: {error}")
-    out = args.out or bench.snapshot_path(args.label)
-    size = bench.write_snapshot(snapshot, out)
-    print(
-        f"wrote {len(snapshot['scenarios'])} scenario(s) -> {out} "
-        f"({size / 1e3:.1f} kB)"
-    )
-    return 0
-
-
 def _rule_stats(result) -> dict:
     """Per-rule finding/suppression counts for --stats and json output."""
     stats: dict = {}
@@ -1068,7 +957,6 @@ def main(argv: Optional[list] = None) -> int:
         "utilization": _command_utilization,
         "trace-report": _command_trace_report,
         "trace": _command_trace,
-        "bench": _command_bench,
         "check": _command_check,
         "fuzz": _command_fuzz,
     }

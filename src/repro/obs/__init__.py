@@ -30,9 +30,10 @@ Supporting modules:
   ``trace_event`` JSON (including causal ``flow`` arrows), flat CSV of
   every time series, and the one ``repro trace-report`` document with
   its JSON and text renderings (plus the loader ``trace query`` uses);
-* :mod:`repro.obs.bench` — benchmark snapshots (``BENCH_<label>.json``)
-  and the snapshot-diff regression gate behind ``repro bench``.  Import
-  it as ``repro.obs.bench`` (not re-exported here: it pulls in the full
+* :mod:`repro.obs.bench` — the seven tracked scenarios, rendered as
+  the lines of ``benchmarks/results/tracked_scenarios.txt`` that a
+  tier-1 test compares byte for byte.  Import it as
+  ``repro.obs.bench`` (not re-exported here: it pulls in the full
   runtime, which would cycle back into this package at init time).
 
 Typical use::

@@ -17,6 +17,7 @@ unchanged.
 
 from __future__ import annotations
 
+import copy
 from dataclasses import dataclass
 from typing import Optional
 
@@ -73,8 +74,8 @@ def project_capacity(
     if spec.num_vertices >= 2**32:
         # Non-compact format (Section 8): 8-byte ids double every
         # update/vertex record relative to the compact defaults the
-        # algorithms declare.  Instance attributes shadow the class
-        # declarations without touching other users of the object.
+        # algorithms declare; widened on a copy, not the caller's object.
+        algorithm = copy.copy(algorithm)
         algorithm.update_bytes = algorithm.update_bytes * 2
         algorithm.vertex_bytes = algorithm.vertex_bytes * 2
         algorithm.accum_bytes = algorithm.accum_bytes * 2

@@ -118,13 +118,24 @@ class TestCapacityProjection:
         assert "PR" in projection.summary()
 
     def test_non_compact_doubling_above_2_32(self):
+        # RMAT-32 is exactly 2^32 vertices: the first non-compact scale.
         algorithm = PageRank(iterations=1)
-        assert algorithm.update_bytes == 8
         config = ClusterConfig(
-            machines=2, chunk_bytes=1 << 26, partitions_per_machine=1
+            machines=2, chunk_bytes=1 << 28, partitions_per_machine=1
         )
-        project_capacity(
-            algorithm, fixed_profile(1), scale=33, machines=2, config=config
+
+        def project():
+            return project_capacity(
+                algorithm, fixed_profile(1), scale=32, machines=2,
+                config=config,
+            )
+
+        first, second = project(), project()
+        assert algorithm.update_bytes == 8  # the caller's object untouched
+        assert (first.runtime_hours, first.total_io_terabytes) == (
+            second.runtime_hours, second.total_io_terabytes
         )
-        assert algorithm.update_bytes == 16  # instance attr doubled
-        assert type(algorithm).update_bytes == 8  # class untouched
+        compact = ChaosCluster(config).run_model(
+            algorithm, GraphSpec.rmat(32), fixed_profile(1)
+        )
+        assert first.result.storage_bytes > compact.storage_bytes

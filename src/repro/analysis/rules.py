@@ -337,7 +337,7 @@ class BroadExceptRule(Rule):
     :class:`repro.sim.engine.Interrupt` (an ``Exception`` subclass) into
     it.  A bare ``except:`` or ``except Exception:`` in engine code
     catches that kill, so a fenced process keeps running as a zombie —
-    exactly the bug the fault injector's machine crashes would expose
+    exactly the bug injected machine crashes would expose
     nondeterministically.  A handler is fine if it re-raises (bare
     ``raise``) so the kill still propagates.
     """

@@ -289,7 +289,7 @@ def _build_parser() -> argparse.ArgumentParser:
         "fuzz", help="chaos-schedule fuzzer: random fault plans vs the "
                      "recovery invariants, with shrinking"
     )
-    fuzz.add_argument("--episodes", type=int, default=25,
+    fuzz.add_argument("--episodes", type=_count, default=25,
                       help="number of random fault schedules to run")
     fuzz.add_argument("--seed", type=int, default=7,
                       help="fuzz seed: the whole campaign (schedules, "
@@ -299,7 +299,7 @@ def _build_parser() -> argparse.ArgumentParser:
     fuzz.add_argument("--machines", type=int, default=2)
     fuzz.add_argument("--iterations", type=int, default=3,
                       help="PageRank iterations of the fuzzed job")
-    fuzz.add_argument("--max-specs", type=int, default=3,
+    fuzz.add_argument("--max-specs", type=_count, default=3,
                       help="max faults per sampled schedule")
     fuzz.add_argument("--no-integrity", action="store_true",
                       help="fuzz the unhardened cluster (checksums, "
@@ -871,19 +871,26 @@ def _command_fuzz(args) -> int:
 
     # Mirrors the tracked pr_m2 bench scenario, plus checkpointing and
     # replication so every fault kind (including ckpt-corrupt) is in
-    # scope for the generator.
-    config = ClusterConfig(
-        machines=args.machines,
-        device=SSD_BENCH,
-        network=GIGE_40_BENCH,
-        chunk_bytes=4096,
-        batch_factor=8,
-        partitions_per_machine=1,
-        checkpointing=True,
-        vertex_replicas=2,
-        seed=1,
-        integrity_checks=not args.no_integrity,
-    )
+    # scope for the generator.  Bad parameters are usage errors, raised
+    # before the first line of output.
+    try:
+        if args.max_specs < 1:
+            raise ValueError("max_specs must be >= 1")
+        config = ClusterConfig(
+            machines=args.machines,
+            device=SSD_BENCH,
+            network=GIGE_40_BENCH,
+            chunk_bytes=4096,
+            batch_factor=8,
+            partitions_per_machine=1,
+            checkpointing=True,
+            vertex_replicas=2,
+            seed=1,
+            integrity_checks=not args.no_integrity,
+        )
+        PageRank(iterations=args.iterations)
+    except ValueError as error:
+        raise UsageError(f"fuzz: {error}")
     graph = rmat_graph(args.scale, seed=1)
     print(
         f"fuzz: PageRank x{args.iterations} on {graph}, "
@@ -905,10 +912,8 @@ def _command_fuzz(args) -> int:
             f"{episode.outcome:<18} {plan_text}{tail}"
         )
 
-    from repro.algorithms import PageRank as _PageRank
-
     fuzzer = ChaosFuzzer(
-        lambda: _PageRank(iterations=args.iterations),
+        lambda: PageRank(iterations=args.iterations),
         graph,
         config,
         seed=args.seed,

@@ -39,7 +39,7 @@ class JobCoordinator:
         self.preprocessing_end: float = 0.0
         self.done = False
         #: Optional observer called once per iteration at scatter start
-        #: (the fault injector's ``iter=`` trigger hook).
+        #: (the supervisor's ``iter=`` fault-trigger hook).
         self.on_iteration = None
         self._decisions: Dict[int, bool] = {}
         self._scatter_started_for: int = -1

@@ -487,7 +487,6 @@ class ChaosCluster:
         if faulted:
             # Imported lazily: repro.faults depends on repro.core.
             from repro.faults.detector import FailureDetector
-            from repro.faults.injector import FaultInjector
             from repro.faults.registry import CheckpointRegistry
             from repro.faults.supervisor import ClusterSupervisor
 
@@ -647,8 +646,7 @@ class ChaosCluster:
                 build_epoch,
                 job_track=job_track,
             )
-            FaultInjector(sim, supervisor, fault_plan, config).start()
-            supervisor.execute(start_iteration)
+            supervisor.execute(fault_plan, start_iteration)
             timeline = self.last_fault_timeline = supervisor.timeline
         else:
             _, _, _, processes = build_epoch(0, start_iteration, True)

@@ -25,7 +25,6 @@ from repro.faults.detector import (
     HeartbeatSender,
 )
 from repro.faults.diagnosis import JobDiagnosis, UnrecoverableJobError
-from repro.faults.injector import FaultInjector
 from repro.faults.plan import (
     BYZANTINE_KINDS,
     FaultKind,
@@ -48,7 +47,6 @@ __all__ = [
     "CheckpointRegistry",
     "ClusterSupervisor",
     "FailureDetector",
-    "FaultInjector",
     "FaultKind",
     "FaultPlan",
     "FaultRecord",

@@ -36,7 +36,7 @@ from dataclasses import dataclass, field, replace
 from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.faults.diagnosis import UnrecoverableJobError
-from repro.faults.plan import FaultKind, FaultPlan, FaultSpec
+from repro.faults.plan import OPTIONS, FaultKind, FaultPlan, FaultSpec
 from repro.sim.engine import DeadlineExceeded, SimulationError
 
 #: Episode outcomes.
@@ -150,9 +150,8 @@ class ScheduleGenerator:
     """Seeded random fault-schedule sampler.
 
     Draws plans of 1..``max_specs`` specs over every supported fault
-    kind, with kind-appropriate knobs; specs that fail validation
-    against the target config are resampled, so every emitted plan is
-    runnable.
+    kind, with every knob inside the bounds ``FaultSpec.validate``
+    enforces for the target config, so every emitted plan is runnable.
     """
 
     def __init__(
@@ -180,19 +179,10 @@ class ScheduleGenerator:
 
     def sample_plan(self) -> FaultPlan:
         count = self.rng.randint(1, self.max_specs)
-        specs: List[FaultSpec] = []
-        for _ in range(count):
-            for _attempt in range(25):
-                spec = self._sample_spec()
-                try:
-                    spec.validate(self.config)
-                except ValueError:
-                    continue
-                specs.append(spec)
-                break
-        if not specs:  # pragma: no cover - generator knobs match validate
-            specs = [FaultSpec(kind=FaultKind.CRASH, machine=0, at_iteration=1)]
-        return FaultPlan(specs=tuple(specs))
+        specs = tuple(self._sample_spec() for _ in range(count))
+        plan = FaultPlan(specs=specs)
+        plan.validate(self.config)  # a sampler bug, not a schedule to skip
+        return plan
 
     def _sample_spec(self) -> FaultSpec:
         rng = self.rng
@@ -263,10 +253,10 @@ class ChaosFuzzer:
 
     # -- execution -----------------------------------------------------
 
-    def _run(self, plan: Optional[FaultPlan]):
+    def _run(self, plan: Optional[FaultPlan], tracer=None):
         from repro.core.runtime import ChaosCluster
 
-        cluster = ChaosCluster(self.config)
+        cluster = ChaosCluster(self.config, tracer=tracer)
         result = cluster.run(
             self.algorithm_factory(),
             self.edges,
@@ -301,39 +291,22 @@ class ChaosFuzzer:
         message or the barrier round still waiting for arrivals).
         Returns the traced run's outcome string.
         """
-        from repro.core.runtime import ChaosCluster
         from repro.obs.export import write_chrome_trace
         from repro.obs.tracer import Tracer
 
-        self._ensure_baseline()
         tracer = Tracer(sample_interval=None)
-        cluster = ChaosCluster(self.config, tracer=tracer)
-        outcome = OUTCOME_OK
-        try:
-            cluster.run(
-                self.algorithm_factory(),
-                self.edges,
-                fault_plan=plan,
-                deadline_seconds=self._deadline if plan is not None else None,
-            )
-        except DeadlineExceeded:
-            outcome = OUTCOME_DEADLOCK
-        except UnrecoverableJobError:
-            outcome = OUTCOME_DIAGNOSED
-        except SimulationError as error:
-            outcome = (
-                OUTCOME_DEADLOCK
-                if "deadlock" in str(error)
-                else OUTCOME_CRASH
-            )
+        outcome, _detail, _recoveries = self.classify(plan, tracer)
         write_chrome_trace(tracer, path)
         return outcome
 
-    def classify(self, plan: FaultPlan) -> Tuple[str, str, int]:
-        """Run one plan and classify: (outcome, detail, recoveries)."""
+    def classify(
+        self, plan: Optional[FaultPlan], tracer=None
+    ) -> Tuple[str, str, int]:
+        """Run one plan (``None``: undisturbed) and classify:
+        (outcome, detail, recoveries)."""
         self._ensure_baseline()
         try:
-            result, timeline = self._run(plan)
+            result, timeline = self._run(plan, tracer)
         except UnrecoverableJobError as error:
             return OUTCOME_DIAGNOSED, error.diagnosis.cause, 0
         except DeadlineExceeded as error:
@@ -347,11 +320,12 @@ class ChaosFuzzer:
         except Exception as error:  # chaos: ignore[CHX006] host-side crash classifier, never a sim process
             return OUTCOME_CRASH, f"{type(error).__name__}: {error}", 0
         recoveries = len(timeline.rounds) if timeline is not None else 0
-        bound = 2 * len(plan.specs) + 2
+        specs = plan.specs if plan is not None else ()
+        bound = 2 * len(specs) + 2
         if recoveries > bound:
             return (
                 OUTCOME_UNBOUNDED,
-                f"{recoveries} recovery rounds for {len(plan.specs)} "
+                f"{recoveries} recovery rounds for {len(specs)} "
                 f"fault(s) (bound {bound})",
                 recoveries,
             )
@@ -452,15 +426,11 @@ class ChaosFuzzer:
         violates: Callable[[FaultPlan], bool],
     ) -> FaultSpec:
         """Try dropping optional knobs from one spec, keeping violation."""
-        candidates = []
-        if spec.count is not None and spec.count != 1:
-            candidates.append(replace(spec, count=None))
-        if spec.delay is not None:
-            candidates.append(replace(spec, delay=None))
-        if spec.down is not None:
-            candidates.append(replace(spec, down=None))
-        if spec.duration is not None and spec.kind is not FaultKind.SLOW_DEVICE:
-            candidates.append(replace(spec, duration=None))
+        candidates = [
+            replace(spec, **{key.field: None})
+            for key in OPTIONS
+            if getattr(spec, key.field) not in (None, key.default)
+        ]
         current = spec
         for candidate in candidates:
             try:

@@ -39,6 +39,11 @@ operations on the victim machine; the integrity hardening
 (``config.integrity_checks``) must detect and repair every one of them
 for the run to stay byte-identical to the undisturbed run.
 
+Each kind is declared once, in :data:`FAULT_TABLE` (its option keys,
+whether it is byzantine, its ``arm``), and each key once, in
+:data:`TRIGGERS` or :data:`OPTIONS` (its field and parser).  Parse,
+validate, describe, inject and the fuzzer's shrinker all read them.
+
 Plans round-trip through files: :meth:`FaultPlan.dump` writes one
 ``describe()`` line per spec (with ``#`` comments), and
 :meth:`FaultPlan.load` reads them back — the chaos fuzzer's shrunk
@@ -47,9 +52,12 @@ reproducers are exactly such files.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from enum import Enum
-from typing import Optional, Tuple
+from typing import Callable, Dict, Optional, Tuple
+
+from repro.faults.registry import SLOT_BASES
 
 
 class FaultKind(Enum):
@@ -68,23 +76,151 @@ class FaultKind(Enum):
     CKPT_CORRUPT = "ckpt-corrupt"
 
 
-#: The silent-damage fault family (no fail-stop, just wrong data).
-BYZANTINE_KINDS = frozenset(
-    {
-        FaultKind.MSG_CORRUPT,
-        FaultKind.MSG_DUP,
-        FaultKind.MSG_REORDER,
-        FaultKind.CHUNK_BITFLIP,
-        FaultKind.TORN_WRITE,
-        FaultKind.STALE_READ,
-        FaultKind.CKPT_CORRUPT,
-    }
-)
-
-
 #: Default partition duration, in lease units: long enough that the
 #: failure detector is guaranteed to notice before the link heals.
 DEFAULT_PARTITION_LEASES = 3.0
+
+
+@dataclass(frozen=True)
+class Key:
+    """One ``key=value`` of the grammar and the spec field it sets."""
+
+    name: str
+    field: str
+    integer: bool = False
+    #: Triggers: ``(supervisor, value) -> Event`` the fault waits for.
+    wait: Optional[Callable] = None
+    #: Options: the kinds it applies to, as the validation error says.
+    scope: str = ""
+    #: Options: a value that means the same as leaving the key out.
+    default: Optional[int] = None
+
+    def parse(self, text: str, value: str):
+        try:
+            number = int(value) if self.integer else float(value)
+        except ValueError:
+            number = None
+        if number is None or not math.isfinite(number):
+            problem = "bad" if number is None else "non-finite"
+            raise ValueError(
+                f"fault spec {text!r}: {problem} {self.name}= value {value!r}"
+            )
+        return number
+
+    def format(self, value) -> str:
+        """``:g`` where it parses back to ``value``, else ``repr``."""
+        if self.integer:
+            return str(value)
+        text = f"{value:g}"
+        return text if float(text) == value else repr(value)
+
+
+#: Exactly one trigger per spec: a simulated time, or the first start of
+#: a logical iteration (which a rollback's re-execution does not repeat).
+TRIGGERS = (
+    Key("t", "at_time", wait=lambda supervisor, t: supervisor.sim.timeout(t)),
+    Key(
+        "iter", "at_iteration", integer=True,
+        wait=lambda supervisor, n: supervisor.iteration_reached(n),
+    ),
+)
+
+#: The optional keys, in ``describe()`` order.
+OPTIONS = (
+    Key("down", "down", scope="crashes"),
+    Key("for", "duration", scope="partition and slow-device"),
+    Key("factor", "factor", scope="slow-device"),
+    Key("count", "count", integer=True, scope="byzantine faults", default=1),
+    Key("delay", "delay", scope="msg-reorder"),
+)
+
+
+def _names(keys, last: str) -> str:
+    names = [f"{key.name}=" for key in keys]
+    return ", ".join(names[:-1]) + last + names[-1]
+
+
+# -- arms: apply one fired spec to the live cluster ------------------------
+
+
+def _arm_crash(supervisor, spec, config) -> None:
+    down = spec.effective_down(config)
+    supervisor.crash_machine(spec.machine, operator_reboot=down is None)
+    if down is not None:
+        supervisor.sim.schedule(down, supervisor.revive_machine, spec.machine)
+
+
+def _arm_partition(supervisor, spec, config) -> None:
+    supervisor.partition_machine(spec.machine)
+    supervisor.sim.schedule(
+        spec.effective_duration(config), supervisor.heal_machine, spec.machine
+    )
+
+
+def _arm_slow_device(supervisor, spec, config) -> None:
+    device = supervisor.stores[spec.machine].device
+    device.degrade(spec.factor)
+    supervisor.sim.schedule(
+        spec.effective_duration(config), device.restore_bandwidth
+    )
+
+
+def _network(kind: str) -> Callable:
+    """Damage the next ``count`` frames the victim receives (only
+    ``reorder`` reads ``delay``)."""
+    return lambda supervisor, spec, config: supervisor.network.inject_fault(
+        spec.machine, kind, count=spec.effective_count(),
+        delay=spec.effective_delay(config),
+    )
+
+
+def _storage(budget: str) -> Callable:
+    """Damage the victim's next ``count`` device operations of a kind."""
+
+    def arm(supervisor, spec, config) -> None:
+        faults = supervisor.stores[spec.machine].faults
+        setattr(faults, budget, getattr(faults, budget) + spec.effective_count())
+
+    return arm
+
+
+def _arm_ckpt_corrupt(supervisor, spec, config) -> None:
+    """Persistent rot: it lasts until the restore client quarantines and
+    re-replicates the damaged replicas."""
+    supervisor.stores[spec.machine].corrupt_stored_checkpoint(
+        spec.effective_count(), SLOT_BASES[0]
+    )
+
+
+@dataclass(frozen=True)
+class KindRow:
+    """One fault kind: the option keys it takes, and how it is armed."""
+
+    keys: Tuple[str, ...]
+    #: ``(supervisor, spec, config)``, called once when the trigger fires.
+    arm: Callable
+    #: Silent damage rather than fail-stop.
+    byzantine: bool = False
+
+
+FAULT_TABLE: Dict[FaultKind, KindRow] = {
+    FaultKind.CRASH: KindRow(("down",), _arm_crash),
+    FaultKind.CRASH_RESTART: KindRow(("down",), _arm_crash),
+    FaultKind.PARTITION: KindRow(("for",), _arm_partition),
+    FaultKind.SLOW_DEVICE: KindRow(("factor", "for"), _arm_slow_device),
+    FaultKind.MSG_CORRUPT: KindRow(("count",), _network("corrupt"), True),
+    FaultKind.MSG_DUP: KindRow(("count",), _network("dup"), True),
+    FaultKind.MSG_REORDER: KindRow(
+        ("count", "delay"), _network("reorder"), True
+    ),
+    FaultKind.CHUNK_BITFLIP: KindRow(("count",), _storage("read_corrupt"), True),
+    FaultKind.TORN_WRITE: KindRow(("count",), _storage("write_corrupt"), True),
+    FaultKind.STALE_READ: KindRow(("count",), _storage("stale_reads"), True),
+    FaultKind.CKPT_CORRUPT: KindRow(("count",), _arm_ckpt_corrupt, True),
+}
+
+#: The silent-damage fault family (no fail-stop, just wrong data).
+BYZANTINE_KINDS = frozenset(k for k, row in FAULT_TABLE.items() if row.byzantine)
 
 
 @dataclass(frozen=True)
@@ -108,93 +244,66 @@ class FaultSpec:
     #: Hold time for reordered frames (msg-reorder only).
     delay: Optional[float] = None
 
+    def _given(self, keys):
+        """``(key, value)`` for each of ``keys`` this spec sets."""
+        return [
+            (key, getattr(self, key.field))
+            for key in keys
+            if getattr(self, key.field) is not None
+        ]
+
+    @property
+    def trigger(self):
+        """The ``(key, value)`` the fault waits for."""
+        return self._given(TRIGGERS)[0]
+
     def validate(self, config) -> None:
         """Check the spec against a concrete cluster configuration."""
-        if (self.at_time is None) == (self.at_iteration is None):
+        name = self.describe()
+        if len(self._given(TRIGGERS)) != 1:
             raise ValueError(
-                f"fault {self.describe()}: exactly one of t=/iter= required"
+                f"fault {name}: exactly one of {_names(TRIGGERS, '/')} required"
             )
-        if self.at_time is not None and self.at_time < 0:
-            raise ValueError(f"fault {self.describe()}: t= must be >= 0")
-        if self.at_iteration is not None and self.at_iteration < 0:
-            raise ValueError(f"fault {self.describe()}: iter= must be >= 0")
+        key, value = self.trigger
+        if value < 0:
+            raise ValueError(f"fault {name}: {key.name}= must be >= 0")
         if not 0 <= self.machine < config.machines:
             raise ValueError(
-                f"fault {self.describe()}: machine {self.machine} outside "
+                f"fault {name}: machine {self.machine} outside "
                 f"cluster of {config.machines}"
             )
-        if self.down is not None:
-            if self.kind not in (FaultKind.CRASH, FaultKind.CRASH_RESTART):
+        row = FAULT_TABLE[self.kind]
+        for key, _ in self._given(OPTIONS):
+            if key.name not in row.keys:
+                takes = ", ".join(f"{k}=" for k in row.keys)
                 raise ValueError(
-                    f"fault {self.describe()}: down= only applies to crashes"
+                    f"fault {name}: {key.name}= only applies to {key.scope} "
+                    f"({self.kind.value} takes {takes})"
                 )
-            if self.down <= 0:
-                raise ValueError(f"fault {self.describe()}: down= must be > 0")
-        if self.kind is FaultKind.PARTITION:
-            if config.machines < 2:
-                raise ValueError(
-                    "a partition fault needs at least two machines"
-                )
-            lease = config.effective_lease_timeout()
-            duration = self.effective_duration(config)
-            if duration < 2 * lease:
-                raise ValueError(
-                    f"fault {self.describe()}: partition duration "
-                    f"{duration:g}s is shorter than two leases "
-                    f"({2 * lease:g}s); the failure detector could not "
-                    f"reliably observe it"
-                )
-        if self.kind is FaultKind.SLOW_DEVICE:
-            if self.factor is None or self.factor <= 1:
-                raise ValueError(
-                    f"fault {self.describe()}: slow-device needs factor= > 1"
-                )
-            if self.duration is None or self.duration <= 0:
-                raise ValueError(
-                    f"fault {self.describe()}: slow-device needs for= > 0"
-                )
-        elif self.factor is not None:
+        kind, lease = self.kind, config.effective_lease_timeout()
+        duration = self.effective_duration(config)
+        if kind is FaultKind.PARTITION and config.machines < 2:
+            raise ValueError("a partition fault needs at least two machines")
+        if kind is FaultKind.PARTITION and duration < 2 * lease:
             raise ValueError(
-                f"fault {self.describe()}: factor= only applies to slow-device"
+                f"fault {name}: partition duration {duration:g}s is shorter "
+                f"than two leases ({2 * lease:g}s); the failure detector "
+                f"could not reliably observe it"
             )
-        if self.duration is not None and self.kind in (
-            FaultKind.CRASH,
-            FaultKind.CRASH_RESTART,
-        ):
+        if kind is FaultKind.SLOW_DEVICE and (self.factor or 0) <= 1:
+            raise ValueError(f"fault {name}: slow-device needs factor= > 1")
+        if kind is FaultKind.SLOW_DEVICE and (self.duration or 0) <= 0:
+            raise ValueError(f"fault {name}: slow-device needs for= > 0")
+        if kind is FaultKind.CKPT_CORRUPT and not config.checkpointing:
             raise ValueError(
-                f"fault {self.describe()}: use down= (not for=) with crashes"
+                f"fault {name}: ckpt-corrupt needs checkpointing enabled"
             )
-        if self.kind in BYZANTINE_KINDS:
-            if self.duration is not None or self.factor is not None:
-                raise ValueError(
-                    f"fault {self.describe()}: for=/factor= do not apply "
-                    f"to byzantine faults"
-                )
-            if self.kind is FaultKind.CKPT_CORRUPT and not config.checkpointing:
-                raise ValueError(
-                    f"fault {self.describe()}: ckpt-corrupt needs "
-                    f"checkpointing enabled"
-                )
-        if self.count is not None:
-            if self.kind not in BYZANTINE_KINDS:
-                raise ValueError(
-                    f"fault {self.describe()}: count= only applies to "
-                    f"byzantine faults"
-                )
-            if self.count < 1:
-                raise ValueError(
-                    f"fault {self.describe()}: count= must be >= 1"
-                )
-        if self.delay is not None:
-            if self.kind is not FaultKind.MSG_REORDER:
-                raise ValueError(
-                    f"fault {self.describe()}: delay= only applies to "
-                    f"msg-reorder"
-                )
-            if self.delay <= 0:
-                raise ValueError(
-                    f"fault {self.describe()}: delay= must be > 0"
-                )
+        if self.down is not None and self.down <= 0:
+            raise ValueError(f"fault {name}: down= must be > 0")
+        if self.delay is not None and self.delay <= 0:
+            raise ValueError(f"fault {name}: delay= must be > 0")
+        if self.count is not None and self.count < 1:
+            raise ValueError(f"fault {name}: count= must be >= 1")
 
     def effective_duration(self, config) -> float:
         """Partition / slow-device duration with the config default."""
@@ -222,24 +331,15 @@ class FaultSpec:
 
     def describe(self) -> str:
         """Canonical spec string; parses back to an equal spec."""
-        trigger = (
-            f"t={self.at_time:g}"
-            if self.at_time is not None
-            else f"iter={self.at_iteration}"
+        keys = ",".join(
+            f"{key.name}={key.format(value)}"
+            for key, value in self._given(TRIGGERS + OPTIONS)
         )
-        options = []
-        if self.down is not None:
-            options.append(f"down={self.down:g}")
-        if self.duration is not None:
-            options.append(f"for={self.duration:g}")
-        if self.factor is not None:
-            options.append(f"factor={self.factor:g}")
-        if self.count is not None:
-            options.append(f"count={self.count}")
-        if self.delay is not None:
-            options.append(f"delay={self.delay:g}")
-        tail = ("," + ",".join(options)) if options else ""
-        return f"{self.kind.value}:{self.machine}@{trigger}{tail}"
+        return f"{self.kind.value}:{self.machine}@{keys}"
+
+
+_TRIGGER_KEYS = {key.name: key for key in TRIGGERS}
+_OPTION_KEYS = {key.name: key for key in OPTIONS}
 
 
 def parse_fault_spec(text: str) -> FaultSpec:
@@ -263,55 +363,24 @@ def parse_fault_spec(text: str) -> FaultSpec:
             f"fault spec {text!r}: bad machine id {machine_text!r}"
         ) from None
 
-    fields = {}
-    parts = tail.split(",")
-    trigger = parts[0].strip()
-    key, _, value = trigger.partition("=")
-    if key == "t":
-        fields["at_time"] = _parse_float(text, key, value)
-    elif key == "iter":
-        try:
-            fields["at_iteration"] = int(value)
-        except ValueError:
-            raise ValueError(
-                f"fault spec {text!r}: bad iter= value {value!r}"
-            ) from None
-    else:
+    trigger, *options = tail.split(",")
+    name, _, value = trigger.strip().partition("=")
+    key = _TRIGGER_KEYS.get(name)
+    if key is None:
         raise ValueError(
-            f"fault spec {text!r}: trigger must be t=<seconds> or iter=<n>"
+            f"fault spec {text!r}: trigger must be {_names(TRIGGERS, ' or ')}"
         )
-    for part in parts[1:]:
-        key, _, value = part.strip().partition("=")
-        if key == "down":
-            fields["down"] = _parse_float(text, key, value)
-        elif key == "for":
-            fields["duration"] = _parse_float(text, key, value)
-        elif key == "factor":
-            fields["factor"] = _parse_float(text, key, value)
-        elif key == "count":
-            try:
-                fields["count"] = int(value)
-            except ValueError:
-                raise ValueError(
-                    f"fault spec {text!r}: bad count= value {value!r}"
-                ) from None
-        elif key == "delay":
-            fields["delay"] = _parse_float(text, key, value)
-        else:
+    fields = {key.field: key.parse(text, value)}
+    for part in options:
+        name, _, value = part.strip().partition("=")
+        key = _OPTION_KEYS.get(name)
+        if key is None:
             raise ValueError(
-                f"fault spec {text!r}: unknown option {key!r} "
-                f"(expected down=, for=, factor=, count=, or delay=)"
+                f"fault spec {text!r}: unknown option {name!r} "
+                f"(expected {_names(OPTIONS, ', or ')})"
             )
+        fields[key.field] = key.parse(text, value)
     return FaultSpec(kind=kind, machine=machine, **fields)
-
-
-def _parse_float(text: str, key: str, value: str) -> float:
-    try:
-        return float(value)
-    except ValueError:
-        raise ValueError(
-            f"fault spec {text!r}: bad {key}= value {value!r}"
-        ) from None
 
 
 @dataclass(frozen=True)

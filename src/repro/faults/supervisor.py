@@ -41,8 +41,7 @@ from typing import Dict, List, Optional, Tuple
 
 from repro.faults.detector import HeartbeatSender
 from repro.faults.diagnosis import JobDiagnosis, UnrecoverableJobError
-from repro.faults.plan import FaultSpec
-from repro.faults.registry import SLOT_BASES
+from repro.faults.plan import FAULT_TABLE, FaultSpec
 from repro.net.retry import jittered_delay
 from repro.net.transport import RESTORE_SERVICE, STORAGE_SERVICE
 from repro.obs.log import NULL
@@ -187,8 +186,11 @@ class ClusterSupervisor:
     # Top-level execution
     # ------------------------------------------------------------------
 
-    def execute(self, start_iteration: int = 0) -> None:
-        """Run the job to completion across however many epochs it takes."""
+    def execute(self, plan, start_iteration: int = 0) -> None:
+        """Fire ``plan`` into the job and run it to completion across
+        however many epochs it takes."""
+        for spec in plan.specs:
+            self.sim.process(self._inject(spec), name=f"fault.{spec.describe()}")
         self._initial_iteration = start_iteration
         resume = start_iteration
         preprocess = True
@@ -282,14 +284,17 @@ class ClusterSupervisor:
         return event
 
     # ------------------------------------------------------------------
-    # Fault actions (called by the injector)
+    # Fault injection: one process per spec, armed from the fault table
     # ------------------------------------------------------------------
 
-    def note_fault(self, spec: FaultSpec, now: float) -> None:
-        self.timeline.faults.append(FaultRecord(spec=spec, fired_at=now))
+    def _inject(self, spec: FaultSpec):
+        key, value = spec.trigger
+        yield key.wait(self, value)
+        self.timeline.faults.append(FaultRecord(spec=spec, fired_at=self.sim.now))
         self.job_track.instant(
             "fault.inject", cat="lost", args={"spec": spec.describe()}
         )
+        FAULT_TABLE[spec.kind].arm(self, spec, self.config)
 
     def crash_machine(self, machine: int, operator_reboot: bool = False) -> None:
         """Fail-stop ``machine``: processes die, storage contents survive."""
@@ -332,46 +337,6 @@ class ClusterSupervisor:
             self.stores[machine].restart()
         self.job_track.instant("fault.heal", args={"machine": machine})
         self._check_admission()
-
-    def degrade_device(self, machine: int, factor: float) -> None:
-        self.stores[machine].degrade_device(factor)
-
-    def restore_device(self, machine: int) -> None:
-        self.stores[machine].restore_device()
-
-    # -- byzantine fault arms (silent damage, no fail-stop) ------------
-
-    def corrupt_messages(self, machine: int, count: int) -> None:
-        """Corrupt the next ``count`` chunk frames delivered to machine."""
-        self.network.inject_fault(machine, "corrupt", count=count)
-
-    def duplicate_messages(self, machine: int, count: int) -> None:
-        """Deliver the next ``count`` frames to machine twice."""
-        self.network.inject_fault(machine, "dup", count=count)
-
-    def reorder_messages(self, machine: int, count: int, delay: float) -> None:
-        """Hold the next ``count`` frames to machine for ``delay``s."""
-        self.network.inject_fault(machine, "reorder", count=count, delay=delay)
-
-    def corrupt_chunk_reads(self, machine: int, count: int) -> None:
-        """Bit-flip the next ``count`` chunks machine's device serves."""
-        self.stores[machine].inject_read_corruption(count)
-
-    def tear_chunk_writes(self, machine: int, count: int) -> None:
-        """Tear the next ``count`` chunks machine's device persists."""
-        self.stores[machine].inject_write_corruption(count)
-
-    def serve_stale_reads(self, machine: int, count: int) -> None:
-        """Serve prior versions for machine's next ``count`` vreads."""
-        self.stores[machine].inject_stale_reads(count)
-
-    def corrupt_checkpoint_replicas(self, machine: int, count: int) -> int:
-        """Rot up to ``count`` durable checkpoint chunks on machine's
-        store in place (persistent damage — survives until quarantine +
-        re-replication rewrites them).  Returns how many were hit."""
-        return self.stores[machine].corrupt_stored_checkpoint(
-            count, SLOT_BASES[0]
-        )
 
     # ------------------------------------------------------------------
     # Availability bookkeeping

@@ -10,7 +10,7 @@ A chunk couples a *modelled* wire/storage size (what the hardware model
 charges for) with an optional *payload* (named numpy columns in
 functional runs, ``None`` for phantom chunks in model-mode capacity
 runs).  ``store.codec`` defines the one layout memory, files, the CRC
-seal and the fault injector share.
+seal and the fault arms share.
 """
 
 from __future__ import annotations

@@ -13,7 +13,7 @@ payload:
   the store's in-memory index entry, which keeps the seal and ``tag``);
 * :func:`decode` turns one read of an extent back into zero-copy
   ``np.frombuffer`` views;
-* :func:`clone` is the deep copy the fault injector perturbs.
+* :func:`clone` is the deep copy a fault arm perturbs.
 
 The checkpoint's ``(resume_iteration, *freshness key)`` rides in the
 header ``tag``, so a snapshot's state arrays are ordinary columns.

@@ -24,7 +24,7 @@ keep many requests outstanding (the batch window of Section 6.5).
 
 Fault tolerance (Section 6.6): the engine's endpoint can be
 :meth:`crashed <StorageEngine.crash>` and :meth:`restarted
-<StorageEngine.restart>` by the fault injector.  The chunk backend
+<StorageEngine.restart>` by the fault supervisor.  The chunk backend
 survives a crash — Chaos assumes transient machine failures, so a
 rebooted machine comes back with its secondary storage intact.  Every
 request carries the sender's recovery ``epoch``; requests from before
@@ -149,28 +149,6 @@ class StorageEngine:
     def advance_epoch(self, epoch: int) -> None:
         """Fence all traffic from recovery epochs before ``epoch``."""
         self.data_epoch = epoch
-
-    def degrade_device(self, factor: float) -> None:
-        """Slow-device fault: divide the device bandwidth by ``factor``."""
-        self.device.degrade(factor)
-
-    def restore_device(self) -> None:
-        self.device.restore_bandwidth()
-
-    def inject_read_corruption(self, count: int) -> None:
-        """Bit-flip fault: perturb the next ``count`` chunks served by
-        the read path (backend copy stays intact)."""
-        self.faults.read_corrupt += count
-
-    def inject_write_corruption(self, count: int) -> None:
-        """Torn-write fault: persist a damaged copy of the next
-        ``count`` written chunks."""
-        self.faults.write_corrupt += count
-
-    def inject_stale_reads(self, count: int) -> None:
-        """Stale-read fault: the next ``count`` vertex reads (that have
-        an overwritten predecessor) return the previous version."""
-        self.faults.stale_reads += count
 
     def corrupt_stored_checkpoint(self, count: int, base_floor: int) -> int:
         """Corrupt up to ``count`` durable checkpoint replica chunks.

@@ -10,7 +10,7 @@ the column descriptors) and then every column's bytes — and any layer
 receipt, whichever provider it was stored by.
 
 **A chunk's bytes are walked once per materialisation**: when produced
-(``seal_chunk``), when decoded from a file, when cloned by an injector.
+(``seal_chunk``), when decoded from a file, when cloned by a fault arm.
 This module is the only code that sets ``Chunk.verified``: a seal and a
 *successful* verify walk set it and make every column read-only, and
 ``verify_chunk`` answers for a verified object without walking.  Sealed

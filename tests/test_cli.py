@@ -217,6 +217,14 @@ class TestInjectFault:
             "bad --inject-fault",
         )
 
+    def test_non_finite_trigger_rejected(self, capsys):
+        assert_usage_error(
+            capsys,
+            ["run", "--algorithm", "PR", "--machines", "2", "--scale", "8",
+             "--checkpoint", "--inject-fault", "crash:1@t=nan"],
+            "non-finite t= value",
+        )
+
     def test_driver_algorithms_rejected(self, capsys):
         assert_usage_error(
             capsys,
@@ -474,6 +482,29 @@ class TestCapacity:
     )
     def test_bad_parameter_is_a_usage_error(self, capsys, extra, message):
         assert_usage_error(capsys, ["capacity", *extra], message)
+
+
+class TestFuzzUsage:
+    @pytest.mark.parametrize(
+        "extra, message",
+        [
+            (["--max-specs", "0"], "fuzz: max_specs must be >= 1"),
+            (["--machines", "0"], "fuzz: machines must be >= 1"),
+            (["--iterations", "0"], "fuzz: iterations must be >= 1"),
+        ],
+        ids=["max-specs", "machines", "iterations"],
+    )
+    def test_bad_parameter_is_a_usage_error(self, capsys, extra, message):
+        assert_usage_error(capsys, ["fuzz", *extra], message)
+
+    @pytest.mark.parametrize("flag", ["--episodes", "--max-specs"])
+    def test_negative_count_is_rejected_at_parse_time(self, capsys, flag):
+        with pytest.raises(SystemExit) as exit_info:
+            main(["fuzz", flag, "-1"])
+        captured = capsys.readouterr()
+        assert exit_info.value.code == 2
+        assert captured.out == ""
+        assert f"argument {flag}: expected a whole number >= 0" in captured.err
 
 
 @pytest.mark.parametrize("command", ["generate", "run", "capacity", "fuzz"])

@@ -6,13 +6,16 @@ This test hashes the two places the whole stream passes through —
 every ``Simulator.schedule`` call (by the absolute time it lands on)
 and every ``Network._deliver`` (by when, which stream and which
 sequence number) — over one small PageRank job, fault-free and under
-six fault plans that between them drive the drop, retry, dedup,
-reorder, corruption and recovery paths.
+one fault plan per fault kind, which between them drive the drop,
+retry, dedup, reorder, corruption, slow-device and recovery paths.
 
 The constants were computed with this very file on the commit *before*
 the completion-callback rewrite of PR 20, and the file passes unchanged
-on both sides.  A digest that moves means timestamps or tie-breaks
-moved: fix the code, do not re-pin.
+on both sides.  The five pins after ``chunk-bitflip`` were added the
+same way, before the fault kinds moved into one declared table; each of
+those runs ends with values identical to the fault-free run.  A digest
+that moves means timestamps or tie-breaks moved: fix the code, do not
+re-pin.
 """
 
 from __future__ import annotations
@@ -47,6 +50,16 @@ PINNED = {
         2838, "233f55cc96f8464db21069ef19f0e380de85d74af41bc648cf13029fdf694de1"),
     "chunk-bitflip:1@iter=1": (
         2822, "42d551fb8159121f8a3080248480a2f710c51dbf90d947415a3fc50aaf8bc63f"),
+    "crash-restart:0@iter=1": (
+        3073, "32e11410d59f557324275fe073d7c33f40070ee2ee79279f7d1e0ecd910dc203"),
+    "slow-device:2@iter=1,factor=4,for=0.01": (
+        2902, "b6976afb4a533c8b5a6f14dff8a1a7ae01690ba1d1f5f239895deccb4d5cbc6b"),
+    "torn-write:1@iter=1": (
+        2849, "21c4b3bae8c2b6419edc06157bce2208fe920a233bc8912eb548a66e83e9c2d2"),
+    "stale-read:1@iter=2": (
+        2848, "9eb9c9bf17d3056e862cda147ab5c7b2796bb5a84ec7930211498f040a10e8c2"),
+    "ckpt-corrupt:1@iter=2": (
+        2848, "9eb9c9bf17d3056e862cda147ab5c7b2796bb5a84ec7930211498f040a10e8c2"),
 }
 
 

@@ -10,8 +10,13 @@ totals.
 
 from __future__ import annotations
 
+import re
+from pathlib import Path
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from repro.algorithms import (
     BFS,
@@ -24,11 +29,14 @@ from repro.algorithms import (
 )
 from repro.core.runtime import ChaosCluster
 from repro.faults import (
+    BYZANTINE_KINDS,
     CheckpointRegistry,
     FaultKind,
     FaultPlan,
+    FaultSpec,
     parse_fault_spec,
 )
+from repro.faults.plan import FAULT_TABLE
 from repro.faults.registry import SLOT_BASES
 from repro.faults.supervisor import ClusterSupervisor
 
@@ -122,6 +130,73 @@ class TestSpecParsing:
         assert len(plan.specs) == 2
         assert bool(plan)
         assert not FaultPlan()
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "crash:1@t=nan",
+            "crash-restart:1@iter=1,down=inf",
+            "partition:1@iter=1,for=inf",
+            "slow-device:1@iter=1,factor=inf,for=0.01",
+            "msg-reorder:1@iter=1,delay=nan",
+        ],
+        ids=["t", "down", "for", "factor", "delay"],
+    )
+    def test_non_finite_values_rejected(self, text):
+        with pytest.raises(ValueError, match="non-finite"):
+            parse_fault_spec(text).validate(_fault_config())
+
+
+_FINITE = st.floats(allow_nan=False, allow_infinity=False)
+
+
+@st.composite
+def fault_specs(draw):
+    """Any kind, one trigger, any subset of options, any finite values."""
+    trigger, values = draw(st.sampled_from(
+        [("at_time", _FINITE), ("at_iteration", st.integers(0, 10**9))]
+    ))
+    fields = {trigger: draw(values)}
+    for name, values in (
+        ("down", _FINITE), ("duration", _FINITE), ("factor", _FINITE),
+        ("count", st.integers(-10, 10**9)), ("delay", _FINITE),
+    ):
+        if draw(st.booleans()):
+            fields[name] = draw(values)
+    return FaultSpec(
+        kind=draw(st.sampled_from(list(FaultKind))),
+        machine=draw(st.integers(0, 64)),
+        **fields,
+    )
+
+
+@given(spec=fault_specs())
+@example(spec=FaultSpec(kind=FaultKind.CRASH, machine=1, at_time=0.1234567))
+@settings(max_examples=300)
+def test_describe_round_trips(spec):
+    """What the trace, the timeline and a reproducer file name is what
+    was injected: ``describe()`` parses back to an equal spec."""
+    assert parse_fault_spec(spec.describe()) == spec
+
+
+def test_readme_fault_tables_match_the_fault_table():
+    """README's two kind tables list exactly the declared kinds and, per
+    kind, exactly the option keys the table gives it; the second table
+    is the byzantine family."""
+    readme = Path(__file__).resolve().parent.parent / "README.md"
+    tables = readme.read_text().split("| Kind | Semantics | Keys |\n")[1:]
+    documented = []
+    for table in tables:
+        rows = re.findall(r"^\| `([a-z-]+)` \|.*\| (.*) \|$",
+                          table.split("\n\n")[0], re.MULTILINE)
+        documented.append(
+            {kind: set(re.findall(r"`([a-z]+)=`", keys)) for kind, keys in rows}
+        )
+    assert len(documented) == 2
+    assert set(documented[1]) == {k.value for k in BYZANTINE_KINDS}
+    assert {**documented[0], **documented[1]} == {
+        kind.value: set(row.keys) for kind, row in FAULT_TABLE.items()
+    }
 
 
 # ---------------------------------------------------------------------------

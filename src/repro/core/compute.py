@@ -27,13 +27,16 @@ interface, so the identical scheduling logic drives both functional
 Fault tolerance (Section 6.6, driven by :mod:`repro.faults`): under
 fault injection the engine runs inside a recovery *epoch*.  Every
 message it sends is stamped with the epoch, request-id streams are
-epoch-scoped (so a stale reply can never match a live request), a
+epoch-scoped (so a stale reply can never match a live request), and a
 ``fenced`` flag stops callback-driven work after the engine is killed
 (interrupting a process does not cancel its already-subscribed CPU
-completions), and blocked RPCs — chunk reads and steal proposals — are
-re-armed on a timeout and abandoned only once the failure detector has
-fenced their target, so a slow-but-alive peer can never cause a false
-data loss.  Checkpoints additionally carry per-partition state
+completions).  The engine never consults the failure detector: a
+request is lost only when its peer is crashed or partitioned, the
+detector then suspects that peer, and the supervisor's cluster-wide
+rollback ends the epoch and every wait in it.  So reads and steal
+proposals wait for their replies with no timeout, exactly as in a
+fault-free run; only a corrupt frame is re-sent, on the seeded
+integrity backoff.  Checkpoints additionally carry per-partition state
 snapshots and report durability to a cluster-wide
 :class:`repro.faults.registry.CheckpointRegistry`.
 """
@@ -50,7 +53,7 @@ from repro.core.config import ClusterConfig
 from repro.core.metrics import Breakdown
 from repro.core.stealing import estimate_cluster_remaining, should_accept_steal
 from repro.core.workload import UpdateBatch, Workload
-from repro.net.retry import backoff_delays, jittered_delay
+from repro.net.retry import jittered_delay
 from repro.net.transport import COMPUTE_SERVICE, STORAGE_SERVICE, Network
 from repro.obs.log import NULL
 from repro.obs.tracer import TID_CPU, TID_ENGINE
@@ -135,7 +138,6 @@ class ComputationEngine:
         epoch: int = 0,
         preprocess: bool = True,
         registry=None,
-        liveness=None,
     ):
         self.sim = sim
         self.network = network
@@ -156,9 +158,6 @@ class ComputationEngine:
         #: Cluster checkpoint registry (fault injection only): tracks
         #: which checkpoint generation is durable and owns slot rotation.
         self._registry = registry
-        #: Failure detector view (``is_suspected(machine)``); when set,
-        #: blocked reads and steal proposals time out against it.
-        self._liveness = liveness
         # Host profiler (``run --host-profile``): real wall/CPU time of
         # the synchronous GAS kernels.  Measured sections never span a
         # yield — the simulator interleaves all machines on one thread,
@@ -207,9 +206,6 @@ class ComputationEngine:
         # Distinct id streams per machine AND per epoch: a reply from a
         # rolled-back epoch can never collide with a live request.
         self._next_request = machine + epoch * config.machines * (1 << 40)
-        #: Request ids deliberately abandoned (dead target); replies to
-        #: them are dropped instead of tripping the unknown-reply check.
-        self._abandoned: set = set()
         #: Set once the fault supervisor kills this engine: stops all
         #: callback-driven work (CPU completions already subscribed
         #: before the kill still fire and must become no-ops).
@@ -224,7 +220,6 @@ class ComputationEngine:
         #: Corrupt read / vread replies re-requested.
         self.integrity_retries = 0
         self._integrity_policy = config.integrity_policy()
-        self._liveness_policy = config.liveness_policy()
         self._master_state: Dict[int, PartitionPhaseState] = {}
         self._write_group = WaitGroup(sim, name=f"m{machine}.writes")
         # Scatter output buffers, keyed by destination partition.
@@ -281,18 +276,13 @@ class ComputationEngine:
         """Run the continuation the reply's request id finds."""
         request_id = message.payload[0]
         entry = self._pending.pop(request_id, None)
-        if entry is not None:
-            then, args = entry
-            then(message, *args)
-        elif request_id in self._abandoned or message.kind == "steal_reply":
-            # The straggling reply of an abandoned read or of a steal
-            # proposal given up on.
-            self._abandoned.discard(request_id)
-        else:
+        if entry is None:
             raise SimulationError(
                 f"engine {self.machine}: unexpected reply "
                 f"{message.kind} id={request_id}"
             )
+        then, args = entry
+        then(message, *args)
 
     def _backoff(
         self, attempt: int, request_id: int, label: str, then: Callable, *args
@@ -310,26 +300,20 @@ class ComputationEngine:
             self._integrity_policy, attempt,
             self.config.seed, self.machine, request_id,
         )
-        self.sim.schedule(
-            delay, self._resend, self.sim.now, request_id, label, then, args
-        )
+        self.sim.schedule(delay, self._resend, self.sim.now, label, then, args)
 
-    def _resend(self, start, request_id, label, then, args) -> None:
-        # Nothing to do if the engine was fenced, or the read abandoned,
-        # during the backoff.
-        if self.fenced or request_id in self._abandoned:
+    def _resend(self, start, label, then, args) -> None:
+        """The backoff is over: trace it as ``<label>.retry_wait`` and
+        re-send, unless the engine was fenced meanwhile."""
+        if self.fenced:
             return
-        self._retry_wait(start, label)
-        then(*args)
-
-    def _retry_wait(self, start: float, label: str) -> None:
-        """Trace one completed backoff wait as ``<label>.retry_wait``."""
         elapsed = self.sim.now - start
         if self._trace_on and elapsed > 0:
             self.track.complete(
                 f"{label}.retry_wait", start, elapsed, cat="retry_wait",
                 args={"machine": self.machine},
             )
+        then(*args)
 
     def _send_write(
         self, chunk: Chunk, target: int, on_success: Callable, attempt: int = 0
@@ -470,52 +454,6 @@ class ComputationEngine:
             ),
             epoch=self.epoch,
         )
-        if self._liveness is not None:
-            # Armed with the first period only: the rest of the schedule
-            # is built by the first re-check that finds the read pending.
-            self.sim.schedule(
-                jittered_delay(
-                    self._liveness_policy, 0, self.config.seed, self.machine,
-                    request_id,
-                ),
-                self._watch_read, request_id, state, target, iteration, None,
-            )
-
-    def _watch_read(
-        self, request_id: int, state: _StreamState, target: int,
-        iteration: int, delays,
-    ) -> None:
-        """Fault-tolerant read RPC: re-check on the liveness schedule
-        until the reply lands or the failure detector fences the target.
-
-        A read to a live-but-slow machine is *never* abandoned (the
-        storage engine consumed the chunk cursor, so abandoning it would
-        silently lose the chunk); a read to a fenced machine is
-        abandoned and the target marked exhausted — the cluster-wide
-        rollback that follows re-streams everything anyway.
-        """
-        if self.fenced or request_id not in self._pending:
-            return
-        if (
-            self._liveness.is_suspected(target)
-            or not self.network.is_reachable(target)
-        ):
-            del self._pending[request_id]
-            self._abandoned.add(request_id)
-            state.in_flight -= 1
-            state.exhausted.add(target)
-            self._pump(state, iteration)
-            return
-        if delays is None:  # the first re-check
-            delays = backoff_delays(
-                self._liveness_policy, self.config.seed, self.machine,
-                request_id,
-            )
-            next(delays)  # draw 0 was the first period, spent arming
-        self.sim.schedule(
-            next(delays), self._watch_read,
-            request_id, state, target, iteration, delays,
-        )
 
     def _send_read_retry(self, request_id: int, target: int, attempt: int) -> None:
         # ``fetch_any`` is read-once at the storage engine, so the retry
@@ -540,9 +478,8 @@ class ComputationEngine:
             and self._integrity
             and not verify_chunk(chunk)
         ):
-            # Damaged in flight: leave in_flight as is and re-request.
-            # The id stays pending through the backoff, so the watchdog
-            # keeps watching it.
+            # Damaged in flight: leave in_flight as is and re-request
+            # by the same id, which stays pending through the backoff.
             self.integrity_retries += 1
             self._pending[request_id] = (
                 self._on_chunk_reply, (state, iteration, attempt + 1)
@@ -958,38 +895,7 @@ class ComputationEngine:
                 payload=(request_id, self.machine, partition, kind),
                 epoch=self.epoch,
             )
-            if self._liveness is None:
-                message = yield reply  # chaos: ignore[CHX021] fault-free run: no failure to wait out
-            else:
-                # Fault-tolerant steal RPC: race the reply against each
-                # period of the liveness schedule until it lands or the
-                # proposed master is fenced; a dead master counts as a
-                # rejection (the rollback will give its partitions a
-                # fresh master anyway).  Waits past the first are
-                # accounted as retry time in the trace.
-                message = None
-                delays = backoff_delays(
-                    self._liveness_policy, self.config.seed, self.machine,
-                    request_id,
-                )
-                for attempt, period in enumerate(delays):
-                    wait_start = self.sim.now
-                    winner, value = yield self.sim.any_of(
-                        [reply, self.sim.timeout(period)]
-                    )
-                    if winner is reply:
-                        message = value
-                        break
-                    if attempt > 0:
-                        self._retry_wait(wait_start, "steal")
-                    if (
-                        self._liveness.is_suspected(master)
-                        or not self.network.is_reachable(master)
-                    ):
-                        self._pending.pop(request_id, None)
-                        break
-                if message is None:
-                    continue
+            message = yield reply  # chaos: ignore[CHX021] main process: the rollback fence kills it
             _rid, accepted, _partition = message.payload
             if accepted:
                 yield from self._work_on_partition(partition, kind, master=False)

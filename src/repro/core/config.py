@@ -160,16 +160,6 @@ class ClusterConfig:
         """
         return 5.0 * self.heartbeat_interval
 
-    def liveness_policy(self) -> RetryPolicy:
-        """Re-check schedule of a blocked RPC under fault injection
-        (chunk reads, steal proposals): first at one lease, backing off
-        to four so a long outage is not busy-polled.  A request is only
-        abandoned once the failure detector has fenced its target, so
-        the schedule trades wake-ups against abandonment latency and can
-        never cause a false data loss."""
-        lease = self.effective_lease_timeout()
-        return RetryPolicy(base=lease, factor=1.5, cap=4.0 * lease)
-
     def integrity_policy(self) -> RetryPolicy:
         """Backoff before re-sending a request whose frame arrived
         corrupt: a transient, so start well under the lease and back off

@@ -619,7 +619,6 @@ class ChaosCluster:
                     epoch=epoch,
                     preprocess=preprocess,
                     registry=registry,
-                    liveness=detector,
                 )
                 for m in range(config.machines)
             ]

@@ -12,9 +12,11 @@ process dies, a partitioned machine's heartbeats are dropped by the
 transport, and in both cases the lease runs out at the monitor.
 
 Suspicion is a one-way latch per machine until explicitly cleared by the
-recovery supervisor (after the machine has been re-admitted); the
-computation engines consult :meth:`FailureDetector.is_suspected` to
-decide when a blocked read or steal RPC may be abandoned.
+recovery supervisor (after the machine has been re-admitted).  Only the
+supervisor listens: the first suspicion of an epoch ends it with a
+cluster-wide rollback, which is also what ends every wait of that epoch
+on the lost machine (the computation engines never consult the
+detector).
 """
 
 from __future__ import annotations

@@ -425,14 +425,13 @@ class ChaosFuzzer:
         specs: List[FaultSpec],
         violates: Callable[[FaultPlan], bool],
     ) -> FaultSpec:
-        """Try dropping optional knobs from one spec, keeping violation."""
-        candidates = [
-            replace(spec, **{key.field: None})
-            for key in OPTIONS
-            if getattr(spec, key.field) not in (None, key.default)
-        ]
+        """Try dropping optional knobs from one spec, keeping violation.
+        Each candidate drops one more knob from the spec kept so far."""
         current = spec
-        for candidate in candidates:
+        for key in OPTIONS:
+            if getattr(current, key.field) in (None, key.default):
+                continue
+            candidate = replace(current, **{key.field: None})
             try:
                 candidate.validate(self.config)
             except ValueError:
@@ -440,8 +439,7 @@ class ChaosFuzzer:
             trial = list(specs)
             trial[index] = candidate
             if violates(FaultPlan(specs=tuple(trial))):
-                current = candidate
-                specs[index] = candidate
+                current = specs[index] = candidate
         return current
 
 

@@ -430,8 +430,8 @@ class ClusterSupervisor:
             for machine in range(machines):
                 if self.stores[machine].data_epoch != self.epoch:
                     self.stores[machine].advance_epoch(self.epoch)
-            # Every machine is re-admitted: clear suspicion so restore
-            # reads (and next epoch's RPCs) are not abandoned.
+            # Every machine is re-admitted: clear suspicion, so a later
+            # fault on it is suspected, and rolled back, afresh.
             for machine in range(machines):
                 self.detector.clear(machine)
             if generation is None:

@@ -1,31 +1,27 @@
 """Deterministic bounded retry with seeded exponential backoff + jitter.
 
-Every retried RPC in the engine draws its wait schedule from here, on
-one of the two policies :class:`~repro.core.config.ClusterConfig`
-derives from its heartbeat: ``liveness_policy()`` paces
-:func:`backoff_delays` re-checks of a blocked read or steal proposal,
-``integrity_policy()`` the :func:`jittered_delay` before a re-send of a
-corrupt frame or a restore read past the first.  Two properties matter:
+Every retried RPC draws its wait from :func:`jittered_delay`, on the
+policy :class:`~repro.core.config.ClusterConfig` derives from its
+heartbeat (``integrity_policy()``): the wait before a re-send of a
+corrupt frame, and before a restore read past the first.  Two
+properties matter:
 
 * **Determinism** — the jitter RNG is seeded from ``(config.seed,
   machine, request_id)``, so a retried schedule is a pure function of
   the run's identity and the byte-identical recovery invariant holds.
 * **Boundedness** — the schedule is geometric with a cap; after
-  ``attempts`` waits it repeats the capped delay forever, so a caller
-  polling a slow-but-alive peer keeps making progress without the
-  unbounded blow-up a naive ``2**n`` gives.
+  ``attempts`` waits it repeats the capped delay, so a long run of
+  retries never waits longer than the cap, without the unbounded
+  blow-up a naive ``2**n`` gives.
 """
 
 from __future__ import annotations
 
-import itertools
 import random
 from dataclasses import dataclass
-from typing import Iterator
 
 __all__ = [
     "RetryPolicy",
-    "backoff_delays",
     "jittered_delay",
     "retry_rng_seed",
 ]
@@ -80,22 +76,9 @@ def jittered_delay(
     """One seeded jittered delay for the ``attempt``-th retry of an RPC.
 
     The engine's integrity backoff and the restore client's replica
-    cycling each call it once per retry, and a read's liveness watch
-    takes its first period from it.  The jitter RNG is reseeded per call
-    from ``(config_seed, machine, request_id)`` — a pure function of the
-    run's identity, independent of call order.
+    cycling each call it once per retry.  The jitter RNG is reseeded per
+    call from ``(config_seed, machine, request_id)`` — a pure function
+    of the run's identity, independent of call order.
     """
     _RNG.seed(retry_rng_seed(config_seed, machine, request_id))
     return policy.delay(attempt, _RNG)
-
-
-def backoff_delays(
-    policy: RetryPolicy, config_seed: int, machine: int, request_id: int
-) -> Iterator[float]:
-    """Endless deterministic delay sequence for one logical RPC: the
-    liveness re-check periods of a blocked read or steal proposal.
-
-    A ``map`` rather than a generator: a schedule still held when its
-    job ends is freed without re-entering Python code."""
-    rng = random.Random(retry_rng_seed(config_seed, machine, request_id))
-    return map(policy.delay, itertools.count(), itertools.repeat(rng))

@@ -355,9 +355,6 @@ class Network:
             raise SimulationError(f"invalid endpoint {endpoint}")
         self._reachable[endpoint] = reachable
 
-    def is_reachable(self, endpoint: int) -> bool:
-        return self._reachable[endpoint]
-
     # -- fault state (byzantine fabric faults) ----------------------------
 
     def inject_fault(

@@ -10,6 +10,7 @@ totals.
 
 from __future__ import annotations
 
+import math
 import re
 from pathlib import Path
 
@@ -39,6 +40,7 @@ from repro.faults import (
 from repro.faults.plan import FAULT_TABLE
 from repro.faults.registry import SLOT_BASES
 from repro.faults.supervisor import ClusterSupervisor
+from repro.net.transport import Network
 
 from tests.conftest import fast_config
 
@@ -448,6 +450,57 @@ class TestRollbackFence:
         assert len(fenced) == 2 * config.machines
         assert alive == []
         assert receiving == []
+
+    def test_rollback_ends_a_steal_proposal_to_a_crashed_master(
+        self, small_graph, monkeypatch
+    ):
+        """With stealing always on (alpha = inf), the first steal
+        proposal's master crashes while the proposal is in flight.  The
+        proposer waits on the reply with no timeout; the rollback, not
+        the proposer, ends that wait, and the job still ends with the
+        fault-free values."""
+        config = _fault_config(steal_alpha=math.inf)
+        supervisors, proposal, at_rollback = [], {}, {}
+        run_epoch, send = ClusterSupervisor._run_epoch, Network.send
+        recover = ClusterSupervisor._recover
+
+        def remember_supervisor(supervisor, *args):
+            supervisors.append(supervisor)
+            return run_epoch(supervisor, *args)
+
+        def crash_first_proposal(network, *args, **kwargs):
+            if kwargs.get("kind") == "steal_request" and not proposal:
+                request_id, proposer = kwargs["payload"][:2]
+                proposal.update(id=request_id, proposer=proposer)
+                network.sim.schedule(  # rebooted by the recovery
+                    0.0, supervisors[0].crash_machine, kwargs["dst"], True
+                )
+            return send(network, *args, **kwargs)
+
+        def recover_and_inspect(supervisor):
+            engine = supervisor.engines[proposal["proposer"]]
+            process = supervisor.processes[proposal["proposer"]]
+            at_rollback.update(
+                pending=proposal["id"] in engine._pending,
+                alive=process.alive,
+            )
+            resume = recover(supervisor)
+            at_rollback["finished"] = not process.alive
+            return resume
+
+        monkeypatch.setattr(ClusterSupervisor, "_run_epoch", remember_supervisor)
+        monkeypatch.setattr(Network, "send", crash_first_proposal)
+        monkeypatch.setattr(ClusterSupervisor, "_recover", recover_and_inspect)
+        cluster = ChaosCluster(config)
+        faulted = cluster.run(  # a plan that never fires: only the crash
+            PageRank(iterations=3), small_graph,
+            fault_plan=FaultPlan.parse(["msg-dup:0@iter=99"]),
+        )
+        monkeypatch.undo()
+        assert len(cluster.last_fault_timeline.rounds) == 1
+        assert at_rollback == dict(pending=True, alive=True, finished=True)
+        baseline = ChaosCluster(config).run(PageRank(iterations=3), small_graph)
+        _assert_byte_identical(faulted, baseline)
 
 
 # ---------------------------------------------------------------------------

@@ -151,6 +151,16 @@ class TestViolationShrinking:
         assert len(shrunk.specs) == 1
         assert shrunk.specs[0].kind is FaultKind.TORN_WRITE
 
+    def test_every_accepted_drop_is_kept(self, small_graph):
+        """Each knob dropped stays dropped: with a violation that holds
+        whatever the plan, every optional knob goes."""
+        fuzzer = _fuzzer(small_graph)
+        spec = parse_fault_spec("msg-reorder:1@iter=1,count=3,delay=0.0005")
+        specs = [spec]
+        shrunk = fuzzer._simplify_spec(spec, 0, specs, lambda plan: True)
+        assert shrunk.describe() == "msg-reorder:1@iter=1"
+        assert specs == [shrunk]
+
     def test_reproducer_file_replays_the_violation(self, small_graph, tmp_path):
         fuzzer = self._unhardened_fuzzer(small_graph)
         plan = FaultPlan([parse_fault_spec(s) for s in self.SPECS])

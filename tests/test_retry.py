@@ -18,12 +18,7 @@ from repro.core.compute import INTEGRITY_ATTEMPTS
 from repro.core.config import ClusterConfig
 from repro.core.runtime import ChaosCluster
 from repro.graph import rmat_graph
-from repro.net.retry import (
-    RetryPolicy,
-    backoff_delays,
-    jittered_delay,
-    retry_rng_seed,
-)
+from repro.net.retry import RetryPolicy, jittered_delay, retry_rng_seed
 from repro.net.transport import Network
 from repro.store import engine as store_engine
 from repro.store.chunk import ChunkKind
@@ -99,32 +94,6 @@ class TestDeterminism:
             for cs in range(4) for m in range(4) for rid in range(16)
         }
         assert len(seeds) == 4 * 4 * 16
-
-    def test_backoff_stream_matches_first_jittered_delay(self):
-        stream = backoff_delays(POLICY, 7, 2, 41)
-        assert next(stream) == jittered_delay(POLICY, 0, 7, 2, 41)
-
-    def test_lazy_liveness_schedule_matches_backoff_delays(self):
-        # A read's watch is armed with jittered_delay's attempt 0 alone;
-        # the first re-check builds the schedule and skips its draw 0.
-        # Draw for draw it is the eager schedule: 8 delays for each of
-        # 1,000 request ids.
-        policy = ClusterConfig().liveness_policy()
-        for request_id in range(1000):
-            eager = backoff_delays(policy, 7, 2, request_id)
-            lazy = [jittered_delay(policy, 0, 7, 2, request_id)]
-            rest = backoff_delays(policy, 7, 2, request_id)
-            next(rest)
-            lazy += [next(rest) for _ in range(7)]
-            assert lazy == [next(eager) for _ in range(8)]
-
-    def test_backoff_stream_is_reproducible_and_endless_enough(self):
-        a = backoff_delays(POLICY, 7, 2, 41)
-        b = backoff_delays(POLICY, 7, 2, 41)
-        first = [next(a) for _ in range(20)]
-        second = [next(b) for _ in range(20)]
-        assert first == second
-        assert all(0.0 < d <= POLICY.cap for d in first)
 
 
 class TestIntegrityGiveUp:

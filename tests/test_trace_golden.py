@@ -7,6 +7,14 @@ event log (PR 22), and the file passes unchanged on both sides.  A
 digest that moves means the serializer, an event's fields or the
 recording order moved: fix the code, do not re-pin.
 
+The two ``pr_crash`` pins were retaken once, when the computation
+engine stopped watching liveness: an engine whose read targets the
+crashed machine no longer gives the read up, so in the failed epoch
+its ``stream`` span stays open until the rollback fence (no
+``gp_master`` time is charged for it), and it sends one steal proposal
+and loses one message fewer.  Simulated runtime, iterations and values
+are unchanged.
+
 The four jobs between them cover the sampler's counter rows, the
 recovery path's job-track spans and checkpoint marks, a run without
 counters, and a run with the host profiler on (whose wall-clock
@@ -39,7 +47,7 @@ PINNED = {
     "pr": (
         744638, "1f43833e353358d000324d355e120e47ceeb9585c2906d126cb6d9d0d9dd8365"),
     "pr_crash": (
-        590523, "421ea77a3d5d484f9171c6ee9be10667a2549b3921532fd5c34914dd381b1079"),
+        590017, "c5a699540b4462978ad8ca648c061de5871ae1b37a34c132d5fba889c0109a3c"),
     "wcc_no_counters": (
         807086, "f870677e705aa10c678e7874203e11486bd8d70403faa49c0600724b13c4841d"),
     "pr_host_stripped": (
@@ -51,7 +59,7 @@ REPORT_PINNED = {
     "pr": (
         5696, "fb34f12a9d2ff1517c70a27697140be233ef885fdaaff034dcb968ab4172c694"),
     "pr_crash": (
-        5675, "3b945a7b6c4f6ae959cc35893fa0ac1f55bdcbf4882be2f0a122d681f2cf45ed"),
+        5675, "25ee9579f99a60be5482d635a77d38705401d8f2eedd08689da7297ff637bf38"),
     "wcc_no_counters": (
         3610, "260a4735dea7c019ddc410d752640a681971eb3b662d666e29b7a87490cfd054"),
 }

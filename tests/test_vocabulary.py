@@ -162,20 +162,24 @@ def test_conform_over_the_coverage_runs_observes_every_kind(coverage):
     assert set.intersection(*unobserved) == set()
 
 
-def test_reply_with_an_unknown_request_id_is_a_simulation_error(monkeypatch):
-    """A reply no request is waiting for (and none was abandoned) is a
-    protocol violation, raised as such rather than as a bare
-    ``RuntimeError`` the value harness cannot tell from a crash."""
+@pytest.mark.parametrize("kind", ["read_reply", "steal_reply"])
+def test_reply_with_an_unknown_request_id_is_a_simulation_error(
+    monkeypatch, kind
+):
+    """A reply no request is waiting for is a protocol violation, raised
+    as such rather than as a bare ``RuntimeError`` the value harness
+    cannot tell from a crash.  A steal reply is no exception: no
+    proposal is ever given up on, so none may arrive unasked."""
     send = Network.send
 
     def send_stray(self, *args, **kwargs):
-        if kwargs.get("kind") == "read_reply":
+        if kwargs.get("kind") == kind:
             kwargs["payload"] = (-1, *kwargs["payload"][1:])
         return send(self, *args, **kwargs)
 
     monkeypatch.setattr(Network, "send", send_stray)
     with pytest.raises(
-        SimulationError, match=r"engine \d: unexpected reply read_reply id=-1"
+        SimulationError, match=rf"engine \d: unexpected reply {kind} id=-1"
     ):
         run_algorithm(PageRank(iterations=1), rmat_graph(7, seed=5),
                       fast_config(2))

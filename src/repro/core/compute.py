@@ -326,14 +326,10 @@ class ComputationEngine:
             self._on_write_ack, chunk, target, on_success, attempt
         )
         self.network.send(
-            src=self.machine,
-            dst=target,
-            service=STORAGE_SERVICE,
-            kind="vwrite" if chunk.kind is ChunkKind.VERTICES else "write",
-            size=chunk.size,
-            payload=(request_id, self.machine, COMPUTE_SERVICE, chunk),
-            epoch=self.epoch,
-            attempt=attempt,
+            self.machine, target, STORAGE_SERVICE,
+            "vwrite" if chunk.kind is ChunkKind.VERTICES else "write",
+            chunk.size, (request_id, self.machine, COMPUTE_SERVICE, chunk),
+            self.epoch, None, attempt,
         )
 
     def _on_write_ack(self, message, chunk, target, on_success, attempt):
@@ -443,16 +439,11 @@ class ComputationEngine:
     ) -> None:
         request_id = self._expect(self._on_chunk_reply, state, iteration, 0)
         self.network.send(
-            src=self.machine,
-            dst=target,
-            service=STORAGE_SERVICE,
-            kind="read",
-            size=store_engine.CONTROL_BYTES,
-            payload=(
-                request_id, self.machine, COMPUTE_SERVICE,
-                state.partition, state.kind,
-            ),
-            epoch=self.epoch,
+            self.machine, target, STORAGE_SERVICE, "read",
+            store_engine.CONTROL_BYTES,
+            (request_id, self.machine, COMPUTE_SERVICE,
+             state.partition, state.kind),
+            self.epoch,
         )
 
     def _send_read_retry(self, request_id: int, target: int, attempt: int) -> None:
@@ -519,8 +510,22 @@ class ComputationEngine:
                 host.stop(
                     token, self.machine, "scatter", iteration, chunk.records
                 )
+            # Buffer the updates by destination partition (a partition
+            # enters ``_buffers`` again after each flush, at the end:
+            # ``_flush_all_buffers`` goes in that order).
+            buffers, buffer_bytes = self._buffers, self._buffer_bytes
+            chunk_bytes = self.config.chunk_bytes
             for batch in batches:
-                self._buffer_updates(batch)
+                partition = batch.partition
+                pending = buffers.get(partition)
+                if pending is None:
+                    buffers[partition] = [batch]
+                else:
+                    pending.append(batch)
+                total = buffer_bytes.get(partition, 0) + batch.nbytes
+                buffer_bytes[partition] = total
+                if total >= chunk_bytes:
+                    self._flush_buffer(partition)
             self.job.note_scatter(chunk.records, batches)
         else:
             if host is not None:
@@ -556,13 +561,6 @@ class ComputationEngine:
     # ------------------------------------------------------------------
     # Update buffering (scatter output)
     # ------------------------------------------------------------------
-
-    def _buffer_updates(self, batch: UpdateBatch) -> None:
-        self._buffers.setdefault(batch.partition, []).append(batch)
-        total = self._buffer_bytes.get(batch.partition, 0) + batch.nbytes
-        self._buffer_bytes[batch.partition] = total
-        if total >= self.config.chunk_bytes:
-            self._flush_buffer(batch.partition)
 
     def _flush_buffer(self, partition: int) -> None:
         if self.fenced:

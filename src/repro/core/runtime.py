@@ -71,11 +71,11 @@ def _integrity_counters(network, stores) -> Dict[str, int]:
 
 
 def _check_open_spans(tracer) -> None:
-    """Warn if a clean run ends with spans still open (leaked begin()).
+    """Warn if a run ends with spans still open (leaked begin()).
 
     A leaked span skews every downstream analysis (critpath sees an
     interval that never closes; durations go negative at export), so a
-    clean finish with ``open_span_count() != 0`` is an instrumentation
+    finish with ``open_span_count() != 0`` is an instrumentation
     bug worth surfacing loudly — but not worth failing the job over.
     """
     if not tracer.enabled:
@@ -632,7 +632,6 @@ class ChaosCluster:
             ]
             return job, barrier, engines, processes
 
-        timeline = None
         if faulted:
             supervisor = ClusterSupervisor(
                 sim,
@@ -646,7 +645,7 @@ class ChaosCluster:
                 job_track=job_track,
             )
             supervisor.execute(fault_plan, start_iteration)
-            timeline = self.last_fault_timeline = supervisor.timeline
+            self.last_fault_timeline = supervisor.timeline
         else:
             _, _, _, processes = build_epoch(0, start_iteration, True)
             sim.run_until(sim.all_of([p.finished for p in processes]))
@@ -658,10 +657,9 @@ class ChaosCluster:
             job_track.instant(
                 "job.done", args={"algorithm": workload.algorithm.name}
             )
-        if timeline is None or not timeline.faults:
-            # Kills legitimately strand the victims' open spans; only a
-            # run in which no fault fired is held to the no-leak invariant.
-            _check_open_spans(tracer)
+        # A fence closes the spans of the processes it kills, so every
+        # run, faulted or not, is held to the no-leak invariant.
+        _check_open_spans(tracer)
         self.last_stores = stores
         self.last_network = network
 

@@ -28,7 +28,7 @@ from repro.partition.streaming import PartitionLayout
 from repro.store.chunk import Chunk
 
 
-@dataclass
+@dataclass(slots=True)
 class UpdateBatch:
     """Updates destined for one partition, produced by one scatter chunk."""
 
@@ -273,6 +273,8 @@ class DataWorkload(Workload):
         self.layout = layout
         self.ctx = ctx
         self.values: State = algorithm.init_values(ctx)
+        # partition -> its views of ``values`` (:meth:`_partition_state`).
+        self._states: Dict[int, State] = {}
         for name, array in self.values.items():
             if len(array) != ctx.num_vertices:
                 raise ValueError(
@@ -305,9 +307,17 @@ class DataWorkload(Workload):
     # -- scatter ----------------------------------------------------------
 
     def _partition_state(self, partition: int) -> State:
-        start = self.layout.start(partition)
-        stop = start + self.layout.vertex_count(partition)
-        return state_slice(self.values, start, stop)
+        """The partition's views of ``values``, built once: every write
+        to the state (restore, reset, apply) is in place, so the views
+        stay the state."""
+        state = self._states.get(partition)
+        if state is None:
+            start = self.layout.start(partition)
+            stop = start + self.layout.vertex_count(partition)
+            state = self._states[partition] = state_slice(
+                self.values, start, stop
+            )
+        return state
 
     def scatter_chunk(
         self, partition: int, chunk: Chunk, iteration: int
@@ -333,24 +343,16 @@ class DataWorkload(Workload):
         out_dst = out_dst.take(order)
         out_values = out_values.take(order, axis=0)
         cuts = cut_points.tolist()
-        batches: List[UpdateBatch] = []
-        for p in range(self.layout.num_partitions):
-            lo, hi = cuts[p], cuts[p + 1]
-            if lo == hi:
-                continue
-            count = hi - lo
-            batches.append(
-                UpdateBatch(
-                    partition=p,
-                    count=count,
-                    nbytes=count * self.algorithm.update_bytes,
-                    payload={
-                        "dst": out_dst[lo:hi].copy(),
-                        "value": out_values[lo:hi].copy(),
-                    },
-                )
+        update_bytes = self.algorithm.update_bytes
+        return [
+            UpdateBatch(
+                p, hi - lo, (hi - lo) * update_bytes,
+                {"dst": out_dst[lo:hi].copy(),
+                 "value": out_values[lo:hi].copy()},
             )
-        return batches
+            for p, (lo, hi) in enumerate(zip(cuts, cuts[1:]))
+            if lo != hi
+        ]
 
     # -- gather / apply ------------------------------------------------------
     #

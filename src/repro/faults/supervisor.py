@@ -364,12 +364,17 @@ class ClusterSupervisor:
             waiter.trigger()
 
     def _fence_machine(self, machine: int, cause: str) -> None:
-        if machine < len(self.engines):
-            engine = self.engines[machine]
+        if machine < len(self.engines):  # one process per engine
+            engine, process = self.engines[machine], self.processes[machine]
             engine.fence()
             engine.endpoint.kill()
-        if machine < len(self.processes):
-            self.processes[machine].kill(cause)
+            process.kill(cause)
+            # The killed epoch's spans end where its process does, at the
+            # fence instant (the kill lands zero-delay after it): a span
+            # cut there is a real interval, closed and tagged, not a leak.
+            process.finished.subscribe(
+                lambda _event: engine.track.end_all({"fenced": True})
+            )
         if machine < len(self._senders):
             self._senders[machine].stop()
 

@@ -92,8 +92,10 @@ class Switch:
     """Non-blocking top-of-rack switch.
 
     Full bisection bandwidth means the switch fabric never queues under
-    our workloads; it contributes the one-way latency only.  We still
-    count bytes crossing the fabric for the network-volume metrics.
+    our workloads; it contributes the one-way latency
+    (``config.latency``) only.  We still count bytes crossing the fabric
+    for the network-volume metrics: the transport adds each frame that
+    left its sender's egress queue with both ends up.
     """
 
     def __init__(self, sim: Simulator, config: NetworkConfig):
@@ -101,9 +103,3 @@ class Switch:
         self.config = config
         self.bytes_forwarded = 0
         self.messages_forwarded = 0
-
-    def forward(self, size: int) -> float:
-        """Account for a message crossing the fabric; return added latency."""
-        self.bytes_forwarded += size
-        self.messages_forwarded += 1
-        return self.config.latency

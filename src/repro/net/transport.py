@@ -6,6 +6,17 @@ latency, and deserialization time on the receiver's NIC ingress.  Local
 (self-addressed) messages are delivered with zero network cost, matching
 the co-located computation/storage engine deployment of Section 7.
 
+A remote message is two heap events.  At send the egress slot is booked
+(:meth:`FifoServer.book`) and the arrival is pushed straight to
+``egress_done + latency``: the switch is a stateless latency, so nothing
+happens at ``egress_done`` that needs an event.  The arrival
+(``Network._receive``) decides the in-flight drop the egress hop used
+to make — either end unreachable at ``egress_done``, read off each
+endpoint's reachability log — counts the switch crossing, books the
+ingress slot and pushes the delivery (``Network._deliver``).  The
+ingress hop stays an event: arrivals from different senders are ordered
+only at arrival.
+
 A service on a machine (computation engine, storage engine, chunk
 directory, failure monitor, restore worker) registers an
 :class:`Endpoint`: one handler per kind :data:`MESSAGE_KINDS` declares
@@ -17,7 +28,8 @@ message lands: no receive loop, no queue.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Callable, Dict, FrozenSet, Optional, Tuple
+from heapq import heappush
+from typing import Any, Callable, Dict, FrozenSet, List, Optional, Tuple
 
 from repro.net.topology import NetworkConfig, Nic, Switch
 from repro.obs.log import NULL
@@ -80,9 +92,10 @@ class Message:
     #: traffic (a write straggling in from before a rollback) by
     #: comparing this against their own epoch; 0 for fault-free runs.
     epoch: int = 0
-    #: Transport sequence number within the (src, dst, service) stream;
-    #: drives receiver-side duplicate suppression.  ``None`` for local
-    #: (same-machine) handoffs, which cannot be duplicated by the fabric.
+    #: Transport sequence number within the (src, dst, service) stream,
+    #: counted on the receiving :class:`Endpoint`; drives receiver-side
+    #: duplicate suppression.  ``None`` for local (same-machine)
+    #: handoffs, which cannot be duplicated by the fabric.
     seq: Any = None
     #: Causal trace context ``(trace_id, span_id, parent_span_id)``
     #: stamped by the transport when causal tracing is on; ``None``
@@ -133,6 +146,11 @@ class Endpoint:
     ``handler(message)``) and ``fence(message)``, true to admit (None
     admits all).  Registered with no handlers it is a sink.
 
+    It also holds the state of the streams it receives, indexed by
+    source machine: ``next_seq`` (the last sequence number sent on the
+    stream) and ``windows`` (its :class:`_DedupWindow`).  Both outlive a
+    re-registration, as the streams do.
+
     Its lifecycle is the dispatcher process's it replaced, event for
     event: it receives from the zero-delay instant after registration (a
     message landing earlier waits for it), stops at once on
@@ -141,13 +159,15 @@ class Endpoint:
     """
 
     __slots__ = ("sim", "name", "handlers", "fence", "receiving", "alive",
-                 "_waiting")
+                 "_waiting", "next_seq", "windows")
 
-    def __init__(self, sim: Simulator):
+    def __init__(self, sim: Simulator, sources: int):
         self.sim, self.name = sim, ""
         self.handlers = self.fence = None
         self.receiving = self.alive = False
         self._waiting = None  # what landed before the first instant
+        self.next_seq = [0] * sources
+        self.windows = [_DedupWindow() for _ in range(sources)]
 
     def _register(self, name, handlers, fence) -> None:
         if self.alive:
@@ -272,19 +292,26 @@ class Network:
             Nic(sim, machine, config)
             for machine in range(machines + extra_endpoints)
         ]
+        self._latency = config.latency
         self._endpoints: Dict[Tuple[int, str], Endpoint] = {}
         # Reachability per endpoint: False while an endpoint is crashed
         # or partitioned away.  Remote messages touching an unreachable
         # endpoint are dropped (fail-stop links: no queuing, no retry at
         # the transport layer — recovery is end-to-end, Section 6.6).
-        self._reachable = [True] * (machines + extra_endpoints)
+        self._reachable = [True] * len(self.nics)
+        # Per endpoint, one ``(time, was_reachable)`` entry per flip of
+        # ``_reachable``: what an arrival reads to decide whether either
+        # end was down when its frame left the egress queue.  Empty, and
+        # never read, in a fault-free run.
+        self._reach_log: List[List[Tuple[float, bool]]] = [
+            [] for _ in self.nics
+        ]
         #: Remote messages dropped because either end was unreachable.
         self.messages_dropped = 0
-        # Integrity hardening: per-stream sequence numbers and receiver
-        # side duplicate suppression (gated by config.integrity_checks).
+        # Integrity hardening: receiver side duplicate suppression by
+        # the per-stream sequence numbers (gated by
+        # config.integrity_checks).
         self._integrity = integrity
-        self._seq: Dict[Tuple[int, int, str], int] = {}
-        self._dedup: Dict[Tuple[int, str, int], _DedupWindow] = {}
         #: Duplicate deliveries filtered by the sequence-number window.
         self.duplicates_suppressed = 0
         # Armed byzantine fabric faults, keyed by receiving endpoint.
@@ -329,7 +356,9 @@ class Network:
         key = (machine, service)
         endpoint = self._endpoints.get(key)
         if endpoint is None:
-            endpoint = self._endpoints[key] = Endpoint(self.sim)
+            endpoint = self._endpoints[key] = Endpoint(
+                self.sim, len(self.nics)
+            )
         if handlers is None:
             return endpoint
         if set(handlers) != MESSAGE_KINDS.get(service):
@@ -353,7 +382,20 @@ class Network:
         """
         if not 0 <= endpoint < len(self.nics):
             raise SimulationError(f"invalid endpoint {endpoint}")
-        self._reachable[endpoint] = reachable
+        was = self._reachable[endpoint]
+        if was != reachable:
+            self._reach_log[endpoint].append((self.sim.now, was))
+            self._reachable[endpoint] = reachable
+
+    def _reachable_at(self, endpoint: int, when: float) -> bool:
+        """Whether ``endpoint`` was reachable at ``when`` (not in the
+        future).  A flip at exactly ``when`` counts as before it."""
+        state = self._reachable[endpoint]
+        for time, was in reversed(self._reach_log[endpoint]):
+            if time <= when:
+                break
+            state = was
+        return state
 
     # -- fault state (byzantine fabric faults) ----------------------------
 
@@ -415,17 +457,20 @@ class Network:
         event never fires — callers needing progress guarantees must
         pair it with a timeout (the fault-tolerant RPC pattern the
         computation engine uses).  ``src`` and ``dst`` must name
-        endpoints.  On the wire a message is three scheduled calls
-        (egress done -> ``_after_tx``, switch hop -> ``_receive``,
-        ingress done -> ``_deliver``), not three events.
+        endpoints.  On the wire a remote message is two heap events: the
+        send books the egress slot and pushes the arrival
+        (:meth:`_receive`) to ``egress_done + latency``; the arrival
+        books the ingress slot and pushes the delivery
+        (:meth:`_deliver`).  A local message is one zero-delay delivery.
 
         ``parent`` (a causal context or span id) and ``attempt`` (>0 for
         retries/resends) annotate the causal trace only; when causal
         tracing is off they are ignored entirely.
         """
-        if not 0 <= dst < len(self.nics):
+        nics = self.nics
+        if not 0 <= dst < len(nics):
             raise SimulationError(f"invalid destination machine {dst}")
-        if not 0 <= src < len(self.nics):
+        if not 0 <= src < len(nics):
             raise SimulationError(f"invalid source machine {src}")
         endpoint = self._endpoints.get((dst, service))
         if endpoint is None:
@@ -449,11 +494,14 @@ class Network:
 
         if src == dst:
             # Local delivery: intra-process handoff, no network cost.
-            sim.schedule(0.0, self._deliver, endpoint, message, delivered)
+            sim._seq += 1
+            heappush(sim._heap, (
+                sim.now, sim._seq, self._deliver, (endpoint, message, delivered)
+            ))
             return delivered
 
-        stream = (src, dst, service)
-        self._seq[stream] = message.seq = self._seq.get(stream, 0) + 1
+        next_seq = endpoint.next_seq
+        message.seq = next_seq[src] = next_seq[src] + 1
         if not (self._reachable[src] and self._reachable[dst]):
             # Fail-stop link: a dead sender emits nothing; a message for
             # a dead receiver is dropped without charging the fabric.
@@ -461,38 +509,52 @@ class Network:
             return delivered
 
         wire_size = size + self.MESSAGE_OVERHEAD
-        self.nics[src].egress.service(
-            wire_size, label=f"tx:{kind}" if self._trace_on else None,
-            then=self._after_tx, args=(wire_size, endpoint, message, delivered),
+        egress_done = nics[src].egress.book(
+            wire_size, f"tx:{kind}" if self._trace_on else None
         )
+        sim._seq += 1
+        heappush(sim._heap, (
+            egress_done + self._latency, sim._seq, self._receive,
+            (wire_size, endpoint, message, delivered, egress_done),
+        ))
         return delivered
-
-    def _after_tx(self, wire_size: int, endpoint, message, delivered) -> None:
-        dst = message.dst
-        if not (self._reachable[message.src] and self._reachable[dst]):
-            # Link state changed while the message sat in the egress
-            # queue: drop in flight.
-            self.messages_dropped += 1
-            return
-        self.sim.schedule(
-            self.switch.forward(wire_size), self._receive,
-            dst, wire_size, endpoint, message, delivered,
-        )
 
     def _receive(
         self,
-        dst: int,
         wire_size: int,
         endpoint: Endpoint,
         message: Message,
         delivered: Optional[Event],
-        pristine: bool = True,
+        egress_done: Optional[float] = None,
     ) -> None:
+        """A frame reaches the receiver's NIC: its first arrival carries
+        ``egress_done``, a re-arrival (``msg-dup``, ``msg-reorder``)
+        carries None and is neither re-checked at egress nor counted by
+        the switch again.
+
+        The first arrival drops the frame if either end was unreachable
+        at ``egress_done`` (it never left the sender, or the link was
+        cut under it).  A reachability flip at exactly ``egress_done``
+        counts as before the hop: when the egress hop was an event of
+        its own, the two were ordered by when each was scheduled.
+        """
+        dst = message.dst
+        if egress_done is not None:
+            log = self._reach_log
+            if (log[message.src] or log[dst]) and not (
+                self._reachable_at(message.src, egress_done)
+                and self._reachable_at(dst, egress_done)
+            ):
+                self.messages_dropped += 1
+                return
+            switch = self.switch
+            switch.bytes_forwarded += wire_size
+            switch.messages_forwarded += 1
         if not self._reachable[dst]:
             # The receiver died while the message crossed the switch.
             self.messages_dropped += 1
             return
-        if pristine and self._pending_faults:
+        if egress_done is not None and self._pending_faults:
             fault = self._take_fault(dst, message)
             if fault is not None:
                 if fault.kind == "corrupt":
@@ -503,8 +565,8 @@ class Network:
                     # stream overtakes it (bounded reordering).
                     self.messages_reordered += 1
                     self.sim.schedule(
-                        fault.delay, self._receive, dst, wire_size,
-                        endpoint, message, delivered, False,
+                        fault.delay, self._receive,
+                        wire_size, endpoint, message, delivered,
                     )
                     return
                 elif fault.kind == "dup":
@@ -513,13 +575,17 @@ class Network:
                     # window when hardening is on.
                     self.messages_duplicated += 1
                     self.sim.schedule(
-                        0.0, self._receive, dst, wire_size,
-                        endpoint, message, delivered, False,
+                        0.0, self._receive,
+                        wire_size, endpoint, message, delivered,
                     )
-        self.nics[dst].ingress.service(
-            wire_size, label=f"rx:{message.kind}" if self._trace_on else None,
-            then=self._deliver, args=(endpoint, message, delivered),
+        landing = self.nics[dst].ingress.book(
+            wire_size, f"rx:{message.kind}" if self._trace_on else None
         )
+        sim = self.sim
+        sim._seq += 1
+        heappush(sim._heap, (
+            landing, sim._seq, self._deliver, (endpoint, message, delivered)
+        ))
 
     def _deliver(
         self, endpoint: Endpoint, message: Message,
@@ -528,11 +594,8 @@ class Network:
         """The one receive path of every message: dedup, kind check,
         fence, handler."""
         seq = message.seq
-        if self._integrity and seq is not None:
-            stream = (message.dst, message.service, message.src)
-            window = self._dedup.get(stream)
-            if window is None:
-                window = self._dedup[stream] = _DedupWindow()
+        if seq is not None and self._integrity:
+            window = endpoint.windows[message.src]
             if seq == window.floor + 1 and not window.seen:
                 window.floor = seq  # accept()'s in-order case, inline
             elif not window.accept(seq):

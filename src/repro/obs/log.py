@@ -217,7 +217,7 @@ class NullObserver:
     def _nothing(self, *args, **kwargs) -> None:
         return None
 
-    begin = end = complete = instant = counter = _nothing  # track, tracer
+    begin = end = end_all = complete = instant = counter = _nothing  # track, tracer
     set_process = bind_run = _nothing
     on_bind = head = on_send = on_deliver = _nothing  # causal
     on_dispatch = barrier_arrive = barrier_release = mark = _nothing

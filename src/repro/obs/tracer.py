@@ -99,6 +99,12 @@ class Track:
         name, cat = self._open.pop()
         self._record("E", name, self.tracer.now(), cat=cat, args=args)
 
+    def end_all(self, args: Optional[dict] = None) -> None:
+        """Close every open span on this track now, innermost first (a
+        fenced epoch's spans end at the fence)."""
+        while self._open:
+            self.end(args)
+
     def complete(self, name: str, start: float, duration: float,
                  cat: Optional[str] = None, args: Optional[dict] = None) -> None:
         """Record a span whose extent is already known (FIFO servers

@@ -13,6 +13,7 @@ are exactly reproducible for a given seed.
 from __future__ import annotations
 
 import heapq
+from heapq import heappush
 from typing import Any, Callable, Generator, Iterable, List, Optional, Tuple
 
 
@@ -281,16 +282,27 @@ class Simulator:
     # -- scheduling ---------------------------------------------------
 
     def schedule(self, delay: float, fn: Callable, *args: Any) -> None:
-        """Run ``fn(*args)`` after ``delay`` simulated seconds (the only
-        heap push: one source for the tie-breaking sequence numbers)."""
+        """Run ``fn(*args)`` after ``delay`` simulated seconds."""
         if not delay >= 0:  # also rejects NaN, which would poison ``now``
             raise SimulationError(f"cannot schedule in the past (delay={delay})")
         self._seq += 1
-        heapq.heappush(self._heap, (self.now + delay, self._seq, fn, args))
+        heappush(self._heap, (self.now + delay, self._seq, fn, args))
 
     def schedule_at(self, when: float, fn: Callable, *args: Any) -> None:
-        """Run ``fn(*args)`` at absolute simulated time ``when``."""
-        self.schedule(when - self.now, fn, *args)
+        """Run ``fn(*args)`` at absolute simulated time ``when``, exactly:
+        the heap entry carries ``when`` itself, not ``now + (when -
+        now)``, which can be an ulp off.
+
+        Every heap push takes its tie-break from ``_seq``, wherever it is
+        made (the transport's two wire hops push inline with
+        ``heappush``), so ``_seq`` counts all of them.
+        """
+        if not when >= self.now:  # also rejects NaN
+            raise SimulationError(
+                f"cannot schedule in the past (when={when}, now={self.now})"
+            )
+        self._seq += 1
+        heappush(self._heap, (when, self._seq, fn, args))
 
     # -- event factories ----------------------------------------------
 
@@ -343,12 +355,11 @@ class Simulator:
             self._running = False
         return self.now
 
-    def run_until(self, event: Event, max_events: Optional[int] = None) -> Any:
+    def run_until(self, event: Event) -> Any:
         """Run until ``event`` fires; return its value (raise on failure)."""
         if self._running:
             raise SimulationError("simulator is not reentrant")
         self._running = True
-        count = 0
         heap, heappop = self._heap, heapq.heappop
         try:
             while not event._triggered:
@@ -359,11 +370,6 @@ class Simulator:
                     )
                 self.now, _seq, fn, args = heappop(heap)
                 fn(*args)
-                count += 1
-                if max_events is not None and count >= max_events:
-                    raise SimulationError(
-                        f"simulation exceeded max_events={max_events}"
-                    )
         finally:
             self._running = False
         if event.failed:

@@ -123,27 +123,26 @@ class FifoServer:
         if label:
             self._trace_label = label
 
-    def service(
-        self, size: float, value: Any = None, label: Optional[str] = None,
-        then: Optional[Callable] = None, args: tuple = (),
-    ) -> Optional[Event]:
-        """Enqueue a request of ``size`` bytes.
+    def book(self, size: float, label: Optional[str] = None) -> float:
+        """Queue a request of ``size`` bytes and return when it lands.
 
-        Callbacks pass ``then``: ``then(*args)`` is scheduled at the
-        finish time and nothing is returned.  Processes omit it and
-        ``yield`` the returned event, which fires with ``value`` at the
-        same instant — the same call with ``then=event.trigger``.
+        The one definition of the FIFO arithmetic, the meter and the
+        trace row; :meth:`service` and the transport's NIC hops both
+        book through it.  The landing time is ``now + (finish - now)``,
+        not ``finish``: the two can differ by an ulp, and the first is
+        where a completion scheduled by delay has always landed.
 
         ``label`` overrides the span name when tracing is enabled (the
         storage/network layers pass the operation kind).
         """
         if size < 0:
             raise ValueError(f"size must be non-negative, got {size}")
-        sim = self.sim
-        start = max(sim.now, self._busy_until)
+        now = self.sim.now
+        busy = self._busy_until
+        start = busy if busy > now else now
         duration = self.latency + size / self.bandwidth
         self._busy_until = finish = start + duration
-        meter = self.meter  # one record, inline: a NIC hop of every message
+        meter = self.meter
         meter.busy_time += duration
         meter.bytes_served += int(size)
         meter.requests += 1
@@ -154,12 +153,25 @@ class FifoServer:
                 ("X", track.pid, track.tid, label or self._trace_label,
                  track.offset + start, duration, None, int(size), None)
             )
+        return now + (finish - now)
+
+    def service(
+        self, size: float, value: Any = None, label: Optional[str] = None,
+        then: Optional[Callable] = None, args: tuple = (),
+    ) -> Optional[Event]:
+        """Enqueue a request of ``size`` bytes (see :meth:`book`).
+
+        Callbacks pass ``then``: ``then(*args)`` is scheduled at the
+        landing time and nothing is returned.  Processes omit it and
+        ``yield`` the returned event, which fires with ``value`` at the
+        same instant — the same call with ``then=event.trigger``.
+        """
+        when = self.book(size, label)
         event = None
         if then is None:
-            event = Event(sim, self._event_name)
+            event = Event(self.sim, self._event_name)
             then, args = event.trigger, (value,)
-        # ``now + (finish - now)``, not ``finish``: they differ by an ulp.
-        sim.schedule(finish - sim.now, then, *args)
+        self.sim.schedule_at(when, then, *args)
         return event
 
     @property

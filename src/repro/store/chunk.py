@@ -25,12 +25,22 @@ import numpy as np
 DEFAULT_CHUNK_BYTES = 4 * 1024 * 1024
 
 
-class ChunkKind(enum.Enum):
-    """The three stored data structures of a streaming partition."""
+class ChunkKind(str, enum.Enum):
+    """The three stored data structures of a streaming partition.
+
+    A ``str`` subclass so that hashing a member (the stores key their
+    chunk sets by kind) is ``str.__hash__`` in C, not ``Enum.__hash__``
+    in Python.  ``str()``, ``format()`` and ``.value`` read as a plain
+    ``Enum``'s on every Python version.
+    """
 
     EDGES = "edges"
     UPDATES = "updates"
     VERTICES = "vertices"
+
+    def __format__(self, spec: str) -> str:
+        # Python 3.10 formats a str-mixin member by its value.
+        return format(str(self), spec)
 
 
 @dataclass(slots=True)

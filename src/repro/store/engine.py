@@ -255,16 +255,11 @@ class StorageEngine:
     ) -> None:
         # ``parent`` is the request's causal context: replies fire from
         # device-completion callbacks long after the handler returned,
-        # so the causal edge must be threaded explicitly.
+        # so the causal edge must be threaded explicitly.  (Positional:
+        # every read and write is acked through here.)
         self.network.send(
-            src=self.machine,
-            dst=requester,
-            service=reply_service,
-            kind=kind,
-            size=size,
-            payload=payload,
-            epoch=epoch,
-            parent=parent,
+            self.machine, requester, reply_service, kind, size, payload,
+            epoch, parent,
         )
 
     def _handle_read(self, message) -> None:
@@ -320,7 +315,7 @@ class StorageEngine:
             return
         self.reads_served += 1
         self.reads_by_kind[kind] += 1
-        served = self._read_path(chunk, label)
+        served = self._read_path(chunk, label) if self.faults.read_corrupt else chunk
         self.device.service(
             served.size,
             label=label,

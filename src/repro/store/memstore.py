@@ -97,10 +97,10 @@ class ChunkStore:
     # -- edge / update chunks -----------------------------------------
 
     def _chunk_set(self, partition: int, kind: ChunkKind) -> ChunkSet:
-        key = (partition, kind)
-        if key not in self._sets:
-            self._sets[key] = ChunkSet()
-        return self._sets[key]
+        chunk_set = self._sets.get((partition, kind))
+        if chunk_set is None:
+            chunk_set = self._sets[partition, kind] = ChunkSet()
+        return chunk_set
 
     def _append(self, chunk: Chunk) -> None:
         if chunk.kind is ChunkKind.VERTICES:

@@ -3,23 +3,35 @@
 Host-speed work on ``repro.sim`` / ``repro.net`` must leave every heap
 push where it was: same order, same timestamp down to the last ulp.
 This test hashes the two places the whole stream passes through —
-every ``Simulator.schedule`` call (by the absolute time it lands on)
-and every ``Network._deliver`` (by when, which stream and which
-sequence number) — over one small PageRank job, fault-free and under
-one fault plan per fault kind, which between them drive the drop,
-retry, dedup, reorder, corruption, slow-device and recovery paths.
+every push onto the simulator's heap (by the absolute time it lands
+on; :data:`PUSHERS` names every module that pushes, and each push must
+take the next tie-break of ``Simulator._seq``, so a push that bypasses
+the tap fails the run) and every ``Network._deliver`` (by when, which
+stream and which sequence number) — over one small PageRank job,
+fault-free and under one fault plan per fault kind, which between them
+drive the drop, retry, dedup, reorder, corruption, slow-device and
+recovery paths.
 
-The fault-free constant was computed with this very file on the commit
-*before* the simulator's completion-callback rewrite, and it has never
-moved.  Every fault pin was retaken once, when the computation engine
-stopped watching liveness (its per-read watchdog and its steal-reply
-timeout race retired, so their heap pushes left every fault stream).
-That retake was checked against the old stream with those pushes
-filtered out: equal to the end for each plan that kills no machine,
-and equal up to the first give-up on a fenced peer for ``crash``,
-``partition`` and ``crash-restart``.  In the same retake two plans that
-changed no event (a ``stale-read`` and a ``ckpt-corrupt`` whose damage
-no later read met) became plans whose damage a restore reads back;
+The pins have been retaken twice, each time for a change that removed
+heap pushes and was checked against the old stream:
+
+* when the computation engine stopped watching liveness (its per-read
+  watchdog and its steal-reply timeout race retired), every fault pin.
+  The old stream with those pushes filtered out was equal to the end
+  for each plan that kills no machine, and equal up to the first
+  give-up on a fenced peer for ``crash``, ``partition`` and
+  ``crash-restart``.  In the same retake two plans that changed no
+  event (a ``stale-read`` and a ``ckpt-corrupt`` whose damage no later
+  read met) became plans whose damage a restore reads back;
+* when a remote message became two heap events (the egress hop's
+  ``_after_tx`` push folded into the send, which pushes the arrival
+  itself), every pin, now over all heap pushes.  On each of the 15
+  plans the ``_deliver`` records were identical to the old stream's,
+  in order and count; the multiset of ``(time, callee)`` pushes equals
+  the old stream's with its ``_after_tx`` pushes removed; only the
+  order of pushes changed, because an arrival is pushed at send time
+  instead of at ``egress_done``.
+
 :func:`test_every_fault_changes_the_stream` holds every fault pin apart
 from its control, the same plan with the fault swapped for one that
 never fires.  Each run that completes ends with values identical to
@@ -30,8 +42,12 @@ tie-breaks moved: fix the code, do not re-pin.
 from __future__ import annotations
 
 import hashlib
+from heapq import heappush
 
 import pytest
+
+import repro.net.transport
+import repro.sim.engine
 
 from repro.algorithms import PageRank
 from repro.core.config import ClusterConfig
@@ -41,53 +57,55 @@ from repro.faults.diagnosis import UnrecoverableJobError
 from repro.graph import rmat_graph
 from repro.net.topology import GIGE_40_BENCH
 from repro.net.transport import Network
-from repro.sim.engine import Simulator
 from repro.store.device import SSD_BENCH
+
+#: Every module that pushes onto the simulator's heap.
+PUSHERS = (repro.sim.engine, repro.net.transport)
 
 #: A fault spec that never fires (the job has 3 iterations): the
 #: control that stands in for a plan's first spec.
 NEVER_FIRES = "msg-dup:1@iter=99"
 
-#: plan (specs joined by ``;``) -> (``schedule`` calls, SHA-256 of
-#: the stream).
+#: plan (specs joined by ``;``) -> (heap pushes, SHA-256 of the
+#: stream).
 PINNED = {
     None: (
-        2419, "9433725a074764e726288c4a258b5ecf7a5df241f50e2c5e1cd9a68384ad6b55"),
+        1803, "c017238a6400675618a3202eb4fb1520af75e6fae140a8e857d19445ed9423e8"),
     "crash:1@iter=1": (
-        2700, "fa4f1e29521d8e1f9563d673ca0aafc2837a74ceaf480d9ce07e25c5a9cf471c"),
+        2032, "e03ed4a139b5d391600afe23726eb4d81e3802a4df336ec3fa31d56b17db1440"),
     "partition:2@iter=1": (
-        2808, "426e48dba579d7424d56e995dcc0e1aeb76e95592ac65ae477aa5e37a181b0f7"),
+        2122, "117349ac984879e7eb1f09729a8580a61cb99630e8d07c82b91cdd1ac02c0490"),
     "msg-reorder:1@iter=1": (
-        2626, "458d60384aa15634bc4611e07a1aaa2d00aee67ee82925b809a3443edbdd22ba"),
+        1959, "55ba4ce9d1685ebf3f72cc28ed1531436dfca8a1a7c6f0b48f75d37ee253fc69"),
     "msg-dup:2@iter=1": (
-        2537, "d25f32d9546a2db6270cfdda7965d94983df198e4599ac0f578347f2324796e9"),
+        1903, "2cdc01c3cc2182cb86d75403b6a5f43695df75db2d0eba64b5e8cd8b0afd695b"),
     "msg-corrupt:0@iter=1": (
-        2527, "d774b8cf76dc8fb1d6f2a3e5eb4324d40d6c08b9ace096d6063e2dabba2b16ef"),
+        1897, "0df6000b033c192c028127cccbdf4c982370aafd4ea8b08a62dc46094e7920ce"),
     "chunk-bitflip:1@iter=1": (
-        2510, "88c8a2a349f65697159f9497e5be99721b4ebc33ca1df05ade4fbd6c2b4fc62f"),
+        1888, "9b75f6129ad2c539b2b8c05924e80be2b82c05d430b6c25999cf2248a43df936"),
     "crash-restart:0@iter=1": (
-        2719, "a13f4aa314c2eb4cf849f60d95cab0017966f949a68be24647b2050c3bb574f5"),
+        2047, "a3bcb0dc781174eaa53acb66b62ae889964e2495ae24f46056a66c9357073fc6"),
     "slow-device:2@iter=1,factor=4,for=0.01": (
-        2582, "00a23bc429fa4d84aef91bacd0c1a857582f98109c3f8e66b1569011dc56ead6"),
+        1935, "0b2ec8ddb3d24b7123fce1ca4e2d622b9693a4d5b797352dacb1e63b7b2e40cd"),
     "torn-write:1@iter=1": (
-        2536, "9046daed38aab724b53cef3a0a9213fc72775053bd5d490be5b2e09ad638fbd2"),
+        1902, "caec6fa7ca6e8b4472f2fe1516d2d7ebfceff7b77189229013aa6159910c99d9"),
     # Machine 2 serves five vertex reads the version their last write
     # overwrote; after the crash two of them are restore reads, which
     # reject the stale chunk by its generation tag.
     "stale-read:2@iter=1,count=5;crash:1@iter=2": (
-        2703, "6b0d8977397410f124e53caa79067dc3b283ec2b0fd07f49791bc86f23e0df43"),
+        2041, "812e22ade4fd4b04c404765ac3ebf79bd8d0eae33c4a850b0f9dfe570ca6b28b"),
     # With one vertex replica no completing plan reaches the rot: every
     # durable checkpoint replica on machine 1 rots, machine 0 crashes,
     # and the restore refuses the job (pinned up to the raise).
     "ckpt-corrupt:1@iter=1,count=64;crash:0@iter=1": (
-        1150, "75a4db09377deef4b83115b94b924ea2fc725465ac7f9805c8a5779c3aa16917"),
+        876, "c9ef059770df7f63e10b9075a3a985b9d3957a724c32e71055af46355cc4c31c"),
     # Controls.
     NEVER_FIRES: (
-        2535, "2aeddf5b4faf91ff656bf83d8f195b15d751c5158aa072e49cc641b8a5de4c8e"),
+        1901, "79243e3a6b543e325f84fba951a0bf680f6eda21ed96982e23608fda3e8c8b2f"),
     f"{NEVER_FIRES};crash:1@iter=2": (
-        2693, "4594dfd78b1a8b1b3f0abbf7a3300d062c50c9cd629bd515fde01363594bdcf5"),
+        2031, "d852e89225f61f93319ef767d696b5981b2e660e3691069b7d559c131db22404"),
     f"{NEVER_FIRES};crash:0@iter=1": (
-        2723, "d35d57c830806a2025fdf552d549ad053d2255011d29748af404ec2e282b252a"),
+        2051, "d29c1dcde133d09b951b84ef4ada2a79598d43c561e44c45006b6acc50c84e2a"),
 }
 
 #: Plans the restore refuses (:class:`UnrecoverableJobError`).
@@ -106,27 +124,31 @@ def graph():
 
 def event_stream(monkeypatch, graph, specs):
     """Run the job under the fault specs (none: fault-free) with both
-    choke points tapped; ``(calls, hex digest, refused)``, where
+    choke points tapped; ``(pushes, hex digest, refused)``, where
     ``refused`` says the run ended in :class:`UnrecoverableJobError`
     (the stream is then the one up to the raise)."""
     digest = hashlib.sha256()
-    calls = [0]
-    schedule, deliver = Simulator.schedule, Network._deliver
+    seen = {}  # id(heap) -> (heap, pushes seen)
+    deliver = Network._deliver
 
-    def tapped_schedule(sim, delay, fn, *args):
-        calls[0] += 1
-        digest.update(b"s" + (sim.now + delay).hex().encode())
-        return schedule(sim, delay, fn, *args)
+    def tapped_push(heap, entry):
+        when, seq = entry[0], entry[1]
+        count = seen.get(id(heap), (heap, 0))[1] + 1
+        seen[id(heap)] = heap, count
+        assert seq == count, "a heap push bypassed the tap"
+        digest.update(b"s" + when.hex().encode())
+        heappush(heap, entry)
 
-    def tapped_deliver(network, mailbox, message, delivered):
+    def tapped_deliver(network, endpoint, message, delivered):
         record = (
             network.sim.now.hex(), message.src, message.dst,
             message.service, message.kind, message.seq,
         )
         digest.update(b"d" + repr(record).encode())
-        return deliver(network, mailbox, message, delivered)
+        return deliver(network, endpoint, message, delivered)
 
-    monkeypatch.setattr(Simulator, "schedule", tapped_schedule)
+    for module in PUSHERS:
+        monkeypatch.setattr(module, "heappush", tapped_push)
     monkeypatch.setattr(Network, "_deliver", tapped_deliver)
     config = ClusterConfig(
         machines=3,
@@ -143,16 +165,18 @@ def event_stream(monkeypatch, graph, specs):
             fault_plan=FaultPlan.parse(specs) if specs else None,
         )
     except UnrecoverableJobError:
-        return calls[0], digest.hexdigest(), True
-    return calls[0], digest.hexdigest(), False
+        refused = True
+    else:
+        refused = False
+    return sum(count for _, count in seen.values()), digest.hexdigest(), refused
 
 
 @pytest.mark.parametrize("plan", list(PINNED), ids=lambda p: p or "none")
 def test_event_stream_is_pinned(monkeypatch, graph, plan):
-    calls, digest, refused = event_stream(
+    pushes, digest, refused = event_stream(
         monkeypatch, graph, plan.split(";") if plan else []
     )
-    assert (calls, digest) == PINNED[plan]
+    assert (pushes, digest) == PINNED[plan]
     assert refused == (plan in REFUSED)
 
 

@@ -9,8 +9,10 @@ events whose code lives under ``src/repro`` — C builtins, the standard
 library and generated ``<string>`` code (dataclass ``__init__``) are not
 counted, and neither are list / dict / set comprehensions, which stopped
 being calls in Python 3.12 — and divides by three exact denominators
-taken from the same run: ``Simulator.schedule`` calls (``sim.events``),
-``Network.send`` calls (``net.messages``) and edges streamed.
+taken from the same run: heap pushes (every push onto a simulator's
+heap, wherever it is made, read off the simulator's ``_seq`` tie-break
+counter at the end), ``Network.send`` calls (``net.messages``) and
+edges streamed.
 
 A ratio above its pin fails: some per-event, per-message or per-edge
 path grew a call.  More than 3 % under only warns — lower the pin in
@@ -92,10 +94,10 @@ TWINS = {
         fault="crash:1@iter=2"),
 }
 
-#: twin -> calls per (sim event, message, edge streamed): the last
+#: twin -> calls per (heap push, message, edge streamed): the last
 #: measurement (Python 3.11) plus 0.5 %, because CI's 3.10 and 3.12
 #: could not be run where these were pinned.  One more call per
-#: delivered message is +3.0 % (``pr_traced``) to +4.7 % (``wcc_minfold``):
+#: delivered message is +3.4 % (``pr_traced``) to +5.9 % (``wcc_minfold``):
 #: red on every twin.
 #: ``pr_traced`` counts the whole job — run, attribution, trace export —
 #: since PR 22; on that twin the parent (PR 21) made 99,954 calls, 81.66
@@ -104,13 +106,20 @@ TWINS = {
 #: the compute engine stopped watching liveness: 806 read-watch and
 #: steal-race timer events of ~5.4 calls each left the denominator, and
 #: total calls fell 56,898 -> 52,484 (-7.8 %).
+#: Every per-event pin rose again when a remote message became two heap
+#: events: each message's egress-done push (one call) left the
+#: denominator, which now counts every heap push, not only
+#: ``Simulator.schedule`` calls (``pr_overhead`` 14,344 -> 10,080).
+#: Total calls fell 13-22 % (``pr_overhead`` 104,753 -> 82,013,
+#: ``pr_crash_recover`` 52,484 -> 44,695), and the per-message and
+#: per-edge pins with them.
 BUDGET = {
-    "pr_kernel": (7.723, 21.627, 0.543),  # 26,511 calls
-    "pr_overhead": (7.342, 22.197, 2.143),  # 104,777 calls
-    "wcc_minfold": (7.632, 21.335, 0.358),  # 37,405 calls
-    "sssp_file_ckpt": (7.919, 21.36, 0.868),  # 98,404 calls
-    "pr_traced": (11.929, 33.378, 1.663),  # 40,651 calls
-    "pr_crash_recover": (8.563, 24.24, 0.639),  # 52,484 calls
+    "pr_kernel": (8.68, 17.345, 0.436),  # 21,262 calls
+    "pr_overhead": (8.177, 17.375, 1.678),  # 82,013 calls
+    "wcc_minfold": (8.578, 17.01, 0.286),  # 29,821 calls
+    "sssp_file_ckpt": (8.947, 17.223, 0.7),  # 79,342 calls
+    "pr_traced": (14.518, 29.117, 1.451),  # 35,462 calls
+    "pr_crash_recover": (9.606, 20.643, 0.544),  # 44,695 calls
 }
 
 
@@ -149,11 +158,17 @@ def _run_twin(name: str, workdir) -> int:
 
 
 def measure(name: str, tmp_path):
-    """(calls under ``src/repro``, sim events, messages, edges) of one
+    """(calls under ``src/repro``, heap pushes, messages, edges) of one
     twin; a first, uncounted run pays for lazy imports."""
     _run_twin(name, tmp_path / "warm")
-    schedule, send = Simulator.schedule.__code__, Network.send.__code__
-    counts = {"calls": 0, schedule: 0, send: 0}
+    send = Network.send.__code__
+    counts = {"calls": 0, send: 0}
+    sims = []
+    init = Simulator.__init__
+
+    def recording_init(sim):  # not under src/repro: not counted
+        init(sim)
+        sims.append(sim)
 
     def on_event(frame, event, _arg):
         if event != "call":
@@ -167,18 +182,21 @@ def measure(name: str, tmp_path):
     # Garbage left by an earlier job (a traced twin's sampler generator)
     # is finalized now, not by a collection inside the counted job.
     gc.collect()
+    Simulator.__init__ = recording_init
     sys.setprofile(on_event)
     try:
         edges = _run_twin(name, tmp_path / "counted")
     finally:
         sys.setprofile(None)
-    return counts["calls"], counts[schedule], counts[send], edges
+        Simulator.__init__ = init
+    pushes = sum(sim._seq for sim in sims)
+    return counts["calls"], pushes, counts[send], edges
 
 
 @pytest.mark.parametrize("name", list(TWINS))
 def test_calls_per_unit_of_work_stay_in_budget(name, tmp_path):
     calls, *work = measure(name, tmp_path)
-    units = ("sim event", "message", "edge streamed")
+    units = ("heap push", "message", "edge streamed")
     for unit, amount, pin in zip(units, work, BUDGET[name]):
         ratio = calls / amount
         assert ratio <= pin, (

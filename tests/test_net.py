@@ -213,6 +213,136 @@ class TestDedupWindow:
         assert window.accept(1000) and window.floor == 1001 and not window.seen
 
 
+class TestWireHops:
+    """A remote message is two heap events: the send books the egress
+    slot and pushes the arrival to ``egress_done + latency``; the
+    arrival drops the frame if either end was down at ``egress_done``,
+    counts the switch crossing and books the ingress slot.
+
+    One frame of 1 MB on 40 GigE: ``egress_done`` is ~200 us, the
+    arrival ~250 us, the delivery ~450 us.
+    """
+
+    SIZE = 1_000_000
+    WIRE = SIZE + Network.MESSAGE_OVERHEAD
+
+    def _send(self, **flips):
+        """Send one frame 0 -> 1 and schedule each named flip
+        ``(time, (endpoint, reachable))``; the simulator, the network
+        and the frames machine 1 kept."""
+        sim = Simulator()
+        network = Network(sim, 2, GIGE_40)
+        got = _collector(network, 1)
+        network.send(0, 1, MEMBERSHIP_SERVICE, "heartbeat", self.SIZE)
+        for when, (endpoint, reachable) in sorted(flips.values()):
+            sim.schedule_at(when, network.set_reachable, endpoint, reachable)
+        return sim, network, got
+
+    @property
+    def egress_done(self):
+        return self.WIRE / GIGE_40.bandwidth
+
+    def test_frame_lands_where_the_two_step_sum_did(self):
+        sim, network, got = self._send()
+        sim.run()
+        assert len(got) == 1
+        arrival = self.egress_done + GIGE_40.latency
+        assert sim.now == arrival + (
+            (arrival + self.WIRE / GIGE_40.bandwidth) - arrival
+        )
+
+    def test_sender_crashed_in_the_egress_queue_drops_the_frame(self):
+        sim, network, got = self._send(down=(100e-6, (0, False)))
+        sim.run()
+        assert got == []
+        assert network.messages_dropped == 1
+        assert network.total_bytes() == 0
+        assert network.switch.messages_forwarded == 0
+        assert network.nics[1].bytes_received() == 0
+
+    def test_receiver_down_at_egress_done_drops_even_if_back_by_arrival(self):
+        sim, network, got = self._send(
+            down=(100e-6, (1, False)), up=(220e-6, (1, True))
+        )
+        sim.run()
+        assert got == []
+        assert network.messages_dropped == 1
+        assert network.total_bytes() == 0
+
+    def test_receiver_lost_after_egress_done_drops_at_arrival(self):
+        sim, network, got = self._send(down=(220e-6, (1, False)))
+        sim.run(until=240e-6)
+        assert network.messages_dropped == 0
+        sim.run()
+        assert got == []
+        assert network.messages_dropped == 1
+        # The frame crossed the switch before the receiver refused it.
+        assert network.total_bytes() == self.WIRE
+        assert network.switch.messages_forwarded == 1
+
+    def test_flip_at_exactly_egress_done_counts_as_before_the_hop(self):
+        """The one tie the two-event wire orders differently: when the
+        egress hop was an event, a flip scheduled after the send at the
+        same instant ran after it, and the frame went out."""
+        sim, network, got = self._send(
+            down=(self.egress_done, (1, False)),
+            up=(self.egress_done + 10e-6, (1, True)),
+        )
+        sim.run()
+        assert got == []
+        assert network.messages_dropped == 1
+
+    @pytest.mark.parametrize("kind", ["dup", "reorder"])
+    def test_re_arrival_is_not_rechecked_nor_recounted(self, kind):
+        sim, network, got = self._send()
+        network.inject_fault(1, kind, delay=1e-3)
+        # The sender goes down after its frame left: a re-arrival is
+        # not checked at egress again.
+        sim.schedule_at(300e-6, network.set_reachable, 0, False)
+        sim.run()
+        assert network.messages_dropped == 0
+        assert len(got) == 1
+        assert network.switch.messages_forwarded == 1
+        assert network.total_bytes() == self.WIRE
+        if kind == "dup":
+            assert network.nics[1].bytes_received() == 2 * self.WIRE
+            assert network.duplicates_suppressed == 1
+        else:
+            assert network.messages_reordered == 1
+
+
+class TestScheduleAt:
+    def test_lands_on_when_bit_for_bit(self):
+        # ``now + (when - now)`` is an ulp above ``when`` here.
+        now, when = 6.40314382269973e-05, 0.00019989507957182746
+        assert now + (when - now) != when
+        sim, landed = Simulator(), []
+        sim.schedule_at(
+            now, lambda: sim.schedule_at(when, lambda: landed.append(sim.now))
+        )
+        sim.run()
+        assert [t.hex() for t in landed] == [when.hex()]
+
+    def test_past_or_nan_is_refused(self):
+        sim = Simulator()
+        sim.schedule(1.0, lambda: None)
+        sim.run()
+        for when in (0.5, float("nan")):
+            with pytest.raises(SimulationError, match="past"):
+                sim.schedule_at(when, lambda: None)
+
+    def test_every_push_takes_the_next_tie_break(self):
+        sim = Simulator()
+        network = Network(sim, 2, GIGE_40)
+        network.register(1, "svc")
+        network.send(0, 1, "svc", "data", 100)
+        sim.schedule_at(1.0, lambda: None)
+        sim.run()
+        # The arrival and the delivery (pushed by the transport) and the
+        # call: the sink registration pushes nothing.
+        assert sim._seq == 3
+
+
 class TestArmedFaults:
     def _pair(self):
         sim = Simulator()

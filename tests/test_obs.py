@@ -330,6 +330,31 @@ class TestDriversAndRecovery:
         assert stamps == sorted(stamps) and len(set(stamps)) == len(stamps)
 
 
+    def test_rollback_fence_closes_the_killed_epoch_spans(self, tmp_path, capsys):
+        """The fence ends every span its kill cuts short, tagged
+        ``fenced``: the crashed run's report warns of no unbalanced
+        span (it warned of 9 while the fence left them open)."""
+        from repro.cli import main
+
+        path = str(tmp_path / "crash.trace.json")
+        assert main([
+            "run", "--algorithm", "PR", "--scale", "8", "--machines", "3",
+            "--seed", "5", "--checkpoint", "--inject-fault", "crash:1@iter=2",
+            "--trace", path,
+        ]) == 0
+        capsys.readouterr()
+        assert main(["trace-report", path]) == 0
+        assert "unbalanced" not in capsys.readouterr().out
+        assert main(["trace-report", path, "--format", "json"]) == 0
+        report = json.loads(capsys.readouterr().out)
+        assert report["summary"]["unbalanced_spans"] == 0
+        fenced = [
+            event for event in load_trace(path)["traceEvents"]
+            if event.get("ph") == "E" and (event.get("args") or {}).get("fenced")
+        ]
+        assert len(fenced) == 9
+
+
 class TestResultSurface:
     def test_job_result_json(self):
         _, result = _traced_run()

@@ -8,6 +8,7 @@ request_id, attempt)``, independent of call order).
 
 from __future__ import annotations
 
+import inspect
 import random
 
 import pytest
@@ -114,10 +115,13 @@ class TestIntegrityGiveUp:
         )
         attempts = []
         send = Network.send
+        signature = inspect.signature(send)
 
         def recording_send(network, *args, **kwargs):
-            if kwargs["kind"] in kinds:
-                attempts.append(kwargs.get("attempt", 0))
+            # Call sites pass the arguments by position or by keyword.
+            call = signature.bind(network, *args, **kwargs).arguments
+            if call["kind"] in kinds:
+                attempts.append(call.get("attempt", 0))
             return send(network, *args, **kwargs)
 
         monkeypatch.setattr(Network, "send", recording_send)

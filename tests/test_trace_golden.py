@@ -7,13 +7,17 @@ event log (PR 22), and the file passes unchanged on both sides.  A
 digest that moves means the serializer, an event's fields or the
 recording order moved: fix the code, do not re-pin.
 
-The two ``pr_crash`` pins were retaken once, when the computation
-engine stopped watching liveness: an engine whose read targets the
-crashed machine no longer gives the read up, so in the failed epoch
-its ``stream`` span stays open until the rollback fence (no
-``gp_master`` time is charged for it), and it sends one steal proposal
-and loses one message fewer.  Simulated runtime, iterations and values
-are unchanged.
+The two ``pr_crash`` pins were retaken twice.  First when the
+computation engine stopped watching liveness: an engine whose read
+targets the crashed machine no longer gives the read up, so in the
+failed epoch its ``stream`` span stays open until the rollback fence
+(no ``gp_master`` time is charged for it), and it sends one steal
+proposal and loses one message fewer.  Then when the fence began to
+close the killed epoch's spans: the nine spans the failed epoch left
+open (``trace-report`` warned of 9 unbalanced span events) now end at
+the fence with ``{"fenced": true}``, which adds nine ``E`` rows and
+their time to the report's categories and span table.  Simulated
+runtime, iterations and values are unchanged both times.
 
 The four jobs between them cover the sampler's counter rows, the
 recovery path's job-track spans and checkpoint marks, a run without
@@ -47,7 +51,7 @@ PINNED = {
     "pr": (
         744638, "1f43833e353358d000324d355e120e47ceeb9585c2906d126cb6d9d0d9dd8365"),
     "pr_crash": (
-        590017, "c5a699540b4462978ad8ca648c061de5871ae1b37a34c132d5fba889c0109a3c"),
+        590827, "ad4c0922181efe826ac5b6a8968971818b74b26ba8a05f94ad3bc0e920a2b566"),
     "wcc_no_counters": (
         807086, "f870677e705aa10c678e7874203e11486bd8d70403faa49c0600724b13c4841d"),
     "pr_host_stripped": (
@@ -59,7 +63,7 @@ REPORT_PINNED = {
     "pr": (
         5696, "fb34f12a9d2ff1517c70a27697140be233ef885fdaaff034dcb968ab4172c694"),
     "pr_crash": (
-        5675, "25ee9579f99a60be5482d635a77d38705401d8f2eedd08689da7297ff637bf38"),
+        5640, "6e2f9a42a4ded374cb28ead7446997fa0a9d5809d77b033e0f54adbc5e580d40"),
     "wcc_no_counters": (
         3610, "260a4735dea7c019ddc410d752640a681971eb3b662d666e29b7a87490cfd054"),
 }

@@ -26,6 +26,7 @@ Both runs deliver every other compute and storage kind.
 from __future__ import annotations
 
 import collections
+import inspect
 
 import pytest
 
@@ -171,11 +172,14 @@ def test_reply_with_an_unknown_request_id_is_a_simulation_error(
     cannot tell from a crash.  A steal reply is no exception: no
     proposal is ever given up on, so none may arrive unasked."""
     send = Network.send
+    signature = inspect.signature(send)
 
     def send_stray(self, *args, **kwargs):
-        if kwargs.get("kind") == kind:
-            kwargs["payload"] = (-1, *kwargs["payload"][1:])
-        return send(self, *args, **kwargs)
+        # Call sites pass the arguments by position or by keyword.
+        call = signature.bind(self, *args, **kwargs)
+        if call.arguments["kind"] == kind:
+            call.arguments["payload"] = (-1, *call.arguments["payload"][1:])
+        return send(*call.args, **call.kwargs)
 
     monkeypatch.setattr(Network, "send", send_stray)
     with pytest.raises(

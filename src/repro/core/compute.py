@@ -36,8 +36,11 @@ detector then suspects that peer, and the supervisor's cluster-wide
 rollback ends the epoch and every wait in it.  So reads and steal
 proposals wait for their replies with no timeout, exactly as in a
 fault-free run; only a corrupt frame is re-sent, on the seeded
-integrity backoff.  Checkpoints additionally carry per-partition state
-snapshots and report durability to a cluster-wide
+integrity backoff.  An epoch resumed after a rollback starts with the
+supervisor's ``restore`` step in place of pre-processing: it reads the
+checkpoint back through this engine's endpoint and reply table, so the
+same fence ends its waits.  Checkpoints additionally carry
+per-partition state snapshots and report durability to a cluster-wide
 :class:`repro.faults.registry.CheckpointRegistry`.
 """
 
@@ -64,9 +67,10 @@ from repro.store import engine as store_engine
 from repro.store.chunk import Chunk, ChunkKind
 from repro.store.integrity import seal_chunk, verify_chunk
 from repro.store.placement import (
+    SLOT_BASES,
     CentralizedDirectory,
-    HashedVertexPlacement,
     RandomPlacement,
+    VertexSets,
 )
 
 #: Wire size of a steal proposal / response (control messages).
@@ -131,12 +135,13 @@ class ComputationEngine:
         job: "JobCoordinator",
         local_store: "store_engine.StorageEngine",
         barrier: Barrier,
+        vertex_sets: VertexSets,
         directory: Optional[CentralizedDirectory] = None,
         input_bytes_share: int = 0,
         tracer=None,
         host=None,
         epoch: int = 0,
-        preprocess: bool = True,
+        restore: Optional[Callable] = None,
         registry=None,
     ):
         self.sim = sim
@@ -147,14 +152,16 @@ class ComputationEngine:
         self.job = job
         self.local_store = local_store
         self.barrier = barrier
+        self.vertex_sets = vertex_sets
         self.directory = directory
         self.input_bytes_share = input_bytes_share
         #: Recovery epoch this engine belongs to (0 in fault-free runs);
         #: stamps every outgoing message and scopes the request ids.
         self.epoch = epoch
-        #: Whether to run the pre-processing pass (skipped on epochs
-        #: after a rollback: the edge chunks are already placed).
-        self.preprocess = preprocess
+        #: The epoch's first step after a rollback, ``restore(engine)``
+        #: (a generator run in place of pre-processing: the edge chunks
+        #: are already placed); None on the first epoch.
+        self._restore = restore
         #: Cluster checkpoint registry (fault injection only): tracks
         #: which checkpoint generation is durable and owns slot rotation.
         self._registry = registry
@@ -190,18 +197,16 @@ class ComputationEngine:
         self.placement = RandomPlacement(
             config.machines, seed=config.seed * 1_000_003 + machine * 7919 + 2
         )
-        self.vertex_placement = HashedVertexPlacement(config.machines)
 
-        # Partitions this engine masters: round-robin assignment so each
-        # of the k×m partitions has a master (Section 5).
+        # Partitions this engine masters (each of the k×m partitions
+        # has one, Section 5).
         self.my_partitions = [
-            p
-            for p in range(self.layout.num_partitions)
-            if p % config.machines == machine
+            p for p, master in enumerate(vertex_sets.masters)
+            if master == machine
         ]
 
         #: The reply table: request id -> ``(then, args)``; the reply
-        #: runs ``then(reply, *args)`` (see :meth:`_expect`).
+        #: runs ``then(reply, *args)`` (see :meth:`expect`).
         self._pending: Dict[int, Tuple[Callable, tuple]] = {}
         # Distinct id streams per machine AND per epoch: a reply from a
         # rolled-back epoch can never collide with a live request.
@@ -256,7 +261,7 @@ class ComputationEngine:
         """
         self.fenced = True
 
-    def _expect(self, then: Callable, *args) -> int:
+    def expect(self, then: Callable, *args) -> int:
         """A fresh request id whose reply will run ``then(reply, *args)``."""
         self._next_request += self.config.machines
         self._pending[self._next_request] = (then, args)
@@ -322,7 +327,7 @@ class ComputationEngine:
         storage engine that received the chunk damaged in flight nacks it
         (``write_ack`` marked ``"corrupt"``), and the sender, which still
         holds the chunk, resends it through :meth:`_backoff`."""
-        request_id = self._expect(
+        request_id = self.expect(
             self._on_write_ack, chunk, target, on_success, attempt
         )
         self.network.send(
@@ -430,14 +435,14 @@ class ComputationEngine:
                 # keeps its own exhaustion bookkeeping for correctness.
                 self.directory.lookup_from(
                     self.machine, COMPUTE_SERVICE,
-                    self._expect(self._send_read, state, target, iteration),
+                    self.expect(self._send_read, state, target, iteration),
                 )
         self._maybe_finish_stream(state)
 
     def _send_read(
         self, _directory_reply, state: _StreamState, target: int, iteration: int
     ) -> None:
-        request_id = self._expect(self._on_chunk_reply, state, iteration, 0)
+        request_id = self.expect(self._on_chunk_reply, state, iteration, 0)
         self.network.send(
             self.machine, target, STORAGE_SERVICE, "read",
             store_engine.CONTROL_BYTES,
@@ -629,26 +634,15 @@ class ComputationEngine:
     # Vertex set I/O
     # ------------------------------------------------------------------
 
-    def _vertex_chunk_sizes(self, partition: int) -> List[int]:
-        total = self.workload.vertex_set_bytes(partition)
-        if total <= 0:
-            return []
-        sizes = []
-        remaining = total
-        while remaining > 0:
-            size = min(self.config.chunk_bytes, remaining)
-            sizes.append(size)
-            remaining -= size
-        return sizes
-
     def _load_vertex_set(self, partition: int) -> Event:
         """Read all vertex chunks of a partition; event fires when done."""
-        count = len(self._vertex_chunk_sizes(partition))
+        count = len(self.vertex_sets.chunk_sizes[partition])
         loaded = Latch(self.sim, count, name=f"vload.p{partition}")
+        placement = self.vertex_sets.placement
         for index in range(count):
             self._send_vread(
                 loaded, partition, index,
-                self.vertex_placement.machine_for(partition, index),
+                placement.machine_for(partition, index),
             )
         return loaded.done
 
@@ -656,7 +650,7 @@ class ComputationEngine:
         self, loaded: Latch, partition: int, index: int, target: int,
         attempt: int = 0,
     ) -> None:
-        request_id = self._expect(
+        request_id = self.expect(
             self._on_vread_reply, loaded, partition, index, target, attempt
         )
         self.network.send(
@@ -699,17 +693,16 @@ class ComputationEngine:
         chunk at ``base + 0`` of every replica, so recovery can read
         real bytes back through the storage model.
         """
-        sizes = self._vertex_chunk_sizes(partition)
+        sizes = self.vertex_sets.chunk_sizes[partition]
         replicas = self.config.vertex_replicas
         stored = Latch(
             self.sim, len(sizes) * replicas, name=f"vstore.p{partition}"
         )
         if base is None:
-            base = 1_000_000 if checkpoint else 0
+            base = SLOT_BASES[0] if checkpoint else 0
+        placement = self.vertex_sets.placement
         for index, size in enumerate(sizes):
-            targets = self.vertex_placement.machines_for(
-                partition, index, replicas
-            )
+            targets = placement.machines_for(partition, index, replicas)
             for target in targets:
                 carries = snapshot is not None and index == 0
                 chunk = Chunk(
@@ -844,7 +837,7 @@ class ComputationEngine:
 
     def _ship_accumulator(self, partition: int, accum):
         """Stealer side of gather completion: send the accumulator home."""
-        master = partition % self.config.machines
+        master = self.vertex_sets.masters[partition]
         size = self.workload.accum_bytes(partition)
         t0 = self.sim.now
         if self._trace_on:
@@ -869,16 +862,15 @@ class ComputationEngine:
     # ------------------------------------------------------------------
 
     def _steal_pass(self, kind: ChunkKind):
+        masters = self.vertex_sets.masters
         foreign = [
-            p
-            for p in range(self.layout.num_partitions)
-            if p % self.config.machines != self.machine
+            p for p, master in enumerate(masters) if master != self.machine
         ]
         self._rng.shuffle(foreign)
         for partition in foreign:
-            master = partition % self.config.machines
+            master = masters[partition]
             reply = Event(self.sim, name=f"steal.p{partition}")
-            request_id = self._expect(reply.trigger)
+            request_id = self.expect(reply.trigger)
             if self._trace_on:
                 self.track.instant(
                     "steal.propose",
@@ -972,8 +964,7 @@ class ComputationEngine:
                 else self.job.iteration + 1
             )
             key = (self.epoch, self.job.iteration, phase_index)
-            slot = registry.round_slot(key, resume)
-            base = registry.base_for_slot(slot)
+            base = SLOT_BASES[registry.round_slot(key, resume)]
             for partition in self.my_partitions:
                 event = self._store_vertex_set(
                     partition,
@@ -1045,7 +1036,7 @@ class ComputationEngine:
             # the data plane was pre-placed with the same RNG stream).
             target = self.placement.choose_write()
             ack = Event(self.sim, name="pwrite.ack")
-            request_id = self._expect(ack.trigger)
+            request_id = self.expect(ack.trigger)
             self.network.send(
                 src=self.machine,
                 dst=target,
@@ -1060,28 +1051,27 @@ class ComputationEngine:
     def main(self):
         """The engine's top-level process (Figure 4 main loop)."""
         track = self.track
-        # preprocess is epoch-uniform: build_epoch sets it identically on
-        # every engine, so all machines take the same branch together.
-        if self.preprocess:  # chaos: ignore[CHX010]
-            if self._trace_on:
-                track.begin("preprocess")
+        # The epoch's first step: the first epoch pre-processes, a
+        # resumed one restores the checkpoint.  Either way every engine
+        # then meets the others at the epoch-start barrier.
+        step = "preprocess" if self._restore is None else "restore"
+        if self._trace_on:
+            track.begin(step)
+        if self._restore is None:
             yield from self._preprocess()
-            if self._trace_on:
-                track.end()
-            if self._trace_on:
-                track.begin("preprocess.barrier")
-            if self._causal.enabled:
-                self._causal.barrier_arrive(
-                    self.machine, self.epoch, "preprocess", "preprocess"
-                )
-            yield self.barrier.wait(party=self.machine)
-            if self._causal.enabled:
-                self._causal.barrier_release(
-                    self.machine, self.epoch, "preprocess", "preprocess"
-                )
-            if self._trace_on:
-                track.end()
-            self.job.note_preprocessing_done(self.sim.now)
+        else:
+            yield from self._restore(self)
+        if self._trace_on:
+            track.end()
+            track.begin(f"{step}.barrier")
+        if self._causal.enabled:
+            self._causal.barrier_arrive(self.machine, self.epoch, step, step)
+        yield self.barrier.wait(party=self.machine)
+        if self._causal.enabled:
+            self._causal.barrier_release(self.machine, self.epoch, step, step)
+        if self._trace_on:
+            track.end()
+        self.job.note_started(self.sim.now)
 
         while True:
             # -- scatter phase ------------------------------------------

@@ -36,7 +36,9 @@ class JobCoordinator:
         ]
         self.steals_accepted = 0
         self.steals_rejected = 0
-        self.preprocessing_end: float = 0.0
+        #: When the epoch-start barrier released: pre-processing done
+        #: (the first epoch) or the checkpoint restored (a resumed one).
+        self.started_at: float = 0.0
         self.done = False
         #: Optional observer called once per iteration at scatter start
         #: (the supervisor's ``iter=`` fault-trigger hook).
@@ -50,8 +52,8 @@ class JobCoordinator:
     def current_stats(self) -> IterationStats:
         return self.iteration_stats[-1]
 
-    def note_preprocessing_done(self, now: float) -> None:
-        self.preprocessing_end = max(self.preprocessing_end, now)
+    def note_started(self, now: float) -> None:
+        self.started_at = max(self.started_at, now)
 
     def begin_scatter(self) -> None:
         """Called by every engine at scatter start; acts once per iteration.

@@ -71,10 +71,12 @@ class IterationStats:
 
     The wall-clock fields are cluster-wide: the phase durations are the
     maximum over engines (phases end at a barrier, so the max is the
-    phase's wall time) while the wait fields are *summed* over engines —
-    the attribution analyzer (:mod:`repro.obs.critpath`) reads them as
-    aggregate idle time the cluster spent at barriers / waiting for
-    stolen accumulators during the iteration.
+    phase's wall time) while the wait fields are *summed* over engines,
+    the aggregate idle time the cluster spent at barriers / waiting for
+    stolen accumulators during the iteration.  They are reported as
+    recorded (``JobResult.to_dict``); the attribution analyzer
+    (:mod:`repro.obs.critpath`) derives its own barrier waits from the
+    trace instead.
     """
 
     iteration: int

@@ -45,7 +45,7 @@ from repro.sim.sync import Barrier
 from repro.store.chunk import Chunk, ChunkKind, split_into_chunks
 from repro.store.engine import StorageEngine
 from repro.store.memstore import MemoryChunkStore
-from repro.store.placement import CentralizedDirectory, HashedVertexPlacement
+from repro.store.placement import CentralizedDirectory, VertexSets
 
 
 def _integrity_counters(network, stores) -> Dict[str, int]:
@@ -371,15 +371,11 @@ class ChaosCluster:
                 total_chunks += 1
         return total_chunks
 
-    def _place_vertex_chunks(
-        self, workload: Workload, layout: PartitionLayout, stores
-    ) -> None:
-        placement = HashedVertexPlacement(self.config.machines)
-        for p in range(layout.num_partitions):
-            total = workload.vertex_set_bytes(p)
-            for index, size in enumerate(
-                split_into_chunks(total, self.config.chunk_bytes)
-            ):
+    @staticmethod
+    def _place_vertex_chunks(vertex_sets: VertexSets, stores) -> None:
+        placement = vertex_sets.placement
+        for p, sizes in enumerate(vertex_sets.chunk_sizes):
+            for index, size in enumerate(sizes):
                 chunk = Chunk(
                     partition=p,
                     kind=ChunkKind.VERTICES,
@@ -475,8 +471,9 @@ class ChaosCluster:
         engines, made by ``build_epoch``.  A fault-free run is epoch 0
         alone, run directly.  With a ``fault_plan`` the same builder
         goes to the :class:`~repro.faults.supervisor.ClusterSupervisor`,
-        which owns the loop (run → detect → fence → re-admit → restore →
-        resume) and brings the fault-only parts: a monitor network
+        which owns the loop (run → detect → fence → re-admit → resume,
+        each engine of a resumed epoch running the supervisor's restore
+        step first) and brings the fault-only parts: a monitor network
         endpoint for the failure detector, heartbeats and the checkpoint
         registry.
         """
@@ -556,7 +553,12 @@ class ChaosCluster:
         # Stable seed (string hash() is salted per process).
         placement_rng = random.Random(config.seed * 1_000_003 + 99991)
         edge_chunk_loader(placement_rng, stores)
-        self._place_vertex_chunks(workload, layout, stores)
+        vertex_sets = VertexSets(
+            [workload.vertex_set_bytes(p) for p in range(layout.num_partitions)],
+            config.machines,
+            config.chunk_bytes,
+        )
+        self._place_vertex_chunks(vertex_sets, stores)
 
         directory = None
         if config.placement == "centralized":
@@ -594,7 +596,7 @@ class ChaosCluster:
                 sim, tracer, stores, network, epoch_engines
             )
 
-        def build_epoch(epoch, resume_iteration, preprocess):
+        def build_epoch(epoch, resume_iteration, restore):
             suffix = f".e{epoch}" if epoch else ""
             job = JobCoordinator(
                 workload, stores, start_iteration=resume_iteration
@@ -612,12 +614,13 @@ class ChaosCluster:
                     job,
                     local_store=stores[m],
                     barrier=barrier,
+                    vertex_sets=vertex_sets,
                     directory=directory,
                     input_bytes_share=per_machine_input,
                     tracer=tracer,
                     host=self.host,
                     epoch=epoch,
-                    preprocess=preprocess,
+                    restore=restore,
                     registry=registry,
                 )
                 for m in range(config.machines)
@@ -647,7 +650,7 @@ class ChaosCluster:
             supervisor.execute(fault_plan, start_iteration)
             self.last_fault_timeline = supervisor.timeline
         else:
-            _, _, _, processes = build_epoch(0, start_iteration, True)
+            _, _, _, processes = build_epoch(0, start_iteration, None)
             sim.run_until(sim.all_of([p.finished for p in processes]))
         if sampler is not None:
             sampler.sample()  # close the timelines at the finish line
@@ -674,7 +677,7 @@ class ChaosCluster:
             algorithm=workload.algorithm.name,
             machines=config.machines,
             runtime=sim.now,
-            preprocessing_seconds=epoch_jobs[0].preprocessing_end,
+            preprocessing_seconds=epoch_jobs[0].started_at,
             iterations=epoch_jobs[-1].iteration + 1 - start_iteration,
             iteration_stats=[
                 stats for job in epoch_jobs for stats in job.iteration_stats

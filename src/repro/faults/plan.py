@@ -57,7 +57,7 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Callable, Dict, Optional, Tuple
 
-from repro.faults.registry import SLOT_BASES
+from repro.store.placement import SLOT_BASES
 
 
 class FaultKind(Enum):
@@ -185,7 +185,7 @@ def _storage(budget: str) -> Callable:
 
 
 def _arm_ckpt_corrupt(supervisor, spec, config) -> None:
-    """Persistent rot: it lasts until the restore client quarantines and
+    """Persistent rot: it lasts until the restore step quarantines and
     re-replicates the damaged replicas."""
     supervisor.stores[spec.machine].corrupt_stored_checkpoint(
         spec.effective_count(), SLOT_BASES[0]

@@ -10,17 +10,15 @@ through a round can always fall back to the previous complete one — and
 records when a round becomes durable cluster-wide.
 
 Slots map to vertex-chunk index bases far above the working vertex-set
-indices, so checkpoint chunks coexist with the live vertex chunks in the
-same chunk stores and are read back through the same storage protocol.
+indices (:data:`repro.store.placement.SLOT_BASES`), so checkpoint chunks
+coexist with the live vertex chunks in the same chunk stores and are
+read back through the same storage protocol.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from typing import Dict, Optional, Set, Tuple
-
-#: Vertex-chunk index bases of the two checkpoint slots (double buffer).
-SLOT_BASES = (1_000_000, 2_000_000)
 
 
 @dataclass
@@ -78,9 +76,6 @@ class CheckpointRegistry:
             entry = [1 - durable_slot, resume_iteration, 0]
             self._rounds[key] = entry
         return entry[0]
-
-    def base_for_slot(self, slot: int) -> int:
-        return SLOT_BASES[slot]
 
     def note_durable(
         self,

@@ -1,4 +1,4 @@
-"""The fault-recovery supervisor: epochs, rollback, and live restore.
+"""The fault-recovery supervisor: epochs, rollback, and the restore step.
 
 Recovery in Chaos is cluster-wide (Section 6.6): when any machine
 fails, *all* machines roll back to the most recent durable checkpoint
@@ -19,23 +19,29 @@ implements that protocol around the discrete-event simulation:
    machines are rebooted ``restart_seconds`` into recovery, and
    ``crash-restart`` / ``partition`` faults revive on their own
    schedule.  Their secondary storage survives the outage.
-4. **Restore.**  Per-machine restore workers read the durable
-   checkpoint generation's vertex chunks back from their (replicated)
-   storage locations *through the real transport and device models*,
-   overwrite the vertex state, and purge every stale update chunk set.
-   If no checkpoint ever became durable, the job restarts from its
-   initial vertex values (only the pre-processing output survives).
-5. **Resume.**  A fresh epoch starts at the checkpoint's resume
-   iteration, skipping pre-processing (edge chunks survived on disk).
+4. **Decide.**  The next epoch restores the latest durable checkpoint
+   generation.  If none ever became durable, the job restarts from its
+   initial vertex values, reset at once (only the pre-processing output
+   survives).
+5. **Resume.**  A fresh epoch starts at once at the resume iteration,
+   heartbeats and failure detector armed.  Each engine first runs the
+   restore step (:meth:`ClusterSupervisor._restore`) instead of
+   pre-processing: it reads its partitions' checkpoint chunks back
+   *through its own endpoint and the real transport and device
+   models*, purges its machine's stale update sets, and meets the
+   others at the epoch-start barrier.  A fault during the restore is
+   suspected and rolled back like any other.
 
 Every phase is accounted on the cluster job track: retroactive ``lost``
 spans (work after the restored checkpoint that must be re-executed) and
-``restore`` spans (fence to resume), which the trace report reconciles
-against the timeline totals.
+``restore`` spans (fence to the resumed epoch's restore-barrier
+release), which the trace report reconciles against the timeline
+totals.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
@@ -43,13 +49,13 @@ from repro.faults.detector import HeartbeatSender
 from repro.faults.diagnosis import JobDiagnosis, UnrecoverableJobError
 from repro.faults.plan import FAULT_TABLE, FaultSpec
 from repro.net.retry import jittered_delay
-from repro.net.transport import RESTORE_SERVICE, STORAGE_SERVICE
+from repro.net.transport import COMPUTE_SERVICE, STORAGE_SERVICE
 from repro.obs.log import NULL
 from repro.sim.engine import Event, SimulationError, Simulator
 from repro.store import engine as store_engine
 from repro.store.chunk import ChunkKind
 from repro.store.integrity import verify_chunk
-from repro.store.placement import HashedVertexPlacement
+from repro.store.placement import SLOT_BASES
 
 
 @dataclass
@@ -76,11 +82,12 @@ class RecoveryRound:
     resume_iteration: int
     #: Start of the re-executed (lost) work window.
     lost_started_at: float
-    #: Work discarded by the rollback: fence − max(durable, epoch start).
+    #: Work discarded by the rollback: fence − max(durable, useful start).
     lost_seconds: float
-    #: Fence → resume: admission wait + checkpoint reads + cleanup.
+    #: Fence → the resumed epoch's restore-barrier release (or the next
+    #: fence, if a fault struck the restore): admission wait + restore.
     restore_seconds: float
-    #: Simulated time the next epoch started.
+    #: Simulated time the restore window closed.
     resumed_at: float
 
 
@@ -157,15 +164,15 @@ class ClusterSupervisor:
         self.registry = registry
         self.detector = detector
         #: ``ChaosCluster._execute``'s epoch builder, the one a fault-free
-        #: run calls exactly once: ``(epoch, resume_iteration, preprocess)
-        #: -> (job, barrier, engines, processes)``.
+        #: run calls exactly once: ``(epoch, resume_iteration, restore)
+        #: -> (job, barrier, engines, processes)``, where ``restore`` is
+        #: the resumed epoch's first step (None: pre-process).
         self.build_epoch = build_epoch
         self.job_track = job_track
         detector.on_suspect = self._on_suspect
 
         machines = config.machines
         self.monitor = machines
-        self.vertex_placement = HashedVertexPlacement(machines)
         self._up = [True] * machines
         self._partitioned = [False] * machines
         self._operator_reboot = [False] * machines
@@ -179,7 +186,11 @@ class ClusterSupervisor:
         self._senders: List[HeartbeatSender] = []
         self._iteration_events: Dict[int, Event] = {}
         self._admission_waiter: Optional[Event] = None
-        self._epoch_started_at = 0.0
+        #: Start of the live epoch's useful work: the run's start, or a
+        #: resumed epoch's restore-barrier release.
+        self._useful_from = 0.0
+        #: The round whose restore window is still open.
+        self._restoring: Optional[RecoveryRound] = None
         self._initial_iteration = 0
 
     # ------------------------------------------------------------------
@@ -192,22 +203,18 @@ class ClusterSupervisor:
         for spec in plan.specs:
             self.sim.process(self._inject(spec), name=f"fault.{spec.describe()}")
         self._initial_iteration = start_iteration
-        resume = start_iteration
-        preprocess = True
-        while True:
-            if self._run_epoch(resume, preprocess):
-                break
-            resume = self._recover()
-            preprocess = False
+        resume, restore = start_iteration, None  # the first epoch pre-processes
+        while not self._run_epoch(resume, restore):
+            resume, generation = self._recover()
+            restore = functools.partial(self._restore, generation)
         self.timeline.total_runtime = self.sim.now
 
-    def _run_epoch(self, resume_iteration: int, preprocess: bool) -> bool:
+    def _run_epoch(self, resume_iteration: int, restore) -> bool:
         sim = self.sim
         epoch = self.epoch
         self.failure = sim.event(f"failure.e{epoch}")
-        self._epoch_started_at = sim.now
         job, barrier, engines, processes = self.build_epoch(
-            epoch, resume_iteration, preprocess
+            epoch, resume_iteration, restore
         )
         self.job, self.engines, self.processes = job, engines, processes
         job.on_iteration = self._note_iteration
@@ -266,6 +273,10 @@ class ClusterSupervisor:
                 self.detector.suspect(machine)
 
     def _note_iteration(self, iteration: int) -> None:
+        if self._restoring is not None:
+            # The resumed epoch's first scatter begins: every engine has
+            # passed the restore barrier.
+            self._end_restore()
         event = self._iteration_events.get(iteration)
         if event is not None and not event.triggered:
             event.trigger(iteration)
@@ -306,6 +317,12 @@ class ClusterSupervisor:
         self._fence_machine(machine, cause="machine-crash")
         if self.stores[machine].running:
             self.stores[machine].crash()
+        if operator_reboot and self._admission_waiter is not None:
+            # Struck while recovery waits for every machine: the
+            # recovery's operator reboots this one too.
+            self.sim.schedule(
+                self.config.restart_seconds, self.revive_machine, machine
+            )
 
     def revive_machine(self, machine: int) -> None:
         """Reboot a crashed machine: storage engine returns, compute
@@ -343,9 +360,7 @@ class ClusterSupervisor:
     # ------------------------------------------------------------------
 
     def _update_reachability(self, machine: int) -> None:
-        self.network.set_reachable(
-            machine, self._up[machine] and not self._partitioned[machine]
-        )
+        self.network.set_reachable(machine, self._available(machine))
 
     def _available(self, machine: int) -> bool:
         return self._up[machine] and not self._partitioned[machine]
@@ -382,11 +397,18 @@ class ClusterSupervisor:
     # Recovery
     # ------------------------------------------------------------------
 
-    def _recover(self) -> int:
-        """Roll the cluster back; returns the iteration to resume from."""
+    def _recover(self):
+        """Roll the cluster back and wait until every machine is
+        re-admitted; returns the iteration to resume from and the
+        checkpoint generation the resumed epoch restores (None: the
+        initial values, already reset)."""
         sim = self.sim
         machines = self.config.machines
         fence_time = sim.now
+        if self._restoring is not None:
+            # A fault struck the restore itself: its window ends here,
+            # and the failed epoch did no useful work to lose.
+            self._end_restore()
         failed_epoch = self.epoch
         self.detector.disarm()
         suspects = tuple(self.detector.suspected_machines())
@@ -420,190 +442,91 @@ class ClusterSupervisor:
         generation = self.registry.latest_durable()
         if generation is None:
             resume = self._initial_iteration
+            durable_at = self._useful_from
         else:
             resume = generation.resume_iteration
-
-        # Admission + restore, repeated if another fault disturbs the
-        # restore itself (its reads and deletes must complete cleanly).
-        while True:
-            waiter = sim.event(f"admission.e{self.epoch}")
-            self._admission_waiter = waiter
-            self._check_admission()
-            sim.run_until(waiter)
-            self._admission_waiter = None
-            # Stores revived during the wait still carry the old epoch.
-            for machine in range(machines):
-                if self.stores[machine].data_epoch != self.epoch:
-                    self.stores[machine].advance_epoch(self.epoch)
-            # Every machine is re-admitted: clear suspicion, so a later
-            # fault on it is suspected, and rolled back, afresh.
-            for machine in range(machines):
-                self.detector.clear(machine)
-            if generation is None:
-                # Nothing durable yet: recovery restarts the computation
-                # from its initial vertex values (pre-processing output
-                # survives on disk).
-                self.workload.reset_to_initial()
-            self._run_restore(generation)
-            if all(self._available(m) for m in range(machines)):
-                break
-
-        resume_time = sim.now
-        durable_at = (
-            generation.durable_at
-            if generation is not None
-            else self._epoch_started_at
-        )
-        lost_start = max(durable_at, self._epoch_started_at)
+            durable_at = generation.durable_at
+        lost_start = max(durable_at, self._useful_from)
         lost = max(0.0, fence_time - lost_start)
-        restore = resume_time - fence_time
         self.job_track.complete(
-            "lost",
-            lost_start,
-            lost,
-            cat="lost",
+            "lost", lost_start, lost, cat="lost",
             args={"epoch": failed_epoch, "suspects": list(suspects)},
         )
+        self._restoring = RecoveryRound(
+            epoch=failed_epoch,
+            suspects=suspects,
+            detected_at=fence_time,
+            from_checkpoint=generation is not None,
+            resume_iteration=resume,
+            lost_started_at=lost_start,
+            lost_seconds=lost,
+            restore_seconds=0.0,
+            resumed_at=fence_time,
+        )
+        self.timeline.rounds.append(self._restoring)
+
+        waiter = sim.event(f"admission.e{self.epoch}")
+        self._admission_waiter = waiter
+        # Checked once the fence has landed (its kills take effect at
+        # the zero-delay instant after it), so the next epoch never
+        # starts beside a live process of this one.
+        sim.schedule(0.0, self._check_admission)
+        sim.run_until(waiter)
+        self._admission_waiter = None
+        for machine in range(machines):
+            # Stores revived during the wait still carry the old epoch.
+            if self.stores[machine].data_epoch != self.epoch:
+                self.stores[machine].advance_epoch(self.epoch)
+            # Re-admitted: a later fault on it is suspected, and rolled
+            # back, afresh.
+            self.detector.clear(machine)
+        if generation is None:
+            # Nothing durable yet: recovery restarts the computation
+            # from its initial vertex values (pre-processing output
+            # survives on disk).
+            self.workload.reset_to_initial()
+        return resume, generation
+
+    def _end_restore(self) -> None:
+        """Close the open round's restore window now."""
+        round_ = self._restoring
+        self._restoring = None
+        now = self.sim.now
+        round_.resumed_at = now
+        round_.restore_seconds = now - round_.detected_at
+        self._useful_from = now
         self.job_track.complete(
-            "restore",
-            fence_time,
-            restore,
+            "restore", round_.detected_at, round_.restore_seconds,
             cat="restore",
-            args={"epoch": failed_epoch, "resume_iteration": resume},
+            args={"epoch": round_.epoch,
+                  "resume_iteration": round_.resume_iteration},
         )
-        self.timeline.rounds.append(
-            RecoveryRound(
-                epoch=failed_epoch,
-                suspects=suspects,
-                detected_at=fence_time,
-                from_checkpoint=generation is not None,
-                resume_iteration=resume,
-                lost_started_at=lost_start,
-                lost_seconds=lost,
-                restore_seconds=restore,
-                resumed_at=resume_time,
-            )
-        )
-        return resume
 
     # ------------------------------------------------------------------
-    # Restore protocol (real reads through the storage/network model)
+    # The restore step: a resumed epoch's engines read the checkpoint
+    # back through the real storage/network model
     # ------------------------------------------------------------------
 
-    def _vertex_chunk_count(self, partition: int) -> int:
-        total = self.workload.vertex_set_bytes(partition)
-        chunk_bytes = self.config.chunk_bytes
-        return -(-total // chunk_bytes) if total > 0 else 0
+    def _restore(self, generation, engine):
+        """A resumed epoch's first step on ``engine``, run in its main
+        process in place of pre-processing: read its partitions back
+        from ``generation`` (None: the initial values, already reset),
+        then purge its machine's stale update chunk sets (local
+        requests, zero network cost; between them the engines cover the
+        cluster before the epoch-start barrier releases).
 
-    def _run_restore(self, generation) -> None:
-        sim = self.sim
-        machines = self.config.machines
-        clients = [_RestoreClient(self, m) for m in range(machines)]
-        processes = [
-            sim.process(
-                client.run(generation), name=f"restore{m}.e{self.epoch}"
-            )
-            for m, client in enumerate(clients)
-        ]
-        sim.run_until(sim.all_of([p.finished for p in processes]))
-        for client in clients:
-            client.close()
-
-
-class _RestoreClient:
-    """One machine's restore worker: reads its partitions' checkpoint
-    chunks back from the storage engines and purges stale update sets,
-    all through the simulated transport."""
-
-    def __init__(self, supervisor: ClusterSupervisor, machine: int):
-        self.sup = supervisor
-        self.sim = supervisor.sim
-        self.machine = machine
-        self.epoch = supervisor.epoch
-        self._pending: Dict[int, object] = {}
-        self._next_id = machine
-        self._endpoint = supervisor.network.register(
-            machine, RESTORE_SERVICE,
-            {"vread_reply": self._on_reply, "write_ack": self._on_reply},
-            self._admit,
-            name=f"restore{machine}.rx.e{self.epoch}",
-        )
-
-    def close(self) -> None:
-        self._endpoint.kill()
-
-    def _admit(self, message) -> bool:
-        return message.epoch == self.epoch
-
-    def _on_reply(self, message) -> None:
-        callback = self._pending.pop(message.payload[0], None)
-        if callback is not None:
-            callback(message)
-
-    def _timed_call(self, target, kind, size, body, partition, attempt=0):
-        """One storage RPC raced against a one-lease timeout: the reply,
-        or None if the timeout won (its pending entry is dropped).
-
-        Attempt ``n > 0`` first backs off on the integrity policy, seeded
-        by its own request id, so a flapping replica is polled, not
-        hammered.
+        Reads and repair writes go through the engine's endpoint and
+        reply table and wait with no timeout: a fault that strikes
+        mid-restore is suspected and rolled back like any other.
         """
-        sup = self.sup
-        config = sup.config
-        self._next_id += config.machines
-        request_id = self._next_id
-        if attempt > 0:
-            wait_start = self.sim.now
-            yield self.sim.timeout(
-                jittered_delay(
-                    config.integrity_policy(), attempt - 1,
-                    config.seed, self.machine, request_id,
-                )
-            )
-            sup.job_track.complete(
-                "restore.retry_wait",
-                wait_start,
-                self.sim.now - wait_start,
-                cat="retry_wait",
-                args={"machine": self.machine, "partition": partition},
-            )
-        reply = Event(self.sim, name=f"restore.{kind}.p{partition}")
-        self._pending[request_id] = reply.trigger
-        sup.network.send(
-            src=self.machine,
-            dst=target,
-            service=STORAGE_SERVICE,
-            kind=kind,
-            size=size,
-            payload=(request_id, self.machine, RESTORE_SERVICE, *body),
-            epoch=self.epoch,
-            attempt=attempt,
-        )
-        winner, value = yield self.sim.any_of(
-            [reply, self.sim.timeout(config.effective_lease_timeout())]
-        )
-        if winner is not reply:
-            self._pending.pop(request_id, None)
-            return None
-        return value
-
-    def run(self, generation):
-        sup = self.sup
-        config = sup.config
-        layout = sup.workload.layout
+        vertex_sets = engine.vertex_sets
         if generation is not None:
-            base = sup.registry.base_for_slot(generation.slot)
-            mine = [
-                p
-                for p in range(layout.num_partitions)
-                if p % config.machines == self.machine
-            ]
-            for partition in mine:
-                count = sup._vertex_chunk_count(partition)
+            base = SLOT_BASES[generation.slot]
+            for partition in engine.my_partitions:
                 snapshot = None
-                for index in range(count):
+                for index in range(len(vertex_sets.chunk_sizes[partition])):
                     chunk = yield from self._read_chunk(
-                        partition, index, base + index, generation
+                        engine, partition, index, base + index, generation
                     )
                     if index == 0:
                         snapshot = chunk.payload
@@ -612,81 +535,83 @@ class _RestoreClient:
                         f"checkpoint for partition {partition} carries no "
                         f"snapshot payload"
                     )
-                sup.workload.restore_partition(partition, snapshot)
-        # Purge stale update chunk sets: each machine clears its own
-        # store for every partition (local requests, zero network cost),
-        # which between the workers covers the whole cluster.
-        for partition in range(layout.num_partitions):
-            sup.network.send(
-                src=self.machine,
-                dst=self.machine,
-                service=STORAGE_SERVICE,
-                kind="delete",
-                size=store_engine.CONTROL_BYTES,
-                payload=(partition, ChunkKind.UPDATES),
-                epoch=self.epoch,
+                self.workload.restore_partition(partition, snapshot)
+        machine = engine.machine
+        for partition in range(len(vertex_sets.chunk_sizes)):
+            engine.network.send(
+                machine, machine, STORAGE_SERVICE, "delete",
+                store_engine.CONTROL_BYTES, (partition, ChunkKind.UPDATES),
+                engine.epoch,
             )
-        # One zero-delay hop so the local deletes are dispatched before
-        # the worker reports done (local sends deliver via the scheduler).
-        yield self.sim.timeout(0.0)
 
-    def _read_chunk(
-        self, partition: int, raw_index: int, store_index: int, generation=None
-    ):
+    def _call(self, engine, target, kind, size, body, partition, attempt=0):
+        """One storage RPC through ``engine``'s reply table; the reply.
+        Attempt ``n > 0`` first backs off on the integrity policy,
+        seeded by its own request id, so a flapping replica is polled,
+        not hammered."""
+        sim, config, machine = engine.sim, self.config, engine.machine
+        reply = Event(sim, name=f"restore.{kind}.p{partition}")
+        request_id = engine.expect(reply.trigger)
+        if attempt > 0:
+            start = sim.now
+            yield sim.timeout(jittered_delay(
+                config.integrity_policy(), attempt - 1,
+                config.seed, machine, request_id,
+            ))
+            self.job_track.complete(
+                "restore.retry_wait", start, sim.now - start,
+                cat="retry_wait",
+                args={"machine": machine, "partition": partition},
+            )
+        engine.network.send(
+            machine, target, STORAGE_SERVICE, kind, size,
+            (request_id, machine, COMPUTE_SERVICE, *body),
+            engine.epoch, None, attempt,
+        )
+        message = yield reply  # chaos: ignore[CHX021] engine main process: the rollback fence kills it
+        return message
+
+    def _read_chunk(self, engine, partition, raw_index, store_index, generation):
         """Read one checkpoint chunk, cycling over its healthy replicas.
 
-        Post-admission every machine is reachable, but a fresh fault may
-        strike mid-restore; a timed-out read backs off (deterministic
-        seeded jitter) and tries the next replica.  With integrity
-        checks on, every reply is checksum-verified and snapshot chunks
-        are freshness-checked against the generation being restored: a
-        replica serving rotted bytes is quarantined (and re-replicated
-        from a verified copy before the read returns), while a
-        validly-sealed but *old* version — the stale-read fault — is
-        simply re-read.  When every replica of a chunk is quarantined
-        the job is cleanly abandoned with a structured diagnosis rather
-        than retrying forever.
+        With integrity checks on, every reply is checksum-verified and
+        freshness-checked against ``generation``: a replica serving
+        rotted bytes is quarantined (and re-replicated from a verified
+        copy before the read returns), while a validly-sealed but *old*
+        version — the stale-read fault — is simply re-read.  When every
+        replica of a chunk is quarantined the job is cleanly abandoned
+        with a structured diagnosis rather than retrying forever.
         """
-        sup = self.sup
-        config = sup.config
-        registry = sup.registry
-        integrity = config.integrity_checks
-        targets = sup.vertex_placement.machines_for(
-            partition, raw_index, config.vertex_replicas
+        registry = self.registry
+        integrity = self.config.integrity_checks
+        targets = engine.vertex_sets.placement.machines_for(
+            partition, raw_index, self.config.vertex_replicas
         )
-        missing = 0
-        attempt = 0
+        missing = attempt = 0
         while True:
             healthy = [
-                t
-                for t in targets
+                t for t in targets
                 if not registry.is_quarantined(t, partition, store_index)
             ]
             if not healthy:
-                raise UnrecoverableJobError(
-                    JobDiagnosis(
-                        cause="checkpoint-unreadable",
-                        detail=(
-                            f"every replica of checkpoint chunk (partition "
-                            f"{partition}, index {store_index}) failed "
-                            f"integrity verification"
-                        ),
-                        at_time=self.sim.now,
-                        epoch=self.epoch,
-                        quarantined=[
-                            (t, partition, store_index) for t in targets
-                        ],
-                    )
-                )
+                raise UnrecoverableJobError(JobDiagnosis(
+                    cause="checkpoint-unreadable",
+                    detail=(
+                        f"every replica of checkpoint chunk (partition "
+                        f"{partition}, index {store_index}) failed "
+                        f"integrity verification"
+                    ),
+                    at_time=engine.sim.now,
+                    epoch=engine.epoch,
+                    quarantined=[(t, partition, store_index) for t in targets],
+                ))
             target = healthy[attempt % len(healthy)]
-            reply = yield from self._timed_call(
-                target, "vread", store_engine.CONTROL_BYTES,
+            reply = yield from self._call(
+                engine, target, "vread", store_engine.CONTROL_BYTES,
                 (partition, store_index), partition, attempt,
             )
             attempt += 1
-            if reply is None:
-                continue
-            _rid, chunk = reply.payload
+            chunk = reply.payload[1]
             if chunk is None:
                 missing += 1
                 if missing >= len(targets):
@@ -694,70 +619,48 @@ class _RestoreClient:
                         f"no replica holds durable checkpoint chunk "
                         f"(partition {partition}, index {store_index})"
                     )
-                continue
-            if integrity and not verify_chunk(chunk):
+            elif integrity and not verify_chunk(chunk):
                 # Rotted replica (or in-flight corruption — either way
                 # the copy that would land is untrustworthy): quarantine
                 # the source and try another; re-replication rewrites it
                 # from a verified copy once one is found.
                 if registry.quarantine_replica(target, partition, store_index):
-                    sup.job_track.instant(
-                        "integrity.ckpt_quarantine",
-                        cat="integrity",
-                        args={
-                            "machine": target,
-                            "partition": partition,
-                            "index": store_index,
-                        },
+                    self.job_track.instant(
+                        "integrity.ckpt_quarantine", cat="integrity",
+                        args={"machine": target, "partition": partition,
+                              "index": store_index},
                     )
-                continue
-            if (
-                integrity
-                and generation is not None
-                and chunk.tag
-                and chunk.tag[1:] != tuple(generation.key)
-            ):
+            elif integrity and chunk.tag and chunk.tag[1:] != tuple(generation.key):
                 # Validly-sealed but *old* data (the stale-read fault):
                 # the checksum passes, the freshness key does not.
-                sup.job_track.instant(
-                    "integrity.stale_restore",
-                    cat="integrity",
+                self.job_track.instant(
+                    "integrity.stale_restore", cat="integrity",
                     args={"machine": target, "partition": partition},
                 )
-                continue
-            if integrity:
-                yield from self._reprotect(
-                    chunk, partition, store_index, targets
-                )
-            return chunk
+            else:
+                if integrity:
+                    yield from self._reprotect(
+                        engine, chunk, partition, store_index, targets
+                    )
+                return chunk
 
-    def _reprotect(self, chunk, partition, store_index, targets):
+    def _reprotect(self, engine, chunk, partition, store_index, targets):
         """Re-replicate a verified chunk over its quarantined replicas.
-
-        Best-effort by design: a repair write that times out or is
-        nacked leaves the replica quarantined for the next recovery to
-        retry — the restore itself never blocks on repair.
-        """
-        sup = self.sup
-        registry = sup.registry
+        Best-effort by design: a nacked repair write leaves the replica
+        quarantined for the next recovery to retry."""
+        registry = self.registry
         for target in targets:
             if not registry.is_quarantined(target, partition, store_index):
                 continue
-            start = self.sim.now
-            ack = yield from self._timed_call(
-                target, "vwrite", chunk.size, (chunk,), partition
+            start = engine.sim.now
+            ack = yield from self._call(
+                engine, target, "vwrite", chunk.size, (chunk,), partition
             )
-            if ack is None or ack.payload[1] is not None:
-                continue
-            registry.clear_quarantine(target, partition, store_index)
-            sup.job_track.complete(
-                "integrity.rereplicate",
-                start,
-                self.sim.now - start,
-                cat="integrity",
-                args={
-                    "machine": target,
-                    "partition": partition,
-                    "index": store_index,
-                },
-            )
+            if ack.payload[1] is None:
+                registry.clear_quarantine(target, partition, store_index)
+                self.job_track.complete(
+                    "integrity.rereplicate", start, engine.sim.now - start,
+                    cat="integrity",
+                    args={"machine": target, "partition": partition,
+                          "index": store_index},
+                )

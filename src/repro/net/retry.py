@@ -75,7 +75,7 @@ def jittered_delay(
 ) -> float:
     """One seeded jittered delay for the ``attempt``-th retry of an RPC.
 
-    The engine's integrity backoff and the restore client's replica
+    The engine's integrity backoff and the restore step's replica
     cycling each call it once per retry.  The jitter RNG is reseeded per
     call from ``(config_seed, machine, request_id)`` — a pure function
     of the run's identity, independent of call order.

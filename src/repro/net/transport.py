@@ -18,7 +18,7 @@ ingress hop stays an event: arrivals from different senders are ordered
 only at arrival.
 
 A service on a machine (computation engine, storage engine, chunk
-directory, failure monitor, restore worker) registers an
+directory, failure monitor) registers an
 :class:`Endpoint`: one handler per kind :data:`MESSAGE_KINDS` declares
 for it, and an epoch fence.  Delivery drops duplicates, rejects an
 undeclared kind, applies the fence and runs the handler where the
@@ -40,7 +40,6 @@ COMPUTE_SERVICE = "compute"
 STORAGE_SERVICE = "storage"
 DIRECTORY_SERVICE = "directory"
 MEMBERSHIP_SERVICE = "membership"
-RESTORE_SERVICE = "restore"
 
 #: The protocol's vocabulary: service -> the message kinds it handles
 #: (paper section 5: chunk reads and writes between the computation and
@@ -59,7 +58,6 @@ MESSAGE_KINDS: Dict[str, FrozenSet[str]] = {
     }),
     DIRECTORY_SERVICE: frozenset({"directory_lookup"}),
     MEMBERSHIP_SERVICE: frozenset({"heartbeat"}),
-    RESTORE_SERVICE: frozenset({"vread_reply", "write_ack"}),
 }
 
 

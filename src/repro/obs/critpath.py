@@ -168,14 +168,10 @@ _Segment = Tuple[float, float, int, str, str, bool]
 def _replay_engine(
     events: List[Tuple[str, float, str, Optional[dict]]],
     duration: float,
-    recovery: Intervals,
 ) -> Tuple[List[_Segment], Dict[Tuple[str, str], float]]:
     """Replay one engine track's ``(ph, ts, name, args)`` B/E events
-    into state segments.
-
-    ``recovery`` is the sorted set of rollback windows: every engine of
-    the pre-fault epoch is killed during a window, so spans still open
-    when a window closes will never see their E event.
+    into state segments.  The track is balanced: the rollback fence
+    ends a killed epoch's spans where its process ends.
 
     Returns the segments covering ``[0, duration]`` and the maximum
     ``vertex_load`` span duration per (iteration label, phase) — the V
@@ -183,26 +179,8 @@ def _replay_engine(
     """
     segments: List[_Segment] = []
     vertex_load_max: Dict[Tuple[str, str], float] = {}
-    # B events whose E never arrives: spans held open by an engine that
-    # was killed (or still open at trace end).  LIFO matching is exact
-    # because killed epochs only ever *leak* opens — they never emit an
-    # unmatched E.
-    match_stack: List[int] = []
-    for index, event in enumerate(events):
-        if event[0] == "B":
-            match_stack.append(index)
-        elif match_stack:
-            match_stack.pop()
-    unclosed = frozenset(match_stack)
-    # Stack entries: (name, args, push_ts, event_index).  The restarted
-    # epoch's spans stack above the dead epoch's unclosed entries, so
-    # pops (LIFO) still match the live pushes; the stale entries
-    # themselves are truncated when their rollback window closes
-    # (below) so they can never leak into post-restart state
-    # classification.
-    stack: List[Tuple[str, dict, float, int]] = []
-    window_ends = recovery[1].tolist()
-    rec_index = 0
+    # Stack entries: (name, args, push_ts).
+    stack: List[Tuple[str, dict, float]] = []
     prev = 0.0
     last_label = "preprocess"
     last_phase = "preprocess"
@@ -210,7 +188,7 @@ def _replay_engine(
     def current_state() -> Tuple[int, str, str, bool]:
         label = None
         phase = None
-        for name, args, _ts, _idx in reversed(stack):
+        for name, args, _ts in reversed(stack):
             if name in ("scatter", "gather"):
                 label = str(args.get("iteration", "?"))
                 phase = name
@@ -226,7 +204,7 @@ def _replay_engine(
             elif name in _CPU_SPANS:
                 state = _CPU
             elif name == "vertex_load":
-                for pname, pargs, _pt, _pi in reversed(stack[:-1]):
+                for pname, pargs, _pt in reversed(stack[:-1]):
                     if pname.startswith("partition"):
                         if pargs.get("role") == "stealer":
                             state = _STEAL
@@ -239,30 +217,10 @@ def _replay_engine(
             segments.append((prev, until) + current_state())
             prev = until
 
-    def close_windows(until: float) -> None:
-        # A span still open when a rollback window closes and whose E
-        # event never arrives was held by a killed engine: flush the
-        # pre-window segment, then drop the stale entries so
-        # post-restart time is never classified by a dead epoch's
-        # innermost span.  (Spans that do close later — an engine that
-        # survived the window — are kept.)
-        nonlocal rec_index
-        while rec_index < len(window_ends) and window_ends[rec_index] <= until:
-            window_end = window_ends[rec_index]
-            emit(window_end)
-            stack[:] = [
-                entry
-                for entry in stack
-                if entry[3] not in unclosed or entry[2] >= window_end
-            ]
-            rec_index += 1
-
-    for index, (ph, ts, name, args) in enumerate(events):
-        if rec_index < len(window_ends):
-            close_windows(ts)
+    for ph, ts, name, args in events:
         emit(ts)
         if ph == "B":
-            stack.append((name, args or {}, ts, index))
+            stack.append((name, args or {}, ts))
             if name in ("scatter", "gather"):
                 last_label = str((args or {}).get("iteration", "?"))
                 last_phase = name
@@ -271,14 +229,13 @@ def _replay_engine(
                 # pre-processing is not the previous run's last phase.
                 last_label = last_phase = "preprocess"
         elif stack:
-            name, _args, t0, _idx = stack.pop()
+            name, _args, t0 = stack.pop()
             if name == "vertex_load":
                 _state, label, phase, _streaming = current_state()
                 key = (label, phase)
                 span = ts - t0
                 if span > vertex_load_max.get(key, 0.0):
                     vertex_load_max[key] = span
-    close_windows(duration)
     emit(duration)
     return segments, vertex_load_max
 
@@ -499,7 +456,6 @@ def _attribute(
                      [trace.name[r] for r in rows],
                      [trace.args[r] for r in rows])),
             duration,
-            recovery,
         )
         for key, value in vl_max.items():
             if value > vertex_load_max.get(key, 0.0):

@@ -156,7 +156,7 @@ class StorageEngine:
         Walks stored vertex chunks at or above ``base_floor`` (the
         checkpoint slot bases) and replaces payload-carrying ones with
         corrupted copies — persistent replica rot, detected (and
-        quarantined) by the restore client's verify-on-read.  Returns
+        quarantined) by the restore step's verify-on-read.  Returns
         how many chunks were actually damaged.
         """
         damaged = 0

@@ -6,7 +6,7 @@ bit-rot, torn writes, NIC bit-flips) is a real additional failure mode.
 Every chunk carries a CRC32 seal over the one layout ``store.codec``
 defines — header (partition / kind / index / size / records / tag plus
 the column descriptors) and then every column's bytes — and any layer
-(storage engine, compute engine, restore client) verifies a chunk on
+(storage engine, compute engine, restore step) verifies a chunk on
 receipt, whichever provider it was stored by.
 
 **A chunk's bytes are walked once per materialisation**: when produced

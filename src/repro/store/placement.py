@@ -15,11 +15,18 @@ meta-data server through which every read and write must be routed,
 from __future__ import annotations
 
 import random
-from typing import Optional, Set
+from typing import List, Optional, Sequence, Set
 
 from repro.net.transport import DIRECTORY_SERVICE, Network
 from repro.sim.engine import Simulator
 from repro.sim.resources import FifoServer
+from repro.store.chunk import split_into_chunks
+
+#: Vertex-chunk index bases of the two checkpoint slots (the double
+#: buffer of two-phase checkpointing, Section 6.6): far above the
+#: working indices, so checkpoint chunks share the stores with the live
+#: vertex chunks.
+SLOT_BASES = (1_000_000, 2_000_000)
 
 
 class RandomPlacement:
@@ -79,6 +86,32 @@ class HashedVertexPlacement:
             )
         primary = self.machine_for(partition, index)
         return [(primary + offset) % self.machines for offset in range(replicas)]
+
+
+class VertexSets:
+    """Where the partitions' vertex sets live, decided once per job.
+
+    The engines, the runtime's initial placement and the checkpoint
+    restore all read this one definition:
+
+    * partition ``p`` is mastered by machine ``masters[p]``, round robin
+      (``p % machines``, Section 5);
+    * its vertex set is cut into the chunks ``chunk_sizes[p]``, of
+      ``chunk_bytes`` each but the last;
+    * chunk ``i`` is stored on ``placement.machines_for(p, i, replicas)``
+      (Section 6.4), a checkpoint's copy at index ``SLOT_BASES[slot] + i``.
+    """
+
+    def __init__(
+        self, vertex_bytes: Sequence[int], machines: int, chunk_bytes: int
+    ):
+        self.placement = HashedVertexPlacement(machines)
+        self.chunk_sizes: List[List[int]] = [
+            split_into_chunks(total, chunk_bytes) for total in vertex_bytes
+        ]
+        self.masters: List[int] = [
+            p % machines for p in range(len(self.chunk_sizes))
+        ]
 
 
 class CentralizedDirectory:

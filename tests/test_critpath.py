@@ -145,16 +145,18 @@ class TestCraftedTraces:
         assert report.closure_error() <= CLOSURE_TOL
 
     def test_killed_engine_spans_do_not_leak_past_restart(self):
-        # An engine killed at t=2 leaves its scatter/barrier spans open
-        # forever; the restarted epoch's balanced spans stack above
-        # them.  Once the rollback window closes, the stale entries
-        # must not classify post-restart time — idle time after the
-        # restarted spans pop off is demand of the *new* iteration,
-        # not barrier time of the dead epoch.
+        # An engine killed at t=2 has its scatter/barrier spans ended by
+        # the rollback fence there (tagged "fenced"); the restarted
+        # epoch restores inside the rollback window and resumes at its
+        # end.  Post-restart time is classified by the new epoch's
+        # spans alone — idle time after they pop off is demand of the
+        # *new* iteration, not barrier time of the dead epoch.
+        fenced = {"fenced": True}
         events = [
             _engine("B", 0.0, "scatter", args={"iteration": 0}),
             _engine("B", 1.0, "barrier", cat="barrier"),
-            # killed at 2.0: no E events for the spans above.
+            _engine("E", 2.0, "barrier", args=fenced),
+            _engine("E", 2.0, "scatter", args=fenced),
             {
                 "ph": "X",
                 "ts": 2.0,
@@ -164,16 +166,21 @@ class TestCraftedTraces:
                 "name": "lost",
                 "cat": "lost",
             },
+            # The restarted epoch's restore step and its barrier.
+            _engine("B", 3.0, "restore"),
+            _engine("E", 4.0, "restore"),
+            _engine("B", 4.0, "restore.barrier"),
+            _engine("E", 5.0, "restore.barrier"),
             # Restarted epoch resumes at the window end.
             _engine("B", 5.0, "scatter", args={"iteration": 1}),
             _engine("E", 7.0, "scatter"),
-            # [7, 10): nothing on the (live) stack.
+            # [7, 10): nothing on the stack.
         ]
         report = analyze_events(events, duration=10.0)
         machine = report.per_machine[0].seconds
         assert machine["recovery"] == pytest.approx(3.0)
         # Only [1, 2) is barrier — [7, 10) must not inherit the dead
-        # epoch's open barrier span.
+        # epoch's barrier span.
         assert machine["barrier"] == pytest.approx(1.0)
         assert machine["net_wait"] == pytest.approx(6.0)
         # Post-restart idle is charged to the restarted iteration.

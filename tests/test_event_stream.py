@@ -12,8 +12,8 @@ fault-free and under one fault plan per fault kind, which between them
 drive the drop, retry, dedup, reorder, corruption, slow-device and
 recovery paths.
 
-The pins have been retaken twice, each time for a change that removed
-heap pushes and was checked against the old stream:
+The pins have been retaken three times, each time for a change that
+removed heap pushes and was checked against the old stream:
 
 * when the computation engine stopped watching liveness (its per-read
   watchdog and its steal-reply timeout race retired), every fault pin.
@@ -30,7 +30,18 @@ heap pushes and was checked against the old stream:
   in order and count; the multiset of ``(time, callee)`` pushes equals
   the old stream's with its ``_after_tx`` pushes removed; only the
   order of pushes changed, because an arrival is pushed at send time
-  instead of at ``egress_done``.
+  instead of at ``egress_done``;
+* when the restore became the resumed epoch's first step (the restore
+  workers, their timed RPC and the between-epoch retry loop retired),
+  the seven pins that roll back.  Each new stream equals the old one
+  up to and past its first fence: 1,195 records (830 pushes, 365
+  deliveries) for ``crash:1@iter=1``, 1,325 (921, 404) for
+  ``partition``, 1,224 (848, 376) for ``crash-restart``, 1,225 (849,
+  376) for ``ckpt-corrupt`` and its control, 2,037 (1,401, 636) for
+  ``stale-read`` and its control.  The fence is record 1,188, 1,315,
+  1,218, 1,218 and 2,030; the streams part 6 to 10 records later,
+  where the admission check is now pushed for the zero-delay instant
+  after the fence.  The other eight pins did not move.
 
 :func:`test_every_fault_changes_the_stream` holds every fault pin apart
 from its control, the same plan with the fault swapped for one that
@@ -72,9 +83,9 @@ PINNED = {
     None: (
         1803, "c017238a6400675618a3202eb4fb1520af75e6fae140a8e857d19445ed9423e8"),
     "crash:1@iter=1": (
-        2032, "e03ed4a139b5d391600afe23726eb4d81e3802a4df336ec3fa31d56b17db1440"),
+        2019, "6860c8e4c91d807433887c1f6b58e7444f5eb1fd6722197b2c8871e9bc0ec9f1"),
     "partition:2@iter=1": (
-        2122, "117349ac984879e7eb1f09729a8580a61cb99630e8d07c82b91cdd1ac02c0490"),
+        2109, "cc38112c89bf73c57cd7563cdde7beb19f25921b966f88cd1da1fcf278f28b2e"),
     "msg-reorder:1@iter=1": (
         1959, "55ba4ce9d1685ebf3f72cc28ed1531436dfca8a1a7c6f0b48f75d37ee253fc69"),
     "msg-dup:2@iter=1": (
@@ -84,7 +95,7 @@ PINNED = {
     "chunk-bitflip:1@iter=1": (
         1888, "9b75f6129ad2c539b2b8c05924e80be2b82c05d430b6c25999cf2248a43df936"),
     "crash-restart:0@iter=1": (
-        2047, "a3bcb0dc781174eaa53acb66b62ae889964e2495ae24f46056a66c9357073fc6"),
+        2034, "75aca8dc0ce585bf29b99b0501371e321097391cf02fa211bd8c2d7c40d3708f"),
     "slow-device:2@iter=1,factor=4,for=0.01": (
         1935, "0b2ec8ddb3d24b7123fce1ca4e2d622b9693a4d5b797352dacb1e63b7b2e40cd"),
     "torn-write:1@iter=1": (
@@ -93,19 +104,19 @@ PINNED = {
     # overwrote; after the crash two of them are restore reads, which
     # reject the stale chunk by its generation tag.
     "stale-read:2@iter=1,count=5;crash:1@iter=2": (
-        2041, "812e22ade4fd4b04c404765ac3ebf79bd8d0eae33c4a850b0f9dfe570ca6b28b"),
+        2026, "e3d0b6d7d8a1eb1bb9309e0ada18910b0d647f0277fb4d0ea7b0418eaf0aa309"),
     # With one vertex replica no completing plan reaches the rot: every
     # durable checkpoint replica on machine 1 rots, machine 0 crashes,
     # and the restore refuses the job (pinned up to the raise).
     "ckpt-corrupt:1@iter=1,count=64;crash:0@iter=1": (
-        876, "c9ef059770df7f63e10b9075a3a985b9d3957a724c32e71055af46355cc4c31c"),
+        886, "ff381a64c067bed5ce18a2452352e9c95e42e6732abbf98d552569dd11f28489"),
     # Controls.
     NEVER_FIRES: (
         1901, "79243e3a6b543e325f84fba951a0bf680f6eda21ed96982e23608fda3e8c8b2f"),
     f"{NEVER_FIRES};crash:1@iter=2": (
-        2031, "d852e89225f61f93319ef767d696b5981b2e660e3691069b7d559c131db22404"),
+        2018, "d06ab3ec41edb282f1dba196977d2aada725bb042cbc19e3d9d482272f4135df"),
     f"{NEVER_FIRES};crash:0@iter=1": (
-        2051, "d29c1dcde133d09b951b84ef4ada2a79598d43c561e44c45006b6acc50c84e2a"),
+        2038, "58873b8686d7a816dd261a94cad13129419d60df8c9d881f1e642cd3517d9967"),
 }
 
 #: Plans the restore refuses (:class:`UnrecoverableJobError`).

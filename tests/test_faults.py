@@ -38,9 +38,9 @@ from repro.faults import (
     parse_fault_spec,
 )
 from repro.faults.plan import FAULT_TABLE
-from repro.faults.registry import SLOT_BASES
 from repro.faults.supervisor import ClusterSupervisor
 from repro.net.transport import Network
+from repro.store.placement import SLOT_BASES
 
 from tests.conftest import fast_config
 
@@ -245,9 +245,6 @@ class TestCheckpointRegistry:
             registry.note_durable((0, 0, 0), 0, now=1.0)
 
     def test_slot_bases_clear_working_indices(self):
-        registry = CheckpointRegistry(num_partitions=1)
-        assert registry.base_for_slot(0) == SLOT_BASES[0]
-        assert registry.base_for_slot(1) == SLOT_BASES[1]
         assert SLOT_BASES[0] > 100_000 and SLOT_BASES[1] > SLOT_BASES[0]
 
 
@@ -501,6 +498,74 @@ class TestRollbackFence:
         assert at_rollback == dict(pending=True, alive=True, finished=True)
         baseline = ChaosCluster(config).run(PageRank(iterations=3), small_graph)
         _assert_byte_identical(faulted, baseline)
+
+
+class TestCrashDuringRestore:
+    """A second machine crashes while the first rollback's restore is
+    reading the checkpoint back.  The restore is the resumed epoch's
+    first step, so the crash is suspected and rolled back like any
+    other: a second round, from the same checkpoint, and the fault-free
+    values."""
+
+    @pytest.mark.parametrize(
+        "algorithm, alpha", [("PR", 1.0), ("PR", math.inf), ("WCC", 1.0)]
+    )
+    def test_second_round_restores_again(
+        self, algorithm, alpha, small_graph, small_undirected_graph
+    ):
+        if algorithm == "PR":
+            make, graph = (lambda: PageRank(iterations=5)), small_graph
+        else:
+            make, graph = WCC, small_undirected_graph
+        config = _fault_config(steal_alpha=alpha)
+        single = ChaosCluster(config)
+        single.run(make(), graph, fault_plan=FaultPlan.parse(["crash:1@iter=2"]))
+        first = single.last_fault_timeline.rounds[0]
+        rebooted = first.detected_at + config.restart_seconds
+        at = (rebooted + first.resumed_at) / 2
+        assert rebooted < at < first.resumed_at
+
+        cluster = ChaosCluster(config)
+        result = cluster.run(
+            make(), graph,
+            fault_plan=FaultPlan.parse(["crash:1@iter=2", f"crash:2@t={at!r}"]),
+        )
+        rounds = cluster.last_fault_timeline.rounds
+        assert len(rounds) == 2
+        assert all(r.from_checkpoint for r in rounds)
+        assert rounds[1].suspects == (2,)
+        # The interrupted restore's window runs to the second fence; the
+        # epoch it restored did no useful work to lose.
+        assert rounds[0].resumed_at == rounds[1].detected_at
+        assert rounds[1].lost_seconds == 0.0
+        baseline = ChaosCluster(config).run(make(), graph)
+        _assert_byte_identical(result, baseline)
+        assert result.iterations == baseline.iterations
+
+    def test_crash_during_the_reboot_wait_is_rebooted_too(self, small_graph):
+        """A second crash while recovery waits for the first machine's
+        reboot: the recovery reboots that machine as well, so the one
+        round ends; only a fence schedules the other reboots, and
+        without this one the wait would never end."""
+        config = _fault_config()
+        single = ChaosCluster(config)
+        single.run(
+            PageRank(iterations=5), small_graph,
+            fault_plan=FaultPlan.parse(["crash:1@iter=2"]),
+        )
+        first = single.last_fault_timeline.rounds[0]
+        at = first.detected_at + config.restart_seconds / 2
+        cluster = ChaosCluster(config)
+        result = cluster.run(
+            PageRank(iterations=5), small_graph,
+            fault_plan=FaultPlan.parse(["crash:1@iter=2", f"crash:2@t={at!r}"]),
+            deadline_seconds=1.0,
+        )
+        rounds = cluster.last_fault_timeline.rounds
+        assert len(rounds) == 1
+        assert rounds[0].resumed_at > at + config.restart_seconds
+        baseline = ChaosCluster(config).run(PageRank(iterations=5), small_graph)
+        _assert_byte_identical(result, baseline)
 
 
 # ---------------------------------------------------------------------------

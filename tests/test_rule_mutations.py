@@ -4,10 +4,12 @@ Each row plants one realistic defect in a temporary copy of the real
 source files it needs, runs the rules that could catch it and asserts
 exactly which of them fire.  Each unmutated copy is clean under the
 same rules, so every catch is the planted defect's.  DESIGN.md section 6
-records the verdicts: rows M1-M4, M6-M8, M12 and M13-M15, plus one
+records the verdicts: rows M1-M4, M7, M8, M12 and M13-M15, plus one
 row for each rule no M-row exercises (CHX003, 005, 006, 007, 016).  (M10,
 an untimed steal wait, retired: since the rollback fence ends a failed
-epoch's waits, that wait is how the engine waits.)  Defects of
+epoch's waits, that wait is how the engine waits.  M6, the restore
+client's registration without a fence, retired with the restore client:
+the restore reads through the engine's own fenced endpoint.)  Defects of
 the protocol's *values* (a merge before the handoff, a stealer that
 applies) no rule can see, and a mistyped message kind (M5, M9, M11) is
 rejected by delivery on its first arrival; their rows are in
@@ -54,6 +56,7 @@ class Mutation:
 
 COMPUTE = "core/compute.py"
 SUPERVISOR = "faults/supervisor.py"
+FENCED_WAIT = "  # chaos: ignore[CHX021] main process: the rollback fence kills it"
 SHUFFLE = "self._rng.shuffle(foreign)"
 RNG_SEED = "self._rng = random.Random(config.seed * 1_000_003 + machine * 7919 + 1)"
 
@@ -115,25 +118,18 @@ MUTATIONS = [
         ("CHX011",), frozenset({"CHX011"}),
     ), id="M4-discarded-wait"),
     pytest.param(Mutation(
-        # The restore client registers its service with no fence.
-        SUPERVISOR, (("            self._admit,\n", ""),),
-        ("CHX020",), frozenset({"CHX020"}),
-    ), id="M6-unfenced-restore-dispatch"),
-    pytest.param(Mutation(
-        SUPERVISOR,
-        (("        winner, value = yield self.sim.any_of(\n"
-          "            [reply, self.sim.timeout(config.effective_lease_timeout())]\n"
-          "        )\n"
-          "        if winner is not reply:\n"
-          "            self._pending.pop(request_id, None)\n"
-          "            return None\n",
-          "        value = yield reply\n"),),
-        ("CHX021",), frozenset({"CHX021"}),
-    ), id="M7-untimed-restore-read"),
-    pytest.param(Mutation(
+        # The steal proposal's wait loses the reason that makes it safe.
         COMPUTE,
-        ((re.compile(r"if self\.preprocess:  # chaos: ignore\[[A-Z0-9,]+\]"),
-          "if self.preprocess:"),),
+        ((f"message = yield reply{FENCED_WAIT}\n", "message = yield reply\n"),),
+        ("CHX021",), frozenset({"CHX021"}),
+    ), id="M7-unsuppressed-steal-wait"),
+    pytest.param(Mutation(
+        # Only a pre-processing engine meets an extra barrier: the others
+        # (and every restoring engine) never arrive.
+        COMPUTE,
+        (("            yield from self._preprocess()\n",
+          "            yield from self._preprocess()\n"
+          "            yield self.barrier.wait(party=self.machine)\n"),),
         ("CHX010",), frozenset({"CHX010"}),
     ), id="M8-unsuppressed-lopsided-barrier"),
     pytest.param(Mutation(
@@ -170,14 +166,13 @@ MUTATIONS = [
         ("CHX005",), frozenset({"CHX005"}),
     ), id="CHX005-set-comprehension-loop"),
     pytest.param(Mutation(
+        # A restore read that survives its process's kill.
         SUPERVISOR,
-        (("        if callback is not None:\n"
-          "            callback(message)\n",
-          "        if callback is not None:\n"
-          "            try:\n"
-          "                callback(message)\n"
-          "            except Exception:\n"
-          "                pass\n"),),
+        ((re.compile(r"        message = yield reply  # chaos: ignore.*\n"),
+          "        try:\n"
+          "            message = yield reply\n"
+          "        except Exception:\n"
+          "            return None\n"),),
         ("CHX006",), frozenset({"CHX006"}),
     ), id="CHX006-swallowed-interrupt"),
     pytest.param(Mutation(

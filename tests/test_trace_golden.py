@@ -7,7 +7,7 @@ event log (PR 22), and the file passes unchanged on both sides.  A
 digest that moves means the serializer, an event's fields or the
 recording order moved: fix the code, do not re-pin.
 
-The two ``pr_crash`` pins were retaken twice.  First when the
+The two ``pr_crash`` pins were retaken three times.  First when the
 computation engine stopped watching liveness: an engine whose read
 targets the crashed machine no longer gives the read up, so in the
 failed epoch its ``stream`` span stays open until the rollback fence
@@ -16,8 +16,16 @@ proposal and loses one message fewer.  Then when the fence began to
 close the killed epoch's spans: the nine spans the failed epoch left
 open (``trace-report`` warned of 9 unbalanced span events) now end at
 the fence with ``{"fenced": true}``, which adds nine ``E`` rows and
-their time to the report's categories and span table.  Simulated
-runtime, iterations and values are unchanged both times.
+their time to the report's categories and span table.  Last when the
+restore became the resumed epoch's first step: the trace equals the
+old one for its first 3,311 events, up to the admission instant
+(t = 22.5 ms); then the six ``process.start`` / ``process.finish``
+instants of the three restore workers and their endpoints go, each
+engine track gains a ``restore`` and a ``restore.barrier`` span, the
+heartbeats that now run during the restore reads add three
+``heartbeat`` messages, and the report lists the ``e1/restore``
+barrier chain.  Simulated runtime, iterations and values are unchanged
+all three times.
 
 The four jobs between them cover the sampler's counter rows, the
 recovery path's job-track spans and checkpoint marks, a run without
@@ -51,7 +59,7 @@ PINNED = {
     "pr": (
         744638, "1f43833e353358d000324d355e120e47ceeb9585c2906d126cb6d9d0d9dd8365"),
     "pr_crash": (
-        590827, "ad4c0922181efe826ac5b6a8968971818b74b26ba8a05f94ad3bc0e920a2b566"),
+        592652, "e224908e0e3c9ac9fcf8e2abce3d4a690a1ca7ef5c25ab2cb9b9db1cdc15523e"),
     "wcc_no_counters": (
         807086, "f870677e705aa10c678e7874203e11486bd8d70403faa49c0600724b13c4841d"),
     "pr_host_stripped": (
@@ -63,7 +71,7 @@ REPORT_PINNED = {
     "pr": (
         5696, "fb34f12a9d2ff1517c70a27697140be233ef885fdaaff034dcb968ab4172c694"),
     "pr_crash": (
-        5640, "6e2f9a42a4ded374cb28ead7446997fa0a9d5809d77b033e0f54adbc5e580d40"),
+        5709, "10c2005c0f86149508cadc1a5d117f688a312428dbdeb10ae894f9074240b7b9"),
     "wcc_no_counters": (
         3610, "260a4735dea7c019ddc410d752640a681971eb3b662d666e29b7a87490cfd054"),
 }

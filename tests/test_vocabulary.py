@@ -1,7 +1,7 @@
 """The declared message vocabulary holds in both directions.
 
 ``repro.net.transport.MESSAGE_KINDS`` declares, per service, the kinds
-it handles.  Each of the five services registers exactly one handler
+it handles.  Each of the four services registers exactly one handler
 per declared kind, and delivery rejects any other kind on first
 arrival, with a :class:`SimulationError` naming the machine, the
 service and the kind.  Conversely every declared kind is delivered
@@ -15,9 +15,7 @@ run                       kinds it delivers that the other run does not
                           (directory) and ``directory_reply`` (compute)
 ``faults``                ``read_retry`` (storage, after an in-flight
                           corrupt ``read_reply``); ``heartbeat``
-                          (membership); ``vread_reply`` and
-                          ``write_ack`` (restore, the ack answering a
-                          re-replication of a rotted checkpoint replica)
+                          (membership)
 ========================  ============================================
 
 Both runs deliver every other compute and storage kind.
@@ -35,14 +33,12 @@ from repro.analysis.protocol import conform
 from repro.core.compute import ComputationEngine
 from repro.core.runtime import run_algorithm
 from repro.faults import FailureDetector, FaultPlan
-from repro.faults.supervisor import _RestoreClient
 from repro.graph import rmat_graph
 from repro.net.transport import (
     COMPUTE_SERVICE,
     DIRECTORY_SERVICE,
     MEMBERSHIP_SERVICE,
     MESSAGE_KINDS,
-    RESTORE_SERVICE,
     STORAGE_SERVICE,
     Network,
 )
@@ -60,7 +56,6 @@ ROLES = {
     STORAGE_SERVICE: StorageEngine,
     DIRECTORY_SERVICE: CentralizedDirectory,
     MEMBERSHIP_SERVICE: FailureDetector,
-    RESTORE_SERVICE: _RestoreClient,
 }
 
 
@@ -124,7 +119,7 @@ def test_undeclared_kind_is_rejected_on_first_delivery(monkeypatch, target):
         return send(self, src, dst, service, kind, *args, **kwargs)
 
     monkeypatch.setattr(Network, "send", send_mistyped)
-    run = "faults" if target in (MEMBERSHIP_SERVICE, RESTORE_SERVICE) else "directory"
+    run = "faults" if target == MEMBERSHIP_SERVICE else "directory"
     with pytest.raises(SimulationError) as excinfo:
         _run(run)
     assert mistyped

@@ -5,7 +5,7 @@ The paper's inputs are unsorted edge lists: synthetic RMAT graphs
 hyperlink graph (Section 8).  This package provides:
 
 * :mod:`repro.graph.rmat` — the R-MAT recursive generator (Chakrabarti
-  et al.), vectorized, with Graph500-style default skew;
+  et al.), drawn in cache-sized blocks, with Graph500-style default skew;
 * :mod:`repro.graph.edgelist` — the in-memory edge list plus the
   compact/non-compact binary wire formats the paper describes (4-byte
   vertex ids below 2^32 vertices, 8-byte above);
@@ -19,7 +19,7 @@ hyperlink graph (Section 8).  This package provides:
 from repro.graph.convert import add_reverse_edges, permute_vertices, to_undirected
 from repro.graph.datasets import data_commons_like
 from repro.graph.edgelist import EdgeList, bytes_per_edge, read_edges, write_edges
-from repro.graph.rmat import RmatParameters, rmat_edge_count, rmat_graph
+from repro.graph.rmat import RmatParameters, rmat_blocks, rmat_edge_count, rmat_graph
 from repro.graph.stats import degree_histogram, in_degrees, out_degrees
 
 __all__ = [
@@ -33,6 +33,7 @@ __all__ = [
     "out_degrees",
     "permute_vertices",
     "read_edges",
+    "rmat_blocks",
     "rmat_edge_count",
     "rmat_graph",
     "to_undirected",

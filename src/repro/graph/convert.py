@@ -35,25 +35,33 @@ def to_undirected(edges: EdgeList, dedup: bool = True) -> EdgeList:
     """
     if not dedup:
         return add_reverse_edges(edges)
+    num_vertices = edges.num_vertices
     lo = np.minimum(edges.src, edges.dst)
     hi = np.maximum(edges.src, edges.dst)
     proper = lo != hi  # drop self-loops
-    lo, hi = lo[proper], hi[proper]
-    key = lo * edges.num_vertices + hi
+    key = (lo * num_vertices + hi)[proper]
     if edges.weighted:
-        weight = edges.weight[proper]
-        # First occurrence in (key, weight) order = min weight per pair.
-        order = np.lexsort((weight, key))
-        _unique, first = np.unique(key[order], return_index=True)
-        keep = order[first]
-        lo, hi, weight = lo[keep], hi[keep], weight[keep]
-        out_weight = np.concatenate([weight, weight])
+        order = np.argsort(key)
+        key, index = key[order], np.flatnonzero(proper)[order]
     else:
-        _unique, keep = np.unique(key, return_index=True)
-        lo, hi = lo[keep], hi[keep]
-        out_weight = None
+        key.sort()
+    run_start = np.empty(key.size, dtype=bool)
+    run_start[:1] = True
+    np.not_equal(key[1:], key[:-1], out=run_start[1:])
+    starts = np.flatnonzero(run_start)
+    out_weight = None
+    if edges.weighted:
+        # Each pair keeps the edge a (weight, index) order puts first:
+        # the least weight (NaN sorts last, so it wins only an all-NaN
+        # pair), the lowest index among equal ones (-0.0 == 0.0).
+        weight = edges.weight[index]
+        least = np.fmin.reduceat(weight, starts)[np.cumsum(run_start) - 1]
+        index[(weight != least) & ~np.isnan(least)] = edges.num_edges
+        weight = edges.weight[np.minimum.reduceat(index, starts)]
+        out_weight = np.concatenate([weight, weight])
+    lo, hi = np.divmod(key[starts], num_vertices)
     return EdgeList(
-        num_vertices=edges.num_vertices,
+        num_vertices=num_vertices,
         src=np.concatenate([lo, hi]),
         dst=np.concatenate([hi, lo]),
         weight=out_weight,

@@ -6,11 +6,11 @@ renders the terminal text from the same document.  Its sections:
 
 * ``summary`` — per-track busy time, utilization and bytes (every track
   with complete spans, plus every device and NIC track, idle ones
-  included), spans aggregated by name, the per-category totals of the
-  nested engine spans (the Figure 17 categories, which reconcile with
-  ``JobResult.total_breakdown()`` to float precision) and of the fault
-  subsystem's recovery spans, instant counts, the run's integrity
-  counters and counter-series statistics;
+  included), spans aggregated by track kind and name, the per-category
+  totals of the nested engine spans (the Figure 17 categories, which
+  reconcile with ``JobResult.total_breakdown()`` to float precision)
+  and of the fault subsystem's recovery spans, instant counts, the
+  run's integrity counters and counter-series statistics;
 * ``attribution`` — critpath's decomposition (None for spanless traces);
 * ``slowest_chains`` / ``cross_check`` — the causal barrier chains and
   their reconciliation against critpath (None without causal events);
@@ -75,13 +75,15 @@ def _sums(pairs: Iterable[Tuple[object, float]], zero: float = 0.0) -> dict:
     return sums
 
 
-def _closed_spans(trace) -> Tuple[List[Tuple[str, str, float, bool]], int]:
-    """``(name, cat, seconds, nested)`` per span in the order the spans
-    close (a ``B``/``E`` pair takes its begin's name and category), and
-    the number of unmatched ``B``/``E`` events."""
+def _closed_spans(trace, threads: dict) -> Tuple[List[Tuple[str, str, str, float, bool]], int]:
+    """``(track, name, cat, seconds, nested)`` per span in the order the
+    spans close (a ``B``/``E`` pair takes its begin's name and category;
+    ``track`` is the kind of its lane, the thread name), and the number
+    of unmatched ``B``/``E`` events."""
     ph, name, cat = trace.ph.tolist(), trace.name.tolist(), trace.cat.tolist()
     ts, dur = trace.ts.tolist(), trace.dur.tolist()
     lanes = list(zip(trace.pid.tolist(), trace.tid.tolist()))
+    track = [threads.get(lane, f"tid{lane[1]}") for lane in lanes]
     closed, stacks, unbalanced = [], {}, 0
     for index, kind in enumerate(ph):
         if kind == "B":
@@ -92,9 +94,11 @@ def _closed_spans(trace) -> Tuple[List[Tuple[str, str, float, bool]], int]:
                 unbalanced += 1
                 continue
             begin = stack.pop()
-            closed.append((name[begin], cat[begin], ts[index] - ts[begin], True))
+            closed.append(
+                (track[index], name[begin], cat[begin], ts[index] - ts[begin], True)
+            )
         elif kind == "X":
-            closed.append((name[index], cat[index], dur[index], False))
+            closed.append((track[index], name[index], cat[index], dur[index], False))
     return closed, unbalanced + sum(map(len, stacks.values()))
 
 
@@ -113,11 +117,14 @@ def trace_report(trace: dict, top: int = 12) -> dict:
     events = columns.trace
     duration = max(0.0, events.end)
 
-    closed, unbalanced = _closed_spans(events)
-    counts = Counter(name for name, _cat, _seconds, _nested in closed)
-    spans = _sums((name, seconds) for name, _cat, seconds, _nested in closed)
+    closed, unbalanced = _closed_spans(events, threads)
+    spans = _sums((name, seconds) for _track, name, _cat, seconds, _nested in closed)
+    # Span rows are keyed by (track kind, name): the job track's
+    # ``restore`` window and the engines' ``restore`` steps report apart.
+    counts = Counter((track, name) for track, name, _cat, _seconds, _nested in closed)
+    by_track = _sums(((track, name), seconds) for track, name, _cat, seconds, _nested in closed)
     category_seconds = _sums(
-        (cat, seconds) for _name, cat, seconds, nested in closed
+        (cat, seconds) for _track, _name, cat, seconds, nested in closed
         if cat in RECOVERY_CATEGORIES or (nested and cat in BREAKDOWN_CATEGORIES)
     )
 
@@ -171,7 +178,7 @@ def trace_report(trace: dict, top: int = 12) -> dict:
         }
         for name, rows in sorted(series.items())
     }
-    ranked = sorted(spans.items(), key=lambda kv: (-kv[1], kv[0]))
+    ranked = sorted(by_track.items(), key=lambda kv: (-kv[1], kv[0]))
     summary = {
         "duration": duration,
         "total_events": len(trace["traceEvents"]) - len(meta),
@@ -180,9 +187,9 @@ def trace_report(trace: dict, top: int = 12) -> dict:
         "category_seconds": dict(sorted(category_seconds.items())),
         "recovery": recovery,
         "top_spans": [
-            {"name": name, "count": counts[name], "total_seconds": total,
-             "mean_seconds": total / counts[name]}
-            for name, total in ranked[:top]
+            {"track": track, "name": name, "count": counts[track, name],
+             "total_seconds": total, "mean_seconds": total / counts[track, name]}
+            for (track, name), total in ranked[:top]
         ],
         "span_names": len(spans),
         "instants": dict(sorted(Counter(events.name[instant].tolist()).items())),
@@ -263,7 +270,7 @@ def format_trace_report(doc: dict, host_top: int = 10) -> str:
         lines += ["", f"top spans by total time (of {summary['span_names']}):"]
         for span in summary["top_spans"]:
             lines.append(
-                f"  {span['name']:<24s} n={span['count']:<6d} "
+                f"  {span['track']:<10s} {span['name']:<24s} n={span['count']:<6d} "
                 f"total={span['total_seconds']:10.6f}s  "
                 f"mean={span['mean_seconds'] * 1e6:10.2f}us"
             )

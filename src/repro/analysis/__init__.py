@@ -12,7 +12,7 @@ Guards the invariant that every run is a deterministic function of
     :func:`default_rules` lists every rule and :data:`RULE_TABLE` maps
     each id to its title.
 :mod:`repro.analysis.flow`
-    The whole-program rules (CHX010 … CHX021) over the project index
+    The whole-program rules (CHX010 … CHX020) over the project index
     and the call graph.
 
 Whether cross-machine state is *right* is not judged here: a run's final

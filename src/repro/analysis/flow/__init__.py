@@ -7,8 +7,8 @@ Structure:
   reads, local and whole-program alike.
 * :mod:`callgraph` — call sites resolved to project targets, with
   explicit resolution kinds and resolution statistics.
-* :mod:`rules` — CHX010, CHX011, CHX016, CHX018, CHX020 and CHX021,
-  over one :class:`DeepContext`.
+* :mod:`rules` — CHX010, CHX011, CHX016, CHX018 and CHX020, over one
+  :class:`DeepContext`.
 """
 
 from repro.analysis.flow.callgraph import CallGraph

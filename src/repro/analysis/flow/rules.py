@@ -1,4 +1,4 @@
-"""Whole-program rules CHX010-CHX021 over the flow layer.
+"""Whole-program rules CHX010-CHX020 over the flow layer.
 
 Unlike the local rules (which see one AST node at a time), a
 whole-program rule sees the whole project: the :class:`DeepContext`
@@ -12,9 +12,9 @@ CHX016 guards the one order-sensitive step left in it (float sums must
 fold through ``exact_add_at``).  CHX018 guards replay: every random
 draw in the project must come from a seeded generator and never from
 host entropy, or reruns and shrunk reproducer plans stop reproducing.
-CHX020 and CHX021 stand on the registrations and waits found by
-:mod:`repro.analysis.protocol`: unfenced service registrations and
-untimed remote waits.  The message vocabulary is not judged here: it
+CHX020 stands on the registrations found by
+:mod:`repro.analysis.protocol`: unfenced service registrations.  The
+message vocabulary is not judged here: it
 is declared in :data:`repro.net.transport.MESSAGE_KINDS`, and delivery
 rejects an undeclared kind on first arrival.
 """
@@ -36,7 +36,7 @@ from repro.analysis.flow.project import (
     enclosing_class_of,
 )
 from repro.analysis.lint import SIM_PACKAGES, Rule
-from repro.analysis.protocol.extract import remote_waits, unfenced_receives
+from repro.analysis.protocol.extract import unfenced_receives
 
 #: Packages whose gather kernels CHX016 inspects (the simulated engine
 #: packages plus the user algorithms they drive).
@@ -496,7 +496,7 @@ class UnseededRandomRule(Rule):
 
 
 # ---------------------------------------------------------------------------
-# CHX020–021: protocol rules (extracted registrations and waits)
+# CHX020: protocol rule (extracted registrations)
 # ---------------------------------------------------------------------------
 
 
@@ -526,32 +526,6 @@ class UnfencedReceiveRule(Rule):
                 )
 
 
-class UntimedWaitRule(Rule):
-    """A process blocks on a remote delivery (or a reply event armed by
-    a remote request) with a bare ``yield``: if the peer fail-stops, the
-    message is lost and the process hangs forever — under the
-    real-process backend that is a cluster deadlock, not a simulation
-    artifact.  Each wait is judged by its own yield: racing the event
-    against a timer (``any_of`` + ``timeout``) is the escape, and a
-    timeout or backoff elsewhere in the function does not bound it.
-    """
-
-    rule_id = "CHX021"
-    severity = "warning"
-    title = "blocking wait with no timeout/liveness path"
-
-    def run(self, ctx: DeepContext) -> Iterator[Finding]:
-        for func in ctx.index.iter_functions():
-            for line, target in remote_waits(func):
-                yield self._finding(
-                    func.file,
-                    line,
-                    f"{func.qualname} yields on {target!r} (a remote "
-                    f"delivery) with no any_of+timeout race of its own; a "
-                    f"fail-stopped peer hangs this process forever",
-                )
-
-
 __all__ = [
     "BarrierPairingRule",
     "DeepContext",
@@ -559,6 +533,5 @@ __all__ = [
     "UnfencedReceiveRule",
     "UnorderedReductionRule",
     "UnseededRandomRule",
-    "UntimedWaitRule",
     "definitely_terminates",
 ]

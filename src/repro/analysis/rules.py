@@ -34,7 +34,6 @@ from repro.analysis.flow.rules import (
     UnfencedReceiveRule,
     UnorderedReductionRule,
     UnseededRandomRule,
-    UntimedWaitRule,
 )
 from repro.analysis.lint import (
     COMPUTE_PACKAGES,
@@ -482,7 +481,6 @@ def default_rules() -> List[Rule]:
         UnorderedReductionRule(),
         UnseededRandomRule(),
         UnfencedReceiveRule(),
-        UntimedWaitRule(),
     ]
 
 

@@ -852,7 +852,7 @@ class ComputationEngine:
             epoch=self.epoch,
             track=True,
         )
-        yield delivered  # chaos: ignore[CHX021] main process: the rollback fence kills it
+        yield delivered
         self.metrics.add("copy", self.sim.now - t0)
         if self._trace_on:
             self.track.end()
@@ -885,7 +885,7 @@ class ComputationEngine:
                 payload=(request_id, self.machine, partition, kind),
                 epoch=self.epoch,
             )
-            message = yield reply  # chaos: ignore[CHX021] main process: the rollback fence kills it
+            message = yield reply
             _rid, accepted, _partition = message.payload
             if accepted:
                 yield from self._work_on_partition(partition, kind, master=False)
@@ -1002,7 +1002,7 @@ class ComputationEngine:
             self._causal.barrier_arrive(
                 self.machine, self.epoch, label, phase
             )
-        yield self.barrier.wait(party=self.machine)
+        yield self.barrier.wait()
         if causal:
             # The first resumer materializes the release event (parented
             # to every arrival); each resumer's chain head becomes it.
@@ -1046,7 +1046,7 @@ class ComputationEngine:
                 payload=(request_id, self.machine, COMPUTE_SERVICE, size),
                 epoch=self.epoch,
             )
-            yield ack  # chaos: ignore[CHX021] main process: the rollback fence kills it
+            yield ack
 
     def main(self):
         """The engine's top-level process (Figure 4 main loop)."""
@@ -1066,7 +1066,7 @@ class ComputationEngine:
             track.begin(f"{step}.barrier")
         if self._causal.enabled:
             self._causal.barrier_arrive(self.machine, self.epoch, step, step)
-        yield self.barrier.wait(party=self.machine)
+        yield self.barrier.wait()
         if self._causal.enabled:
             self._causal.barrier_release(self.machine, self.epoch, step, step)
         if self._trace_on:

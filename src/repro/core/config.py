@@ -18,6 +18,15 @@ from repro.store.chunk import DEFAULT_CHUNK_BYTES
 from repro.store.device import SSD_480GB, DeviceSpec
 from repro.core.batching import request_window
 
+#: Heartbeat period of the per-machine failure-detector sender; the
+#: lease (:meth:`ClusterConfig.effective_lease_timeout`) and the
+#: integrity retry policy derive from it.
+HEARTBEAT_INTERVAL = 1e-3
+#: Reboot delay applied to crash faults with no explicit restart time
+#: (crash faults are transient machine failures, Section 6.6 —
+#: secondary storage survives the reboot).
+RESTART_SECONDS = 10e-3
+
 
 @dataclass(frozen=True)
 class ClusterConfig:
@@ -61,13 +70,6 @@ class ClusterConfig:
     #: tolerating storage failures "could easily be added by replicating
     #: the vertex sets" (Section 6.6); this implements it.
     vertex_replicas: int = 1
-    #: Heartbeat period of the per-machine failure-detector sender; the
-    #: lease and both retry policies derive from it.
-    heartbeat_interval: float = 1e-3
-    #: Reboot delay applied to crash faults with no explicit restart
-    #: time (crash faults are transient machine failures, Section 6.6 —
-    #: secondary storage survives the reboot).
-    restart_seconds: float = 10e-3
 
     # -- integrity hardening -------------------------------------------------
     #: End-to-end integrity defences: CRC32 verify-on-read of sealed
@@ -120,10 +122,6 @@ class ClusterConfig:
             (self.vertex_replicas >= 1, "vertex_replicas must be >= 1"),
             (self.vertex_replicas <= self.machines,
              "cannot replicate beyond the machine count"),
-            (0 < self.heartbeat_interval < math.inf,
-             "heartbeat_interval must be positive and finite"),
-            (0 < self.restart_seconds < math.inf,
-             "restart_seconds must be positive and finite"),
             (all(0 <= cost < math.inf for cost in (
                 self.cpu_seconds_per_edge,
                 self.cpu_seconds_per_update,
@@ -156,16 +154,18 @@ class ClusterConfig:
         """Failure-detector lease: 5 heartbeat periods.
 
         Five missed heartbeats comfortably absorb queueing jitter at
-        the monitor's NIC while still bounding detection latency.
+        the monitor's NIC while still bounding detection latency.  The
+        lease is the only failure signal: its first expiry fires the
+        rollback fence.
         """
-        return 5.0 * self.heartbeat_interval
+        return 5.0 * HEARTBEAT_INTERVAL
 
     def integrity_policy(self) -> RetryPolicy:
         """Backoff before re-sending a request whose frame arrived
         corrupt: a transient, so start well under the lease and back off
         toward it."""
         return RetryPolicy(
-            base=self.heartbeat_interval / 4.0,
+            base=HEARTBEAT_INTERVAL / 4.0,
             factor=2.0,
             cap=self.effective_lease_timeout(),
         )

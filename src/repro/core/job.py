@@ -122,13 +122,16 @@ class JobCoordinator:
 
         Quiescence-terminating algorithms (``max_iterations is None``)
         are done when a scatter produced no updates: the subsequent
-        gather and apply would be no-ops.
+        gather and apply would be no-ops.  The workload must agree that
+        the job is finished: a model run ends at its profile's length,
+        after the last scatter if that produced nothing (as the data run
+        it reproduces did).
         """
         if generation not in self._decisions:
-            algorithm = self.workload.algorithm
             quiescent = (
-                algorithm.max_iterations is None
+                self.workload.algorithm.max_iterations is None
                 and self.current_stats.updates_produced == 0
+                and self.workload.finished(self.iteration, self.current_stats)
             )
             self._decisions[generation] = quiescent
             if quiescent:

@@ -19,7 +19,7 @@ import math
 import random
 import warnings
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional
+from typing import Callable, Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -42,7 +42,7 @@ from repro.partition.streaming import (
 )
 from repro.sim.engine import DeadlineExceeded, Simulator
 from repro.sim.sync import Barrier
-from repro.store.chunk import Chunk, ChunkKind, split_into_chunks
+from repro.store.chunk import Chunk, ChunkKind
 from repro.store.engine import StorageEngine
 from repro.store.memstore import MemoryChunkStore
 from repro.store.placement import CentralizedDirectory, VertexSets
@@ -120,6 +120,14 @@ class GraphSpec:
 
     def edge_record_bytes(self) -> int:
         return bytes_per_edge(self.num_vertices, self.weighted)
+
+    def partition_edges(self, num_partitions: int) -> List[int]:
+        """Edges per streaming partition, summing to ``num_edges``: the
+        fractions' cumulative shares, rounded to whole edges."""
+        fractions = self.partition_fractions(num_partitions)
+        cuts = np.rint(np.cumsum(fractions) / fractions.sum() * self.num_edges)
+        cuts[-1] = self.num_edges
+        return np.diff(cuts.astype(np.int64), prepend=0).tolist()
 
     def partition_fractions(self, num_partitions: int) -> np.ndarray:
         if self.skew == "uniform":
@@ -281,23 +289,28 @@ class ChaosCluster:
     # ------------------------------------------------------------------
 
     def run_model(self, algorithm: GasAlgorithm, spec: GraphSpec, profile) -> JobResult:
-        """Execute a phantom workload described by ``spec`` + ``profile``."""
+        """Execute a phantom workload described by ``spec`` + ``profile``.
+
+        The edges are chunked as a data run chunks them
+        (:meth:`_edge_chunk_ranges`), so every pass streams exactly
+        ``spec.num_edges`` edges.
+        """
         layout = self._make_layout(spec.num_vertices, algorithm)
-        workload = ModelWorkload(algorithm, layout, profile)
-        fractions = spec.partition_fractions(layout.num_partitions)
+        workload = ModelWorkload(algorithm, layout, profile, spec.num_edges)
         edge_bytes = spec.edge_record_bytes()
-        total_bytes = spec.input_bytes()
+        ranges = self._edge_chunk_ranges(
+            spec.partition_edges(layout.num_partitions), edge_bytes
+        )
 
         def loader(placement_rng, stores):
             total_chunks = 0
-            for p in range(layout.num_partitions):
-                part_bytes = int(round(total_bytes * fractions[p]))
-                for size in split_into_chunks(part_bytes, self.config.chunk_bytes):
-                    records = max(1, size // edge_bytes)
+            for p, part_ranges in enumerate(ranges):
+                for start, stop in part_ranges:
+                    records = stop - start
                     chunk = Chunk(
                         partition=p,
                         kind=ChunkKind.EDGES,
-                        size=size,
+                        size=records * edge_bytes,
                         payload=None,
                         records=records,
                     )
@@ -308,7 +321,7 @@ class ChaosCluster:
         return self._execute(
             workload,
             layout,
-            input_bytes=total_bytes,
+            input_bytes=spec.input_bytes(),
             edge_chunk_loader=loader,
         )
 
@@ -331,6 +344,18 @@ class ChaosCluster:
             )
         return PartitionLayout.even(num_vertices, count)
 
+    def _edge_chunk_ranges(
+        self, counts: List[int], edge_bytes: int
+    ) -> List[List[Tuple[int, int]]]:
+        """Per partition, the ``(start, stop)`` record ranges of its
+        ``counts[p]`` edges, cut into chunks of whole records
+        (``chunk_bytes // edge_bytes`` each, the last one shorter)."""
+        step = max(1, self.config.chunk_bytes // edge_bytes)
+        return [
+            [(start, min(start + step, count)) for start in range(0, count, step)]
+            for count in counts
+        ]
+
     def _place_data_chunks(
         self,
         parts: List[Optional[EdgeList]],
@@ -346,17 +371,18 @@ class ChaosCluster:
         chunked, so its id arrays are freed as soon as the compact
         copies exist.
         """
-        chunk_records = max(1, self.config.chunk_bytes // edge_bytes)
         id_dtype = stored_id_dtype(layout.num_vertices)
         total_chunks = 0
-        for p in range(len(parts)):
+        ranges = self._edge_chunk_ranges(
+            [part.num_edges for part in parts], edge_bytes
+        )
+        for p, part_ranges in enumerate(ranges):
             part, parts[p] = parts[p], None
-            count, weight = part.num_edges, part.weight
+            weight = part.weight
             src = part.src.astype(id_dtype, copy=False)
             dst = part.dst.astype(id_dtype, copy=False)
             del part
-            for start in range(0, count, chunk_records):
-                stop = min(start + chunk_records, count)
+            for start, stop in part_ranges:
                 payload = {"src": src[start:stop], "dst": dst[start:stop]}
                 if weight is not None:
                     payload["weight"] = weight[start:stop]
@@ -633,7 +659,7 @@ class ChaosCluster:
                 sim.process(engine.main(), name=f"engine{m}{suffix}")
                 for m, engine in enumerate(engines)
             ]
-            return job, barrier, engines, processes
+            return job, engines, processes
 
         if faulted:
             supervisor = ClusterSupervisor(
@@ -650,7 +676,7 @@ class ChaosCluster:
             supervisor.execute(fault_plan, start_iteration)
             self.last_fault_timeline = supervisor.timeline
         else:
-            _, _, _, processes = build_epoch(0, start_iteration, None)
+            _, _, processes = build_epoch(0, start_iteration, None)
             sim.run_until(sim.all_of([p.finished for p in processes]))
         if sampler is not None:
             sampler.sample()  # close the timelines at the finish line

@@ -424,25 +424,34 @@ class DataWorkload(Workload):
 class ModelWorkload(Workload):
     """Phantom execution driven by an activity profile.
 
-    ``profile`` supplies, per iteration, the expected number of updates
-    produced per edge *streamed* (the whole edge set is streamed every
-    scatter — the X-Stream/Chaos design) and the iteration count.
-    Updates are routed to partitions proportionally to their vertex
-    counts (uniform mixing), which matches random-destination skew well
+    ``profile`` supplies the iteration count and, per iteration, the
+    updates one pass over the ``pass_edges`` edges produces (the whole
+    edge set is streamed every scatter — the X-Stream/Chaos design).
+    Each chunk emits its share of the pass's total, in proportion to the
+    edges streamed so far, with the remainder carried to the next chunk,
+    so a pass emits exactly the total.  Updates are routed to partitions
+    proportionally to their vertex counts (uniform mixing, split by
+    largest remainder), which matches random-destination skew well
     enough for capacity projections.
     """
 
-    def __init__(self, algorithm: GasAlgorithm, layout: PartitionLayout, profile):
+    def __init__(
+        self,
+        algorithm: GasAlgorithm,
+        layout: PartitionLayout,
+        profile,
+        pass_edges: int,
+    ):
         self.algorithm = algorithm
         self.layout = layout
         self.profile = profile
-        self._partition_weights = np.array(
-            [layout.vertex_count(p) for p in range(layout.num_partitions)],
-            dtype=np.float64,
-        )
-        total = self._partition_weights.sum()
-        if total > 0:
-            self._partition_weights /= total
+        self.pass_edges = pass_edges
+        self._weights = [
+            layout.vertex_count(p) for p in range(layout.num_partitions)
+        ]
+        self._vertices = sum(self._weights)
+        #: (iteration, its total, edges streamed, updates emitted so far)
+        self._pass = (-1, 0, 0, 0)
 
     def vertex_set_bytes(self, partition: int) -> int:
         return self.layout.vertex_count(partition) * self.algorithm.vertex_bytes
@@ -453,26 +462,33 @@ class ModelWorkload(Workload):
     def scatter_chunk(
         self, partition: int, chunk: Chunk, iteration: int
     ) -> List[UpdateBatch]:
-        factor = self.profile.update_factor(iteration)
-        produced = int(round(chunk.records * factor))
+        pass_iteration, total, streamed, emitted = self._pass
+        if pass_iteration != iteration:
+            total = self.profile.updates(iteration, self.pass_edges)
+            streamed = emitted = 0
+        streamed += chunk.records
+        due = total * streamed // self.pass_edges
+        self._pass = (iteration, total, streamed, due)
+        produced = due - emitted
         if produced <= 0:
             return []
-        batches: List[UpdateBatch] = []
-        # Deterministic proportional split (largest-remainder not needed
-        # at chunk granularity; rounding noise is negligible).
-        for p in range(self.layout.num_partitions):
-            count = int(round(produced * self._partition_weights[p]))
-            if count <= 0:
-                continue
-            batches.append(
-                UpdateBatch(
-                    partition=p,
-                    count=count,
-                    nbytes=count * self.algorithm.update_bytes,
-                    payload=None,
-                )
+        quotas = [produced * weight for weight in self._weights]
+        counts = [quota // self._vertices for quota in quotas]
+        short = produced - sum(counts)
+        by_remainder = sorted(
+            range(len(quotas)), key=lambda p: (-(quotas[p] % self._vertices), p)
+        )
+        for p in by_remainder[:short]:
+            counts[p] += 1
+        update_bytes = self.algorithm.update_bytes
+        return [
+            UpdateBatch(
+                partition=p, count=count, nbytes=count * update_bytes,
+                payload=None,
             )
-        return batches
+            for p, count in enumerate(counts)
+            if count > 0
+        ]
 
     def begin_gather(self, partition: int):
         return None  # phantom accumulator

@@ -102,8 +102,6 @@ class FailureDetector:
         self.lease = lease
         self.on_suspect = on_suspect
         self.armed = False
-        #: Suspicion episodes observed (telemetry).
-        self.suspicions = 0
         self._last_seen: List[float] = [0.0] * machines
         self._suspected: List[bool] = [False] * machines
         network.register(
@@ -137,17 +135,6 @@ class FailureDetector:
     def suspected_machines(self) -> List[int]:
         return [m for m in range(self.machines) if self._suspected[m]]
 
-    # -- suspicion ----------------------------------------------------------
-
-    def suspect(self, machine: int) -> None:
-        """Mark a machine dead (lease expiry, or external escalation)."""
-        if self._suspected[machine]:
-            return
-        self._suspected[machine] = True
-        self.suspicions += 1
-        if self.on_suspect is not None:
-            self.on_suspect(machine)
-
     # -- processes ----------------------------------------------------------
 
     def _handle_heartbeat(self, message) -> None:
@@ -168,4 +155,6 @@ class FailureDetector:
                 if self._suspected[machine]:
                     continue
                 if now - self._last_seen[machine] > self.lease:
-                    self.suspect(machine)
+                    self._suspected[machine] = True
+                    if self.on_suspect is not None:
+                        self.on_suspect(machine)

@@ -35,6 +35,7 @@ import random
 from dataclasses import dataclass, field, replace
 from typing import Callable, Dict, List, Optional, Tuple
 
+from repro.core.config import HEARTBEAT_INTERVAL
 from repro.faults.diagnosis import UnrecoverableJobError
 from repro.faults.plan import OPTIONS, FaultKind, FaultPlan, FaultSpec
 from repro.sim.engine import DeadlineExceeded, SimulationError
@@ -208,7 +209,7 @@ class ScheduleGenerator:
         elif kind is FaultKind.MSG_REORDER:
             fields["count"] = rng.randint(1, 3)
             fields["delay"] = round(
-                rng.uniform(config.heartbeat_interval * 0.1, lease * 0.8), 6
+                rng.uniform(HEARTBEAT_INTERVAL * 0.1, lease * 0.8), 6
             )
         elif kind is FaultKind.CKPT_CORRUPT:
             fields["count"] = rng.randint(1, 2)

@@ -12,7 +12,7 @@ The CLI grammar (``--inject-fault SPEC``, repeatable)::
 
     crash:1@t=0.05              # fail-stop; operator reboot during recovery
     crash:1@t=0.05,down=0.02    # fail-stop; self-reboots after 20 ms
-    crash-restart:2@iter=3      # fail-stop + self-reboot (restart_seconds)
+    crash-restart:2@iter=3      # fail-stop + self-reboot (RESTART_SECONDS)
     partition:0@t=0.1,for=0.02  # network partition for 20 ms
     slow-device:1@iter=2,factor=8,for=0.05   # device 8x slower for 50 ms
     msg-corrupt:1@iter=2,count=2   # next 2 chunk frames to m1 corrupted
@@ -27,7 +27,7 @@ The CLI grammar (``--inject-fault SPEC``, repeatable)::
 state lost, secondary storage survives — the paper's transient-failure
 assumption); they differ in who reboots the machine.  A plain ``crash``
 stays down until the cluster's recovery procedure reboots it
-(``config.restart_seconds`` after recovery begins), while
+(``RESTART_SECONDS`` after recovery begins), while
 ``crash-restart`` reboots on its own ``down`` seconds after the crash —
 possibly before the failure detector has even noticed.
 
@@ -57,6 +57,7 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Callable, Dict, Optional, Tuple
 
+from repro.core.config import HEARTBEAT_INTERVAL, RESTART_SECONDS
 from repro.store.placement import SLOT_BASES
 
 
@@ -144,7 +145,7 @@ def _names(keys, last: str) -> str:
 
 
 def _arm_crash(supervisor, spec, config) -> None:
-    down = spec.effective_down(config)
+    down = spec.effective_down()
     supervisor.crash_machine(spec.machine, operator_reboot=down is None)
     if down is not None:
         supervisor.sim.schedule(down, supervisor.revive_machine, spec.machine)
@@ -170,7 +171,7 @@ def _network(kind: str) -> Callable:
     ``reorder`` reads ``delay``)."""
     return lambda supervisor, spec, config: supervisor.network.inject_fault(
         spec.machine, kind, count=spec.effective_count(),
-        delay=spec.effective_delay(config),
+        delay=spec.effective_delay(),
     )
 
 
@@ -311,23 +312,23 @@ class FaultSpec:
             return self.duration
         return DEFAULT_PARTITION_LEASES * config.effective_lease_timeout()
 
-    def effective_down(self, config) -> Optional[float]:
+    def effective_down(self) -> Optional[float]:
         """Self-reboot delay: ``None`` means operator-rebooted (crash)."""
         if self.down is not None:
             return self.down
         if self.kind is FaultKind.CRASH_RESTART:
-            return config.restart_seconds
+            return RESTART_SECONDS
         return None
 
     def effective_count(self) -> int:
         """Damaged-operation budget (byzantine kinds; default 1)."""
         return 1 if self.count is None else self.count
 
-    def effective_delay(self, config) -> float:
-        """Reorder hold time with the config default (one heartbeat)."""
+    def effective_delay(self) -> float:
+        """Reorder hold time, by default one heartbeat."""
         if self.delay is not None:
             return self.delay
-        return config.heartbeat_interval
+        return HEARTBEAT_INTERVAL
 
     def describe(self) -> str:
         """Canonical spec string; parses back to an equal spec."""

@@ -7,8 +7,9 @@ implements that protocol around the discrete-event simulation:
 
 1. **Run an epoch.**  Build the job coordinator, barrier, and
    computation engines for the current recovery epoch and let them run.
-   Heartbeat senders feed the failure detector; the barrier's stall
-   watchdog escalates unreachable stragglers.
+   Heartbeat senders feed the failure detector, whose lease is the
+   only failure signal: a wait ends when its event fires or when the
+   rollback fence kills its process.
 2. **Detect.**  The first suspicion fires the epoch's failure event and
    ends the epoch.  Every engine is fenced (its processes killed, its
    callbacks disabled), every surviving storage engine's data epoch is
@@ -16,7 +17,7 @@ implements that protocol around the discrete-event simulation:
    unavailable machines' storage engines self-fence.
 3. **Re-admit.**  Recovery waits until every machine is up and
    reachable again — Chaos assumes transient failures; plainly crashed
-   machines are rebooted ``restart_seconds`` into recovery, and
+   machines are rebooted ``RESTART_SECONDS`` into recovery, and
    ``crash-restart`` / ``partition`` faults revive on their own
    schedule.  Their secondary storage survives the outage.
 4. **Decide.**  The next epoch restores the latest durable checkpoint
@@ -45,6 +46,7 @@ import functools
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
+from repro.core.config import HEARTBEAT_INTERVAL, RESTART_SECONDS
 from repro.faults.detector import HeartbeatSender
 from repro.faults.diagnosis import JobDiagnosis, UnrecoverableJobError
 from repro.faults.plan import FAULT_TABLE, FaultSpec
@@ -165,7 +167,7 @@ class ClusterSupervisor:
         self.detector = detector
         #: ``ChaosCluster._execute``'s epoch builder, the one a fault-free
         #: run calls exactly once: ``(epoch, resume_iteration, restore)
-        #: -> (job, barrier, engines, processes)``, where ``restore`` is
+        #: -> (job, engines, processes)``, where ``restore`` is
         #: the resumed epoch's first step (None: pre-process).
         self.build_epoch = build_epoch
         self.job_track = job_track
@@ -213,14 +215,11 @@ class ClusterSupervisor:
         sim = self.sim
         epoch = self.epoch
         self.failure = sim.event(f"failure.e{epoch}")
-        job, barrier, engines, processes = self.build_epoch(
+        job, engines, processes = self.build_epoch(
             epoch, resume_iteration, restore
         )
         self.job, self.engines, self.processes = job, engines, processes
         job.on_iteration = self._note_iteration
-        barrier.set_stall_watch(
-            2.0 * self.config.effective_lease_timeout(), self._on_barrier_stall
-        )
         self.detector.arm()
         self._senders = [
             HeartbeatSender(
@@ -228,7 +227,7 @@ class ClusterSupervisor:
                 self.network,
                 m,
                 self.monitor,
-                self.config.heartbeat_interval,
+                HEARTBEAT_INTERVAL,
                 epoch=epoch,
             )
             for m in range(self.config.machines)
@@ -262,15 +261,6 @@ class ClusterSupervisor:
         )
         if self.failure is not None and not self.failure.triggered:
             self.failure.trigger(machine)
-
-    def _on_barrier_stall(self, missing, generation) -> None:
-        # Only escalate stragglers that are actually gone; a slow but
-        # healthy machine must never be declared dead by the barrier.
-        for machine in missing:
-            if machine is None:
-                continue
-            if not self._available(machine):
-                self.detector.suspect(machine)
 
     def _note_iteration(self, iteration: int) -> None:
         if self._restoring is not None:
@@ -320,9 +310,7 @@ class ClusterSupervisor:
         if operator_reboot and self._admission_waiter is not None:
             # Struck while recovery waits for every machine: the
             # recovery's operator reboots this one too.
-            self.sim.schedule(
-                self.config.restart_seconds, self.revive_machine, machine
-            )
+            self.sim.schedule(RESTART_SECONDS, self.revive_machine, machine)
 
     def revive_machine(self, machine: int) -> None:
         """Reboot a crashed machine: storage engine returns, compute
@@ -432,12 +420,10 @@ class ClusterSupervisor:
         for engine in self.engines:
             engine.endpoint.close()
         # Plainly crashed machines are rebooted by the recovery
-        # procedure itself (the "operator"), restart_seconds in.
+        # procedure itself (the "operator"), RESTART_SECONDS in.
         for machine in range(machines):
             if not self._up[machine] and self._operator_reboot[machine]:
-                sim.schedule(
-                    self.config.restart_seconds, self.revive_machine, machine
-                )
+                sim.schedule(RESTART_SECONDS, self.revive_machine, machine)
 
         generation = self.registry.latest_durable()
         if generation is None:
@@ -568,7 +554,7 @@ class ClusterSupervisor:
             (request_id, machine, COMPUTE_SERVICE, *body),
             engine.epoch, None, attempt,
         )
-        message = yield reply  # chaos: ignore[CHX021] engine main process: the rollback fence kills it
+        message = yield reply
         return message
 
     def _read_chunk(self, engine, partition, raw_index, store_index, generation):

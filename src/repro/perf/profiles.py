@@ -9,9 +9,10 @@ scale.
 
 Profiles come from two sources:
 
-* :func:`extract_profile` runs a workload *functionally* on a small
-  graph and reads the factors off the recorded iteration statistics
-  (trace-driven scaling);
+* :func:`extract_profile` reads the factors off a functional run's
+  iteration statistics (trace-driven scaling); a model run of the same
+  graph reproduces that run update for update and iteration for
+  iteration;
 * analytic constructors (:func:`fixed_profile`, :func:`bfs_profile`)
   for canonical shapes.
 """
@@ -19,7 +20,7 @@ Profiles come from two sources:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional
+from typing import Optional
 
 import numpy as np
 
@@ -41,10 +42,16 @@ class ActivityProfile:
     def iterations(self) -> int:
         return len(self.update_factors)
 
-    def update_factor(self, iteration: int) -> float:
+    def updates(self, iteration: int, edges: int) -> int:
+        """Updates a pass over ``edges`` edges produces in ``iteration``.
+
+        Factor × edges, rounded: exact on the graph an extracted profile
+        came from, since ``round(fl(u / n) * n) == u`` for any total
+        ``u`` below 2**51.
+        """
         if iteration >= self.iterations:
-            return 0.0
-        return self.update_factors[iteration]
+            return 0
+        return int(round(self.update_factors[iteration] * edges))
 
     def total_update_factor(self) -> float:
         """Total updates over the whole run, per edge of the graph."""
@@ -105,17 +112,15 @@ def extract_profile(result, name: Optional[str] = None) -> ActivityProfile:
     """Derive a profile from a functional run's iteration statistics.
 
     ``result`` is a :class:`repro.core.metrics.JobResult` from a data-
-    mode run.  Factor = updates produced / edges streamed per iteration.
+    mode run.  Factor = updates produced / edges in one pass, for each
+    of the run's iterations.  Every pass streams the whole edge set.
     """
-    factors: List[float] = []
-    for stats in result.iteration_stats:
-        if stats.edges_streamed > 0:
-            factors.append(stats.updates_produced / stats.edges_streamed)
-        else:
-            factors.append(0.0)
-    if not factors:
-        factors = [0.0]
+    stats = result.iteration_stats
+    pass_edges = max((s.edges_streamed for s in stats), default=0)
+    factors = tuple(
+        s.updates_produced / pass_edges if pass_edges else 0.0 for s in stats
+    )
     return ActivityProfile(
-        update_factors=tuple(factors),
+        update_factors=factors or (0.0,),
         name=name or f"{result.algorithm}-trace",
     )

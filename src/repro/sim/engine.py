@@ -47,28 +47,24 @@ class Interrupt(Exception):
 class Event:
     """A one-shot occurrence at a point in simulated time.
 
-    An event starts *untriggered*; calling :meth:`trigger` (or
-    :meth:`fail`) fires it, invoking all registered callbacks with the
-    event itself.  Processes wait on events by yielding them.
+    An event starts *untriggered*; calling :meth:`trigger` fires it,
+    invoking all registered callbacks with the event itself.  Processes
+    wait on events by yielding them.  A wait ends when its event fires,
+    or when the process is killed (:meth:`Process.kill`).
     """
 
-    __slots__ = ("sim", "callbacks", "_triggered", "_value", "_failed", "name")
+    __slots__ = ("sim", "callbacks", "_triggered", "_value", "name")
 
     def __init__(self, sim: "Simulator", name: str = ""):
         self.sim = sim
         self.callbacks: List[Callable[["Event"], None]] = []
         self._triggered = False
-        self._failed = False
         self._value: Any = None
         self.name = name
 
     @property
     def triggered(self) -> bool:
         return self._triggered
-
-    @property
-    def failed(self) -> bool:
-        return self._failed
 
     @property
     def value(self) -> Any:
@@ -82,18 +78,6 @@ class Event:
             raise SimulationError(f"event {self.name!r} triggered twice")
         self._triggered = True
         self._value = value
-        callbacks, self.callbacks = self.callbacks, []
-        for callback in callbacks:
-            callback(self)
-        return self
-
-    def fail(self, exception: BaseException) -> "Event":
-        """Fire the event as a failure; waiting processes see the exception."""
-        if self._triggered:
-            raise SimulationError(f"event {self.name!r} triggered twice")
-        self._triggered = True
-        self._failed = True
-        self._value = exception
         callbacks, self.callbacks = self.callbacks, []
         for callback in callbacks:
             callback(self)
@@ -116,7 +100,6 @@ class AllOf(Event):
     """Composite event that fires when *all* child events have fired.
 
     Its value is the list of the children's values in the original order.
-    If any child fails, the composite fails with that child's exception.
     """
 
     __slots__ = ("_children", "_remaining")
@@ -132,11 +115,6 @@ class AllOf(Event):
             child.subscribe(self._on_child)
 
     def _on_child(self, child: Event) -> None:
-        if self._triggered:
-            return
-        if child.failed:
-            self.fail(child.value)
-            return
         self._remaining -= 1
         if self._remaining == 0:
             self.trigger([c.value for c in self._children])
@@ -160,12 +138,8 @@ class AnyOf(Event):
             child.subscribe(self._on_child)
 
     def _on_child(self, child: Event) -> None:
-        if self._triggered:
-            return
-        if child.failed:
-            self.fail(child.value)
-            return
-        self.trigger((child, child.value))
+        if not self._triggered:
+            self.trigger((child, child.value))
 
 
 ProcessGenerator = Generator[Event, Any, Any]
@@ -235,10 +209,7 @@ class Process:
         if self._waiting_on is not event:
             return  # stale wakeup (e.g. after an interrupt retargeted us)
         self._waiting_on = None
-        if event._failed:
-            self._step(throw=event._value)
-        else:
-            self._step(event._value)
+        self._step(event._value)
 
     def _step(self, value: Any = None, throw: Optional[BaseException] = None) -> None:
         try:
@@ -356,7 +327,7 @@ class Simulator:
         return self.now
 
     def run_until(self, event: Event) -> Any:
-        """Run until ``event`` fires; return its value (raise on failure)."""
+        """Run until ``event`` fires; return its value."""
         if self._running:
             raise SimulationError("simulator is not reentrant")
         self._running = True
@@ -372,6 +343,4 @@ class Simulator:
                 fn(*args)
         finally:
             self._running = False
-        if event.failed:
-            raise event.value
-        return event.value
+        return event._value

@@ -1,14 +1,15 @@
 """Synchronization helpers built on the event kernel.
 
 Chaos places a global barrier after every scatter phase and every gather
-phase (Section 4).  :class:`Barrier` is a reusable cyclic barrier whose
-``wait`` events also record per-party waiting time, feeding the runtime
-breakdown of Figure 17.
+phase (Section 4).  :class:`Barrier` is a reusable cyclic barrier; the
+time a party spends at it is charged by the caller (the compute engine's
+``Breakdown.barrier``, Figure 17).  A wait ends when the barrier
+releases, or when the rollback fence kills the waiting process.
 """
 
 from __future__ import annotations
 
-from typing import List, Optional
+from typing import List
 
 from repro.sim.engine import Event, SimulationError, Simulator
 
@@ -34,73 +35,15 @@ class Barrier:
         self.parties = parties
         self.generation = 0
         self._arrived: List[Event] = []
-        self._arrival_times: List[float] = []
-        self._arrival_parties: List[Optional[int]] = []
-        # Total time spent waiting at this barrier, per party index order
-        # of arrival (aggregated, for diagnostics).
-        self.total_wait_time = 0.0
-        # Stall detection (fault tolerance): if a generation stays open
-        # longer than ``_stall_timeout`` after its first arrival, the
-        # watchdog reports the missing parties — the mechanism by which
-        # the barrier coordinator notices a dead peer and can trigger a
-        # cluster-wide rollback.
-        self._stall_timeout: Optional[float] = None
-        self._on_stall = None
-        self._watched_generation = -1
 
-    def set_stall_watch(self, timeout: float, callback) -> None:
-        """Arm stall detection: ``callback(missing_parties, generation)``.
-
-        The callback fires at most once per generation, ``timeout``
-        seconds after the generation's first arrival if the barrier has
-        not released by then.  ``missing_parties`` lists the party ids
-        that have not arrived (parties that waited anonymously cannot be
-        attributed and are not listed).
-        """
-        if timeout <= 0:
-            raise ValueError(f"stall timeout must be positive, got {timeout}")
-        self._stall_timeout = timeout
-        self._on_stall = callback
-
-    def _watch_generation(self, generation: int) -> None:
-        if self._watched_generation >= generation:
-            return
-        self._watched_generation = generation
-        self.sim.schedule(self._stall_timeout, self._check_stall, generation)
-
-    def _check_stall(self, generation: int) -> None:
-        if self.generation != generation or not self._arrived:
-            return  # released (or reset) in time
-        if self._on_stall is None:
-            return
-        missing = [
-            p
-            for p in range(self.parties)
-            if p not in self._arrival_parties
-        ]
-        self._on_stall(missing, generation)
-
-    def wait(self, party: Optional[int] = None) -> Event:
-        """Arrive at the barrier; the returned event fires on release.
-
-        ``party`` optionally identifies the arriving machine so a stall
-        watch (:meth:`set_stall_watch`) can name the parties missing.
-        """
+    def wait(self) -> Event:
+        """Arrive at the barrier; the returned event fires on release."""
         if len(self._arrived) >= self.parties:
             raise SimulationError(f"barrier {self.name}: too many arrivals")
         event = Event(self.sim, name=f"{self.name}.wait(gen={self.generation})")
         self._arrived.append(event)
-        self._arrival_times.append(self.sim.now)
-        self._arrival_parties.append(party)
-        if self._stall_timeout is not None and len(self._arrived) == 1:
-            self._watch_generation(self.generation)
         if len(self._arrived) == self.parties:
-            release_time = self.sim.now
             waiters, self._arrived = self._arrived, []
-            times, self._arrival_times = self._arrival_times, []
-            self._arrival_parties = []
-            for arrival in times:
-                self.total_wait_time += release_time - arrival
             self.generation += 1
             for waiter in waiters:
                 waiter.trigger(self.generation)

@@ -589,7 +589,7 @@ class TestEngine:
 
     def test_rule_table_covers_all_rules(self):
         # Removed ids are never reused (test_removed_rule_ids_are_unknown_again).
-        kept = [f"CHX{n:03d}" for n in (1, 3, 5, 6, 7, 10, 11, 16, 18, 20, 21)]
+        kept = [f"CHX{n:03d}" for n in (1, 3, 5, 6, 7, 10, 11, 16, 18, 20)]
         assert [rule.rule_id for rule in default_rules()] == kept
         assert sorted(RULE_TABLE) == kept
         assert LintEngine().check_source("x = 1\n").clean
@@ -598,7 +598,7 @@ class TestEngine:
         # The index used to drop an unparsable file silently, so a
         # whole-program --rules subset passed it.
         write_tree(tmp_path, {"core/bad.py": "def f(:\n", "core/ok.py": "x = 1\n"})
-        for rule_id in ("CHX001", "CHX021"):
+        for rule_id in ("CHX001", "CHX020"):
             rules = [r for r in default_rules() if r.rule_id == rule_id]
             result = LintEngine(rules).check_paths([str(tmp_path)])
             assert rule_ids(result) == ["CHX000"]
@@ -713,7 +713,7 @@ class TestCheckCommand:
 
     @pytest.mark.parametrize(
         "rule_id",
-        [f"CHX{n:03d}" for n in (2, 4, 8, 9, 12, 13, 14, 15, 17, 19, 22, 23)],
+        [f"CHX{n:03d}" for n in (2, 4, 8, 9, 12, 13, 14, 15, 17, 19, 21, 22, 23)],
     )
     def test_removed_rule_ids_are_unknown_again(
         self, tmp_path, capsys, rule_id
@@ -723,7 +723,7 @@ class TestCheckCommand:
 
     @pytest.mark.parametrize(
         "extra",
-        [["--rules", "CHX001"], ["--rules", "CHX021"]],
+        [["--rules", "CHX001"], ["--rules", "CHX020"]],
         ids=["local", "deep"],
     )
     def test_missing_path_exits_2_without_traceback(
@@ -761,18 +761,17 @@ class TestCheckCommand:
         node = tmp_path / "sim" / "node.py"
         node.parent.mkdir()
         node.write_text(
-            "def fetch(network):\n"
-            "    delivered = network.send(\n"
-            "        src=0, dst=1, service='w', kind='read', size=8,\n"
-            "    )\n"
-            "    yield delivered\n"
+            "class Node:\n"
+            "    def __init__(self, network, machine):\n"
+            "        self.epoch = 0\n"
+            "        network.register(machine, 'w', {'read': print})\n"
         )
         code = main(
-            ["check", str(tmp_path), "--rules", "CHX021", "--format", "json"]
+            ["check", str(tmp_path), "--rules", "CHX020", "--format", "json"]
         )
         document = json.loads(capsys.readouterr().out)
         assert code == 1
-        assert [f["rule_id"] for f in document["findings"]] == ["CHX021"]
+        assert [f["rule_id"] for f in document["findings"]] == ["CHX020"]
 
     @pytest.mark.parametrize("flag", ["--deep", "--cache-dir=x"])
     def test_engine_options_are_gone(self, tmp_path, capsys, flag):
@@ -817,12 +816,9 @@ class TestSelfHost:
         assert result.files_checked > 50
         # Known, justified suppressions only (each carries an inline
         # ``chaos: ignore`` with a reason next to it in the source): the
-        # fuzzer's host-side crash classifier (CHX006), the two
-        # integer-sum CHX016 folds and the four bare waits of an engine
-        # main process (CHX021: three in the engine, one in the restore
-        # step it runs), which the rollback fence makes safe.
+        # fuzzer's host-side crash classifier (CHX006) and the two
+        # integer-sum CHX016 folds.
         assert sorted(f.rule_id for f in result.suppressed) == [
             "CHX006", "CHX016", "CHX016",
-            "CHX021", "CHX021", "CHX021", "CHX021",
         ]
         assert result.resolution["project_resolution_fraction"] >= 0.95

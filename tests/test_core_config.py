@@ -59,10 +59,6 @@ class TestClusterConfig:
         "field, value",
         [
             ("steal_alpha", math.nan),
-            ("heartbeat_interval", math.nan),
-            ("heartbeat_interval", math.inf),
-            ("restart_seconds", math.inf),
-            ("restart_seconds", math.nan),
             ("memory_bytes", 0),
             ("directory_lookups_per_second", 0),
             ("directory_lookups_per_second", math.nan),

@@ -257,12 +257,13 @@ class TestBatchOwnership:
 
 
 class TestModelWorkload:
-    def _model(self, partitions=4, factor=1.0, iterations=3):
+    def _model(self, partitions=4, factor=1.0, iterations=3, pass_edges=1000):
         layout = PartitionLayout.even(1024, partitions)
         return ModelWorkload(
             PageRank(iterations=iterations),
             layout,
             fixed_profile(iterations, update_factor=factor),
+            pass_edges,
         )
 
     def test_update_volume_follows_factor(self):
@@ -272,6 +273,25 @@ class TestModelWorkload:
         produced = sum(b.count for b in batches)
         assert produced == pytest.approx(500, rel=0.05)
         assert all(b.payload is None for b in batches)
+
+    def test_pass_emits_exactly_its_total(self):
+        # 0.3 updates per edge: no chunk's share is whole, but the
+        # remainder carries, so each pass emits exactly 300, and each
+        # chunk's count splits over the partitions with none lost.
+        workload = self._model(partitions=3, factor=0.3)
+        for iteration in (0, 1):
+            emitted = []
+            for records in (333, 333, 334):
+                chunk = Chunk(
+                    partition=0, kind=ChunkKind.EDGES, size=8 * records,
+                    records=records,
+                )
+                batches = workload.scatter_chunk(0, chunk, iteration)
+                emitted.append(sum(b.count for b in batches))
+                assert max(b.count for b in batches) - min(
+                    b.count for b in batches
+                ) <= 1
+            assert emitted == [99, 100, 101]
 
     def test_zero_factor_produces_nothing(self):
         workload = self._model(factor=0.0)

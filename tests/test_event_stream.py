@@ -12,7 +12,7 @@ fault-free and under one fault plan per fault kind, which between them
 drive the drop, retry, dedup, reorder, corruption, slow-device and
 recovery paths.
 
-The pins have been retaken three times, each time for a change that
+The pins have been retaken four times, each time for a change that
 removed heap pushes and was checked against the old stream:
 
 * when the computation engine stopped watching liveness (its per-read
@@ -41,7 +41,16 @@ removed heap pushes and was checked against the old stream:
   ``stale-read`` and its control.  The fence is record 1,188, 1,315,
   1,218, 1,218 and 2,030; the streams part 6 to 10 records later,
   where the admission check is now pushed for the zero-delay instant
-  after the fence.  The other eight pins did not move.
+  after the fence.  The other eight pins did not move;
+* when the barrier's stall watch retired (the lease detector is the
+  only failure signal), the 14 pins with a fault plan: the supervisor
+  armed the watch, which pushed one ``_check_stall`` per barrier
+  generation (4 to 8 a run) and never suspected a machine.  A callback
+  that only reads state and suspects no one changes no later event,
+  and removing a push keeps the relative order of all the others: on
+  each plan the new stream equals the old one with its ``_check_stall``
+  pushes filtered out, record for record and in order, every
+  ``_deliver`` record included.  The fault-free pin did not move.
 
 :func:`test_every_fault_changes_the_stream` holds every fault pin apart
 from its control, the same plan with the fault swapped for one that
@@ -83,40 +92,40 @@ PINNED = {
     None: (
         1803, "c017238a6400675618a3202eb4fb1520af75e6fae140a8e857d19445ed9423e8"),
     "crash:1@iter=1": (
-        2019, "6860c8e4c91d807433887c1f6b58e7444f5eb1fd6722197b2c8871e9bc0ec9f1"),
+        2011, "9dbe8378bd95168a43fb527ea1063fb6870f7e5e34694965820007410608fcc9"),
     "partition:2@iter=1": (
-        2109, "cc38112c89bf73c57cd7563cdde7beb19f25921b966f88cd1da1fcf278f28b2e"),
+        2101, "20292c24a4396b08c8729493c051bbdd2256a92e6d9fbed1b7dabe3da2a21225"),
     "msg-reorder:1@iter=1": (
-        1959, "55ba4ce9d1685ebf3f72cc28ed1531436dfca8a1a7c6f0b48f75d37ee253fc69"),
+        1952, "7358099b893c8bc3d2dd7cf183b793c9383eb4db76809c9a7597967878dc8b12"),
     "msg-dup:2@iter=1": (
-        1903, "2cdc01c3cc2182cb86d75403b6a5f43695df75db2d0eba64b5e8cd8b0afd695b"),
+        1896, "640fe33bb34720f04c1900067946c926d72fdb07e9ab0d1bf511a2930356186e"),
     "msg-corrupt:0@iter=1": (
-        1897, "0df6000b033c192c028127cccbdf4c982370aafd4ea8b08a62dc46094e7920ce"),
+        1890, "d4904b767a3a68108829953366a1abe6311abad5d848bb95d2a16bc4e9225eb2"),
     "chunk-bitflip:1@iter=1": (
-        1888, "9b75f6129ad2c539b2b8c05924e80be2b82c05d430b6c25999cf2248a43df936"),
+        1881, "94c07045bfc76f5a99c07b47d4324d4341673bcf28881e4752d2ffaa2ed1ce00"),
     "crash-restart:0@iter=1": (
-        2034, "75aca8dc0ce585bf29b99b0501371e321097391cf02fa211bd8c2d7c40d3708f"),
+        2026, "959ff9058a2e204d188e5c8c377214014554232cf5a5ee7d246c0feab2befe15"),
     "slow-device:2@iter=1,factor=4,for=0.01": (
-        1935, "0b2ec8ddb3d24b7123fce1ca4e2d622b9693a4d5b797352dacb1e63b7b2e40cd"),
+        1928, "da92b6ce43a793b9f2ed8e41044104c0d584c7a0dfe2d5fae5d2c40d61eaf573"),
     "torn-write:1@iter=1": (
-        1902, "caec6fa7ca6e8b4472f2fe1516d2d7ebfceff7b77189229013aa6159910c99d9"),
+        1895, "b922751afd17f4c2b5ece423f3b05428aeba800e267c47981e2de0400d9e39b8"),
     # Machine 2 serves five vertex reads the version their last write
     # overwrote; after the crash two of them are restore reads, which
     # reject the stale chunk by its generation tag.
     "stale-read:2@iter=1,count=5;crash:1@iter=2": (
-        2026, "e3d0b6d7d8a1eb1bb9309e0ada18910b0d647f0277fb4d0ea7b0418eaf0aa309"),
+        2018, "965ac19ba2ad3002d76a89ea71522088665e46d511357edaf5dc1de0a3a9c275"),
     # With one vertex replica no completing plan reaches the rot: every
     # durable checkpoint replica on machine 1 rots, machine 0 crashes,
     # and the restore refuses the job (pinned up to the raise).
     "ckpt-corrupt:1@iter=1,count=64;crash:0@iter=1": (
-        886, "ff381a64c067bed5ce18a2452352e9c95e42e6732abbf98d552569dd11f28489"),
+        882, "ec0ba0b216fee9951c1cac8c272fd3d9b5eef6e609a65552da8fdfb960e1e502"),
     # Controls.
     NEVER_FIRES: (
-        1901, "79243e3a6b543e325f84fba951a0bf680f6eda21ed96982e23608fda3e8c8b2f"),
+        1894, "84395015408de1bcc39e6d445c6d028579b815cbb305fc1abfd16ff760ccfa62"),
     f"{NEVER_FIRES};crash:1@iter=2": (
-        2018, "d06ab3ec41edb282f1dba196977d2aada725bb042cbc19e3d9d482272f4135df"),
+        2010, "26ba19a6e0d9de21a986ce561781d9b1a5cd9f4f18accc276410d92c7a1e1a54"),
     f"{NEVER_FIRES};crash:0@iter=1": (
-        2038, "58873b8686d7a816dd261a94cad13129419d60df8c9d881f1e642cd3517d9967"),
+        2030, "5af2708d9b6292e198f3bc8fba6ea30ea9d0b07f210ea4abbff09e0a1a37878c"),
 }
 
 #: Plans the restore refuses (:class:`UnrecoverableJobError`).

@@ -14,7 +14,6 @@ import math
 import re
 from pathlib import Path
 
-import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -28,6 +27,8 @@ from repro.algorithms import (
     KCore,
     PageRank,
 )
+from repro.core.compute import ComputationEngine
+from repro.core.config import HEARTBEAT_INTERVAL, RESTART_SECONDS
 from repro.core.runtime import ChaosCluster
 from repro.faults import (
     BYZANTINE_KINDS,
@@ -407,12 +408,85 @@ class TestByteIdentity:
         assert timeline.lost_seconds == 0.0
 
 
+class TestDetectionBound:
+    """The lease detector alone bounds detection: a lost machine is
+    suspected within 1.5 leases (the watch looks every half lease) plus
+    one heartbeat (the last one may still be in flight) of the fault,
+    however the other machines wait on it.  No second failure signal is
+    needed, at the phase barrier either.  One recovery round, and the
+    fault-free values."""
+
+    @staticmethod
+    def _config():
+        return fast_config(3, checkpointing=True, seed=7)
+
+    def _recover(self, graph, plan, monkeypatch):
+        """Run ``plan``; the number of parties standing at the phase
+        barrier when the first suspicion fires."""
+        waiting = []
+        on_suspect = ClusterSupervisor._on_suspect
+
+        def note_waiting(supervisor, machine):
+            if not supervisor.failure.triggered:
+                waiting.append(supervisor.engines[0].barrier.waiting)
+            on_suspect(supervisor, machine)
+
+        monkeypatch.setattr(ClusterSupervisor, "_on_suspect", note_waiting)
+        config = self._config()
+        cluster = ChaosCluster(config)
+        result = cluster.run(
+            PageRank(iterations=3), graph, fault_plan=FaultPlan.parse(plan)
+        )
+        (fault,) = cluster.last_fault_timeline.faults
+        (recovery,) = cluster.last_fault_timeline.rounds
+        latency = recovery.detected_at - fault.fired_at
+        lease = config.effective_lease_timeout()
+        assert 0 <= latency <= 1.5 * lease + HEARTBEAT_INTERVAL
+        baseline = ChaosCluster(config).run(PageRank(iterations=3), graph)
+        _assert_byte_identical(result, baseline)
+        return waiting[0]
+
+    @pytest.mark.parametrize("spec", ["crash:1@iter=1", "partition:1@iter=1"])
+    def test_fault_at_iteration_start(self, spec, small_graph, monkeypatch):
+        # The fault strikes as the iteration's scatter begins: the other
+        # machines block on the lost machine's store, not at the barrier.
+        assert self._recover(small_graph, [spec], monkeypatch) == 0
+
+    @pytest.mark.parametrize("kind", ["crash", "partition"])
+    def test_fault_while_the_others_wait_at_the_barrier(
+        self, kind, small_graph, monkeypatch
+    ):
+        # Place the fault in the first phase barrier whose last party
+        # arrives after the other two, from a run whose one fault never
+        # fires (so heartbeats and detector shape its timing too).
+        arrivals = []
+        enter = ComputationEngine._enter_barrier
+
+        def recording(engine, *args, **kwargs):
+            arrivals.append((engine.sim.now, engine.machine))
+            return (yield from enter(engine, *args, **kwargs))
+
+        monkeypatch.setattr(ComputationEngine, "_enter_barrier", recording)
+        ChaosCluster(self._config()).run(
+            PageRank(iterations=3), small_graph,
+            fault_plan=FaultPlan.parse(["msg-dup:1@iter=99"]),
+        )
+        monkeypatch.undo()
+        rounds = [arrivals[i:i + 3] for i in range(0, len(arrivals), 3)]
+        (_, _), (second, _), (last_at, last) = next(
+            r for r in rounds if r[1][0] < r[2][0]
+        )
+        at = (second + last_at) / 2
+        plan = [f"{kind}:{last}@t={at!r}"]
+        assert self._recover(small_graph, plan, monkeypatch) == 2
+
+
 class TestRollbackFence:
     """Recovery is cluster-wide (Section 6.6): the rollback fence kills
     every engine main process and compute registration of the failed
-    epoch, crashed or not.  The CHX021 suppressions on the main
-    process's bare waits (``core/compute.py``) rely on it — a wait no
-    process is parked on cannot hang."""
+    epoch, crashed or not.  Every bare wait of the main process
+    (``core/compute.py``) relies on it — a wait no process is parked on
+    cannot hang."""
 
     @pytest.mark.parametrize(
         "fault", ["crash:1@iter=1", "partition:2@iter=1,for=0.05"]
@@ -521,7 +595,7 @@ class TestCrashDuringRestore:
         single = ChaosCluster(config)
         single.run(make(), graph, fault_plan=FaultPlan.parse(["crash:1@iter=2"]))
         first = single.last_fault_timeline.rounds[0]
-        rebooted = first.detected_at + config.restart_seconds
+        rebooted = first.detected_at + RESTART_SECONDS
         at = (rebooted + first.resumed_at) / 2
         assert rebooted < at < first.resumed_at
 
@@ -554,7 +628,7 @@ class TestCrashDuringRestore:
             fault_plan=FaultPlan.parse(["crash:1@iter=2"]),
         )
         first = single.last_fault_timeline.rounds[0]
-        at = first.detected_at + config.restart_seconds / 2
+        at = first.detected_at + RESTART_SECONDS / 2
         cluster = ChaosCluster(config)
         result = cluster.run(
             PageRank(iterations=5), small_graph,
@@ -563,7 +637,7 @@ class TestCrashDuringRestore:
         )
         rounds = cluster.last_fault_timeline.rounds
         assert len(rounds) == 1
-        assert rounds[0].resumed_at > at + config.restart_seconds
+        assert rounds[0].resumed_at > at + RESTART_SECONDS
         baseline = ChaosCluster(config).run(PageRank(iterations=5), small_graph)
         _assert_byte_identical(result, baseline)
 

@@ -672,7 +672,7 @@ class TestRuleRegistry:
         # The whole-program half of the one registry: the rules that
         # read the project index instead of one node at a time.
         # Removed ids are never reused (test_analysis.py lists them).
-        kept = [f"CHX{n:03d}" for n in (10, 11, 16, 18, 20, 21)]
+        kept = [f"CHX{n:03d}" for n in (10, 11, 16, 18, 20)]
         assert [r.rule_id for r in default_rules() if not r.node_types] == kept
 
 

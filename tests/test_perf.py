@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.algorithms import BFS, PageRank
+from repro.algorithms import BFS, SSSP, WCC, PageRank
 from repro.core import ClusterConfig
 from repro.core.runtime import ChaosCluster, GraphSpec, run_algorithm
 from repro.graph import rmat_graph, to_undirected
@@ -22,8 +22,8 @@ class TestActivityProfile:
     def test_fixed_profile(self):
         profile = fixed_profile(5, update_factor=0.5)
         assert profile.iterations == 5
-        assert profile.update_factor(2) == 0.5
-        assert profile.update_factor(99) == 0.0
+        assert profile.updates(2, 1000) == 500
+        assert profile.updates(99, 1000) == 0
         assert profile.total_update_factor() == pytest.approx(2.5)
 
     def test_bfs_profile_shape(self):
@@ -76,6 +76,17 @@ class TestExtractProfile:
         # Final iteration is the empty frontier.
         assert profile.update_factors[-1] == 0.0
 
+    def test_extraction_keeps_exact_totals(self, small_graph):
+        result = run_algorithm(BFS(root=0), small_graph, fast_config(2))
+        profile = extract_profile(result)
+        totals = [s.updates_produced for s in result.iteration_stats]
+        assert profile.iterations == result.iterations
+        edges = small_graph.num_edges
+        assert [profile.updates(i, edges) for i in range(len(totals))] == totals
+        # On a graph twice the size a pass produces twice the updates.
+        assert profile.updates(1, 2 * edges) == 2 * totals[1]
+        assert profile.updates(len(totals), edges) == 0
+
 
 class TestModelVsDataConsistency:
     def test_model_runtime_tracks_data_runtime(self):
@@ -96,6 +107,51 @@ class TestModelVsDataConsistency:
         assert model_result.runtime == pytest.approx(
             data_result.runtime, rel=0.25
         )
+
+
+@pytest.fixture(scope="module")
+def lattice_graphs():
+    """RMAT-11: directed for PageRank, undirected and weighted for the
+    traversals."""
+    return {
+        "directed": rmat_graph(11, seed=1),
+        "undirected": to_undirected(rmat_graph(11, seed=1, weighted=True)),
+    }
+
+
+LATTICE = {
+    "PR": (lambda: PageRank(iterations=5), "directed"),
+    "BFS": (lambda: BFS(root=0), "undirected"),
+    "WCC": (WCC, "undirected"),
+    "SSSP": (lambda: SSSP(root=0), "undirected"),
+}
+
+
+@pytest.mark.parametrize("machines", [2, 4, 8])
+@pytest.mark.parametrize("algorithm", list(LATTICE))
+def test_model_run_reproduces_its_data_run(algorithm, machines, lattice_graphs):
+    """Phantom mode replays the run its profile came from: the same
+    iterations, the same updates in each, the same storage I/O to 1 %.
+    The runtime differs only by the modelled chunk layout (RMAT
+    partition skew, placement): every cell within 6 % when pinned."""
+    make, kind = LATTICE[algorithm]
+    graph = lattice_graphs[kind]
+    config = fast_config(
+        machines, chunk_bytes=16 * 1024, partitions_per_machine=1
+    )
+    data = run_algorithm(make(), graph, config)
+    spec = GraphSpec(
+        num_vertices=graph.num_vertices,
+        num_edges=graph.num_edges,
+        weighted=graph.weighted,
+    )
+    model = ChaosCluster(config).run_model(make(), spec, extract_profile(data))
+    assert model.iterations == data.iterations
+    assert [s.updates_produced for s in model.iteration_stats] == [
+        s.updates_produced for s in data.iteration_stats
+    ]
+    assert model.storage_bytes == pytest.approx(data.storage_bytes, rel=0.01)
+    assert model.runtime == pytest.approx(data.runtime, rel=0.06)
 
 
 class TestCapacityProjection:

@@ -2,14 +2,15 @@
 
 Two layers of :mod:`repro.analysis.protocol` plus its rule/CLI surface:
 
-* the fact-finding helpers see service registrations (epoch fences)
-  and blocking waits in fixture packages, asserted through the findings
-  of CHX020 and CHX021 (``tests/test_rule_mutations.py`` plants the
-  same defects in the real ``src/`` registrations);
+* the fact-finding helper sees service registrations (epoch fences)
+  in fixture packages, asserted through the findings of CHX020
+  (``tests/test_rule_mutations.py`` plants the same defects in the real
+  ``src/`` registrations); blocking waits are not judged, because the
+  rollback fence ends every wait of a failed epoch;
 * the conformance checker replays causal DAGs — real traced runs and
   synthetic event lists — against the declared message kinds
   (``repro.net.transport.MESSAGE_KINDS``);
-* rules CHX020 and CHX021 fire exactly on planted fixture sites, honor
+* rule CHX020 fires exactly on planted fixture sites and honors
   suppressions, and the ``trace conform`` CLI verb exits and reports
   correctly.
 """
@@ -124,10 +125,10 @@ FENCE = "                    self._admit,\n"
 
 
 def _protocol_findings(tmp_path, files=PROTOCOL_FIXTURE):
-    """``(rule id, reporting function, line)`` of each CHX020/CHX021
-    finding, sorted."""
+    """``(rule id, reporting function, line)`` of each CHX020 finding,
+    sorted."""
     build_pkg(tmp_path, files)
-    result = check_tree(tmp_path, rules={"CHX020", "CHX021"})
+    result = check_tree(tmp_path, rules={"CHX020"})
     return sorted(
         (f.rule_id, f.message.split(" ")[0].rsplit(".", 1)[-1], f.line)
         for f in result.findings
@@ -142,29 +143,17 @@ def _unfence(files=PROTOCOL_FIXTURE):
 
 class TestExtraction:
     def test_roles_pruned_to_protocol_participants(self, tmp_path):
-        # Only the classes with registrations or waits can report; the
-        # Bystander never does, even with every protocol defect planted.
+        # Only the class with a registration can report: the Client's
+        # bare waits and the Bystander never do, even unfenced.
         findings = _protocol_findings(tmp_path, _unfence())
-        assert {name for _, name, _ in findings} == {
-            "__init__", "ping", "patient_ping",
-        }
+        assert {name for _, name, _ in findings} == {"__init__"}
 
     def test_receive_loop_epoch_guard(self, tmp_path):
         # The fenced registration of an epoch-aware role is clean;
         # without its fence the same registration reports.
-        assert [f for f in _protocol_findings(tmp_path) if f[0] == "CHX020"] == []
+        assert _protocol_findings(tmp_path) == []
         unfenced = _protocol_findings(tmp_path / "unfenced", _unfence())
-        assert [f[:2] for f in unfenced if f[0] == "CHX020"] == [
-            ("CHX020", "__init__"),
-        ]
-
-    def test_waits_and_their_remote_flags(self, tmp_path):
-        # A backoff helper called before a bare yield leaves it a wait;
-        # a send to the sender's own machine is not remote.
-        assert _protocol_findings(tmp_path) == [
-            ("CHX021", "patient_ping", 46),
-            ("CHX021", "ping", 32),
-        ]
+        assert [f[:2] for f in unfenced] == [("CHX020", "__init__")]
 
 
 # ---------------------------------------------------------------------------
@@ -272,7 +261,7 @@ class TestConformance:
 
 
 # ---------------------------------------------------------------------------
-# Protocol rules CHX020-CHX021
+# Protocol rule CHX020
 # ---------------------------------------------------------------------------
 
 
@@ -364,73 +353,6 @@ class TestCHX020:
         assert findings_of(result, "CHX020") == []
 
 
-CHX021_FIXTURE = {
-    "proj/__init__.py": "",
-    "proj/sim/__init__.py": "",
-    "proj/sim/node.py": """\
-        class Requester:
-            def __init__(self, network, env):
-                self.network = network
-                self.env = env
-
-            def fetch(self, src, dst):
-                delivered = self.network.send(
-                    src=src, dst=dst, service="w", kind="read", size=8,
-                )
-                yield delivered
-
-            def fetch_guarded(self, src, dst):
-                delivered = self.network.send(
-                    src=src, dst=dst, service="w", kind="read", size=8,
-                )
-                yield self.env.any_of(
-                    delivered, self.env.timeout(1.0)
-                )
-
-            def fetch_local(self, src):
-                delivered = self.network.send(
-                    src=src, dst=src, service="w", kind="read", size=8,
-                )
-                yield delivered
-        """,
-}
-
-
-class TestCHX021:
-    def test_only_the_untimed_remote_wait_reports(self, tmp_path):
-        build_pkg(tmp_path, CHX021_FIXTURE)
-        result = check_tree(tmp_path, rules={"CHX021"})
-        (found,) = findings_of(result, "CHX021")
-        assert ".fetch yields" in found.message
-        assert "'delivered'" in found.message
-        assert found.severity == "warning"
-
-    def test_backoff_before_the_wait_does_not_exempt_it(self, tmp_path):
-        # patient_ping in the extraction fixture calls a backoff helper,
-        # then waits with a bare yield: the helper bounds nothing, so
-        # both remote waits fire (each wait is judged by its own yield).
-        build_pkg(tmp_path, PROTOCOL_FIXTURE)
-        result = check_tree(tmp_path, rules={"CHX021"})
-        found = findings_of(result, "CHX021")
-        assert sorted(f.message.split(" ")[0] for f in found) == [
-            "proj.sim.node.Client.patient_ping",
-            "proj.sim.node.Client.ping",
-        ]
-
-    def test_suppression_honored(self, tmp_path):
-        files = dict(CHX021_FIXTURE)
-        files["proj/sim/node.py"] = files["proj/sim/node.py"].replace(
-            "                yield delivered\n\n"
-            "            def fetch_guarded",
-            "                yield delivered"
-            "  # chaos: ignore[CHX021] fixture\n\n"
-            "            def fetch_guarded",
-        )
-        build_pkg(tmp_path, files)
-        result = check_tree(tmp_path, rules={"CHX021"})
-        assert findings_of(result, "CHX021") == []
-
-
 LOPSIDED_FIXTURE = {
     "proj/__init__.py": "",
     "proj/sim/__init__.py": "",
@@ -489,9 +411,7 @@ class TestRuleRegistration:
         assert RULE_TABLE["CHX020"] == (
             "service registered without an epoch fence"
         )
-        assert RULE_TABLE["CHX021"] == (
-            "blocking wait with no timeout/liveness path"
-        )
+        assert "CHX021" not in RULE_TABLE
 
 
 # ---------------------------------------------------------------------------

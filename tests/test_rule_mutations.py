@@ -4,12 +4,14 @@ Each row plants one realistic defect in a temporary copy of the real
 source files it needs, runs the rules that could catch it and asserts
 exactly which of them fire.  Each unmutated copy is clean under the
 same rules, so every catch is the planted defect's.  DESIGN.md section 6
-records the verdicts: rows M1-M4, M7, M8, M12 and M13-M15, plus one
-row for each rule no M-row exercises (CHX003, 005, 006, 007, 016).  (M10,
-an untimed steal wait, retired: since the rollback fence ends a failed
-epoch's waits, that wait is how the engine waits.  M6, the restore
-client's registration without a fence, retired with the restore client:
-the restore reads through the engine's own fenced endpoint.)  Defects of
+records the verdicts: rows M1-M4, M8, M12 and M13-M15, plus one row for
+each rule no M-row exercises (CHX003, 005, 006, 007, 016).  (M10, an
+untimed steal wait, and M7, the same wait stripped of its suppression,
+retired with CHX021: a wait ends when its event fires or when the
+rollback fence kills its process, so an untimed wait is how the engine
+waits.  M6, the restore client's registration without a fence, retired
+with the restore client: the restore reads through the engine's own
+fenced endpoint.)  Defects of
 the protocol's *values* (a merge before the handoff, a stealer that
 applies) no rule can see, and a mistyped message kind (M5, M9, M11) is
 rejected by delivery on its first arrival; their rows are in
@@ -18,10 +20,9 @@ rejected by delivery on its first arrival; their rows are in
 
 from __future__ import annotations
 
-import re
 from dataclasses import dataclass
 from pathlib import Path
-from typing import FrozenSet, Set, Tuple, Union
+from typing import FrozenSet, Set, Tuple
 
 import pytest
 
@@ -30,7 +31,7 @@ from repro.analysis import LintEngine, default_rules
 
 SRC = Path(repro.__file__).parent
 
-Edit = Tuple[Union[str, "re.Pattern[str]"], str]
+Edit = Tuple[str, str]
 
 
 @dataclass(frozen=True)
@@ -38,25 +39,20 @@ class Mutation:
     """One planted defect: edits to one file of the ``repro`` package."""
 
     file: str  # relative to the repro package
-    edits: Tuple[Edit, ...]  # (literal or regex, replacement), each matching once
+    edits: Tuple[Edit, ...]  # (literal, replacement), each matching once
     rules: Tuple[str, ...]  # the rules that could plausibly catch it
     caught_by: FrozenSet[str]
     context: Tuple[str, ...] = ()  # further modules the rules resolve through
 
     def apply(self, source: str) -> str:
         for old, new in self.edits:
-            if isinstance(old, str):
-                assert source.count(old) == 1, old
-                source = source.replace(old, new)
-            else:
-                source, count = old.subn(lambda _m: new, source)
-                assert count == 1, old.pattern
+            assert source.count(old) == 1, old
+            source = source.replace(old, new)
         return source
 
 
 COMPUTE = "core/compute.py"
 SUPERVISOR = "faults/supervisor.py"
-FENCED_WAIT = "  # chaos: ignore[CHX021] main process: the rollback fence kills it"
 SHUFFLE = "self._rng.shuffle(foreign)"
 RNG_SEED = "self._rng = random.Random(config.seed * 1_000_003 + machine * 7919 + 1)"
 
@@ -118,18 +114,12 @@ MUTATIONS = [
         ("CHX011",), frozenset({"CHX011"}),
     ), id="M4-discarded-wait"),
     pytest.param(Mutation(
-        # The steal proposal's wait loses the reason that makes it safe.
-        COMPUTE,
-        ((f"message = yield reply{FENCED_WAIT}\n", "message = yield reply\n"),),
-        ("CHX021",), frozenset({"CHX021"}),
-    ), id="M7-unsuppressed-steal-wait"),
-    pytest.param(Mutation(
         # Only a pre-processing engine meets an extra barrier: the others
         # (and every restoring engine) never arrive.
         COMPUTE,
         (("            yield from self._preprocess()\n",
           "            yield from self._preprocess()\n"
-          "            yield self.barrier.wait(party=self.machine)\n"),),
+          "            yield self.barrier.wait()\n"),),
         ("CHX010",), frozenset({"CHX010"}),
     ), id="M8-unsuppressed-lopsided-barrier"),
     pytest.param(Mutation(
@@ -168,7 +158,7 @@ MUTATIONS = [
     pytest.param(Mutation(
         # A restore read that survives its process's kill.
         SUPERVISOR,
-        ((re.compile(r"        message = yield reply  # chaos: ignore.*\n"),
+        (("        message = yield reply\n",
           "        try:\n"
           "            message = yield reply\n"
           "        except Exception:\n"

@@ -231,22 +231,6 @@ class TestProcesses:
         assert caught == ["wake up"]
         assert not process.alive
 
-    def test_failed_event_raises_in_process(self):
-        sim = Simulator()
-        event = sim.event()
-        caught = []
-
-        def waiter():
-            try:
-                yield event
-            except ValueError as error:
-                caught.append(str(error))
-
-        sim.process(waiter())
-        sim.schedule(1.0, event.fail, ValueError("boom"))
-        sim.run()
-        assert caught == ["boom"]
-
     def test_deadlock_detected_by_run_until(self):
         sim = Simulator()
         never = sim.event()

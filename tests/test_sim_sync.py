@@ -46,20 +46,22 @@ class TestBarrier:
         assert release_times == [2.0, 2.0, 4.0, 4.0, 6.0, 6.0]
 
     def test_wait_time_accumulates(self):
+        # The fast party waits from its arrival (t = 0) to the slow
+        # party's (t = 5); the slow party is released as it arrives.
         sim = Simulator()
         barrier = Barrier(sim, parties=2)
+        waited = []
 
-        def fast():
+        def party(delay):
+            yield sim.timeout(delay)
+            arrived = sim.now
             yield barrier.wait()
+            waited.append(sim.now - arrived)
 
-        def slow():
-            yield sim.timeout(5.0)
-            yield barrier.wait()
-
-        sim.process(fast())
-        sim.process(slow())
+        sim.process(party(0.0))
+        sim.process(party(5.0))
         sim.run()
-        assert barrier.total_wait_time == pytest.approx(5.0)
+        assert sorted(waited) == [0.0, 5.0]
 
     def test_single_party_releases_immediately(self):
         sim = Simulator()

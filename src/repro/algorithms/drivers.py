@@ -20,7 +20,7 @@ import json
 from dataclasses import dataclass, field
 from typing import List, Optional
 
-from repro.core.metrics import BREAKDOWN_CATEGORIES, Breakdown, JobResult
+from repro.core.metrics import Breakdown, JobResult
 
 
 @dataclass
@@ -93,7 +93,6 @@ class DriverResult:
 
     def to_dict(self) -> dict:
         """Machine-readable aggregate, with per-job payloads nested."""
-        breakdown = self.total_breakdown()
         return {
             "algorithm": self.algorithm,
             "machines": self.machines,
@@ -107,10 +106,7 @@ class DriverResult:
             "steals_accepted": self.steals_accepted,
             "steals_rejected": self.steals_rejected,
             "checkpoints": self.checkpoints,
-            "breakdown": {
-                category: getattr(breakdown, category)
-                for category in BREAKDOWN_CATEGORIES
-            },
+            "breakdown": self.total_breakdown().seconds(),
             "jobs": [job.to_dict() for job in self.jobs],
             "value_keys": sorted(self.values) if self.values else [],
         }

@@ -24,8 +24,6 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from typing import List, Optional
 
-import numpy as np
-
 from repro.core.config import ClusterConfig
 from repro.core.gas import GasAlgorithm, GraphContext
 from repro.core.metrics import IterationStats, JobResult
@@ -122,7 +120,6 @@ def run_xstream(
     while True:
         stats = IterationStats(iteration=iteration)
         # -- scatter: stream each partition's edges ----------------------
-        scatter_start = clock
         update_bytes_written = 0
         for p, part in enumerate(parts):
             vertex_bytes = workload.vertex_set_bytes(p)
@@ -153,14 +150,12 @@ def run_xstream(
             clock += max(io_time, cpu_time)
             total_storage_bytes += chunk.size + produced_bytes
             update_bytes_written += produced_bytes
-        stats.scatter_seconds = clock - scatter_start
 
         if algorithm.max_iterations is None and stats.updates_produced == 0:
             iteration_stats.append(stats)
             break
 
         # -- gather (apply folded in) ---------------------------------------
-        gather_start = clock
         for p in range(count):
             vertex_bytes = workload.vertex_set_bytes(p)
             clock += vertex_bytes / bandwidth
@@ -189,7 +184,6 @@ def run_xstream(
             clock += layout.vertex_count(p) * config.cpu_seconds_per_vertex / cores
             clock += vertex_bytes / bandwidth  # write vertex set back
             total_storage_bytes += vertex_bytes
-        stats.gather_seconds = clock - gather_start
         iteration_stats.append(stats)
 
         if workload.finished(iteration, stats):

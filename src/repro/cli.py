@@ -589,9 +589,14 @@ def _command_run(args) -> int:
         f"  steals:        {result.steals_accepted} accepted, "
         f"{result.steals_rejected} rejected"
     )
-    print("  breakdown:")
-    for category, fraction in result.total_breakdown().fractions().items():
-        print(f"    {category:<11s} {fraction:6.1%}")
+    # Engine-seconds summed over machines (they total machines x
+    # runtime); the shares are of Figure 17's six categories.
+    breakdown = result.total_breakdown()
+    shares = breakdown.fractions()
+    print("  breakdown (engine-seconds, Figure 17 share):")
+    for category, seconds in breakdown.seconds().items():
+        share = f"  {shares[category]:6.1%}" if category in shares else ""
+        print(f"    {category:<13s} {seconds:10.6f}s{share}")
     if timeline is not None:
         print()
         print("fault timeline:")

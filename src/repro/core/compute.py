@@ -20,6 +20,11 @@ global barriers.  Within a phase an engine:
 4. optionally checkpoints its partitions' vertex sets before each
    barrier (Section 6.6).
 
+Every wait of the engine's main process ends in one :meth:`charge
+<ComputationEngine.charge>` of the simulated time since the previous
+charge to one :class:`~repro.core.metrics.Breakdown` category, so the
+categories tile the engine's life and sum to the job's runtime.
+
 The engine is written against the :class:`repro.core.workload.Workload`
 interface, so the identical scheduling logic drives both functional
 (real data) and capacity-model (phantom) runs.
@@ -143,6 +148,7 @@ class ComputationEngine:
         epoch: int = 0,
         restore: Optional[Callable] = None,
         registry=None,
+        since: float = 0.0,
     ):
         self.sim = sim
         self.network = network
@@ -171,9 +177,9 @@ class ComputationEngine:
         # so timing across a yield would charge other machines' host
         # time to this engine's phase.  None when off.
         self._host = host if host is not None and host.enabled else None
-        # Observability: every span this engine opens carries the
-        # Breakdown category it is accounted under, so a trace's
-        # category totals reconcile with Figure 17 to float precision.
+        # Observability: every span of a Figure 17 wait carries the
+        # Breakdown category it is charged to, so a trace's category
+        # totals reconcile with Figure 17 to float precision.
         if tracer is not None and tracer.enabled:
             self.track = tracer.thread(machine, TID_ENGINE, "engine")
         else:
@@ -189,7 +195,11 @@ class ComputationEngine:
             self.cores.enable_trace(
                 tracer.thread(machine, TID_CPU, "cpu"), label="exec"
             )
+        #: The ledger (:meth:`charge`): simulated time by category, and
+        #: when the previous charge ended — the start of the job, or for
+        #: a resumed epoch the recovery fence that ended the last one.
         self.metrics = Breakdown()
+        self.since = since
         self.window = config.effective_request_window()
         # Stable arithmetic seeds: Python string hashing is salted per
         # process, which would break cross-process reproducibility.
@@ -250,6 +260,17 @@ class ComputationEngine:
     # ------------------------------------------------------------------
     # Message plumbing
     # ------------------------------------------------------------------
+
+    def charge(self, category: str) -> None:
+        """Charge the simulated time since the previous charge to
+        ``category``: each wait of the main process as it ends, and,
+        from the supervisor, ``rollback`` at the recovery fence that
+        ends the epoch.  (No ``Breakdown.add`` call: this runs once per
+        wait, and the host budget counts calls.)"""
+        now = self.sim.now
+        metrics = self.metrics
+        setattr(metrics, category, getattr(metrics, category) + (now - self.since))
+        self.since = now
 
     def fence(self) -> None:
         """Stop all future work on this engine (fault injection).
@@ -735,11 +756,10 @@ class ComputationEngine:
                 },
             )
         # 1. Load the vertex set (the steal cost V of Eq. 1).
-        t0 = self.sim.now
         if self._trace_on:
             track.begin("vertex_load", cat="copy")
         yield self._load_vertex_set(partition)
-        self.metrics.add("copy", self.sim.now - t0)
+        self.charge("copy")
         if self._trace_on:
             track.end()
 
@@ -752,13 +772,12 @@ class ComputationEngine:
             accum = self.workload.begin_gather(partition)
 
         # 2. Stream edge/update chunks through the request window.
-        t1 = self.sim.now
         category = "gp_master" if master else "gp_stolen"
         if self._trace_on:
             track.begin("stream", cat=category)
         stream = self._start_streaming(partition, kind, accum, iteration)
         yield stream.done
-        self.metrics.add(category, self.sim.now - t1)
+        self.charge(category)
         if self._trace_on:
             track.end(
                 args={"chunks": stream.chunks_received, "records": stream.records}
@@ -781,18 +800,15 @@ class ComputationEngine:
         state.closed = True
         track = self.track
         # Wait for every accepted stealer's accumulator (Figure 4 line 42).
-        t0 = self.sim.now
         if self._trace_on:
             track.begin("merge_wait", cat="merge_wait")
         yield state.accum_group.wait()
-        self.metrics.add("merge_wait", self.sim.now - t0)
-        self.job.note_steal_wait(self.job.current_stats, self.sim.now - t0)
+        self.charge("merge_wait")
         if self._trace_on:
             track.end()
 
         vertices = self.layout.vertex_count(partition)
         # Merge stealer accumulators, then Apply (folded into gather).
-        t1 = self.sim.now
         if self._trace_on:
             track.begin("merge_apply", cat="merge")
         merge_cpu = (
@@ -810,16 +826,15 @@ class ComputationEngine:
         if host is not None:
             host.stop(token, self.machine, "apply", iteration)
         self.job.note_apply(changed)
-        self.metrics.add("merge", self.sim.now - t1)
+        self.charge("merge")
         if self._trace_on:
             track.end()
 
         # Write the vertex set back (only the master writes: Section 6.1).
-        t2 = self.sim.now
         if self._trace_on:
             track.begin("vertex_store", cat="copy")
         yield self._store_vertex_set(partition)
-        self.metrics.add("copy", self.sim.now - t2)
+        self.charge("copy")
         if self._trace_on:
             track.end()
 
@@ -839,7 +854,6 @@ class ComputationEngine:
         """Stealer side of gather completion: send the accumulator home."""
         master = self.vertex_sets.masters[partition]
         size = self.workload.accum_bytes(partition)
-        t0 = self.sim.now
         if self._trace_on:
             self.track.begin("ship_accum", cat="copy")
         delivered = self.network.send(
@@ -853,7 +867,7 @@ class ComputationEngine:
             track=True,
         )
         yield delivered
-        self.metrics.add("copy", self.sim.now - t0)
+        self.charge("copy")
         if self._trace_on:
             self.track.end()
 
@@ -886,6 +900,7 @@ class ComputationEngine:
                 epoch=self.epoch,
             )
             message = yield reply
+            self.charge("steal_propose")
             _rid, accepted, _partition = message.payload
             if accepted:
                 yield from self._work_on_partition(partition, kind, master=False)
@@ -920,11 +935,10 @@ class ComputationEngine:
         if kind is ChunkKind.EDGES:
             self._flush_all_buffers()
         # All in-flight chunk writes must land before the barrier.
-        t0 = self.sim.now
         if self._trace_on:
             self.track.begin("flush_wait", cat="gp_master")
         yield self._write_group.wait()
-        self.metrics.add("gp_master", self.sim.now - t0)
+        self.charge("gp_master")
         if self._trace_on:
             self.track.end()
         if self.config.checkpointing:
@@ -946,7 +960,6 @@ class ComputationEngine:
         the next).  Durability is reported per partition once *all*
         replica writes are acked.
         """
-        t0 = self.sim.now
         if self._trace_on:
             self.track.begin("checkpoint", cat="copy")
         registry = self._registry
@@ -989,15 +1002,14 @@ class ComputationEngine:
         for event in events:
             yield event
         self.checkpoints_written += len(events)
-        self.metrics.add("copy", self.sim.now - t0)
+        self.charge("copy")
         if self._trace_on:
             self.track.end()
 
-    def _enter_barrier(self, stats=None, label=None, phase=None):
-        t0 = self.sim.now
+    def _enter_barrier(self, label: str, phase: str):
         if self._trace_on:
             self.track.begin("barrier", cat="barrier")
-        causal = label is not None and self._causal.enabled
+        causal = self._causal.enabled
         if causal:
             self._causal.barrier_arrive(
                 self.machine, self.epoch, label, phase
@@ -1009,9 +1021,7 @@ class ComputationEngine:
             self._causal.barrier_release(
                 self.machine, self.epoch, label, phase
             )
-        self.metrics.add("barrier", self.sim.now - t0)
-        if stats is not None:
-            self.job.note_barrier_wait(stats, self.sim.now - t0)
+        self.charge("barrier")
         if self._trace_on:
             self.track.end()
 
@@ -1061,6 +1071,7 @@ class ComputationEngine:
             yield from self._preprocess()
         else:
             yield from self._restore(self)
+        self.charge(step)
         if self._trace_on:
             track.end()
             track.begin(f"{step}.barrier")
@@ -1069,17 +1080,13 @@ class ComputationEngine:
         yield self.barrier.wait()
         if self._causal.enabled:
             self._causal.barrier_release(self.machine, self.epoch, step, step)
+        self.charge(step)
         if self._trace_on:
             track.end()
         self.job.note_started(self.sim.now)
 
         while True:
             # -- scatter phase ------------------------------------------
-            # Capture the stats object up front: the first engine through
-            # ``decide_after_gather`` advances ``current_stats``, so late
-            # reporters must not charge the next iteration.
-            stats = self.job.current_stats
-            phase_start = self.sim.now
             # Publish the iteration for measurement sites that have no
             # iteration argument (store/net handlers): all engines are
             # barrier-aligned on the same iteration.
@@ -1089,29 +1096,18 @@ class ComputationEngine:
                 track.begin("scatter", args={"iteration": self.job.iteration})
             self.job.begin_scatter()
             yield from self._run_phase(ChunkKind.EDGES)
-            yield from self._enter_barrier(
-                stats, label=str(self.job.iteration), phase="scatter"
-            )
+            yield from self._enter_barrier(str(self.job.iteration), "scatter")
             stop = self.job.decide_after_scatter(self.barrier.generation)
-            self.job.note_phase_seconds(
-                stats, "scatter", self.sim.now - phase_start
-            )
             if self._trace_on:
                 track.end()
             if stop:
                 break
             # -- gather phase (apply folded in) ---------------------------
-            phase_start = self.sim.now
             if self._trace_on:
                 track.begin("gather", args={"iteration": self.job.iteration})
             yield from self._run_phase(ChunkKind.UPDATES)
-            yield from self._enter_barrier(
-                stats, label=str(self.job.iteration), phase="gather"
-            )
+            yield from self._enter_barrier(str(self.job.iteration), "gather")
             stop = self.job.decide_after_gather(self.barrier.generation)
-            self.job.note_phase_seconds(
-                stats, "gather", self.sim.now - phase_start
-            )
             if self._trace_on:
                 track.end()
             if stop:

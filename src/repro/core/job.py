@@ -81,31 +81,6 @@ class JobCoordinator:
     def note_apply(self, changed: int) -> None:
         self.current_stats.vertices_changed += changed
 
-    # Engines capture ``current_stats`` when a phase starts and report
-    # against that object: by the time the phase's timing is known the
-    # first engine through ``decide_after_gather`` may already have
-    # advanced ``current_stats`` to the next iteration.
-
-    def note_phase_seconds(
-        self, stats: IterationStats, phase: str, seconds: float
-    ) -> None:
-        """Record one engine's wall time for a phase; the per-iteration
-        figure is the max over engines (phases end at a barrier)."""
-        if phase == "scatter":
-            stats.scatter_seconds = max(stats.scatter_seconds, seconds)
-        elif phase == "gather":
-            stats.gather_seconds = max(stats.gather_seconds, seconds)
-        else:
-            raise ValueError(f"unknown phase {phase!r}")
-
-    def note_barrier_wait(self, stats: IterationStats, seconds: float) -> None:
-        """Accumulate one engine's barrier idle time (summed over engines)."""
-        stats.barrier_seconds += seconds
-
-    def note_steal_wait(self, stats: IterationStats, seconds: float) -> None:
-        """Accumulate a master's wait for stealer accumulators."""
-        stats.steal_wait_seconds += seconds
-
     def note_steal_decision(self, accepted: bool) -> None:
         """Count a steal proposal outcome, both per-job and per-iteration."""
         if accepted:

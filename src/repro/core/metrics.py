@@ -1,7 +1,9 @@
 """Runtime metrics: the Figure 14 and Figure 17 instrumentation.
 
-Each computation engine attributes wall-clock (simulated) time to the
-categories the paper's breakdown uses:
+Each computation engine keeps one ledger of simulated time: every wait
+of its main process is charged the time since the engine's previous
+charge ended, so the categories tile the engine's life and sum to the
+job's runtime.  Figure 17's six categories:
 
 * ``gp_master`` — graph processing of partitions the engine masters;
 * ``gp_stolen`` — graph processing of partitions stolen from others;
@@ -9,6 +11,16 @@ categories the paper's breakdown uses:
 * ``merge``     — merging stealer accumulators and running Apply;
 * ``merge_wait``— master idle, waiting for stealer accumulators;
 * ``barrier``   — idle at the global phase barriers.
+
+and the time those six never held, kept outside Figure 17's shares:
+
+* ``preprocess``   — the pre-processing pass and its barrier (§4);
+* ``steal_propose``— waiting for the reply to a steal proposal (§5.4);
+* ``rollback``     — a failed epoch, from the engine's last completed
+  wait to the recovery fence that ended it (a crashed machine's
+  downtime included);
+* ``restore``      — a resumed epoch, from that fence to its
+  restore-barrier release (§6.6).
 
 The cluster-level :class:`JobResult` also reports aggregate storage
 bandwidth (Figure 14), bytes moved, and per-iteration statistics.
@@ -29,10 +41,19 @@ BREAKDOWN_CATEGORIES = (
     "barrier",
 )
 
+#: Every category of an engine's ledger: Figure 17's six, then the rest.
+LEDGER_CATEGORIES = BREAKDOWN_CATEGORIES + (
+    "preprocess",
+    "steal_propose",
+    "rollback",
+    "restore",
+)
+
 
 @dataclass
 class Breakdown:
-    """Per-engine wall-time attribution (Figure 17 categories)."""
+    """Per-engine simulated time by ledger category; :meth:`total` and
+    :meth:`fractions` cover Figure 17's six."""
 
     gp_master: float = 0.0
     gp_stolen: float = 0.0
@@ -40,14 +61,22 @@ class Breakdown:
     merge: float = 0.0
     merge_wait: float = 0.0
     barrier: float = 0.0
+    preprocess: float = 0.0
+    steal_propose: float = 0.0
+    rollback: float = 0.0
+    restore: float = 0.0
 
     def add(self, category: str, seconds: float) -> None:
-        if category not in BREAKDOWN_CATEGORIES:
+        if category not in LEDGER_CATEGORIES:
             raise ValueError(f"unknown breakdown category {category!r}")
         setattr(self, category, getattr(self, category) + seconds)
 
     def total(self) -> float:
         return sum(getattr(self, c) for c in BREAKDOWN_CATEGORIES)
+
+    def seconds(self) -> Dict[str, float]:
+        """Every ledger category, in :data:`LEDGER_CATEGORIES` order."""
+        return {c: getattr(self, c) for c in LEDGER_CATEGORIES}
 
     def fractions(self) -> Dict[str, float]:
         """Each category as a fraction of the total (0 if empty)."""
@@ -58,7 +87,7 @@ class Breakdown:
 
     def merged_with(self, other: "Breakdown") -> "Breakdown":
         result = Breakdown()
-        for category in BREAKDOWN_CATEGORIES:
+        for category in LEDGER_CATEGORIES:
             result.add(
                 category, getattr(self, category) + getattr(other, category)
             )
@@ -67,16 +96,11 @@ class Breakdown:
 
 @dataclass
 class IterationStats:
-    """Counters for one scatter+gather iteration.
+    """Cluster-wide counters for one scatter+gather iteration.
 
-    The wall-clock fields are cluster-wide: the phase durations are the
-    maximum over engines (phases end at a barrier, so the max is the
-    phase's wall time) while the wait fields are *summed* over engines,
-    the aggregate idle time the cluster spent at barriers / waiting for
-    stolen accumulators during the iteration.  They are reported as
-    recorded (``JobResult.to_dict``); the attribution analyzer
-    (:mod:`repro.obs.critpath`) derives its own barrier waits from the
-    trace instead.
+    Time is not kept here: each engine's :class:`Breakdown` holds it,
+    and the trace's spans split it per iteration (``run --attribute``,
+    ``trace-report``).
     """
 
     iteration: int
@@ -84,13 +108,6 @@ class IterationStats:
     update_bytes: int = 0
     edges_streamed: int = 0
     vertices_changed: int = 0
-    #: Wall time of the phase, preprocessing excluded (max over engines).
-    scatter_seconds: float = 0.0
-    gather_seconds: float = 0.0
-    #: Engine-seconds idle at the phase barriers (summed over engines).
-    barrier_seconds: float = 0.0
-    #: Engine-seconds masters spent waiting for stealer accumulators.
-    steal_wait_seconds: float = 0.0
     steals_accepted: int = 0
     steals_rejected: int = 0
 
@@ -187,10 +204,7 @@ class JobResult:
             "updates_written_bytes": self.updates_written_bytes,
             "integrity": dict(sorted(self.integrity.items())),
             "total_updates": self.total_updates(),
-            "breakdown": {
-                category: getattr(breakdown, category)
-                for category in BREAKDOWN_CATEGORIES
-            },
+            "breakdown": breakdown.seconds(),
             "iteration_stats": [
                 {
                     "iteration": s.iteration,
@@ -198,10 +212,6 @@ class JobResult:
                     "update_bytes": s.update_bytes,
                     "edges_streamed": s.edges_streamed,
                     "vertices_changed": s.vertices_changed,
-                    "scatter_seconds": s.scatter_seconds,
-                    "gather_seconds": s.gather_seconds,
-                    "barrier_seconds": s.barrier_seconds,
-                    "steal_wait_seconds": s.steal_wait_seconds,
                     "steals_accepted": s.steals_accepted,
                     "steals_rejected": s.steals_rejected,
                 }

@@ -622,7 +622,7 @@ class ChaosCluster:
                 sim, tracer, stores, network, epoch_engines
             )
 
-        def build_epoch(epoch, resume_iteration, restore):
+        def build_epoch(epoch, resume_iteration, restore, since=0.0):
             suffix = f".e{epoch}" if epoch else ""
             job = JobCoordinator(
                 workload, stores, start_iteration=resume_iteration
@@ -648,6 +648,7 @@ class ChaosCluster:
                     epoch=epoch,
                     restore=restore,
                     registry=registry,
+                    since=since,
                 )
                 for m in range(config.machines)
             ]

@@ -166,9 +166,10 @@ class ClusterSupervisor:
         self.registry = registry
         self.detector = detector
         #: ``ChaosCluster._execute``'s epoch builder, the one a fault-free
-        #: run calls exactly once: ``(epoch, resume_iteration, restore)
-        #: -> (job, engines, processes)``, where ``restore`` is
-        #: the resumed epoch's first step (None: pre-process).
+        #: run calls exactly once: ``(epoch, resume_iteration, restore,
+        #: since) -> (job, engines, processes)``, where ``restore`` is
+        #: the resumed epoch's first step (None: pre-process) and
+        #: ``since`` starts its engines' ledgers (the fence before it).
         self.build_epoch = build_epoch
         self.job_track = job_track
         detector.on_suspect = self._on_suspect
@@ -205,18 +206,20 @@ class ClusterSupervisor:
         for spec in plan.specs:
             self.sim.process(self._inject(spec), name=f"fault.{spec.describe()}")
         self._initial_iteration = start_iteration
-        resume, restore = start_iteration, None  # the first epoch pre-processes
-        while not self._run_epoch(resume, restore):
+        # The first epoch pre-processes; a resumed one restores.
+        resume, restore, since = start_iteration, None, self.sim.now
+        while not self._run_epoch(resume, restore, since):
             resume, generation = self._recover()
             restore = functools.partial(self._restore, generation)
+            since = self._restoring.detected_at
         self.timeline.total_runtime = self.sim.now
 
-    def _run_epoch(self, resume_iteration: int, restore) -> bool:
+    def _run_epoch(self, resume_iteration: int, restore, since: float) -> bool:
         sim = self.sim
         epoch = self.epoch
         self.failure = sim.event(f"failure.e{epoch}")
         job, engines, processes = self.build_epoch(
-            epoch, resume_iteration, restore
+            epoch, resume_iteration, restore, since
         )
         self.job, self.engines, self.processes = job, engines, processes
         job.on_iteration = self._note_iteration
@@ -402,9 +405,12 @@ class ClusterSupervisor:
         suspects = tuple(self.detector.suspected_machines())
         self.epoch += 1
 
-        # Cluster-wide fence: every engine stops, dead or not.
+        # Cluster-wide fence: every engine stops, dead or not, and its
+        # time since its last completed wait was rolled back.
         for machine in range(machines):
             self._fence_machine(machine, cause="rollback")
+        for engine in self.engines:
+            engine.charge("rollback")
         # A machine that is out of contact self-fences its services when
         # its own view of the cluster lease lapses; model that by
         # stopping its storage engine (restarted at heal/reboot).

@@ -26,6 +26,7 @@ from repro.faults import FaultPlan
 from repro.graph import rmat_graph, to_undirected
 from repro.net.topology import GIGE_1_BENCH, GIGE_40_BENCH
 from repro.obs.critpath import analyze_tracer
+from repro.obs.report import _closed_spans
 from repro.obs.tracer import Tracer
 from repro.store.device import SSD_BENCH
 
@@ -131,19 +132,12 @@ DEFAULT_SCENARIOS: Tuple[BenchScenario, ...] = (
 
 
 def _checkpoint_seconds(tracer: Tracer) -> float:
-    """Total engine time inside ``checkpoint`` spans (B/E pairs)."""
-    open_ts: Dict[Tuple[int, int], List[float]] = {}
+    """Total engine time inside ``checkpoint`` spans, fenced ones too."""
+    closed, _unbalanced = _closed_spans(tracer.log.columns().trace, {})
     total = 0.0
-    for event in tracer.events:
-        if event.get("name") != "checkpoint":
-            continue
-        key = (event["pid"], event["tid"])
-        if event["ph"] == "B":
-            open_ts.setdefault(key, []).append(event["ts"])
-        elif event["ph"] == "E":
-            stack = open_ts.get(key)
-            if stack:
-                total += event["ts"] - stack.pop()
+    for _track, name, _cat, seconds, _charged in closed:
+        if name == "checkpoint":
+            total += seconds
     return total
 
 

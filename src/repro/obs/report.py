@@ -7,8 +7,9 @@ renders the terminal text from the same document.  Its sections:
 * ``summary`` — per-track busy time, utilization and bytes (every track
   with complete spans, plus every device and NIC track, idle ones
   included), spans aggregated by track kind and name, the per-category
-  totals of the nested engine spans (the Figure 17 categories, which
-  reconcile with ``JobResult.total_breakdown()`` to float precision)
+  totals of the engine waits that ran to their end (the Figure 17
+  categories, which reconcile with ``JobResult.total_breakdown()`` to
+  float precision, crashed runs included)
   and of the fault subsystem's recovery spans, instant counts, the
   run's integrity counters and counter-series statistics;
 * ``attribution`` — critpath's decomposition (None for spanless traces);
@@ -76,12 +77,16 @@ def _sums(pairs: Iterable[Tuple[object, float]], zero: float = 0.0) -> dict:
 
 
 def _closed_spans(trace, threads: dict) -> Tuple[List[Tuple[str, str, str, float, bool]], int]:
-    """``(track, name, cat, seconds, nested)`` per span in the order the
+    """``(track, name, cat, seconds, charged)`` per span in the order the
     spans close (a ``B``/``E`` pair takes its begin's name and category;
     ``track`` is the kind of its lane, the thread name), and the number
-    of unmatched ``B``/``E`` events."""
+    of unmatched ``B``/``E`` events.  ``charged`` marks a ``B``/``E``
+    pair that ran to its end, not one the rollback fence closed
+    (``{"fenced": true}``): an engine charges a wait to its category
+    when the wait ends, and a wait the fence cut short to
+    ``rollback``."""
     ph, name, cat = trace.ph.tolist(), trace.name.tolist(), trace.cat.tolist()
-    ts, dur = trace.ts.tolist(), trace.dur.tolist()
+    ts, dur, args = trace.ts.tolist(), trace.dur.tolist(), trace.args.tolist()
     lanes = list(zip(trace.pid.tolist(), trace.tid.tolist()))
     track = [threads.get(lane, f"tid{lane[1]}") for lane in lanes]
     closed, stacks, unbalanced = [], {}, 0
@@ -94,8 +99,10 @@ def _closed_spans(trace, threads: dict) -> Tuple[List[Tuple[str, str, str, float
                 unbalanced += 1
                 continue
             begin = stack.pop()
+            fenced = bool(args[index] and args[index].get("fenced"))
             closed.append(
-                (track[index], name[begin], cat[begin], ts[index] - ts[begin], True)
+                (track[index], name[begin], cat[begin], ts[index] - ts[begin],
+                 not fenced)
             )
         elif kind == "X":
             closed.append((track[index], name[index], cat[index], dur[index], False))
@@ -118,14 +125,14 @@ def trace_report(trace: dict, top: int = 12) -> dict:
     duration = max(0.0, events.end)
 
     closed, unbalanced = _closed_spans(events, threads)
-    spans = _sums((name, seconds) for _track, name, _cat, seconds, _nested in closed)
+    spans = _sums((name, seconds) for _track, name, _cat, seconds, _charged in closed)
     # Span rows are keyed by (track kind, name): the job track's
     # ``restore`` window and the engines' ``restore`` steps report apart.
-    counts = Counter((track, name) for track, name, _cat, _seconds, _nested in closed)
-    by_track = _sums(((track, name), seconds) for track, name, _cat, seconds, _nested in closed)
+    counts = Counter((track, name) for track, name, _cat, _seconds, _charged in closed)
+    by_track = _sums(((track, name), seconds) for track, name, _cat, seconds, _charged in closed)
     category_seconds = _sums(
-        (cat, seconds) for _track, _name, cat, seconds, nested in closed
-        if cat in RECOVERY_CATEGORIES or (nested and cat in BREAKDOWN_CATEGORIES)
+        (cat, seconds) for _track, _name, cat, seconds, charged in closed
+        if cat in RECOVERY_CATEGORIES or (charged and cat in BREAKDOWN_CATEGORIES)
     )
 
     complete = events.ph == "X"

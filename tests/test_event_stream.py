@@ -142,6 +142,18 @@ def graph():
     return rmat_graph(9, seed=5)
 
 
+def job_config(specs) -> ClusterConfig:
+    """The pinned job's cluster; checkpointing on under a fault plan."""
+    return ClusterConfig(
+        machines=3,
+        chunk_bytes=4 * 1024,
+        network=GIGE_40_BENCH,
+        device=SSD_BENCH,
+        seed=5,
+        checkpointing=bool(specs),
+    )
+
+
 def event_stream(monkeypatch, graph, specs):
     """Run the job under the fault specs (none: fault-free) with both
     choke points tapped; ``(pushes, hex digest, refused)``, where
@@ -170,16 +182,8 @@ def event_stream(monkeypatch, graph, specs):
     for module in PUSHERS:
         monkeypatch.setattr(module, "heappush", tapped_push)
     monkeypatch.setattr(Network, "_deliver", tapped_deliver)
-    config = ClusterConfig(
-        machines=3,
-        chunk_bytes=4 * 1024,
-        network=GIGE_40_BENCH,
-        device=SSD_BENCH,
-        seed=5,
-        checkpointing=bool(specs),
-    )
     try:
-        ChaosCluster(config).run(
+        ChaosCluster(job_config(specs)).run(
             PageRank(iterations=3),
             graph,
             fault_plan=FaultPlan.parse(specs) if specs else None,

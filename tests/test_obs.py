@@ -12,7 +12,7 @@ import pytest
 
 from repro import PageRank, rmat_graph, run_algorithm
 from repro.algorithms import run_mcst
-from repro.core.metrics import BREAKDOWN_CATEGORIES
+from repro.core.metrics import BREAKDOWN_CATEGORIES, LEDGER_CATEGORIES
 from repro.graph.convert import to_undirected
 from repro.obs import (
     NULL,
@@ -292,6 +292,27 @@ class TestExportAndReport:
         assert "breakdown categories" in report
         assert "gp_master" in report
 
+    def test_crashed_run_category_totals_match_breakdown(self):
+        """A wait the rollback fence cut short is the engine's
+        ``rollback`` time, and its span (ended ``fenced``) stays out of
+        the report's Figure 17 totals."""
+        from repro.faults import FaultPlan
+        from tests.conftest import fast_config
+
+        tracer = Tracer()
+        result = run_algorithm(
+            PageRank(iterations=5), rmat_graph(8, seed=5),
+            fast_config(3, seed=5, checkpointing=True), tracer=tracer,
+            fault_plan=FaultPlan.parse(["crash:1@iter=2"]),
+        )
+        totals = trace_report(chrome_trace_dict(tracer))["summary"]["category_seconds"]
+        breakdown = result.total_breakdown()
+        assert breakdown.rollback > 0
+        for category in BREAKDOWN_CATEGORIES:
+            assert totals.get(category, 0.0) == pytest.approx(
+                getattr(breakdown, category), abs=1e-9
+            )
+
     def test_counters_csv(self, tmp_path):
         tracer, _ = _traced_run()
         path = str(tmp_path / "out.csv")
@@ -362,7 +383,10 @@ class TestResultSurface:
         assert payload["algorithm"] == "PR"
         assert payload["machines"] == 2
         assert payload["network_bytes"] == result.network_bytes
-        assert set(payload["breakdown"]) == set(BREAKDOWN_CATEGORIES)
+        assert list(payload["breakdown"]) == sorted(LEDGER_CATEGORIES)
+        assert sum(payload["breakdown"].values()) == pytest.approx(
+            payload["machines"] * payload["runtime"], abs=1e-9
+        )
         assert len(payload["iteration_stats"]) == result.iterations
         assert "rank" in payload["value_keys"]
         # Deterministic serialization.

@@ -60,10 +60,8 @@ MUTATIONS = [
     pytest.param(Mutation(
         COMPUTE,
         (("import random\n", "import random\nimport time\n"),
-         ("        t0 = self.sim.now\n        if self._trace_on:\n"
-          "            track.begin(\"vertex_load\"",
-          "        t0 = time.time()\n        if self._trace_on:\n"
-          "            track.begin(\"vertex_load\"")),
+         ("        now = self.sim.now\n        metrics = self.metrics\n",
+          "        now = time.time()\n        metrics = self.metrics\n")),
         ("CHX001",), frozenset({"CHX001"}),
         context=("core/metrics.py",),
     ), id="M1-wall-clock-into-breakdown"),

@@ -139,9 +139,8 @@ DEFECTS = [
     pytest.param(Defect(
         COMPUTE,
         # Gather starts while other machines still scatter.
-        (("            yield from self._enter_barrier(\n"
-          '                stats, label=str(self.job.iteration), phase="scatter"\n'
-          "            )\n", ""),), VALUES,
+        (('            yield from self._enter_barrier(str(self.job.iteration), "scatter")\n',
+          ""),), VALUES,
     ), id="V4-no-scatter-barrier"),
     pytest.param(Defect(
         COMPUTE,
@@ -154,9 +153,8 @@ DEFECTS = [
     pytest.param(Defect(
         COMPUTE,
         # The next scatter starts while other machines still gather.
-        (("            yield from self._enter_barrier(\n"
-          '                stats, label=str(self.job.iteration), phase="gather"\n'
-          "            )\n", ""),),
+        (('            yield from self._enter_barrier(str(self.job.iteration), "gather")\n',
+          ""),),
         frozenset({"raised:DeadlineExceeded"}),
     ), id="V6-no-gather-barrier"),
     pytest.param(Defect(

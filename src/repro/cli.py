@@ -59,6 +59,7 @@ from repro.algorithms import (
 )
 from repro.core.batching import utilization, utilization_limit
 from repro.core.config import ClusterConfig
+from repro.core.metrics import ledger_lines
 from repro.core.runtime import run_algorithm
 from repro.graph.convert import to_undirected
 from repro.graph.datasets import data_commons_like
@@ -591,12 +592,9 @@ def _command_run(args) -> int:
     )
     # Engine-seconds summed over machines (they total machines x
     # runtime); the shares are of Figure 17's six categories.
-    breakdown = result.total_breakdown()
-    shares = breakdown.fractions()
     print("  breakdown (engine-seconds, Figure 17 share):")
-    for category, seconds in breakdown.seconds().items():
-        share = f"  {shares[category]:6.1%}" if category in shares else ""
-        print(f"    {category:<13s} {seconds:10.6f}s{share}")
+    for line in ledger_lines(result.total_breakdown().seconds()):
+        print(f"    {line}")
     if timeline is not None:
         print()
         print("fault timeline:")

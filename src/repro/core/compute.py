@@ -23,7 +23,10 @@ global barriers.  Within a phase an engine:
 Every wait of the engine's main process ends in one :meth:`charge
 <ComputationEngine.charge>` of the simulated time since the previous
 charge to one :class:`~repro.core.metrics.Breakdown` category, so the
-categories tile the engine's life and sum to the job's runtime.
+categories tile the engine's life and sum to the job's runtime.  Traced,
+each such wait is one leaf span of the engine track that opens where
+the previous charge ended and carries its category as ``cat``, so the
+track replays the ledger.
 
 The engine is written against the :class:`repro.core.workload.Workload`
 interface, so the identical scheduling logic drives both functional
@@ -177,9 +180,6 @@ class ComputationEngine:
         # so timing across a yield would charge other machines' host
         # time to this engine's phase.  None when off.
         self._host = host if host is not None and host.enabled else None
-        # Observability: every span of a Figure 17 wait carries the
-        # Breakdown category it is charged to, so a trace's category
-        # totals reconcile with Figure 17 to float precision.
         if tracer is not None and tracer.enabled:
             self.track = tracer.thread(machine, TID_ENGINE, "engine")
         else:
@@ -875,7 +875,7 @@ class ComputationEngine:
     # Steal pass (one pass per phase; see module docstring)
     # ------------------------------------------------------------------
 
-    def _steal_pass(self, kind: ChunkKind):
+    def _propose_steals(self, kind: ChunkKind):
         masters = self.vertex_sets.masters
         foreign = [
             p for p, master in enumerate(masters) if master != self.machine
@@ -886,8 +886,8 @@ class ComputationEngine:
             reply = Event(self.sim, name=f"steal.p{partition}")
             request_id = self.expect(reply.trigger)
             if self._trace_on:
-                self.track.instant(
-                    "steal.propose",
+                self.track.begin(
+                    "steal_propose", cat="steal_propose",
                     args={"partition": partition, "master": master},
                 )
             self.network.send(
@@ -901,6 +901,8 @@ class ComputationEngine:
             )
             message = yield reply
             self.charge("steal_propose")
+            if self._trace_on:
+                self.track.end()
             _rid, accepted, _partition = message.payload
             if accepted:
                 yield from self._work_on_partition(partition, kind, master=False)
@@ -924,14 +926,7 @@ class ComputationEngine:
         for partition in self.my_partitions:
             yield from self._work_on_partition(partition, kind, master=True)
         if self.config.stealing_enabled and self.config.machines > 1:
-            # The wrapper span lets the attribution analyzer charge
-            # proposal round-trip waits to steal overhead; work on an
-            # accepted partition opens its own (inner) spans.
-            if self._trace_on:
-                self.track.begin("steal_pass")
-            yield from self._steal_pass(kind)
-            if self._trace_on:
-                self.track.end()
+            yield from self._propose_steals(kind)
         if kind is ChunkKind.EDGES:
             self._flush_all_buffers()
         # All in-flight chunk writes must land before the barrier.
@@ -1066,7 +1061,7 @@ class ComputationEngine:
         # then meets the others at the epoch-start barrier.
         step = "preprocess" if self._restore is None else "restore"
         if self._trace_on:
-            track.begin(step)
+            track.begin(step, cat=step)
         if self._restore is None:
             yield from self._preprocess()
         else:
@@ -1074,7 +1069,7 @@ class ComputationEngine:
         self.charge(step)
         if self._trace_on:
             track.end()
-            track.begin(f"{step}.barrier")
+            track.begin(f"{step}.barrier", cat=step)
         if self._causal.enabled:
             self._causal.barrier_arrive(self.machine, self.epoch, step, step)
         yield self.barrier.wait()

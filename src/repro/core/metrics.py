@@ -94,6 +94,16 @@ class Breakdown:
         return result
 
 
+def ledger_lines(seconds: Dict[str, float]) -> List[str]:
+    """The ten rows of a :meth:`Breakdown.seconds` dict (keys in any
+    order, a missing one 0, a foreign one ignored: it may come from a
+    trace file), Figure 17's six with their share."""
+    ledger = Breakdown(**{c: seconds.get(c, 0.0) for c in LEDGER_CATEGORIES})
+    shares = ledger.fractions()
+    return [f"{c:<13s} {getattr(ledger, c):10.6f}s" + (f"  {shares[c]:6.1%}" if c in shares else "")
+            for c in LEDGER_CATEGORIES]
+
+
 @dataclass
 class IterationStats:
     """Cluster-wide counters for one scatter+gather iteration.

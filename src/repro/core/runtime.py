@@ -27,7 +27,7 @@ from repro.core.compute import ComputationEngine
 from repro.core.config import ClusterConfig
 from repro.core.gas import GasAlgorithm, GraphContext
 from repro.core.job import JobCoordinator
-from repro.core.metrics import Breakdown, JobResult
+from repro.core.metrics import LEDGER_CATEGORIES, Breakdown, JobResult
 from repro.core.workload import DataWorkload, ModelWorkload, Workload
 from repro.graph.edgelist import COMPACT_VERTEX_LIMIT, EdgeList, bytes_per_edge
 from repro.graph.stats import out_degrees as compute_out_degrees
@@ -682,8 +682,21 @@ class ChaosCluster:
         if sampler is not None:
             sampler.sample()  # close the timelines at the finish line
         integrity = _integrity_counters(network, stores)
+        breakdowns = [
+            functools.reduce(
+                Breakdown.merged_with,
+                (engines[m].metrics for engines in epoch_engines),
+            )
+            for m in range(config.machines)
+        ]
         if tracer.enabled:
             job_track.instant("job.integrity", args=integrity)
+            # total_breakdown(), summed in its order: the report prints it.
+            ledger = dict.fromkeys(LEDGER_CATEGORIES, 0.0)
+            for breakdown in breakdowns:
+                for category in LEDGER_CATEGORIES:
+                    ledger[category] += getattr(breakdown, category)
+            job_track.instant("job.ledger", args=ledger)
             job_track.instant(
                 "job.done", args={"algorithm": workload.algorithm.name}
             )
@@ -709,13 +722,7 @@ class ChaosCluster:
             iteration_stats=[
                 stats for job in epoch_jobs for stats in job.iteration_stats
             ],
-            breakdowns=[
-                functools.reduce(
-                    Breakdown.merged_with,
-                    (engines[m].metrics for engines in epoch_engines),
-                )
-                for m in range(config.machines)
-            ],
+            breakdowns=breakdowns,
             storage_bytes=sum(s.bytes_served() for s in stores),
             network_bytes=network.total_bytes(),
             steals_accepted=sum(j.steals_accepted for j in epoch_jobs),

@@ -64,6 +64,7 @@ from repro.obs.causal import (
 from repro.obs.counters import CounterRegistry, ResourceSampler, TimeSeries
 from repro.obs.critpath import (
     ATTRIBUTION_CATEGORIES,
+    RECOVERY_WALL_CATEGORIES,
     AttributionError,
     AttributionReport,
     analyze_chrome_trace,
@@ -92,7 +93,6 @@ from repro.obs.host import (
 from repro.obs.log import NULL, EventLog, NullObserver
 from repro.obs.report import (
     RECOVERY_CATEGORIES,
-    RECOVERY_WALL_CATEGORIES,
     format_trace_report,
     load_trace,
     trace_report,

@@ -135,7 +135,7 @@ def _checkpoint_seconds(tracer: Tracer) -> float:
     """Total engine time inside ``checkpoint`` spans, fenced ones too."""
     closed, _unbalanced = _closed_spans(tracer.log.columns().trace, {})
     total = 0.0
-    for _track, name, _cat, seconds, _charged in closed:
+    for _track, name, _cat, seconds in closed:
         if name == "checkpoint":
             total += seconds
     return total

@@ -27,7 +27,9 @@ precision by :meth:`AttributionReport.closure_error`).
 Classification priority per elementary interval: recovery window >
 engine barrier state > steal state > Apply/merge CPU > demand states,
 with demand time refined by which local resource was busy (device,
-then NIC, then cores, else ``net_wait``).
+then NIC, then cores, else ``net_wait``).  The engine state is the
+ledger category its innermost span carries, so ``barrier`` and ``steal``
+mean what the ledger means (DESIGN.md §5 maps its ten onto these eight).
 
 Beyond the decomposition the report names the binding resource, checks
 the measured steady-state storage utilization against the analytic
@@ -71,17 +73,10 @@ ATTRIBUTION_CATEGORIES = (
     "recovery",
 )
 
-#: Engine spans that are pure stealing overhead wherever they appear.
-_STEAL_SPANS = frozenset({"merge_wait", "ship_accum", "steal_pass"})
-
-#: Engine spans that are pure computation (the Apply/merge phase runs
-#: on the calling engine's cores).
-_CPU_SPANS = frozenset({"merge_apply"})
-
-_BARRIER_SPANS = frozenset({"barrier", "preprocess.barrier"})
-
-#: Job-track span categories marking rollback windows.
-_RECOVERY_CATS = frozenset({"lost", "restore"})
+#: Job-track categories that are non-overlapping wall-time windows (the
+#: Section 9.6 useful / lost / restore split): ``recovery`` here, and
+#: subtracted from useful time by the trace report.
+RECOVERY_WALL_CATEGORIES = ("lost", "restore")
 
 #: Trace Event Format microseconds -> simulated seconds.
 _SECONDS = 1e-6
@@ -157,6 +152,12 @@ def _measure(intervals: Intervals) -> float:
 #: Engine states, in the order the sweep tests them.
 _BARRIER, _STEAL, _CPU, _DEMAND = range(4)
 
+#: A wait's engine state by its ledger category (any other: demand),
+#: refined in :func:`_replay_engine`: a stealer's ``copy`` is steal, and
+#: ``preprocess.barrier`` (ledger ``preprocess``) is barrier.
+_STATE = {"barrier": _BARRIER, "merge_wait": _STEAL,
+          "steal_propose": _STEAL, "merge": _CPU}
+
 #: ``(start, end, state, label, phase, streaming)``: ``label`` is
 #: "preprocess" or the iteration number as a string, ``phase`` one of
 #: preprocess / scatter / gather, ``streaming`` whether the innermost
@@ -166,10 +167,10 @@ _Segment = Tuple[float, float, int, str, str, bool]
 
 
 def _replay_engine(
-    events: List[Tuple[str, float, str, Optional[dict]]],
+    events: List[Tuple[str, float, str, Optional[str], Optional[dict]]],
     duration: float,
 ) -> Tuple[List[_Segment], Dict[Tuple[str, str], float]]:
-    """Replay one engine track's ``(ph, ts, name, args)`` B/E events
+    """Replay one engine track's ``(ph, ts, name, cat, args)`` B/E events
     into state segments.  The track is balanced: the rollback fence
     ends a killed epoch's spans where its process ends.
 
@@ -179,8 +180,8 @@ def _replay_engine(
     """
     segments: List[_Segment] = []
     vertex_load_max: Dict[Tuple[str, str], float] = {}
-    # Stack entries: (name, args, push_ts).
-    stack: List[Tuple[str, dict, float]] = []
+    # Stack entries: (name, cat, args, push_ts).
+    stack: List[Tuple[str, Optional[str], dict, float]] = []
     prev = 0.0
     last_label = "preprocess"
     last_phase = "preprocess"
@@ -188,7 +189,7 @@ def _replay_engine(
     def current_state() -> Tuple[int, str, str, bool]:
         label = None
         phase = None
-        for name, args, _ts in reversed(stack):
+        for name, _cat, args, _ts in reversed(stack):
             if name in ("scatter", "gather"):
                 label = str(args.get("iteration", "?"))
                 phase = name
@@ -196,31 +197,25 @@ def _replay_engine(
         state = _DEMAND
         streaming = bool(stack) and stack[-1][0] == "stream"
         if stack:
-            name = stack[-1][0]
-            if name in _BARRIER_SPANS:
+            name, cat = stack[-1][:2]
+            if name == "preprocess.barrier":
                 state = _BARRIER
-            elif name in _STEAL_SPANS:
-                state = _STEAL
-            elif name in _CPU_SPANS:
-                state = _CPU
-            elif name == "vertex_load":
-                for pname, pargs, _pt in reversed(stack[:-1]):
+            elif cat == "copy":
+                for pname, _pcat, pargs, _pt in reversed(stack[:-1]):
                     if pname.startswith("partition"):
                         if pargs.get("role") == "stealer":
                             state = _STEAL
                         break
+            else:
+                state = _STATE.get(cat, _DEMAND)
         return state, label or last_label, phase or last_phase, streaming
 
-    def emit(until: float) -> None:
-        nonlocal prev
-        if until > prev:
-            segments.append((prev, until) + current_state())
-            prev = until
-
-    for ph, ts, name, args in events:
-        emit(ts)
+    for ph, ts, name, cat, args in events:
+        if ts > prev:
+            segments.append((prev, ts) + current_state())
+            prev = ts
         if ph == "B":
-            stack.append((name, args or {}, ts))
+            stack.append((name, cat, args or {}, ts))
             if name in ("scatter", "gather"):
                 last_label = str((args or {}).get("iteration", "?"))
                 last_phase = name
@@ -229,14 +224,15 @@ def _replay_engine(
                 # pre-processing is not the previous run's last phase.
                 last_label = last_phase = "preprocess"
         elif stack:
-            name, _args, t0 = stack.pop()
+            name, _cat, _args, t0 = stack.pop()
             if name == "vertex_load":
                 _state, label, phase, _streaming = current_state()
                 key = (label, phase)
                 span = ts - t0
                 if span > vertex_load_max.get(key, 0.0):
                     vertex_load_max[key] = span
-    emit(duration)
+    if duration > prev:
+        segments.append((prev, duration) + current_state())
     return segments, vertex_load_max
 
 
@@ -431,7 +427,7 @@ def _attribute(
     # work during a recovery).
     windows = [
         row for row in busy(machines, TID_JOB).tolist()
-        if trace.cat[row] in _RECOVERY_CATS
+        if trace.cat[row] in RECOVERY_WALL_CATEGORIES
     ]
     recovery = _union(ts[windows], finish[windows])
 
@@ -452,9 +448,8 @@ def _attribute(
             (pid == machine) & (tid == TID_ENGINE) & ((ph == "B") | (ph == "E"))
         ).tolist()
         segments, vl_max = _replay_engine(
-            list(zip(ph[rows].tolist(), ts[rows].tolist(),
-                     [trace.name[r] for r in rows],
-                     [trace.args[r] for r in rows])),
+            list(zip(ph[rows].tolist(), ts[rows].tolist(), trace.name[rows].tolist(),
+                     trace.cat[rows].tolist(), trace.args[rows].tolist())),
             duration,
         )
         for key, value in vl_max.items():

@@ -6,12 +6,12 @@ renders the terminal text from the same document.  Its sections:
 
 * ``summary`` — per-track busy time, utilization and bytes (every track
   with complete spans, plus every device and NIC track, idle ones
-  included), spans aggregated by track kind and name, the per-category
-  totals of the engine waits that ran to their end (the Figure 17
-  categories, which reconcile with ``JobResult.total_breakdown()`` to
-  float precision, crashed runs included)
-  and of the fault subsystem's recovery spans, instant counts, the
-  run's integrity counters and counter-series statistics;
+  included), spans aggregated by track kind and name, the engines'
+  ledger (the ten categories of ``JobResult.total_breakdown()``, read
+  from the run's ``job.ledger`` instant and summed over the runs of a
+  multi-run driver), the totals of the fault subsystem's recovery
+  spans, instant counts, the run's integrity counters and
+  counter-series statistics;
 * ``attribution`` — critpath's decomposition (None for spanless traces);
 * ``slowest_chains`` / ``cross_check`` — the causal barrier chains and
   their reconciliation against critpath (None without causal events);
@@ -29,9 +29,10 @@ import json
 from collections import Counter
 from typing import Iterable, List, Tuple
 
-from repro.core.metrics import BREAKDOWN_CATEGORIES
+from repro.core.metrics import ledger_lines
 from repro.obs.causal import cross_check, format_chain_table, slowest_chains
 from repro.obs.critpath import (
+    RECOVERY_WALL_CATEGORIES,
     AttributionError,
     analyze_chrome_trace,
     format_iteration_table,
@@ -42,17 +43,12 @@ from repro.obs.log import log_from_document
 #: Categories the fault-injection subsystem stamps on traces: work
 #: discarded by a rollback, checkpoint-restore time, bounded-backoff
 #: waits of retried RPCs, and integrity-repair work (re-reads, write
-#: rewrites, checkpoint re-replication).  Tracked separately from the
-#: Figure 17 breakdown — they measure recovery, not steady-state
-#: per-engine busy time.
+#: rewrites, checkpoint re-replication).  The ``lost`` / ``restore``
+#: windows (:data:`RECOVERY_WALL_CATEGORIES`) are read from the job
+#: track only; ``retry_wait`` / ``integrity`` spans live on engine and
+#: storage tracks and overlap those windows, so they are reported as
+#: additional detail rows, not subtracted from the useful time.
 RECOVERY_CATEGORIES = ("lost", "restore", "retry_wait", "integrity")
-
-#: The subset of recovery categories that are non-overlapping wall-time
-#: windows of the whole job (the Section 9.6 useful/lost/restore split).
-#: ``retry_wait`` / ``integrity`` spans live on engine and storage
-#: tracks and overlap those windows, so they are reported as additional
-#: detail rows, not subtracted from the useful time.
-RECOVERY_WALL_CATEGORIES = ("lost", "restore")
 
 #: Thread-name prefixes of the resource tracks (device, NIC), listed
 #: whether or not they carry spans.
@@ -76,17 +72,13 @@ def _sums(pairs: Iterable[Tuple[object, float]], zero: float = 0.0) -> dict:
     return sums
 
 
-def _closed_spans(trace, threads: dict) -> Tuple[List[Tuple[str, str, str, float, bool]], int]:
-    """``(track, name, cat, seconds, charged)`` per span in the order the
-    spans close (a ``B``/``E`` pair takes its begin's name and category;
+def _closed_spans(trace, threads: dict) -> Tuple[List[Tuple[str, str, str, float]], int]:
+    """``(track, name, cat, seconds)`` per span in the order the spans
+    close (a ``B``/``E`` pair takes its begin's name and category;
     ``track`` is the kind of its lane, the thread name), and the number
-    of unmatched ``B``/``E`` events.  ``charged`` marks a ``B``/``E``
-    pair that ran to its end, not one the rollback fence closed
-    (``{"fenced": true}``): an engine charges a wait to its category
-    when the wait ends, and a wait the fence cut short to
-    ``rollback``."""
+    of unmatched ``B``/``E`` events."""
     ph, name, cat = trace.ph.tolist(), trace.name.tolist(), trace.cat.tolist()
-    ts, dur, args = trace.ts.tolist(), trace.dur.tolist(), trace.args.tolist()
+    ts, dur = trace.ts.tolist(), trace.dur.tolist()
     lanes = list(zip(trace.pid.tolist(), trace.tid.tolist()))
     track = [threads.get(lane, f"tid{lane[1]}") for lane in lanes]
     closed, stacks, unbalanced = [], {}, 0
@@ -99,13 +91,11 @@ def _closed_spans(trace, threads: dict) -> Tuple[List[Tuple[str, str, str, float
                 unbalanced += 1
                 continue
             begin = stack.pop()
-            fenced = bool(args[index] and args[index].get("fenced"))
             closed.append(
-                (track[index], name[begin], cat[begin], ts[index] - ts[begin],
-                 not fenced)
+                (track[index], name[begin], cat[begin], ts[index] - ts[begin])
             )
         elif kind == "X":
-            closed.append((track[index], name[index], cat[index], dur[index], False))
+            closed.append((track[index], name[index], cat[index], dur[index]))
     return closed, unbalanced + sum(map(len, stacks.values()))
 
 
@@ -125,14 +115,15 @@ def trace_report(trace: dict, top: int = 12) -> dict:
     duration = max(0.0, events.end)
 
     closed, unbalanced = _closed_spans(events, threads)
-    spans = _sums((name, seconds) for _track, name, _cat, seconds, _charged in closed)
+    spans = _sums((name, seconds) for _track, name, _cat, seconds in closed)
     # Span rows are keyed by (track kind, name): the job track's
     # ``restore`` window and the engines' ``restore`` steps report apart.
-    counts = Counter((track, name) for track, name, _cat, _seconds, _charged in closed)
-    by_track = _sums(((track, name), seconds) for track, name, _cat, seconds, _charged in closed)
+    counts = Counter((track, name) for track, name, _cat, _seconds in closed)
+    by_track = _sums(((track, name), seconds) for track, name, _cat, seconds in closed)
     category_seconds = _sums(
-        (cat, seconds) for _track, _name, cat, seconds, charged in closed
-        if cat in RECOVERY_CATEGORIES or (charged and cat in BREAKDOWN_CATEGORIES)
+        (cat, seconds) for track, _name, cat, seconds in closed
+        if cat in RECOVERY_CATEGORIES
+        and (track == "job" or cat not in RECOVERY_WALL_CATEGORIES)
     )
 
     complete = events.ph == "X"
@@ -175,6 +166,10 @@ def trace_report(trace: dict, top: int = 12) -> dict:
         for args in events.args[instant & (events.name == "job.integrity")]
         for counter, value in (args or {}).items()
     ), 0)
+    ledger = _sums(
+        item for args in events.args[instant & (events.name == "job.ledger")]
+        for item in (args or {}).items()
+    )
     series = columns.series
     totals = _sums((name, value) for name, rows in series.items() for _ts, value in rows)
     counters = {
@@ -191,6 +186,7 @@ def trace_report(trace: dict, top: int = 12) -> dict:
         "total_events": len(trace["traceEvents"]) - len(meta),
         "processes": {str(pid): name for pid, name in sorted(processes.items())},
         "tracks": tracks,
+        "ledger": ledger,
         "category_seconds": dict(sorted(category_seconds.items())),
         "recovery": recovery,
         "top_spans": [
@@ -245,14 +241,9 @@ def format_trace_report(doc: dict, host_top: int = 10) -> str:
                 f"busy {track['utilization']:6.1%}  ({moved})"
             )
 
-    category_seconds = summary["category_seconds"]
-    if category_seconds:
-        lines += ["", "breakdown categories (engine spans, summed):"]
-        total = sum(category_seconds.get(cat, 0.0) for cat in BREAKDOWN_CATEGORIES)
-        for cat in BREAKDOWN_CATEGORIES:
-            seconds = category_seconds.get(cat, 0.0)
-            share = seconds / total if total > 0 else 0.0
-            lines.append(f"  {cat:<11s} {seconds:12.6f}s  {share:6.1%}")
+    if summary["ledger"]:
+        lines += ["", "breakdown categories (engine-seconds, Figure 17 share):"]
+        lines += [f"  {line}" for line in ledger_lines(summary["ledger"])]
 
     recovery = summary["recovery"]
     if recovery is not None:

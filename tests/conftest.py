@@ -7,7 +7,6 @@ layouts and work stealing, while each test stays sub-second.
 
 from __future__ import annotations
 
-import numpy as np
 import pytest
 from hypothesis import settings as hypothesis_settings
 

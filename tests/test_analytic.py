@@ -14,14 +14,12 @@ from repro.core.runtime import run_algorithm
 from repro.graph import rmat_graph
 from repro.net.topology import GIGE_40_BENCH
 from repro.perf.analytic import (
-    WorkloadVolumes,
     aggregate_effective_bandwidth,
     predict_runtime,
     volumes_for_pagerank,
     volumes_from_result,
 )
 from repro.store.device import SSD_BENCH
-from repro.store.fio import effective_bandwidth
 
 
 class TestVolumes:

@@ -5,7 +5,6 @@ import pytest
 
 from repro.algorithms import BFS, PageRank, WCC
 from repro.baselines import (
-    GiraphConfig,
     XStreamConfig,
     grid_partition,
     partitioning_time,
@@ -60,7 +59,6 @@ class TestXStream:
             graph,
             config=XStreamConfig(partitions=4),
         )
-        from dataclasses import replace
         from repro.store.device import HDD_RAID0
 
         slow = run_xstream(

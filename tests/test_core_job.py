@@ -1,8 +1,5 @@
 """Unit tests for the job coordinator (barrier decisions, counters)."""
 
-import numpy as np
-import pytest
-
 from repro.algorithms import PageRank
 from repro.algorithms.traversal import WCC
 from repro.core.gas import GraphContext
@@ -11,8 +8,7 @@ from repro.core.workload import DataWorkload, UpdateBatch
 from repro.graph import rmat_graph
 from repro.graph.stats import out_degrees
 from repro.partition.streaming import PartitionLayout
-from repro.store.chunk import Chunk, ChunkKind
-from repro.store.memstore import MemoryChunkStore
+from repro.store.chunk import ChunkKind
 
 
 class _StubStore:

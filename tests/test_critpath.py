@@ -14,7 +14,6 @@ import pytest
 from repro import PageRank, rmat_graph, run_algorithm
 from repro.algorithms import SSSP, WCC
 from repro.faults import FaultPlan
-from repro.graph.convert import to_undirected
 from repro.net.topology import GIGE_1_BENCH, GIGE_40_BENCH
 from repro.obs import (
     ATTRIBUTION_CATEGORIES,
@@ -85,7 +84,7 @@ class TestCraftedTraces:
         # with no local resource busy falls through to net_wait.
         events = [
             _engine("B", 0.0, "gather", args={"iteration": 1}),
-            _engine("B", 0.0, "merge_wait"),
+            _engine("B", 0.0, "merge_wait", cat="merge_wait"),
             _engine("E", 3.0, "merge_wait"),
             _engine("B", 3.0, "merge_apply", cat="merge"),
             _engine("E", 5.0, "merge_apply"),
@@ -96,6 +95,30 @@ class TestCraftedTraces:
         assert machine["steal"] == pytest.approx(3.0)
         assert machine["cpu"] == pytest.approx(2.0)
         assert machine["net_wait"] == pytest.approx(5.0)
+        assert report.closure_error() <= CLOSURE_TOL
+
+    @pytest.mark.parametrize("name, cat, role, expected", [
+        ("steal_propose", "steal_propose", None, {"steal": 4.0, "net_wait": 6.0}),
+        ("ship_accum", "copy", "stealer", {"steal": 4.0, "net_wait": 6.0}),
+        ("preprocess.barrier", "preprocess", None,
+         {"barrier": 4.0, "net_wait": 6.0}),
+        ("unlabelled", None, None, {"net_wait": 10.0}),
+    ])
+    def test_ledger_category_sets_the_engine_state(self, name, cat, role,
+                                                   expected):
+        # The innermost span's ledger category decides the state, with
+        # two refinements: a stealer's copy is steal, and the
+        # pre-processing barrier is barrier.  A span without a category
+        # is demand (net_wait here: nothing busy).
+        lane = [_engine("B", 2.0, name, cat=cat), _engine("E", 6.0, name)]
+        if role is not None:
+            lane = [_engine("B", 2.0, "partition3", args={"role": role}),
+                    *lane, _engine("E", 6.0, "partition3")]
+        events = [_engine("B", 0.0, "gather", args={"iteration": 1}), *lane,
+                  _engine("E", 10.0, "gather")]
+        report = analyze_events(events, duration=10.0)
+        machine = report.per_machine[0].seconds
+        assert {c: machine[c] for c in expected} == pytest.approx(expected)
         assert report.closure_error() <= CLOSURE_TOL
 
     def test_stealer_vertex_load_counts_as_steal(self):
@@ -167,9 +190,9 @@ class TestCraftedTraces:
                 "cat": "lost",
             },
             # The restarted epoch's restore step and its barrier.
-            _engine("B", 3.0, "restore"),
+            _engine("B", 3.0, "restore", cat="restore"),
             _engine("E", 4.0, "restore"),
-            _engine("B", 4.0, "restore.barrier"),
+            _engine("B", 4.0, "restore.barrier", cat="restore"),
             _engine("E", 5.0, "restore.barrier"),
             # Restarted epoch resumes at the window end.
             _engine("B", 5.0, "scatter", args={"iteration": 1}),

@@ -8,7 +8,6 @@ tests instead.
 
 import importlib.util
 import os
-import sys
 
 import pytest
 

@@ -11,7 +11,6 @@ from repro.faults import FaultPlan
 from repro.graph import rmat_graph, to_undirected
 
 from tests.conftest import fast_config
-from tests.references import reference_pagerank
 
 
 class TestCombiners:

@@ -13,7 +13,6 @@ import json
 
 from repro.algorithms import PageRank
 from repro.cli import main
-from repro.core.runtime import ChaosCluster
 from repro.faults import FaultKind, FaultPlan, parse_fault_spec
 from repro.faults.fuzz import (
     OUTCOME_MISMATCH,

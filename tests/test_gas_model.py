@@ -13,7 +13,7 @@ from repro.algorithms import (
     PageRank,
     SpMV,
 )
-from repro.core.gas import GasAlgorithm, GraphContext
+from repro.core.gas import GraphContext
 
 
 ALL_SINGLE_JOB = [

@@ -12,7 +12,6 @@ against the protocol's guarantees:
 
 import math
 
-import numpy as np
 import pytest
 
 from repro.algorithms import BFS, PageRank

@@ -49,6 +49,19 @@ fence cut short (their ``E`` row carries ``{"fenced": true}``), as the
 engines' ledgers do: only the category rows moved (``gp_master``
 0.016649 s to 0.011159 s, ``copy`` 0.012759 s to 0.007168 s, and every
 share); the trace itself did not.
+
+All seven pins were retaken once more when every charged engine wait
+became one span carrying its ledger category.  The ``steal_pass``
+``B``/``E`` pairs went; each ``steal.propose`` instant became a
+``steal_propose`` ``B``/``E`` pair with the same args, ending where its
+reply is charged; the ``preprocess`` / ``restore`` spans and their
+``.barrier`` spans gained their ledger category as ``cat``; and the job
+track gained one ``job.ledger`` instant.  With those rewrites undone,
+each of the four traces equals the old one event for event.  In the
+reports the breakdown block became the ledger's ten rows (Figure 17's
+six unchanged), the top-span row ``steal_pass`` became ``steal_propose``
+with the same total, and the instant table lists ``job.ledger`` in
+place of ``steal.propose``.
 """
 
 from __future__ import annotations
@@ -69,23 +82,23 @@ from repro.obs import HostProfiler, Tracer, dumps_chrome_trace
 #: job -> (characters, SHA-256 of the UTF-8 text).
 PINNED = {
     "pr": (
-        744638, "1f43833e353358d000324d355e120e47ceeb9585c2906d126cb6d9d0d9dd8365"),
+        749753, "b955abe26724f8b47bc221e629150e91bac935a6c65e35b4c21f4a53eb40c475"),
     "pr_crash": (
-        592652, "e224908e0e3c9ac9fcf8e2abce3d4a690a1ca7ef5c25ab2cb9b9db1cdc15523e"),
+        594836, "a03a43d7334d44c8fbd09b34030c4e2387f2819bbd0911d70b01a4c3628110dd"),
     "wcc_no_counters": (
-        807086, "f870677e705aa10c678e7874203e11486bd8d70403faa49c0600724b13c4841d"),
+        812958, "4ef30b7614621bfa81f0b2717c6fc6532209906cd761cac9451a4b96a35319f6"),
     "pr_host_stripped": (
-        744638, "1f43833e353358d000324d355e120e47ceeb9585c2906d126cb6d9d0d9dd8365"),
+        749753, "b955abe26724f8b47bc221e629150e91bac935a6c65e35b4c21f4a53eb40c475"),
 }
 
 #: job -> (characters, SHA-256) of ``repro trace-report`` on its trace.
 REPORT_PINNED = {
     "pr": (
-        5828, "775bfb50ab9a521fea2db692d7bb367d547d51726db6e8f8f7c1a14b88103e3e"),
+        5950, "9f5e9afcaec2e6e3ed819ab6f1590389074408191e0cdd1d19b01e80eb436cb2"),
     "pr_crash": (
-        5841, "4ce52232928a4fbffbdac3df75ba9939bc0996d43be69d77b27e7d9dcb714d3a"),
+        5963, "580a05ad3d32463423f8fea92907f0f22e429a372da66b72fb1c79f32c38343a"),
     "wcc_no_counters": (
-        3742, "b1f93c1e92ac5895053686e166765aef5bc4906d7af787cf97835900e5760f4e"),
+        3864, "c68391194d52306b1b50287d1f8513b52408e4b356c26bee594a2f3ef3e2f07e"),
 }
 
 

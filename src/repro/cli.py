@@ -180,7 +180,7 @@ def _build_parser() -> argparse.ArgumentParser:
                      choices=("on", "tracemalloc"), default=None,
                      help="measure real host wall/CPU time per engine "
                           "phase (scatter/gather/apply, chunk serialize/"
-                          "deserialize, message copy); 'tracemalloc' also "
+                          "deserialize); 'tracemalloc' also "
                           "records allocation deltas; prints the "
                           "host-profile report and embeds the metrics in "
                           "--trace files")

@@ -147,7 +147,6 @@ class ComputationEngine:
         directory: Optional[CentralizedDirectory] = None,
         input_bytes_share: int = 0,
         tracer=None,
-        host=None,
         epoch: int = 0,
         restore: Optional[Callable] = None,
         registry=None,
@@ -174,12 +173,6 @@ class ComputationEngine:
         #: Cluster checkpoint registry (fault injection only): tracks
         #: which checkpoint generation is durable and owns slot rotation.
         self._registry = registry
-        # Host profiler (``run --host-profile``): real wall/CPU time of
-        # the synchronous GAS kernels.  Measured sections never span a
-        # yield — the simulator interleaves all machines on one thread,
-        # so timing across a yield would charge other machines' host
-        # time to this engine's phase.  None when off.
-        self._host = host if host is not None and host.enabled else None
         if tracer is not None and tracer.enabled:
             self.track = tracer.thread(machine, TID_ENGINE, "engine")
         else:
@@ -525,17 +518,10 @@ class ComputationEngine:
             # Zombie callback: the CPU completion was scheduled before
             # this engine was killed by the fault supervisor.
             return
-        host = self._host
         if state.kind is ChunkKind.EDGES:
-            if host is not None:
-                token = host.start()
             batches = self.workload.scatter_chunk(
                 state.partition, chunk, iteration
             )
-            if host is not None:
-                host.stop(
-                    token, self.machine, "scatter", iteration, chunk.records
-                )
             # Buffer the updates by destination partition (a partition
             # enters ``_buffers`` again after each flush, at the end:
             # ``_flush_all_buffers`` goes in that order).
@@ -554,13 +540,7 @@ class ComputationEngine:
                     self._flush_buffer(partition)
             self.job.note_scatter(chunk.records, batches)
         else:
-            if host is not None:
-                token = host.start()
             self.workload.gather_chunk(state.partition, state.accum, chunk)
-            if host is not None:
-                host.stop(
-                    token, self.machine, "gather", iteration, chunk.records
-                )
         if self._trace_on:
             # One event-log row (layout: repro.obs.log), built here.
             track = self.track
@@ -596,12 +576,7 @@ class ComputationEngine:
         if not batches:
             return
         count = sum(b.count for b in batches)
-        host = self._host
-        if host is not None:
-            token = host.start()
         chunk = self._update_chunk(partition, batches, nbytes, count)
-        if host is not None:
-            host.stop(token, self.machine, "serialize", records=count)
         target = self._resolve_write_target()
         self._write_chunk(chunk, target)
 
@@ -817,14 +792,9 @@ class ComputationEngine:
         apply_cpu = vertices * self.config.cpu_seconds_per_vertex
         if merge_cpu + apply_cpu > 0:
             yield self.cores.execute(merge_cpu + apply_cpu)
-        host = self._host
-        if host is not None:
-            token = host.start()
         for other in state.accums:
             self.workload.merge_accumulators(partition, accum, other)
         changed = self.workload.apply_partition(partition, accum, iteration)
-        if host is not None:
-            host.stop(token, self.machine, "apply", iteration)
         self.job.note_apply(changed)
         self.charge("merge")
         if self._trace_on:
@@ -1082,11 +1052,6 @@ class ComputationEngine:
 
         while True:
             # -- scatter phase ------------------------------------------
-            # Publish the iteration for measurement sites that have no
-            # iteration argument (store/net handlers): all engines are
-            # barrier-aligned on the same iteration.
-            if self._host is not None:
-                self._host.iteration = self.job.iteration
             if self._trace_on:
                 track.begin("scatter", args={"iteration": self.job.iteration})
             self.job.begin_scatter()

@@ -201,9 +201,10 @@ class ChaosCluster:
         #: ``None`` (the default) costs nothing.
         self.tracer = tracer if tracer is not None else NULL
         #: Host profiler (:mod:`repro.obs.host`): real wall/CPU time per
-        #: engine phase, recorded alongside the simulated spans; ``None``
-        #: (the default) costs nothing — every engine resolves it to the
-        #: no-op null profiler.
+        #: engine phase, recorded alongside the simulated spans.  It
+        #: times each epoch's engines from outside
+        #: (:meth:`~repro.obs.host.HostProfiler.instrument`); ``None``
+        #: (the default) costs nothing.
         self.host = host
         #: Introspection handles from the most recent run (protocol
         #: audits and tests): the storage engines and the network.
@@ -556,7 +557,6 @@ class ChaosCluster:
             )
         network = Network(
             sim, config.machines, config.network, tracer=tracer,
-            host=self.host,
             # The failure-detector monitor is one more endpoint.
             extra_endpoints=1 if faulted else 0,
             integrity=config.integrity_checks,
@@ -569,7 +569,6 @@ class ChaosCluster:
                 config.device,
                 self.backend_factory(m),
                 tracer=tracer,
-                host=self.host,
                 integrity=config.integrity_checks,
                 job_track=job_track,
             )
@@ -644,7 +643,6 @@ class ChaosCluster:
                     directory=directory,
                     input_bytes_share=per_machine_input,
                     tracer=tracer,
-                    host=self.host,
                     epoch=epoch,
                     restore=restore,
                     registry=registry,
@@ -652,6 +650,8 @@ class ChaosCluster:
                 )
                 for m in range(config.machines)
             ]
+            if self.host is not None:
+                self.host.instrument(job, engines)
             epoch_jobs.append(job)
             epoch_engines.append(engines)
             if sampler is not None and epoch == 0:

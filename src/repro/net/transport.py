@@ -269,7 +269,6 @@ class Network:
         machines: int,
         config: NetworkConfig,
         tracer=None,
-        host=None,
         extra_endpoints: int = 0,
         integrity: bool = True,
     ):
@@ -317,10 +316,6 @@ class Network:
         self.messages_corrupted = 0
         self.messages_duplicated = 0
         self.messages_reordered = 0
-        # Host profiler: real cost of building each in-flight message
-        # (the host-side analogue of the modelled copy cost); None
-        # when off.
-        self._host = host if host is not None and host.enabled else None
         self._trace_on = tracer is not None and tracer.enabled
         #: Causal DAG recorder (message sends/deliveries become edges);
         #: the null recorder when tracing is off.
@@ -476,14 +471,9 @@ class Network:
                 f"no service {service!r} registered on machine {dst}"
             )
         sim = self.sim
-        host = self._host
-        if host is not None:
-            token = host.start()
         message = Message(
             src, dst, service, kind, size, payload, sim.now, epoch
         )
-        if host is not None:
-            host.stop(token, src, "msg_copy")
         if self.causal.enabled:
             message.ctx = self.causal.on_send(
                 kind, src, dst, size, parent=parent, attempt=attempt

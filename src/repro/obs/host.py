@@ -2,37 +2,36 @@
 
 Everything else in ``repro.obs`` measures *simulated* time.  This
 module measures what the interpreter actually spends executing the
-engine's synchronous kernels — the scatter/gather/apply user functions,
-chunk serialize/deserialize, message copies — so simulated spans and
-host cost line up span-for-span.  Phases whose host share exceeds
-their sim share are exactly the vectorization targets of ROADMAP
-item 1.
+engine's synchronous kernels — the scatter/gather/apply user functions
+and chunk serialize/deserialize — so simulated spans and host cost line
+up span-for-span.  Phases whose host share exceeds their sim share are
+exactly the vectorization targets of ROADMAP item 1.
 
 Design constraints:
 
 * Host clocks are only read through :mod:`repro.obs.hostclock` (the
   single CHX001 exemption in the package).
-* Measured sections must be synchronous leaf regions.  The simulator
-  interleaves all machines on one thread, so wrapping a sim *span*
-  (begin ... yield ... end) would attribute other machines' host time
-  to it; the engines therefore wrap only plain function calls that
-  never yield.
-* Profiling must not perturb the simulation: the profiler only reads
-  clocks and appends to its own event log, so final vertex values
-  are byte-identical with and without ``--host-profile`` (tested).
+* Measured from outside the engines, which do not know the profiler
+  exists: once per epoch the runtime calls :meth:`HostProfiler.
+  instrument`, which replaces the callables in :data:`TIMED` with timed
+  wrappers.  Each is a synchronous leaf: it never yields (the simulator
+  interleaves all machines on one thread, so timing across a yield
+  would charge other machines' host time to this one) and never calls
+  another timed callable, so the per-phase wall times sum to the
+  profiled region total by construction.
+* Profiling must not perturb the simulation: the wrappers only read
+  clocks and append to the profiler's own event log, so final vertex
+  values are byte-identical with and without ``--host-profile``
+  (tested).
 
-The metrics document is keyed ``(machine, phase, iteration)``.  Measured
-intervals never nest (leaf regions), but a depth guard makes the
-region total robust anyway: only depth-0 intervals accumulate into
-``region_wall_ns``, so the per-phase wall times sum to the profiled
-region total by construction.
+The metrics document is keyed ``(machine, phase, iteration)``.
 """
 
 from __future__ import annotations
 
+import functools
 import re
-from contextlib import contextmanager
-from typing import Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.obs import hostclock
 from repro.obs.log import EventLog
@@ -44,8 +43,27 @@ HOST_SCHEMA_VERSION = 1
 #: literal here so ``obs`` does not import ``core`` at module load).
 GAS_HOST_PHASES = ("scatter", "gather", "apply")
 
-#: Every phase the engines instrument.
-ENGINE_PHASES = GAS_HOST_PHASES + ("serialize", "deserialize", "msg_copy")
+#: Every phase the profiler times.
+ENGINE_PHASES = GAS_HOST_PHASES + ("serialize", "deserialize")
+
+#: The callables timed for each compute engine's machine: ``(owner,
+#: attribute, phase, records of a call, read off its arguments)``.  The
+#: owners are the engine's view of the shared workload (a master's
+#: merges and its apply share one phase), the engine itself (its
+#: update-chunk serializer, whose fourth argument is the update count)
+#: and its storage backend, timed once per run because it outlives the
+#: epochs (the loads before the first epoch are not timed).
+TIMED = (
+    ("workload", "scatter_chunk", "scatter", lambda args: args[1].records),
+    ("workload", "gather_chunk", "gather", lambda args: args[2].records),
+    ("workload", "merge_accumulators", "apply", None),
+    ("workload", "apply_partition", "apply", None),
+    ("engine", "_update_chunk", "serialize", lambda args: args[3]),
+    ("backend", "fetch_any", "deserialize", None),
+    ("backend", "get_vertex_chunk", "deserialize", None),
+    ("backend", "append_chunk", "serialize", lambda args: args[0].records),
+    ("backend", "put_vertex_chunk", "serialize", lambda args: args[0].records),
+)
 
 #: Sim-time span name that corresponds to each host phase (for the
 #: sim-to-host skew table).  Phases without an entry have no single
@@ -57,22 +75,25 @@ SIM_SPAN_FOR_PHASE = {
 }
 
 
+class _MachineWorkload:
+    """One engine's view of the shared workload, to time its kernels on."""
+
+    def __init__(self, workload):
+        self._workload = workload
+
+    def __getattr__(self, name):
+        return getattr(self._workload, name)
+
+
 class HostProfiler:
     """Measures real wall/CPU time of engine phases during a run.
 
     One profiler serves the whole cluster (the simulator runs every
-    machine on one thread); engines attribute measurements to their own
-    machine id.  Store/net handlers carry no iteration, so the compute
-    engines publish the current one in :attr:`iteration` — safe because
-    execution is single-threaded and barrier-aligned.
-
-    A measurement is ``token = start()`` ... ``stop(token, machine,
-    phase)`` around a synchronous leaf section; ``stop`` appends one
-    ``h`` row to :attr:`log`, and :meth:`to_dict` reads those rows into
-    the metrics document keyed by (machine, phase, iteration).
+    machine on one thread).  Each call of a callable :meth:`instrument`
+    wrapped appends one ``h`` row to :attr:`log`, for the engine's
+    machine and the live epoch's iteration; :meth:`to_dict` reads those
+    rows into the metrics document keyed by (machine, phase, iteration).
     """
-
-    enabled = True
 
     def __init__(self, trace_allocations: bool = False):
         self.trace_allocations = trace_allocations
@@ -86,50 +107,50 @@ class HostProfiler:
         #: sim bookkeeping, and the measured region together); set by
         #: :meth:`finalize`.
         self.session_wall_ns = 0
-        self.iteration = 0
-        self._depth = 0
+        #: The live epoch's job coordinator, whose iteration rows carry.
+        self._epoch_job = None
         if trace_allocations:
             hostclock.start_allocation_tracing()
         self._session_start = hostclock.wall_ns()
 
-    def set_iteration(self, iteration: int) -> None:
-        self.iteration = iteration
+    def instrument(self, job, engines) -> None:
+        """Time one epoch's compute engines (see :data:`TIMED`)."""
+        self._epoch_job = job
+        for engine in engines:
+            engine.workload = _MachineWorkload(engine.workload)
+            owners = {"workload": engine.workload, "engine": engine}
+            backend = engine.local_store.backend
+            if "fetch_any" not in vars(backend):  # not timed yet
+                owners["backend"] = backend
+            timed = functools.partial(self._timed, engine.machine)
+            for owner, attribute, phase, records in TIMED:
+                if owner in owners:
+                    target = owners[owner]
+                    setattr(target, attribute,
+                            timed(getattr(target, attribute), phase, records))
 
-    def start(self) -> tuple:
-        """Open a measurement: ``(top_level, alloc0, cpu0, wall0)``."""
-        self._depth += 1
-        alloc = hostclock.allocated_bytes() if self.trace_allocations else 0
-        return (self._depth == 1, alloc, hostclock.cpu_ns(), hostclock.wall_ns())
+    def _timed(self, machine: int, fn: Callable, phase: str,
+               records: Optional[Callable]) -> Callable:
+        """``fn``, logging one ``h`` row per call."""
+        rows = self.log.rows
+        wall_ns, cpu_ns = hostclock.wall_ns, hostclock.cpu_ns
+        allocated = hostclock.allocated_bytes if self.trace_allocations else None
 
-    def stop(
-        self, token: tuple, machine: int, phase: str,
-        iteration: Optional[int] = None, records: int = 0,
-    ) -> None:
-        """Close the measurement ``token`` opened and log it."""
-        wall = hostclock.wall_ns() - token[3]
-        cpu = hostclock.cpu_ns() - token[2]
-        alloc = 0
-        if self.trace_allocations:
-            alloc = hostclock.allocated_bytes() - token[1]
-        self._depth -= 1
-        self.log.rows.append(
-            ("h", machine, phase,
-             self.iteration if iteration is None else iteration,
-             records, wall, cpu, alloc, token[0])
-        )
+        def timed(*args):
+            alloc = allocated() if allocated is not None else 0
+            cpu, wall = cpu_ns(), wall_ns()
+            result = fn(*args)
+            wall = wall_ns() - wall
+            cpu = cpu_ns() - cpu
+            if allocated is not None:
+                alloc = allocated() - alloc
+            rows.append(
+                ("h", machine, phase, self._epoch_job.iteration,
+                 0 if records is None else records(args), wall, cpu, alloc)
+            )
+            return result
 
-    @contextmanager
-    def measure(
-        self, machine: int, phase: str, iteration: Optional[int] = None, records: int = 0
-    ):
-        """``with`` form of :meth:`start` / :meth:`stop`."""
-        if iteration is None:
-            iteration = self.iteration
-        token = self.start()
-        try:
-            yield
-        finally:
-            self.stop(token, machine, phase, iteration, records)
+        return timed
 
     def finalize(self) -> "HostProfiler":
         """Close the session window; returns the profiler."""
@@ -141,22 +162,20 @@ class HostProfiler:
     def to_dict(self) -> dict:
         """The canonical JSON document (exporters all read this form)."""
         # Cells: [wall_ns, cpu_ns, calls, records, alloc_bytes] per key.
-        # The region is the sum of all *top-level* intervals; because
-        # measured sections are leaves, per-phase wall times sum to it
-        # by construction.
+        # The region is the sum of all intervals: timed calls are leaves,
+        # so per-phase wall times sum to it by construction.
         cells: Dict[Tuple[int, str, int], List[int]] = {}
-        region_wall = region_cpu = intervals = 0
-        for _h, machine, phase, iteration, records, wall, cpu, alloc, top in self.log.rows:
+        region_wall = region_cpu = 0
+        for _h, machine, phase, iteration, records, wall, cpu, alloc in self.log.rows:
             cell = cells.setdefault((machine, phase, iteration), [0] * 5)
             cell[0] += wall
             cell[1] += cpu
             cell[2] += 1
             cell[3] += records
             cell[4] += alloc
-            if top:
-                region_wall += wall
-                region_cpu += cpu
-                intervals += 1
+            region_wall += wall
+            region_cpu += cpu
+        intervals = len(self.log.rows)
 
         phases = []
         by_phase: Dict[str, Dict[str, float]] = {}

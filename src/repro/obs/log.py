@@ -23,7 +23,7 @@ kind      fields after the kind
 ``e``     ``id, event`` — any other causal event (barrier arrival /
           release, checkpoint mark), as its finished dict
 ``h``     ``machine, phase, iteration, records, wall_ns, cpu_ns,
-          alloc_bytes, top_level`` — one host-clock measurement
+          alloc_bytes`` — one timed call of the host profiler
 ========  ==========================================================
 
 Times are simulated seconds on the tracer's timeline (run offset
@@ -36,7 +36,6 @@ analysis.
 
 from __future__ import annotations
 
-from contextlib import nullcontext
 from functools import cached_property
 from itertools import compress
 from operator import itemgetter
@@ -201,10 +200,11 @@ class EventLog:
 
 
 class NullObserver:
-    """Observers off: the disabled tracer, track, causal recorder and
-    host profiler in one.  Engines guard their recording sites and never
-    call it; it stands in wherever an observer is held unconditionally
-    (default arguments, the fault supervisor's job track)."""
+    """Observers off: the disabled tracer, track and causal recorder in
+    one.  Engines guard their recording sites and never call it; it
+    stands in wherever an observer is held unconditionally (default
+    arguments, the fault supervisor's job track).  The host profiler has
+    no null form: it times the engines from outside, or is not there."""
 
     __slots__ = ()
 
@@ -212,7 +212,6 @@ class NullObserver:
     sample_interval = None
     events: List[Dict[str, Any]] = []
     trace_id = 0
-    iteration = 0
 
     def _nothing(self, *args, **kwargs) -> None:
         return None
@@ -221,7 +220,6 @@ class NullObserver:
     set_process = bind_run = _nothing
     on_bind = head = on_send = on_deliver = _nothing  # causal
     on_dispatch = barrier_arrive = barrier_release = mark = _nothing
-    set_iteration = finalize = _nothing  # host profiler
 
     @property
     def causal(self) -> "NullObserver":
@@ -229,9 +227,6 @@ class NullObserver:
 
     def thread(self, pid, tid, name=None) -> "NullObserver":
         return self
-
-    def measure(self, *args, **kwargs):
-        return nullcontext()
 
 
 NULL = NullObserver()

@@ -63,7 +63,6 @@ class StorageEngine:
         device: DeviceSpec,
         backend,
         tracer=None,
-        host=None,
         integrity: bool = True,
         job_track=NULL,
     ):
@@ -78,9 +77,6 @@ class StorageEngine:
             name=f"m{machine}.{device.name}",
         )
         self.backend = backend
-        # Host profiler: real wall/CPU cost of chunk (de)serialization
-        # against the backend (``run --host-profile``); None when off.
-        self._host = host if host is not None and host.enabled else None
         self._trace_on = tracer is not None and tracer.enabled
         if self._trace_on:
             from repro.obs.tracer import TID_DEVICE
@@ -264,12 +260,7 @@ class StorageEngine:
 
     def _handle_read(self, message) -> None:
         request_id, _requester, _reply_service, partition, kind = message.payload
-        host = self._host
-        if host is not None:
-            token = host.start()
         chunk = self.backend.fetch_any(partition, kind)
-        if host is not None:
-            host.stop(token, self.machine, "deserialize")
         if chunk is None:
             self.exhausted_replies += 1
         else:
@@ -279,12 +270,7 @@ class StorageEngine:
 
     def _handle_vread(self, message) -> None:
         _request_id, _requester, _reply_service, partition, index = message.payload
-        host = self._host
-        if host is not None:
-            token = host.start()
         chunk = self.backend.get_vertex_chunk(partition, index)
-        if host is not None:
-            host.stop(token, self.machine, "deserialize")
         if chunk is not None and self.faults.stale_reads > 0:
             stale = self.backend.get_previous_vertex_chunk(partition, index)
             if stale is not None:
@@ -473,13 +459,7 @@ class StorageEngine:
             # device queue: discard instead of resurrecting it.
             self.stale_dropped += 1
             return
-        stored = self._written_copy(chunk, label)
-        host = self._host
-        if host is not None:
-            token = host.start()
-        store(stored)
-        if host is not None:
-            host.stop(token, self.machine, "serialize", records=chunk.records)
+        store(self._written_copy(chunk, label))
         self._reply(
             requester,
             reply_service,

@@ -1,11 +1,12 @@
 """Host-side profiling (:mod:`repro.obs.host` / :mod:`repro.obs.hostclock`).
 
-Covers the metrics accounting and the depth-0 region invariant, the
-three exporters (collapsed-stack, Prometheus, JSON schema) round-trip,
-the report formatting, the hostclock single-entry-point lint contract,
-and the end-to-end properties the ``--host-profile`` flag promises: it
-never changes simulation results, and the per-phase host wall times sum
-to the profiled region total.
+Covers the metrics accounting, the three exporters (collapsed-stack,
+Prometheus, JSON schema) round-trip, the report formatting, the
+hostclock single-entry-point lint contract, the outside-in contract
+(the engines do not know the profiler exists), the keys a profiled run
+produces on three fixed jobs, and the end-to-end properties the
+``--host-profile`` flag promises: it never changes simulation results,
+and the per-phase host wall times sum to the profiled region total.
 """
 
 import ast
@@ -17,13 +18,15 @@ import pytest
 
 import repro
 from repro.algorithms import PageRank
+from repro.core.config import ClusterConfig
 from repro.core.gas import GAS_PHASES
-from repro.core.runtime import run_algorithm
+from repro.core.runtime import ChaosCluster, run_algorithm
+from repro.faults import FaultPlan
 from repro.graph.rmat import rmat_graph
-from repro.obs.log import NullObserver
 from repro.obs.host import (
     ENGINE_PHASES,
     GAS_HOST_PHASES,
+    TIMED,
     HostProfiler,
     check_host_schema,
     format_host_report,
@@ -44,11 +47,9 @@ def profiled_run(machines=4, scale=8, iterations=3, **kwargs):
     return result, profiler.finalize().to_dict()
 
 
-def _row(machine, phase, iteration, wall_ns, cpu_ns, records=0,
-         top_level=True):
+def _row(machine, phase, iteration, wall_ns, cpu_ns, records=0):
     """One ``h`` row of a profiler's event log (no allocation delta)."""
-    return ("h", machine, phase, iteration, records, wall_ns, cpu_ns, 0,
-            top_level)
+    return ("h", machine, phase, iteration, records, wall_ns, cpu_ns, 0)
 
 
 def _doc(*rows):
@@ -80,27 +81,15 @@ class TestRegistry:
         assert entry["records"] == 15
         assert entries[(1, "scatter", 1)]["calls"] == 1
 
-    def test_top_level_intervals_feed_the_region(self):
+    def test_every_interval_feeds_the_region(self):
+        # Timed calls are leaves: the region is the sum of all of them.
         doc = _doc(
             _row(0, "scatter", 0, wall_ns=1000, cpu_ns=900),
-            _row(0, "gather", 0, wall_ns=300, cpu_ns=200, top_level=False),
+            _row(1, "gather", 0, wall_ns=300, cpu_ns=200),
         )
-        assert doc["region"]["wall_seconds"] == pytest.approx(1e-6)
-        assert doc["region"]["intervals"] == 1
-        # The nested interval still shows up in its phase entry.
-        assert doc["totals"]["by_phase"]["gather"]["calls"] == 1
-
-    def test_nested_measurements_do_not_double_count(self):
-        profiler = HostProfiler()
-        with profiler.measure(0, "scatter", 0):
-            with profiler.measure(0, "gather", 0):
-                pass
-        doc = profiler.finalize().to_dict()
-        scatter = doc["totals"]["by_phase"]["scatter"]["wall_seconds"]
-        assert doc["region"]["intervals"] == 1
-        assert doc["region"]["wall_seconds"] == pytest.approx(
-            scatter, rel=1e-9
-        )
+        assert doc["region"]["wall_seconds"] == pytest.approx(1.3e-6)
+        assert doc["region"]["cpu_seconds"] == pytest.approx(1.1e-6)
+        assert doc["region"]["intervals"] == 2
 
     def test_edges_per_sec_from_scatter_records(self):
         doc = _doc(
@@ -117,25 +106,14 @@ class TestRegistry:
 
 
 class TestProfiler:
-    def test_null_profiler_is_free_and_disabled(self):
-        null = NullObserver()
-        assert not null.enabled
-        with null.measure(0, "scatter"):
-            pass
-        null.set_iteration(3)
-        assert null.finalize() is None
-
-    def test_measure_defaults_iteration_to_current(self):
-        profiler = HostProfiler()
-        profiler.set_iteration(5)
-        with profiler.measure(2, "deserialize"):
-            pass
-        doc = profiler.finalize().to_dict()
-        assert doc["phases"][0]["iteration"] == 5
-
     def test_phase_names_cover_the_instrumented_sites(self):
         assert set(GAS_HOST_PHASES) <= set(ENGINE_PHASES)
-        assert {"serialize", "deserialize", "msg_copy"} <= set(ENGINE_PHASES)
+        assert {phase for _owner, _attr, phase, _rec in TIMED} == set(
+            ENGINE_PHASES
+        )
+        assert set(ENGINE_PHASES) == {
+            "scatter", "gather", "apply", "serialize", "deserialize"
+        }
 
     def test_gas_phase_table_pins_to_the_kernel(self):
         # repro.core.gas.GAS_PHASES and the profiler's phase names must
@@ -151,13 +129,13 @@ class TestExporters:
     def test_collapsed_stack_round_trips(self):
         doc = _doc(
             _row(0, "scatter", 0, wall_ns=1_500_000, cpu_ns=1_000),
-            _row(1, "msg_copy", 2, wall_ns=2_000_000, cpu_ns=500),
+            _row(1, "deserialize", 2, wall_ns=2_000_000, cpu_ns=500),
         )
         text = to_collapsed_stack(doc)
         assert text.endswith("\n")
         parsed = parse_collapsed_stack(text)
         assert parsed[(0, "scatter", 0)] == 1500  # integer microseconds
-        assert parsed[(1, "msg_copy", 2)] == 2000
+        assert parsed[(1, "deserialize", 2)] == 2000
 
     def test_collapsed_stack_rejects_malformed_lines(self):
         with pytest.raises(ValueError):
@@ -208,7 +186,7 @@ class TestReport:
             host_skew(doc, {"scatter": 0.5, "gather": 0.3, "merge_apply": 0.2}),
         )
         assert "hottest host phases by CPU time" in report
-        assert "scatter" in report and "msg_copy" in report
+        assert "scatter" in report and "deserialize" in report
         assert "skew" in report
         assert "per-iteration host throughput" in report
 
@@ -263,8 +241,7 @@ class TestEndToEnd:
         machines = {p["machine"] for p in doc["phases"]}
         phases = {p["phase"] for p in doc["phases"]}
         assert machines == {0, 1, 2, 3}
-        assert {"scatter", "gather", "apply", "serialize",
-                "deserialize", "msg_copy"} <= phases
+        assert phases == set(ENGINE_PHASES)
 
     def test_iteration_attribution_matches_run_length(self):
         _, doc = profiled_run(iterations=3)
@@ -333,6 +310,183 @@ class TestHostclockContract:
         finally:
             hostclock.stop_allocation_tracing()
         assert not hostclock.allocation_tracing_active()
+
+
+class TestOutsideInContract:
+    """The profiler times the engines from outside: no engine package
+    imports it, takes a ``host`` parameter or keeps a ``_host``."""
+
+    ENGINE_PACKAGES = ("core", "store", "net", "sim")
+
+    @staticmethod
+    def _offences(tree):
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                for alias in node.names:
+                    if alias.name.startswith("repro.obs.host"):
+                        yield f"import {alias.name}"
+            elif isinstance(node, ast.ImportFrom):
+                names = {alias.name for alias in node.names}
+                if (node.module or "").startswith("repro.obs.host") or (
+                    node.module == "repro.obs" and "host" in names
+                ):
+                    yield f"from {node.module} import {sorted(names)}"
+            elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                arguments = node.args
+                for arg in (arguments.posonlyargs + arguments.args
+                            + arguments.kwonlyargs):
+                    if arg.arg == "host":
+                        yield f"{node.name}(host=...)"
+            elif isinstance(node, ast.Attribute) and node.attr == "_host":
+                yield "._host"
+
+    def test_engine_packages_do_not_know_the_profiler(self):
+        source_root = Path(repro.__file__).parent
+        offenders = []
+        scanned = 0
+        for package in self.ENGINE_PACKAGES:
+            for path in sorted((source_root / package).rglob("*.py")):
+                scanned += 1
+                tree = ast.parse(path.read_text())
+                offenders += [
+                    f"{path.relative_to(source_root)}: {offence}"
+                    for offence in self._offences(tree)
+                ]
+        assert scanned > 20
+        # The one seam: the cluster keeps the profiler and hands it each
+        # epoch's engines (``ChaosCluster.__init__``, ``run_algorithm``).
+        assert sorted(offenders) == [
+            "core/runtime.py: __init__(host=...)",
+            "core/runtime.py: run_algorithm(host=...)",
+        ]
+
+    def test_the_scan_catches_a_hook(self):
+        planted = ast.parse(
+            "from repro.obs.host import HostProfiler\n"
+            "class Engine:\n"
+            "    def __init__(self, host=None):\n"
+            "        self._host = host\n"
+        )
+        assert len(list(self._offences(planted))) == 3
+
+
+# ---------------------------------------------------------------------------
+# The keys a profiled run produces
+
+
+#: The three fixed jobs: PageRank x3 on RMAT-10 (seed 1), cluster
+#: fields and fault.
+PINNED_JOBS = {
+    "fault_free": ({"machines": 4}, None),
+    "alpha_inf": ({"machines": 4, "steal_alpha": float("inf")}, None),
+    "crash": ({"machines": 3, "checkpointing": True}, "crash:1@iter=2"),
+}
+
+#: ``(machine, phase) -> (calls, records)`` of iterations 0, 1 and 2,
+#: taken when the engines still held start/stop hooks: timing them from
+#: outside must find the same calls (``msg_copy``, which timed one
+#: ``Message`` construction per send, is gone).
+PINNED_KEYS = {
+    "fault_free": {
+        (0, "apply"): ((1, 0), (1, 0), (1, 0)),
+        (0, "deserialize"): ((36, 0), (39, 0), (44, 0)),
+        (0, "gather"): ((4, 9530), (4, 9530), (4, 9530)),
+        (0, "scatter"): ((1, 9491), (1, 9491), (1, 9491)),
+        (0, "serialize"): ((6, 9630), (10, 13760), (12, 20765)),
+        (1, "apply"): ((1, 0), (1, 0), (1, 0)),
+        (1, "deserialize"): ((39, 0), (37, 0), (40, 0)),
+        (1, "gather"): ((4, 3014), (4, 3014), (4, 3014)),
+        (1, "scatter"): ((1, 2932), (1, 2932), (1, 2932)),
+        (1, "serialize"): ((7, 5346), (10, 6717), (8, 4605)),
+        (2, "apply"): ((1, 0), (1, 0), (1, 0)),
+        (2, "deserialize"): ((34, 0), (36, 0), (48, 0)),
+        (2, "gather"): ((4, 2923), (4, 2923), (4, 2923)),
+        (2, "scatter"): ((1, 3012), (1, 3012), (1, 3012)),
+        (2, "serialize"): ((10, 11337), (10, 10757), (11, 6449)),
+        (3, "apply"): ((1, 0), (1, 0), (1, 0)),
+        (3, "deserialize"): ((41, 0), (37, 0), (26, 0)),
+        (3, "gather"): ((4, 917), (4, 917), (4, 917)),
+        (3, "scatter"): ((1, 949), (1, 949), (1, 949)),
+        (3, "serialize"): ((13, 6455), (6, 1534), (5, 949)),
+    },
+    "alpha_inf": {
+        (0, "apply"): ((1, 0), (1, 0), (1, 0)),
+        (0, "deserialize"): ((73, 0), (79, 0), (88, 0)),
+        (0, "gather"): ((4, 9530), (4, 9530), (4, 9530)),
+        (0, "scatter"): ((1, 9491), (1, 9491), (1, 9491)),
+        (0, "serialize"): ((11, 12830), (10, 11767), (11, 20943)),
+        (1, "apply"): ((1, 0), (1, 0), (1, 0)),
+        (1, "deserialize"): ((43, 0), (73, 0), (78, 0)),
+        (1, "gather"): ((4, 3014), (4, 3014), (4, 3014)),
+        (1, "scatter"): ((1, 2932), (1, 2932), (1, 2932)),
+        (1, "serialize"): ((6, 3071), (10, 5712), (8, 4024)),
+        (2, "apply"): ((1, 0), (1, 0), (1, 0)),
+        (2, "deserialize"): ((64, 0), (63, 0), (65, 0)),
+        (2, "gather"): ((4, 2923), (4, 2923), (4, 2923)),
+        (2, "scatter"): ((1, 3012), (1, 3012), (1, 3012)),
+        (2, "serialize"): ((10, 12907), (7, 6606), (8, 5322)),
+        (3, "apply"): ((1, 0), (1, 0), (1, 0)),
+        (3, "deserialize"): ((64, 0), (68, 0), (63, 0)),
+        (3, "gather"): ((4, 917), (4, 917), (4, 917)),
+        (3, "scatter"): ((1, 949), (1, 949), (1, 949)),
+        (3, "serialize"): ((9, 3960), (9, 8683), (9, 2479)),
+    },
+    "crash": {
+        (0, "apply"): ((1, 0), (1, 0), (1, 0)),
+        (0, "deserialize"): ((34, 0), (24, 0), (36, 0)),
+        (0, "gather"): ((3, 11648), (3, 11648), (3, 11648)),
+        (0, "scatter"): ((1, 11542), (1, 11542), (1, 11542)),
+        (0, "serialize"): ((5, 11814), (4, 11762), (6, 14471)),
+        (1, "apply"): ((1, 0), (1, 0), (1, 0)),
+        (1, "deserialize"): ((33, 0), (38, 0), (32, 0)),
+        (1, "gather"): ((3, 3631), (3, 3631), (3, 3631)),
+        (1, "scatter"): ((1, 3695), (1, 3695), (1, 3695)),
+        (1, "serialize"): ((12, 9763), (15, 18994), (12, 5561)),
+        (2, "apply"): ((1, 0), (1, 0), (1, 0)),
+        (2, "deserialize"): ((35, 0), (29, 0), (43, 0)),
+        (2, "gather"): ((3, 1105), (3, 1105), (3, 1105)),
+        (2, "scatter"): ((1, 1147), (1, 1147), (2, 2294)),
+        (2, "serialize"): ((10, 11191), (8, 2012), (9, 12736)),
+    },
+}
+
+#: Cells whose calls changed, ``(job, machine, phase, iteration) ->
+#: calls``.  The hooks timed a master's merges and its apply as one
+#: interval; from outside each ``merge_accumulators`` call is its own,
+#: so a master that merged k stealers' accumulators makes 1 + k calls.
+#: Only stealing (alpha = inf here) has stealers.
+CHANGED_CALLS = {
+    ("alpha_inf", 0, "apply", 0): 2,
+    ("alpha_inf", 0, "apply", 1): 4,
+    ("alpha_inf", 0, "apply", 2): 2,
+    ("alpha_inf", 1, "apply", 2): 2,
+    ("alpha_inf", 3, "apply", 0): 2,
+}
+
+
+class TestPinnedKeys:
+    @pytest.mark.parametrize("job", list(PINNED_JOBS))
+    def test_keys_calls_and_records_are_pinned(self, job):
+        fields, fault = PINNED_JOBS[job]
+        profiler = HostProfiler()
+        cluster = ChaosCluster(ClusterConfig(**fields), host=profiler)
+        cluster.run(
+            PageRank(iterations=3), rmat_graph(10, seed=1),
+            fault_plan=FaultPlan.parse([fault]) if fault else None,
+        )
+        if fault:
+            assert cluster.last_fault_timeline.rounds, "the crash never struck"
+        measured = {
+            (row["machine"], row["phase"], row["iteration"]):
+                (row["calls"], row["records"])
+            for row in profiler.finalize().to_dict()["phases"]
+        }
+        expected = {}
+        for (machine, phase), cells in PINNED_KEYS[job].items():
+            for iteration, (calls, records) in enumerate(cells):
+                calls = CHANGED_CALLS.get((job, machine, phase, iteration), calls)
+                expected[machine, phase, iteration] = (calls, records)
+        assert measured == expected
 
 
 # ---------------------------------------------------------------------------

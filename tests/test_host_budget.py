@@ -113,12 +113,16 @@ TWINS = {
 #: Total calls fell 13-22 % (``pr_overhead`` 104,753 -> 82,013,
 #: ``pr_crash_recover`` 52,484 -> 44,695), and the per-message and
 #: per-edge pins with them.
+#: ``pr_traced``'s pins fell when the host profiler moved outside the
+#: engines: its per-send ``msg_copy`` start/stop pair and the engines'
+#: guarded start/stop calls left, one timed wrapper call per kernel
+#: came in, and total calls fell 35,071 -> 32,242 (-8.1 %).
 BUDGET = {
     "pr_kernel": (8.68, 17.345, 0.436),  # 21,262 calls
     "pr_overhead": (8.177, 17.375, 1.678),  # 82,013 calls
     "wcc_minfold": (8.578, 17.01, 0.286),  # 29,821 calls
     "sssp_file_ckpt": (8.947, 17.223, 0.7),  # 79,342 calls
-    "pr_traced": (14.518, 29.117, 1.451),  # 35,462 calls
+    "pr_traced": (13.199, 26.474, 1.319),  # 32,242 calls
     "pr_crash_recover": (9.606, 20.643, 0.544),  # 44,695 calls
 }
 

@@ -166,12 +166,20 @@ def _replay(tracer, machines: int):
     rollback fence (the job track's ``lost`` row is recorded there, and
     the matching ``restore`` window starts at its time) every machine
     charges ``rollback`` up to the fence, and its next epoch's ledger
-    starts there; epochs merge as ``JobResult`` merges them."""
+    starts there; epochs merge as ``JobResult`` merges them.
+
+    The charged spans tile each machine's time: each opens where that
+    machine's previous charge ended (asserted here), so a wait whose
+    span lost its category cannot hide in the next charged span.  The
+    one span that opens later is a resumed epoch's first: its engine
+    starts after the fence, and the admission wait is its charge's."""
     rows = list(_rows(tracer))
     fences = iter([ts for ph, pid, _tid, name, ts, _cat, _args in rows
                    if pid == machines and ph == "X" and name == "restore"])
     epochs = [[Breakdown()] for _ in range(machines)]
     since = [0.0] * machines
+    opened = [[] for _ in range(machines)]  # open engine spans' starts
+    resumed = [False] * machines  # fenced; the next epoch not yet begun
     for ph, pid, tid, name, ts, cat, args in rows:
         if pid == machines and tid == TID_JOB and ph == "X" and name == "lost":
             fence = next(fences)
@@ -179,11 +187,22 @@ def _replay(tracer, machines: int):
                 epochs[machine][-1].rollback += fence - since[machine]
                 epochs[machine].append(Breakdown())
                 since[machine] = fence
-        elif (tid == TID_ENGINE and ph == "E" and cat in LEDGER_CATEGORIES
-              and not (args or {}).get("fenced")):
-            ledger = epochs[pid][-1]
-            setattr(ledger, cat, getattr(ledger, cat) + (ts - since[pid]))
-            since[pid] = ts
+                resumed[machine] = True
+        elif tid == TID_ENGINE and ph == "B":
+            if resumed[pid]:
+                assert ts >= since[pid]
+                ts, resumed[pid] = since[pid], False
+            opened[pid].append((name, ts))
+        elif tid == TID_ENGINE and ph == "E":
+            name, start = opened[pid].pop()
+            if cat in LEDGER_CATEGORIES and not (args or {}).get("fenced"):
+                assert start == since[pid], (
+                    f"machine {pid}: charged span {name!r} opens at {start}, "
+                    f"its previous charge ended at {since[pid]}"
+                )
+                ledger = epochs[pid][-1]
+                setattr(ledger, cat, getattr(ledger, cat) + (ts - since[pid]))
+                since[pid] = ts
     return [functools.reduce(Breakdown.merged_with, e) for e in epochs]
 
 

@@ -44,6 +44,14 @@ class PageRank(GasAlgorithm):
             "degree": ctx.out_degrees.astype(np.float64),
         }
 
+    def prepare_scatter(self, values: State) -> State:
+        """Each vertex's share, ``rank / degree``, once per vertex: the
+        same division scatter made per edge, bit for bit.  A vertex of
+        degree 0 has no edge to scatter over, so its entry (``inf``) is
+        never read."""
+        with np.errstate(divide="ignore", invalid="ignore"):
+            return {"share": values["rank"] / values["degree"]}
+
     def scatter(
         self,
         values: State,
@@ -52,11 +60,7 @@ class PageRank(GasAlgorithm):
         weight: Optional[np.ndarray],
         iteration: int,
     ) -> Optional[Tuple[np.ndarray, np.ndarray]]:
-        degree = values["degree"][src_local]
-        # Degree is >= 1 for any vertex that has an outgoing edge to
-        # scatter over, so the division is safe.
-        contribution = values["rank"][src_local] / degree
-        return dst, contribution
+        return dst, values["share"][src_local]
 
     def make_accumulator(self, n: int) -> np.ndarray:
         return np.zeros(n, dtype=np.float64)

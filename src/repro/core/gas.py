@@ -102,6 +102,15 @@ class GasAlgorithm(abc.ABC):
 
     # -- the three user functions ----------------------------------------
 
+    def prepare_scatter(self, values: State) -> State:
+        """What :meth:`scatter` reads for one partition, built once per
+        (partition, iteration) from its state: per-vertex work that every
+        edge out of a vertex would repeat (PageRank's ``rank / degree``)
+        is done here, once per vertex.  The runtime drops the result
+        whenever the partition's state is written.  Default: the state
+        itself."""
+        return values
+
     @abc.abstractmethod
     def scatter(
         self,
@@ -113,8 +122,9 @@ class GasAlgorithm(abc.ABC):
     ) -> Optional[Tuple[np.ndarray, np.ndarray]]:
         """Produce updates for a chunk of edges.
 
-        ``values`` is the state of the partition being scattered
-        (views); ``src_local`` indexes into it; ``dst`` holds *global*
+        ``values`` is :meth:`prepare_scatter` of the state of the
+        partition being scattered (by default the state's views);
+        ``src_local`` indexes into it; ``dst`` holds *global*
         destination ids.  Returns ``(dst_global, update_values)`` for
         the (possibly filtered) edges that emit updates, or ``None`` if
         no updates are produced.

@@ -35,11 +35,7 @@ from repro.net.transport import Network
 from repro.obs.counters import ResourceSampler
 from repro.obs.log import NULL
 from repro.obs.tracer import TID_JOB
-from repro.partition.streaming import (
-    PartitionLayout,
-    choose_partition_count,
-    partition_edges,
-)
+from repro.partition.streaming import PartitionLayout, choose_partition_count
 from repro.sim.engine import DeadlineExceeded, Simulator
 from repro.sim.sync import Barrier
 from repro.store.chunk import Chunk, ChunkKind
@@ -88,6 +84,13 @@ def _check_open_spans(tracer) -> None:
             RuntimeWarning,
             stacklevel=3,
         )
+
+
+#: Edges per block of the ingest pass (``ChaosCluster._place_data_chunks``):
+#: small enough that a block's radix sort and gathers run in cache (a
+#: 2**20-edge route is 2.5x slower per edge than a 2**16-edge one), large
+#: enough that the per-block Python is noise.
+INGEST_BLOCK = 1 << 16
 
 
 def stored_id_dtype(num_vertices: int) -> np.dtype:
@@ -261,7 +264,6 @@ class ChaosCluster:
             )
 
         layout = self._make_layout(edges.num_vertices, algorithm)
-        parts = partition_edges(edges, layout)
 
         ctx = GraphContext(
             num_vertices=edges.num_vertices,
@@ -278,7 +280,7 @@ class ChaosCluster:
             layout,
             input_bytes=edges.storage_bytes(),
             edge_chunk_loader=lambda placement_rng, stores: self._place_data_chunks(
-                parts, layout, edge_bytes, placement_rng, stores
+                edges, layout, edge_bytes, placement_rng, stores
             ),
             start_iteration=start_iteration,
             fault_plan=fault_plan,
@@ -359,39 +361,73 @@ class ChaosCluster:
 
     def _place_data_chunks(
         self,
-        parts: List[Optional[EdgeList]],
+        edges: EdgeList,
         layout: PartitionLayout,
         edge_bytes: int,
         placement_rng: random.Random,
         stores: List[StorageEngine],
     ) -> int:
-        """Split per-partition edge lists into chunks at random engines.
+        """Split the edge list into chunks at random engines: the
+        pre-processing pass (Section 3) and the chunk layout in one.
 
-        Vertex ids are stored at :func:`stored_id_dtype`'s width.  Each
-        partition's int64 edge list is dropped from ``parts`` once it is
-        chunked, so its id arrays are freed as soon as the compact
-        copies exist.
+        Each partition's edges, in input order (what
+        :func:`~repro.partition.streaming.partition_edges` returns), are
+        cut by :meth:`_edge_chunk_ranges` into chunks of whole records.
+        Inside a chunk the records are then grouped, stably, by the
+        *destination's* partition, so each scatter's output comes out
+        already binned (``PartitionLayout.group``).  The order inside a
+        chunk is host-side only: sizes, placement draws, CPU charges and
+        the update chunks do not depend on it.
+
+        The split is one pass over the input in blocks of
+        :data:`INGEST_BLOCK` edges, so each block's sort and gathers stay
+        in cache: a block is routed by source partition and its share of
+        each partition taken at :func:`stored_id_dtype`'s width (weights
+        stay float64).  A partition's shares are then joined, chunked
+        and grouped chunk by chunk; every temporary is freed with its
+        partition or when the pass returns.
         """
         id_dtype = stored_id_dtype(layout.num_vertices)
-        total_chunks = 0
+        columns = {"src": edges.src, "dst": edges.dst}
+        if edges.weighted:
+            columns["weight"] = edges.weight
+        shares: List[list] = [[] for _ in range(layout.num_partitions)]
+        for start in range(0, edges.num_edges, INGEST_BLOCK):
+            block = slice(start, start + INGEST_BLOCK)
+            order, cuts = layout.route(edges.src[block])
+            taken = {
+                name: column[block].take(order) for name, column in columns.items()
+            }
+            del order
+            for name in ("src", "dst"):
+                taken[name] = taken[name].astype(id_dtype, copy=False)
+            cuts = cuts.tolist()
+            for p, (lo, hi) in enumerate(zip(cuts, cuts[1:])):
+                if lo != hi:
+                    shares[p].append([column[lo:hi] for column in taken.values()])
         ranges = self._edge_chunk_ranges(
-            [part.num_edges for part in parts], edge_bytes
+            [sum(len(share[0]) for share in part) for part in shares], edge_bytes
         )
+        total_chunks = 0
         for p, part_ranges in enumerate(ranges):
-            part, parts[p] = parts[p], None
-            weight = part.weight
-            src = part.src.astype(id_dtype, copy=False)
-            dst = part.dst.astype(id_dtype, copy=False)
-            del part
+            part, shares[p] = shares[p], None
+            if not part:
+                continue
+            part = {
+                name: np.concatenate([share[i] for share in part])
+                for i, name in enumerate(columns)
+            }
+            owners = layout.partition_of(part["dst"])
             for start, stop in part_ranges:
-                payload = {"src": src[start:stop], "dst": dst[start:stop]}
-                if weight is not None:
-                    payload["weight"] = weight[start:stop]
+                grouped = owners[start:stop].argsort(kind="stable")
                 chunk = Chunk(
                     partition=p,
                     kind=ChunkKind.EDGES,
                     size=(stop - start) * edge_bytes,
-                    payload=payload,
+                    payload={
+                        name: column[start:stop].take(grouped)
+                        for name, column in part.items()
+                    },
                     records=stop - start,
                 )
                 stores[placement_rng.randrange(len(stores))].preload_chunk(chunk)

@@ -45,7 +45,7 @@ class GatherBuffer:
     depends on device queues, stealing and (under fault injection) on
     recovery timing, and a gather stealer holds a schedule-dependent
     subset of them.  Workers therefore buffer the raw
-    ``(dst_local, value)`` pairs while streaming and the master folds
+    ``(dst, value)`` columns while streaming and the master folds
     the union once, at apply time (a per-worker partial float sum would
     round over a schedule-dependent subset), in arrival order: every
     gather is exact in any order (min, max, integer sums, and float sums
@@ -55,18 +55,24 @@ class GatherBuffer:
     Folding at the master is a pure host-side choice: the simulated
     timing (per-chunk CPU charges, accumulator ship sizes, merge costs)
     is untouched.
+
+    The buffer holds each update chunk's own (read-only) columns, with
+    global destination ids at the stored width: :meth:`drain` makes
+    them partition-local in its one copy.
     """
 
-    __slots__ = ("_dst", "_values")
+    __slots__ = ("_start", "_dst", "_values")
 
-    def __init__(self):
+    def __init__(self, start: int = 0):
+        #: First vertex id of the partition (global id -> local index).
+        self._start = start
         self._dst: List[np.ndarray] = []
         self._values: List[np.ndarray] = []
 
-    def append(self, dst_local: np.ndarray, values: np.ndarray) -> None:
-        if len(dst_local) == 0:
+    def append(self, dst: np.ndarray, values: np.ndarray) -> None:
+        if len(dst) == 0:
             return
-        self._dst.append(dst_local)
+        self._dst.append(dst)
         self._values.append(values)
 
     def extend(self, other: "GatherBuffer") -> None:
@@ -80,13 +86,16 @@ class GatherBuffer:
 
     def drain(self) -> Optional[Tuple[np.ndarray, np.ndarray]]:
         """All buffered updates concatenated as ``(dst_local, values)``,
-        or ``None`` if empty.  Empties the buffer: the per-chunk arrays
-        are released as soon as their concatenation exists, which keeps
-        the apply-time peak at one copy of the updates, not two."""
+        or ``None`` if empty.  Empties the buffer.  The destinations are
+        concatenated straight into one int64 array and made local in
+        place, and each list of columns is released as soon as its
+        concatenation exists: the apply-time peak is one copy of the
+        updates, not two."""
         if not self._dst:
             return None
-        dst = np.concatenate(self._dst)
+        dst = np.concatenate(self._dst, dtype=np.int64)
         self._dst.clear()
+        dst -= self._start
         values = np.concatenate(self._values)
         self._values.clear()
         return dst, values
@@ -275,6 +284,11 @@ class DataWorkload(Workload):
         self.values: State = algorithm.init_values(ctx)
         # partition -> its views of ``values`` (:meth:`_partition_state`).
         self._states: Dict[int, State] = {}
+        # partition -> what its scatters read
+        # (``GasAlgorithm.prepare_scatter`` of its state), built on the
+        # partition's first scatter and dropped whenever its state is
+        # written (apply, restore, reset).
+        self._scatter_states: Dict[int, State] = {}
         for name, array in self.values.items():
             if len(array) != ctx.num_vertices:
                 raise ValueError(
@@ -329,19 +343,26 @@ class DataWorkload(Workload):
         dst = payload["dst"]
         weight = payload.get("weight")
         src_local = self.layout.to_local(partition, src)
-        state = self._partition_state(partition)
+        state = self._scatter_states.get(partition)
+        if state is None:
+            state = self._scatter_states[partition] = (
+                self.algorithm.prepare_scatter(self._partition_state(partition))
+            )
         result = self.algorithm.scatter(state, src_local, dst, weight, iteration)
         if result is None:
             return []
         out_dst, out_values = result
         if len(out_dst) == 0:
             return []
-        order, cut_points = self.layout.route(out_dst)
-        # One permutation of the whole output, then one contiguous slice
-        # per partition.  Each batch copies its slice, so it owns its
-        # columns and does not keep the chunk's permuted output alive.
-        out_dst = out_dst.take(order)
-        out_values = out_values.take(order, axis=0)
+        # A stored edge chunk is grouped by destination partition, so
+        # its output comes grouped: no permutation.  Anything else is
+        # permuted once.  Each batch copies its contiguous slice, so it
+        # owns its columns: a view would keep the whole output alive
+        # until the last partition's batch is flushed.
+        order, cut_points = self.layout.group(out_dst)
+        if order is not None:
+            out_dst = out_dst.take(order)
+            out_values = out_values.take(order, axis=0)
         cuts = cut_points.tolist()
         update_bytes = self.algorithm.update_bytes
         return [
@@ -365,19 +386,19 @@ class DataWorkload(Workload):
     # wire size, and merge/apply CPU is charged by the master as before.
 
     def begin_gather(self, partition: int):
-        return GatherBuffer()
+        return GatherBuffer(self.layout.start(partition))
 
     def gather_chunk(self, partition: int, accum, chunk: Chunk) -> None:
         payload = chunk.payload
         if payload is None:
             raise ValueError("DataWorkload requires chunk payloads")
-        dst_local = self.layout.to_local(partition, payload["dst"])
-        accum.append(dst_local, payload["value"])
+        accum.append(payload["dst"], payload["value"])
 
     def merge_accumulators(self, partition: int, master_accum, other) -> None:
         master_accum.extend(other)
 
     def apply_partition(self, partition: int, accum, iteration: int) -> int:
+        self._scatter_states.pop(partition, None)
         state = self._partition_state(partition)
         numeric = self.algorithm.make_accumulator(
             self.layout.vertex_count(partition)
@@ -404,6 +425,7 @@ class DataWorkload(Workload):
 
     def restore_partition(self, partition: int, snapshot: State) -> None:
         """Overwrite one partition's vertex state from a checkpoint."""
+        self._scatter_states.pop(partition, None)
         state = self._partition_state(partition)
         for name, array in state.items():
             if name not in snapshot:
@@ -416,6 +438,7 @@ class DataWorkload(Workload):
         Used when a failure strikes before the first checkpoint becomes
         durable: recovery restarts the computation from scratch.
         """
+        self._scatter_states.clear()
         fresh = self.algorithm.init_values(self.ctx)
         for name, array in self.values.items():
             array[:] = fresh[name]

@@ -11,9 +11,11 @@ This module implements Section 3 of the paper verbatim:
   and parallelizes trivially (each machine splits an even share of the
   input — we expose that as :func:`preprocess`'s ``input_shards``).
 
-:meth:`PartitionLayout.route` groups ids by owner for that split and for
-every scatter chunk's updates: a lookup per id in a lazily built owner
-table, then one stable radix pass over those 8- or 16-bit keys.
+:meth:`PartitionLayout.route` groups ids by owner for that split: a
+lookup per id in a lazily built owner table, then one stable radix pass
+over those 8- or 16-bit keys.  :meth:`PartitionLayout.group` bins each
+scatter chunk's updates the same way, and skips the pass when the ids
+already come grouped, as they do out of a stored edge chunk.
 """
 
 from __future__ import annotations
@@ -96,25 +98,43 @@ class PartitionLayout:
 
         ``order[cut_points[p]:cut_points[p + 1]]`` indexes the ids owned
         by partition ``p``, in input order (the grouping is stable).
-        This is the one router behind both the scatter-side update
-        binning and the pre-processing edge split.
+        This is the router behind the pre-processing edge split; it is
+        :meth:`group` with the identity spelled out.
+        """
+        order, cut_points = self.group(vertex_ids)
+        if order is None:
+            order = np.arange(np.asarray(vertex_ids).size)
+        return order, cut_points
+
+    def group(self, vertex_ids: np.ndarray) -> Tuple[Optional[np.ndarray], np.ndarray]:
+        """:meth:`route`, with ``order = None`` when the ids are already
+        grouped by owner (the stable order is then the identity).
 
         :meth:`partition_of` checks the bounds (an id outside
         ``[0, num_vertices)`` raises ``ValueError`` instead of being
         dropped), then looks each id up in the owner table: one entry
         per vertex, built on the first call and never for a layout that
         does not route.  The table holds the narrowest unsigned type for
-        a partition index, so the keys are 8 or 16 bits wide and the
-        stable argsort is one radix pass (numpy's sort for such keys).
-        The ``P + 1`` cut points are a search of the sorted keys.
+        a partition index, so the keys are 8 or 16 bits wide.  One
+        comparison of the keys tells whether they are grouped already;
+        if not, their stable argsort is one radix pass (numpy's sort for
+        such keys).  The ``P + 1`` cut points are a search of the sorted
+        keys.
+
+        Ids come grouped out of every scatter over a stored edge chunk:
+        its records are grouped by destination partition
+        (``ChaosCluster._place_data_chunks``) and every scatter kernel is
+        elementwise, with filters that keep order.
         """
         keys = self.partition_of(vertex_ids)
-        order = keys.argsort(kind="stable")
+        order = None
+        if not (keys[1:] >= keys[:-1]).all():
+            order = keys.argsort(kind="stable")
+            keys = keys.take(order)
         partitions = self.num_partitions
-        cut_points = keys.take(order).searchsorted(
+        return order, keys.searchsorted(
             np.arange(partitions + 1, dtype=np.min_scalar_type(partitions))
         )
-        return order, cut_points
 
     def vertex_range(self, partition: int) -> range:
         return range(

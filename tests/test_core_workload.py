@@ -13,6 +13,7 @@ from repro.graph.stats import out_degrees
 from repro.partition.streaming import PartitionLayout
 from repro.perf.profiles import fixed_profile
 from repro.store.chunk import Chunk, ChunkKind
+from repro.store.integrity import seal_chunk
 from tests.conftest import fast_config
 
 
@@ -28,14 +29,16 @@ def _workload(scale=6, partitions=4, iterations=2):
     return graph, layout, DataWorkload(PageRank(iterations=iterations), layout, ctx)
 
 
-def _edge_chunk(graph, layout, partition):
-    mask = layout.partition_of(graph.src) == partition
+def _edge_chunk(graph, layout, partition, grouped=False):
+    rows = np.flatnonzero(layout.partition_of(graph.src) == partition)
+    if grouped:  # the stored layout: by destination partition, stably
+        rows = rows[layout.partition_of(graph.dst[rows]).argsort(kind="stable")]
     return Chunk(
         partition=partition,
         kind=ChunkKind.EDGES,
-        size=int(mask.sum()) * 8,
-        payload={"src": graph.src[mask], "dst": graph.dst[mask]},
-        records=int(mask.sum()),
+        size=len(rows) * 8,
+        payload={"src": graph.src[rows], "dst": graph.dst[rows]},
+        records=len(rows),
     )
 
 
@@ -217,10 +220,44 @@ def _shares_buffer(a, b):
     return np.shares_memory(_buffer(a), _buffer(b))
 
 
+class TestPreparedScatterState:
+    """PageRank scatters ``rank / degree`` prepared once per partition;
+    every write of the partition's state drops it, so the next scatter
+    reads the written state."""
+
+    @staticmethod
+    def _updates(workload, graph, layout):
+        batches = workload.scatter_chunk(0, _edge_chunk(graph, layout, 0), 0)
+        return np.concatenate([b.payload["value"] for b in batches])
+
+    @pytest.mark.parametrize("write", ["apply", "restore", "reset"])
+    def test_a_state_write_drops_the_prepared_state(self, write):
+        graph, layout, workload = _workload()
+        initial = self._updates(workload, graph, layout)  # prepares p0
+        if write == "apply":
+            workload.apply_partition(0, None, 0)
+        else:
+            snapshot = {
+                name: array.copy()
+                for name, array in workload._partition_state(0).items()
+            }
+            snapshot["rank"] *= 3
+            workload.restore_partition(0, snapshot)
+            if write == "reset":
+                self._updates(workload, graph, layout)  # prepares the restored
+                workload.reset_to_initial()
+        fresh = _workload()[2]
+        for name, array in fresh.values.items():
+            array[:] = workload.values[name]
+        written = self._updates(workload, graph, layout)
+        assert np.array_equal(written, self._updates(fresh, graph, layout))
+        assert np.array_equal(written, initial) == (write == "reset")
+
+
 class TestBatchOwnership:
     """``store/integrity.py``: a producer must not keep a writable base
-    of a sealed column alive.  Scatter permutes its output once and
-    slices it per partition, so every slice must be a copy."""
+    of a sealed column alive.  Scatter slices its (grouped or once
+    permuted) output per partition, so every slice must be a copy."""
 
     def test_scatter_batches_share_no_memory(self):
         graph, layout, workload = _workload()
@@ -231,6 +268,23 @@ class TestBatchOwnership:
             for i, column in enumerate(columns):
                 for other in columns[i + 1 :] + list(chunk.payload.values()):
                     assert not _shares_buffer(column, other)
+
+    def test_grouped_chunk_batches_share_no_memory(self):
+        """A stored chunk is grouped by destination: its output is sliced
+        without a permutation, and the slices are still copies."""
+        graph, layout, workload = _workload()
+        for p in range(layout.num_partitions):
+            chunk = seal_chunk(_edge_chunk(graph, layout, p, grouped=True))
+            batches = workload.scatter_chunk(p, chunk, 0)
+            columns = _columns(batches)
+            assert len(columns) > 2
+            for i, column in enumerate(columns):
+                for other in columns[i + 1 :] + list(chunk.payload.values()):
+                    assert not _shares_buffer(column, other)
+            assert np.array_equal(
+                np.concatenate([b.payload["dst"] for b in batches]),
+                chunk.payload["dst"],
+            )
 
     def test_sealed_update_chunks_share_no_memory_with_batches(
         self, monkeypatch

@@ -36,14 +36,19 @@ from repro.obs.host import (
     to_prometheus,
     validate_prometheus,
 )
+from repro.store import FileChunkStore
 
-def profiled_run(machines=4, scale=8, iterations=3, **kwargs):
+
+def profiled_run(machines=4, scale=8, iterations=3, workdir=None, **kwargs):
+    """A profiled PageRank job; chunks in files under ``workdir`` if set."""
     graph = rmat_graph(scale, seed=7)
     profiler = HostProfiler(**kwargs)
-    result = run_algorithm(
-        PageRank(iterations=iterations), graph, machines=machines,
-        host=profiler,
-    )
+    backend = None
+    if workdir is not None:
+        backend = lambda m: FileChunkStore(str(workdir / f"m{m}"))  # noqa: E731
+    result = ChaosCluster(
+        ClusterConfig(machines=machines), backend_factory=backend, host=profiler
+    ).run(PageRank(iterations=iterations), graph)
     return result, profiler.finalize().to_dict()
 
 
@@ -179,8 +184,8 @@ class TestExporters:
 
 
 class TestReport:
-    def test_report_lists_hottest_phases_with_skew(self):
-        _, doc = profiled_run()
+    def test_report_lists_hottest_phases_with_skew(self, tmp_path):
+        _, doc = profiled_run(workdir=tmp_path)
         report = format_host_report(
             doc,
             host_skew(doc, {"scatter": 0.5, "gather": 0.3, "merge_apply": 0.2}),
@@ -236,12 +241,22 @@ class TestEndToEnd:
         assert plain.runtime == profiled.runtime
         assert plain.iterations == profiled.iterations
 
-    def test_all_machines_and_phases_show_up(self):
-        _, doc = profiled_run(machines=4)
+    def test_all_machines_and_phases_show_up(self, tmp_path):
+        _, doc = profiled_run(machines=4, workdir=tmp_path)
         machines = {p["machine"] for p in doc["phases"]}
         phases = {p["phase"] for p in doc["phases"]}
         assert machines == {0, 1, 2, 3}
         assert phases == set(ENGINE_PHASES)
+
+    def test_memory_backend_is_not_timed(self):
+        """The memory provider's calls are dict operations: only the
+        update-chunk serializer is timed as ``serialize``, and nothing
+        as ``deserialize``."""
+        _, doc = profiled_run(machines=4)
+        machines = {p["machine"] for p in doc["phases"]}
+        phases = {p["phase"] for p in doc["phases"]}
+        assert machines == {0, 1, 2, 3}
+        assert phases == set(ENGINE_PHASES) - {"deserialize"}
 
     def test_iteration_attribution_matches_run_length(self):
         _, doc = profiled_run(iterations=3)
@@ -385,68 +400,62 @@ PINNED_JOBS = {
 #: ``(machine, phase) -> (calls, records)`` of iterations 0, 1 and 2,
 #: taken when the engines still held start/stop hooks: timing them from
 #: outside must find the same calls (``msg_copy``, which timed one
-#: ``Message`` construction per send, is gone).
+#: ``Message`` construction per send, is gone).  The memory provider's
+#: backend calls are not timed (their rows measured clock granularity):
+#: its ``deserialize`` rows left, and ``serialize`` counts only the
+#: update-chunk serializer, one call per flush.  These rows equal the
+#: previous profiler's with its four backend entries dropped from
+#: ``TIMED``, on all three jobs.
 PINNED_KEYS = {
     "fault_free": {
         (0, "apply"): ((1, 0), (1, 0), (1, 0)),
-        (0, "deserialize"): ((36, 0), (39, 0), (44, 0)),
         (0, "gather"): ((4, 9530), (4, 9530), (4, 9530)),
         (0, "scatter"): ((1, 9491), (1, 9491), (1, 9491)),
-        (0, "serialize"): ((6, 9630), (10, 13760), (12, 20765)),
+        (0, "serialize"): ((4, 9491), (4, 9491), (4, 9491)),
         (1, "apply"): ((1, 0), (1, 0), (1, 0)),
-        (1, "deserialize"): ((39, 0), (37, 0), (40, 0)),
         (1, "gather"): ((4, 3014), (4, 3014), (4, 3014)),
         (1, "scatter"): ((1, 2932), (1, 2932), (1, 2932)),
-        (1, "serialize"): ((7, 5346), (10, 6717), (8, 4605)),
+        (1, "serialize"): ((4, 2932), (4, 2932), (4, 2932)),
         (2, "apply"): ((1, 0), (1, 0), (1, 0)),
-        (2, "deserialize"): ((34, 0), (36, 0), (48, 0)),
         (2, "gather"): ((4, 2923), (4, 2923), (4, 2923)),
         (2, "scatter"): ((1, 3012), (1, 3012), (1, 3012)),
-        (2, "serialize"): ((10, 11337), (10, 10757), (11, 6449)),
+        (2, "serialize"): ((4, 3012), (4, 3012), (4, 3012)),
         (3, "apply"): ((1, 0), (1, 0), (1, 0)),
-        (3, "deserialize"): ((41, 0), (37, 0), (26, 0)),
         (3, "gather"): ((4, 917), (4, 917), (4, 917)),
         (3, "scatter"): ((1, 949), (1, 949), (1, 949)),
-        (3, "serialize"): ((13, 6455), (6, 1534), (5, 949)),
+        (3, "serialize"): ((4, 949), (4, 949), (4, 949)),
     },
     "alpha_inf": {
         (0, "apply"): ((1, 0), (1, 0), (1, 0)),
-        (0, "deserialize"): ((73, 0), (79, 0), (88, 0)),
         (0, "gather"): ((4, 9530), (4, 9530), (4, 9530)),
         (0, "scatter"): ((1, 9491), (1, 9491), (1, 9491)),
-        (0, "serialize"): ((11, 12830), (10, 11767), (11, 20943)),
+        (0, "serialize"): ((4, 9491), (4, 9491), (4, 9491)),
         (1, "apply"): ((1, 0), (1, 0), (1, 0)),
-        (1, "deserialize"): ((43, 0), (73, 0), (78, 0)),
         (1, "gather"): ((4, 3014), (4, 3014), (4, 3014)),
         (1, "scatter"): ((1, 2932), (1, 2932), (1, 2932)),
-        (1, "serialize"): ((6, 3071), (10, 5712), (8, 4024)),
+        (1, "serialize"): ((4, 2932), (4, 2932), (4, 2932)),
         (2, "apply"): ((1, 0), (1, 0), (1, 0)),
-        (2, "deserialize"): ((64, 0), (63, 0), (65, 0)),
         (2, "gather"): ((4, 2923), (4, 2923), (4, 2923)),
         (2, "scatter"): ((1, 3012), (1, 3012), (1, 3012)),
-        (2, "serialize"): ((10, 12907), (7, 6606), (8, 5322)),
+        (2, "serialize"): ((4, 3012), (4, 3012), (4, 3012)),
         (3, "apply"): ((1, 0), (1, 0), (1, 0)),
-        (3, "deserialize"): ((64, 0), (68, 0), (63, 0)),
         (3, "gather"): ((4, 917), (4, 917), (4, 917)),
         (3, "scatter"): ((1, 949), (1, 949), (1, 949)),
-        (3, "serialize"): ((9, 3960), (9, 8683), (9, 2479)),
+        (3, "serialize"): ((4, 949), (4, 949), (4, 949)),
     },
     "crash": {
         (0, "apply"): ((1, 0), (1, 0), (1, 0)),
-        (0, "deserialize"): ((34, 0), (24, 0), (36, 0)),
         (0, "gather"): ((3, 11648), (3, 11648), (3, 11648)),
         (0, "scatter"): ((1, 11542), (1, 11542), (1, 11542)),
-        (0, "serialize"): ((5, 11814), (4, 11762), (6, 14471)),
+        (0, "serialize"): ((3, 11542), (3, 11542), (3, 11542)),
         (1, "apply"): ((1, 0), (1, 0), (1, 0)),
-        (1, "deserialize"): ((33, 0), (38, 0), (32, 0)),
         (1, "gather"): ((3, 3631), (3, 3631), (3, 3631)),
         (1, "scatter"): ((1, 3695), (1, 3695), (1, 3695)),
-        (1, "serialize"): ((12, 9763), (15, 18994), (12, 5561)),
+        (1, "serialize"): ((3, 3695), (3, 3695), (3, 3695)),
         (2, "apply"): ((1, 0), (1, 0), (1, 0)),
-        (2, "deserialize"): ((35, 0), (29, 0), (43, 0)),
         (2, "gather"): ((3, 1105), (3, 1105), (3, 1105)),
         (2, "scatter"): ((1, 1147), (1, 1147), (2, 2294)),
-        (2, "serialize"): ((10, 11191), (8, 2012), (9, 12736)),
+        (2, "serialize"): ((3, 1147), (3, 1147), (3, 1147)),
     },
 }
 

@@ -117,13 +117,17 @@ TWINS = {
 #: engines: its per-send ``msg_copy`` start/stop pair and the engines'
 #: guarded start/stop calls left, one timed wrapper call per kernel
 #: came in, and total calls fell 35,071 -> 32,242 (-8.1 %).
+#: Every pin fell again when stored edge chunks came grouped by
+#: destination partition: scatter bins without a sort, gather stops
+#: converting ids per chunk, and the memory backend is no longer timed
+#: under a host profiler (``pr_traced`` 32,242 -> 31,620, -1.9 %).
 BUDGET = {
-    "pr_kernel": (8.68, 17.345, 0.436),  # 21,262 calls
-    "pr_overhead": (8.177, 17.375, 1.678),  # 82,013 calls
-    "wcc_minfold": (8.578, 17.01, 0.286),  # 29,821 calls
-    "sssp_file_ckpt": (8.947, 17.223, 0.7),  # 79,342 calls
-    "pr_traced": (13.199, 26.474, 1.319),  # 32,242 calls
-    "pr_crash_recover": (9.606, 20.643, 0.544),  # 44,695 calls
+    "pr_kernel": (8.629, 17.243, 0.433),  # 21,137 calls
+    "pr_overhead": (8.148, 17.313, 1.671),  # 81,722 calls
+    "wcc_minfold": (8.529, 16.913, 0.284),  # 29,652 calls
+    "sssp_file_ckpt": (8.862, 17.06, 0.693),  # 78,591 calls
+    "pr_traced": (12.945, 25.963, 1.294),  # 31,620 calls
+    "pr_crash_recover": (9.504, 20.313, 0.536),  # 43,981 calls
 }
 
 

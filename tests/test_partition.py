@@ -85,6 +85,25 @@ class TestPartitionLayout:
             np.searchsorted(target[expected], np.arange(partitions + 1)),
         )
 
+    def test_group_skips_the_sort_of_grouped_ids(self):
+        layout = PartitionLayout.even(10, 3)  # [0, 4) [4, 7) [7, 10)
+        order, cut_points = layout.group(np.array([3, 0, 2, 8, 9, 7]))
+        assert order is None
+        assert list(cut_points) == [0, 3, 3, 6]
+
+    def test_group_falls_back_to_route(self):
+        layout = PartitionLayout.even(10, 3)
+        ids = np.array([8, 3, 5, 0, 9])
+        order, cut_points = layout.group(ids)
+        expected = layout.route(ids)
+        assert list(order) == list(expected[0]) == [1, 3, 2, 0, 4]
+        assert list(cut_points) == list(expected[1]) == [0, 2, 3, 5]
+
+    @pytest.mark.parametrize("bad", [-1, 10])
+    def test_group_rejects_ids_outside_the_graph(self, bad):
+        with pytest.raises(ValueError, match=rf"{bad} is outside \[0, 10\)"):
+            PartitionLayout.even(10, 2).group(np.array([3, 7, bad]))
+
     def test_route_of_nothing(self):
         order, cut_points = PartitionLayout.even(10, 3).route(np.arange(0))
         assert len(order) == 0

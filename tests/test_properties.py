@@ -184,6 +184,41 @@ class TestPartitionProperties:
         )
         assert np.array_equal(layout.partition_of(ids), target)
 
+    @given(
+        num_vertices=st.integers(1, 3000),
+        partitions=st.sampled_from([1, 2, 255, 256, 257]),
+        dtype=st.sampled_from([np.int32, np.int64, np.uint32, np.uint64]),
+        count=st.integers(0, 600),
+        grouped=st.booleans(),
+        seed=st.integers(0, 2**16),
+    )
+    @settings(max_examples=80, suppress_health_check=SUPPRESS)
+    def test_group_is_route_without_the_identity_permutation(
+        self, num_vertices, partitions, dtype, count, grouped, seed
+    ):
+        """``group`` on ids already grouped by owner (the layout of a
+        scatter's output over a stored edge chunk) skips the argsort: no
+        order, and route's cut points, route's order being the identity.
+        On any other ids it is ``route``."""
+        rng = np.random.default_rng(seed)
+        cuts = np.sort(rng.integers(0, num_vertices + 1, size=partitions - 1))
+        layout = PartitionLayout(
+            num_vertices, partitions, np.concatenate([[0], cuts, [num_vertices]])
+        )
+        ids = rng.integers(0, num_vertices, size=count).astype(dtype)
+        if grouped:
+            ids = ids[layout.partition_of(ids).argsort(kind="stable")]
+        order, cut_points = layout.group(ids)
+        route_order, route_cuts = layout.route(ids)
+        assert np.array_equal(cut_points, route_cuts)
+        keys = layout.partition_of(ids)
+        if np.all(keys[1:] >= keys[:-1]):
+            assert order is None
+            assert np.array_equal(route_order, np.arange(count))
+        else:
+            assert not grouped
+            assert np.array_equal(order, route_order)
+
 
 class TestChunkProperties:
     @given(total=st.integers(0, 10**5), chunk=st.integers(1, 10**4))
